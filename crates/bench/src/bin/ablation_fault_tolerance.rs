@@ -29,7 +29,7 @@ use pipelayer_bench::{fmt_f, Table};
 use pipelayer_nn::data::SyntheticMnist;
 use pipelayer_nn::metrics::DegradationReport;
 use pipelayer_nn::zoo;
-use pipelayer_reram::{FaultModel, ReramParams, VerifyPolicy};
+use pipelayer_reram::{DeviceModel, FaultModel, ReramParams, VerifyPolicy};
 use pipelayer_tensor::Tensor;
 
 const DIMS: [usize; 3] = [49, 16, 10];
@@ -87,7 +87,9 @@ fn main() {
     for &rate in rates {
         let faults = FaultModel::with_stuck_rate(rate);
 
-        let mut off = ReramMlp::with_faults(&DIMS, &params, SEED, &faults);
+        let mut off = ReramMlp::builder(&DIMS, &params, SEED)
+            .device(DeviceModel::ideal().with_faults(faults))
+            .build();
         train(&mut off, &tr, trl, epochs);
         let acc_off = off.accuracy(&te, tel);
         let d_off = DegradationReport::new(base_acc, acc_off);

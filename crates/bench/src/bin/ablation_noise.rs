@@ -30,7 +30,7 @@ use pipelayer_nn::data::SyntheticMnist;
 use pipelayer_nn::serialize::atomic_write;
 use pipelayer_nn::trainer::{TrainConfig, Trainer};
 use pipelayer_nn::{zoo, Network};
-use pipelayer_reram::{DriftModel, NoiseModel, ReramParams, VerifyPolicy};
+use pipelayer_reram::{DeviceModel, DriftModel, NoiseModel, ReramParams, VerifyPolicy};
 use pipelayer_tensor::Tensor;
 use std::path::Path;
 use std::sync::Arc;
@@ -220,18 +220,17 @@ fn main() {
         t0_cycles: 10_000,
         disturb_per_level: 0,
     };
-    let mut mlp = ReramMlp::with_resilience(
-        &[49, 16, 10],
-        &params,
-        5,
-        drift,
-        ScrubPolicy::off(),
-        VerifyPolicy::default(),
-    );
-    // Milder than the weight-level sweep: here EVERY analog MVM (forward,
-    // backward, and the Fig. 14(b) read-back of the update) is noisy, so
-    // the datapath trains through the noise rather than around it.
-    mlp.attach_noise(NoiseModel::with_strength(0.25), NOISE_SEED);
+    // Milder noise than the weight-level sweep: here EVERY analog MVM
+    // (forward, backward, and the Fig. 14(b) read-back of the update) is
+    // noisy, so the datapath trains through the noise rather than around it.
+    let device = DeviceModel::ideal()
+        .with_drift(drift)
+        .with_noise(NoiseModel::with_strength(0.25));
+    let mut mlp = ReramMlp::builder(&[49, 16, 10], &params, 5)
+        .device(device)
+        .noise_seed(NOISE_SEED)
+        .scrub(ScrubPolicy::off(), VerifyPolicy::default())
+        .build();
     for _ in 0..f_epochs {
         for (imgs, labs) in tr.chunks(10).zip(trl.chunks(10)) {
             mlp.train_batch(imgs, labs, 0.3);

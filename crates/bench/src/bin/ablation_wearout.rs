@@ -29,7 +29,7 @@ use pipelayer_bench::{fmt_f, Table};
 use pipelayer_nn::data::SyntheticMnist;
 use pipelayer_nn::metrics::DegradationReport;
 use pipelayer_nn::serialize::atomic_write;
-use pipelayer_reram::{FaultModel, ReramParams, VerifyPolicy, WearModel};
+use pipelayer_reram::{DeviceModel, ReramParams, VerifyPolicy, WearModel};
 use pipelayer_tensor::Tensor;
 use std::path::Path;
 
@@ -63,21 +63,18 @@ fn train(mlp: &mut ReramMlp, tr: &[Tensor], trl: &[usize], epochs: usize) {
     }
 }
 
-/// The verify + spare-budget stack shared by every repair-on arm; wear
-/// and the escalation policy are attached per arm. The campaign
-/// provisions 8 spare bit lines per matrix (double the macro-typical 4):
-/// a device expected to *survive* storage-class endurance buys the
-/// redundancy for it, and the `mapcheck` PL024 feasibility warning is
-/// exactly the tool that tells a designer the typical budget is short.
-fn repair_stack() -> ReramMlp {
-    ReramMlp::with_fault_tolerance(
-        &DIMS,
-        &ReramParams::default(),
-        SEED,
-        &FaultModel::ideal(),
-        VerifyPolicy::with_attempts(2),
-        SpareBudget::with_cols(8),
-    )
+/// The verify + spare-budget stack shared by every repair-on arm under
+/// `wear` and the escalation `policy`. The campaign provisions 8 spare bit
+/// lines per matrix (double the macro-typical 4): a device expected to
+/// *survive* storage-class endurance buys the redundancy for it, and the
+/// `mapcheck` PL024 feasibility warning is exactly the tool that tells a
+/// designer the typical budget is short.
+fn repair_stack(wear: WearModel, policy: RepairPolicy) -> ReramMlp {
+    ReramMlp::builder(&DIMS, &ReramParams::default(), SEED)
+        .device(DeviceModel::ideal().with_wear(wear))
+        .fault_tolerance(VerifyPolicy::with_attempts(2), SpareBudget::with_cols(8))
+        .repair_policy(policy)
+        .build()
 }
 
 fn json_num(v: f64) -> String {
@@ -116,7 +113,7 @@ fn main() {
     let mut plain = ReramMlp::new(&DIMS, &ReramParams::default(), SEED);
     train(&mut plain, &tr, trl, epochs);
     let base_plain = plain.accuracy(&te, tel);
-    let mut stack = repair_stack();
+    let mut stack = repair_stack(WearModel::ideal(), RepairPolicy::default());
     train(&mut stack, &tr, trl, epochs);
     let base_verify = stack.accuracy(&te, tel);
     println!(
@@ -140,8 +137,9 @@ fn main() {
 
         // Repair off: the legacy update path still books wear pulses, so
         // cells die silently — no verify read ever notices.
-        let mut off = ReramMlp::new(&DIMS, &ReramParams::default(), SEED);
-        off.attach_wear(wear, SEED);
+        let mut off = ReramMlp::builder(&DIMS, &ReramParams::default(), SEED)
+            .device(DeviceModel::ideal().with_wear(wear))
+            .build();
         train(&mut off, &tr, trl, epochs);
         arms.push(Arm {
             policy: "off",
@@ -155,9 +153,7 @@ fn main() {
             ("immediate", RepairPolicy::immediate()),
             ("laddered", RepairPolicy::laddered()),
         ] {
-            let mut arm = repair_stack();
-            arm.attach_wear(wear, SEED);
-            arm.set_repair_policy(policy);
+            let mut arm = repair_stack(wear, policy);
             train(&mut arm, &tr, trl, epochs);
             arms.push(Arm {
                 policy: policy_name,

@@ -26,9 +26,6 @@
 //! * **PL060 panic reachability**: which `try_*`/checkpoint/report-facing
 //!   `pub` fns can transitively reach a panic, with a witness call chain.
 //!   Counted per file under the `pl060` allowlist pattern, shrink-only.
-//! * **PL061 cache coherence**: `&mut self` methods of configured types
-//!   (`Crossbar{plane_cache; cells,faults,drift,noise}`) that write state
-//!   without invalidating the cache. **No allowlist** — any finding fails.
 //! * **PL062 determinism taint**: nondeterminism sources reaching the
 //!   weight/report sinks outside the seed stream. `pl062`, shrink-only.
 //! * **PL070/PL071/PL072 dimensional analysis** (`check::units` over the
@@ -48,7 +45,7 @@
 //! 2 on usage/I-O errors.
 
 use pipelayer_check::callgraph::{self, Workspace};
-use pipelayer_check::{cachecheck, dettaint, lex, panicreach, units};
+use pipelayer_check::{dettaint, lex, panicreach, units};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -267,22 +264,16 @@ fn parse_allowlist(text: &str) -> Result<BTreeMap<(String, String), usize>, Stri
 /// Output of the `--semantic` passes.
 #[derive(Debug, Default)]
 struct SemanticReport {
-    /// PL061 findings — hard failures, no allowlist.
-    cache_failures: Vec<String>,
     /// `(path, "pl060"/"pl062")` → count, merged into the allowlist check.
     counts: BTreeMap<(String, String), usize>,
     /// `(path, pattern)` → rendered diagnostics, printed when over cap.
     details: BTreeMap<(String, String), Vec<String>>,
 }
 
-/// Runs PL060/PL061/PL062 over the workspace call graph.
+/// Runs PL060/PL062 and the unit passes over the workspace call graph.
 fn run_semantic(root: &Path) -> Result<SemanticReport, String> {
     let ws = Workspace::load(root)?;
     let mut report = SemanticReport::default();
-
-    for d in cachecheck::check(&ws, &cachecheck::default_specs()) {
-        report.cache_failures.push(d.render());
-    }
 
     let (diags, counts) = panicreach::findings(&ws, &panicreach::Options::default());
     merge_semantic(&mut report, "pl060", diags, counts);
@@ -423,10 +414,6 @@ fn run() -> Result<bool, String> {
     }
 
     let mut failures: Vec<String> = Vec::new();
-    if let Some(sem) = &sem {
-        // PL061 has no allowlist: any cache-coherence finding fails.
-        failures.extend(sem.cache_failures.iter().cloned());
-    }
     for ((path, pat), &n) in &counts {
         let cap = allowed
             .get(&(path.clone(), pat.clone()))

@@ -65,8 +65,6 @@ pub struct FnItem {
     pub line: usize,
     /// `pub` without a restriction (`pub(crate)` counts as private API).
     pub is_pub: bool,
-    /// First parameter is `&mut self` (possibly with a lifetime).
-    pub mut_self: bool,
     /// Token-index range `[lo, hi)` of the body *between* the braces
     /// (empty for bodyless trait declarations).
     pub body: Option<(usize, usize)>,
@@ -577,34 +575,17 @@ impl<'a> Parser<'a> {
         self.i += 1;
         // Signature: skip to the body `{` or a bodyless `;`, balancing
         // parens/brackets/angles so `-> [u8; 3]` and generics don't confuse.
-        let mut mut_self = false;
-        let mut saw_params = false;
         loop {
             match self.tok(self.i) {
                 None => return,
                 Some(t) if t.kind == TokKind::Punct => match t.text(self.src) {
                     ";" => {
                         self.i += 1;
-                        self.record(
-                            name,
-                            self_ty,
-                            fn_line,
-                            is_pub,
-                            mut_self,
-                            None,
-                            in_test,
-                            Vec::new(),
-                        );
+                        self.record(name, self_ty, fn_line, is_pub, None, in_test, Vec::new());
                         return;
                     }
                     "{" => break,
-                    "(" => {
-                        if !saw_params {
-                            saw_params = true;
-                            mut_self = self.param_list_is_mut_self(self.i + 1);
-                        }
-                        self.i = self.skip_balanced(self.i, '(', ')');
-                    }
+                    "(" => self.i = self.skip_balanced(self.i, '(', ')'),
                     "<" => self.i = self.skip_angles(self.i),
                     _ => self.i += 1,
                 },
@@ -620,29 +601,7 @@ impl<'a> Parser<'a> {
         } else {
             self.extract_calls(body.0, body.1, self_ty)
         };
-        self.record(
-            name,
-            self_ty,
-            fn_line,
-            is_pub,
-            mut_self,
-            Some(body),
-            in_test,
-            calls,
-        );
-    }
-
-    /// `true` if a parameter list starting just after its `(` begins with
-    /// `&mut self` (an optional lifetime between `&` and `mut` is fine).
-    fn param_list_is_mut_self(&self, mut at: usize) -> bool {
-        if !self.is_punct(at, '&') {
-            return false;
-        }
-        at += 1;
-        if self.tok(at).is_some_and(|t| t.kind == TokKind::Lifetime) {
-            at += 1;
-        }
-        self.is_ident(at, "mut") && self.is_ident(at + 1, "self")
+        self.record(name, self_ty, fn_line, is_pub, Some(body), in_test, calls);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -652,7 +611,6 @@ impl<'a> Parser<'a> {
         self_ty: Option<&str>,
         line: usize,
         is_pub: bool,
-        mut_self: bool,
         body: Option<(usize, usize)>,
         in_test: bool,
         calls: Vec<CallSite>,
@@ -666,7 +624,6 @@ impl<'a> Parser<'a> {
             file: self.file,
             line,
             is_pub,
-            mut_self,
             body,
             calls,
         });
@@ -852,25 +809,6 @@ mod tests {
     fn strings_and_comments_do_not_produce_calls() {
         let w = ws("fn a() { let s = \"self.bad() call()\"; /* other() */ }");
         assert!(w.fns[0].calls.is_empty());
-    }
-
-    #[test]
-    fn mut_self_receivers_are_detected() {
-        let w = ws(
-            "struct S;\nimpl S {\n fn a(&mut self) {}\n fn b(&self) {}\n fn c(self) {}\n fn d<'a>(&'a mut self) {}\n fn e(x: &mut Self) {}\n}",
-        );
-        let flags: Vec<(String, bool)> =
-            w.fns.iter().map(|f| (f.name.clone(), f.mut_self)).collect();
-        assert_eq!(
-            flags,
-            vec![
-                ("a".to_string(), true),
-                ("b".to_string(), false),
-                ("c".to_string(), false),
-                ("d".to_string(), true),
-                ("e".to_string(), false),
-            ]
-        );
     }
 
     #[test]

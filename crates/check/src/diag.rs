@@ -219,9 +219,6 @@ pub const CONFIG_INVALID: &str = "PL050";
 
 /// Semantic: a public API function can transitively reach a panic site.
 pub const SEM_PANIC_REACHABLE: &str = "PL060";
-/// Semantic: a `&mut self` method writes cached state without invalidating
-/// the derived cache.
-pub const SEM_CACHE_INCOHERENT: &str = "PL061";
 /// Semantic: a nondeterminism source (RNG / wall clock / hash iteration)
 /// can reach a weight-or-report sink outside the seeded stream.
 pub const SEM_NONDET_TAINT: &str = "PL062";
@@ -323,10 +320,6 @@ pub const CODE_TABLE: &[(&str, &str)] = &[
     (
         SEM_PANIC_REACHABLE,
         "public API function can transitively reach a panic site",
-    ),
-    (
-        SEM_CACHE_INCOHERENT,
-        "&mut self method writes cached state without invalidating the cache",
     ),
     (
         SEM_NONDET_TAINT,

@@ -1,7 +1,7 @@
 //! A small string/char/raw-string/nested-comment-aware Rust lexer.
 //!
 //! This is the token stream the semantic passes ([`crate::callgraph`],
-//! PL060/PL061/PL062) and the `src-lint` sanitizer are built on. It is *not*
+//! PL060/PL062) and the `src-lint` sanitizer are built on. It is *not*
 //! a full Rust lexer — it classifies just enough structure to be reliable
 //! about the things that derail textual scanning:
 //!

@@ -31,7 +31,6 @@
 //! ```
 
 pub mod absint;
-pub mod cachecheck;
 pub mod callgraph;
 pub mod dettaint;
 pub mod diag;

@@ -1,13 +1,7 @@
 //! Integration tests for the semantic source-analysis layer: lexer golden
-//! tests on adversarial Rust, never-panics fuzzing of the lexer/masker, and
-//! the PL061 cache-coherence pass against a deliberately broken fixture
-//! (plus the real workspace, which must come back clean).
+//! tests on adversarial Rust and never-panics fuzzing of the lexer/masker.
 
-use std::path::Path;
-
-use pipelayer_check::callgraph::Workspace;
 use pipelayer_check::lex::{self, TokKind};
-use pipelayer_check::{cachecheck, diag};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng as _};
@@ -169,49 +163,4 @@ proptest! {
         let masked = lex::mask(&src);
         prop_assert_eq!(masked.matches('\n').count(), src.matches('\n').count());
     }
-}
-
-// ---- PL061 against a broken fixture and the real workspace -----------------
-
-fn fixture_spec() -> Vec<cachecheck::CacheSpec> {
-    vec![cachecheck::CacheSpec {
-        type_name: "Grid".to_string(),
-        cache_field: "sum_cache".to_string(),
-        state_fields: vec!["cells".to_string()],
-    }]
-}
-
-#[test]
-fn pl061_flags_the_broken_fixture_method_by_name() {
-    // `poke` writes `cells` without touching `sum_cache` — the bug PL061
-    // exists to catch. `poke_ok` invalidates and must pass.
-    let ws = Workspace::build(vec![(
-        "fixture.rs".to_string(),
-        "pub struct Grid { cells: Vec<u8>, sum_cache: Option<u64> }\n\
-         impl Grid {\n\
-             pub fn poke(&mut self, i: usize) { self.cells[i] += 1; }\n\
-             pub fn poke_ok(&mut self, i: usize) { self.cells[i] += 1; self.sum_cache = None; }\n\
-         }\n"
-        .to_string(),
-    )]);
-    let diags = cachecheck::check(&ws, &fixture_spec());
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    let d = &diags[0];
-    assert_eq!(d.code, diag::SEM_CACHE_INCOHERENT);
-    assert!(d.message.contains("`Grid::poke`"), "{}", d.message);
-    assert!(!d.message.contains("poke_ok"), "{}", d.message);
-}
-
-#[test]
-fn pl061_real_workspace_is_clean() {
-    // The actual Crossbar (crates/reram) must satisfy its plane_cache
-    // invariant method-by-method. This is the static twin of the dynamic
-    // differential test in crossbar.rs.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let ws = Workspace::load(&root).expect("workspace loads");
-    let diags = cachecheck::check(&ws, &cachecheck::default_specs());
-    assert!(
-        diags.is_empty(),
-        "PL061 findings on the real tree: {diags:?}"
-    );
 }

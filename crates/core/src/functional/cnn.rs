@@ -1,5 +1,6 @@
 //! Convolutional networks executing on the modelled ReRAM crossbars.
 
+use super::mlp::transpose_no_bias;
 use pipelayer_nn::loss::Loss;
 use pipelayer_nn::spec::{LayerSpec, NetSpec, PoolKind};
 use pipelayer_reram::{ReramMatrix, ReramParams};
@@ -272,16 +273,6 @@ impl FcStage {
             .write(&transpose_no_bias(&w, self.n_out, self.n_in));
         self.grad_acc.fill(0.0);
     }
-}
-
-fn transpose_no_bias(w: &[f32], n_out: usize, n_in: usize) -> Vec<f32> {
-    let mut wt = vec![0.0f32; n_in * n_out];
-    for o in 0..n_out {
-        for i in 0..n_in {
-            wt[i * n_out + o] = w[o * (n_in + 1) + i];
-        }
-    }
-    wt
 }
 
 enum Stage {

@@ -19,8 +19,8 @@ use crate::repair::{RepairController, RepairPolicy, SpareBudget};
 use crate::scrub::ScrubPolicy;
 use pipelayer_nn::loss::Loss;
 use pipelayer_reram::{
-    DriftModel, FaultKind, FaultMap, FaultModel, NoiseModel, ProgramReport, ReramMatrix,
-    ReramParams, VerifyPolicy, WearModel,
+    DeviceModel, DriftModel, FaultKind, FaultMap, FaultModel, NoiseModel, ProgramReport,
+    ReramMatrix, ReramParams, VerifyPolicy, WearModel,
 };
 use pipelayer_tensor::{ops, Tensor};
 use rand::rngs::StdRng;
@@ -73,68 +73,43 @@ struct ReramMlpLayer {
 }
 
 impl ReramMlpLayer {
+    /// Xavier-initialised weights programmed onto fresh forward and
+    /// reordered-backward arrays, both carrying `faults` (under the
+    /// layer's `salt`). With fault tolerance the initial weights then go
+    /// through a commissioning scrub: a verified write whose unrecoverable
+    /// columns are immediately remapped to spares (or masked once the
+    /// budget runs out).
+    #[allow(clippy::too_many_arguments)]
     fn new(
         n_in: usize,
         n_out: usize,
         relu: bool,
         params: &ReramParams,
         rng: &mut impl Rng,
-    ) -> Self {
-        let a = (6.0 / (n_in + n_out) as f32).sqrt();
-        let w: Vec<f32> = Tensor::uniform(&[n_out, n_in + 1], -a, a, rng).into_vec();
-        let wt = transpose_no_bias(&w, n_out, n_in);
-        ReramMlpLayer {
-            n_in,
-            n_out,
-            forward: ReramMatrix::program(&w, n_out, n_in + 1, params),
-            backward: ReramMatrix::program(&wt, n_in, n_out, params),
-            forward_repair: RepairController::new(SpareBudget::none()),
-            backward_repair: RepairController::new(SpareBudget::none()),
-            grad_acc: vec![0.0; n_out * (n_in + 1)],
-            cached_in: Vec::new(),
-            cached_out: Vec::new(),
-            relu,
-        }
-    }
-
-    /// Like [`new`](Self::new), but the arrays carry stuck-at faults drawn
-    /// from `faults` and the initial weights go through a commissioning
-    /// scrub: a verified write whose unrecoverable columns are immediately
-    /// remapped to spares (or masked once `spares` runs out). Returns the
-    /// scrub's cost.
-    #[allow(clippy::too_many_arguments)]
-    fn with_faults(
-        n_in: usize,
-        n_out: usize,
-        relu: bool,
-        params: &ReramParams,
-        rng: &mut StdRng,
-        faults: &FaultModel,
-        ft: &mut FaultState,
-        spares: SpareBudget,
+        faults: &DeviceModel,
         salt: u64,
+        fault_tolerance: Option<(&mut FaultState, SpareBudget)>,
     ) -> Self {
         let a = (6.0 / (n_in + n_out) as f32).sqrt();
         let w: Vec<f32> = Tensor::uniform(&[n_out, n_in + 1], -a, a, rng).into_vec();
         let wt = transpose_no_bias(&w, n_out, n_in);
-        let mut forward =
-            ReramMatrix::program_with_faults(&w, n_out, n_in + 1, params, faults, salt);
-        let mut backward = ReramMatrix::program_with_faults(
-            &wt,
-            n_in,
-            n_out,
-            params,
-            faults,
-            salt ^ 0x9e37_79b9_7f4a_7c15,
-        );
+        let mut forward = ReramMatrix::program(&w, n_out, n_in + 1, params);
+        let mut backward = ReramMatrix::program(&wt, n_in, n_out, params);
+        forward.attach(faults, salt);
+        backward.attach(faults, salt ^ BACKWARD_SALT);
+        let spares = fault_tolerance
+            .as_ref()
+            .map_or(SpareBudget::none(), |&(_, spares)| spares);
         let mut forward_repair = RepairController::new(spares);
         let mut backward_repair = RepairController::new(spares);
-        let r = forward.write_verify(&w, &ft.verify, &mut ft.rng);
-        forward_repair.process(&mut forward, &r);
-        ft.report.merge(r);
-        let r = backward.write_verify(&wt, &ft.verify, &mut ft.rng);
-        backward_repair.process(&mut backward, &r);
-        ft.report.merge(r);
+        if let Some((ft, _)) = fault_tolerance {
+            let r = forward.write_verify(&w, &ft.verify, &mut ft.rng);
+            forward_repair.process(&mut forward, &r);
+            ft.report.merge(r);
+            let r = backward.write_verify(&wt, &ft.verify, &mut ft.rng);
+            backward_repair.process(&mut backward, &r);
+            ft.report.merge(r);
+        }
         ReramMlpLayer {
             n_in,
             n_out,
@@ -306,7 +281,7 @@ fn restore_matrix(rd: &mut ByteReader, m: &mut ReramMatrix) -> Option<()> {
                     map.set(i / cols, i % cols, k);
                 }
             }
-            if !c.restore_faults(map) {
+            if !c.set_faults(map) {
                 return None;
             }
         }
@@ -409,7 +384,7 @@ fn restore_report(rd: &mut ByteReader) -> Option<ProgramReport> {
 }
 
 /// Drops the bias row and transposes: `[out×(in+1)] → [in×out]`.
-fn transpose_no_bias(w: &[f32], n_out: usize, n_in: usize) -> Vec<f32> {
+pub(super) fn transpose_no_bias(w: &[f32], n_out: usize, n_in: usize) -> Vec<f32> {
     let mut wt = vec![0.0f32; n_in * n_out];
     for o in 0..n_out {
         for i in 0..n_in {
@@ -417,6 +392,151 @@ fn transpose_no_bias(w: &[f32], n_out: usize, n_in: usize) -> Vec<f32> {
         }
     }
     wt
+}
+
+/// Salt of layer `i`'s device streams under the model seed `seed`.
+fn layer_salt(seed: u64, i: usize) -> u64 {
+    seed.wrapping_add(1 + 1000 * i as u64)
+}
+
+/// Salt offset of a layer's reordered-backward copy.
+const BACKWARD_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Configures a [`ReramMlp`] — the one place its device model, write
+/// discipline and maintenance schedule are chosen. Start from
+/// [`ReramMlp::builder`].
+///
+/// # Example
+///
+/// ```
+/// use pipelayer::functional::ReramMlp;
+/// use pipelayer::ScrubPolicy;
+/// use pipelayer_reram::{DeviceModel, DriftModel, NoiseModel, ReramParams, VerifyPolicy};
+///
+/// let device = DeviceModel::ideal()
+///     .with_drift(DriftModel { nu: 0.1, nu_sigma: 0.05, t0_cycles: 100, disturb_per_level: 0 })
+///     .with_noise(NoiseModel::with_strength(0.5));
+/// let mut mlp = ReramMlp::builder(&[4, 8, 2], &ReramParams::default(), 7)
+///     .device(device)
+///     .scrub(ScrubPolicy::every(100, 4), VerifyPolicy::default())
+///     .build();
+/// assert_eq!(mlp.forward(&[0.1, -0.2, 0.3, 0.4]).len(), 2);
+/// ```
+#[derive(Debug, Clone)]
+pub struct ReramMlpBuilder<'a> {
+    dims: &'a [usize],
+    params: &'a ReramParams,
+    seed: u64,
+    device: DeviceModel,
+    noise_seed: u64,
+    fault_tolerance: Option<(VerifyPolicy, SpareBudget)>,
+    repair: Option<RepairPolicy>,
+    scrub: Option<(ScrubPolicy, VerifyPolicy)>,
+}
+
+impl ReramMlpBuilder<'_> {
+    /// The arrays' device model. Faults, drift and wear draw their
+    /// per-layer streams from the model seed, noise from
+    /// [`noise_seed`](Self::noise_seed).
+    pub fn device(mut self, device: DeviceModel) -> Self {
+        self.device = device;
+        self
+    }
+
+    /// Seed of the noise component's streams (default: the model seed).
+    pub fn noise_seed(mut self, seed: u64) -> Self {
+        self.noise_seed = seed;
+        self
+    }
+
+    /// Every weight write goes through the bounded program-and-verify loop
+    /// of `verify`, and unrecoverable columns are remapped against
+    /// `spares` (masked once the budget is gone). The initial weights are
+    /// scrubbed at construction, before drift, noise or wear attach, so
+    /// repair is active from the first forward pass.
+    pub fn fault_tolerance(mut self, verify: VerifyPolicy, spares: SpareBudget) -> Self {
+        self.fault_tolerance = Some((verify, spares));
+        self
+    }
+
+    /// The repair escalation ladder wear-aware updates climb.
+    pub fn repair_policy(mut self, policy: RepairPolicy) -> Self {
+        self.repair = Some(policy);
+        self
+    }
+
+    /// Runs the online scrub scheduler `scrub`, re-programming degraded
+    /// word lines through the verify loop of `verify`. With
+    /// [`ScrubPolicy::off`] only explicit [`ReramMlp::scrub_pass`] /
+    /// [`ReramMlp::scrub_all`] calls refresh the arrays.
+    pub fn scrub(mut self, scrub: ScrubPolicy, verify: VerifyPolicy) -> Self {
+        self.scrub = Some((scrub, verify));
+        self
+    }
+
+    /// Programs the initial weights and attaches the device model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than two widths are given or any width is zero.
+    pub fn build(self) -> ReramMlp {
+        let (dims, seed) = (self.dims, self.seed);
+        assert!(dims.len() >= 2, "need at least input and output widths");
+        assert!(dims.iter().all(|&d| d > 0), "zero-width layer");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ft = self.fault_tolerance.map(|(verify, spares)| {
+            let state = FaultState {
+                verify,
+                rng: StdRng::seed_from_u64(seed ^ 0x5eed_f417),
+                report: ProgramReport::default(),
+            };
+            (state, spares)
+        });
+        let faults = DeviceModel::ideal().with_faults(self.device.faults);
+        let layers: Vec<ReramMlpLayer> = dims
+            .windows(2)
+            .enumerate()
+            .map(|(i, w)| {
+                ReramMlpLayer::new(
+                    w[0],
+                    w[1],
+                    i + 2 < dims.len(),
+                    self.params,
+                    &mut rng,
+                    &faults,
+                    layer_salt(seed, i),
+                    ft.as_mut().map(|(state, spares)| (state, *spares)),
+                )
+            })
+            .collect();
+        let resilience = self.scrub.map(|(scrub, verify)| ResilienceState {
+            scrub,
+            verify,
+            rng: StdRng::seed_from_u64(seed ^ 0x5c2b_bed5),
+            report: ProgramReport::default(),
+            images_since_scrub: 0,
+            cursors: vec![(0, 0); layers.len()],
+            passes: 0,
+        });
+        let mut mlp = ReramMlp {
+            layers,
+            loss: Loss::SoftmaxCrossEntropy,
+            fault_tolerance: ft.map(|(state, _)| state),
+            resilience,
+            wear_active: false,
+        };
+        let aging = DeviceModel {
+            faults: FaultModel::ideal(),
+            noise: NoiseModel::ideal(),
+            ..self.device
+        };
+        mlp.attach(&aging, seed);
+        mlp.attach_noise(self.device.noise, self.noise_seed);
+        if let Some(policy) = self.repair {
+            mlp.set_repair_policy(policy);
+        }
+        mlp
+    }
 }
 
 /// A multilayer perceptron whose every MVM executes on the modelled ReRAM
@@ -449,92 +569,34 @@ pub struct ReramMlp {
 }
 
 impl ReramMlp {
-    /// Builds an MLP with the given layer widths (e.g. `[784, 100, 10]`),
-    /// ReLU between layers, Xavier initial weights programmed to ReRAM.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two widths are given or any width is zero.
-    pub fn new(dims: &[usize], params: &ReramParams, seed: u64) -> Self {
-        assert!(dims.len() >= 2, "need at least input and output widths");
-        assert!(dims.iter().all(|&d| d > 0), "zero-width layer");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let layers = dims
-            .windows(2)
-            .enumerate()
-            .map(|(i, w)| {
-                let relu = i + 2 < dims.len();
-                ReramMlpLayer::new(w[0], w[1], relu, params, &mut rng)
-            })
-            .collect();
-        ReramMlp {
-            layers,
-            loss: Loss::SoftmaxCrossEntropy,
-            fault_tolerance: None,
-            resilience: None,
-            wear_active: false,
-        }
-    }
-
-    /// Builds an MLP whose arrays carry persistent stuck-at faults drawn
-    /// from `faults` (deterministically in `seed`) but **no** fault
-    /// tolerance: writes are fire-and-forget and stuck cells silently
-    /// corrupt every read — the "repair off" arm of the ablation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid widths (see [`new`](Self::new)) or fault rates.
-    pub fn with_faults(
-        dims: &[usize],
-        params: &ReramParams,
+    /// Starts configuring an MLP with the given layer widths (e.g.
+    /// `[784, 100, 10]`), ReLU between layers and Xavier initial weights
+    /// drawn from `seed`. Without further options the arrays are ideal,
+    /// writes are fire-and-forget and nothing scrubs them.
+    pub fn builder<'a>(
+        dims: &'a [usize],
+        params: &'a ReramParams,
         seed: u64,
-        faults: &FaultModel,
-    ) -> Self {
-        assert!(dims.len() >= 2, "need at least input and output widths");
-        assert!(dims.iter().all(|&d| d > 0), "zero-width layer");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let layers = dims
-            .windows(2)
-            .enumerate()
-            .map(|(i, dims_w)| {
-                let relu = i + 2 < dims.len();
-                let (n_in, n_out) = (dims_w[0], dims_w[1]);
-                let mut layer = ReramMlpLayer::new(n_in, n_out, relu, params, &mut rng);
-                let salt = seed.wrapping_add(1 + 1000 * i as u64);
-                let w = layer.forward.read();
-                let wt = transpose_no_bias(&w, n_out, n_in);
-                layer.forward =
-                    ReramMatrix::program_with_faults(&w, n_out, n_in + 1, params, faults, salt);
-                layer.backward = ReramMatrix::program_with_faults(
-                    &wt,
-                    n_in,
-                    n_out,
-                    params,
-                    faults,
-                    salt ^ 0x9e37_79b9_7f4a_7c15,
-                );
-                layer
-            })
-            .collect();
-        ReramMlp {
-            layers,
-            loss: Loss::SoftmaxCrossEntropy,
+    ) -> ReramMlpBuilder<'a> {
+        ReramMlpBuilder {
+            dims,
+            params,
+            seed,
+            device: DeviceModel::ideal(),
+            noise_seed: seed,
             fault_tolerance: None,
-            resilience: None,
-            wear_active: false,
+            repair: None,
+            scrub: None,
         }
     }
 
-    /// Builds an MLP whose arrays carry persistent stuck-at faults drawn
-    /// from `faults` (deterministically in `seed`), with every weight write
-    /// going through the bounded program-and-verify loop of `verify` and
-    /// unrecoverable columns remapped against `spares` (masked once the
-    /// budget is gone). Initial weights are scrubbed at construction, so
-    /// repair is active from the first forward pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid widths (see [`new`](Self::new)) or fault rates.
+    /// Shorthand for `builder(dims, params, seed).build()`: ideal arrays.
+    pub fn new(dims: &[usize], params: &ReramParams, seed: u64) -> Self {
+        Self::builder(dims, params, seed).build()
+    }
+
+    /// Shorthand for the builder with `faults` as the device model and
+    /// [`fault_tolerance`](ReramMlpBuilder::fault_tolerance)`(verify, spares)`.
     pub fn with_fault_tolerance(
         dims: &[usize],
         params: &ReramParams,
@@ -543,44 +605,14 @@ impl ReramMlp {
         verify: VerifyPolicy,
         spares: SpareBudget,
     ) -> Self {
-        assert!(dims.len() >= 2, "need at least input and output widths");
-        assert!(dims.iter().all(|&d| d > 0), "zero-width layer");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut ft = FaultState {
-            verify,
-            rng: StdRng::seed_from_u64(seed ^ 0x5eed_f417),
-            report: ProgramReport::default(),
-        };
-        let layers = dims
-            .windows(2)
-            .enumerate()
-            .map(|(i, w)| {
-                let relu = i + 2 < dims.len();
-                let salt = seed.wrapping_add(1 + 1000 * i as u64);
-                ReramMlpLayer::with_faults(
-                    w[0], w[1], relu, params, &mut rng, faults, &mut ft, spares, salt,
-                )
-            })
-            .collect();
-        ReramMlp {
-            layers,
-            loss: Loss::SoftmaxCrossEntropy,
-            fault_tolerance: Some(ft),
-            resilience: None,
-            wear_active: false,
-        }
+        Self::builder(dims, params, seed)
+            .device(DeviceModel::ideal().with_faults(*faults))
+            .fault_tolerance(verify, spares)
+            .build()
     }
 
-    /// Builds an MLP whose arrays age in place: every cell follows the
-    /// seeded conductance-drift/read-disturb model `drift` (advanced one
-    /// logical cycle per processed image), and the online scrub scheduler
-    /// `scrub` periodically re-programs degraded word lines through the
-    /// program-and-verify loop of `verify`. With [`ScrubPolicy::off`] the
-    /// arrays age unchecked — the "scrub off" arm of the ablation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid widths (see [`new`](Self::new)).
+    /// Shorthand for the builder with `drift` as the device model and
+    /// [`scrub`](ReramMlpBuilder::scrub)`(scrub, verify)`.
     pub fn with_resilience(
         dims: &[usize],
         params: &ReramParams,
@@ -589,73 +621,37 @@ impl ReramMlp {
         scrub: ScrubPolicy,
         verify: VerifyPolicy,
     ) -> Self {
-        let mut mlp = Self::new(dims, params, seed);
-        for (i, layer) in mlp.layers.iter_mut().enumerate() {
-            let salt = seed.wrapping_add(1 + 1000 * i as u64);
-            layer.forward.attach_drift(drift, salt);
-            layer
-                .backward
-                .attach_drift(drift, salt ^ 0x9e37_79b9_7f4a_7c15);
-        }
-        let cursors = vec![(0usize, 0usize); mlp.layers.len()];
-        mlp.resilience = Some(ResilienceState {
-            scrub,
-            verify,
-            rng: StdRng::seed_from_u64(seed ^ 0x5c2b_bed5),
-            report: ProgramReport::default(),
-            images_since_scrub: 0,
-            cursors,
-            passes: 0,
-        });
-        mlp
+        Self::builder(dims, params, seed)
+            .device(DeviceModel::ideal().with_drift(drift))
+            .scrub(scrub, verify)
+            .build()
     }
 
-    /// Attaches the unified analog non-ideality model to every array (both
-    /// the forward and the reordered-backward copy of each layer), with the
-    /// same per-layer salt discipline as [`with_resilience`]
-    /// (Self::with_resilience). [`NoiseModel::ideal`] leaves every read
-    /// bit-exact; composes with faults, drift and scrub — noise applies on
-    /// top of whatever level those models resolve.
+    /// Attaches every non-ideal component of `model` to every array (the
+    /// forward and the reordered-backward copy of each layer), salted per
+    /// layer from `seed`; ideal components leave the current state alone.
+    fn attach(&mut self, model: &DeviceModel, seed: u64) {
+        for (i, layer) in self.layers.iter_mut().enumerate() {
+            let salt = layer_salt(seed, i);
+            layer.forward.attach(model, salt);
+            layer.backward.attach(model, salt ^ BACKWARD_SALT);
+        }
+        if !model.wear.is_ideal() {
+            self.wear_active = true;
+        }
+    }
+
+    /// Attaches `model` as every array's noise component after
+    /// construction, as the builder does with its noise seed.
     pub fn attach_noise(&mut self, model: NoiseModel, seed: u64) {
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            let salt = seed.wrapping_add(1 + 1000 * i as u64);
-            layer.forward.attach_noise(model, salt);
-            layer
-                .backward
-                .attach_noise(model, salt ^ 0x9e37_79b9_7f4a_7c15);
-        }
+        self.attach(&DeviceModel::ideal().with_noise(model), seed);
     }
 
-    /// [`new`](Self::new) plus [`attach_noise`](Self::attach_noise): an MLP
-    /// whose every array read carries the analog non-idealities of `noise`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid widths (see [`new`](Self::new)).
-    pub fn with_noise(dims: &[usize], params: &ReramParams, seed: u64, noise: NoiseModel) -> Self {
-        let mut mlp = Self::new(dims, params, seed);
-        mlp.attach_noise(noise, seed);
-        mlp
-    }
-
-    /// Attaches the endurance wear-out model to every array (forward and
-    /// reordered-backward copy of each layer) with the same per-layer salt
-    /// discipline as [`attach_noise`](Self::attach_noise). From then on
-    /// every programming pulse decrements the touched cell's seeded write
-    /// budget, and exhausted cells transition into live stuck-at-`Dead`
-    /// faults mid-run; weight updates route through the retry → backoff →
-    /// remap → mask ladder of the configured [`RepairPolicy`]. Attaching
-    /// [`WearModel::ideal`] is an exact no-op: no state is allocated and
-    /// the legacy update path keeps running bit-identically.
+    /// Attaches `model` as every array's wear component after construction,
+    /// as the builder does after the commissioning write. Updates then
+    /// climb the configured [`RepairPolicy`] ladder.
     pub fn attach_wear(&mut self, model: WearModel, seed: u64) {
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            let salt = seed.wrapping_add(1 + 1000 * i as u64);
-            layer.forward.attach_wear(model, salt);
-            layer
-                .backward
-                .attach_wear(model, salt ^ 0x9e37_79b9_7f4a_7c15);
-        }
-        self.wear_active = !model.is_ideal();
+        self.attach(&DeviceModel::ideal().with_wear(model), seed);
     }
 
     /// Replaces the repair escalation ladder on every array's controller
@@ -1073,12 +1069,9 @@ impl ReramMlp {
     }
 
     /// Advances the degradation clock by `cycles` logical cycles (one per
-    /// processed image) and runs any scrub passes the policy schedules in
-    /// that window. No-op when resilience is off.
+    /// processed image) and runs any scrub passes the scheduler owes in
+    /// that window. Arrays without drift do not age.
     pub fn advance_cycles(&mut self, cycles: u64) {
-        if self.resilience.is_none() {
-            return;
-        }
         for layer in &mut self.layers {
             layer.forward.advance_cycles(cycles);
             layer.backward.advance_cycles(cycles);
@@ -1433,8 +1426,9 @@ mod tests {
         let mut plain = ReramMlp::new(&[6, 4, 3], &ReramParams::default(), 8);
         let reference: Vec<u32> = plain.forward(&x).iter().map(|v| v.to_bits()).collect();
 
-        let mut noisy =
-            ReramMlp::with_noise(&[6, 4, 3], &ReramParams::default(), 8, NoiseModel::ideal());
+        let mut noisy = ReramMlp::builder(&[6, 4, 3], &ReramParams::default(), 8)
+            .device(DeviceModel::ideal().with_noise(NoiseModel::ideal()))
+            .build();
         let got: Vec<u32> = noisy.forward(&x).iter().map(|v| v.to_bits()).collect();
         assert_eq!(reference, got, "ideal noise model changed forward bits");
     }
@@ -1446,7 +1440,9 @@ mod tests {
     fn noisy_reram_mlp_still_trains() {
         let (tr, trl, te, tel) = small_task();
         let noise = NoiseModel::with_strength(0.5);
-        let mut mlp = ReramMlp::with_noise(&[49, 16, 10], &ReramParams::default(), 5, noise);
+        let mut mlp = ReramMlp::builder(&[49, 16, 10], &ReramParams::default(), 5)
+            .device(DeviceModel::ideal().with_noise(noise))
+            .build();
 
         let mut plain = ReramMlp::new(&[49, 16, 10], &ReramParams::default(), 5);
         let x: Vec<f32> = vec![0.3; 49];
@@ -1486,12 +1482,9 @@ mod tests {
         let builds: [fn() -> ReramMlp; 2] = [
             || ReramMlp::new(&[49, 16, 10], &ReramParams::default(), 5),
             || {
-                ReramMlp::with_faults(
-                    &[49, 16, 10],
-                    &ReramParams::default(),
-                    5,
-                    &FaultModel::with_stuck_rate(1e-3),
-                )
+                ReramMlp::builder(&[49, 16, 10], &ReramParams::default(), 5)
+                    .device(DeviceModel::ideal().with_faults(FaultModel::with_stuck_rate(1e-3)))
+                    .build()
             },
         ];
         for build in builds {
@@ -1771,6 +1764,60 @@ mod tests {
         );
         let out = mlp.forward(&[0.5; 49]);
         assert!(out.iter().all(|v| v.is_finite()));
+    }
+
+    /// The builder attaches faults before the commissioning write and
+    /// drift, noise and wear after it — the composition the shorthand
+    /// constructors plus post-hoc `attach_*` calls produce, bit for bit.
+    #[test]
+    fn builder_matches_constructor_plus_attach_bitwise() {
+        let (tr, trl, _, _) = small_task();
+        let (p, dims) = (ReramParams::default(), [49, 8, 10]);
+        let (noise, wear) = (
+            NoiseModel::with_strength(0.5),
+            WearModel::with_endurance(300.0),
+        );
+        let faults = FaultModel::with_stuck_rate(1e-3);
+        let (verify, spares) = (VerifyPolicy::with_attempts(2), SpareBudget::typical());
+        let mut aging = ReramMlp::with_resilience(
+            &dims,
+            &p,
+            6,
+            aggressive_drift(),
+            ScrubPolicy::every(10, 4),
+            VerifyPolicy::default(),
+        );
+        aging.attach_noise(noise, 99);
+        let mut wearing = ReramMlp::with_fault_tolerance(&dims, &p, 6, &faults, verify, spares);
+        wearing.attach_wear(wear, 6);
+        wearing.set_repair_policy(RepairPolicy::laddered());
+        let device = DeviceModel::ideal();
+        let pairs = [
+            (
+                aging,
+                ReramMlp::builder(&dims, &p, 6)
+                    .device(device.with_drift(aggressive_drift()).with_noise(noise))
+                    .noise_seed(99)
+                    .scrub(ScrubPolicy::every(10, 4), VerifyPolicy::default())
+                    .build(),
+            ),
+            (
+                wearing,
+                ReramMlp::builder(&dims, &p, 6)
+                    .device(device.with_faults(faults).with_wear(wear))
+                    .fault_tolerance(verify, spares)
+                    .repair_policy(RepairPolicy::laddered())
+                    .build(),
+            ),
+        ];
+        for (mut legacy, mut built) in pairs {
+            for (imgs, labs) in tr.chunks(10).zip(trl.chunks(10)).take(3) {
+                let a = legacy.train_batch(imgs, labs, 0.3);
+                let b = built.train_batch(imgs, labs, 0.3);
+                assert_eq!(a.to_bits(), b.to_bits(), "loss bits diverged");
+            }
+            assert_eq!(legacy.device_state(), built.device_state());
+        }
     }
 
     /// The chunked parallel feed must be bitwise independent of the

@@ -23,4 +23,4 @@ mod cnn;
 mod mlp;
 
 pub use cnn::ReramCnn;
-pub use mlp::{downsample, ReramMlp};
+pub use mlp::{downsample, ReramMlp, ReramMlpBuilder};

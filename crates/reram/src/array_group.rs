@@ -10,9 +10,10 @@
 //! (Fig. 14b).
 
 use crate::crossbar::Crossbar;
+use crate::device::DeviceModel;
 use crate::drift::DriftModel;
 use crate::energy::ReramParams;
-use crate::fault::{FaultMap, FaultModel, ProgramReport, VerifyPolicy};
+use crate::fault::{FaultModel, ProgramReport, VerifyPolicy};
 use crate::noise::NoiseModel;
 use crate::seedstream;
 use crate::wear::WearModel;
@@ -97,16 +98,25 @@ impl ReramMatrix {
         m
     }
 
-    /// Like [`program`](Self::program), but each member crossbar first draws
-    /// a persistent [`FaultMap`] from `faults` (deterministically in `seed`,
-    /// with per-crossbar sub-seeds so the eight arrays fail independently).
-    /// The initial write is *not* verified — pair with
+    /// Attaches `model` to every member crossbar (see
+    /// [`Crossbar::attach`]), with per-crossbar sub-seeds from the
+    /// documented `(seed, crossbar, row, col, epoch)` scheme so the member
+    /// arrays fail, age, scatter and wear independently. Ideal components
+    /// are exact no-ops, so parts attached by earlier calls (possibly under
+    /// other seeds) stay in place.
+    pub fn attach(&mut self, model: &DeviceModel, seed: u64) {
+        for (i, xbar) in self.crossbars_mut().enumerate() {
+            xbar.attach(model, seedstream::crossbar_seed(seed, i as u64));
+        }
+    }
+
+    /// [`program`](Self::program) followed by attaching persistent faults
+    /// drawn from `faults`. The initial write is *not* verified — pair with
     /// [`write_verify`](Self::write_verify) to discover unrecoverable cells.
     ///
     /// # Panics
     ///
-    /// Same conditions as [`program`](Self::program), plus invalid fault
-    /// rates.
+    /// Same conditions as [`program`](Self::program).
     pub fn program_with_faults(
         weights: &[f32],
         out_dim: usize,
@@ -116,55 +126,29 @@ impl ReramMatrix {
         seed: u64,
     ) -> Self {
         let mut m = Self::program(weights, out_dim, in_dim, params);
-        for (g, (pos, neg)) in m.groups.iter_mut().enumerate() {
-            let pos_seed = seedstream::crossbar_seed(seed, 2 * g as u64);
-            let neg_seed = seedstream::crossbar_seed(seed, 2 * g as u64 + 1);
-            pos.attach_faults(FaultMap::generate(in_dim, out_dim, faults, pos_seed));
-            neg.attach_faults(FaultMap::generate(in_dim, out_dim, faults, neg_seed));
-        }
+        m.attach(&DeviceModel::ideal().with_faults(*faults), seed);
         m
     }
 
-    /// Attaches the time-dependent degradation model to every member
-    /// crossbar, with per-crossbar sub-seeds from the documented
-    /// `(seed, crossbar, row, col, epoch)` scheme so the eight arrays
-    /// age independently.
+    /// Shorthand for [`attach`](Self::attach) with only `model` as drift.
     pub fn attach_drift(&mut self, model: DriftModel, seed: u64) {
-        for (g, (pos, neg)) in self.groups.iter_mut().enumerate() {
-            pos.attach_drift(model, seedstream::crossbar_seed(seed, 2 * g as u64));
-            neg.attach_drift(model, seedstream::crossbar_seed(seed, 2 * g as u64 + 1));
-        }
+        self.attach(&DeviceModel::ideal().with_drift(model), seed);
     }
 
-    /// Attaches the analog non-ideality model to every member crossbar,
-    /// with per-crossbar sub-seeds from the documented
-    /// `(seed, crossbar, row, col, epoch)` scheme so the eight arrays see
-    /// independent device lotteries and read noise.
+    /// Shorthand for [`attach`](Self::attach) with only `model` as noise.
     pub fn attach_noise(&mut self, model: NoiseModel, seed: u64) {
-        for (g, (pos, neg)) in self.groups.iter_mut().enumerate() {
-            pos.attach_noise(model, seedstream::crossbar_seed(seed, 2 * g as u64));
-            neg.attach_noise(model, seedstream::crossbar_seed(seed, 2 * g as u64 + 1));
-        }
+        self.attach(&DeviceModel::ideal().with_noise(model), seed);
     }
 
-    /// Attaches the endurance wear-out model to every member crossbar,
-    /// with per-crossbar sub-seeds from the documented
-    /// `(seed, crossbar, row, col, epoch)` scheme so the eight arrays draw
-    /// independent write-budget lotteries. An ideal model detaches wear
-    /// (exact no-op).
+    /// Shorthand for [`attach`](Self::attach) with only `model` as wear.
     pub fn attach_wear(&mut self, model: WearModel, seed: u64) {
-        for (g, (pos, neg)) in self.groups.iter_mut().enumerate() {
-            pos.attach_wear(model, seedstream::crossbar_seed(seed, 2 * g as u64));
-            neg.attach_wear(model, seedstream::crossbar_seed(seed, 2 * g as u64 + 1));
-        }
+        self.attach(&DeviceModel::ideal().with_wear(model), seed);
     }
 
     /// Cells across all member crossbars that have exhausted their write
     /// budget (0 without an attached wear model).
     pub fn wear_exhausted_cells(&self) -> usize {
-        self.groups
-            .iter()
-            .flat_map(|(p, n)| [p, n])
+        self.crossbars()
             .filter_map(|x| x.wear_state())
             .map(|w| w.exhausted_cells())
             .sum()
@@ -174,9 +158,7 @@ impl ReramMatrix {
     /// member crossbars — `u64::MAX` without wear. A scrub pass below its
     /// headroom threshold skips the row instead of burning its last writes.
     pub fn row_wear_headroom(&self, row: usize) -> u64 {
-        self.groups
-            .iter()
-            .flat_map(|(p, n)| [p, n])
+        self.crossbars()
             .map(|x| x.row_wear_headroom(row))
             .min()
             .unwrap_or(u64::MAX)
@@ -215,19 +197,15 @@ impl ReramMatrix {
     /// Advances every member crossbar's degradation clock by `cycles`
     /// logical pipeline cycles (one processed image = one cycle).
     pub fn advance_cycles(&mut self, cycles: u64) {
-        for (pos, neg) in self.groups.iter_mut() {
-            pos.advance_cycles(cycles);
-            neg.advance_cycles(cycles);
+        for x in self.crossbars_mut() {
+            x.advance_cycles(cycles);
         }
     }
 
     /// Cells across all member crossbars that currently read at a level
     /// other than the one programmed (drift/disturb damage scrub can fix).
     pub fn drifted_cells(&self) -> usize {
-        self.groups
-            .iter()
-            .map(|(p, n)| p.drifted_cells() + n.drifted_cells())
-            .sum()
+        self.crossbars().map(Crossbar::drifted_cells).sum()
     }
 
     /// Scrubs `row_count` word lines (wrapping from `row_start`) on every
@@ -242,9 +220,8 @@ impl ReramMatrix {
         rng: &mut impl Rng,
     ) -> ProgramReport {
         let mut report = ProgramReport::default();
-        for (pos, neg) in self.groups.iter_mut() {
-            report.merge(pos.scrub_rows(row_start, row_count, policy, rng));
-            report.merge(neg.scrub_rows(row_start, row_count, policy, rng));
+        for x in self.crossbars_mut() {
+            report.merge(x.scrub_rows(row_start, row_count, policy, rng));
         }
         report
     }
@@ -356,9 +333,8 @@ impl ReramMatrix {
     pub fn repair_outputs(&mut self, outputs: &[usize]) {
         for &o in outputs {
             assert!(o < self.out_dim, "output {o} out of range");
-            for (pos, neg) in self.groups.iter_mut() {
-                pos.clear_fault_col(o);
-                neg.clear_fault_col(o);
+            for x in self.crossbars_mut() {
+                x.clear_fault_col(o);
             }
             self.masked_outputs[o] = false;
         }
@@ -386,9 +362,8 @@ impl ReramMatrix {
             if o >= self.out_dim {
                 continue;
             }
-            for (pos, neg) in self.groups.iter_mut() {
-                report.merge(pos.reprogram_col_from_spare(o, policy, rng));
-                report.merge(neg.reprogram_col_from_spare(o, policy, rng));
+            for x in self.crossbars_mut() {
+                report.merge(x.reprogram_col_from_spare(o, policy, rng));
             }
             self.masked_outputs[o] = false;
         }
@@ -419,9 +394,7 @@ impl ReramMatrix {
     /// Faulty cells within the given logical outputs' bit lines, across all
     /// member crossbars (0 after those outputs were repaired).
     pub fn fault_count_in_outputs(&self, outputs: &[usize]) -> usize {
-        self.groups
-            .iter()
-            .flat_map(|(p, n)| [p, n])
+        self.crossbars()
             .filter_map(|xbar| xbar.fault_map())
             .map(|f| {
                 outputs
@@ -434,12 +407,9 @@ impl ReramMatrix {
 
     /// Faulty cells across all member crossbars.
     pub fn fault_count(&self) -> usize {
-        self.groups
-            .iter()
-            .map(|(p, n)| {
-                p.fault_map().map_or(0, |f| f.fault_count())
-                    + n.fault_map().map_or(0, |f| f.fault_count())
-            })
+        self.crossbars()
+            .filter_map(|x| x.fault_map())
+            .map(|f| f.fault_count())
             .sum()
     }
 
@@ -531,18 +501,12 @@ impl ReramMatrix {
 
     /// Total input (read) spikes across all member crossbars.
     pub fn read_spikes(&self) -> u64 {
-        self.groups
-            .iter()
-            .map(|(p, n)| p.read_spikes() + n.read_spikes())
-            .sum()
+        self.crossbars().map(Crossbar::read_spikes).sum()
     }
 
     /// Total programming pulses across all member crossbars.
     pub fn write_spikes(&self) -> u64 {
-        self.groups
-            .iter()
-            .map(|(p, n)| p.write_spikes() + n.write_spikes())
-            .sum()
+        self.crossbars().map(Crossbar::write_spikes).sum()
     }
 
     /// Number of physical crossbars backing this matrix.

@@ -2,14 +2,64 @@
 //! multiplication through the spike/integrate-and-fire path.
 
 use crate::cell::ReramCell;
-use crate::drift::{DriftModel, DriftState};
-use crate::fault::{FaultKind, FaultMap, ProgramReport, UnrecoverableCell, VerifyPolicy};
+use crate::device::{DeviceModel, DeviceStack};
+use crate::drift::DriftState;
+use crate::fault::{FaultMap, ProgramReport, UnrecoverableCell, VerifyPolicy};
 use crate::integrate_fire::IntegrateFire;
-use crate::noise::{NoiseModel, NoiseState};
+use crate::noise::NoiseState;
 use crate::packed::{self, BitPlanes, PackedSpikes};
 use crate::spike::{SpikeDriver, SpikeTrain};
-use crate::wear::{WearModel, WearState};
+use crate::wear::WearState;
 use rand::Rng;
+use stamped::Stamped;
+
+/// Everything a read resolves: the cells' stored levels and the device
+/// stack between them and the bit lines.
+#[derive(Debug, Clone)]
+struct Array {
+    cells: Vec<ReramCell>, // row-major
+    device: DeviceStack,
+}
+
+mod stamped {
+    /// A value stamped with a generation that every mutable borrow bumps.
+    /// The fields are private to this module, so [`get_mut`] is the only
+    /// `&mut` path to the value: a cache keyed on the generation it was
+    /// built at can never be served after a change.
+    ///
+    /// [`get_mut`]: Stamped::get_mut
+    #[derive(Debug, Clone)]
+    pub(super) struct Stamped<T> {
+        value: T,
+        generation: u64,
+    }
+
+    impl<T> Stamped<T> {
+        pub(super) fn new(value: T) -> Self {
+            Stamped {
+                value,
+                generation: 0,
+            }
+        }
+
+        pub(super) fn generation(&self) -> u64 {
+            self.generation
+        }
+
+        pub(super) fn get_mut(&mut self) -> &mut T {
+            self.generation += 1;
+            &mut self.value
+        }
+    }
+
+    impl<T> std::ops::Deref for Stamped<T> {
+        type Target = T;
+
+        fn deref(&self) -> &T {
+            &self.value
+        }
+    }
+}
 
 /// A `rows × cols` crossbar of multi-level cells.
 ///
@@ -24,23 +74,11 @@ use rand::Rng;
 pub struct Crossbar {
     rows: usize,
     cols: usize,
-    cells: Vec<ReramCell>, // row-major
-    /// Persistent stuck-at/dead cells; `None` for an ideal array.
-    faults: Option<FaultMap>,
-    /// Time-dependent degradation (retention drift + read disturb);
-    /// `None` for an ageless array.
-    drift: Option<DriftState>,
-    /// Analog read-path non-idealities (lognormal spread, IR drop, read
-    /// noise); `None` for a noiseless array.
-    noise: Option<NoiseState>,
-    /// Endurance wear-out: per-cell programming-pulse budgets whose
-    /// exhaustion raises a live dead fault; `None` for an unwearing array.
-    wear: Option<WearState>,
-    /// Bit-plane decomposition of the levels the *next* read will see,
-    /// rebuilt lazily by `mvm_spiked` and dropped by anything that can
-    /// change a read: programming, scrub, fault repair, clock advance,
-    /// model attachment, read disturb, or a fresh per-read noise epoch.
-    plane_cache: Option<BitPlanes>,
+    array: Stamped<Array>,
+    /// Bit-plane decomposition of the levels a read saw at the stamped
+    /// generation of `array`; served again only while that generation is
+    /// current.
+    plane_cache: Option<(u64, BitPlanes)>,
     read_spikes: u64,
     write_spikes: u64,
     output_spikes: u64,
@@ -57,11 +95,10 @@ impl Crossbar {
         Crossbar {
             rows,
             cols,
-            cells: vec![ReramCell::new(bits); rows * cols],
-            faults: None,
-            drift: None,
-            noise: None,
-            wear: None,
+            array: Stamped::new(Array {
+                cells: vec![ReramCell::new(bits); rows * cols],
+                device: DeviceStack::ideal(rows, cols),
+            }),
             plane_cache: None,
             read_spikes: 0,
             write_spikes: 0,
@@ -69,110 +106,57 @@ impl Crossbar {
         }
     }
 
-    /// Attaches a persistent fault map; faulty cells present their stuck
-    /// level on every read from then on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map's geometry differs from the crossbar's.
-    pub fn attach_faults(&mut self, map: FaultMap) {
-        assert_eq!(
-            (map.rows(), map.cols()),
-            (self.rows, self.cols),
-            "fault map geometry mismatch"
-        );
-        self.faults = Some(map);
-        self.plane_cache = None;
-    }
-
-    /// The attached fault map, if any.
-    pub fn fault_map(&self) -> Option<&FaultMap> {
-        self.faults.as_ref()
-    }
-
-    /// Attaches the time-dependent degradation model. All cells start at
-    /// age 0 (freshly programmed). `seed` should already be
+    /// Attaches every non-ideal component of `model`, replacing that
+    /// component's state; ideal components are exact no-ops and leave the
+    /// current state alone. `seed` should already be
     /// crossbar-qualified via [`crate::seedstream::crossbar_seed`].
-    pub fn attach_drift(&mut self, model: DriftModel, seed: u64) {
-        self.drift = Some(DriftState::new(self.rows, self.cols, model, seed));
-        self.plane_cache = None;
+    pub fn attach(&mut self, model: &DeviceModel, seed: u64) {
+        self.array.get_mut().device.attach(model, seed);
+    }
+
+    /// Replaces the fault map wholesale (a pristine map for "no faults");
+    /// faulty cells present their stuck level on every read from then on.
+    /// Returns `false` (untouched) on a geometry mismatch.
+    pub fn set_faults(&mut self, map: FaultMap) -> bool {
+        self.array.get_mut().device.set_faults(map)
+    }
+
+    /// The fault map, if faults were attached or a cell has worn out.
+    pub fn fault_map(&self) -> Option<&FaultMap> {
+        self.array.device.faults()
     }
 
     /// The attached drift state, if any.
     pub fn drift_state(&self) -> Option<&DriftState> {
-        self.drift.as_ref()
-    }
-
-    /// Attaches the analog non-ideality model (lognormal device spread,
-    /// IR drop, per-read noise). An [`ideal`](NoiseModel::ideal) model is
-    /// an exact no-op on every read. `seed` should already be
-    /// crossbar-qualified via [`crate::seedstream::crossbar_seed`].
-    pub fn attach_noise(&mut self, model: NoiseModel, seed: u64) {
-        self.noise = Some(NoiseState::new(self.rows, self.cols, model, seed));
-        self.plane_cache = None;
+        self.array.device.drift()
     }
 
     /// The attached noise state, if any.
     pub fn noise_state(&self) -> Option<&NoiseState> {
-        self.noise.as_ref()
-    }
-
-    /// Attaches the endurance wear-out model: every cell draws a lognormal
-    /// write budget from its `(seed, row, col, generation)` stream, every
-    /// programming pulse decrements it, and exhaustion raises a live
-    /// [`FaultKind::Dead`] fault. An [`ideal`](WearModel::is_ideal) model
-    /// detaches wear entirely (the exact-no-op default). `seed` should
-    /// already be crossbar-qualified via
-    /// [`crate::seedstream::crossbar_seed`].
-    pub fn attach_wear(&mut self, model: WearModel, seed: u64) {
-        self.wear = if model.is_ideal() {
-            None
-        } else {
-            Some(WearState::new(self.rows, self.cols, model, seed))
-        };
-        self.plane_cache = None;
+        self.array.device.noise()
     }
 
     /// The attached wear state, if any.
     pub fn wear_state(&self) -> Option<&WearState> {
-        self.wear.as_ref()
+        self.array.device.wear()
     }
 
-    /// Restores wear counters exported by
-    /// [`WearState::counters`]; budgets re-derive from the attached model
-    /// and seed. Returns `false` when no wear is attached or the geometry
-    /// mismatches. Checkpoint restore only — issues no pulses.
+    /// Restores wear counters exported by [`WearState::counters`]; budgets
+    /// re-derive from the attached model and seed. Returns `false` when no
+    /// wear is attached or the geometry mismatches. Checkpoint restore
+    /// only — issues no pulses.
     pub fn restore_wear_counters(&mut self, pulses: &[u64], generation: &[u64]) -> bool {
-        let restored = match self.wear.as_mut() {
-            Some(w) => w.restore_counters(pulses, generation),
-            None => false,
-        };
-        self.plane_cache = None;
-        restored
-    }
-
-    /// Books `pulses` programming pulses of wear on `(row, col)`; if that
-    /// crosses the cell's budget, the cell dies on the spot — a live
-    /// [`FaultKind::Dead`] entry every later read and write sees.
-    fn note_wear_pulses(&mut self, row: usize, col: usize, pulses: u64) {
-        let Some(w) = self.wear.as_mut() else {
-            return;
-        };
-        if w.note_pulses(row, col, pulses) {
-            let (rows, cols) = (self.rows, self.cols);
-            self.faults
-                .get_or_insert_with(|| FaultMap::pristine(rows, cols))
-                .set(row, col, FaultKind::Dead);
-            self.plane_cache = None;
-        }
+        self.array
+            .get_mut()
+            .device
+            .restore_wear_counters(pulses, generation)
     }
 
     /// Advances the degradation clock by `cycles` logical pipeline cycles
-    /// (one processed image = one cycle). No-op without an attached model.
+    /// (one processed image = one cycle). No-op without drift.
     pub fn advance_cycles(&mut self, cycles: u64) {
-        if let Some(d) = self.drift.as_mut() {
-            d.advance(cycles);
-            self.plane_cache = None;
+        if self.array.device.drift().is_some() {
+            self.array.get_mut().device.advance(cycles);
         }
     }
 
@@ -180,31 +164,26 @@ impl Crossbar {
     /// because of drift or disturb (fault-pinned cells are not counted —
     /// scrub cannot help them).
     pub fn drifted_cells(&self) -> usize {
-        let Some(d) = self.drift.as_ref() else {
+        let a = &*self.array;
+        let Some(d) = a.device.drift() else {
             return 0;
         };
-        let mut n = 0;
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                if self.faults.as_ref().and_then(|f| f.get(r, c)).is_some() {
-                    continue;
-                }
-                let cell = &self.cells[r * self.cols + c];
-                if d.is_degraded(r, c, cell.level(), cell.max_level()) {
-                    n += 1;
-                }
-            }
-        }
-        n
+        (0..self.rows * self.cols)
+            .filter(|&i| {
+                let (r, c) = (i / self.cols, i % self.cols);
+                let cell = &a.cells[i];
+                a.device.fault(r, c).is_none()
+                    && d.is_degraded(r, c, cell.level(), cell.max_level())
+            })
+            .count()
     }
 
     /// Clears every fault in bit line `col` — the crossbar-level view of a
     /// spare-column remap (the logical column now lives on a fault-free
     /// spare bit line).
     pub fn clear_fault_col(&mut self, col: usize) {
-        if let Some(f) = self.faults.as_mut() {
-            f.clear_col(col);
-            self.plane_cache = None;
+        if self.array.device.faults().is_some() {
+            self.array.get_mut().device.clear_fault_col(col);
         }
     }
 
@@ -228,50 +207,37 @@ impl Crossbar {
         if col >= self.cols {
             return report;
         }
-        let bits = self.cell_bits();
-        // Intent levels survive in the cells even when a fault pinned the
-        // physical reads (program paths keep tracking the target).
-        let targets: Vec<u8> = (0..self.rows).map(|r| self.level(r, col)).collect();
-        if let Some(f) = self.faults.as_mut() {
-            f.clear_col(col);
-        }
-        if let Some(w) = self.wear.as_mut() {
-            w.renew_col(col);
-        }
-        for (r, &target) in targets.iter().enumerate() {
-            let idx = r * self.cols + col;
-            let Some(cell) = self.cells.get_mut(idx) else {
+        let (rows, cols, bits) = (self.rows, self.cols, self.cell_bits());
+        let a = self.array.get_mut();
+        a.device.renew_col(col);
+        for r in 0..rows {
+            let Some(cell) = a.cells.get_mut(r * cols + col) else {
                 continue;
             };
+            // Intent levels survive in the cells even when a fault pinned
+            // the physical reads (program paths keep tracking the target).
+            let target = cell.level();
             *cell = ReramCell::new(bits);
             report.ideal_pulses += u64::from(target);
             let w = cell.program_verify(target, policy, rng);
             report.pulses += u64::from(w.pulses);
             report.verify_reads += u64::from(w.attempts);
-            if w.pulses > 0 {
-                if let Some(d) = self.drift.as_mut() {
-                    d.note_program(r, col);
-                }
-                if let Some(n) = self.noise.as_mut() {
-                    n.note_program(r, col);
-                }
-                // The spare itself wears; an unlucky budget draw can die
-                // during its very first reprogram and re-enter the ladder.
-                self.note_wear_pulses(r, col, u64::from(w.pulses));
-            }
             if !w.verified {
-                let actual = self.level(r, col);
                 report.unrecoverable.push(UnrecoverableCell {
                     row: r,
                     col,
                     target,
-                    actual,
+                    actual: cell.level(),
                 });
+            }
+            if w.pulses > 0 {
+                // The spare itself wears; an unlucky budget draw can die
+                // during its very first reprogram and re-enter the ladder.
+                a.device.note_program(r, col, u64::from(w.pulses));
             }
         }
         self.write_spikes += report.pulses;
         self.read_spikes += report.verify_reads;
-        self.plane_cache = None;
         report
     }
 
@@ -280,14 +246,12 @@ impl Crossbar {
     /// rows whose headroom is below its threshold instead of burning their
     /// last pulses on maintenance writes.
     pub fn row_wear_headroom(&self, row: usize) -> u64 {
-        self.wear
-            .as_ref()
-            .map_or(u64::MAX, |w| w.row_min_remaining(row))
+        self.array.device.row_wear_headroom(row)
     }
 
     /// Row-major stored (intent) levels — what a checkpoint persists.
     pub fn stored_levels(&self) -> Vec<u8> {
-        self.cells.iter().map(|c| c.level()).collect()
+        self.array.cells.iter().map(|c| c.level()).collect()
     }
 
     /// Overwrites the stored levels in place. Checkpoint restore only: no
@@ -298,21 +262,9 @@ impl Crossbar {
         if levels.len() != self.rows * self.cols {
             return false;
         }
-        for (cell, &lvl) in self.cells.iter_mut().zip(levels) {
+        for (cell, &lvl) in self.array.get_mut().cells.iter_mut().zip(levels) {
             let _ = cell.program(lvl.min(cell.max_level()));
         }
-        self.plane_cache = None;
-        true
-    }
-
-    /// Replaces the fault map wholesale (a pristine map for "no faults").
-    /// Checkpoint restore only. Returns `false` on a geometry mismatch.
-    pub fn restore_faults(&mut self, map: FaultMap) -> bool {
-        if (map.rows(), map.cols()) != (self.rows, self.cols) {
-            return false;
-        }
-        self.faults = Some(map);
-        self.plane_cache = None;
         true
     }
 
@@ -344,33 +296,23 @@ impl Crossbar {
 
     /// Cell resolution in bits.
     pub fn cell_bits(&self) -> u8 {
-        self.cells[0].bits()
+        self.array.cells[0].bits()
     }
 
     /// Level the programming logic last stored at `(row, col)` (what the
     /// write *wanted*; faults are not applied).
     pub fn level(&self, row: usize, col: usize) -> u8 {
-        self.cells[row * self.cols + col].level()
+        self.array.cells[row * self.cols + col].level()
     }
 
     /// Level the cell at `(row, col)` actually presents on a read: the
-    /// stored level, unless a fault pins it, age has drifted it, or the
-    /// analog read path perturbs it. Noise applies *on top of* the
-    /// fault/drift-resolved level — a stuck cell's pinned conductance
-    /// still crosses the same noisy wires.
+    /// stored level as resolved through the device stack — a fault pins
+    /// it, otherwise drift and disturb skew it, and noise applies on top.
     pub fn effective_level(&self, row: usize, col: usize) -> u8 {
-        let cell = &self.cells[row * self.cols + col];
-        let base = match self.faults.as_ref().and_then(|f| f.get(row, col)) {
-            Some(kind) => kind.effective_level(cell.max_level()),
-            None => match self.drift.as_ref() {
-                Some(d) => d.effective_level(row, col, cell.level(), cell.max_level()),
-                None => cell.level(),
-            },
-        };
-        match self.noise.as_ref() {
-            Some(n) => n.effective_level(row, col, base, cell.max_level()),
-            None => base,
-        }
+        let cell = &self.array.cells[row * self.cols + col];
+        self.array
+            .device
+            .resolve(row, col, cell.level(), cell.max_level())
     }
 
     /// Programs the whole array from a row-major level matrix; counts the
@@ -381,28 +323,23 @@ impl Crossbar {
     /// Panics if `levels` is not `rows × cols` or any level is over-range.
     pub fn program(&mut self, levels: &[Vec<u8>]) -> u64 {
         assert_eq!(levels.len(), self.rows, "level matrix row count mismatch");
+        let cols = self.cols;
+        let a = self.array.get_mut();
         let mut pulses = 0u64;
         for (r, row) in levels.iter().enumerate() {
-            assert_eq!(row.len(), self.cols, "level matrix column count mismatch");
+            assert_eq!(row.len(), cols, "level matrix column count mismatch");
             for (c, &lvl) in row.iter().enumerate() {
-                let p = self.cells[r * self.cols + c].program(lvl) as u64;
+                let p = a.cells[r * cols + c].program(lvl) as u64;
                 if p > 0 {
                     // A zero-pulse write leaves the physical cell untouched,
                     // so its degradation clock keeps running and its device
                     // deviate stays.
-                    if let Some(d) = self.drift.as_mut() {
-                        d.note_program(r, c);
-                    }
-                    if let Some(n) = self.noise.as_mut() {
-                        n.note_program(r, c);
-                    }
-                    self.note_wear_pulses(r, c, p);
+                    a.device.note_program(r, c, p);
                 }
                 pulses += p;
             }
         }
         self.write_spikes += pulses;
-        self.plane_cache = None;
         pulses
     }
 
@@ -424,18 +361,20 @@ impl Crossbar {
         rng: &mut impl Rng,
     ) -> ProgramReport {
         assert_eq!(levels.len(), self.rows, "level matrix row count mismatch");
+        let cols = self.cols;
+        let a = self.array.get_mut();
         let mut report = ProgramReport::default();
         for (r, row) in levels.iter().enumerate() {
-            assert_eq!(row.len(), self.cols, "level matrix column count mismatch");
+            assert_eq!(row.len(), cols, "level matrix column count mismatch");
             for (c, &target) in row.iter().enumerate() {
-                let idx = r * self.cols + c;
-                let prev = self.cells[idx].level();
+                let cell = &mut a.cells[r * cols + c];
+                let prev = cell.level();
                 report.ideal_pulses += (prev as i32 - target as i32).unsigned_abs() as u64;
-                match self.faults.as_ref().and_then(|f| f.get(r, c)) {
+                match a.device.fault(r, c) {
                     Some(kind) => {
                         // The driver pulses and verifies up to the budget,
                         // but the cell never moves.
-                        let actual = kind.effective_level(self.cells[idx].max_level());
+                        let actual = kind.effective_level(cell.max_level());
                         let wasted = if actual == target {
                             // Fault happens to pin the cell at the target:
                             // first verify passes, no pulses needed.
@@ -452,28 +391,15 @@ impl Crossbar {
                             policy.max_attempts as u64
                         };
                         report.pulses += wasted;
-                        // The wasted retry pulses still stress the pinned
-                        // cell's oxide.
-                        self.note_wear_pulses(r, c, wasted);
                         // Track the intent so a later repair + rewrite
                         // starts from the right place.
-                        self.cells[idx].program(target);
+                        cell.program(target);
+                        // The wasted retry pulses still stress the pinned
+                        // cell's oxide.
+                        a.device.note_wear(r, c, wasted);
                     }
                     None => {
-                        let w = self.cells[idx].program_verify(target, policy, rng);
-                        if w.pulses > 0 {
-                            if let Some(d) = self.drift.as_mut() {
-                                d.note_program(r, c);
-                            }
-                            if let Some(n) = self.noise.as_mut() {
-                                n.note_program(r, c);
-                            }
-                            // Every pulse (including verify retries) wears
-                            // the cell; a budget crossing kills it for all
-                            // *subsequent* accesses — this write's charge
-                            // already landed.
-                            self.note_wear_pulses(r, c, u64::from(w.pulses));
-                        }
+                        let w = cell.program_verify(target, policy, rng);
                         report.pulses += w.pulses as u64;
                         report.verify_reads += w.attempts as u64;
                         if !w.verified {
@@ -481,8 +407,15 @@ impl Crossbar {
                                 row: r,
                                 col: c,
                                 target,
-                                actual: self.cells[idx].level(),
+                                actual: cell.level(),
                             });
+                        }
+                        if w.pulses > 0 {
+                            // Every pulse (including verify retries) wears
+                            // the cell; a budget crossing kills it for all
+                            // *subsequent* accesses — this write's charge
+                            // already landed.
+                            a.device.note_program(r, c, u64::from(w.pulses));
                         }
                     }
                 }
@@ -490,37 +423,38 @@ impl Crossbar {
         }
         self.write_spikes += report.pulses;
         self.read_spikes += report.verify_reads;
-        self.plane_cache = None;
         report
     }
 
-    /// Bit-plane decomposition of the levels the next read will present —
-    /// effective levels when any non-ideality is attached, raw stored
-    /// levels otherwise.
-    fn build_planes(&self) -> BitPlanes {
-        let degraded = self.faults.is_some() || self.drift.is_some() || self.noise.is_some();
-        if degraded {
-            BitPlanes::pack(self.rows, self.cols, self.cell_bits(), |r, c| {
-                self.effective_level(r, c)
-            })
+    /// The bit-plane decomposition of the levels the next read presents:
+    /// the cached one while the array's generation is unchanged, a fresh
+    /// build otherwise. Resolves through the device stack only when it
+    /// can alter a read.
+    fn take_planes(&mut self) -> BitPlanes {
+        let generation = self.array.generation();
+        if let Some((g, planes)) = self.plane_cache.take() {
+            if g == generation {
+                return planes;
+            }
+        }
+        let (cols, bits, a) = (self.cols, self.cell_bits(), &*self.array);
+        if a.device.is_transparent() {
+            BitPlanes::pack(self.rows, cols, bits, |r, c| a.cells[r * cols + c].level())
         } else {
-            BitPlanes::pack(self.rows, self.cols, self.cell_bits(), |r, c| {
-                self.cells[r * self.cols + c].level()
+            BitPlanes::pack(self.rows, cols, bits, |r, c| {
+                let cell = &a.cells[r * cols + c];
+                a.device.resolve(r, c, cell.level(), cell.max_level())
             })
         }
     }
 
-    /// Whether the bookkeeping at the *end* of an MVM (read disturb,
-    /// read-noise epoch bump) can change what the next read sees — if so
-    /// the plane cache must not survive the call.
-    fn reads_perturb_levels(&self) -> bool {
-        self.drift
-            .as_ref()
-            .is_some_and(|d| d.model().disturb_per_level > 0)
-            || self
-                .noise
-                .as_ref()
-                .is_some_and(|n| n.model().read_sigma > 0.0)
+    /// Books one array read on the device (read disturb, the next noise
+    /// epoch) when that can change what later reads see. Any other read
+    /// leaves the array — and so its generation and plane cache — alone.
+    fn note_read(&mut self, slot_reads: impl Iterator<Item = u64>) {
+        if self.array.device.reads_perturb() {
+            self.array.get_mut().device.note_read(slot_reads);
+        }
     }
 
     /// In-situ MVM via the spike path: encodes `input` with an `input_bits`
@@ -533,9 +467,10 @@ impl Crossbar {
     /// bit-plane decomposed, so each slot×plane partial sum is a popcount
     /// and a shift — bitwise identical to [`mvm_spiked_scalar`]
     /// (differentially tested), an order of magnitude fewer operations.
-    /// The bit-plane decomposition is cached across calls and rebuilt only
-    /// when something can change a read (writes, scrub, repair, clock
-    /// advance, read disturb, per-read noise).
+    /// The bit-plane decomposition is cached, stamped with the array's
+    /// generation, and rebuilt once anything changed the levels or the
+    /// device state (writes, scrub, repair, clock advance, read disturb,
+    /// per-read noise).
     ///
     /// A driver resolution above 32 clamps to 32 slots, exactly like the
     /// scalar path's [`SpikeDriver`].
@@ -559,15 +494,11 @@ impl Crossbar {
         let spikes = PackedSpikes::encode(input, bits);
         self.read_spikes += spikes.spike_count();
 
-        // Reads see the *effective* levels — faults pin their cells,
-        // drift/disturb skews them and analog noise perturbs every access,
-        // so resolve the array once before streaming (disturb and the
-        // read-epoch bump from this MVM land afterwards; within one MVM
-        // every slot integrates the same resolved conductances).
-        let planes = match self.plane_cache.take() {
-            Some(p) => p,
-            None => self.build_planes(),
-        };
+        // Reads see the *effective* levels, resolved once before streaming:
+        // disturb and the read-epoch bump from this MVM land afterwards, so
+        // within one MVM every slot integrates the same conductances.
+        let generation = self.array.generation();
+        let planes = self.take_planes();
 
         let mut fires: Vec<IntegrateFire> = vec![IntegrateFire::new(); self.cols];
         packed::integrate(&spikes, &planes, &mut fires);
@@ -580,27 +511,19 @@ impl Crossbar {
         } else {
             (1u32 << bits) - 1
         };
-        if let Some(d) = self.drift.as_mut() {
-            for (r, &v) in input.iter().enumerate() {
-                d.note_row_reads(r, (v & low_mask).count_ones() as u64);
-            }
-        }
-        // The next array read draws fresh read noise.
-        if let Some(n) = self.noise.as_mut() {
-            n.note_mvm();
-        }
-        // Keep the decomposition only if this read left the levels (and
-        // their noise epoch) untouched.
-        if !self.reads_perturb_levels() {
-            self.plane_cache = Some(planes);
-        }
+        self.note_read(
+            input
+                .iter()
+                .map(|&v| u64::from((v & low_mask).count_ones())),
+        );
+        self.plane_cache = Some((generation, planes));
         out
     }
 
     /// The original scalar slot × row × column walk, retained verbatim as
     /// the differential-testing reference for [`mvm_spiked`]
     /// (identical output bits, spike accounting, disturb and noise-epoch
-    /// bookkeeping — property-tested).
+    /// bookkeeping — property-tested). It never touches the plane cache.
     ///
     /// [`mvm_spiked`]: Self::mvm_spiked
     pub fn mvm_spiked_scalar(&mut self, input: &[u32], input_bits: u8) -> Vec<u64> {
@@ -609,12 +532,9 @@ impl Crossbar {
         let trains: Vec<SpikeTrain> = driver.encode_vector(input);
         self.read_spikes += trains.iter().map(|t| t.spike_count() as u64).sum::<u64>();
 
-        let degraded = self.faults.is_some() || self.drift.is_some() || self.noise.is_some();
-        let eff: Option<Vec<u8>> = degraded.then(|| {
-            (0..self.rows * self.cols)
-                .map(|i| self.effective_level(i / self.cols, i % self.cols))
-                .collect()
-        });
+        let levels: Vec<u8> = (0..self.rows * self.cols)
+            .map(|i| self.effective_level(i / self.cols, i % self.cols))
+            .collect();
 
         let mut fires: Vec<IntegrateFire> = vec![IntegrateFire::new(); self.cols];
         // Stream time slots (LSB first); within a slot all word lines drive
@@ -629,10 +549,7 @@ impl Crossbar {
                 }
                 let base = r * self.cols;
                 for (c, inf) in fires.iter_mut().enumerate() {
-                    let g = match &eff {
-                        Some(levels) => levels[base + c],
-                        None => self.cells[base + c].level(),
-                    } as u64;
+                    let g = levels[base + c] as u64;
                     if g != 0 {
                         inf.integrate(g * w);
                     }
@@ -641,37 +558,8 @@ impl Crossbar {
         }
         let out: Vec<u64> = fires.iter_mut().map(|f| f.fire()).collect();
         self.output_spikes += out.iter().sum::<u64>();
-        if let Some(d) = self.drift.as_mut() {
-            for (r, train) in trains.iter().enumerate() {
-                d.note_row_reads(r, train.spike_count() as u64);
-            }
-        }
-        if let Some(n) = self.noise.as_mut() {
-            n.note_mvm();
-        }
-        // Same coherence rule as the packed path: if this read's disturb /
-        // noise-epoch bookkeeping can change what the next read sees, any
-        // cached bit-plane decomposition is stale. (The cache is only ever
-        // populated when reads are non-perturbing, but keeping the
-        // invalidation local makes the invariant checkable per method —
-        // PL061 — instead of resting on a global argument.)
-        if self.reads_perturb_levels() {
-            self.plane_cache = None;
-        }
+        self.note_read(trains.iter().map(|t| t.spike_count() as u64));
         out
-    }
-
-    /// Batched MVM: one call per *batch* instead of per sample. Semantics
-    /// are exactly `inputs.iter().map(|x| self.mvm_spiked(x, input_bits))`
-    /// — including disturb/noise-epoch ordering — but the bit-plane
-    /// decomposition is amortized across the whole batch whenever reads
-    /// don't perturb the array, which is where the multi-image speedup
-    /// comes from.
-    pub fn mvm_spiked_batch(&mut self, inputs: &[Vec<u32>], input_bits: u8) -> Vec<Vec<u64>> {
-        inputs
-            .iter()
-            .map(|x| self.mvm_spiked(x, input_bits))
-            .collect()
     }
 
     /// Scrubs `row_count` word lines starting at `row_start` (wrapping
@@ -692,49 +580,44 @@ impl Crossbar {
         policy: &VerifyPolicy,
         rng: &mut impl Rng,
     ) -> ProgramReport {
+        let (rows, cols) = (self.rows, self.cols);
+        let a = self.array.get_mut();
         let mut report = ProgramReport::default();
-        for i in 0..row_count.min(self.rows) {
-            let r = (row_start + i) % self.rows;
-            for c in 0..self.cols {
-                let idx = r * self.cols + c;
-                if self.faults.as_ref().and_then(|f| f.get(r, c)).is_some() {
+        for i in 0..row_count.min(rows) {
+            let r = (row_start + i) % rows;
+            for c in 0..cols {
+                if a.device.fault(r, c).is_some() {
                     report.verify_reads += 1;
                     continue;
                 }
-                let target = self.cells[idx].level();
-                let actual = self.effective_level(r, c);
+                let cell = &mut a.cells[r * cols + c];
+                let target = cell.level();
+                let actual = a.device.resolve(r, c, target, cell.max_level());
                 // Materialize the degradation in the cell, then drive it
                 // back through the standard verify loop. A clean cell
                 // costs exactly one verify read and zero pulses.
-                let _ = self.cells[idx].program(actual);
-                let w = self.cells[idx].program_verify(target, policy, rng);
+                let _ = cell.program(actual);
+                let w = cell.program_verify(target, policy, rng);
                 report.ideal_pulses +=
                     u64::from((i32::from(actual) - i32::from(target)).unsigned_abs());
                 report.pulses += u64::from(w.pulses);
                 report.verify_reads += u64::from(w.attempts);
-                if w.pulses > 0 {
-                    if let Some(d) = self.drift.as_mut() {
-                        d.note_program(r, c);
-                    }
-                    if let Some(n) = self.noise.as_mut() {
-                        n.note_program(r, c);
-                    }
-                    // Scrub re-pulses wear cells out like any other write.
-                    self.note_wear_pulses(r, c, u64::from(w.pulses));
-                }
                 if !w.verified {
                     report.unrecoverable.push(UnrecoverableCell {
                         row: r,
                         col: c,
                         target,
-                        actual: self.cells[idx].level(),
+                        actual: cell.level(),
                     });
+                }
+                if w.pulses > 0 {
+                    // Scrub re-pulses wear cells out like any other write.
+                    a.device.note_program(r, c, u64::from(w.pulses));
                 }
             }
         }
         self.write_spikes += report.pulses;
         self.read_spikes += report.verify_reads;
-        self.plane_cache = None;
         report
     }
 
@@ -812,7 +695,7 @@ mod tests {
         let levels = vec![vec![9, 12], vec![15, 6]];
         let mut xbar = Crossbar::new(2, 2, 4);
         xbar.program(&levels);
-        xbar.attach_drift(model, 5);
+        xbar.attach(&DeviceModel::ideal().with_drift(model), 5);
 
         let fresh = xbar.mvm_spiked(&[1, 1], 4);
         assert_eq!(fresh, reference_mvm(&levels, &[1, 1]));
@@ -841,7 +724,7 @@ mod tests {
         let levels = vec![vec![15, 15], vec![15, 15]];
         let mut xbar = Crossbar::new(2, 2, 4);
         xbar.program(&levels);
-        xbar.attach_drift(model, 5);
+        xbar.attach(&DeviceModel::ideal().with_drift(model), 5);
         xbar.advance_cycles(1_000_000);
         let before = xbar.drifted_cells();
         assert!(before > 0);
@@ -862,7 +745,7 @@ mod tests {
         let levels = vec![vec![3, 3], vec![3, 3]];
         let mut xbar = Crossbar::new(2, 2, 4);
         xbar.program(&levels);
-        xbar.attach_drift(model, 5);
+        xbar.attach(&DeviceModel::ideal().with_drift(model), 5);
         // Each MVM with input 15 (4 slots firing) adds 4 slot-reads per row.
         for _ in 0..13 {
             xbar.mvm_spiked(&[15, 15], 4);
@@ -880,7 +763,7 @@ mod tests {
         use rand::{rngs::StdRng, SeedableRng};
         let mut xbar = Crossbar::new(3, 3, 4);
         xbar.program(&[vec![5; 3], vec![5; 3], vec![5; 3]]);
-        xbar.attach_drift(DriftModel::ideal(), 1);
+        xbar.attach(&DeviceModel::ideal().with_drift(DriftModel::ideal()), 1);
         let mut rng = StdRng::seed_from_u64(0);
         let report = xbar.scrub_rows(0, 3, &VerifyPolicy::default(), &mut rng);
         assert_eq!(report.pulses, 0);
@@ -897,8 +780,8 @@ mod tests {
         xbar.program(&[vec![7, 7], vec![7, 7]]);
         let mut map = FaultMap::pristine(2, 2);
         map.set(0, 0, FaultKind::StuckAtZero);
-        xbar.attach_faults(map);
-        xbar.attach_drift(DriftModel::ideal(), 1);
+        xbar.set_faults(map);
+        xbar.attach(&DeviceModel::ideal().with_drift(DriftModel::ideal()), 1);
         let mut rng = StdRng::seed_from_u64(0);
         let report = xbar.scrub_rows(0, 2, &VerifyPolicy::default(), &mut rng);
         // Pinned cell: one probe read, no pulses, not re-reported.
@@ -922,7 +805,7 @@ mod tests {
         let mut map = FaultMap::pristine(2, 2);
         map.set(0, 1, FaultKind::StuckAtZero);
         map.set(1, 1, FaultKind::StuckAtMax);
-        xbar.attach_faults(map);
+        xbar.set_faults(map);
 
         assert_eq!(xbar.effective_level(0, 0), 3);
         assert_eq!(xbar.effective_level(0, 1), 0);
@@ -943,7 +826,7 @@ mod tests {
         let mut xbar = Crossbar::new(2, 2, 4);
         let mut map = FaultMap::pristine(2, 2);
         map.set(1, 0, FaultKind::StuckAtZero);
-        xbar.attach_faults(map);
+        xbar.set_faults(map);
 
         let policy = VerifyPolicy::with_attempts(3);
         let mut rng = StdRng::seed_from_u64(0);
@@ -981,9 +864,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "geometry mismatch")]
-    fn attach_faults_rejects_wrong_shape() {
-        Crossbar::new(2, 2, 4).attach_faults(FaultMap::pristine(3, 2));
+    fn set_faults_rejects_wrong_shape() {
+        let mut xbar = Crossbar::new(2, 2, 4);
+        assert!(!xbar.set_faults(FaultMap::pristine(3, 2)));
+        assert!(xbar.fault_map().is_none());
     }
 
     #[test]
@@ -999,7 +883,7 @@ mod tests {
         };
         let mut a = Crossbar::new(2, 2, 4);
         a.program(&levels);
-        a.attach_noise(strong, 7);
+        a.attach(&DeviceModel::ideal().with_noise(strong), 7);
         let mut b = a.clone();
         let ya = a.mvm_spiked(&[3, 5], 4);
         let yb = b.mvm_spiked(&[3, 5], 4);
@@ -1021,7 +905,7 @@ mod tests {
         let mut plain = Crossbar::new(3, 2, 4);
         plain.program(&levels);
         let mut noisy = plain.clone();
-        noisy.attach_noise(NoiseModel::ideal(), 99);
+        noisy.attach(&DeviceModel::ideal().with_noise(NoiseModel::ideal()), 99);
         for input in [[5u32, 0, 11], [1, 1, 1], [65535, 0, 32768]] {
             assert_eq!(
                 plain.mvm_spiked(&input, 16),
@@ -1054,246 +938,102 @@ mod tests {
         assert_eq!(packed.read_spikes(), scalar.read_spikes());
     }
 
+    /// The plane cache is keyed on the array's generation: reads that
+    /// leave the device untouched keep the stamp (and the cache), every
+    /// `&mut` path to levels or device state moves it, and a perturbing
+    /// read moves it too — so the next packed MVM rebuilds and agrees with
+    /// the scalar reference, which never caches.
     #[test]
-    fn batch_matches_sequential_calls_bitwise() {
-        use crate::noise::NoiseModel;
-        let levels = vec![vec![9u8, 12, 1], vec![15, 6, 0], vec![2, 3, 14]];
-        let inputs: Vec<Vec<u32>> = vec![vec![3, 5, 250], vec![0, 0, 0], vec![255, 1, 128]];
-        let mut seq = Crossbar::new(3, 3, 4);
-        seq.program(&levels);
-        seq.attach_noise(NoiseModel::with_strength(1.5), 11);
-        let mut bat = seq.clone();
-        let expect: Vec<Vec<u64>> = inputs.iter().map(|x| seq.mvm_spiked(x, 8)).collect();
-        assert_eq!(bat.mvm_spiked_batch(&inputs, 8), expect);
-        assert_eq!(bat.read_spikes(), seq.read_spikes());
-        assert_eq!(bat.output_spikes(), seq.output_spikes());
-    }
-
-    #[test]
-    fn plane_cache_tracks_repair_and_scrub() {
+    fn plane_cache_is_keyed_on_the_array_generation() {
         use crate::drift::DriftModel;
-        use crate::fault::FaultKind;
-        use rand::{rngs::StdRng, SeedableRng};
-        let levels = vec![vec![3u8, 5], vec![7, 9]];
-        let mut xbar = Crossbar::new(2, 2, 4);
+        let levels = vec![vec![9u8, 1], vec![0, 5], vec![13, 2]];
+        let mut xbar = Crossbar::new(3, 2, 4);
         xbar.program(&levels);
-        let mut map = FaultMap::pristine(2, 2);
-        map.set(0, 1, FaultKind::StuckAtZero);
-        xbar.attach_faults(map);
-        xbar.attach_drift(
-            DriftModel {
-                nu: 0.15,
-                nu_sigma: 0.0,
-                t0_cycles: 10,
-                disturb_per_level: 0,
-            },
-            5,
-        );
-        // Warm the cache, then change the array through every mutation
-        // path and check reads follow.
-        assert_eq!(xbar.mvm_spiked(&[1, 1], 4), vec![3 + 7, 9]);
-        xbar.clear_fault_col(1);
-        assert_eq!(xbar.mvm_spiked(&[1, 1], 4), vec![3 + 7, 5 + 9]);
-        xbar.advance_cycles(1_000_000);
-        let aged = xbar.mvm_spiked(&[1, 1], 4);
-        assert_ne!(aged, vec![3 + 7, 5 + 9], "a megacycle must drift reads");
-        let mut rng = StdRng::seed_from_u64(0);
-        xbar.scrub_rows(0, 2, &VerifyPolicy::default(), &mut rng);
-        assert_eq!(xbar.mvm_spiked(&[1, 1], 4), vec![3 + 7, 5 + 9]);
-        xbar.program(&[vec![1, 1], vec![1, 1]]);
-        assert_eq!(xbar.mvm_spiked(&[1, 1], 4), vec![2, 2]);
+        let g0 = xbar.array.generation();
+        xbar.mvm_spiked(&[1, 2, 3], 4);
+        xbar.mvm_spiked(&[3, 2, 1], 4);
+        assert_eq!(xbar.array.generation(), g0, "ideal reads are pure");
+        assert_eq!(xbar.plane_cache.as_ref().map(|c| c.0), Some(g0));
+
+        xbar.advance_cycles(10);
+        assert_eq!(xbar.array.generation(), g0, "no clock without drift");
+        xbar.restore_levels(&[7; 6]);
+        assert_ne!(xbar.array.generation(), g0, "a level write moves it");
+
+        let disturb = DriftModel {
+            nu: 0.0,
+            nu_sigma: 0.0,
+            t0_cycles: 1,
+            disturb_per_level: 3,
+        };
+        xbar.attach(&DeviceModel::ideal().with_drift(disturb), 5);
+        for _ in 0..4 {
+            let g = xbar.array.generation();
+            let mut reference = xbar.clone();
+            let packed = xbar.mvm_spiked(&[15, 15, 15], 4);
+            assert_eq!(packed, reference.mvm_spiked_scalar(&[15, 15, 15], 4));
+            assert_ne!(xbar.array.generation(), g, "disturbing reads move it");
+        }
     }
 
-    /// Enumerates every `&mut self` mutation path and asserts the packed
-    /// (cached) MVM stays bitwise identical to a scalar recompute on a
-    /// clone afterwards — i.e. no mutation can leave a stale `plane_cache`
-    /// behind. This is the dynamic counterpart of the PL061 static
-    /// cache-coherence pass: a forgotten invalidation in any listed method
-    /// makes the packed probe read stale planes and diverge.
+    /// Every mutation path, run on a warm plane cache, leaves the packed
+    /// MVM bitwise equal to the scalar reference on a clone.
     #[test]
-    fn mutating_methods_leave_no_stale_plane_cache() {
-        use crate::drift::DriftModel;
-        use crate::fault::FaultKind;
+    fn mutations_never_serve_stale_planes() {
+        use crate::fault::{FaultKind, FaultModel};
         use crate::noise::NoiseModel;
+        use crate::wear::WearModel;
         use rand::{rngs::StdRng, SeedableRng};
-
-        fn drifty() -> DriftModel {
-            DriftModel {
-                nu: 0.15,
-                nu_sigma: 0.0,
-                t0_cycles: 10,
-                disturb_per_level: 0,
-            }
-        }
-        fn disturby() -> DriftModel {
-            DriftModel {
-                nu: 0.0,
-                nu_sigma: 0.0,
-                t0_cycles: 1,
-                disturb_per_level: 3,
-            }
-        }
-        fn stuck_corner() -> FaultMap {
-            let mut map = FaultMap::pristine(4, 4);
-            map.set(0, 0, FaultKind::StuckAtZero);
-            map
-        }
-
-        type Step = Box<dyn Fn(&mut Crossbar)>;
-        let cases: Vec<(&str, Step, Step)> = vec![
-            (
-                "program",
-                Box::new(|_| {}),
-                Box::new(|x| {
-                    x.program(&[
-                        vec![2, 7, 1, 8],
-                        vec![2, 8, 1, 8],
-                        vec![2, 8, 4, 5],
-                        vec![9, 0, 4, 5],
-                    ]);
-                }),
-            ),
-            (
-                "program_verify",
-                Box::new(|_| {}),
-                Box::new(|x| {
-                    let mut rng = StdRng::seed_from_u64(1);
-                    x.program_verify(
-                        &[
-                            vec![3, 1, 4, 1],
-                            vec![5, 9, 2, 6],
-                            vec![5, 3, 5, 8],
-                            vec![9, 7, 9, 3],
-                        ],
-                        &VerifyPolicy::default(),
-                        &mut rng,
-                    );
-                }),
-            ),
-            (
-                "attach_faults",
-                Box::new(|_| {}),
-                Box::new(|x| x.attach_faults(stuck_corner())),
-            ),
-            (
-                "attach_drift",
-                Box::new(|_| {}),
-                Box::new(|x| x.attach_drift(drifty(), 5)),
-            ),
-            (
-                "attach_noise",
-                Box::new(|_| {}),
-                Box::new(|x| x.attach_noise(NoiseModel::with_strength(1.0), 9)),
-            ),
-            (
-                "advance_cycles",
-                Box::new(|x| x.attach_drift(drifty(), 5)),
-                Box::new(|x| x.advance_cycles(1_000_000)),
-            ),
-            (
-                "clear_fault_col",
-                Box::new(|x| x.attach_faults(stuck_corner())),
-                Box::new(|x| x.clear_fault_col(0)),
-            ),
-            (
-                "scrub_rows",
-                Box::new(|x| {
-                    x.attach_drift(drifty(), 5);
-                    x.advance_cycles(1_000_000);
-                }),
-                Box::new(|x| {
-                    let mut rng = StdRng::seed_from_u64(2);
-                    x.scrub_rows(0, 4, &VerifyPolicy::default(), &mut rng);
-                }),
-            ),
-            (
-                "attach_wear",
-                Box::new(|_| {}),
-                Box::new(|x| x.attach_wear(WearModel::with_endurance(8.0), 3)),
-            ),
-            (
-                "program under wear death",
-                Box::new(|x| x.attach_wear(WearModel::with_endurance(4.0), 3)),
-                Box::new(|x| {
-                    // Large tuning swings push several cells over their
-                    // ~4-pulse budgets, raising dead faults mid-write.
-                    x.program(&[vec![15; 4], vec![0; 4], vec![15; 4], vec![0; 4]]);
-                }),
-            ),
-            (
-                "reprogram_col_from_spare",
-                Box::new(|x| {
-                    x.attach_wear(WearModel::with_endurance(4.0), 3);
-                    x.program(&[vec![15; 4], vec![0; 4], vec![15; 4], vec![0; 4]]);
-                }),
-                Box::new(|x| {
-                    let mut rng = StdRng::seed_from_u64(4);
-                    x.reprogram_col_from_spare(1, &VerifyPolicy::default(), &mut rng);
-                }),
-            ),
-            (
-                "restore_levels",
-                Box::new(|_| {}),
-                Box::new(|x| {
-                    x.restore_levels(&[7u8; 16]);
-                }),
-            ),
-            (
-                "restore_faults",
-                Box::new(|_| {}),
-                Box::new(|x| {
-                    x.restore_faults(stuck_corner());
-                }),
-            ),
-            (
-                "restore_wear_counters",
-                Box::new(|x| {
-                    x.attach_wear(WearModel::with_endurance(4.0), 3);
-                    x.program(&[vec![15; 4], vec![0; 4], vec![15; 4], vec![0; 4]]);
-                }),
-                Box::new(|x| {
-                    x.restore_wear_counters(&[0; 16], &[0; 16]);
-                    // The counters no longer match the fault map, so
-                    // rebuild a coherent (empty) map too — this case only
-                    // probes cache invalidation, not consistency.
-                    x.restore_faults(FaultMap::pristine(4, 4));
-                }),
-            ),
-            (
-                "mvm_spiked under read disturb",
-                Box::new(|x| x.attach_drift(disturby(), 5)),
-                Box::new(|x| {
-                    x.mvm_spiked(&[15, 15, 15, 15], 4);
-                }),
-            ),
-            (
-                "mvm_spiked_scalar under read disturb",
-                Box::new(|x| x.attach_drift(disturby(), 5)),
-                Box::new(|x| {
-                    x.mvm_spiked_scalar(&[15, 15, 15, 15], 4);
-                }),
-            ),
+        let wear = DeviceModel::ideal().with_wear(WearModel::with_endurance(4.0));
+        let swing = [vec![15; 4], vec![0; 4], vec![15; 4], vec![0; 4]];
+        let mutations: [fn(&mut Crossbar); 9] = [
+            |x| {
+                x.program(&vec![vec![2, 7, 1, 8]; 4]);
+            },
+            |x| {
+                let rng = &mut StdRng::seed_from_u64(1);
+                x.program_verify(&vec![vec![3, 1, 4, 1]; 4], &VerifyPolicy::default(), rng);
+            },
+            |x| {
+                x.attach(
+                    &DeviceModel::ideal().with_faults(FaultModel::with_stuck_rate(0.3)),
+                    2,
+                )
+            },
+            |x| {
+                x.attach(
+                    &DeviceModel::ideal().with_noise(NoiseModel::with_strength(1.0)),
+                    9,
+                )
+            },
+            |x| {
+                let mut map = FaultMap::pristine(4, 4);
+                map.set(0, 0, FaultKind::StuckAtMax);
+                x.set_faults(map);
+            },
+            |x| x.clear_fault_col(0),
+            |x| {
+                x.restore_levels(&[7; 16]);
+            },
+            |x| {
+                let rng = &mut StdRng::seed_from_u64(4);
+                x.reprogram_col_from_spare(1, &VerifyPolicy::default(), rng);
+            },
+            |x| {
+                let rng = &mut StdRng::seed_from_u64(2);
+                x.scrub_rows(0, 4, &VerifyPolicy::default(), rng);
+            },
         ];
-
-        for (name, setup, mutate) in cases {
+        for (i, mutate) in mutations.iter().enumerate() {
             let mut xbar = Crossbar::new(4, 4, 4);
-            xbar.program(&[
-                vec![9, 1, 14, 3],
-                vec![0, 5, 7, 11],
-                vec![13, 2, 4, 6],
-                vec![8, 15, 10, 12],
-            ]);
-            setup(&mut xbar);
-            // Warm the plane cache (kept only when reads are non-perturbing).
+            xbar.attach(&wear, 3);
+            xbar.program(&swing); // kills some cells: a live fault map
             xbar.mvm_spiked(&[1, 2, 3, 4], 4);
             mutate(&mut xbar);
-            // The scalar reference never touches the cache, so a stale cache
-            // in the packed path shows up as a bitwise divergence.
             let mut reference = xbar.clone();
-            let probe = [3, 1, 4, 1];
-            let packed = xbar.mvm_spiked(&probe, 4);
-            let scalar = reference.mvm_spiked_scalar(&probe, 4);
-            assert_eq!(packed, scalar, "{name}: packed MVM served stale planes");
+            let packed = xbar.mvm_spiked(&[3, 1, 4, 1], 4);
+            let scalar = reference.mvm_spiked_scalar(&[3, 1, 4, 1], 4);
+            assert_eq!(packed, scalar, "mutation {i} served stale planes");
         }
     }
 
@@ -1302,11 +1042,11 @@ mod tests {
         use crate::wear::WearModel;
         let mut xbar = Crossbar::new(2, 2, 4);
         // Deterministic budgets: every cell survives exactly 20 pulses.
-        xbar.attach_wear(
-            WearModel {
+        xbar.attach(
+            &DeviceModel::ideal().with_wear(WearModel {
                 median_writes: 20.0,
                 sigma: 0.0,
-            },
+            }),
             1,
         );
         // 15 pulses per cell: everyone still alive.
@@ -1326,11 +1066,11 @@ mod tests {
         use crate::wear::WearModel;
         use rand::{rngs::StdRng, SeedableRng};
         let mut xbar = Crossbar::new(1, 1, 4);
-        xbar.attach_wear(
-            WearModel {
+        xbar.attach(
+            &DeviceModel::ideal().with_wear(WearModel {
                 median_writes: 1000.0,
                 sigma: 0.0,
-            },
+            }),
             1,
         );
         let noisy = VerifyPolicy {
@@ -1348,11 +1088,11 @@ mod tests {
         use crate::wear::WearModel;
         use rand::{rngs::StdRng, SeedableRng};
         let mut xbar = Crossbar::new(2, 2, 4);
-        xbar.attach_wear(
-            WearModel {
+        xbar.attach(
+            &DeviceModel::ideal().with_wear(WearModel {
                 median_writes: 20.0,
                 sigma: 0.0,
-            },
+            }),
             1,
         );
         xbar.program(&[vec![9, 5], vec![7, 3]]);
@@ -1386,7 +1126,7 @@ mod tests {
         let mut plain = Crossbar::new(2, 2, 4);
         plain.program(&levels);
         let mut worn = plain.clone();
-        worn.attach_wear(WearModel::ideal(), 99);
+        worn.attach(&DeviceModel::ideal().with_wear(WearModel::ideal()), 99);
         assert!(worn.wear_state().is_none());
         worn.program(&[vec![4, 4], vec![4, 4]]);
         plain.program(&[vec![4, 4], vec![4, 4]]);
@@ -1400,7 +1140,7 @@ mod tests {
         use crate::wear::WearModel;
         let model = WearModel::with_endurance(50.0);
         let mut xbar = Crossbar::new(3, 3, 4);
-        xbar.attach_wear(model, 7);
+        xbar.attach(&DeviceModel::ideal().with_wear(model), 7);
         xbar.program(&[vec![9; 3], vec![5; 3], vec![12; 3]]);
         let (p, g) = xbar.wear_state().unwrap().counters();
         let (p, g) = (p.to_vec(), g.to_vec());
@@ -1408,7 +1148,7 @@ mod tests {
         let (rs, ws, os) = xbar.spike_counters();
 
         let mut fresh = Crossbar::new(3, 3, 4);
-        fresh.attach_wear(model, 7);
+        fresh.attach(&DeviceModel::ideal().with_wear(model), 7);
         assert!(fresh.restore_levels(&levels));
         assert!(fresh.restore_wear_counters(&p, &g));
         fresh.restore_spike_counters(rs, ws, os);
@@ -1457,17 +1197,14 @@ mod tests {
             xbar.program(&levels);
             if fault_rate > 0.0 {
                 let fm = FaultModel::with_stuck_rate(fault_rate);
-                xbar.attach_faults(FaultMap::generate(rows, cols, &fm, seed));
+                xbar.set_faults(FaultMap::generate(rows, cols, &fm, seed));
             }
             if drift_sel == 1 {
-                xbar.attach_drift(
-                    DriftModel { nu: 0.1, nu_sigma: 0.05, t0_cycles: 8, disturb_per_level: 40 },
-                    seed,
-                );
+                xbar.attach(&DeviceModel::ideal().with_drift(DriftModel { nu: 0.1, nu_sigma: 0.05, t0_cycles: 8, disturb_per_level: 40 }), seed);
                 xbar.advance_cycles(5_000);
             }
             if noise_strength > 0.0 {
-                xbar.attach_noise(NoiseModel::with_strength(noise_strength), seed);
+                xbar.attach(&DeviceModel::ideal().with_noise(NoiseModel::with_strength(noise_strength)), seed);
             }
             let mut reference = xbar.clone();
 
@@ -1508,7 +1245,7 @@ mod tests {
             let mut plain = Crossbar::new(rows, cols, 4);
             plain.program(&levels);
             let mut noisy = plain.clone();
-            noisy.attach_noise(NoiseModel::ideal(), seed);
+            noisy.attach(&DeviceModel::ideal().with_noise(NoiseModel::ideal()), seed);
             prop_assert_eq!(noisy.mvm_spiked(&input, 16), plain.mvm_spiked(&input, 16));
         }
 
@@ -1531,7 +1268,7 @@ mod tests {
             let build = || {
                 let mut x = Crossbar::new(rows, cols, 4);
                 x.program(&levels);
-                x.attach_noise(NoiseModel::with_strength(strength), seed);
+                x.attach(&DeviceModel::ideal().with_noise(NoiseModel::with_strength(strength)), seed);
                 x
             };
             let (mut a, mut b) = (build(), build());
@@ -1580,7 +1317,7 @@ mod tests {
             };
             let mut xbar = Crossbar::new(rows, cols, 4);
             xbar.program(&levels);
-            xbar.attach_drift(model, seed);
+            xbar.attach(&DeviceModel::ideal().with_drift(model), seed);
             let mut steps = 0;
             while xbar.drifted_cells() == 0 && steps < 20 {
                 xbar.advance_cycles(1000);

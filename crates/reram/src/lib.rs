@@ -40,6 +40,9 @@
 //! * [`wear`] — endurance wear-out: seeded per-cell lognormal write
 //!   budgets decremented by every programming pulse, transitioning
 //!   exhausted cells into live dead faults mid-run.
+//! * [`device`] — [`DeviceModel`], the four models above as one value
+//!   attached once per array; each crossbar keeps the resulting state in
+//!   one stack that composes them in a single `resolve`.
 //! * [`seedstream`] — the documented `(seed, crossbar, row, col, epoch)`
 //!   per-cell random-stream convention shared by `fault`, `variation`,
 //!   `drift` and `wear` so campaigns reproduce at any thread count.
@@ -64,6 +67,7 @@ pub mod area;
 pub mod array_group;
 pub mod cell;
 pub mod crossbar;
+pub mod device;
 pub mod drift;
 pub mod energy;
 pub mod fault;
@@ -81,6 +85,7 @@ pub use area::AreaModel;
 pub use array_group::ReramMatrix;
 pub use cell::{CellWrite, ReramCell};
 pub use crossbar::Crossbar;
+pub use device::DeviceModel;
 pub use drift::{DriftModel, DriftState};
 pub use energy::{EnergyCounter, ReramParams};
 pub use fault::{FaultKind, FaultMap, FaultModel, ProgramReport, UnrecoverableCell, VerifyPolicy};

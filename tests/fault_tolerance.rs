@@ -13,7 +13,7 @@ use pipelayer::timing::TimingModel;
 use pipelayer_nn::data::SyntheticMnist;
 use pipelayer_nn::metrics::DegradationReport;
 use pipelayer_nn::zoo;
-use pipelayer_reram::{FaultModel, ReramParams, VerifyPolicy};
+use pipelayer_reram::{DeviceModel, FaultModel, ReramParams, VerifyPolicy};
 use pipelayer_tensor::Tensor;
 
 const DIMS: [usize; 3] = [49, 16, 10];
@@ -91,7 +91,9 @@ fn silent_faults_degrade_measurably_without_repair() {
     let mut ideal = ReramMlp::new(&DIMS, &params, 5);
     train(&mut ideal, &tr, &trl);
 
-    let mut faulty = ReramMlp::with_faults(&DIMS, &params, 5, &FaultModel::with_stuck_rate(2e-2));
+    let mut faulty = ReramMlp::builder(&DIMS, &params, 5)
+        .device(DeviceModel::ideal().with_faults(FaultModel::with_stuck_rate(2e-2)))
+        .build();
     train(&mut faulty, &tr, &trl);
 
     let report = DegradationReport::new(ideal.accuracy(&te, &tel), faulty.accuracy(&te, &tel));
