@@ -13,20 +13,21 @@
 //! * training costs the canonical 3× forward compute plus optimizer traffic.
 
 use pipelayer_nn::spec::NetSpec;
+use pipelayer_reram::units::{Joules, Seconds};
 
 /// Time and energy of a modelled GPU run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuRun {
-    /// Wall-clock seconds.
-    pub time_s: f64,
-    /// Energy in joules.
-    pub energy_j: f64,
+    /// Wall-clock time.
+    pub time_s: Seconds,
+    /// Energy.
+    pub energy_j: Joules,
 }
 
 impl GpuRun {
     /// Images per second.
     pub fn throughput(&self, n_images: u64) -> f64 {
-        n_images as f64 / self.time_s
+        n_images as f64 / self.time_s.0
     }
 }
 
@@ -41,14 +42,14 @@ pub struct GpuModel {
     pub conv_utilization: f64,
     /// Fraction of peak reached by GEMM (inner-product) kernels.
     pub fc_utilization: f64,
-    /// Per-kernel-launch overhead, seconds.
-    pub launch_overhead_s: f64,
+    /// Per-kernel-launch overhead.
+    pub launch_overhead_s: Seconds,
     /// Kernel launches per weighted layer per pass.
     pub kernels_per_layer: f64,
     /// Fixed framework overhead per iteration (Caffe data layer, host
-    /// sync, solver bookkeeping), seconds. Dominates the MNIST-scale
-    /// models, exactly as `caffe time` measurements do.
-    pub framework_overhead_s: f64,
+    /// sync, solver bookkeeping). Dominates the MNIST-scale models,
+    /// exactly as `caffe time` measurements do.
+    pub framework_overhead_s: Seconds,
     /// Board TDP, watts.
     pub tdp_w: f64,
     /// Idle board power, watts.
@@ -62,9 +63,9 @@ impl Default for GpuModel {
             mem_bandwidth_bytes_per_s: 320e9,
             conv_utilization: 0.75,
             fc_utilization: 0.85,
-            launch_overhead_s: 12e-6,
+            launch_overhead_s: Seconds(12e-6),
             kernels_per_layer: 3.0,
-            framework_overhead_s: 1000e-6,
+            framework_overhead_s: Seconds(1000e-6),
             tdp_w: 180.0,
             idle_w: 55.0,
         }
@@ -72,11 +73,11 @@ impl Default for GpuModel {
 }
 
 impl GpuModel {
-    /// Compute + launch time of one forward pass over a batch, seconds
-    /// (excluding the per-iteration framework/data-layer overhead).
-    fn forward_work_s(&self, spec: &NetSpec, batch: usize) -> f64 {
+    /// Compute + launch time of one forward pass over a batch (excluding
+    /// the per-iteration framework/data-layer overhead).
+    fn forward_work_s(&self, spec: &NetSpec, batch: usize) -> Seconds {
         let b = batch as f64;
-        let mut t = 0.0;
+        let mut t = Seconds(0.0);
         for layer in spec.resolve() {
             let ops = layer.ops_forward() as f64 * b;
             let compute = if layer.is_conv {
@@ -100,7 +101,7 @@ impl GpuModel {
                     + layer.out_shape.0 * layer.out_shape.1 * layer.out_shape.2)
                     as f64;
             let memory = (weight_bytes + act_bytes) / self.mem_bandwidth_bytes_per_s;
-            t += compute.max(memory) + self.kernels_per_layer * self.launch_overhead_s;
+            t += Seconds(compute.max(memory)) + self.kernels_per_layer * self.launch_overhead_s;
         }
         t
     }
@@ -118,7 +119,7 @@ impl GpuModel {
         let time_s = batches * per_batch;
         GpuRun {
             time_s,
-            energy_j: time_s * self.power_w(work, per_batch),
+            energy_j: Joules(time_s.0 * self.power_w(work, per_batch)),
         }
     }
 
@@ -134,14 +135,15 @@ impl GpuModel {
         let work = 3.0 * self.forward_work_s(spec, batch);
         // SGD update: read gradient + read weight + write weight, plus one
         // optimizer kernel per layer.
-        let update = spec.weight_count() as f64 * 4.0 * 3.0 / self.mem_bandwidth_bytes_per_s
-            + spec.weighted_layers() as f64 * self.kernels_per_layer * self.launch_overhead_s;
+        let update =
+            Seconds(spec.weight_count() as f64 * 4.0 * 3.0 / self.mem_bandwidth_bytes_per_s)
+                + spec.weighted_layers() as f64 * self.kernels_per_layer * self.launch_overhead_s;
         let batches = (n_images as f64 / batch as f64).ceil();
         let per_batch = work + update + 1.5 * self.framework_overhead_s;
         let time_s = batches * per_batch;
         GpuRun {
             time_s,
-            energy_j: time_s * self.power_w(work + update, per_batch),
+            energy_j: Joules(time_s.0 * self.power_w(work + update, per_batch)),
         }
     }
 
@@ -149,8 +151,8 @@ impl GpuModel {
     /// fraction of each iteration the GPU spends in kernels — on the
     /// framework-bound MNIST-scale models the board idles most of the time
     /// (what `nvidia-smi` would report).
-    fn power_w(&self, busy_s: f64, total_s: f64) -> f64 {
-        let busy = (busy_s / total_s.max(1e-12)).clamp(0.0, 1.0);
+    fn power_w(&self, busy_s: Seconds, total_s: Seconds) -> f64 {
+        let busy = (busy_s / total_s.max(Seconds(1e-12))).clamp(0.0, 1.0);
         self.idle_w + (self.tdp_w - self.idle_w) * busy
     }
 }
@@ -182,7 +184,7 @@ mod tests {
     #[test]
     fn vgg_ordering_by_depth() {
         let gpu = GpuModel::default();
-        let mut last = 0.0;
+        let mut last = Seconds(0.0);
         for v in zoo::VggVariant::ALL {
             let t = gpu.training(&zoo::vgg(v), 640, 64).time_s;
             assert!(t > last, "deeper VGG should train slower");
@@ -213,7 +215,7 @@ mod tests {
             gpu.framework_overhead_s + 2.0 * gpu.kernels_per_layer * gpu.launch_overhead_s;
         assert!(
             overhead / per_batch > 0.8,
-            "expected overhead-dominated batch: {overhead} vs {per_batch}"
+            "expected overhead-dominated batch: {overhead:?} vs {per_batch:?}"
         );
         let ips = run.throughput(6400);
         assert!((20_000.0..500_000.0).contains(&ips), "{ips} img/s");
@@ -223,7 +225,7 @@ mod tests {
     fn energy_positive_and_tdp_bounded() {
         let gpu = GpuModel::default();
         let run = gpu.training(&zoo::vgg(zoo::VggVariant::E), 64, 64);
-        let power = run.energy_j / run.time_s;
+        let power = run.energy_j.0 / run.time_s.0;
         assert!(power > gpu.idle_w && power <= gpu.tdp_w);
     }
 
@@ -232,6 +234,6 @@ mod tests {
         let gpu = GpuModel::default();
         let mlp = gpu.testing(&zoo::spec_mnist_a(), 640, 64);
         let vgg = gpu.testing(&zoo::vgg(zoo::VggVariant::D), 640, 64);
-        assert!(mlp.energy_j / mlp.time_s < vgg.energy_j / vgg.time_s);
+        assert!(mlp.energy_j.0 / mlp.time_s.0 < vgg.energy_j.0 / vgg.time_s.0);
     }
 }

@@ -15,6 +15,7 @@
 //!    per-stage bubble probability inflating effective stage count.
 
 use pipelayer_nn::spec::NetSpec;
+use pipelayer_reram::units::{Nanoseconds, Seconds};
 
 /// ISAAC-like pipeline timing model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,8 +23,8 @@ pub struct IsaacModel {
     /// Pipeline stages per weighted layer (tile-granular: ISAAC's deep
     /// pipeline subdivides each layer into many tile stages).
     pub stages_per_layer: usize,
-    /// One pipeline stage latency, ns (ISAAC's 100 ns IMA cycle).
-    pub stage_ns: f64,
+    /// One pipeline stage latency (ISAAC's 100 ns IMA cycle).
+    pub stage_ns: Nanoseconds,
     /// Probability a stage incurs a one-cycle bubble from a late
     /// cross-layer dependency.
     pub bubble_probability: f64,
@@ -33,7 +34,7 @@ impl Default for IsaacModel {
     fn default() -> Self {
         IsaacModel {
             stages_per_layer: 22,
-            stage_ns: 100.0,
+            stage_ns: Nanoseconds(100.0),
             bubble_probability: 0.05,
         }
     }
@@ -45,8 +46,8 @@ impl IsaacModel {
         spec.weighted_layers() * self.stages_per_layer
     }
 
-    /// Effective per-result initiation interval in ns, including bubbles.
-    pub fn initiation_interval_ns(&self) -> f64 {
+    /// Effective per-result initiation interval, including bubbles.
+    pub fn initiation_interval_ns(&self) -> Nanoseconds {
         self.stage_ns * (1.0 + self.bubble_probability)
     }
 
@@ -57,10 +58,10 @@ impl IsaacModel {
     /// # Panics
     ///
     /// Panics if `n_images` is zero.
-    pub fn testing_time_s(&self, spec: &NetSpec, n_images: u64) -> f64 {
+    pub fn testing_time_s(&self, spec: &NetSpec, n_images: u64) -> Seconds {
         assert!(n_images > 0, "empty workload");
         let fill = self.depth(spec) as f64 * self.stage_ns;
-        (fill + (n_images - 1) as f64 * self.initiation_interval_ns()) * 1e-9
+        (fill + (n_images - 1) as f64 * self.initiation_interval_ns()).to_seconds()
     }
 
     /// Training time: every batch must drain fully before the next may
@@ -70,13 +71,13 @@ impl IsaacModel {
     /// # Panics
     ///
     /// Panics if `batch` or `n_images` is zero.
-    pub fn training_time_s(&self, spec: &NetSpec, n_images: u64, batch: usize) -> f64 {
+    pub fn training_time_s(&self, spec: &NetSpec, n_images: u64, batch: usize) -> Seconds {
         assert!(batch > 0 && n_images > 0, "degenerate workload");
         let batches = n_images.div_ceil(batch as u64) as f64;
         // Forward + backward traversal: double depth, double work.
         let fill_drain = 2.0 * self.depth(spec) as f64 * self.stage_ns;
         let per_batch = fill_drain + (batch as f64 * 2.0 - 1.0) * self.initiation_interval_ns();
-        batches * per_batch * 1e-9
+        (batches * per_batch).to_seconds()
     }
 
     /// Fraction of training time lost to fill/drain at batch boundaries —

@@ -17,6 +17,7 @@
 //!   bit-line group, ≈ 0.1 pJ per output value, no conversion clock.
 
 use pipelayer_nn::spec::NetSpec;
+use pipelayer_reram::units::{Nanoseconds, Picojoules};
 
 /// How a crossbar's inputs and outputs cross the analog/digital boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,10 +44,10 @@ impl PeripheralScheme {
 /// Cost of one array read phase (one input vector against one crossbar).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseCost {
-    /// Latency, ns.
-    pub latency_ns: f64,
-    /// Energy, pJ.
-    pub energy_pj: f64,
+    /// Latency.
+    pub latency_ns: Nanoseconds,
+    /// Energy.
+    pub energy_pj: Picojoules,
     /// Input time slots needed for a full-resolution input.
     pub input_slots: u32,
 }
@@ -55,32 +56,32 @@ pub struct PhaseCost {
 /// resolution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeripheralModel {
-    /// Array read latency per spike/level phase, ns (29.31 in the paper).
-    pub read_ns: f64,
-    /// Read energy per input spike, pJ (1.08).
-    pub spike_pj: f64,
-    /// ADC energy per conversion, pJ.
-    pub adc_pj: f64,
-    /// ADC conversion time, ns.
-    pub adc_ns: f64,
-    /// DAC energy per conversion, pJ.
-    pub dac_pj: f64,
+    /// Array read latency per spike/level phase (29.31 ns in the paper).
+    pub read_ns: Nanoseconds,
+    /// Read energy per input spike (1.08 pJ).
+    pub spike_pj: Picojoules,
+    /// ADC energy per conversion.
+    pub adc_pj: Picojoules,
+    /// ADC conversion time.
+    pub adc_ns: Nanoseconds,
+    /// DAC energy per conversion.
+    pub dac_pj: Picojoules,
     /// DAC input resolution, bits (PRIME used 3-bit voltage levels).
     pub dac_bits: u32,
-    /// Integrate-and-fire energy per output value, pJ.
-    pub if_pj: f64,
+    /// Integrate-and-fire energy per output value.
+    pub if_pj: Picojoules,
 }
 
 impl Default for PeripheralModel {
     fn default() -> Self {
         PeripheralModel {
-            read_ns: 29.31,
-            spike_pj: 1.08,
-            adc_pj: 12.5,
-            adc_ns: 0.78, // 1.28 GS/s SAR
-            dac_pj: 1.0,
+            read_ns: Nanoseconds(29.31),
+            spike_pj: Picojoules(1.08),
+            adc_pj: Picojoules(12.5),
+            adc_ns: Nanoseconds(0.78), // 1.28 GS/s SAR
+            dac_pj: Picojoules(1.0),
             dac_bits: 3,
-            if_pj: 0.1,
+            if_pj: Picojoules(0.1),
         }
     }
 }
@@ -143,7 +144,7 @@ impl PeripheralModel {
         scheme: PeripheralScheme,
         xbar: usize,
         data_bits: u32,
-    ) -> f64 {
+    ) -> Picojoules {
         spec.resolve()
             .iter()
             .map(|l| {
@@ -170,7 +171,7 @@ mod tests {
         let adc = m.phase_cost(PeripheralScheme::SpikeAdc, 128, 128, 16);
         assert!(
             adc.energy_pj > 5.0 * inf.energy_pj,
-            "ADC read-out should dominate: {} vs {}",
+            "ADC read-out should dominate: {:?} vs {:?}",
             adc.energy_pj,
             inf.energy_pj
         );
@@ -207,7 +208,7 @@ mod tests {
         let e_dac = m.network_forward_energy_pj(&spec, PeripheralScheme::DacAdc, 128, 16);
         assert!(
             e_if < e_adc && e_if < e_dac,
-            "I&F must be cheapest: {e_if} {e_adc} {e_dac}"
+            "I&F must be cheapest: {e_if:?} {e_adc:?} {e_dac:?}"
         );
     }
 

@@ -31,8 +31,8 @@ fn main() {
         table.row(vec![
             scheme.name().to_string(),
             c.input_slots.to_string(),
-            fmt_f(c.latency_ns, 1),
-            fmt_f(c.energy_pj, 1),
+            fmt_f(c.latency_ns.0, 1),
+            fmt_f(c.energy_pj.0, 1),
         ]);
     }
     table.print();
@@ -50,7 +50,7 @@ fn main() {
     ] {
         let row: Vec<String> = SCHEMES
             .iter()
-            .map(|&s| fmt_si(m.network_forward_energy_pj(&spec, s, 128, 16) * 1e-12 * 1e12))
+            .map(|&s| fmt_si(m.network_forward_energy_pj(&spec, s, 128, 16).to_joules().0 * 1e12))
             .collect();
         net_table.row(vec![
             spec.name.clone(),

@@ -41,7 +41,7 @@ fn main() {
                 a.training_cycles_pipelined(b as u64).to_string(),
                 fmt_f(util, 1),
                 fmt_f(est.throughput(), 0),
-                fmt_f(est.energy_j / n as f64, 4),
+                fmt_f(est.energy_j.0 / n as f64, 4),
                 fmt_f(isaac_util, 1),
             ]);
         }

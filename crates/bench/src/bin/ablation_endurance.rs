@@ -48,7 +48,7 @@ fn main() {
             .map(|(_, m)| training_lifetime(&net, m))
             .collect();
         let mut row = vec![spec.name.clone(), fmt_f(lifetimes[0].updates_per_second, 1)];
-        row.extend(lifetimes.iter().map(|l| human_time(l.seconds)));
+        row.extend(lifetimes.iter().map(|l| human_time(l.seconds.0)));
         table.row(row);
     }
     table.print();

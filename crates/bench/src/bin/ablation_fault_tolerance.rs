@@ -25,7 +25,7 @@ use pipelayer::functional::{downsample, ReramMlp};
 use pipelayer::mapping::MappedNetwork;
 use pipelayer::repair::SpareBudget;
 use pipelayer::timing::TimingModel;
-use pipelayer_bench::{fmt_f, Table};
+use pipelayer_bench::{fmt_f, train_epochs, Table};
 use pipelayer_nn::data::SyntheticMnist;
 use pipelayer_nn::metrics::DegradationReport;
 use pipelayer_nn::zoo;
@@ -35,14 +35,6 @@ use pipelayer_tensor::Tensor;
 const DIMS: [usize; 3] = [49, 16, 10];
 const SEED: u64 = 5;
 const LR: f32 = 0.3;
-
-fn train(mlp: &mut ReramMlp, tr: &[Tensor], trl: &[usize], epochs: usize) {
-    for _ in 0..epochs {
-        for (imgs, labs) in tr.chunks(10).zip(trl.chunks(10)) {
-            mlp.train_batch(imgs, labs, LR);
-        }
-    }
-}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -64,7 +56,7 @@ fn main() {
 
     // Fault-free baseline, trained once.
     let mut ideal = ReramMlp::new(&DIMS, &params, SEED);
-    train(&mut ideal, &tr, trl, epochs);
+    train_epochs(&mut ideal, &tr, trl, epochs, LR);
     let base_acc = ideal.accuracy(&te, tel);
     println!(
         "fault-free baseline: {} test accuracy ({n_train} train / {n_test} test, {epochs} epochs)",
@@ -90,7 +82,7 @@ fn main() {
         let mut off = ReramMlp::builder(&DIMS, &params, SEED)
             .device(DeviceModel::ideal().with_faults(faults))
             .build();
-        train(&mut off, &tr, trl, epochs);
+        train_epochs(&mut off, &tr, trl, epochs, LR);
         let acc_off = off.accuracy(&te, tel);
         let d_off = DegradationReport::new(base_acc, acc_off);
         table.row(vec![
@@ -111,7 +103,7 @@ fn main() {
             verify,
             SpareBudget::typical(),
         );
-        train(&mut on, &tr, trl, epochs);
+        train_epochs(&mut on, &tr, trl, epochs, LR);
         let acc_on = on.accuracy(&te, tel);
         let d_on = DegradationReport::new(base_acc, acc_on)
             .with_repair_state(on.spares_left(), on.masked_units());

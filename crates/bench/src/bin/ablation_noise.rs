@@ -25,7 +25,7 @@
 use pipelayer::functional::{downsample, ReramMlp};
 use pipelayer::variation::{noise_sweep, VariationPoint};
 use pipelayer::{ReramNoiseHook, ScrubPolicy};
-use pipelayer_bench::{fmt_f, Table};
+use pipelayer_bench::{fmt_f, json_num, weight_bits, Table};
 use pipelayer_nn::data::SyntheticMnist;
 use pipelayer_nn::serialize::atomic_write;
 use pipelayer_nn::trainer::{TrainConfig, Trainer};
@@ -53,25 +53,6 @@ struct NetResult {
     /// `(aware − naive) / (clean − naive)` at the mid strength, or `None`
     /// when the naive loss there is under [`MIN_LOSS`].
     recovered_fraction: Option<f32>,
-}
-
-fn weight_bits(net: &mut Network) -> Vec<u32> {
-    let mut bits = Vec::new();
-    for layer in net.layers_mut() {
-        if let Some(p) = layer.params_mut() {
-            bits.extend(p.weight.as_slice().iter().map(|v| v.to_bits()));
-            bits.extend(p.bias.as_slice().iter().map(|v| v.to_bits()));
-        }
-    }
-    bits
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn points_json(points: &[VariationPoint]) -> String {

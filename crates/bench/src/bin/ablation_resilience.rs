@@ -23,11 +23,11 @@ use pipelayer::energy::EnergyModel;
 use pipelayer::functional::{downsample, ReramMlp};
 use pipelayer::timing::TimingModel;
 use pipelayer::{DriftReport, DriftSample, MappedNetwork, PipeLayerConfig, ScrubPolicy};
-use pipelayer_bench::{fmt_f, Table};
+use pipelayer_bench::{fmt_f, json_num, weight_bits, Table};
 use pipelayer_nn::data::SyntheticMnist;
 use pipelayer_nn::serialize::atomic_write;
 use pipelayer_nn::trainer::{CheckpointPolicy, FitOutcome, TrainConfig, Trainer};
-use pipelayer_nn::{zoo, Network};
+use pipelayer_nn::zoo;
 use pipelayer_reram::{DriftModel, ReramParams, VerifyPolicy};
 use pipelayer_tensor::Tensor;
 use std::path::Path;
@@ -55,25 +55,6 @@ struct DriftArm {
     samples: Vec<DriftSample>,
     drifted_cells: usize,
     scrub_passes: u64,
-}
-
-fn weight_bits(net: &mut Network) -> Vec<u32> {
-    let mut bits = Vec::new();
-    for layer in net.layers_mut() {
-        if let Some(p) = layer.params_mut() {
-            bits.extend(p.weight.as_slice().iter().map(|v| v.to_bits()));
-            bits.extend(p.bias.as_slice().iter().map(|v| v.to_bits()));
-        }
-    }
-    bits
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn main() {
@@ -182,7 +163,7 @@ fn main() {
     let base_life = training_lifetime(&base_net, &EnduranceModel::research_grade());
     let batch = PipeLayerConfig::default().batch_size as f64;
     let images_to_death =
-        |l: &pipelayer::endurance::Lifetime| -> f64 { l.seconds * l.updates_per_second * batch };
+        |l: &pipelayer::endurance::Lifetime| -> f64 { l.seconds.0 * l.updates_per_second * batch };
     let mut cost = Table::new(
         "Analytic: scrub cost on mapped Mnist-A (research-grade cells)",
         &[
@@ -205,8 +186,8 @@ fn main() {
             ..PipeLayerConfig::default()
         };
         let net = MappedNetwork::from_spec(&spec, cfg);
-        let ns_per_image = TimingModel::new(&net).scrub_ns_per_image();
-        let uj_per_image = EnergyModel::new(&net).scrub_j_per_image() * 1e6;
+        let ns_per_image = TimingModel::new(&net).scrub_ns_per_image().0;
+        let uj_per_image = EnergyModel::new(&net).scrub_j_per_image().0 * 1e6;
         let life = training_lifetime(&net, &EnduranceModel::research_grade());
         let ratio = images_to_death(&life) / images_to_death(&base_life);
         cost.row(vec![

@@ -25,7 +25,7 @@
 
 use pipelayer::functional::{downsample, ReramMlp};
 use pipelayer::{RepairPolicy, SpareBudget};
-use pipelayer_bench::{fmt_f, Table};
+use pipelayer_bench::{fmt_f, json_num, train_epochs, Table};
 use pipelayer_nn::data::SyntheticMnist;
 use pipelayer_nn::metrics::DegradationReport;
 use pipelayer_nn::serialize::atomic_write;
@@ -55,14 +55,6 @@ struct Grade {
     arms: Vec<Arm>,
 }
 
-fn train(mlp: &mut ReramMlp, tr: &[Tensor], trl: &[usize], epochs: usize) {
-    for _ in 0..epochs {
-        for (imgs, labs) in tr.chunks(10).zip(trl.chunks(10)) {
-            mlp.train_batch(imgs, labs, LR);
-        }
-    }
-}
-
 /// The verify + spare-budget stack shared by every repair-on arm under
 /// `wear` and the escalation `policy`. The campaign provisions 8 spare bit
 /// lines per matrix (double the macro-typical 4): a device expected to
@@ -75,14 +67,6 @@ fn repair_stack(wear: WearModel, policy: RepairPolicy) -> ReramMlp {
         .fault_tolerance(VerifyPolicy::with_attempts(2), SpareBudget::with_cols(8))
         .repair_policy(policy)
         .build()
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn main() {
@@ -111,10 +95,10 @@ fn main() {
 
     // ---- No-wear baselines, one per datapath flavour.
     let mut plain = ReramMlp::new(&DIMS, &ReramParams::default(), SEED);
-    train(&mut plain, &tr, trl, epochs);
+    train_epochs(&mut plain, &tr, trl, epochs, LR);
     let base_plain = plain.accuracy(&te, tel);
     let mut stack = repair_stack(WearModel::ideal(), RepairPolicy::default());
-    train(&mut stack, &tr, trl, epochs);
+    train_epochs(&mut stack, &tr, trl, epochs, LR);
     let base_verify = stack.accuracy(&te, tel);
     println!(
         "wear-out campaign — {n_train} train / {n_test} test, {epochs} epochs{}",
@@ -140,7 +124,7 @@ fn main() {
         let mut off = ReramMlp::builder(&DIMS, &ReramParams::default(), SEED)
             .device(DeviceModel::ideal().with_wear(wear))
             .build();
-        train(&mut off, &tr, trl, epochs);
+        train_epochs(&mut off, &tr, trl, epochs, LR);
         arms.push(Arm {
             policy: "off",
             report: DegradationReport::new(base_plain, off.accuracy(&te, tel)),
@@ -154,7 +138,7 @@ fn main() {
             ("laddered", RepairPolicy::laddered()),
         ] {
             let mut arm = repair_stack(wear, policy);
-            train(&mut arm, &tr, trl, epochs);
+            train_epochs(&mut arm, &tr, trl, epochs, LR);
             arms.push(Arm {
                 policy: policy_name,
                 report: DegradationReport::new(base_verify, arm.accuracy(&te, tel))

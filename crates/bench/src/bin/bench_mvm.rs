@@ -18,7 +18,7 @@
 //! Single-threaded on purpose: the claim under test is the kernel's own
 //! throughput, not batch-level parallelism.
 
-use pipelayer_bench::{fmt_f, Table};
+use pipelayer_bench::{fmt_f, json_num, Table};
 use pipelayer_nn::serialize::atomic_write;
 use pipelayer_reram::Crossbar;
 use std::path::Path;
@@ -53,14 +53,6 @@ fn splitmix(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 /// Builds a deterministically-programmed crossbar and an input pool for one

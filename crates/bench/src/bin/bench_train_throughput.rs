@@ -11,7 +11,7 @@
 //! available core count — speedups are only meaningful when the host
 //! actually has the cores (a 1-core container reports ~1× at every arm).
 
-use pipelayer_bench::{fmt_f, Table};
+use pipelayer_bench::{fmt_f, json_num, Table};
 use pipelayer_nn::data::SyntheticMnist;
 use pipelayer_nn::serialize::atomic_write;
 use pipelayer_nn::trainer::{TrainConfig, Trainer};
@@ -28,14 +28,6 @@ struct Arm {
     seconds: f64,
     images_per_sec: f64,
     epoch_losses: Vec<f32>,
-}
-
-fn json_escape_free_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn main() {
@@ -148,16 +140,16 @@ fn main() {
         let losses: Vec<String> = arm
             .epoch_losses
             .iter()
-            .map(|l| json_escape_free_number(f64::from(*l)))
+            .map(|l| json_num(f64::from(*l)))
             .collect();
         json.push_str(&format!(
             "    {{\"requested_threads\": {}, \"effective_threads\": {}, \"clamped\": {}, \"seconds\": {}, \"images_per_sec\": {}, \"speedup_vs_serial\": {}, \"epoch_losses\": [{}]}}{}\n",
             arm.threads,
             arm.effective_threads,
             arm.clamped,
-            json_escape_free_number(arm.seconds),
-            json_escape_free_number(arm.images_per_sec),
-            json_escape_free_number(arm.images_per_sec / base),
+            json_num(arm.seconds),
+            json_num(arm.images_per_sec),
+            json_num(arm.images_per_sec / base),
             losses.join(", "),
             if i + 1 < arms.len() { "," } else { "" }
         ));

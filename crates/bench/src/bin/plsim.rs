@@ -167,16 +167,16 @@ fn run() -> Result<(), String> {
             );
             t.row(vec![
                 "training".into(),
-                fmt_f(train.time_s * 1e3, 2),
-                fmt_f(train.energy_j, 3),
+                fmt_f(train.time_s.0 * 1e3, 2),
+                fmt_f(train.energy_j.0, 3),
                 fmt_f(train.throughput(), 0),
                 fmt_f(g_train.time_s / train.time_s, 2),
                 fmt_f(g_train.energy_j / train.energy_j, 2),
             ]);
             t.row(vec![
                 "testing".into(),
-                fmt_f(test.time_s * 1e3, 2),
-                fmt_f(test.energy_j, 3),
+                fmt_f(test.time_s.0 * 1e3, 2),
+                fmt_f(test.energy_j.0, 3),
                 fmt_f(test.throughput(), 0),
                 fmt_f(g_test.time_s / test.time_s, 2),
                 fmt_f(g_test.energy_j / test.energy_j, 2),

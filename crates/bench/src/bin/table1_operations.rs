@@ -45,16 +45,16 @@ fn main() {
             l.resolved.name.clone(),
             l.g.to_string(),
             l.reads_forward.to_string(),
-            fmt_f(t.forward_phase_ns(l) / 1e3, 2),
-            fmt_f(t.backward_phase_ns(l) / 1e3, 2),
+            fmt_f(t.forward_phase_ns(l).0 / 1e3, 2),
+            fmt_f(t.backward_phase_ns(l).0 / 1e3, 2),
         ]);
     }
     detail.print();
     println!();
     println!(
         "cycle time = max phase: testing {:.2} us, training {:.2} us, update cycle {:.2} us",
-        t.cycle_testing_ns() / 1e3,
-        t.cycle_training_ns() / 1e3,
-        t.update_cycle_ns() / 1e3
+        t.cycle_testing_ns().0 / 1e3,
+        t.cycle_training_ns().0 / 1e3,
+        t.update_cycle_ns().0 / 1e3
     );
 }

@@ -16,6 +16,16 @@ pub fn fmt_f(x: f64, prec: usize) -> String {
     format!("{x:.prec$}")
 }
 
+/// Formats a value as a JSON number, or `null` when it is not finite
+/// (JSON has no NaN or infinity).
+pub fn json_num(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
+    }
+}
+
 /// Formats a value with an SI suffix (k/M/G/T).
 pub fn fmt_si(x: f64) -> String {
     let (v, suffix) = if x.abs() >= 1e12 {

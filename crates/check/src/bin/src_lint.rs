@@ -28,10 +28,10 @@
 //!   Counted per file under the `pl060` allowlist pattern, shrink-only.
 //! * **PL062 determinism taint**: nondeterminism sources reaching the
 //!   weight/report sinks outside the seed stream. `pl062`, shrink-only.
-//! * **PL070/PL071/PL072 dimensional analysis** (`check::units` over the
-//!   `check::expr` trees): mixed-unit arithmetic, suffix-vs-body unit
-//!   disagreements, and unsuffixed bench-JSON/report sink fields.
-//!   Counted per file under `pl070`/`pl071`/`pl072`, shrink-only.
+//!
+//! Physical units are not linted: the analytic model computes in the
+//! `pipelayer_reram::units` newtypes, so the compiler rejects mixed-unit
+//! arithmetic (the retired PL070–PL072 suffix-inference passes).
 //!
 //! Test modules (`#[cfg(test)]`), comments and doc lines are exempt.
 //!
@@ -45,7 +45,7 @@
 //! 2 on usage/I-O errors.
 
 use pipelayer_check::callgraph::{self, Workspace};
-use pipelayer_check::{dettaint, lex, panicreach, units};
+use pipelayer_check::{dettaint, lex, panicreach};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -55,7 +55,7 @@ use std::process::ExitCode;
 const ALLOWLIST: &str = "lint-allow.txt";
 
 /// Allowlist patterns produced by `--semantic`, not the line lint.
-const SEMANTIC_PATTERNS: &[&str] = &["pl060", "pl062", "pl070", "pl071", "pl072"];
+const SEMANTIC_PATTERNS: &[&str] = &["pl060", "pl062"];
 
 /// One forbidden-pattern class. The needles are assembled from fragments at
 /// runtime so this file does not match its own patterns.
@@ -270,7 +270,7 @@ struct SemanticReport {
     details: BTreeMap<(String, String), Vec<String>>,
 }
 
-/// Runs PL060/PL062 and the unit passes over the workspace call graph.
+/// Runs PL060/PL062 over the workspace call graph.
 fn run_semantic(root: &Path) -> Result<SemanticReport, String> {
     let ws = Workspace::load(root)?;
     let mut report = SemanticReport::default();
@@ -279,22 +279,6 @@ fn run_semantic(root: &Path) -> Result<SemanticReport, String> {
     merge_semantic(&mut report, "pl060", diags, counts);
     let (diags, counts) = dettaint::findings(&ws, &dettaint::Options::default());
     merge_semantic(&mut report, "pl062", diags, counts);
-
-    // The units pass reports three codes at once; its counts come keyed
-    // `(path, "pl07x")` already.
-    let (diags, counts) = units::findings(&ws, &units::Options::default());
-    for (key, n) in counts {
-        report.counts.insert(key, n);
-    }
-    for d in diags {
-        let path = d.location.split(':').next().unwrap_or("").to_string();
-        let pattern = d.code.to_ascii_lowercase();
-        report
-            .details
-            .entry((path, pattern))
-            .or_default()
-            .push(d.render());
-    }
     Ok(report)
 }
 

@@ -223,16 +223,6 @@ pub const SEM_PANIC_REACHABLE: &str = "PL060";
 /// can reach a weight-or-report sink outside the seeded stream.
 pub const SEM_NONDET_TAINT: &str = "PL062";
 
-/// Semantic: operands with different physical units (or the same unit at
-/// different decimal scales) meet at an add/sub/compare/assign.
-pub const SEM_UNIT_MIXED: &str = "PL070";
-/// Semantic: a binding's or function's suffix-declared unit disagrees with
-/// the unit its initializer/body computes.
-pub const SEM_UNIT_DECLARED: &str = "PL071";
-/// Semantic: a dimensioned value flows into a bench-JSON/report sink whose
-/// field name carries no (or the wrong) unit suffix.
-pub const SEM_UNIT_SINK: &str = "PL072";
-
 /// Every code with its one-line description, in code order — the table
 /// behind `plcheck --codes` and DESIGN.md §6.3.
 pub const CODE_TABLE: &[(&str, &str)] = &[
@@ -324,18 +314,6 @@ pub const CODE_TABLE: &[(&str, &str)] = &[
     (
         SEM_NONDET_TAINT,
         "nondeterminism source reaches a weight/report sink outside the seed stream",
-    ),
-    (
-        SEM_UNIT_MIXED,
-        "operands with different physical units meet at an add/sub/compare",
-    ),
-    (
-        SEM_UNIT_DECLARED,
-        "suffix-declared unit disagrees with the unit the body computes",
-    ),
-    (
-        SEM_UNIT_SINK,
-        "dimensioned value reaches a report sink field without a unit suffix",
     ),
 ];
 

@@ -34,14 +34,12 @@ pub mod absint;
 pub mod callgraph;
 pub mod dettaint;
 pub mod diag;
-pub mod expr;
 pub mod lex;
 pub mod mapcheck;
 pub mod panicreach;
 pub mod quantcheck;
 pub mod schedule;
 pub mod shape;
-pub mod units;
 
 pub use diag::{has_errors, render_json, Diagnostic, Severity};
 

@@ -317,7 +317,7 @@ mod tests {
             Err(AcceleratorError::NotAnMlp(_))
         ));
         let est = acc.estimate_training(64);
-        assert!(est.time_s > 0.0);
+        assert!(est.time_s.0 > 0.0);
     }
 
     #[test]

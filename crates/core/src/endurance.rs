@@ -11,6 +11,7 @@
 
 use crate::mapping::MappedNetwork;
 use crate::perf::PerfModel;
+use pipelayer_reram::units::Seconds;
 
 /// Device endurance in programming cycles per cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,14 +48,14 @@ pub struct Lifetime {
     /// Extra pulses the scrub scheduler lands on the worst-worn weight
     /// cell per processed image (0.0 with scrubbing off).
     pub scrub_pulses_per_image: f64,
-    /// Seconds until the weight cells reach the endurance budget.
-    pub seconds: f64,
+    /// Time until the weight cells reach the endurance budget.
+    pub seconds: Seconds,
 }
 
 impl Lifetime {
     /// Lifetime in days.
     pub fn days(&self) -> f64 {
-        self.seconds / 86_400.0
+        self.seconds.0 / 86_400.0
     }
 
     /// Lifetime in years.
@@ -82,7 +83,7 @@ pub fn training_lifetime(net: &MappedNetwork, model: &EnduranceModel) -> Lifetim
     // Time per batch at steady state: estimate over a long run.
     let n = 100 * b;
     let est = PerfModel::new(net).training(n, true);
-    let updates_per_second = (n / b) as f64 / est.time_s;
+    let updates_per_second = (n / b) as f64 / est.time_s.0;
     let pulses_per_update = net.config.write_pulse_multiplier();
     // Scrub wear on the worst-placed cell: a layer whose matrix has
     // `rows_l` word lines sees each of its cells re-scanned every
@@ -101,7 +102,7 @@ pub fn training_lifetime(net: &MappedNetwork, model: &EnduranceModel) -> Lifetim
     } else {
         0.0
     };
-    let images_per_second = n as f64 / est.time_s;
+    let images_per_second = n as f64 / est.time_s.0;
     // `+ 0.0` with scrub off: baseline lifetimes stay bit-identical.
     let wear_per_second =
         updates_per_second * pulses_per_update + images_per_second * scrub_pulses_per_image;
@@ -109,7 +110,7 @@ pub fn training_lifetime(net: &MappedNetwork, model: &EnduranceModel) -> Lifetim
         updates_per_second,
         pulses_per_update,
         scrub_pulses_per_image,
-        seconds: model.write_cycles / wear_per_second,
+        seconds: Seconds(model.write_cycles / wear_per_second),
     }
 }
 
@@ -130,8 +131,8 @@ mod tests {
         let net = mapped(&zoo::spec_mnist_a());
         let life = training_lifetime(&net, &EnduranceModel::storage_class());
         assert!(
-            life.seconds < 3_600.0,
-            "storage-class cells should die within an hour: {}s",
+            life.seconds < Seconds(3_600.0),
+            "storage-class cells should die within an hour: {:?}",
             life.seconds
         );
     }
@@ -204,7 +205,7 @@ mod tests {
         // Scrubbing also throttles throughput, so *wall-clock* lifetime can
         // go either way; the invariant is that the device trains through
         // fewer images before wearing out (higher wear per image).
-        let images = |l: &Lifetime| l.seconds * l.updates_per_second * 64.0;
+        let images = |l: &Lifetime| l.seconds.0 * l.updates_per_second * 64.0;
         assert!(images(&l_scrub) < images(&l_base));
     }
 
@@ -214,7 +215,7 @@ mod tests {
             updates_per_second: 1.0,
             pulses_per_update: 1.0,
             scrub_pulses_per_image: 0.0,
-            seconds: 86_400.0 * 365.25,
+            seconds: Seconds(86_400.0 * 365.25),
         };
         assert!((l.days() - 365.25).abs() < 1e-9);
         assert!((l.years() - 1.0).abs() < 1e-9);

@@ -9,25 +9,26 @@
 //! weight reprogramming (Fig. 14b).
 
 use crate::mapping::{MappedLayer, MappedNetwork};
+use pipelayer_reram::units::Joules;
 use pipelayer_reram::EnergyCounter;
 
 /// Per-image energy decomposition.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyBreakdown {
     /// Array-read spikes.
-    pub reads_j_per_image: f64,
+    pub reads_j_per_image: Joules,
     /// Intermediate-data writes (input, d, morphable copies, δ).
-    pub data_writes_j_per_image: f64,
+    pub data_writes_j_per_image: Joules,
     /// Weight reprogramming (amortised per image).
-    pub weight_updates_j_per_image: f64,
+    pub weight_updates_j_per_image: Joules,
     /// Scrub scheduler: verify reads over scanned cells plus re-pulses
     /// (amortised per image; exactly 0.0 with scrubbing off).
-    pub scrub_j_per_image: f64,
+    pub scrub_j_per_image: Joules,
 }
 
 impl EnergyBreakdown {
     /// Total per-image energy.
-    pub fn total_j_per_image(&self) -> f64 {
+    pub fn total_j_per_image(&self) -> Joules {
         self.reads_j_per_image
             + self.data_writes_j_per_image
             + self.weight_updates_j_per_image
@@ -179,10 +180,10 @@ impl<'a> EnergyModel<'a> {
 
     /// Scrub energy per processed image, joules. Exactly 0.0 when off,
     /// so baseline totals are bit-identical with scrubbing disabled.
-    pub fn scrub_j_per_image(&self) -> f64 {
+    pub fn scrub_j_per_image(&self) -> Joules {
         let p = &self.net.config.params;
-        self.scrub_read_spikes_per_image() * p.read_energy_pj * 1e-12
-            + self.scrub_write_spikes_per_image() * p.write_energy_pj * 1e-12
+        (self.scrub_read_spikes_per_image() * p.read_energy_pj).to_joules()
+            + (self.scrub_write_spikes_per_image() * p.write_energy_pj).to_joules()
     }
 
     /// Total testing energy for `n` images, joules.
@@ -190,7 +191,7 @@ impl<'a> EnergyModel<'a> {
     /// # Panics
     ///
     /// Panics if `n` is zero.
-    pub fn testing_energy_j(&self, n: u64) -> f64 {
+    pub fn testing_energy_j(&self, n: u64) -> Joules {
         assert!(n > 0, "empty workload");
         let p = &self.net.config.params;
         let mut e = EnergyCounter::new();
@@ -206,15 +207,16 @@ impl<'a> EnergyModel<'a> {
     pub fn training_breakdown_j_per_image(&self) -> EnergyBreakdown {
         let p = &self.net.config.params;
         let b = self.net.config.batch_size as f64;
-        let reads = (self.training_read_spikes_per_image() as f64
+        let reads = ((self.training_read_spikes_per_image() as f64
             + self.update_verify_read_spikes_per_batch() as f64 / b)
-            * p.read_energy_pj
-            * 1e-12;
-        let writes = (self.training_write_words_per_image() * p.cells_per_word() as u64) as f64
-            * p.write_energy_pj
-            * 1e-12;
-        let update =
-            self.verified_update_write_spikes_per_batch() as f64 * p.write_energy_pj * 1e-12 / b;
+            * p.read_energy_pj)
+            .to_joules();
+        let writes = ((self.training_write_words_per_image() * p.cells_per_word() as u64) as f64
+            * p.write_energy_pj)
+            .to_joules();
+        let update = (self.verified_update_write_spikes_per_batch() as f64 * p.write_energy_pj)
+            .to_joules()
+            / b;
         EnergyBreakdown {
             reads_j_per_image: reads,
             data_writes_j_per_image: writes,
@@ -228,7 +230,7 @@ impl<'a> EnergyModel<'a> {
     /// # Panics
     ///
     /// Panics unless `n` is a positive multiple of the batch size.
-    pub fn training_energy_j(&self, n: u64) -> f64 {
+    pub fn training_energy_j(&self, n: u64) -> Joules {
         let b = self.net.config.batch_size as u64;
         assert!(
             n > 0 && n.is_multiple_of(b),
@@ -279,11 +281,11 @@ mod tests {
         let net = model_for(&zoo::alexnet());
         let e = EnergyModel::new(&net);
         let p = &net.config.params;
-        let read_j = e.training_read_spikes_per_image() as f64 * p.read_energy_pj * 1e-12;
-        let write_j = (e.training_write_words_per_image() * p.cells_per_word() as u64) as f64
-            * p.write_energy_pj
-            * 1e-12;
-        assert!(write_j > read_j, "write {write_j} J vs read {read_j} J");
+        let read_j = (e.training_read_spikes_per_image() as f64 * p.read_energy_pj).to_joules();
+        let write_j = ((e.training_write_words_per_image() * p.cells_per_word() as u64) as f64
+            * p.write_energy_pj)
+            .to_joules();
+        assert!(write_j > read_j, "write {write_j:?} vs read {read_j:?}");
     }
 
     #[test]
@@ -313,10 +315,9 @@ mod tests {
         let bd = e.training_breakdown_j_per_image();
         let total = e.training_energy_j(64) / 64.0;
         assert!(
-            (bd.total_j_per_image() - total).abs() < 1e-9 * total,
-            "breakdown {} vs total {}",
+            (bd.total_j_per_image() - total).0.abs() < 1e-9 * total.0,
+            "breakdown {:?} vs total {total:?}",
             bd.total_j_per_image(),
-            total
         );
         // Writes dominate (Sec. 6.6).
         assert!(bd.data_writes_j_per_image > bd.reads_j_per_image);
@@ -336,10 +337,10 @@ mod tests {
         let base = model_for(&spec);
         let e_base = EnergyModel::new(&base);
         assert_eq!(e_base.scrub_cells_per_pass(), 0);
-        assert_eq!(e_base.scrub_j_per_image(), 0.0);
+        assert_eq!(e_base.scrub_j_per_image(), Joules(0.0));
         assert_eq!(
             e_base.training_breakdown_j_per_image().scrub_j_per_image,
-            0.0
+            Joules(0.0)
         );
 
         let cfg = PipeLayerConfig {
@@ -355,9 +356,9 @@ mod tests {
 
         // Breakdown still reconciles with the total under scrubbing.
         let bd = e.training_breakdown_j_per_image();
-        assert!(bd.scrub_j_per_image > 0.0);
+        assert!(bd.scrub_j_per_image > Joules(0.0));
         let total = e.training_energy_j(64) / 64.0;
-        assert!((bd.total_j_per_image() - total).abs() < 1e-6 * total);
+        assert!((bd.total_j_per_image() - total).0.abs() < 1e-6 * total.0);
     }
 
     #[test]
@@ -398,6 +399,6 @@ mod tests {
         // Breakdown still reconciles with the total under fault tolerance.
         let bd = e_ft.training_breakdown_j_per_image();
         let total = e_ft.training_energy_j(64) / 64.0;
-        assert!((bd.total_j_per_image() - total).abs() < 1e-6 * total);
+        assert!((bd.total_j_per_image() - total).0.abs() < 1e-6 * total.0);
     }
 }

@@ -36,7 +36,7 @@
 //!     .batch_size(64)
 //!     .build();
 //! let est = accel.estimate_training(6400);
-//! assert!(est.time_s > 0.0 && est.energy_j > 0.0);
+//! assert!(est.time_s.0 > 0.0 && est.energy_j.0 > 0.0);
 //! ```
 
 pub mod analysis;

@@ -6,18 +6,19 @@ use crate::energy::EnergyModel;
 use crate::mapping::MappedNetwork;
 use crate::nonpipelined::NonPipelined;
 use crate::timing::TimingModel;
+use pipelayer_reram::units::{Joules, Nanoseconds, Seconds};
 
 /// Estimated time/energy of a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunEstimate {
     /// Logical cycles.
     pub cycles: u64,
-    /// Compute-cycle duration, ns.
-    pub cycle_ns: f64,
-    /// Wall-clock seconds (including weight-update cycles).
-    pub time_s: f64,
-    /// Energy, joules.
-    pub energy_j: f64,
+    /// Compute-cycle duration.
+    pub cycle_ns: Nanoseconds,
+    /// Wall-clock time (including weight-update cycles).
+    pub time_s: Seconds,
+    /// Energy.
+    pub energy_j: Joules,
     /// Images processed.
     pub images: u64,
 }
@@ -25,12 +26,12 @@ pub struct RunEstimate {
 impl RunEstimate {
     /// Images per second.
     pub fn throughput(&self) -> f64 {
-        self.images as f64 / self.time_s
+        self.images as f64 / self.time_s.0
     }
 
     /// Average power, watts.
     pub fn power_w(&self) -> f64 {
-        self.energy_j / self.time_s
+        self.energy_j.0 / self.time_s.0
     }
 }
 
@@ -71,7 +72,7 @@ impl<'a> PerfModel<'a> {
         let compute_cycles = cycles - batches;
         let scrub_ns = n as f64 * timing.scrub_ns_per_image();
         let time_s =
-            (compute_cycles as f64 * cycle_ns + batches as f64 * update_ns + scrub_ns) * 1e-9;
+            (compute_cycles as f64 * cycle_ns + batches as f64 * update_ns + scrub_ns).to_seconds();
         RunEstimate {
             cycles,
             cycle_ns,
@@ -98,7 +99,7 @@ impl<'a> PerfModel<'a> {
         RunEstimate {
             cycles,
             cycle_ns,
-            time_s: cycles as f64 * cycle_ns * 1e-9,
+            time_s: (cycles as f64 * cycle_ns).to_seconds(),
             energy_j: EnergyModel::new(self.net).testing_energy_j(n),
             images: n,
         }
@@ -114,7 +115,7 @@ impl<'a> PerfModel<'a> {
             .iter()
             .map(|l| l.resolved.ops_forward() + l.resolved.ops_backward())
             .sum();
-        (n as f64 * ops_per_image as f64) / est.time_s / 1e9
+        (n as f64 * ops_per_image as f64) / est.time_s.0 / 1e9
     }
 }
 
@@ -136,7 +137,7 @@ mod tests {
         let seq = perf.training(640, false);
         assert!(
             pipe.time_s < seq.time_s / 4.0,
-            "{} vs {}",
+            "{:?} vs {:?}",
             pipe.time_s,
             seq.time_s
         );
@@ -148,7 +149,7 @@ mod tests {
         let net = model_net(&zoo::spec_mnist_a());
         let perf = PerfModel::new(&net);
         let est = perf.testing(100_000, true);
-        let per_cycle = 1e9 / est.cycle_ns;
+        let per_cycle = 1e9 / est.cycle_ns.0;
         assert!((est.throughput() - per_cycle).abs() / per_cycle < 0.01);
     }
 

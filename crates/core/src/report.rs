@@ -7,6 +7,7 @@ use crate::area::{training_area, AreaModel};
 use crate::mapping::MappedNetwork;
 use crate::perf::{PerfModel, RunEstimate};
 use crate::timing::TimingModel;
+use pipelayer_reram::units::Nanoseconds;
 use std::fmt;
 
 /// Per-layer mapping summary.
@@ -22,10 +23,10 @@ pub struct LayerReport {
     pub g: usize,
     /// Sequential reads per forward cycle.
     pub reads: u64,
-    /// Forward-phase duration, ns.
-    pub forward_ns: f64,
-    /// Backward-phase duration, ns.
-    pub backward_ns: f64,
+    /// Forward-phase duration.
+    pub forward_ns: Nanoseconds,
+    /// Backward-phase duration.
+    pub backward_ns: Nanoseconds,
 }
 
 /// The full configuration report.
@@ -108,15 +109,15 @@ impl fmt::Display for ConfigurationReport {
             f,
             "  training: {:>10.0} img/s  {:>8.3} J  cycle {:.2} us",
             self.training.throughput(),
-            self.training.energy_j,
-            self.training.cycle_ns / 1e3
+            self.training.energy_j.0,
+            self.training.cycle_ns.0 / 1e3
         )?;
         writeln!(
             f,
             "  testing:  {:>10.0} img/s  {:>8.3} J  cycle {:.2} us",
             self.testing.throughput(),
-            self.testing.energy_j,
-            self.testing.cycle_ns / 1e3
+            self.testing.energy_j.0,
+            self.testing.cycle_ns.0 / 1e3
         )?;
         writeln!(
             f,
@@ -135,8 +136,8 @@ impl fmt::Display for ConfigurationReport {
                 l.tiles,
                 l.g,
                 l.reads,
-                l.forward_ns / 1e3,
-                l.backward_ns / 1e3
+                l.forward_ns.0 / 1e3,
+                l.backward_ns.0 / 1e3
             )?;
         }
         Ok(())

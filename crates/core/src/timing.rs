@@ -12,6 +12,7 @@
 //! way.
 
 use crate::mapping::{MappedLayer, MappedNetwork};
+use pipelayer_reram::units::Nanoseconds;
 use pipelayer_reram::ReramParams;
 
 /// Computes phase and cycle durations for a mapped network.
@@ -31,14 +32,14 @@ impl<'a> TimingModel<'a> {
     }
 
     /// Time to write `words` 16-bit results into a memory subarray, ns.
-    fn mem_write_ns(&self, words: u64) -> f64 {
+    fn mem_write_ns(&self, words: u64) -> Nanoseconds {
         let p = self.params();
         words.div_ceil(p.mem_write_width as u64) as f64 * p.write_latency_ns
     }
 
     /// Forward-phase duration of one layer, ns: array reads plus the
     /// buffer write of its outputs.
-    pub fn forward_phase_ns(&self, layer: &MappedLayer) -> f64 {
+    pub fn forward_phase_ns(&self, layer: &MappedLayer) -> Nanoseconds {
         let p = self.params();
         layer.reads_forward as f64 * p.read_phase_ns() + self.mem_write_ns(layer.out_words)
     }
@@ -52,7 +53,7 @@ impl<'a> TimingModel<'a> {
     /// and the copy of the forward data `d` into morphable arrays for the
     /// gradient convolution (Sec. 6.6) — the "more intermediate data
     /// processing" that makes training slower than testing.
-    pub fn backward_phase_ns(&self, layer: &MappedLayer) -> f64 {
+    pub fn backward_phase_ns(&self, layer: &MappedLayer) -> Nanoseconds {
         let p = self.params();
         let err = layer.reads_error as f64 * p.read_phase_ns();
         let grad = layer.reads_gradient as f64 * p.read_phase_ns();
@@ -62,37 +63,37 @@ impl<'a> TimingModel<'a> {
     }
 
     /// Logical-cycle duration for testing (forward phases only), ns.
-    pub fn cycle_testing_ns(&self) -> f64 {
+    pub fn cycle_testing_ns(&self) -> Nanoseconds {
         self.net
             .layers
             .iter()
             .map(|l| self.forward_phase_ns(l))
-            .fold(0.0, f64::max)
+            .fold(Nanoseconds(0.0), Nanoseconds::max)
     }
 
     /// Logical-cycle duration for training (longest of all forward and
     /// backward phases), ns.
-    pub fn cycle_training_ns(&self) -> f64 {
+    pub fn cycle_training_ns(&self) -> Nanoseconds {
         self.net
             .layers
             .iter()
             .map(|l| self.forward_phase_ns(l).max(self.backward_phase_ns(l)))
-            .fold(0.0, f64::max)
+            .fold(Nanoseconds(0.0), Nanoseconds::max)
     }
 
     /// The layer whose forward phase sets the testing cycle (index and
     /// duration) — the pipeline's bottleneck stage, useful when choosing
     /// where extra granularity pays off.
-    pub fn bottleneck(&self) -> (usize, f64) {
+    pub fn bottleneck(&self) -> (usize, Nanoseconds) {
         self.net
             .layers
             .iter()
             .enumerate()
             .map(|(i, l)| (i, self.forward_phase_ns(l)))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .max_by(|(_, a), (_, b)| a.0.total_cmp(&b.0))
             // MappedNetwork construction rejects zero-layer specs, so the
             // fallback is unreachable; it replaces a panic path all the same.
-            .unwrap_or((0, 0.0))
+            .unwrap_or((0, Nanoseconds(0.0)))
     }
 
     /// Duration of the weight-update cycle at a batch boundary, ns: the
@@ -106,7 +107,7 @@ impl<'a> TimingModel<'a> {
     /// With fault tolerance on, the write-back passes stretch by the
     /// expected pulse multiplier (verify retries re-pulse rows) and each
     /// programming attempt appends a row-serial verify read pass.
-    pub fn update_cycle_ns(&self) -> f64 {
+    pub fn update_cycle_ns(&self) -> Nanoseconds {
         let p = self.params();
         let cfg = &self.net.config;
         let reprogram = p.xbar_size as f64 * p.write_latency_ns;
@@ -120,10 +121,10 @@ impl<'a> TimingModel<'a> {
     /// cycle's reprogramming), each row costing one verify-read phase plus
     /// the expected re-pulse fraction of a row-write. Exactly 0.0 with
     /// scrubbing off.
-    pub fn scrub_ns_per_image(&self) -> f64 {
+    pub fn scrub_ns_per_image(&self) -> Nanoseconds {
         let cfg = &self.net.config;
         if !cfg.scrub_enabled() {
-            return 0.0;
+            return Nanoseconds(0.0);
         }
         let p = self.params();
         let row_ns = p.read_phase_ns() + cfg.scrub.repulse_fraction * p.write_latency_ns;
@@ -149,7 +150,7 @@ mod tests {
         let p = m.config.params;
         // Mnist-A: 1 read phase (P=1) + 1 write pulse.
         let want = p.read_phase_ns() + p.write_latency_ns;
-        assert!((t.cycle_testing_ns() - want).abs() < 1e-6);
+        assert!((t.cycle_testing_ns() - want).0.abs() < 1e-6);
     }
 
     #[test]
@@ -176,7 +177,7 @@ mod tests {
         let cd = TimingModel::new(&m_def).cycle_testing_ns();
         assert!(
             cd < c1 / 10.0,
-            "replication should cut the cycle: {cd} vs {c1}"
+            "replication should cut the cycle: {cd:?} vs {c1:?}"
         );
     }
 
@@ -200,7 +201,7 @@ mod tests {
         let m = mapped(&zoo::vgg(zoo::VggVariant::A));
         let t = TimingModel::new(&m);
         let (idx, ns) = t.bottleneck();
-        assert!((ns - t.cycle_testing_ns()).abs() < 1e-9);
+        assert!((ns - t.cycle_testing_ns()).0.abs() < 1e-9);
         assert!(idx < m.layers.len());
     }
 
@@ -209,7 +210,7 @@ mod tests {
         let m = mapped(&zoo::alexnet());
         let t = TimingModel::new(&m);
         let u = t.update_cycle_ns();
-        assert!(u > 0.0);
+        assert!(u > Nanoseconds(0.0));
         // The update must not dwarf the pipeline: it is one cycle per batch.
         assert!(u < 100.0 * t.cycle_training_ns());
     }
@@ -218,7 +219,7 @@ mod tests {
     fn scrub_time_is_exact_noop_when_off_and_costed_when_on() {
         use crate::scrub::ScrubPolicy;
         let m = mapped(&zoo::spec_mnist_a());
-        assert_eq!(TimingModel::new(&m).scrub_ns_per_image(), 0.0);
+        assert_eq!(TimingModel::new(&m).scrub_ns_per_image(), Nanoseconds(0.0));
 
         let cfg = PipeLayerConfig {
             scrub: ScrubPolicy::every(100, 8),
@@ -228,7 +229,7 @@ mod tests {
         let t = TimingModel::new(&scrubbed);
         let p = scrubbed.config.params;
         let want = 8.0 / 100.0 * (p.read_phase_ns() + 0.05 * p.write_latency_ns);
-        assert!((t.scrub_ns_per_image() - want).abs() < 1e-12);
+        assert!((t.scrub_ns_per_image() - want).0.abs() < 1e-12);
         // Compute cycles are untouched — scrub steals no pipeline slots.
         assert_eq!(
             t.cycle_training_ns(),
@@ -253,7 +254,7 @@ mod tests {
         let ft = MappedNetwork::from_spec(&spec, cfg);
         let u_base = TimingModel::new(&base).update_cycle_ns();
         let u_ft = TimingModel::new(&ft).update_cycle_ns();
-        assert!(u_ft > u_base, "{u_ft} vs {u_base}");
+        assert!(u_ft > u_base, "{u_ft:?} vs {u_base:?}");
         // Forward timing is untouched: reads are not retried.
         assert_eq!(
             TimingModel::new(&ft).cycle_testing_ns(),

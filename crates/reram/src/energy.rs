@@ -5,7 +5,10 @@
 //! spike and 1.08 pJ / 3.91 nJ per spike, reported in \[46\]" (Sec. 6.2).
 //! Those four scalars, the crossbar geometry and the resolution choices of
 //! Sec. 5.1 (16-bit data on 4-bit cells) are collected in [`ReramParams`];
-//! [`EnergyCounter`] turns spike counts into joules.
+//! [`EnergyCounter`] turns spike counts into joules. Latencies and energies
+//! are typed ([`Nanoseconds`], [`Picojoules`], [`Joules`]; see [`crate::units`]).
+
+use crate::units::{Joules, Nanoseconds, Picojoules};
 
 /// Device/array parameters shared across the reproduction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -19,13 +22,13 @@ pub struct ReramParams {
     /// segment groups per Fig. 14).
     pub data_bits: u8,
     /// Read latency per spike, ns (29.31).
-    pub read_latency_ns: f64,
+    pub read_latency_ns: Nanoseconds,
     /// Write (programming) latency per spike, ns (50.88).
-    pub write_latency_ns: f64,
+    pub write_latency_ns: Nanoseconds,
     /// Read energy per spike, pJ (1.08).
-    pub read_energy_pj: f64,
+    pub read_energy_pj: Picojoules,
     /// Write energy per spike, pJ (3.91 nJ = 3910 pJ).
-    pub write_energy_pj: f64,
+    pub write_energy_pj: Picojoules,
     /// Memory-subarray words written in parallel per write pulse
     /// (bank-level parallelism of the conventional-memory region).
     pub mem_write_width: usize,
@@ -40,10 +43,10 @@ impl Default for ReramParams {
             xbar_size: 128,
             cell_bits: 4,
             data_bits: 16,
-            read_latency_ns: 29.31,
-            write_latency_ns: 50.88,
-            read_energy_pj: 1.08,
-            write_energy_pj: 3910.0,
+            read_latency_ns: Nanoseconds(29.31),
+            write_latency_ns: Nanoseconds(50.88),
+            read_energy_pj: Picojoules(1.08),
+            write_energy_pj: Picojoules(3910.0),
             mem_write_width: 8192,
             morphable_write_width: 1024,
         }
@@ -68,7 +71,7 @@ impl ReramParams {
     }
 
     /// Duration of one spike-coded array read phase: `data_bits` time slots.
-    pub fn read_phase_ns(&self) -> f64 {
+    pub fn read_phase_ns(&self) -> Nanoseconds {
         self.data_bits as f64 * self.read_latency_ns
     }
 }
@@ -124,10 +127,10 @@ impl EnergyCounter {
     }
 
     /// Total energy in joules under `params`.
-    pub fn energy_joules(&self, params: &ReramParams) -> f64 {
+    pub fn energy_joules(&self, params: &ReramParams) -> Joules {
         (self.read_spikes as f64 * params.read_energy_pj
             + self.write_spikes as f64 * params.write_energy_pj)
-            * 1e-12
+            .to_joules()
     }
 }
 
@@ -138,10 +141,10 @@ mod tests {
     #[test]
     fn defaults_match_paper_constants() {
         let p = ReramParams::default();
-        assert_eq!(p.read_latency_ns, 29.31);
-        assert_eq!(p.write_latency_ns, 50.88);
-        assert_eq!(p.read_energy_pj, 1.08);
-        assert_eq!(p.write_energy_pj, 3910.0);
+        assert_eq!(p.read_latency_ns, Nanoseconds(29.31));
+        assert_eq!(p.write_latency_ns, Nanoseconds(50.88));
+        assert_eq!(p.read_energy_pj, Picojoules(1.08));
+        assert_eq!(p.write_energy_pj, Picojoules(3910.0));
         assert_eq!(p.xbar_size, 128);
         assert_eq!(p.bit_groups(), 4);
         assert_eq!(p.crossbars_per_matrix(), 8);
@@ -150,7 +153,7 @@ mod tests {
     #[test]
     fn read_phase_is_16_slots() {
         let p = ReramParams::default();
-        assert!((p.read_phase_ns() - 16.0 * 29.31).abs() < 1e-9);
+        assert!((p.read_phase_ns().0 - 16.0 * 29.31).abs() < 1e-9);
     }
 
     #[test]
@@ -159,7 +162,7 @@ mod tests {
         let mut e = EnergyCounter::new();
         e.add_read_spikes(1_000_000); // 1M × 1.08 pJ = 1.08 µJ
         e.add_write_spikes(1_000); // 1k × 3.91 nJ = 3.91 µJ
-        let j = e.energy_joules(&p);
+        let j = e.energy_joules(&p).0;
         assert!((j - (1.08e-6 + 3.91e-6)).abs() < 1e-12);
     }
 

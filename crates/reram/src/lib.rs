@@ -49,6 +49,8 @@
 //! * [`energy`] / [`area`] — NVSim-derived timing/energy constants
 //!   (29.31 ns / 50.88 ns and 1.08 pJ / 3.91 nJ per read/write spike) and the
 //!   area model.
+//! * [`units`] — the `Nanoseconds`/`Seconds`/`Picojoules`/`Joules`
+//!   newtypes the analytic model computes in.
 //!
 //! # Example: exact crossbar MVM
 //!
@@ -78,6 +80,7 @@ pub mod partition;
 pub mod seedstream;
 pub mod spike;
 pub mod subarray;
+pub mod units;
 pub mod variation;
 pub mod wear;
 

@@ -32,7 +32,7 @@ fn main() {
     for batch in [8usize, 16, 32, 64, 128, 256] {
         // ISAAC: per-image training cost vs 2 traversals at the initiation
         // interval (training doubles the per-image work).
-        let ideal = 2.0 * n as f64 * isaac.initiation_interval_ns() * 1e-9;
+        let ideal = (2.0 * n as f64 * isaac.initiation_interval_ns()).to_seconds();
         let actual = isaac.training_time_s(&spec, n, batch);
         let isaac_util = 100.0 * ideal / actual;
 

@@ -48,17 +48,17 @@ fn main() {
     println!(
         "\ntraining 6400 images: {} cycles of {:.2} us -> {:.1} ms, {:.2} J, {:.0} img/s",
         train.cycles,
-        train.cycle_ns / 1e3,
-        train.time_s * 1e3,
-        train.energy_j,
+        train.cycle_ns.0 / 1e3,
+        train.time_s.0 * 1e3,
+        train.energy_j.0,
         train.throughput()
     );
     println!(
         "testing  6400 images: {} cycles of {:.2} us -> {:.1} ms, {:.2} J, {:.0} img/s",
         test.cycles,
-        test.cycle_ns / 1e3,
-        test.time_s * 1e3,
-        test.energy_j,
+        test.cycle_ns.0 / 1e3,
+        test.time_s.0 * 1e3,
+        test.energy_j.0,
         test.throughput()
     );
 }

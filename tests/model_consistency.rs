@@ -45,7 +45,7 @@ fn larger_lambda_never_slows_any_vgg() {
                 .batch_size(64)
                 .lambda(lambda)
                 .build();
-            let t = accel.estimate_training(640).time_s;
+            let t = accel.estimate_training(640).time_s.0;
             assert!(
                 t <= last * 1.0001,
                 "{} slowed down at lambda={lambda}: {t} > {last}",
@@ -77,7 +77,7 @@ fn batch_size_amortises_fill_overhead() {
     let mut last = f64::INFINITY;
     for batch in [8usize, 32, 128, 512] {
         let accel = Accelerator::builder(spec.clone()).batch_size(batch).build();
-        let per_image = accel.estimate_training(4096).time_s / 4096.0;
+        let per_image = accel.estimate_training(4096).time_s.0 / 4096.0;
         assert!(
             per_image < last,
             "larger batch should amortise the 2L+1 fill: {per_image} !< {last}"

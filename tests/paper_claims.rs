@@ -173,3 +173,82 @@ fn pipeline_beats_nonpipelined_by_large_factor() {
         );
     }
 }
+
+/// FNV-1a (64-bit) over the little-endian bytes of each value's bit pattern.
+fn fnv1a(bits: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bits.into_iter().flat_map(u64::to_le_bytes) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Bit-pins the whole analytic model. The claims above only check ±2×
+/// bands, so a reordered `* 1e-12` or a unit conversion applied at a
+/// different point would pass them; this digest covers every bit of the
+/// time and energy of PipeLayer, the GPU and ISAAC on every workload
+/// (training and testing), the storage-class training lifetime of each
+/// network, the Sec. 6.6 efficiencies and the per-phase peripheral costs.
+#[test]
+fn analytic_model_is_bit_pinned() {
+    use pipelayer::area::{training_area, AreaModel};
+    use pipelayer::config::PipeLayerConfig;
+    use pipelayer::endurance::{training_lifetime, EnduranceModel};
+    use pipelayer::mapping::MappedNetwork;
+    use pipelayer::perf::PerfModel;
+    use pipelayer_baselines::peripherals::{PeripheralModel, PeripheralScheme};
+    use pipelayer_baselines::IsaacModel;
+
+    let gpu = GpuModel::default();
+    let isaac = IsaacModel::default();
+    let mut vals: Vec<f64> = Vec::new();
+    for (spec, n) in workloads() {
+        let accel = Accelerator::builder(spec.clone()).batch_size(64).build();
+        for pl in [accel.estimate_training(n), accel.estimate_testing(n)] {
+            vals.extend([pl.cycle_ns.0, pl.time_s.0, pl.energy_j.0]);
+        }
+        for g in [gpu.training(&spec, n, 64), gpu.testing(&spec, n, 64)] {
+            vals.extend([g.time_s.0, g.energy_j.0]);
+        }
+        vals.push(isaac.training_time_s(&spec, n, 64).0);
+        vals.push(isaac.testing_time_s(&spec, n).0);
+        let net = MappedNetwork::from_spec(&spec, PipeLayerConfig::default());
+        vals.push(
+            training_lifetime(&net, &EnduranceModel::storage_class())
+                .seconds
+                .0,
+        );
+    }
+
+    let net = MappedNetwork::from_spec(&zoo::alexnet(), PipeLayerConfig::default());
+    let perf = PerfModel::new(&net);
+    let gops = perf.training_gops(6400);
+    vals.push(gops / training_area(&net, &AreaModel::default()).mm2);
+    vals.push(gops / perf.training(6400, true).power_w());
+
+    let periph = PeripheralModel::default();
+    for scheme in [
+        PeripheralScheme::SpikeIntegrateFire,
+        PeripheralScheme::SpikeAdc,
+        PeripheralScheme::DacAdc,
+    ] {
+        let c = periph.phase_cost(scheme, 128, 128, 16);
+        vals.extend([c.latency_ns.0, c.energy_pj.0]);
+        vals.push(
+            periph
+                .network_forward_energy_pj(&zoo::alexnet(), scheme, 128, 16)
+                .0,
+        );
+    }
+
+    let digest = fnv1a(vals.iter().map(|v| v.to_bits()));
+    assert_eq!(
+        digest,
+        PINNED_ANALYTIC_DIGEST,
+        "analytic model changed: digest {digest:#018x} over {} values",
+        vals.len()
+    );
+}
+
+const PINNED_ANALYTIC_DIGEST: u64 = 0x1472_26a7_a31a_1972;

@@ -72,7 +72,7 @@ proptest! {
         let m2 = MappedNetwork::with_granularity(&spec, &g2, cfg);
         let c1 = TimingModel::new(&m1).cycle_testing_ns();
         let c2 = TimingModel::new(&m2).cycle_testing_ns();
-        prop_assert!(c2 <= c1, "max replication must not be slower: {c2} vs {c1}");
+        prop_assert!(c2 <= c1, "max replication must not be slower: {c2:?} vs {c1:?}");
     }
 
     /// Training is never cheaper than testing, in cycles, time or energy.
@@ -129,7 +129,7 @@ proptest! {
         let e = EnergyModel::new(&m);
         let one = e.testing_energy_j(8);
         let many = e.testing_energy_j(8 * k);
-        prop_assert!((many - one * k as f64).abs() < 1e-9 * many.abs().max(1.0));
+        prop_assert!((many - one * k as f64).0.abs() < 1e-9 * many.0.abs().max(1.0));
     }
 }
 

@@ -53,15 +53,19 @@ fn scrub_off_is_bit_identical_to_pre_scrub_baselines() {
         let net = MappedNetwork::from_spec(&spec, cfg);
         let t = TimingModel::new(&net);
         assert_eq!(
-            t.update_cycle_ns().to_bits(),
+            t.update_cycle_ns().0.to_bits(),
             0x40ca5b1eb851eb85,
             "{name}: update cycle moved"
         );
-        assert_eq!(t.scrub_ns_per_image(), 0.0, "{name}");
+        assert_eq!(t.scrub_ns_per_image().0, 0.0, "{name}");
         let e = EnergyModel::new(&net).training_energy_j(64);
-        assert_eq!(e.to_bits(), energy_bits, "{name}: training energy moved");
+        assert_eq!(e.0.to_bits(), energy_bits, "{name}: training energy moved");
         let l = training_lifetime(&net, &model);
-        assert_eq!(l.seconds.to_bits(), lifetime_bits, "{name}: lifetime moved");
+        assert_eq!(
+            l.seconds.0.to_bits(),
+            lifetime_bits,
+            "{name}: lifetime moved"
+        );
     }
 }
 
