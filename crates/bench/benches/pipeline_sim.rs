@@ -8,11 +8,16 @@ use pipelayer::perf::PerfModel;
 use pipelayer::pipeline::PipelineSim;
 use pipelayer_nn::zoo;
 use std::hint::black_box;
+use std::num::NonZeroUsize;
+
+fn nz(n: usize) -> NonZeroUsize {
+    NonZeroUsize::new(n).unwrap()
+}
 
 fn bench_training_sim(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline_sim_training");
     for &(l, b) in &[(3usize, 64usize), (8, 64), (19, 64)] {
-        let sim = PipelineSim::new(l, b);
+        let sim = PipelineSim::new(nz(l), nz(b));
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("L{l}_B{b}")),
             &sim,
@@ -23,7 +28,7 @@ fn bench_training_sim(c: &mut Criterion) {
 }
 
 fn bench_testing_sim(c: &mut Criterion) {
-    let sim = PipelineSim::new(8, 64);
+    let sim = PipelineSim::new(nz(8), nz(64));
     c.bench_function("pipeline_sim_testing_1000img", |b| {
         b.iter(|| black_box(sim.simulate_testing(1000, 0)))
     });
@@ -33,13 +38,14 @@ fn bench_mapping_and_estimates(c: &mut Criterion) {
     c.bench_function("map_vgg_e", |b| {
         let spec = zoo::vgg(zoo::VggVariant::E);
         b.iter(|| {
-            black_box(MappedNetwork::from_spec(
-                black_box(&spec),
-                PipeLayerConfig::default(),
-            ))
+            black_box(
+                MappedNetwork::try_from_spec(black_box(&spec), PipeLayerConfig::default()).unwrap(),
+            )
         })
     });
-    let net = MappedNetwork::from_spec(&zoo::vgg(zoo::VggVariant::E), PipeLayerConfig::default());
+    let net =
+        MappedNetwork::try_from_spec(&zoo::vgg(zoo::VggVariant::E), PipeLayerConfig::default())
+            .unwrap();
     c.bench_function("estimate_vgg_e_training", |b| {
         let perf = PerfModel::new(&net);
         b.iter(|| black_box(perf.training(640, true)))

@@ -11,6 +11,7 @@ use pipelayer::analysis::Analysis;
 use pipelayer_baselines::peripherals::{PeripheralModel, PeripheralScheme};
 use pipelayer_bench::{fmt_f, fmt_si, Table};
 use pipelayer_nn::zoo;
+use std::num::NonZeroUsize;
 
 const SCHEMES: [PeripheralScheme; 3] = [
     PeripheralScheme::SpikeIntegrateFire,
@@ -18,7 +19,7 @@ const SCHEMES: [PeripheralScheme; 3] = [
     PeripheralScheme::DacAdc,
 ];
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let m = PeripheralModel::default();
 
     // Per-phase view: one 128x128 array, 16-bit inputs.
@@ -64,7 +65,7 @@ fn main() {
     // The pipeline's role: extra slots are throughput-neutral once the
     // pipeline is full — latency per image is one cycle regardless.
     println!();
-    let a = Analysis::new(8, 64);
+    let a = Analysis::new(NonZeroUsize::try_from(8)?, NonZeroUsize::try_from(64)?);
     println!(
         "pipeline absorption: with the inter-layer pipeline, {} images retire in {} cycles",
         6400,
@@ -74,4 +75,5 @@ fn main() {
     println!();
     println!("shape: spikes cost 16 slots instead of 6 (voltage levels), but remove the");
     println!("ADC term that dominates read-out energy — the Sec. 4.2 design argument.");
+    Ok(())
 }

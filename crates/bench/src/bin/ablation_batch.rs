@@ -11,10 +11,11 @@ use pipelayer::Accelerator;
 use pipelayer_baselines::IsaacModel;
 use pipelayer_bench::{fmt_f, Table};
 use pipelayer_nn::zoo;
+use std::num::NonZeroUsize;
 
 const BATCHES: [usize; 6] = [8, 16, 32, 64, 128, 256];
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let isaac = IsaacModel::default();
     for spec in [zoo::spec_mnist_0(), zoo::vgg(zoo::VggVariant::E)] {
         let l = spec.weighted_layers();
@@ -31,9 +32,11 @@ fn main() {
         );
         for &b in &BATCHES {
             let n = (4 * b) as u64;
-            let accel = Accelerator::builder(spec.clone()).batch_size(b).build();
+            let accel = Accelerator::builder(spec.clone())
+                .batch_size(NonZeroUsize::try_from(b)?)
+                .build()?;
             let est = accel.estimate_training(n);
-            let a = Analysis::new(l, b);
+            let a = Analysis::new(NonZeroUsize::try_from(l)?, NonZeroUsize::try_from(b)?);
             let util = 100.0 * b as f64 / a.training_cycles_pipelined(b as u64) as f64;
             let isaac_util = 100.0 * (1.0 - isaac.training_drain_fraction(&spec, b));
             table.row(vec![
@@ -51,4 +54,5 @@ fn main() {
     println!("shape: PipeLayer's utilisation climbs quickly (fill is only 2L+1 cycles)");
     println!("while the deep pipeline needs very large batches to amortise its drain —");
     println!("the paper's core argument for layer-granular training pipelining.");
+    Ok(())
 }

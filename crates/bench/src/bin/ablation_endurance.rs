@@ -26,7 +26,7 @@ fn human_time(seconds: f64) -> String {
     }
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let models = [
         ("1e6 (storage-class)", EnduranceModel::storage_class()),
         ("1e9 (research-grade)", EnduranceModel::research_grade()),
@@ -42,7 +42,7 @@ fn main() {
         zoo::alexnet(),
         zoo::vgg(zoo::VggVariant::D),
     ] {
-        let net = MappedNetwork::from_spec(&spec, PipeLayerConfig::default());
+        let net = MappedNetwork::try_from_spec(&spec, PipeLayerConfig::default())?;
         let lifetimes: Vec<_> = models
             .iter()
             .map(|(_, m)| training_lifetime(&net, m))
@@ -63,4 +63,5 @@ fn main() {
     println!("fast MNIST pipelines (cells die in minutes); research-grade (1e9) cells");
     println!("sustain years of the slower ImageNet-scale training — the device");
     println!("requirement the paper's training support implicitly assumes.");
+    Ok(())
 }

@@ -36,7 +36,7 @@ const DIMS: [usize; 3] = [49, 16, 10];
 const SEED: u64 = 5;
 const LR: f32 = 0.3;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let quick = std::env::args().any(|a| a == "--quick");
     let (n_train, n_test, epochs) = if quick { (80, 40, 2) } else { (120, 40, 6) };
     let rates: &[f64] = if quick {
@@ -126,7 +126,7 @@ fn main() {
     // update-cycle stretch and endurance-lifetime impact.
     println!();
     let spec = zoo::spec_mnist_a();
-    let base_map = MappedNetwork::from_spec(&spec, PipeLayerConfig::default());
+    let base_map = MappedNetwork::try_from_spec(&spec, PipeLayerConfig::default())?;
     let base_cycle_ns = TimingModel::new(&base_map).update_cycle_ns();
     let endurance = EnduranceModel::research_grade();
     let base_life = training_lifetime(&base_map, &endurance);
@@ -153,7 +153,7 @@ fn main() {
             verify,
             SpareBudget::typical(),
         );
-        let m = MappedNetwork::from_spec(&spec, cfg);
+        let m = MappedNetwork::try_from_spec(&spec, cfg)?;
         let life = training_lifetime(&m, &endurance);
         let cycle = TimingModel::new(&m).update_cycle_ns();
         cost.row(vec![
@@ -170,4 +170,5 @@ fn main() {
     println!("the budget is exhausted, masking degrades gracefully but bluntly (a whole");
     println!("column per unrecoverable cell). The verify loop's bounded pulse overhead is");
     println!("paid again in update-cycle time and cell lifetime.");
+    Ok(())
 }

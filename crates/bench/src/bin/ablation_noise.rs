@@ -32,6 +32,7 @@ use pipelayer_nn::trainer::{TrainConfig, Trainer};
 use pipelayer_nn::{zoo, Network};
 use pipelayer_reram::{DeviceModel, DriftModel, NoiseModel, ReramParams, VerifyPolicy};
 use pipelayer_tensor::Tensor;
+use std::num::NonZeroUsize;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -70,10 +71,10 @@ fn points_json(points: &[VariationPoint]) -> String {
     format!("[{}]", rows.join(", "))
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (n_train, n_test, epochs) = if smoke { (300, 100, 4) } else { (600, 200, 6) };
-    let trials = if smoke { 3 } else { 4 };
+    let trials = NonZeroUsize::try_from(if smoke { 3 } else { 4 })?;
     let thread_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 8] };
     type NetCtor = fn(u64) -> Network;
     let nets: &[(&'static str, NetCtor)] = if smoke {
@@ -365,4 +366,5 @@ fn main() {
         std::process::exit(1);
     }
     println!("noise-aware training meets the half-recovery gate everywhere it applies");
+    Ok(())
 }

@@ -57,7 +57,7 @@ struct DriftArm {
     scrub_passes: u64,
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (n_train, n_test, epochs) = if smoke { (80, 40, 2) } else { (120, 40, 8) };
     let (age_steps, step_cycles) = if smoke {
@@ -159,9 +159,9 @@ fn main() {
     // ---- Analytic cost of each schedule on the mapped Mnist-A design.
     println!();
     let spec = zoo::spec_mnist_a();
-    let base_net = MappedNetwork::from_spec(&spec, PipeLayerConfig::default());
+    let base_net = MappedNetwork::try_from_spec(&spec, PipeLayerConfig::default())?;
     let base_life = training_lifetime(&base_net, &EnduranceModel::research_grade());
-    let batch = PipeLayerConfig::default().batch_size as f64;
+    let batch = PipeLayerConfig::default().batch_size.get() as f64;
     let images_to_death =
         |l: &pipelayer::endurance::Lifetime| -> f64 { l.seconds.0 * l.updates_per_second * batch };
     let mut cost = Table::new(
@@ -185,7 +185,7 @@ fn main() {
             scrub: ScrubPolicy::every(interval, ROWS_PER_PASS),
             ..PipeLayerConfig::default()
         };
-        let net = MappedNetwork::from_spec(&spec, cfg);
+        let net = MappedNetwork::try_from_spec(&spec, cfg)?;
         let ns_per_image = TimingModel::new(&net).scrub_ns_per_image().0;
         let uj_per_image = EnergyModel::new(&net).scrub_j_per_image().0 * 1e6;
         let life = training_lifetime(&net, &EnduranceModel::research_grade());
@@ -334,4 +334,5 @@ fn main() {
         std::process::exit(1);
     }
     println!("kill-and-resume is bitwise identical at every kill point");
+    Ok(())
 }

@@ -14,11 +14,11 @@ use pipelayer_bench::{fmt_f, Table};
 use pipelayer_nn::data::SyntheticMnist;
 use pipelayer_nn::trainer::{TrainConfig, Trainer};
 use pipelayer_nn::zoo;
-use pipelayer_quant::train_at_resolution;
+use pipelayer_quant::{train_at_resolution, Quantizer};
 
 const BITS: [u8; 6] = [16, 8, 6, 4, 3, 2];
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let quick = std::env::args().any(|a| a == "--quick");
     let (n_train, n_test, epochs) = if quick { (400, 150, 3) } else { (1500, 400, 5) };
     let data = SyntheticMnist::generate(n_train, n_test, 2718);
@@ -49,7 +49,7 @@ fn main() {
         ];
         for &bits in &BITS {
             let mut net = build(2718);
-            let report = train_at_resolution(&mut net, &data, &cfg, bits);
+            let report = train_at_resolution(&mut net, &data, &cfg, Quantizer::try_new(bits)?);
             row.push(fmt_f(report.final_test_accuracy as f64, 3));
         }
         table.row(row);
@@ -58,4 +58,5 @@ fn main() {
     println!();
     println!("shape: 16-bit training is float-equivalent (the paper's default);");
     println!("accuracy collapses once the grid step exceeds the averaged SGD update.");
+    Ok(())
 }

@@ -20,6 +20,7 @@ use pipelayer_nn::trainer::{TrainConfig, Trainer};
 use pipelayer_nn::zoo;
 use pipelayer_quant::{restore_params, snapshot_params};
 use pipelayer_reram::{ReramParams, VariationModel};
+use std::num::NonZeroUsize;
 
 const SIGMAS: [f64; 5] = [0.0, 0.25, 0.5, 1.0, 2.0];
 /// `--noise` axis: `NoiseModel::with_strength` sweep points.
@@ -27,7 +28,8 @@ const STRENGTHS: [f64; 5] = [0.0, 1.0, 2.0, 4.0, 6.0];
 /// Device-draw seed of the `--noise` axis (one simulated chip).
 const NOISE_SEED: u64 = 0xA11A;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let trials = NonZeroUsize::try_from(3)?;
     let quick = std::env::args().any(|a| a == "--quick");
     let noise = std::env::args().any(|a| a == "--noise");
     let (n_train, n_test, epochs) = if quick { (400, 150, 3) } else { (1500, 400, 5) };
@@ -63,7 +65,7 @@ fn main() {
             threads: 0,
         })
         .fit(&mut net, &data);
-        let points = variation_sweep(&mut net, &data.test, &SIGMAS, 3, &params);
+        let points = variation_sweep(&mut net, &data.test, &SIGMAS, trials, &params);
         let mut row = vec![
             name.to_string(),
             fmt_f(report.final_test_accuracy as f64, 3),
@@ -71,7 +73,9 @@ fn main() {
         row.extend(points.iter().map(|p| fmt_f(p.normalized as f64, 3)));
         table.row(row);
         if noise {
-            let pts = noise_sweep(&mut net, &data.test, &STRENGTHS, 3, &params, NOISE_SEED);
+            let pts = noise_sweep(
+                &mut net, &data.test, &STRENGTHS, trials, &params, NOISE_SEED,
+            );
             let mut row = vec![
                 name.to_string(),
                 fmt_f(report.final_test_accuracy as f64, 3),
@@ -117,4 +121,5 @@ fn main() {
     println!();
     println!("shape: graceful degradation up to ~σ=0.5 / a few % dead cells — the");
     println!("error-tolerance premise behind PipeLayer's 4-bit cell choice (Sec. 5.1).");
+    Ok(())
 }

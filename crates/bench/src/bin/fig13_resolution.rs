@@ -16,14 +16,18 @@ use pipelayer_nn::data::SyntheticMnist;
 use pipelayer_nn::trainer::{TrainConfig, Trainer};
 use pipelayer_nn::zoo;
 use pipelayer_nn::Network;
-use pipelayer_quant::resolution_sweep;
+use pipelayer_quant::{resolution_sweep, Quantizer};
 
 const BITS: [u8; 7] = [8, 7, 6, 5, 4, 3, 2];
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let quick = std::env::args().any(|a| a == "--quick");
     let (n_train, n_test, epochs) = if quick { (600, 200, 3) } else { (2000, 500, 6) };
     let data = SyntheticMnist::generate(n_train, n_test, 1213);
+    let quantizers = BITS
+        .iter()
+        .map(|&b| Quantizer::try_new(b))
+        .collect::<Result<Vec<_>, _>>()?;
 
     type NetBuilder = Box<dyn Fn(u64) -> Network>;
     let nets: Vec<(&str, NetBuilder)> = vec![
@@ -56,7 +60,7 @@ fn main() {
             report.final_train_accuracy, report.final_test_accuracy
         );
 
-        let points = resolution_sweep(&mut net, &data.test, &BITS);
+        let points = resolution_sweep(&mut net, &data.test, &quantizers);
         let mut row = vec![name.to_string(), fmt_f(points[0].accuracy as f64, 3)];
         row.extend(points[1..].iter().map(|p| fmt_f(p.normalized as f64, 3)));
         table.row(row);
@@ -64,4 +68,5 @@ fn main() {
     table.print();
     println!();
     println!("paper shape: perceptrons ~flat to 4-bit; M-C/C-4 drop sharply below ~4-bit (C-4 to ~0.2 at 4-bit in the paper).");
+    Ok(())
 }

@@ -10,8 +10,9 @@ use pipelayer::Accelerator;
 use pipelayer_baselines::GpuModel;
 use pipelayer_bench::workloads::{evaluation_workloads, BATCH};
 use pipelayer_bench::{fmt_f, geomean, paper, Table};
+use std::num::NonZeroUsize;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gpu = GpuModel::default();
     let mut table = Table::new(
         "Figure 15: speedup vs GPU (training and testing)",
@@ -33,11 +34,13 @@ fn main() {
         let gpu_train = gpu.training(&spec, n, BATCH).time_s;
         let gpu_test = gpu.testing(&spec, n, BATCH).time_s;
 
-        let accel = Accelerator::builder(spec.clone()).batch_size(BATCH).build();
+        let accel = Accelerator::builder(spec.clone())
+            .batch_size(NonZeroUsize::try_from(BATCH)?)
+            .build()?;
         let np = Accelerator::builder(spec.clone())
-            .batch_size(BATCH)
+            .batch_size(NonZeroUsize::try_from(BATCH)?)
             .pipelined(false)
-            .build();
+            .build()?;
 
         let s_train_pipe = gpu_train / accel.estimate_training(n).time_s;
         let s_train_np = gpu_train / np.estimate_training(n).time_s;
@@ -86,4 +89,5 @@ fn main() {
             .chain(&test_pipe)
             .fold(0.0f64, |m, &x| m.max(x))
     );
+    Ok(())
 }

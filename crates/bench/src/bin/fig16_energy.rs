@@ -5,8 +5,9 @@ use pipelayer::Accelerator;
 use pipelayer_baselines::GpuModel;
 use pipelayer_bench::workloads::{evaluation_workloads, BATCH};
 use pipelayer_bench::{fmt_f, geomean, paper, Table};
+use std::num::NonZeroUsize;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gpu = GpuModel::default();
     let mut table = Table::new(
         "Figure 16: energy saving vs GPU (training and testing)",
@@ -16,7 +17,9 @@ fn main() {
     let mut train = Vec::new();
     let mut test = Vec::new();
     for (spec, n) in evaluation_workloads() {
-        let accel = Accelerator::builder(spec.clone()).batch_size(BATCH).build();
+        let accel = Accelerator::builder(spec.clone())
+            .batch_size(NonZeroUsize::try_from(BATCH)?)
+            .build()?;
         let s_train = gpu.training(&spec, n, BATCH).energy_j / accel.estimate_training(n).energy_j;
         let s_test = gpu.testing(&spec, n, BATCH).energy_j / accel.estimate_testing(n).energy_j;
         train.push(s_train);
@@ -49,4 +52,5 @@ fn main() {
     let max_train = train.iter().cloned().fold(0.0f64, f64::max);
     let max_test = test.iter().cloned().fold(0.0f64, f64::max);
     println!("our peaks — train {max_train:.1}x, test {max_test:.1}x");
+    Ok(())
 }

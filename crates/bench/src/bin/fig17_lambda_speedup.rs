@@ -9,8 +9,9 @@ use pipelayer_baselines::GpuModel;
 use pipelayer_bench::workloads::{BATCH, N_IMAGENET};
 use pipelayer_bench::{fmt_f, Table};
 use pipelayer_nn::zoo::{vgg, VggVariant};
+use std::num::NonZeroUsize;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gpu = GpuModel::default();
     let lambdas: [(&str, Option<f64>); 7] = [
         ("λ=0", Some(0.0)),
@@ -34,12 +35,13 @@ fn main() {
         let gpu_time = gpu.training(&spec, N_IMAGENET, BATCH).time_s;
         let mut row = vec![spec.name.clone()];
         for &(_, lambda) in &lambdas {
-            let mut b = Accelerator::builder(spec.clone()).batch_size(BATCH);
+            let mut b =
+                Accelerator::builder(spec.clone()).batch_size(NonZeroUsize::try_from(BATCH)?);
             b = match lambda {
                 Some(l) => b.lambda(l),
                 None => b.lambda(1e12), // clamps to G = P per layer
             };
-            let accel = b.build();
+            let accel = b.build()?;
             let speedup = gpu_time / accel.estimate_training(N_IMAGENET).time_s;
             row.push(fmt_f(speedup, 2));
         }
@@ -48,4 +50,5 @@ fn main() {
     table.print();
     println!();
     println!("paper shape: speedup increases monotonically with λ for every VGG (Fig. 17).");
+    Ok(())
 }

@@ -5,7 +5,7 @@ use pipelayer::Accelerator;
 use pipelayer_bench::{fmt_f, Table};
 use pipelayer_nn::zoo::{vgg, VggVariant};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lambdas: [(&str, Option<f64>); 7] = [
         ("λ=0", Some(0.0)),
         ("λ=0.25", Some(0.25)),
@@ -32,11 +32,12 @@ fn main() {
                 Some(l) => b.lambda(l),
                 None => b.lambda(1e12),
             };
-            row.push(fmt_f(b.build().training_area_mm2(), 1));
+            row.push(fmt_f(b.build()?.training_area_mm2(), 1));
         }
         table.row(row);
     }
     table.print();
     println!();
     println!("paper shape: area grows monotonically with λ, spanning roughly two orders of magnitude (Fig. 18's log axis).");
+    Ok(())
 }

@@ -7,10 +7,11 @@
 //! `δ_{m-1}`); `Upd[k]` = weight update closing batch `k`.
 
 use pipelayer::pipeline::PipelineSim;
+use std::num::NonZeroUsize;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (l, b) = (3usize, 8usize);
-    let sim = PipelineSim::new(l, b);
+    let sim = PipelineSim::new(NonZeroUsize::try_from(l)?, NonZeroUsize::try_from(b)?);
     let out = sim.simulate_training(2, 0, 40);
 
     println!("== Figure 6: pipelined training schedule (L = {l}, B = {b}, 2 batches) ==");
@@ -33,4 +34,5 @@ fn main() {
         "buffers needing duplication (same-cycle read+write): {:?}",
         out.same_cycle_buffers
     );
+    Ok(())
 }

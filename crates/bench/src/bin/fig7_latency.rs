@@ -3,8 +3,9 @@
 
 use pipelayer::analysis::Analysis;
 use pipelayer_bench::{fmt_f, Table};
+use std::num::NonZeroUsize;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut table = Table::new(
         "Figure 7: cycles per batch, non-pipelined vs pipelined",
         &[
@@ -18,7 +19,7 @@ fn main() {
     );
     for l in [3usize, 8, 11, 13, 16, 19] {
         for b in [16usize, 64, 256] {
-            let a = Analysis::new(l, b);
+            let a = Analysis::new(NonZeroUsize::try_from(l)?, NonZeroUsize::try_from(b)?);
             let np = a.training_cycles_nonpipelined(b as u64);
             let p = a.training_cycles_pipelined(b as u64);
             table.row(vec![
@@ -37,4 +38,5 @@ fn main() {
     println!(
         "for B >> L the pipeline approaches the ideal 2L+1 speedup over sequential execution."
     );
+    Ok(())
 }

@@ -14,6 +14,7 @@ use pipelayer::Accelerator;
 use pipelayer_baselines::GpuModel;
 use pipelayer_bench::{fmt_f, Table};
 use pipelayer_nn::{zoo, NetSpec};
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
 fn spec_by_name(name: &str) -> Option<NetSpec> {
@@ -57,13 +58,10 @@ impl Args {
             .map(|(_, v)| v.as_str())
     }
 
-    fn get_parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("invalid value `{v}` for --{name}")),
-        }
+    fn get_parsed<T: std::str::FromStr>(&self, name: &str, default: &str) -> Result<T, String> {
+        let v = self.get(name).unwrap_or(default);
+        v.parse()
+            .map_err(|_| format!("invalid value `{v}` for --{name}"))
     }
 
     fn has(&self, name: &str) -> bool {
@@ -91,13 +89,14 @@ fn build(args: &Args) -> Result<Accelerator, String> {
     let name = args.get("net").ok_or("missing --net <name>")?;
     let spec =
         spec_by_name(name).ok_or_else(|| format!("unknown network `{name}` (try `plsim list`)"))?;
-    let batch: usize = args.get_parsed("batch", 64)?;
-    let lambda: f64 = args.get_parsed("lambda", 1.0)?;
-    Ok(Accelerator::builder(spec)
+    let batch: NonZeroUsize = args.get_parsed("batch", "64")?;
+    let lambda: f64 = args.get_parsed("lambda", "1")?;
+    Accelerator::builder(spec)
         .batch_size(batch)
         .lambda(lambda)
         .pipelined(!args.has("no-pipeline"))
-        .build())
+        .build()
+        .map_err(|e| e.to_string())
 }
 
 fn run() -> Result<(), String> {
@@ -146,8 +145,8 @@ fn run() -> Result<(), String> {
         }
         "estimate" => {
             let accel = build(&args)?;
-            let images: u64 = args.get_parsed("images", 6400)?;
-            let batch = accel.mapped().config.batch_size as u64;
+            let images: u64 = args.get_parsed("images", "6400")?;
+            let batch = accel.mapped().config.batch_size.get() as u64;
             let images = images - images % batch;
             let gpu = GpuModel::default();
             let train = accel.estimate_training(images);
@@ -189,13 +188,13 @@ fn run() -> Result<(), String> {
         }
         "report" => {
             let accel = build(&args)?;
-            let images: u64 = args.get_parsed("images", 6400)?;
+            let images: u64 = args.get_parsed("images", "6400")?;
             print!("{}", accel.report(images));
         }
         "optimize" => {
             let name = args.get("net").ok_or("missing --net <name>")?;
             let spec = spec_by_name(name).ok_or_else(|| format!("unknown network `{name}`"))?;
-            let budget: u64 = args.get_parsed("budget", 65_536u64)?;
+            let budget: u64 = args.get_parsed("budget", "65536")?;
             let layers = spec.resolve();
             let g = pipelayer::granularity::optimize_granularity(&layers, budget);
             let mut t = Table::new(
@@ -218,10 +217,10 @@ fn run() -> Result<(), String> {
         "sweep" => {
             let name = args.get("net").ok_or("missing --net <name>")?;
             let spec = spec_by_name(name).ok_or_else(|| format!("unknown network `{name}`"))?;
-            let batch: usize = args.get_parsed("batch", 64)?;
+            let batch: NonZeroUsize = args.get_parsed("batch", "64")?;
             let gpu = GpuModel::default();
-            let n = 10 * batch as u64;
-            let gpu_t = gpu.training(&spec, n, batch).time_s;
+            let n = 10 * batch.get() as u64;
+            let gpu_t = gpu.training(&spec, n, batch.get()).time_s;
             let mut t = Table::new(
                 format!("lambda sweep: {}", spec.name),
                 &["lambda", "speedup", "area mm^2"],
@@ -230,7 +229,8 @@ fn run() -> Result<(), String> {
                 let accel = Accelerator::builder(spec.clone())
                     .batch_size(batch)
                     .lambda(lambda)
-                    .build();
+                    .build()
+                    .map_err(|e| e.to_string())?;
                 t.row(vec![
                     lambda.to_string(),
                     fmt_f(gpu_t / accel.estimate_training(n).time_s, 2),
@@ -240,8 +240,8 @@ fn run() -> Result<(), String> {
             t.print();
         }
         "schedule" => {
-            let l: usize = args.get_parsed("layers", 3)?;
-            let b: usize = args.get_parsed("batch", 4)?;
+            let l: NonZeroUsize = args.get_parsed("layers", "3")?;
+            let b: NonZeroUsize = args.get_parsed("batch", "4")?;
             let out = PipelineSim::new(l, b).simulate_training(1, 0, 64);
             for row in &out.trace {
                 println!("{row}");

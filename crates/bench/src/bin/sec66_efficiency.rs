@@ -10,9 +10,9 @@ use pipelayer_baselines::dadiannao::{DADIANNAO, ISAAC, PIPELAYER_AREA_MM2, PIPEL
 use pipelayer_bench::{fmt_f, Table};
 use pipelayer_nn::zoo;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper quotes efficiency for the (AlexNet) training deployment.
-    let net = MappedNetwork::from_spec(&zoo::alexnet(), PipeLayerConfig::default());
+    let net = MappedNetwork::try_from_spec(&zoo::alexnet(), PipeLayerConfig::default())?;
     let perf = PerfModel::new(&net);
     let n = 6400;
 
@@ -73,4 +73,5 @@ fn main() {
     );
     println!();
     println!("ordering claims verified.");
+    Ok(())
 }

@@ -8,7 +8,7 @@ use pipelayer::timing::TimingModel;
 use pipelayer_bench::{fmt_f, Table};
 use pipelayer_nn::zoo;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut table = Table::new(
         "Table 1: operations in a cycle (per phase case)",
         &["phase", "operation sequence"],
@@ -32,7 +32,7 @@ fn main() {
     table.print();
 
     // Concrete durations for AlexNet at default granularity.
-    let net = MappedNetwork::from_spec(&zoo::alexnet(), PipeLayerConfig::default());
+    let net = MappedNetwork::try_from_spec(&zoo::alexnet(), PipeLayerConfig::default())?;
     let t = TimingModel::new(&net);
     println!();
     println!("modelled phase durations, AlexNet, default G:");
@@ -57,4 +57,5 @@ fn main() {
         t.cycle_training_ns().0 / 1e3,
         t.update_cycle_ns().0 / 1e3
     );
+    Ok(())
 }

@@ -6,8 +6,9 @@ use pipelayer::analysis::Analysis;
 use pipelayer::nonpipelined::NonPipelined;
 use pipelayer::pipeline::PipelineSim;
 use pipelayer_bench::Table;
+use std::num::NonZeroUsize;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let configs = [(3usize, 64usize), (8, 64), (11, 64), (19, 64), (4, 16)];
     let n_batches = 2usize;
 
@@ -27,12 +28,13 @@ fn main() {
     );
 
     for (l, b) in configs {
-        let a = Analysis::new(l, b);
+        let (lz, bz) = (NonZeroUsize::try_from(l)?, NonZeroUsize::try_from(b)?);
+        let a = Analysis::new(lz, bz);
         let n = (n_batches * b) as u64;
         let np_formula = a.training_cycles_nonpipelined(n);
-        let np_sim = NonPipelined::new(l, b).training_cycles(n);
+        let np_sim = NonPipelined::new(lz, bz).training_cycles(n);
         let p_formula = a.training_cycles_pipelined(n);
-        let sim = PipelineSim::new(l, b).simulate_training(n_batches, 0, 0);
+        let sim = PipelineSim::new(lz, bz).simulate_training(n_batches, 0, 0);
         assert_eq!(sim.dependency_violations, 0, "pipeline must be stall-free");
         table.row(vec![
             l.to_string(),
@@ -52,4 +54,5 @@ fn main() {
     println!("formulas: non-pipelined (2L+1)N + N/B; pipelined (N/B)(2L+B+1);");
     println!("morphable groups GL + G(L-1) + BL; buffers Σ(2(L-l)+1) + duplicated d_L/δ.");
     println!("all simulated runs completed with zero dependency violations.");
+    Ok(())
 }

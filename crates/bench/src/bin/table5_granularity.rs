@@ -11,7 +11,7 @@ use pipelayer::mapping::MappedNetwork;
 use pipelayer_bench::Table;
 use pipelayer_nn::zoo::{vgg, VggVariant};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Collect conv-layer G per network; pad to the longest (VGG-E, 16).
     let mut columns: Vec<(String, Vec<usize>)> = Vec::new();
     for variant in VggVariant::ALL {
@@ -47,7 +47,7 @@ fn main() {
     println!();
     for variant in VggVariant::ALL {
         let spec = vgg(variant);
-        let m = MappedNetwork::from_spec(&spec, PipeLayerConfig::default());
+        let m = MappedNetwork::try_from_spec(&spec, PipeLayerConfig::default())?;
         let reads = m.layers.iter().map(|l| l.reads_forward).max().unwrap_or(0);
         println!(
             "{}: balanced to <= {} sequential reads per cycle, {} forward crossbars",
@@ -56,4 +56,5 @@ fn main() {
             m.forward_crossbars()
         );
     }
+    Ok(())
 }

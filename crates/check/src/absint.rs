@@ -323,8 +323,8 @@ pub fn build_for_analysis(spec: &NetSpec, cfg: &PipeLayerConfig) -> Option<Netwo
     }
     let mut rng = StdRng::seed_from_u64(ANALYSIS_SEED);
     let mut net = spec.build(Loss::SoftmaxCrossEntropy, &mut rng);
-    if Quantizer::try_new(cfg.params.data_bits).is_ok() {
-        pipelayer_quant::quantize_network_weights(&mut net, cfg.params.data_bits);
+    if let Ok(q) = Quantizer::try_new(cfg.params.data_bits) {
+        pipelayer_quant::quantize_network_weights(&mut net, q);
     }
     Some(net)
 }

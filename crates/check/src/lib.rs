@@ -98,7 +98,7 @@ pub fn verify_with(net: &NetSpec, cfg: &PipeLayerConfig, over: &Overrides) -> Ve
 
     if shapes_clean {
         let l = shapes.layers.len();
-        let b = cfg.batch_size.max(1);
+        let b = cfg.batch_size.get();
         let depths = over
             .depths
             .clone()
@@ -167,10 +167,8 @@ mod tests {
     #[test]
     fn config_errors_do_not_mask_shape_checks() {
         let spec = NetSpec::new("bad", (0, 4, 4), vec![]);
-        let cfg = PipeLayerConfig {
-            batch_size: 0,
-            ..PipeLayerConfig::default()
-        };
+        let mut cfg = PipeLayerConfig::default();
+        cfg.verify.max_attempts = 0;
         let diags = verify(&spec, &cfg);
         assert!(diags.iter().any(|d| d.code == diag::CONFIG_INVALID));
         assert!(diags.iter().any(|d| d.code == diag::SHAPE_EMPTY_INPUT));

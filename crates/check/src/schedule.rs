@@ -13,6 +13,7 @@
 use crate::diag::{self, Diagnostic};
 use pipelayer::buffers::CircularBuffer;
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 
 /// The paper's buffer-depth vector: entry `l` (0-based) is `2(L−1−l)+1`,
 /// i.e. `2(L−l)+1` for the 1-based layer index of Sec. 3.3.
@@ -33,8 +34,8 @@ struct BufferStats {
 /// (index 0 = the buffer after layer 1). Returns one diagnostic per finding:
 ///
 /// * [`diag::SCHED_DEPTH_LEN`] / [`diag::SCHED_ZERO_DEPTH`] — malformed
-///   depth vector (zero-depth buffers are clamped to 1 so the remaining
-///   buffers are still checked);
+///   depth vector (a zero-depth buffer is simulated with one slot so the
+///   remaining buffers are still checked);
 /// * [`diag::SCHED_STALE_READ`] — a read hit overwritten data (one
 ///   diagnostic per buffer, with the violation count and first offender);
 /// * [`diag::SCHED_SAME_CYCLE`] (info) — buffers needing duplication;
@@ -65,25 +66,25 @@ pub fn check_training(l: usize, b: usize, depths: &[usize], batches: usize) -> V
     let required = paper_depths(l);
     let mut effective = Vec::with_capacity(l);
     for (idx, (&depth, &req)) in depths.iter().zip(&required).enumerate() {
-        if depth == 0 {
+        let Some(slots) = NonZeroUsize::new(depth) else {
             diags.push(Diagnostic::error(
                 diag::SCHED_ZERO_DEPTH,
                 format!("buffer d{}", idx + 1),
                 "zero-depth buffer cannot hold any in-flight output".to_string(),
                 format!("the paper's sizing for this buffer is 2(L-l)+1 = {req}"),
             ));
-            effective.push(1);
-        } else {
-            if depth > req {
-                diags.push(Diagnostic::warning(
-                    diag::SCHED_OVERSIZED,
-                    format!("buffer d{}", idx + 1),
-                    format!("depth {depth} exceeds the required 2(L-l)+1 = {req}"),
-                    "extra slots cost memory subarrays without removing any hazard",
-                ));
-            }
-            effective.push(depth);
+            effective.push(NonZeroUsize::MIN);
+            continue;
+        };
+        if depth > req {
+            diags.push(Diagnostic::warning(
+                diag::SCHED_OVERSIZED,
+                format!("buffer d{}", idx + 1),
+                format!("depth {depth} exceeds the required 2(L-l)+1 = {req}"),
+                "extra slots cost memory subarrays without removing any hazard",
+            ));
         }
+        effective.push(slots);
     }
 
     let (stats_d, stats_delta) = run(l, b, &effective, batches);
@@ -109,7 +110,7 @@ pub fn check_training(l: usize, b: usize, depths: &[usize], batches: usize) -> V
         // different slots (read-before-write on the wrapped pointer); only
         // the depth-1 buffers collide on one slot and need the paper's
         // duplication.
-        if s.same_cycle && effective[idx] == 1 {
+        if s.same_cycle && effective[idx] == NonZeroUsize::MIN {
             diags.push(Diagnostic::info(
                 diag::SCHED_SAME_CYCLE,
                 format!("buffer d{}", idx + 1),
@@ -145,7 +146,7 @@ pub fn check_training(l: usize, b: usize, depths: &[usize], batches: usize) -> V
 fn run(
     l: usize,
     b: usize,
-    depths: &[usize],
+    depths: &[NonZeroUsize],
     batches: usize,
 ) -> (Vec<BufferStats>, Vec<BufferStats>) {
     let (lu, bu) = (l as u64, b as u64);
@@ -178,7 +179,9 @@ fn run(
         same_cycle: false,
     };
     let mut d_buf: Vec<CircularBuffer> = depths.iter().map(|&d| CircularBuffer::new(d)).collect();
-    let mut delta_buf: Vec<CircularBuffer> = (0..l).map(|_| CircularBuffer::new(1)).collect();
+    let mut delta_buf: Vec<CircularBuffer> = (0..l)
+        .map(|_| CircularBuffer::new(NonZeroUsize::MIN))
+        .collect();
     let mut stats_d: Vec<BufferStats> = (0..l).map(|_| new_stats()).collect();
     let mut stats_delta: Vec<BufferStats> = (0..l).map(|_| new_stats()).collect();
 
@@ -240,6 +243,10 @@ mod tests {
     use super::*;
     use crate::diag::Severity;
 
+    fn nz(n: usize) -> NonZeroUsize {
+        NonZeroUsize::new(n).unwrap()
+    }
+
     fn errors(diags: &[Diagnostic]) -> Vec<&Diagnostic> {
         diags
             .iter()
@@ -249,7 +256,7 @@ mod tests {
 
     #[test]
     fn paper_depths_match_analysis() {
-        let a = pipelayer::analysis::Analysis::new(5, 4);
+        let a = pipelayer::analysis::Analysis::new(nz(5), nz(4));
         let depths = paper_depths(5);
         for layer in 1..=5 {
             assert_eq!(depths[layer - 1], a.buffer_depth(layer));
@@ -316,7 +323,7 @@ mod tests {
         // The independent PipelineSim and this symbolic checker must agree
         // on hazard presence for uniform slack in -2..=+2.
         for slack in -2i64..=2 {
-            let sim = pipelayer::pipeline::PipelineSim::new(4, 8);
+            let sim = pipelayer::pipeline::PipelineSim::new(nz(4), nz(8));
             let sim_violations = sim.simulate_training(2, slack, 0).dependency_violations;
             let depths: Vec<usize> = paper_depths(4)
                 .iter()

@@ -9,6 +9,11 @@
 use pipelayer::analysis::Analysis;
 use pipelayer_check::{diag, schedule, Severity};
 use proptest::prelude::*;
+use std::num::NonZeroUsize;
+
+fn nz(n: usize) -> NonZeroUsize {
+    NonZeroUsize::new(n).unwrap()
+}
 
 fn stale_reads(diags: &[pipelayer_check::Diagnostic]) -> Vec<&pipelayer_check::Diagnostic> {
     diags
@@ -20,7 +25,7 @@ fn stale_reads(diags: &[pipelayer_check::Diagnostic]) -> Vec<&pipelayer_check::D
 proptest! {
     #[test]
     fn paper_depth_is_hazard_free(l in 1usize..=16, b in 1usize..=8, batches in 1usize..=3) {
-        let analysis = Analysis::new(l, b);
+        let analysis = Analysis::new(nz(l), nz(b));
         let depths = schedule::paper_depths(l);
         for layer in 1..=l {
             prop_assert_eq!(depths[layer - 1], analysis.buffer_depth(layer));
@@ -41,7 +46,7 @@ proptest! {
         // wrap, so B must be at least the paper depth 2(L-layer)+1.
         let layer = 1 + (layer - 1) % (l - 1);
         let b = 2 * (l - layer) + 1 + extra_b;
-        let analysis = Analysis::new(l, b);
+        let analysis = Analysis::new(nz(l), nz(b));
         let mut depths = schedule::paper_depths(l);
         depths[layer - 1] = analysis.buffer_depth(layer) - 1;
         let diags = schedule::check_training(l, b, &depths, 2);
@@ -54,7 +59,7 @@ proptest! {
 
     #[test]
     fn symbolic_checker_agrees_with_cycle_accurate_sim(l in 1usize..=8, b in 1usize..=8, slack in -2i64..=2) {
-        let sim = pipelayer::pipeline::PipelineSim::new(l, b);
+        let sim = pipelayer::pipeline::PipelineSim::new(nz(l), nz(b));
         let sim_violations = sim.simulate_training(2, slack, 0).dependency_violations;
         let depths: Vec<usize> = schedule::paper_depths(l)
             .iter()

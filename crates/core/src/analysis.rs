@@ -11,48 +11,21 @@
 //! * pipelined testing: no weight updates, so inputs stream without batch
 //!   drains → `N + L − 1`.
 
-use crate::config::ConfigError;
+use std::num::NonZeroUsize;
 
 /// Cycle counts and array/buffer costs from the Table 2 formulas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Analysis {
     /// Number of weighted layers `L`.
-    pub l: usize,
+    pub l: NonZeroUsize,
     /// Batch size `B`.
-    pub b: usize,
+    pub b: NonZeroUsize,
 }
 
 impl Analysis {
     /// Creates an analysis for `L` layers and batch `B`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::ZeroLayers`] if `l` is zero and
-    /// [`ConfigError::ZeroBatch`] if `b` is zero.
-    pub fn try_new(l: usize, b: usize) -> Result<Self, ConfigError> {
-        if l == 0 {
-            return Err(ConfigError::ZeroLayers);
-        }
-        if b == 0 {
-            return Err(ConfigError::ZeroBatch);
-        }
-        Ok(Analysis { l, b })
-    }
-
-    /// Creates an analysis for `L` layers and batch `B`.
-    ///
-    /// Zero `l`/`b` is debug-asserted; release builds clamp both to 1
-    /// (a degenerate but well-defined analysis). Use
-    /// [`try_new`](Self::try_new) to handle the error explicitly.
-    pub fn new(l: usize, b: usize) -> Self {
-        debug_assert!(
-            l > 0 && b > 0,
-            "degenerate configuration: L and B must be non-zero (got L={l}, B={b})"
-        );
-        Analysis {
-            l: l.max(1),
-            b: b.max(1),
-        }
+    pub fn new(l: NonZeroUsize, b: NonZeroUsize) -> Self {
+        Analysis { l, b }
     }
 
     /// Non-pipelined training cycles for `n` images: `(2L+1)N + N/B`.
@@ -62,7 +35,7 @@ impl Analysis {
     /// Panics unless `n` is a positive multiple of `B`.
     pub fn training_cycles_nonpipelined(&self, n: u64) -> u64 {
         self.check(n);
-        (2 * self.l as u64 + 1) * n + n / self.b as u64
+        (2 * self.l.get() as u64 + 1) * n + n / self.b.get() as u64
     }
 
     /// Pipelined training cycles: `(N/B)(2L+B+1)` (Fig. 7b).
@@ -72,19 +45,19 @@ impl Analysis {
     /// Panics unless `n` is a positive multiple of `B`.
     pub fn training_cycles_pipelined(&self, n: u64) -> u64 {
         self.check(n);
-        (n / self.b as u64) * (2 * self.l as u64 + self.b as u64 + 1)
+        (n / self.b.get() as u64) * (2 * self.l.get() as u64 + self.b.get() as u64 + 1)
     }
 
     /// Non-pipelined testing cycles: `L` per image.
     pub fn testing_cycles_nonpipelined(&self, n: u64) -> u64 {
         assert!(n > 0, "empty workload");
-        self.l as u64 * n
+        self.l.get() as u64 * n
     }
 
     /// Pipelined testing cycles: fill `L−1`, then one result per cycle.
     pub fn testing_cycles_pipelined(&self, n: u64) -> u64 {
         assert!(n > 0, "empty workload");
-        n + self.l as u64 - 1
+        n + self.l.get() as u64 - 1
     }
 
     /// Pipelined training cycles for an arbitrary image count: full batches
@@ -96,8 +69,8 @@ impl Analysis {
     /// Panics if `n` is zero.
     pub fn training_cycles_pipelined_ragged(&self, n: u64) -> u64 {
         assert!(n > 0, "empty workload");
-        let b = self.b as u64;
-        let l = self.l as u64;
+        let b = self.b.get() as u64;
+        let l = self.l.get() as u64;
         let full = n / b;
         let rem = n % b;
         let mut cycles = full * (2 * l + b + 1);
@@ -110,7 +83,7 @@ impl Analysis {
     /// Pipelined-over-non-pipelined training speedup in the `N → ∞` limit:
     /// `(2L+1)B / (2L+B+1)` (approaches `2L+1` for large `B`).
     pub fn training_pipeline_speedup_limit(&self) -> f64 {
-        let (l, b) = (self.l as f64, self.b as f64);
+        let (l, b) = (self.l.get() as f64, self.b.get() as f64);
         ((2.0 * l + 1.0) * b + 1.0) / (2.0 * l + b + 1.0)
     }
 
@@ -121,41 +94,43 @@ impl Analysis {
     ///
     /// Panics unless `1 <= layer <= L`.
     pub fn buffer_depth(&self, layer: usize) -> usize {
-        assert!((1..=self.l).contains(&layer), "layer out of range");
-        2 * (self.l - layer) + 1
+        assert!((1..=self.l.get()).contains(&layer), "layer out of range");
+        2 * (self.l.get() - layer) + 1
     }
 
     /// Morphable array groups, non-pipelined (Table 2): `G·L + G·(2L−1)`.
     pub fn morphable_groups_nonpipelined(&self, g: usize) -> u64 {
-        (g * self.l + g * (2 * self.l - 1)) as u64
+        (g * self.l.get() + g * (2 * self.l.get() - 1)) as u64
     }
 
     /// Morphable array groups, pipelined (Table 2):
     /// `G·L + G·(L−1) + B·L`.
     pub fn morphable_groups_pipelined(&self, g: usize) -> u64 {
-        (g * self.l + g * (self.l - 1) + self.b * self.l) as u64
+        (g * self.l.get() + g * (self.l.get() - 1) + self.b.get() * self.l.get()) as u64
     }
 
     /// Memory buffer groups, non-pipelined (Table 2): `2L`.
     pub fn memory_groups_nonpipelined(&self) -> u64 {
-        2 * self.l as u64
+        2 * self.l.get() as u64
     }
 
     /// Memory buffer groups, pipelined: `Σ_l (2(L−l)+1)` d-buffers plus the
     /// duplicated same-cycle read/write buffers (`d_L` and the `L` δ
     /// buffers).
     pub fn memory_groups_pipelined(&self) -> u64 {
-        let d_buffers: u64 = (1..=self.l).map(|l| self.buffer_depth(l) as u64).sum();
-        d_buffers + (self.l as u64 + 1)
+        let d_buffers: u64 = (1..=self.l.get())
+            .map(|l| self.buffer_depth(l) as u64)
+            .sum();
+        d_buffers + (self.l.get() as u64 + 1)
     }
 
     fn check(&self, n: u64) {
         assert!(n > 0, "empty workload");
         assert_eq!(
-            n % self.b as u64,
+            n % self.b.get() as u64,
             0,
             "image count {n} must be a multiple of the batch size {}",
-            self.b
+            self.b.get()
         );
     }
 }
@@ -165,11 +140,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn analysis(l: usize, b: usize) -> Analysis {
+        Analysis::new(NonZeroUsize::new(l).unwrap(), NonZeroUsize::new(b).unwrap())
+    }
+
     #[test]
     fn fig7_example() {
         // L = 3 (Fig. 3's network), B = 64: one batch takes 2·3+64+1 = 71
         // cycles pipelined vs (2·3+1)·64 + 1 = 449 non-pipelined.
-        let a = Analysis::new(3, 64);
+        let a = analysis(3, 64);
         assert_eq!(a.training_cycles_pipelined(64), 71);
         assert_eq!(a.training_cycles_nonpipelined(64), 449);
     }
@@ -178,7 +157,7 @@ mod tests {
     fn buffer_depths_match_fig8() {
         // The running example: 3 layers, buffer between A1 and A2 has
         // 2(3-1)+1 = 5 entries.
-        let a = Analysis::new(3, 64);
+        let a = analysis(3, 64);
         assert_eq!(a.buffer_depth(1), 5);
         assert_eq!(a.buffer_depth(2), 3);
         assert_eq!(a.buffer_depth(3), 1);
@@ -186,14 +165,14 @@ mod tests {
 
     #[test]
     fn speedup_limit_reaches_2l_plus_1() {
-        let a = Analysis::new(8, 4096);
+        let a = analysis(8, 4096);
         let lim = a.training_pipeline_speedup_limit();
         assert!(lim > 16.0 && lim < 17.0, "limit {lim}");
     }
 
     #[test]
     fn testing_pipeline_asymptotically_one_per_cycle() {
-        let a = Analysis::new(19, 64);
+        let a = analysis(19, 64);
         let n = 100_000;
         let cyc = a.testing_cycles_pipelined(n);
         assert!(cyc < n + 20);
@@ -202,7 +181,7 @@ mod tests {
 
     #[test]
     fn table2_groups() {
-        let a = Analysis::new(3, 64);
+        let a = analysis(3, 64);
         assert_eq!(a.morphable_groups_nonpipelined(2), 2 * 3 + 2 * 5);
         assert_eq!(a.morphable_groups_pipelined(2), 2 * 3 + 2 * 2 + 64 * 3);
         assert_eq!(a.memory_groups_nonpipelined(), 6);
@@ -210,35 +189,14 @@ mod tests {
     }
 
     #[test]
-    fn try_new_reports_which_knob_is_zero() {
-        use crate::config::ConfigError;
-        assert_eq!(Analysis::try_new(0, 64), Err(ConfigError::ZeroLayers));
-        assert_eq!(Analysis::try_new(3, 0), Err(ConfigError::ZeroBatch));
-        assert_eq!(Analysis::try_new(3, 64), Ok(Analysis { l: 3, b: 64 }));
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "degenerate configuration")]
-    fn new_panics_on_zero_layers() {
-        Analysis::new(0, 64);
-    }
-
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn new_clamps_zero_layers_in_release() {
-        assert_eq!(Analysis::new(0, 64), Analysis { l: 1, b: 64 });
-    }
-
-    #[test]
     #[should_panic(expected = "multiple of the batch")]
     fn rejects_partial_batches() {
-        Analysis::new(3, 64).training_cycles_pipelined(65);
+        analysis(3, 64).training_cycles_pipelined(65);
     }
 
     #[test]
     fn ragged_reduces_to_exact_on_multiples() {
-        let a = Analysis::new(5, 32);
+        let a = analysis(5, 32);
         for k in 1..5u64 {
             assert_eq!(
                 a.training_cycles_pipelined_ragged(k * 32),
@@ -256,7 +214,7 @@ mod tests {
         /// Pipelining never loses, and cycle counts grow monotonically in N.
         #[test]
         fn pipeline_always_wins(l in 1usize..30, b in 1usize..256, k in 1u64..50) {
-            let a = Analysis::new(l, b);
+            let a = analysis(l, b);
             let n = k * b as u64;
             prop_assert!(a.training_cycles_pipelined(n) <= a.training_cycles_nonpipelined(n));
             prop_assert!(a.testing_cycles_pipelined(n) <= a.testing_cycles_nonpipelined(n));
@@ -266,7 +224,7 @@ mod tests {
         /// fill (2L+1) + stream (B−1) + update (1).
         #[test]
         fn per_batch_decomposition(l in 1usize..30, b in 1usize..256) {
-            let a = Analysis::new(l, b);
+            let a = analysis(l, b);
             let per_batch = a.training_cycles_pipelined(b as u64);
             prop_assert_eq!(per_batch, (2 * l as u64 + 1) + (b as u64 - 1) + 1);
         }

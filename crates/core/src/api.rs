@@ -18,12 +18,13 @@ use crate::area::{testing_area, training_area, AreaModel};
 use crate::config::PipeLayerConfig;
 use crate::functional::ReramMlp;
 use crate::granularity::{default_granularity, scale_lambda};
-use crate::mapping::MappedNetwork;
+use crate::mapping::{MapError, MappedNetwork};
 use crate::perf::{PerfModel, RunEstimate};
 use pipelayer_nn::spec::NetSpec;
 use pipelayer_tensor::Tensor;
 use std::error::Error;
 use std::fmt;
+use std::num::NonZeroUsize;
 
 /// Errors from functional accelerator operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,11 +65,16 @@ pub struct AcceleratorBuilder {
 }
 
 impl AcceleratorBuilder {
-    /// Training batch size `B`. Zero is a caller bug: debug builds assert,
-    /// and [`PipeLayerConfig::validate`] rejects the resulting config.
-    pub fn batch_size(mut self, b: usize) -> Self {
-        debug_assert!(b > 0, "batch size must be non-zero");
+    /// Training batch size `B`.
+    pub fn batch_size(mut self, b: NonZeroUsize) -> Self {
         self.config.batch_size = b;
+        self
+    }
+
+    /// Device, fault-tolerance, noise and wear configuration. Replaces the
+    /// whole config, including a batch size set earlier.
+    pub fn config(mut self, config: PipeLayerConfig) -> Self {
+        self.config = config;
         self
     }
 
@@ -92,10 +98,15 @@ impl AcceleratorBuilder {
 
     /// Finalises the configuration and maps the network onto arrays.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if an explicit granularity has the wrong length.
-    pub fn build(self) -> Accelerator {
+    /// Returns [`MapError::InvalidLambda`] for a negative or non-finite λ,
+    /// and any error of [`MappedNetwork::try_with_granularity`] (invalid
+    /// config, no weighted layer, bad explicit granularity).
+    pub fn build(self) -> Result<Accelerator, MapError> {
+        if let Some(lambda) = self.lambda.filter(|l| !(l.is_finite() && *l >= 0.0)) {
+            return Err(MapError::InvalidLambda(lambda));
+        }
         let resolved = self.spec.resolve();
         let g = match (self.granularity, self.lambda) {
             (Some(g), _) => g,
@@ -104,14 +115,14 @@ impl AcceleratorBuilder {
             }
             (None, None) => default_granularity(&resolved),
         };
-        let mapped = MappedNetwork::with_granularity(&self.spec, &g, self.config);
-        Accelerator {
+        let mapped = MappedNetwork::try_with_granularity(&self.spec, &g, self.config)?;
+        Ok(Accelerator {
             spec: self.spec,
             mapped,
             pipelined: self.pipelined,
             mlp: None,
             staged: Vec::new(),
-        }
+        })
     }
 }
 
@@ -222,7 +233,7 @@ impl Accelerator {
             .mlp
             .as_mut()
             .ok_or(AcceleratorError::WeightsNotLoaded)?;
-        let b = self.mapped.config.batch_size.min(self.staged.len());
+        let b = self.mapped.config.batch_size.get().min(self.staged.len());
         let mut last = 0.0;
         for _ in 0..epochs.max(1) {
             for chunk in self.staged.chunks(b) {
@@ -268,20 +279,22 @@ mod tests {
 
     #[test]
     fn builder_defaults() {
-        let acc = Accelerator::builder(zoo::alexnet()).build();
+        let acc = Accelerator::builder(zoo::alexnet()).build().unwrap();
         assert!(acc.is_pipelined());
-        assert_eq!(acc.mapped().config.batch_size, 64);
-        assert_eq!(acc.mapped().weighted_layers(), 8);
+        assert_eq!(acc.mapped().config.batch_size.get(), 64);
+        assert_eq!(acc.mapped().weighted_layers().get(), 8);
     }
 
     #[test]
     fn lambda_controls_arrays() {
         let small = Accelerator::builder(zoo::vgg(zoo::VggVariant::A))
             .lambda(0.25)
-            .build();
+            .build()
+            .unwrap();
         let big = Accelerator::builder(zoo::vgg(zoo::VggVariant::A))
             .lambda(4.0)
-            .build();
+            .build()
+            .unwrap();
         assert!(big.training_area_mm2() > small.training_area_mm2());
         assert!(big.estimate_testing(640).time_s < small.estimate_testing(640).time_s);
     }
@@ -298,7 +311,10 @@ mod tests {
                 pipelayer_nn::LayerSpec::Fc { n_out: 10 },
             ],
         );
-        let mut acc = Accelerator::builder(spec).batch_size(10).build();
+        let mut acc = Accelerator::builder(spec)
+            .batch_size(NonZeroUsize::new(10).unwrap())
+            .build()
+            .unwrap();
         let images: Vec<_> = data.train.images.iter().map(|t| downsample(t, 4)).collect();
         acc.copy_to_pl(images, data.train.labels.clone());
         acc.weight_load(3).expect("MLP loads");
@@ -311,7 +327,7 @@ mod tests {
 
     #[test]
     fn conv_nets_reject_functional_but_estimate() {
-        let mut acc = Accelerator::builder(zoo::spec_mnist_0()).build();
+        let mut acc = Accelerator::builder(zoo::spec_mnist_0()).build().unwrap();
         assert!(matches!(
             acc.weight_load(0),
             Err(AcceleratorError::NotAnMlp(_))
@@ -322,9 +338,27 @@ mod tests {
 
     #[test]
     fn train_without_data_errors() {
-        let mut acc = Accelerator::builder(zoo::spec_mnist_a()).build();
+        let mut acc = Accelerator::builder(zoo::spec_mnist_a()).build().unwrap();
         acc.weight_load(0).unwrap();
         assert_eq!(acc.train(1, 0.1), Err(AcceleratorError::NoStagedData));
+    }
+
+    #[test]
+    fn build_rejects_bad_lambda_and_granularity() {
+        for lambda in [-1.0, f64::NAN, f64::INFINITY] {
+            let err = Accelerator::builder(zoo::spec_mnist_a())
+                .lambda(lambda)
+                .build();
+            assert!(matches!(err, Err(MapError::InvalidLambda(_))));
+        }
+        let ok = Accelerator::builder(zoo::spec_mnist_a())
+            .lambda(0.0)
+            .build();
+        assert!(ok.is_ok(), "λ = 0 floors every G at 1");
+        let err = Accelerator::builder(zoo::spec_mnist_a())
+            .granularity(vec![1])
+            .build();
+        assert!(matches!(err, Err(MapError::GranularityLength { .. })));
     }
 
     #[test]

@@ -47,7 +47,8 @@ mod tests {
         let mut last = 0.0;
         for lambda in [0.25, 0.5, 1.0, 2.0, 4.0] {
             let gl = scale_lambda(&g, lambda, &layers);
-            let net = MappedNetwork::with_granularity(&spec, &gl, PipeLayerConfig::default());
+            let net = MappedNetwork::try_with_granularity(&spec, &gl, PipeLayerConfig::default())
+                .unwrap();
             let a = training_area(&net, &model).mm2;
             assert!(a > last, "area must grow with λ: {a} <= {last}");
             last = a;
@@ -56,7 +57,8 @@ mod tests {
 
     #[test]
     fn testing_config_smaller_than_training() {
-        let net = MappedNetwork::from_spec(&zoo::alexnet(), PipeLayerConfig::default());
+        let net =
+            MappedNetwork::try_from_spec(&zoo::alexnet(), PipeLayerConfig::default()).unwrap();
         let model = AreaModel::default();
         assert!(testing_area(&net, &model).mm2 < training_area(&net, &model).mm2);
     }
@@ -66,7 +68,8 @@ mod tests {
         // The per-crossbar constant is calibrated so the default AlexNet
         // training deployment lands near the published 82.6 mm²
         // (see EXPERIMENTS.md; tolerance is deliberately loose).
-        let net = MappedNetwork::from_spec(&zoo::alexnet(), PipeLayerConfig::default());
+        let net =
+            MappedNetwork::try_from_spec(&zoo::alexnet(), PipeLayerConfig::default()).unwrap();
         let a = training_area(&net, &AreaModel::default()).mm2;
         assert!(
             (40.0..170.0).contains(&a),

@@ -11,7 +11,7 @@
 //! allow a same-cycle read and write; [`CircularBuffer::same_cycle_conflicts`]
 //! counts exactly those cases).
 
-use crate::config::ConfigError;
+use std::num::NonZeroUsize;
 
 /// A tagged circular buffer: each write deposits `(tag, cycle)` into the
 /// next slot round-robin; reads look a fixed number of slots back and check
@@ -27,31 +27,9 @@ pub struct CircularBuffer {
 
 impl CircularBuffer {
     /// Creates a buffer with `depth` slots.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::ZeroDepth`] if `depth` is zero.
-    pub fn try_new(depth: usize) -> Result<Self, ConfigError> {
-        if depth == 0 {
-            return Err(ConfigError::ZeroDepth);
-        }
-        Ok(CircularBuffer {
-            slots: vec![None; depth],
-            head: 0,
-            writes: 0,
-            conflicts: 0,
-            last_write_cycle: None,
-        })
-    }
-
-    /// Creates a buffer with `depth` slots.
-    ///
-    /// Zero `depth` is debug-asserted; release builds clamp it to 1. Use
-    /// [`try_new`](Self::try_new) to handle the error explicitly.
-    pub fn new(depth: usize) -> Self {
-        debug_assert!(depth > 0, "circular buffer needs at least one slot");
+    pub fn new(depth: NonZeroUsize) -> Self {
         CircularBuffer {
-            slots: vec![None; depth.max(1)],
+            slots: vec![None; depth.get()],
             head: 0,
             writes: 0,
             conflicts: 0,
@@ -101,9 +79,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn buffer(depth: usize) -> CircularBuffer {
+        CircularBuffer::new(NonZeroUsize::new(depth).unwrap())
+    }
+
     #[test]
     fn survives_exactly_depth_minus_one_later_writes() {
-        let mut buf = CircularBuffer::new(5);
+        let mut buf = buffer(5);
         buf.write(0, 0);
         for c in 1..5 {
             buf.write(c, c);
@@ -116,30 +98,8 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_zero_depth() {
-        assert_eq!(
-            CircularBuffer::try_new(0),
-            Err(crate::config::ConfigError::ZeroDepth)
-        );
-        assert_eq!(CircularBuffer::try_new(3).map(|b| b.depth()), Ok(3));
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "at least one slot")]
-    fn new_panics_on_zero_depth() {
-        CircularBuffer::new(0);
-    }
-
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn new_clamps_zero_depth_in_release() {
-        assert_eq!(CircularBuffer::new(0).depth(), 1);
-    }
-
-    #[test]
     fn conflict_detected_on_same_cycle() {
-        let mut buf = CircularBuffer::new(1);
+        let mut buf = buffer(1);
         buf.write(7, 3);
         assert!(buf.read(7, 3));
         assert_eq!(buf.same_cycle_conflicts(), 1);
@@ -155,7 +115,7 @@ mod tests {
         #[test]
         fn depth_is_exactly_sufficient(gap in 1usize..30, extra in 0usize..5) {
             // Sufficient depth.
-            let mut ok = CircularBuffer::new(gap + extra);
+            let mut ok = buffer(gap + extra);
             ok.write(0, 0);
             for c in 1..gap as u64 {
                 ok.write(c, c);
@@ -164,7 +124,7 @@ mod tests {
 
             // One slot short: the value dies one cycle early.
             if gap > 1 {
-                let mut short = CircularBuffer::new(gap - 1);
+                let mut short = buffer(gap - 1);
                 short.write(0, 0);
                 for c in 1..gap as u64 {
                     short.write(c, c);

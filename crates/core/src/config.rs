@@ -3,22 +3,17 @@
 use crate::repair::{RepairPolicy, SpareBudget};
 use crate::scrub::ScrubPolicy;
 use pipelayer_reram::{FaultModel, NoiseModel, ReramParams, VerifyPolicy, WearModel};
+use std::num::NonZeroUsize;
 
 /// A rejected [`PipeLayerConfig`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
-    /// The batch size was zero.
-    ZeroBatch,
     /// A fault-model probability was outside `[0, 1]` (or their sum was).
     InvalidFaultRate(f64),
     /// The verify policy allowed zero programming attempts.
     ZeroAttempts,
     /// The per-attempt write noise was negative or non-finite.
     InvalidWriteSigma(f64),
-    /// A circular buffer was configured with zero depth.
-    ZeroDepth,
-    /// A schedule or analysis was configured with zero weighted layers.
-    ZeroLayers,
     /// A datapath range bound (activation/gradient absmax) was non-positive
     /// or non-finite.
     InvalidRangeBound(f64),
@@ -43,7 +38,6 @@ pub enum ConfigError {
 impl core::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            ConfigError::ZeroBatch => write!(f, "batch size must be non-zero"),
             ConfigError::InvalidFaultRate(r) => {
                 write!(f, "fault rate {r} must be in [0,1] (and sum to at most 1)")
             }
@@ -51,8 +45,6 @@ impl core::fmt::Display for ConfigError {
             ConfigError::InvalidWriteSigma(s) => {
                 write!(f, "write sigma {s} must be finite and non-negative")
             }
-            ConfigError::ZeroDepth => write!(f, "buffer needs at least one slot"),
-            ConfigError::ZeroLayers => write!(f, "need at least one weighted layer"),
             ConfigError::InvalidRangeBound(b) => {
                 write!(f, "datapath range bound {b} must be positive and finite")
             }
@@ -157,7 +149,7 @@ pub struct PipeLayerConfig {
     /// ReRAM device/array parameters (NVSim-derived, Sec. 6.2).
     pub params: ReramParams,
     /// Training batch size `B` (the paper's running example uses 64).
-    pub batch_size: usize,
+    pub batch_size: NonZeroUsize,
     /// Per-cell stuck-at/dead probabilities ([`FaultModel::ideal`] by
     /// default — the paper's fault-free device).
     pub fault_model: FaultModel,
@@ -186,11 +178,14 @@ pub struct PipeLayerConfig {
     pub repair: RepairPolicy,
 }
 
+/// The paper's running-example batch size, `B = 64`.
+const DEFAULT_BATCH: NonZeroUsize = NonZeroUsize::MIN.saturating_add(63);
+
 impl Default for PipeLayerConfig {
     fn default() -> Self {
         PipeLayerConfig {
             params: ReramParams::default(),
-            batch_size: 64,
+            batch_size: DEFAULT_BATCH,
             fault_model: FaultModel::ideal(),
             verify: VerifyPolicy::default(),
             spares: SpareBudget::none(),
@@ -206,61 +201,17 @@ impl Default for PipeLayerConfig {
 impl PipeLayerConfig {
     /// Creates a config with the default device parameters and the given
     /// batch size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::ZeroBatch`] if `batch_size` is zero.
-    pub fn try_with_batch(batch_size: usize) -> Result<Self, ConfigError> {
-        if batch_size == 0 {
-            return Err(ConfigError::ZeroBatch);
-        }
-        Ok(PipeLayerConfig {
-            batch_size,
-            ..Self::default()
-        })
-    }
-
-    /// Creates a config with the default device parameters and the given
-    /// batch size.
-    ///
-    /// Zero `batch_size` is debug-asserted; release builds clamp it to 1.
-    /// Use [`try_with_batch`](Self::try_with_batch) to handle the error
-    /// explicitly.
-    pub fn with_batch(batch_size: usize) -> Self {
-        debug_assert!(batch_size > 0, "batch size must be non-zero");
+    pub fn with_batch(batch_size: NonZeroUsize) -> Self {
         PipeLayerConfig {
-            batch_size: batch_size.max(1),
+            batch_size,
             ..Self::default()
         }
     }
 
     /// Enables the fault-tolerance stack: stuck-at faults drawn from
     /// `faults`, writes going through `verify`, and `spares` columns of
-    /// redundancy per matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if any rate or the verify policy is
-    /// invalid.
-    pub fn try_with_fault_tolerance(
-        mut self,
-        faults: FaultModel,
-        verify: VerifyPolicy,
-        spares: SpareBudget,
-    ) -> Result<Self, ConfigError> {
-        self.fault_model = faults;
-        self.verify = verify;
-        self.spares = spares;
-        self.validate()?;
-        Ok(self)
-    }
-
-    /// [`try_with_fault_tolerance`](Self::try_with_fault_tolerance) that
-    /// debug-asserts validity instead of returning an error. Release builds
-    /// keep the fields as given and defer to the next [`validate`] call
-    /// (every simulator entry point validates its config).
-    ///
-    /// [`validate`]: Self::validate
+    /// redundancy per matrix. The values are checked where the config
+    /// enters a model ([`validate`](Self::validate)).
     pub fn with_fault_tolerance(
         mut self,
         faults: FaultModel,
@@ -270,11 +221,6 @@ impl PipeLayerConfig {
         self.fault_model = faults;
         self.verify = verify;
         self.spares = spares;
-        debug_assert!(
-            self.validate().is_ok(),
-            "invalid fault-tolerance configuration: {:?}",
-            self.validate()
-        );
         self
     }
 
@@ -284,21 +230,9 @@ impl PipeLayerConfig {
     ///
     /// Returns the first violated constraint.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.batch_size == 0 {
-            return Err(ConfigError::ZeroBatch);
-        }
-        for r in [
-            self.fault_model.stuck_at_zero,
-            self.fault_model.stuck_at_max,
-            self.fault_model.dead,
-        ] {
-            if !(0.0..=1.0).contains(&r) || !r.is_finite() {
-                return Err(ConfigError::InvalidFaultRate(r));
-            }
-        }
-        if self.fault_model.total_rate() > 1.0 {
-            return Err(ConfigError::InvalidFaultRate(self.fault_model.total_rate()));
-        }
+        self.fault_model
+            .validate()
+            .map_err(ConfigError::InvalidFaultRate)?;
         if self.verify.max_attempts == 0 {
             return Err(ConfigError::ZeroAttempts);
         }
@@ -390,11 +324,6 @@ impl PipeLayerConfig {
     pub fn with_wear(mut self, wear: WearModel, repair: RepairPolicy) -> Self {
         self.wear = wear;
         self.repair = repair;
-        debug_assert!(
-            self.validate().is_ok(),
-            "invalid wear configuration: {:?}",
-            self.validate()
-        );
         self
     }
 }
@@ -405,29 +334,9 @@ mod tests {
 
     #[test]
     fn default_batch_is_64() {
-        assert_eq!(PipeLayerConfig::default().batch_size, 64);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "non-zero")]
-    fn rejects_zero_batch() {
-        PipeLayerConfig::with_batch(0);
-    }
-
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn zero_batch_clamps_to_one_in_release() {
-        assert_eq!(PipeLayerConfig::with_batch(0).batch_size, 1);
-    }
-
-    #[test]
-    fn try_with_batch_returns_error() {
-        assert_eq!(
-            PipeLayerConfig::try_with_batch(0),
-            Err(ConfigError::ZeroBatch)
-        );
-        assert_eq!(PipeLayerConfig::try_with_batch(8).unwrap().batch_size, 8);
+        assert_eq!(PipeLayerConfig::default().batch_size.get(), 64);
+        let b = NonZeroUsize::new(8).unwrap();
+        assert_eq!(PipeLayerConfig::with_batch(b).batch_size, b);
     }
 
     #[test]
@@ -520,36 +429,39 @@ mod tests {
     }
 
     #[test]
-    fn try_with_fault_tolerance_rejects_bad_rates() {
-        let err = PipeLayerConfig::default().try_with_fault_tolerance(
-            FaultModel {
-                stuck_at_zero: 0.8,
-                stuck_at_max: 0.8,
-                dead: 0.0,
-            },
-            VerifyPolicy::default(),
-            SpareBudget::none(),
-        );
+    fn validate_rejects_bad_fault_tolerance() {
+        let err = PipeLayerConfig::default()
+            .with_fault_tolerance(
+                FaultModel {
+                    stuck_at_zero: 0.8,
+                    stuck_at_max: 0.8,
+                    dead: 0.0,
+                },
+                VerifyPolicy::default(),
+                SpareBudget::none(),
+            )
+            .validate();
         assert!(matches!(err, Err(ConfigError::InvalidFaultRate(_))));
 
-        let err = PipeLayerConfig::default().try_with_fault_tolerance(
-            FaultModel::ideal(),
-            VerifyPolicy {
-                max_attempts: 0,
-                write_sigma: 0.0,
-            },
-            SpareBudget::none(),
-        );
+        let err = PipeLayerConfig::default()
+            .with_fault_tolerance(
+                FaultModel::ideal(),
+                VerifyPolicy::with_attempts(0),
+                SpareBudget::none(),
+            )
+            .validate();
         assert_eq!(err, Err(ConfigError::ZeroAttempts));
 
-        let err = PipeLayerConfig::default().try_with_fault_tolerance(
-            FaultModel::ideal(),
-            VerifyPolicy {
-                max_attempts: 2,
-                write_sigma: f64::NAN,
-            },
-            SpareBudget::none(),
-        );
+        let err = PipeLayerConfig::default()
+            .with_fault_tolerance(
+                FaultModel::ideal(),
+                VerifyPolicy {
+                    max_attempts: 2,
+                    write_sigma: f64::NAN,
+                },
+                SpareBudget::none(),
+            )
+            .validate();
         assert!(matches!(err, Err(ConfigError::InvalidWriteSigma(_))));
     }
 
@@ -609,8 +521,8 @@ mod tests {
     #[test]
     fn config_error_messages_are_stable() {
         assert_eq!(
-            ConfigError::ZeroBatch.to_string(),
-            "batch size must be non-zero"
+            ConfigError::ZeroScrubRows.to_string(),
+            "an enabled scrub policy needs a non-zero row budget"
         );
         assert!(ConfigError::ZeroAttempts
             .to_string()

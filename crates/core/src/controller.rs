@@ -94,8 +94,8 @@ impl Controller {
     /// command streams. The stream has exactly `2L + B + 1` cycles
     /// (Fig. 7b); the final cycle carries the weight updates.
     pub fn compile_training_batch(net: &MappedNetwork) -> Vec<CycleCommands> {
-        let l = net.weighted_layers() as u64;
-        let b = net.config.batch_size as u64;
+        let l = net.weighted_layers().get() as u64;
+        let b = net.config.batch_size.get() as u64;
         let total = 2 * l + b + 1;
         let mut cycles: Vec<CycleCommands> = (1..=total)
             .map(|c| CycleCommands {
@@ -228,16 +228,22 @@ mod tests {
     use crate::config::PipeLayerConfig;
     use crate::mapping::MappedNetwork;
     use pipelayer_nn::zoo;
+    use std::num::NonZeroUsize;
+
+    fn nz(n: usize) -> NonZeroUsize {
+        NonZeroUsize::new(n).unwrap()
+    }
 
     fn net(batch: usize) -> MappedNetwork {
-        MappedNetwork::from_spec(&zoo::spec_mnist_0(), PipeLayerConfig::with_batch(batch))
+        MappedNetwork::try_from_spec(&zoo::spec_mnist_0(), PipeLayerConfig::with_batch(nz(batch)))
+            .unwrap()
     }
 
     #[test]
     fn stream_length_matches_fig7() {
         let net = net(16);
         let stream = Controller::compile_training_batch(&net);
-        let a = Analysis::new(net.weighted_layers(), 16);
+        let a = Analysis::new(net.weighted_layers(), net.config.batch_size);
         assert_eq!(stream.len() as u64, a.training_cycles_pipelined(16));
     }
 
@@ -285,7 +291,7 @@ mod tests {
             .iter()
             .filter(|c| matches!(c, Command::WeightUpdate { .. }))
             .count();
-        assert_eq!(updates, net.weighted_layers());
+        assert_eq!(updates, net.weighted_layers().get());
     }
 
     #[test]
@@ -304,7 +310,7 @@ mod tests {
         // 2L+1 concurrent stages.
         let net = net(32);
         let stream = Controller::compile_training_batch(&net);
-        let l = net.weighted_layers();
+        let l = net.weighted_layers().get();
         let mid = &stream[2 * l + 2]; // safely inside the streaming region
         let stages = mid
             .commands

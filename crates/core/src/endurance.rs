@@ -79,7 +79,7 @@ impl Lifetime {
 /// Panics if `model.write_cycles` is not positive.
 pub fn training_lifetime(net: &MappedNetwork, model: &EnduranceModel) -> Lifetime {
     assert!(model.write_cycles > 0.0, "endurance must be positive");
-    let b = net.config.batch_size as u64;
+    let b = net.config.batch_size.get() as u64;
     // Time per batch at steady state: estimate over a long run.
     let n = 100 * b;
     let est = PerfModel::new(net).training(n, true);
@@ -121,7 +121,7 @@ mod tests {
     use pipelayer_nn::zoo;
 
     fn mapped(spec: &pipelayer_nn::NetSpec) -> MappedNetwork {
-        MappedNetwork::from_spec(spec, PipeLayerConfig::default())
+        MappedNetwork::try_from_spec(spec, PipeLayerConfig::default()).unwrap()
     }
 
     #[test]
@@ -174,7 +174,7 @@ mod tests {
             },
             SpareBudget::typical(),
         );
-        let ft = MappedNetwork::from_spec(&spec, cfg);
+        let ft = MappedNetwork::try_from_spec(&spec, cfg).unwrap();
         let model = EnduranceModel::research_grade();
         let l_base = training_lifetime(&base, &model);
         let l_ft = training_lifetime(&ft, &model);
@@ -196,7 +196,7 @@ mod tests {
             scrub: ScrubPolicy::every(10, 64),
             ..Default::default()
         };
-        let scrubbed = MappedNetwork::from_spec(&spec, cfg);
+        let scrubbed = MappedNetwork::try_from_spec(&spec, cfg).unwrap();
         let model = EnduranceModel::research_grade();
         let l_base = training_lifetime(&base, &model);
         let l_scrub = training_lifetime(&scrubbed, &model);

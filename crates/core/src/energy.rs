@@ -206,7 +206,7 @@ impl<'a> EnergyModel<'a> {
     /// Sec. 6.6 explanation for PipeLayer's power-efficiency deficit.
     pub fn training_breakdown_j_per_image(&self) -> EnergyBreakdown {
         let p = &self.net.config.params;
-        let b = self.net.config.batch_size as f64;
+        let b = self.net.config.batch_size.get() as f64;
         let reads = ((self.training_read_spikes_per_image() as f64
             + self.update_verify_read_spikes_per_batch() as f64 / b)
             * p.read_energy_pj)
@@ -231,7 +231,7 @@ impl<'a> EnergyModel<'a> {
     ///
     /// Panics unless `n` is a positive multiple of the batch size.
     pub fn training_energy_j(&self, n: u64) -> Joules {
-        let b = self.net.config.batch_size as u64;
+        let b = self.net.config.batch_size.get() as u64;
         assert!(
             n > 0 && n.is_multiple_of(b),
             "n must be a multiple of the batch size"
@@ -253,9 +253,14 @@ mod tests {
     use crate::config::PipeLayerConfig;
     use crate::mapping::MappedNetwork;
     use pipelayer_nn::zoo;
+    use std::num::NonZeroUsize;
+
+    fn nz(n: usize) -> NonZeroUsize {
+        NonZeroUsize::new(n).unwrap()
+    }
 
     fn model_for(spec: &pipelayer_nn::NetSpec) -> MappedNetwork {
-        MappedNetwork::from_spec(spec, PipeLayerConfig::default())
+        MappedNetwork::try_from_spec(spec, PipeLayerConfig::default()).unwrap()
     }
 
     #[test]
@@ -291,8 +296,10 @@ mod tests {
     #[test]
     fn larger_batch_amortises_update_energy() {
         let spec = zoo::spec_mnist_c();
-        let small = MappedNetwork::from_spec(&spec, PipeLayerConfig::with_batch(8));
-        let large = MappedNetwork::from_spec(&spec, PipeLayerConfig::with_batch(64));
+        let small =
+            MappedNetwork::try_from_spec(&spec, PipeLayerConfig::with_batch(nz(8))).unwrap();
+        let large =
+            MappedNetwork::try_from_spec(&spec, PipeLayerConfig::with_batch(nz(64))).unwrap();
         let e_small = EnergyModel::new(&small).training_energy_j(64);
         let e_large = EnergyModel::new(&large).training_energy_j(64);
         assert!(e_large < e_small);
@@ -347,7 +354,7 @@ mod tests {
             scrub: ScrubPolicy::every(50, 16),
             ..Default::default()
         };
-        let scrubbed = MappedNetwork::from_spec(&spec, cfg);
+        let scrubbed = MappedNetwork::try_from_spec(&spec, cfg).unwrap();
         let e = EnergyModel::new(&scrubbed);
         assert!(e.scrub_cells_per_pass() > 0);
         assert!(e.scrub_read_spikes_per_image() > 0.0);
@@ -375,7 +382,7 @@ mod tests {
             },
             SpareBudget::typical(),
         );
-        let ft = MappedNetwork::from_spec(&spec, ft_cfg);
+        let ft = MappedNetwork::try_from_spec(&spec, ft_cfg).unwrap();
         let e_base = EnergyModel::new(&base);
         let e_ft = EnergyModel::new(&ft);
 

@@ -75,17 +75,11 @@ pub fn granularity_with_budget(layers: &[ResolvedLayer], budget: u64) -> Vec<usi
 }
 
 /// Scales a granularity configuration by λ (Fig. 17/18): `G' = round(λ·G)`
-/// clamped to `[1, P_l]`. λ = 0 collapses every layer to `G = 1`;
-/// `scale_max` (λ = "max") sets `G_l = P_l`.
-///
-/// A non-finite or negative λ is debug-checked; in release it degrades to
-/// the clamp (`G = 1`) rather than panicking.
+/// clamped to `[1, P_l]`, one entry per `(g, layer)` pair. λ = 0 collapses
+/// every layer to `G = 1`; `scale_max` (λ = "max") sets `G_l = P_l`. The
+/// `G ≥ 1` floor is part of the model, so a negative or NaN λ also gives
+/// `G = 1`; `AcceleratorBuilder::build` rejects those λ before scaling.
 pub fn scale_lambda(g: &[usize], lambda: f64, layers: &[ResolvedLayer]) -> Vec<usize> {
-    debug_assert_eq!(g.len(), layers.len(), "granularity/layer length mismatch");
-    debug_assert!(
-        lambda >= 0.0 && lambda.is_finite(),
-        "invalid lambda {lambda}"
-    );
     g.iter()
         .zip(layers)
         .map(|(&gl, l)| {

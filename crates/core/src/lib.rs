@@ -30,13 +30,15 @@
 //! ```
 //! use pipelayer::api::Accelerator;
 //! use pipelayer_nn::zoo;
+//! use std::num::NonZeroUsize;
 //!
 //! // Configure PipeLayer for AlexNet training at default granularity.
 //! let accel = Accelerator::builder(zoo::alexnet())
-//!     .batch_size(64)
-//!     .build();
+//!     .batch_size(NonZeroUsize::try_from(64)?)
+//!     .build()?;
 //! let est = accel.estimate_training(6400);
 //! assert!(est.time_s.0 > 0.0 && est.energy_j.0 > 0.0);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 pub mod analysis;

@@ -17,10 +17,13 @@ use crate::config::{ConfigError, PipeLayerConfig};
 use crate::granularity::default_granularity;
 use pipelayer_nn::spec::{NetSpec, ResolvedLayer};
 use pipelayer_reram::tile_grid;
+use std::num::NonZeroUsize;
 
 /// A rejected mapping request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MapError {
+    /// The network has no weighted (conv or inner-product) layer to map.
+    NoWeightedLayers,
     /// The per-layer granularity vector's length differed from the number
     /// of weighted layers.
     GranularityLength {
@@ -34,6 +37,8 @@ pub enum MapError {
         /// Index of the offending layer.
         layer: usize,
     },
+    /// The granularity scale λ was negative or non-finite.
+    InvalidLambda(f64),
     /// The configuration itself was invalid.
     Config(ConfigError),
 }
@@ -41,6 +46,7 @@ pub enum MapError {
 impl core::fmt::Display for MapError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
+            MapError::NoWeightedLayers => write!(f, "network has no weighted layer to map"),
             MapError::GranularityLength { expected, got } => {
                 write!(
                     f,
@@ -49,6 +55,9 @@ impl core::fmt::Display for MapError {
             }
             MapError::ZeroGranularity { layer } => {
                 write!(f, "granularity must be positive (layer {layer} is zero)")
+            }
+            MapError::InvalidLambda(l) => {
+                write!(f, "lambda {l} must be finite and non-negative")
             }
             MapError::Config(e) => write!(f, "invalid configuration: {e}"),
         }
@@ -91,7 +100,9 @@ pub struct MappedLayer {
     pub in_words: u64,
 }
 
-/// A network fully mapped onto the accelerator.
+/// A network fully mapped onto the accelerator. Built only by the `try_*`
+/// constructors, which validate the configuration and reject a network
+/// with no weighted layer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MappedNetwork {
     /// Network name.
@@ -100,6 +111,8 @@ pub struct MappedNetwork {
     pub layers: Vec<MappedLayer>,
     /// Configuration used for the mapping.
     pub config: PipeLayerConfig,
+    /// `L`, fixed when the network was mapped.
+    weighted_layers: NonZeroUsize,
 }
 
 impl MappedNetwork {
@@ -107,31 +120,21 @@ impl MappedNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`MapError::Config`] if `config` is invalid.
+    /// Returns [`MapError::Config`] if `config` is invalid and
+    /// [`MapError::NoWeightedLayers`] if `spec` has nothing to map.
     pub fn try_from_spec(spec: &NetSpec, config: PipeLayerConfig) -> Result<Self, MapError> {
         let resolved = spec.resolve();
         let g = default_granularity(&resolved);
         Self::try_with_granularity(spec, &g, config)
     }
 
-    /// Maps `spec` with the default (Table 5 style) granularity.
-    ///
-    /// An invalid `config` is debug-asserted; release builds proceed and
-    /// rely on the downstream partitioning checks. Use
-    /// [`try_from_spec`](Self::try_from_spec) to handle the error
-    /// explicitly.
-    pub fn from_spec(spec: &NetSpec, config: PipeLayerConfig) -> Self {
-        let resolved = spec.resolve();
-        let g = default_granularity(&resolved);
-        Self::with_granularity(spec, &g, config)
-    }
-
     /// Maps `spec` with an explicit per-layer granularity.
     ///
     /// # Errors
     ///
-    /// Returns a [`MapError`] if `g.len()` differs from the number of
-    /// weighted layers, any entry is zero, or `config` is invalid.
+    /// Returns a [`MapError`] if `config` is invalid, `spec` has no
+    /// weighted layer, `g.len()` differs from the number of weighted
+    /// layers, or any entry is zero.
     pub fn try_with_granularity(
         spec: &NetSpec,
         g: &[usize],
@@ -139,6 +142,8 @@ impl MappedNetwork {
     ) -> Result<Self, MapError> {
         config.validate()?;
         let resolved = spec.resolve();
+        let weighted_layers =
+            NonZeroUsize::new(resolved.len()).ok_or(MapError::NoWeightedLayers)?;
         if g.len() != resolved.len() {
             return Err(MapError::GranularityLength {
                 expected: resolved.len(),
@@ -148,39 +153,13 @@ impl MappedNetwork {
         if let Some(layer) = g.iter().position(|&x| x == 0) {
             return Err(MapError::ZeroGranularity { layer });
         }
-        Ok(Self::map_resolved(spec, resolved, g, config))
-    }
-
-    /// Maps `spec` with an explicit per-layer granularity.
-    ///
-    /// A wrong-length `g`, zero entries, or an invalid `config` are
-    /// debug-asserted; release builds sanitize the granularity (wrong
-    /// length falls back to all-ones, zero entries are raised to 1) and
-    /// proceed. Use [`try_with_granularity`](Self::try_with_granularity)
-    /// to handle the error explicitly.
-    pub fn with_granularity(spec: &NetSpec, g: &[usize], config: PipeLayerConfig) -> Self {
-        debug_assert!(
-            config.validate().is_ok(),
-            "invalid config: {:?}",
-            config.validate()
-        );
-        let resolved = spec.resolve();
-        debug_assert!(
-            g.len() == resolved.len(),
-            "granularity length mismatch: expected {}, got {}",
-            resolved.len(),
-            g.len()
-        );
-        debug_assert!(
-            g.iter().all(|&x| x > 0),
-            "granularity must be positive in every layer"
-        );
-        let sane: Vec<usize> = if g.len() == resolved.len() {
-            g.iter().map(|&x| x.max(1)).collect()
-        } else {
-            vec![1; resolved.len()]
-        };
-        Self::map_resolved(spec, resolved, &sane, config)
+        Ok(Self::map_resolved(
+            spec,
+            resolved,
+            g,
+            config,
+            weighted_layers,
+        ))
     }
 
     fn map_resolved(
@@ -188,6 +167,7 @@ impl MappedNetwork {
         resolved: Vec<ResolvedLayer>,
         g: &[usize],
         config: PipeLayerConfig,
+        weighted_layers: NonZeroUsize,
     ) -> Self {
         let size = config.params.xbar_size;
         let layers = resolved
@@ -244,12 +224,13 @@ impl MappedNetwork {
             name: spec.name.clone(),
             layers,
             config,
+            weighted_layers,
         }
     }
 
     /// Number of weighted layers (`L`).
-    pub fn weighted_layers(&self) -> usize {
-        self.layers.len()
+    pub fn weighted_layers(&self) -> NonZeroUsize {
+        self.weighted_layers
     }
 
     /// Physical crossbars in the forward (morphable, computation-mode)
@@ -279,7 +260,7 @@ impl MappedNetwork {
     pub fn gradient_data_crossbars(&self) -> u64 {
         let cells_per_xbar = (self.config.params.xbar_size * self.config.params.xbar_size) as u64;
         let cells_per_word = self.config.params.cells_per_word() as u64;
-        let b = self.config.batch_size as u64;
+        let b = self.config.batch_size.get() as u64;
         self.layers
             .iter()
             .map(|l| (l.out_words * cells_per_word * b).div_ceil(cells_per_xbar))
@@ -341,7 +322,7 @@ mod tests {
     use pipelayer_nn::zoo;
 
     fn mapped(spec: &pipelayer_nn::NetSpec) -> MappedNetwork {
-        MappedNetwork::from_spec(spec, PipeLayerConfig::default())
+        MappedNetwork::try_from_spec(spec, PipeLayerConfig::default()).unwrap()
     }
 
     #[test]
@@ -388,8 +369,9 @@ mod tests {
         let resolved = spec.resolve();
         let g1 = vec![1usize; resolved.len()];
         let g2 = vec![2usize; resolved.len()];
-        let m1 = MappedNetwork::with_granularity(&spec, &g1, PipeLayerConfig::default());
-        let m2 = MappedNetwork::with_granularity(&spec, &g2, PipeLayerConfig::default());
+        let cfg = PipeLayerConfig::default();
+        let m1 = MappedNetwork::try_with_granularity(&spec, &g1, cfg).unwrap();
+        let m2 = MappedNetwork::try_with_granularity(&spec, &g2, cfg).unwrap();
         assert_eq!(m2.forward_crossbars(), 2 * m1.forward_crossbars());
         assert!(m2.total_crossbars_training() > m1.total_crossbars_training());
     }
@@ -418,25 +400,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "granularity length mismatch")]
-    fn rejects_wrong_granularity_length() {
-        let spec = zoo::spec_mnist_a();
-        MappedNetwork::with_granularity(&spec, &[1], PipeLayerConfig::default());
-    }
-
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn wrong_granularity_length_falls_back_to_ones_in_release() {
-        let spec = zoo::spec_mnist_a();
-        let m = MappedNetwork::with_granularity(&spec, &[1], PipeLayerConfig::default());
-        assert_eq!(
-            m,
-            MappedNetwork::with_granularity(&spec, &[1, 1], PipeLayerConfig::default())
-        );
-    }
-
-    #[test]
     fn try_variants_return_errors_not_panics() {
         let spec = zoo::spec_mnist_a();
         let err = MappedNetwork::try_with_granularity(&spec, &[1], PipeLayerConfig::default());
@@ -449,42 +412,23 @@ mod tests {
         );
         let err = MappedNetwork::try_with_granularity(&spec, &[1, 0], PipeLayerConfig::default());
         assert_eq!(err, Err(MapError::ZeroGranularity { layer: 1 }));
+        let empty = pipelayer_nn::NetSpec::new("empty", (1, 4, 4), vec![]);
+        assert_eq!(
+            MappedNetwork::try_from_spec(&empty, PipeLayerConfig::default()),
+            Err(MapError::NoWeightedLayers)
+        );
         let ok = MappedNetwork::try_from_spec(&spec, PipeLayerConfig::default()).unwrap();
-        assert_eq!(
-            ok,
-            MappedNetwork::from_spec(&spec, PipeLayerConfig::default())
-        );
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "granularity must be positive")]
-    fn rejects_zero_granularity() {
-        let spec = zoo::spec_mnist_a();
-        MappedNetwork::with_granularity(&spec, &[1, 0], PipeLayerConfig::default());
-    }
-
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn zero_granularity_entries_raise_to_one_in_release() {
-        let spec = zoo::spec_mnist_a();
-        let m = MappedNetwork::with_granularity(&spec, &[1, 0], PipeLayerConfig::default());
-        assert_eq!(
-            m,
-            MappedNetwork::with_granularity(&spec, &[1, 1], PipeLayerConfig::default())
-        );
+        assert_eq!(ok.weighted_layers().get(), ok.layers.len());
     }
 
     #[test]
     fn try_mapping_propagates_config_errors() {
         let spec = zoo::spec_mnist_a();
-        let bad = PipeLayerConfig {
-            batch_size: 0,
-            ..Default::default()
-        };
+        let mut bad = PipeLayerConfig::default();
+        bad.verify.max_attempts = 0;
         assert!(matches!(
             MappedNetwork::try_from_spec(&spec, bad),
-            Err(MapError::Config(crate::config::ConfigError::ZeroBatch))
+            Err(MapError::Config(crate::config::ConfigError::ZeroAttempts))
         ));
     }
 
@@ -500,7 +444,7 @@ mod tests {
             spares: SpareBudget::typical(),
             ..Default::default()
         };
-        let spared = MappedNetwork::from_spec(&spec, cfg);
+        let spared = MappedNetwork::try_from_spec(&spec, cfg).unwrap();
         assert!((spared.spare_overhead_fraction() - 4.0 / 128.0).abs() < 1e-12);
         assert!(spared.spare_crossbar_equivalent() > 0.0);
         // Redundancy never changes the working-array accounting.

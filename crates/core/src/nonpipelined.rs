@@ -4,46 +4,19 @@
 //! PipeLayer-without-pipeline in Figs. 15/16 uses this schedule with the
 //! same arrays and cycle time.
 
-use crate::config::ConfigError;
+use std::num::NonZeroUsize;
 
 /// Sequential (non-pipelined) schedule generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NonPipelined {
-    l: usize,
-    b: usize,
+    l: NonZeroUsize,
+    b: NonZeroUsize,
 }
 
 impl NonPipelined {
     /// Creates a schedule for `L` layers and batch size `B`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::ZeroLayers`] if `l` is zero and
-    /// [`ConfigError::ZeroBatch`] if `b` is zero.
-    pub fn try_new(l: usize, b: usize) -> Result<Self, ConfigError> {
-        if l == 0 {
-            return Err(ConfigError::ZeroLayers);
-        }
-        if b == 0 {
-            return Err(ConfigError::ZeroBatch);
-        }
-        Ok(NonPipelined { l, b })
-    }
-
-    /// Creates a schedule for `L` layers and batch size `B`.
-    ///
-    /// Zero `l`/`b` is debug-asserted; release builds clamp both to 1
-    /// (a degenerate but well-defined schedule). Use
-    /// [`try_new`](Self::try_new) to handle the error explicitly.
-    pub fn new(l: usize, b: usize) -> Self {
-        debug_assert!(
-            l > 0 && b > 0,
-            "degenerate configuration: L and B must be non-zero (got L={l}, B={b})"
-        );
-        NonPipelined {
-            l: l.max(1),
-            b: b.max(1),
-        }
+    pub fn new(l: NonZeroUsize, b: NonZeroUsize) -> Self {
+        NonPipelined { l, b }
     }
 
     /// Training cycles for `n` images, counted by explicit simulation.
@@ -53,14 +26,14 @@ impl NonPipelined {
     /// Panics unless `n` is a positive multiple of `B`.
     pub fn training_cycles(&self, n: u64) -> u64 {
         assert!(
-            n > 0 && n.is_multiple_of(self.b as u64),
+            n > 0 && n.is_multiple_of(self.b.get() as u64),
             "n must be a multiple of B"
         );
         let mut cycle = 0u64;
         for img in 0..n {
-            cycle += self.l as u64; // forward
-            cycle += self.l as u64 + 1; // error + backward stages
-            if (img + 1) % self.b as u64 == 0 {
+            cycle += self.l.get() as u64; // forward
+            cycle += self.l.get() as u64 + 1; // error + backward stages
+            if (img + 1) % self.b.get() as u64 == 0 {
                 cycle += 1; // weight update at batch end
             }
         }
@@ -70,7 +43,7 @@ impl NonPipelined {
     /// Testing cycles: `L` per image.
     pub fn testing_cycles(&self, n: u64) -> u64 {
         assert!(n > 0, "empty workload");
-        self.l as u64 * n
+        self.l.get() as u64 * n
     }
 
     /// At most one stage is active per cycle — the defining property.
@@ -85,31 +58,35 @@ mod tests {
     use crate::analysis::Analysis;
     use proptest::prelude::*;
 
+    fn nz(n: usize) -> NonZeroUsize {
+        NonZeroUsize::new(n).unwrap()
+    }
+
     #[test]
     fn matches_closed_form() {
         for (l, b, k) in [(3usize, 64usize, 1u64), (8, 16, 4), (19, 64, 2)] {
-            let np = NonPipelined::new(l, b);
+            let np = NonPipelined::new(nz(l), nz(b));
             let n = k * b as u64;
             assert_eq!(
                 np.training_cycles(n),
-                Analysis::new(l, b).training_cycles_nonpipelined(n)
+                Analysis::new(nz(l), nz(b)).training_cycles_nonpipelined(n)
             );
         }
     }
 
     #[test]
     fn one_stage_at_a_time() {
-        assert_eq!(NonPipelined::new(5, 8).peak_parallel_stages(), 1);
+        assert_eq!(NonPipelined::new(nz(5), nz(8)).peak_parallel_stages(), 1);
     }
 
     proptest! {
         #[test]
         fn simulation_equals_formula(l in 1usize..25, b in 1usize..128, k in 1u64..8) {
-            let np = NonPipelined::new(l, b);
+            let np = NonPipelined::new(nz(l), nz(b));
             let n = k * b as u64;
             prop_assert_eq!(
                 np.training_cycles(n),
-                Analysis::new(l, b).training_cycles_nonpipelined(n)
+                Analysis::new(nz(l), nz(b)).training_cycles_nonpipelined(n)
             );
         }
     }

@@ -60,7 +60,7 @@ impl<'a> PerfModel<'a> {
         let timing = TimingModel::new(self.net);
         let cycle_ns = timing.cycle_training_ns();
         let update_ns = timing.update_cycle_ns();
-        let batches = n / self.net.config.batch_size as u64;
+        let batches = n / self.net.config.batch_size.get() as u64;
         let cycles = if pipelined {
             self.analysis().training_cycles_pipelined(n)
         } else {
@@ -126,7 +126,7 @@ mod tests {
     use pipelayer_nn::zoo;
 
     fn model_net(spec: &pipelayer_nn::NetSpec) -> MappedNetwork {
-        MappedNetwork::from_spec(spec, PipeLayerConfig::default())
+        MappedNetwork::try_from_spec(spec, PipeLayerConfig::default()).unwrap()
     }
 
     #[test]

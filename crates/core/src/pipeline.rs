@@ -14,14 +14,14 @@
 //! closed-form cycle counts of [`analysis`](crate::analysis).
 
 use crate::buffers::CircularBuffer;
-use crate::config::ConfigError;
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 
 /// Pipeline simulator for `L` weighted layers and batch size `B`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineSim {
-    l: usize,
-    b: usize,
+    l: NonZeroUsize,
+    b: NonZeroUsize,
 }
 
 /// Result of a simulated run.
@@ -61,35 +61,8 @@ impl Stage {
 
 impl PipelineSim {
     /// Creates a simulator.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::ZeroLayers`] if `l` is zero and
-    /// [`ConfigError::ZeroBatch`] if `b` is zero.
-    pub fn try_new(l: usize, b: usize) -> Result<Self, ConfigError> {
-        if l == 0 {
-            return Err(ConfigError::ZeroLayers);
-        }
-        if b == 0 {
-            return Err(ConfigError::ZeroBatch);
-        }
-        Ok(PipelineSim { l, b })
-    }
-
-    /// Creates a simulator.
-    ///
-    /// Zero `l`/`b` is debug-asserted; release builds clamp both to 1
-    /// (a degenerate but well-defined pipeline). Use
-    /// [`try_new`](Self::try_new) to handle the error explicitly.
-    pub fn new(l: usize, b: usize) -> Self {
-        debug_assert!(
-            l > 0 && b > 0,
-            "degenerate pipeline: L and B must be non-zero (got L={l}, B={b})"
-        );
-        PipelineSim {
-            l: l.max(1),
-            b: b.max(1),
-        }
+    pub fn new(l: NonZeroUsize, b: NonZeroUsize) -> Self {
+        PipelineSim { l, b }
     }
 
     /// Simulates training of `n_batches` full batches with the d-buffer
@@ -103,7 +76,7 @@ impl PipelineSim {
         trace_cycles: usize,
     ) -> SimOutcome {
         assert!(n_batches > 0, "need at least one batch");
-        let (l, b) = (self.l as u64, self.b as u64);
+        let (l, b) = (self.l.get() as u64, self.b.get() as u64);
 
         // Event schedule: cycle → [(stage, image id)].
         let mut events: BTreeMap<u64, Vec<(Stage, u64)>> = BTreeMap::new();
@@ -134,15 +107,19 @@ impl PipelineSim {
                 .push((Stage::Update, batch));
         }
 
-        // Buffers: d_1..d_L with Fig. 8 depths (+slack), δ_1..δ_L depth 1.
-        let mut d_buf: Vec<CircularBuffer> = (1..=self.l)
+        // Buffers: d_1..d_L with Fig. 8 depths (+slack, floored at one
+        // slot), δ_1..δ_L depth 1.
+        let l_count = self.l.get();
+        let mut d_buf: Vec<CircularBuffer> = (1..=l_count)
             .map(|layer| {
-                let depth = (2 * (self.l - layer) + 1) as i64 + depth_slack;
-                CircularBuffer::new(depth.max(1) as usize)
+                let depth = (2 * (l_count - layer) + 1) as i64 + depth_slack;
+                let depth = usize::try_from(depth).ok().and_then(NonZeroUsize::new);
+                CircularBuffer::new(depth.unwrap_or(NonZeroUsize::MIN))
             })
             .collect();
-        let mut delta_buf: Vec<CircularBuffer> =
-            (0..self.l).map(|_| CircularBuffer::new(1)).collect();
+        let mut delta_buf: Vec<CircularBuffer> = (0..l_count)
+            .map(|_| CircularBuffer::new(NonZeroUsize::MIN))
+            .collect();
 
         let mut violations = 0u64;
         let mut peak = 0usize;
@@ -166,8 +143,8 @@ impl PipelineSim {
                         writes.push((layer - 1, 'd', img));
                     }
                     Stage::Error => {
-                        reads.push((self.l - 1, 'd', img));
-                        writes.push((self.l - 1, 'e', img));
+                        reads.push((l_count - 1, 'd', img));
+                        writes.push((l_count - 1, 'e', img));
                     }
                     Stage::Backward(m) => {
                         reads.push((m - 1, 'e', img)); // δ_m
@@ -228,8 +205,10 @@ impl PipelineSim {
     /// enters per cycle; buffers hold a single entry each).
     pub fn simulate_testing(&self, n: u64, trace_cycles: usize) -> SimOutcome {
         assert!(n > 0, "empty workload");
-        let l = self.l as u64;
-        let mut d_buf: Vec<CircularBuffer> = (0..self.l).map(|_| CircularBuffer::new(1)).collect();
+        let l = self.l.get() as u64;
+        let mut d_buf: Vec<CircularBuffer> = (0..self.l.get())
+            .map(|_| CircularBuffer::new(NonZeroUsize::MIN))
+            .collect();
         let mut violations = 0u64;
         let mut peak = 0usize;
         let mut trace = Vec::new();
@@ -283,10 +262,14 @@ mod tests {
     use crate::analysis::Analysis;
     use proptest::prelude::*;
 
+    fn nz(n: usize) -> NonZeroUsize {
+        NonZeroUsize::new(n).unwrap()
+    }
+
     #[test]
     fn matches_fig3_single_image() {
         // L = 3, B = 1: one image takes 2L+1 = 7 compute cycles + update.
-        let sim = PipelineSim::new(3, 1);
+        let sim = PipelineSim::new(nz(3), nz(1));
         let out = sim.simulate_training(1, 0, 10);
         assert_eq!(out.cycles, 8);
         assert_eq!(out.dependency_violations, 0);
@@ -299,9 +282,9 @@ mod tests {
     #[test]
     fn cycle_count_matches_table2_formula() {
         for (l, b, batches) in [(3usize, 4usize, 2usize), (8, 64, 1), (5, 16, 3)] {
-            let sim = PipelineSim::new(l, b);
+            let sim = PipelineSim::new(nz(l), nz(b));
             let out = sim.simulate_training(batches, 0, 0);
-            let a = Analysis::new(l, b);
+            let a = Analysis::new(nz(l), nz(b));
             assert_eq!(
                 out.cycles,
                 a.training_cycles_pipelined((batches * b) as u64),
@@ -315,7 +298,7 @@ mod tests {
     fn undersized_buffers_violate_dependencies() {
         // Shrinking every d-buffer by one slot must break the pipeline —
         // the paper's 2(L−l)+1 sizing is tight.
-        let sim = PipelineSim::new(4, 16);
+        let sim = PipelineSim::new(nz(4), nz(16));
         let out = sim.simulate_training(1, -1, 0);
         assert!(
             out.dependency_violations > 0,
@@ -330,7 +313,7 @@ mod tests {
     fn duplicated_buffers_are_dl_and_deltas() {
         // The paper: same-cycle read+write "happens for the buffer at d_L,
         // δ_3, δ_2, δ_1" (L = 3).
-        let sim = PipelineSim::new(3, 8);
+        let sim = PipelineSim::new(nz(3), nz(8));
         let out = sim.simulate_training(1, 0, 0);
         assert!(out.same_cycle_buffers.contains(&"d3".to_string()));
         assert!(out.same_cycle_buffers.contains(&"delta2".to_string()));
@@ -340,18 +323,18 @@ mod tests {
     #[test]
     fn pipeline_reaches_full_occupancy() {
         // Mid-batch every stage (L forward + 1 error + L backward) is busy.
-        let sim = PipelineSim::new(3, 32);
+        let sim = PipelineSim::new(nz(3), nz(32));
         let out = sim.simulate_training(1, 0, 0);
         assert_eq!(out.peak_parallel_stages, 2 * 3 + 1);
     }
 
     #[test]
     fn testing_matches_formula_and_is_clean() {
-        let sim = PipelineSim::new(8, 64);
+        let sim = PipelineSim::new(nz(8), nz(64));
         let out = sim.simulate_testing(1000, 0);
         assert_eq!(
             out.cycles,
-            Analysis::new(8, 64).testing_cycles_pipelined(1000)
+            Analysis::new(nz(8), nz(64)).testing_cycles_pipelined(1000)
         );
         assert_eq!(out.dependency_violations, 0);
         assert_eq!(out.peak_parallel_stages, 8);
@@ -359,7 +342,7 @@ mod tests {
 
     #[test]
     fn trace_shows_one_new_image_per_cycle() {
-        let sim = PipelineSim::new(2, 4);
+        let sim = PipelineSim::new(nz(2), nz(4));
         let out = sim.simulate_training(1, 0, 4);
         assert!(out.trace[0].contains("A1[0]"));
         assert!(out.trace[1].contains("A1[1]") && out.trace[1].contains("A2[0]"));
@@ -372,10 +355,10 @@ mod tests {
         /// dependency and the cycle count equals the closed form.
         #[test]
         fn schedule_always_clean(l in 1usize..10, b in 1usize..32, batches in 1usize..4) {
-            let sim = PipelineSim::new(l, b);
+            let sim = PipelineSim::new(nz(l), nz(b));
             let out = sim.simulate_training(batches, 0, 0);
             prop_assert_eq!(out.dependency_violations, 0);
-            let a = Analysis::new(l, b);
+            let a = Analysis::new(nz(l), nz(b));
             prop_assert_eq!(out.cycles, a.training_cycles_pipelined((batches * b) as u64));
         }
     }

@@ -56,7 +56,7 @@ impl ConfigurationReport {
     /// Builds the report over a probe workload of `n` images (rounded down
     /// to a batch multiple, minimum one batch).
     pub fn build(net: &MappedNetwork, n: u64) -> Self {
-        let b = net.config.batch_size as u64;
+        let b = net.config.batch_size.get() as u64;
         let n = (n - n % b).max(b);
         let perf = PerfModel::new(net);
         let timing = TimingModel::new(net);
@@ -76,8 +76,8 @@ impl ConfigurationReport {
         let area = training_area(net, &AreaModel::default());
         ConfigurationReport {
             network: net.name.clone(),
-            layers: net.weighted_layers(),
-            batch: net.config.batch_size,
+            layers: net.weighted_layers().get(),
+            batch: net.config.batch_size.get(),
             per_layer,
             crossbars: area.crossbars,
             area_mm2: area.mm2,
@@ -149,10 +149,16 @@ mod tests {
     use super::*;
     use crate::config::PipeLayerConfig;
     use pipelayer_nn::zoo;
+    use std::num::NonZeroUsize;
+
+    fn nz(n: usize) -> NonZeroUsize {
+        NonZeroUsize::new(n).unwrap()
+    }
 
     #[test]
     fn report_covers_every_layer() {
-        let net = MappedNetwork::from_spec(&zoo::alexnet(), PipeLayerConfig::default());
+        let net =
+            MappedNetwork::try_from_spec(&zoo::alexnet(), PipeLayerConfig::default()).unwrap();
         let r = ConfigurationReport::build(&net, 640);
         assert_eq!(r.per_layer.len(), 8);
         assert!(r.area_mm2 > 0.0 && r.gops > 0.0);
@@ -161,7 +167,9 @@ mod tests {
 
     #[test]
     fn probe_workload_rounds_to_batch() {
-        let net = MappedNetwork::from_spec(&zoo::spec_mnist_a(), PipeLayerConfig::with_batch(64));
+        let net =
+            MappedNetwork::try_from_spec(&zoo::spec_mnist_a(), PipeLayerConfig::with_batch(nz(64)))
+                .unwrap();
         let r = ConfigurationReport::build(&net, 100); // rounds to 64
         assert_eq!(r.training.images, 64);
         let r2 = ConfigurationReport::build(&net, 10); // clamps up to one batch
@@ -170,7 +178,8 @@ mod tests {
 
     #[test]
     fn display_is_complete_and_nonempty() {
-        let net = MappedNetwork::from_spec(&zoo::spec_mnist_0(), PipeLayerConfig::default());
+        let net =
+            MappedNetwork::try_from_spec(&zoo::spec_mnist_0(), PipeLayerConfig::default()).unwrap();
         let r = ConfigurationReport::build(&net, 128);
         let s = r.to_string();
         assert!(s.contains("Mnist-0"));

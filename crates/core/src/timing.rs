@@ -140,7 +140,7 @@ mod tests {
     use pipelayer_nn::zoo;
 
     fn mapped(spec: &pipelayer_nn::NetSpec) -> MappedNetwork {
-        MappedNetwork::from_spec(spec, PipeLayerConfig::default())
+        MappedNetwork::try_from_spec(spec, PipeLayerConfig::default()).unwrap()
     }
 
     #[test]
@@ -171,7 +171,8 @@ mod tests {
         let spec = zoo::vgg(zoo::VggVariant::A);
         let resolved = spec.resolve();
         let g1 = vec![1usize; resolved.len()];
-        let m1 = MappedNetwork::with_granularity(&spec, &g1, PipeLayerConfig::default());
+        let m1 =
+            MappedNetwork::try_with_granularity(&spec, &g1, PipeLayerConfig::default()).unwrap();
         let m_def = mapped(&spec);
         let c1 = TimingModel::new(&m1).cycle_testing_ns();
         let cd = TimingModel::new(&m_def).cycle_testing_ns();
@@ -225,7 +226,7 @@ mod tests {
             scrub: ScrubPolicy::every(100, 8),
             ..Default::default()
         };
-        let scrubbed = MappedNetwork::from_spec(&zoo::spec_mnist_a(), cfg);
+        let scrubbed = MappedNetwork::try_from_spec(&zoo::spec_mnist_a(), cfg).unwrap();
         let t = TimingModel::new(&scrubbed);
         let p = scrubbed.config.params;
         let want = 8.0 / 100.0 * (p.read_phase_ns() + 0.05 * p.write_latency_ns);
@@ -251,7 +252,7 @@ mod tests {
             },
             SpareBudget::typical(),
         );
-        let ft = MappedNetwork::from_spec(&spec, cfg);
+        let ft = MappedNetwork::try_from_spec(&spec, cfg).unwrap();
         let u_base = TimingModel::new(&base).update_cycle_ns();
         let u_ft = TimingModel::new(&ft).update_cycle_ns();
         assert!(u_ft > u_base, "{u_ft:?} vs {u_base:?}");

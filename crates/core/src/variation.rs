@@ -7,6 +7,7 @@ use pipelayer_nn::trainer::BatchNoise;
 use pipelayer_nn::Network;
 use pipelayer_quant::{restore_params, snapshot_params};
 use pipelayer_reram::{seedstream, NoiseModel, ReramParams, VariationModel};
+use std::num::NonZeroUsize;
 
 /// One point of a variation sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,15 +144,17 @@ impl BatchNoise for ReramNoiseHook {
 /// Evaluates a trained network under increasing write variation, restoring
 /// the original weights afterwards. `trials` corruption draws are averaged
 /// per σ.
+///
+/// # Panics
+///
+/// Panics if `data` is empty.
 pub fn variation_sweep(
     net: &mut Network,
     data: &Dataset,
     sigmas: &[f64],
-    trials: usize,
+    trials: NonZeroUsize,
     params: &ReramParams,
 ) -> Vec<VariationPoint> {
-    debug_assert!(!data.is_empty(), "empty evaluation dataset");
-    debug_assert!(trials > 0, "need at least one trial");
     let snapshot = snapshot_params(net);
     let base = net.accuracy(&data.images, &data.labels).max(1e-6);
 
@@ -159,12 +162,12 @@ pub fn variation_sweep(
     for (si, &sigma) in sigmas.iter().enumerate() {
         let model = VariationModel::with_sigma(sigma);
         let mut acc_sum = 0.0f32;
-        for t in 0..trials {
+        for t in 0..trials.get() {
             corrupt_network(net, &model, params, (si * 1000 + t) as u64);
             acc_sum += net.accuracy(&data.images, &data.labels);
             restore_params(net, &snapshot);
         }
-        let accuracy = acc_sum / trials as f32;
+        let accuracy = acc_sum / trials.get() as f32;
         points.push(VariationPoint {
             sigma,
             accuracy,
@@ -182,16 +185,18 @@ pub fn variation_sweep(
 /// of the same hardware. Shares the [`VariationPoint`] schema with
 /// [`variation_sweep`] (`sigma` carries the strength), so both ablations
 /// emit one report format.
+///
+/// # Panics
+///
+/// Panics if `data` is empty.
 pub fn noise_sweep(
     net: &mut Network,
     data: &Dataset,
     strengths: &[f64],
-    trials: usize,
+    trials: NonZeroUsize,
     params: &ReramParams,
     seed: u64,
 ) -> Vec<VariationPoint> {
-    debug_assert!(!data.is_empty(), "empty evaluation dataset");
-    debug_assert!(trials > 0, "need at least one trial");
     let snapshot = snapshot_params(net);
     let base = net.accuracy(&data.images, &data.labels).max(1e-6);
 
@@ -199,12 +204,12 @@ pub fn noise_sweep(
     for &strength in strengths {
         let model = NoiseModel::with_strength(strength);
         let mut acc_sum = 0.0f32;
-        for t in 0..trials {
+        for t in 0..trials.get() {
             corrupt_network_noise(net, &model, params, seed, t as u64);
             acc_sum += net.accuracy(&data.images, &data.labels);
             restore_params(net, &snapshot);
         }
-        let accuracy = acc_sum / trials.max(1) as f32;
+        let accuracy = acc_sum / trials.get() as f32;
         points.push(VariationPoint {
             sigma: strength,
             accuracy,
@@ -237,7 +242,13 @@ mod tests {
     #[test]
     fn zero_sigma_preserves_accuracy() {
         let (mut net, data) = trained();
-        let pts = variation_sweep(&mut net, &data.test, &[0.0], 1, &ReramParams::default());
+        let pts = variation_sweep(
+            &mut net,
+            &data.test,
+            &[0.0],
+            NonZeroUsize::MIN,
+            &ReramParams::default(),
+        );
         assert!(
             (pts[0].normalized - 1.0).abs() < 0.05,
             "σ=0 should be ~lossless, got {}",
@@ -253,7 +264,7 @@ mod tests {
             &mut net,
             &data.test,
             &[0.5, 8.0],
-            2,
+            NonZeroUsize::new(2).unwrap(),
             &ReramParams::default(),
         );
         assert!(
@@ -327,7 +338,14 @@ mod tests {
     fn noise_sweep_zero_strength_is_lossless_and_restores() {
         let (mut net, data) = trained();
         let before = net.accuracy(&data.test.images, &data.test.labels);
-        let pts = noise_sweep(&mut net, &data.test, &[0.0], 2, &ReramParams::default(), 7);
+        let pts = noise_sweep(
+            &mut net,
+            &data.test,
+            &[0.0],
+            NonZeroUsize::new(2).unwrap(),
+            &ReramParams::default(),
+            7,
+        );
         assert_eq!(
             pts[0].accuracy, before,
             "strength 0 must be an exact no-op on accuracy"
@@ -343,7 +361,7 @@ mod tests {
             &mut net,
             &data.test,
             &[0.5, 8.0],
-            2,
+            NonZeroUsize::new(2).unwrap(),
             &ReramParams::default(),
             7,
         );

@@ -58,9 +58,8 @@ impl Conv2d {
             c_in > 0 && c_out > 0 && k > 0 && stride > 0,
             "invalid conv geometry"
         );
-        let fan_in = c_in * k * k;
         Conv2d {
-            weight: init::he_normal(&[c_out, c_in, k, k], fan_in, rng),
+            weight: init::he_normal(&[c_out, c_in, k, k], rng),
             bias: Tensor::zeros(&[c_out]),
             dweight: Tensor::zeros(&[c_out, c_in, k, k]),
             dbias: Tensor::zeros(&[c_out]),

@@ -28,7 +28,7 @@ impl Linear {
     pub fn new(n_in: usize, n_out: usize, rng: &mut impl Rng) -> Self {
         assert!(n_in > 0 && n_out > 0, "invalid linear geometry");
         Linear {
-            weight: init::xavier_uniform(&[n_out, n_in], n_in, n_out, rng),
+            weight: init::xavier_uniform(&[n_out, n_in], rng),
             bias: Tensor::zeros(&[n_out]),
             dweight: Tensor::zeros(&[n_out, n_in]),
             dbias: Tensor::zeros(&[n_out]),

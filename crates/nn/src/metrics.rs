@@ -11,14 +11,10 @@ pub struct ConfusionMatrix {
 
 impl ConfusionMatrix {
     /// Evaluates `net` over `data`, assuming `classes` output classes.
-    ///
-    /// Out-of-range labels (and `classes == 0`) are debug-checked; in
-    /// release such samples are skipped rather than panicking.
+    /// Samples whose label is not below `classes` are skipped.
     pub fn evaluate(net: &Network, data: &Dataset, classes: usize) -> Self {
-        debug_assert!(classes > 0, "need at least one class");
         let mut counts = vec![vec![0usize; classes]; classes];
         for (img, &label) in data.images.iter().zip(&data.labels) {
-            debug_assert!(label < classes, "label {label} out of range");
             let pred = net.predict(img);
             if let Some(row) = counts.get_mut(label) {
                 row[pred.min(classes - 1)] += 1;

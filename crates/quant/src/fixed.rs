@@ -47,21 +47,6 @@ impl Quantizer {
         Ok(Quantizer { bits })
     }
 
-    /// Creates a quantizer.
-    ///
-    /// Out-of-range `bits` is debug-asserted; release builds clamp to the
-    /// supported `1..=24` range. Use [`try_new`](Self::try_new) to handle
-    /// the error explicitly.
-    pub fn new(bits: u8) -> Self {
-        debug_assert!(
-            (1..=24).contains(&bits),
-            "quantizer supports 1..=24 bits (got {bits})"
-        );
-        Quantizer {
-            bits: bits.clamp(1, 24),
-        }
-    }
-
     /// Resolution in bits.
     pub fn bits(&self) -> u8 {
         self.bits
@@ -141,12 +126,16 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn quantizer(bits: u8) -> Quantizer {
+        Quantizer::try_new(bits).unwrap()
+    }
+
     #[test]
     fn qmax_values() {
-        assert_eq!(Quantizer::new(4).qmax(), 7);
-        assert_eq!(Quantizer::new(8).qmax(), 127);
-        assert_eq!(Quantizer::new(16).qmax(), 32767);
-        assert_eq!(Quantizer::new(1).qmax(), 1);
+        assert_eq!(quantizer(4).qmax(), 7);
+        assert_eq!(quantizer(8).qmax(), 127);
+        assert_eq!(quantizer(16).qmax(), 32767);
+        assert_eq!(quantizer(1).qmax(), 1);
     }
 
     #[test]
@@ -163,29 +152,15 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "1..=24 bits")]
-    fn new_panics_out_of_range() {
-        Quantizer::new(25);
-    }
-
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn out_of_range_bits_clamp_in_release() {
-        assert_eq!(Quantizer::new(25).bits(), 24);
-        assert_eq!(Quantizer::new(0).bits(), 1);
-    }
-
-    #[test]
     fn zero_is_exact() {
         for bits in 1..=16 {
-            assert_eq!(Quantizer::new(bits).quantize_dequantize(0.0, 3.0), 0.0);
+            assert_eq!(quantizer(bits).quantize_dequantize(0.0, 3.0), 0.0);
         }
     }
 
     #[test]
     fn extremes_are_exact() {
-        let q = Quantizer::new(6);
+        let q = quantizer(6);
         assert!((q.quantize_dequantize(2.5, 2.5) - 2.5).abs() < 1e-6);
         assert!((q.quantize_dequantize(-2.5, 2.5) + 2.5).abs() < 1e-6);
     }
@@ -193,7 +168,7 @@ mod tests {
     #[test]
     fn tensor_quantization_reduces_distinct_values() {
         let t = Tensor::from_fn(&[100], |i| (i[0] as f32 * 0.3).sin());
-        let q2 = Quantizer::new(2).quantize_tensor(&t);
+        let q2 = quantizer(2).quantize_tensor(&t);
         let mut vals: Vec<i32> = q2.as_slice().iter().map(|&v| (v * 1000.0) as i32).collect();
         vals.sort_unstable();
         vals.dedup();
@@ -209,7 +184,7 @@ mod tests {
         let t = Tensor::from_fn(&[64], |i| ((i[0] * 7 % 13) as f32 - 6.0) * 0.1);
         let mut last_err = f32::INFINITY;
         for bits in [2u8, 4, 6, 8, 12] {
-            let q = Quantizer::new(bits).quantize_tensor(&t);
+            let q = quantizer(bits).quantize_tensor(&t);
             let err = (&t - &q).norm_sq();
             assert!(err <= last_err + 1e-9, "error grew at {bits} bits");
             last_err = err;
@@ -221,7 +196,7 @@ mod tests {
         // One channel holds a huge outlier; per-tensor scaling destroys the
         // other channel's resolution, per-channel scaling preserves it.
         let t = Tensor::from_vec(&[2, 4], vec![100.0, 0.0, 0.0, 0.0, 0.1, 0.2, -0.15, 0.05]);
-        let q = Quantizer::new(4);
+        let q = quantizer(4);
         let per_tensor = q.quantize_tensor(&t);
         let per_channel = q.quantize_tensor_per_channel(&t);
         let err = |qt: &Tensor| -> f32 {
@@ -245,7 +220,7 @@ mod tests {
     #[test]
     fn per_channel_matches_per_tensor_for_uniform_channels() {
         let t = Tensor::from_fn(&[3, 5], |i| ((i[1] as f32) - 2.0) * 0.25);
-        let q = Quantizer::new(6);
+        let q = quantizer(6);
         assert!(q
             .quantize_tensor_per_channel(&t)
             .allclose(&q.quantize_tensor(&t), 1e-6));
@@ -254,20 +229,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "rank-2+")]
     fn per_channel_rejects_vectors() {
-        Quantizer::new(4).quantize_tensor_per_channel(&Tensor::ones(&[4]));
+        quantizer(4).quantize_tensor_per_channel(&Tensor::ones(&[4]));
     }
 
     proptest! {
         #[test]
         fn error_bounded_by_half_lsb(x in -5.0f32..5.0, bits in 2u8..16) {
-            let q = Quantizer::new(bits);
+            let q = quantizer(bits);
             let v = q.quantize_dequantize(x, 5.0);
             prop_assert!((v - x).abs() <= q.max_error(5.0) + 1e-5);
         }
 
         #[test]
         fn quantization_is_idempotent(x in -1.0f32..1.0, bits in 2u8..12) {
-            let q = Quantizer::new(bits);
+            let q = quantizer(bits);
             let once = q.quantize_dequantize(x, 1.0);
             let twice = q.quantize_dequantize(once, 1.0);
             prop_assert!((once - twice).abs() < 1e-6);
@@ -275,7 +250,7 @@ mod tests {
 
         #[test]
         fn sign_symmetry(x in 0.0f32..2.0, bits in 2u8..12) {
-            let q = Quantizer::new(bits);
+            let q = quantizer(bits);
             prop_assert!(
                 (q.quantize_dequantize(x, 2.0) + q.quantize_dequantize(-x, 2.0)).abs() < 1e-6
             );

@@ -19,7 +19,7 @@ use pipelayer_tensor::Tensor;
 /// accumulates over (Fig. 4).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedGrid {
-    bits: u8,
+    quantizer: Quantizer,
     absmax: f32,
     dims: Vec<usize>,
     codes: Vec<i32>,
@@ -28,7 +28,7 @@ pub struct QuantizedGrid {
 impl QuantizedGrid {
     /// Resolution in bits.
     pub fn bits(&self) -> u8 {
-        self.bits
+        self.quantizer.bits()
     }
 
     /// The per-tensor scaling magnitude the codes were quantized against.
@@ -38,7 +38,7 @@ impl QuantizedGrid {
 
     /// Step size: the value of one code LSB.
     pub fn scale(&self) -> f32 {
-        Quantizer::new(self.bits).scale(self.absmax)
+        self.quantizer.scale(self.absmax)
     }
 
     /// Tensor dimensions.
@@ -92,7 +92,7 @@ impl Quantizer {
     pub fn grid(&self, t: &Tensor) -> QuantizedGrid {
         let absmax = t.abs_max();
         QuantizedGrid {
-            bits: self.bits(),
+            quantizer: *self,
             absmax,
             dims: t.dims().to_vec(),
             codes: t
@@ -128,10 +128,14 @@ pub fn accumulator_bits_worst_case(rows: u64, w_bits: u8, x_bits: u8) -> u32 {
 mod tests {
     use super::*;
 
+    fn quantizer(bits: u8) -> Quantizer {
+        Quantizer::try_new(bits).unwrap()
+    }
+
     #[test]
     fn grid_matches_quantize_dequantize() {
         let t = Tensor::from_vec(&[2, 3], vec![0.5, -1.0, 0.25, 0.75, -0.3, 1.0]);
-        let q = Quantizer::new(8);
+        let q = quantizer(8);
         let grid = q.grid(&t);
         let qd = q.quantize_tensor(&t);
         for i in 0..t.numel() {
@@ -148,7 +152,7 @@ mod tests {
     fn slice_l1_picks_the_heaviest_bit_line() {
         // Row 0 codes: 7, -7, 7 (L1 21); row 1: 1, 0, -1 (L1 2).
         let t = Tensor::from_vec(&[2, 3], vec![1.0, -1.0, 1.0, 0.14, 0.0, -0.14]);
-        let grid = Quantizer::new(4).grid(&t);
+        let grid = quantizer(4).grid(&t);
         assert_eq!(grid.max_slice_code_l1(), 21);
     }
 
@@ -174,7 +178,7 @@ mod tests {
     #[test]
     fn vector_grid_has_single_slice() {
         let t = Tensor::from_vec(&[4], vec![1.0, -0.5, 0.25, 0.0]);
-        let grid = Quantizer::new(4).grid(&t);
+        let grid = quantizer(4).grid(&t);
         // Leading axis = 4 slices of one element; worst slice L1 = 7.
         assert_eq!(grid.max_slice_code_l1(), 7);
     }

@@ -20,10 +20,11 @@
 //! ```
 //! use pipelayer_quant::fixed::Quantizer;
 //!
-//! let q = Quantizer::new(4);
+//! let q = Quantizer::try_new(4)?;
 //! // 4-bit symmetric: 15 levels; 0.1 maps to the nearest grid point.
 //! let v = q.quantize_dequantize(0.1, 1.0);
 //! assert!((v - 0.1).abs() <= 1.0 / 7.0 / 2.0 + 1e-6);
+//! # Ok::<(), pipelayer_quant::QuantError>(())
 //! ```
 
 pub mod compose;

@@ -5,7 +5,8 @@
 //! live in ReRAM at 16-bit resolution (four 4-bit segments, Fig. 14) from
 //! the first batch to the last, and every update is a read-modify-write on
 //! that grid. This module reproduces that regime in the software framework:
-//! after every batch update the weights are snapped back to the `bits` grid.
+//! after every batch update the weights are snapped back to the quantizer's
+//! grid.
 //! At 16 bits this is indistinguishable from float training (validating the
 //! paper's design point); at very low resolutions the updates vanish under
 //! the quantization step and training stalls — the reason resolution
@@ -31,7 +32,7 @@ pub struct QatReport {
     pub final_test_accuracy: f32,
 }
 
-/// Trains `net` with its weights held at `bits` resolution: the averaged
+/// Trains `net` with its weights held at `q`'s resolution: the averaged
 /// update of every batch is applied in float and immediately re-quantized
 /// (the read-modify-write grid of Fig. 14b).
 ///
@@ -42,17 +43,15 @@ pub fn train_at_resolution(
     net: &mut Network,
     data: &SyntheticMnist,
     cfg: &TrainConfig,
-    bits: u8,
+    q: Quantizer,
 ) -> QatReport {
     assert!(
         cfg.epochs > 0 && cfg.batch_size > 0,
         "degenerate train config"
     );
     assert!(!data.train.is_empty(), "empty training set");
-    let _ = Quantizer::new(bits); // validate the width eagerly
-
     // Start from on-grid weights, as Weight_load would program them.
-    quantize_network_weights(net, bits);
+    quantize_network_weights(net, q);
 
     let n = data.train.len();
     let mut order: Vec<usize> = (0..n).collect();
@@ -70,14 +69,14 @@ pub fn train_at_resolution(
             let labels: Vec<_> = chunk.iter().map(|&i| data.train.labels[i]).collect();
             loss_sum += net.train_batch(&images, &labels, cfg.lr);
             // Write-back lands on the cell grid.
-            quantize_network_weights(net, bits);
+            quantize_network_weights(net, q);
             batches += 1;
         }
         epoch_losses.push(loss_sum / batches as f32);
     }
 
     QatReport {
-        bits,
+        bits: q.bits(),
         epoch_losses,
         final_test_accuracy: net.accuracy(&data.test.images, &data.test.labels),
     }
@@ -88,6 +87,10 @@ mod tests {
     use super::*;
     use pipelayer_nn::trainer::Trainer;
     use pipelayer_nn::zoo;
+
+    fn q(bits: u8) -> Quantizer {
+        Quantizer::try_new(bits).unwrap()
+    }
 
     fn cfg() -> TrainConfig {
         TrainConfig {
@@ -105,7 +108,7 @@ mod tests {
         let float_report = Trainer::new(cfg()).fit(&mut float_net, &data);
 
         let mut q_net = zoo::m1(77);
-        let q_report = train_at_resolution(&mut q_net, &data, &cfg(), 16);
+        let q_report = train_at_resolution(&mut q_net, &data, &cfg(), q(16));
         assert!(
             (q_report.final_test_accuracy - float_report.final_test_accuracy).abs() < 0.08,
             "16-bit QAT should match float: {} vs {}",
@@ -120,9 +123,9 @@ mod tests {
         // the failure mode resolution compensation prevents.
         let data = SyntheticMnist::generate(300, 100, 78);
         let mut hi = zoo::m1(78);
-        let hi_acc = train_at_resolution(&mut hi, &data, &cfg(), 16).final_test_accuracy;
+        let hi_acc = train_at_resolution(&mut hi, &data, &cfg(), q(16)).final_test_accuracy;
         let mut lo = zoo::m1(78);
-        let lo_acc = train_at_resolution(&mut lo, &data, &cfg(), 2).final_test_accuracy;
+        let lo_acc = train_at_resolution(&mut lo, &data, &cfg(), q(2)).final_test_accuracy;
         assert!(
             lo_acc < hi_acc - 0.1,
             "2-bit training ({lo_acc}) should clearly trail 16-bit ({hi_acc})"
@@ -133,7 +136,7 @@ mod tests {
     fn loss_decreases_at_workable_resolution() {
         let data = SyntheticMnist::generate(200, 50, 79);
         let mut net = zoo::m1(79);
-        let report = train_at_resolution(&mut net, &data, &cfg(), 12);
+        let report = train_at_resolution(&mut net, &data, &cfg(), q(12));
         assert!(report.epoch_losses.last().unwrap() < report.epoch_losses.first().unwrap());
     }
 }

@@ -35,11 +35,10 @@ pub fn restore_params(net: &mut Network, snapshot: &ParamSnapshot) {
     assert!(it.next().is_none(), "snapshot longer than network");
 }
 
-/// Quantize–dequantizes every weight and bias tensor in place to `bits`
-/// resolution (per-tensor symmetric scaling — each layer's arrays get their
-/// own full-scale mapping, as in the paper's kernel-to-array mapping).
-pub fn quantize_network_weights(net: &mut Network, bits: u8) {
-    let q = Quantizer::new(bits);
+/// Quantize–dequantizes every weight and bias tensor in place with `q`
+/// (per-tensor symmetric scaling — each layer's arrays get their own
+/// full-scale mapping, as in the paper's kernel-to-array mapping).
+pub fn quantize_network_weights(net: &mut Network, q: Quantizer) {
     for layer in net.layers_mut() {
         if let Some(p) = layer.params_mut() {
             *p.weight = q.quantize_tensor(p.weight);
@@ -48,8 +47,8 @@ pub fn quantize_network_weights(net: &mut Network, bits: u8) {
     }
 }
 
-/// Classification accuracy with an `bits`-resolution *datapath*: the input
-/// image and every layer's output are quantize–dequantized to `bits` before
+/// Classification accuracy with a `q`-resolution *datapath*: the input
+/// image and every layer's output are quantize–dequantized with `q` before
 /// the next layer consumes them — modelling intermediate data (`d_l`)
 /// stored in N-bit ReRAM cells, on top of whatever the weights already are.
 /// Quantization errors compound per layer, which is why deep convolutional
@@ -59,9 +58,8 @@ pub fn quantize_network_weights(net: &mut Network, bits: u8) {
 /// # Panics
 ///
 /// Panics if `data` is empty.
-pub fn accuracy_quantized_datapath(net: &Network, data: &Dataset, bits: u8) -> f32 {
+pub fn accuracy_quantized_datapath(net: &Network, data: &Dataset, q: Quantizer) -> f32 {
     assert!(!data.is_empty(), "empty evaluation dataset");
-    let q = Quantizer::new(bits);
     let mut correct = 0usize;
     for (img, &label) in data.images.iter().zip(&data.labels) {
         let mut x = q.quantize_tensor(img);
@@ -78,8 +76,7 @@ pub fn accuracy_quantized_datapath(net: &Network, data: &Dataset, bits: u8) -> f
 /// Like [`quantize_network_weights`] but with an independent scale per
 /// output channel (per-bitline referencing — see
 /// [`Quantizer::quantize_tensor_per_channel`]). Biases stay per-tensor.
-pub fn quantize_network_weights_per_channel(net: &mut Network, bits: u8) {
-    let q = Quantizer::new(bits);
+pub fn quantize_network_weights_per_channel(net: &mut Network, q: Quantizer) {
     for layer in net.layers_mut() {
         if let Some(p) = layer.params_mut() {
             *p.weight = if p.weight.shape().rank() >= 2 {
@@ -103,9 +100,9 @@ pub struct ResolutionPoint {
     pub normalized: f32,
 }
 
-/// Evaluates a *trained* network at float precision and at every resolution
-/// in `bit_widths`, restoring the original weights afterwards. Returns the
-/// float point first, then one point per requested width.
+/// Evaluates a *trained* network at float precision and with every
+/// quantizer in `quantizers`, restoring the original weights afterwards.
+/// Returns the float point first, then one point per quantizer.
 ///
 /// At each width both the weights and the datapath (stored intermediate
 /// data) run at that resolution — everything in PipeLayer lives in ReRAM
@@ -117,7 +114,7 @@ pub struct ResolutionPoint {
 pub fn resolution_sweep(
     net: &mut Network,
     data: &Dataset,
-    bit_widths: &[u8],
+    quantizers: &[Quantizer],
 ) -> Vec<ResolutionPoint> {
     assert!(!data.is_empty(), "empty evaluation dataset");
     let snapshot = snapshot_params(net);
@@ -129,11 +126,11 @@ pub fn resolution_sweep(
         accuracy: float_acc,
         normalized: 1.0,
     }];
-    for &bits in bit_widths {
-        quantize_network_weights(net, bits);
-        let acc = accuracy_quantized_datapath(net, data, bits);
+    for &q in quantizers {
+        quantize_network_weights(net, q);
+        let acc = accuracy_quantized_datapath(net, data, q);
         points.push(ResolutionPoint {
-            bits: Some(bits),
+            bits: Some(q.bits()),
             accuracy: acc,
             normalized: acc / base,
         });
@@ -148,6 +145,10 @@ mod tests {
     use pipelayer_nn::data::SyntheticMnist;
     use pipelayer_nn::trainer::{TrainConfig, Trainer};
     use pipelayer_nn::zoo;
+
+    fn q(bits: u8) -> Quantizer {
+        Quantizer::try_new(bits).unwrap()
+    }
 
     fn trained_mlp() -> (Network, SyntheticMnist) {
         let data = SyntheticMnist::generate(300, 100, 31);
@@ -167,7 +168,7 @@ mod tests {
         let (mut net, data) = trained_mlp();
         let before = net.accuracy(&data.test.images, &data.test.labels);
         let snap = snapshot_params(&mut net);
-        quantize_network_weights(&mut net, 2);
+        quantize_network_weights(&mut net, q(2));
         restore_params(&mut net, &snap);
         let after = net.accuracy(&data.test.images, &data.test.labels);
         assert_eq!(before, after);
@@ -176,7 +177,7 @@ mod tests {
     #[test]
     fn high_resolution_preserves_accuracy() {
         let (mut net, data) = trained_mlp();
-        let points = resolution_sweep(&mut net, &data.test, &[8]);
+        let points = resolution_sweep(&mut net, &data.test, &[q(8)]);
         assert!(
             points[1].normalized > 0.95,
             "8-bit should be near-lossless, got {}",
@@ -187,7 +188,7 @@ mod tests {
     #[test]
     fn accuracy_degrades_monotonically_ish() {
         let (mut net, data) = trained_mlp();
-        let points = resolution_sweep(&mut net, &data.test, &[8, 4, 2, 1]);
+        let points = resolution_sweep(&mut net, &data.test, &[q(8), q(4), q(2), q(1)]);
         let n8 = points[1].normalized;
         let n1 = points[4].normalized;
         assert!(n1 <= n8 + 0.05, "1-bit ({n1}) should not beat 8-bit ({n8})");
@@ -197,7 +198,7 @@ mod tests {
     fn sweep_restores_weights() {
         let (mut net, data) = trained_mlp();
         let acc0 = net.accuracy(&data.test.images, &data.test.labels);
-        resolution_sweep(&mut net, &data.test, &[2]);
+        resolution_sweep(&mut net, &data.test, &[q(2)]);
         assert_eq!(net.accuracy(&data.test.images, &data.test.labels), acc0);
     }
 
@@ -205,10 +206,10 @@ mod tests {
     fn per_channel_network_quantization_not_worse() {
         let (mut net, data) = trained_mlp();
         let snap = snapshot_params(&mut net);
-        quantize_network_weights(&mut net, 3);
+        quantize_network_weights(&mut net, q(3));
         let per_tensor = net.accuracy(&data.test.images, &data.test.labels);
         restore_params(&mut net, &snap);
-        quantize_network_weights_per_channel(&mut net, 3);
+        quantize_network_weights_per_channel(&mut net, q(3));
         let per_channel = net.accuracy(&data.test.images, &data.test.labels);
         restore_params(&mut net, &snap);
         assert!(
@@ -220,7 +221,7 @@ mod tests {
     #[test]
     fn quantized_weights_are_on_grid() {
         let (mut net, _) = trained_mlp();
-        quantize_network_weights(&mut net, 3);
+        quantize_network_weights(&mut net, q(3));
         for layer in net.layers_mut() {
             if let Some(p) = layer.params_mut() {
                 let absmax = p.weight.abs_max();

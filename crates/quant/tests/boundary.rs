@@ -12,7 +12,7 @@ use pipelayer_quant::Quantizer;
 #[test]
 fn full_scale_values_map_to_qmax_exactly() {
     for bits in 1..=24u8 {
-        let q = Quantizer::new(bits);
+        let q = Quantizer::try_new(bits).unwrap();
         for absmax in [1.0f32, 0.5, 3.75, 1e-3, 1e4] {
             assert_eq!(q.quantize(absmax, absmax), q.qmax(), "bits={bits}");
             assert_eq!(q.quantize(-absmax, absmax), -q.qmax(), "bits={bits}");
@@ -35,7 +35,7 @@ fn full_scale_values_map_to_qmax_exactly() {
 #[test]
 fn out_of_range_values_saturate_to_the_clamp() {
     for bits in 2..=16u8 {
-        let q = Quantizer::new(bits);
+        let q = Quantizer::try_new(bits).unwrap();
         let absmax = 2.0f32;
         for factor in [1.0001f32, 1.5, 10.0, 1e6] {
             assert_eq!(q.quantize(absmax * factor, absmax), q.qmax(), "bits={bits}");
@@ -59,7 +59,7 @@ fn values_one_step_inside_stay_unsaturated() {
     // bits >= 3 so qmax >= 3 and there is a distinct code below full scale
     // (1.4 steps inside rounds to qmax-1 regardless of f32 wobble).
     for bits in 3..=16u8 {
-        let q = Quantizer::new(bits);
+        let q = Quantizer::try_new(bits).unwrap();
         let absmax = 1.0f32;
         let step = q.scale(absmax);
         let code = q.quantize(absmax - 1.4 * step, absmax);
@@ -74,7 +74,7 @@ fn values_one_step_inside_stay_unsaturated() {
 #[test]
 fn boundary_codes_round_trip_through_segment_recombination() {
     for bits in 2..=16u8 {
-        let q = Quantizer::new(bits);
+        let q = Quantizer::try_new(bits).unwrap();
         let qmax = u32::try_from(q.qmax()).expect("qmax is positive");
         for cell in [1u8, 2, 3, 4, 8] {
             if !bits.is_multiple_of(cell) {
@@ -107,7 +107,7 @@ fn boundary_codes_round_trip_through_segment_recombination() {
 #[test]
 fn hardware_path_agrees_with_reference_at_boundaries() {
     for bits in 2..=16u8 {
-        let q = Quantizer::new(bits);
+        let q = Quantizer::try_new(bits).unwrap();
         let absmax = 1.0f32;
         for x in [absmax, -absmax, absmax * 0.999, -absmax * 0.999, 0.0] {
             let code = q.quantize(x, absmax);

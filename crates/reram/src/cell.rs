@@ -5,7 +5,7 @@ use rand::Rng;
 
 /// Outcome of one cell-level program-and-verify loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CellWrite {
+pub(crate) struct CellWrite {
     /// Programming pulses issued across all attempts.
     pub pulses: u32,
     /// Attempts consumed (1 for a clean first-shot write).
@@ -19,38 +19,19 @@ pub struct CellWrite {
 ///
 /// The paper's default resolution is 4 bits per cell (Sec. 5.1) — the value
 /// PRIME-era devices demonstrated — with higher weight resolutions built
-/// from multiple cells (see [`array_group`](crate::array_group)).
-///
-/// # Example
-///
-/// ```
-/// use pipelayer_reram::ReramCell;
-///
-/// let mut cell = ReramCell::new(4);
-/// let pulses = cell.program(9);
-/// assert_eq!(cell.level(), 9);
-/// assert_eq!(pulses, 9); // tuned up from level 0
-/// ```
+/// from multiple cells (see [`array_group`](crate::array_group)). Cells
+/// live only inside a [`Crossbar`](crate::Crossbar), whose constructor
+/// checks `bits ∈ 1..=8`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ReramCell {
+pub(crate) struct ReramCell {
     level: u8,
     bits: u8,
 }
 
 impl ReramCell {
     /// A fresh cell at level 0 (high-resistance state).
-    ///
-    /// `bits` outside `1..=8` is debug-checked; in release it clamps to
-    /// that range rather than panicking.
     pub fn new(bits: u8) -> Self {
-        debug_assert!(
-            (1..=8).contains(&bits),
-            "cell resolution must be 1..=8 bits"
-        );
-        ReramCell {
-            level: 0,
-            bits: bits.clamp(1, 8),
-        }
+        ReramCell { level: 0, bits }
     }
 
     /// Cell resolution in bits.
@@ -70,37 +51,24 @@ impl ReramCell {
 
     /// Programs the cell to `level`, returning the number of tuning pulses
     /// (write spikes) the spike driver issues — modelled as the level
-    /// distance, since each pulse nudges the conductance one state.
-    ///
-    /// An over-range `level` is debug-checked; in release the write
-    /// saturates at the cell's top level.
+    /// distance, since each pulse nudges the conductance one state. An
+    /// over-range `level` saturates at the cell's top level.
     pub fn program(&mut self, level: u8) -> u32 {
-        debug_assert!(
-            level <= self.max_level(),
-            "level {level} exceeds {}-bit cell",
-            self.bits
-        );
         let level = level.min(self.max_level());
         let pulses = (self.level as i32 - level as i32).unsigned_abs();
         self.level = level;
         pulses
     }
 
-    /// Normalised conductance in `[0, 1]`: `level / max_level`.
-    pub fn conductance(&self) -> f32 {
-        self.level as f32 / self.max_level() as f32
-    }
-
     /// Programs the cell to `level` with the program-and-verify loop: each
     /// attempt issues tuning pulses (landing within `policy.write_sigma`
     /// levels of the target), then a verify read checks the result; misses
-    /// retry until `policy.max_attempts` is exhausted.
+    /// retry until `policy.max_attempts` is exhausted. The first attempt
+    /// is always issued.
     ///
     /// This models a *healthy* cell — stuck-at behaviour lives in the
     /// crossbar's [`FaultMap`](crate::fault::FaultMap), which intercepts
-    /// the write before it reaches the cell.
-    ///
-    /// An over-range `level` is debug-checked; in release the write
+    /// the write before it reaches the cell. An over-range `level`
     /// saturates at the cell's top level.
     pub fn program_verify(
         &mut self,
@@ -108,20 +76,15 @@ impl ReramCell {
         policy: &VerifyPolicy,
         rng: &mut impl Rng,
     ) -> CellWrite {
-        debug_assert!(
-            level <= self.max_level(),
-            "level {level} exceeds {}-bit cell",
-            self.bits
-        );
         let level = level.min(self.max_level());
         let mut pulses = 0u32;
         let mut attempts = 0u32;
-        while attempts < policy.max_attempts {
+        loop {
             attempts += 1;
             let landed = noisy_landing(level, self.max_level(), policy.write_sigma, rng);
             pulses += (self.level as i32 - landed as i32).unsigned_abs();
             self.level = landed;
-            if self.level == level {
+            if self.level == level || attempts >= policy.max_attempts {
                 break;
             }
         }
@@ -141,7 +104,6 @@ mod tests {
     fn fresh_cell_is_hrs() {
         let c = ReramCell::new(4);
         assert_eq!(c.level(), 0);
-        assert_eq!(c.conductance(), 0.0);
         assert_eq!(c.max_level(), 15);
     }
 
@@ -154,24 +116,30 @@ mod tests {
     }
 
     #[test]
-    fn conductance_scales_linearly() {
-        let mut c = ReramCell::new(2);
-        c.program(3);
-        assert_eq!(c.conductance(), 1.0);
-        c.program(1);
-        assert!((c.conductance() - 1.0 / 3.0).abs() < 1e-6);
+    fn overrange_level_saturates() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut c = ReramCell::new(4);
+        assert_eq!(c.program(16), 15);
+        assert_eq!(c.level(), 15);
+        let mut c = ReramCell::new(4);
+        let w = c.program_verify(200, &VerifyPolicy::default(), &mut StdRng::seed_from_u64(0));
+        assert!(w.verified);
+        assert_eq!((c.level(), w.pulses), (15, 15));
     }
 
     #[test]
-    #[should_panic(expected = "exceeds")]
-    fn rejects_overrange_level() {
-        ReramCell::new(4).program(16);
-    }
-
-    #[test]
-    #[should_panic(expected = "resolution")]
+    #[should_panic(expected = "1..=8 bits")]
     fn rejects_zero_bits() {
-        ReramCell::new(0);
+        crate::Crossbar::new(2, 2, 0);
+    }
+
+    #[test]
+    fn zero_attempt_budget_still_issues_the_first_attempt() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut c = ReramCell::new(4);
+        let policy = VerifyPolicy::with_attempts(0);
+        let w = c.program_verify(9, &policy, &mut StdRng::seed_from_u64(0));
+        assert_eq!((w.attempts, w.pulses, w.verified), (1, 9, true));
     }
 
     #[test]

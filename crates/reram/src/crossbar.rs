@@ -89,9 +89,13 @@ impl Crossbar {
     ///
     /// # Panics
     ///
-    /// Panics if `rows` or `cols` is zero, or `bits` is out of range.
+    /// Panics if `rows` or `cols` is zero, or `bits` is outside `1..=8`.
     pub fn new(rows: usize, cols: usize, bits: u8) -> Self {
-        assert!(rows > 0 && cols > 0, "crossbar must be non-empty");
+        assert!(
+            rows > 0 && cols > 0 && (1..=8).contains(&bits),
+            "crossbar must be non-empty with 1..=8 bits per cell \
+             (got {rows}x{cols}, {bits} bits)"
+        );
         Crossbar {
             rows,
             cols,
@@ -316,11 +320,12 @@ impl Crossbar {
     }
 
     /// Programs the whole array from a row-major level matrix; counts the
-    /// tuning pulses as write spikes. Returns the pulse count.
+    /// tuning pulses as write spikes. Returns the pulse count. Over-range
+    /// levels saturate at the cell's top level.
     ///
     /// # Panics
     ///
-    /// Panics if `levels` is not `rows × cols` or any level is over-range.
+    /// Panics if `levels` is not `rows × cols`.
     pub fn program(&mut self, levels: &[Vec<u8>]) -> u64 {
         assert_eq!(levels.len(), self.rows, "level matrix row count mismatch");
         let cols = self.cols;
@@ -350,10 +355,11 @@ impl Crossbar {
     ///
     /// Pulses (including retries) are counted as write spikes and verify
     /// reads as read spikes, so the energy accounting sees the real cost.
+    /// Over-range levels saturate at the cell's top level.
     ///
     /// # Panics
     ///
-    /// Panics if `levels` is not `rows × cols` or any level is over-range.
+    /// Panics if `levels` is not `rows × cols`.
     pub fn program_verify(
         &mut self,
         levels: &[Vec<u8>],
@@ -475,22 +481,17 @@ impl Crossbar {
     /// A driver resolution above 32 clamps to 32 slots, exactly like the
     /// scalar path's [`SpikeDriver`].
     ///
+    /// A value exceeding `input_bits` injects only its low `input_bits`
+    /// bits, exactly like the driver.
+    ///
     /// # Panics
     ///
-    /// Panics if `input.len() != rows`; a value exceeding `input_bits` is
-    /// debug-checked (release injects the low bits, like the driver).
+    /// Panics if `input.len() != rows`.
     ///
     /// [`mvm_spiked_scalar`]: Self::mvm_spiked_scalar
     pub fn mvm_spiked(&mut self, input: &[u32], input_bits: u8) -> Vec<u64> {
         assert_eq!(input.len(), self.rows, "input length must equal row count");
         let bits = SpikeDriver::new(input_bits).bits();
-        #[cfg(debug_assertions)]
-        for &v in input {
-            debug_assert!(
-                bits >= 32 || (v as u64) < (1u64 << bits),
-                "value {v} does not fit in {bits} bits"
-            );
-        }
         let spikes = PackedSpikes::encode(input, bits);
         self.read_spikes += spikes.spike_count();
 

@@ -65,18 +65,9 @@ impl FaultModel {
 
     /// A device with total stuck-at rate `rate`, split between
     /// stuck-at-zero and stuck-at-max in the ~5:1 ratio fabrication
-    /// studies report (SAZ forming failures dominate).
-    ///
-    /// An out-of-range or non-finite `rate` is debug-checked; release
-    /// builds clamp it into `[0, 1]` (treating NaN as 0) rather than
-    /// panicking mid-run.
+    /// studies report (SAZ forming failures dominate). The rate is stored
+    /// as given; [`validate`](Self::validate) checks it.
     pub fn with_stuck_rate(rate: f64) -> Self {
-        debug_assert!((0.0..=1.0).contains(&rate), "fault rate must be in [0,1]");
-        let rate = if rate.is_finite() {
-            rate.clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
         FaultModel {
             stuck_at_zero: rate * 5.0 / 6.0,
             stuck_at_max: rate / 6.0,
@@ -94,21 +85,23 @@ impl FaultModel {
         self.total_rate() == 0.0
     }
 
-    /// Debug-checks every rate; release builds proceed regardless (an
-    /// out-of-range rate only skews the draw — `u < rate` saturates at
-    /// all-faulty — it cannot index out of bounds).
-    fn validate(&self) {
-        for (name, r) in [
-            ("stuck_at_zero", self.stuck_at_zero),
-            ("stuck_at_max", self.stuck_at_max),
-            ("dead", self.dead),
-        ] {
-            debug_assert!(
-                (0.0..=1.0).contains(&r) && r.is_finite(),
-                "{name} rate {r} must be in [0,1]"
-            );
+    /// Checks that every rate, and their sum, is a probability.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first offending rate (or the total, if only the sum
+    /// exceeds 1).
+    pub fn validate(&self) -> Result<(), f64> {
+        for r in [self.stuck_at_zero, self.stuck_at_max, self.dead] {
+            if !(0.0..=1.0).contains(&r) {
+                return Err(r);
+            }
         }
-        debug_assert!(self.total_rate() <= 1.0, "total fault rate exceeds 1");
+        let total = self.total_rate();
+        if total > 1.0 {
+            return Err(total);
+        }
+        Ok(())
     }
 }
 
@@ -126,13 +119,8 @@ pub struct FaultMap {
 }
 
 impl FaultMap {
-    /// An all-healthy map.
-    ///
-    /// A zero dimension is debug-checked; release builds bump it to 1
-    /// (degenerate but indexable) instead of panicking.
+    /// An all-healthy `rows × cols` map.
     pub fn pristine(rows: usize, cols: usize) -> Self {
-        debug_assert!(rows > 0 && cols > 0, "fault map must be non-empty");
-        let (rows, cols) = (rows.max(1), cols.max(1));
         FaultMap {
             rows,
             cols,
@@ -144,13 +132,10 @@ impl FaultMap {
     /// draw comes from its own `(seed, crossbar, row, col, epoch=0)`
     /// stream (see [`crate::seedstream`]; `seed` is taken as already
     /// crossbar-qualified), so whether a given cell is faulty is
-    /// independent of geometry traversal order and thread count.
-    ///
-    /// An empty geometry or out-of-range rate is debug-checked; release
-    /// builds proceed on the clamped/degenerate interpretation (see
-    /// [`FaultMap::pristine`] and [`FaultModel`]'s validation notes).
+    /// independent of geometry traversal order and thread count. A rate
+    /// outside `[0, 1]` (see [`FaultModel::validate`]) only saturates the
+    /// draw.
     pub fn generate(rows: usize, cols: usize, model: &FaultModel, seed: u64) -> Self {
-        model.validate();
         let mut map = Self::pristine(rows, cols);
         if model.is_ideal() {
             return map;
@@ -245,14 +230,12 @@ impl Default for VerifyPolicy {
 }
 
 impl VerifyPolicy {
-    /// A policy with `max_attempts` retries and noiseless pulses.
-    ///
-    /// A zero attempt budget is debug-checked; release builds bump it to 1
-    /// (every write needs at least one pulse) instead of panicking.
+    /// A policy with `max_attempts` retries and noiseless pulses, stored as
+    /// given (`PipeLayerConfig::validate` rejects a zero budget). A healthy
+    /// cell's write always issues its first attempt.
     pub fn with_attempts(max_attempts: u32) -> Self {
-        debug_assert!(max_attempts > 0, "need at least one programming attempt");
         VerifyPolicy {
-            max_attempts: max_attempts.max(1),
+            max_attempts,
             write_sigma: 0.0,
         }
     }
@@ -486,21 +469,20 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "fault rate")]
-    fn rejects_out_of_range_rate() {
-        FaultModel::with_stuck_rate(1.5);
-    }
-
-    /// Release builds clamp instead of panicking: out-of-range inputs to
-    /// the debug-checked constructors must still produce usable values.
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn release_builds_clamp_bad_constructor_inputs() {
-        assert_eq!(FaultModel::with_stuck_rate(1.5).total_rate(), 1.0);
-        assert_eq!(FaultModel::with_stuck_rate(f64::NAN).total_rate(), 0.0);
-        assert_eq!(VerifyPolicy::with_attempts(0).max_attempts, 1);
+    fn shorthands_store_what_they_are_given() {
+        let m = FaultModel::with_stuck_rate(1.5);
+        assert_eq!(m.total_rate(), 1.5);
+        assert_eq!(m.validate(), Err(m.stuck_at_zero));
+        assert!(FaultModel::with_stuck_rate(f64::NAN).validate().is_err());
+        assert_eq!(FaultModel::with_stuck_rate(1e-3).validate(), Ok(()));
+        let over = FaultModel {
+            stuck_at_zero: 0.6,
+            stuck_at_max: 0.6,
+            dead: 0.0,
+        };
+        assert_eq!(over.validate(), Err(1.2));
+        assert_eq!(VerifyPolicy::with_attempts(0).max_attempts, 0);
         let m = FaultMap::pristine(0, 4);
-        assert!(m.fault_count() == 0);
+        assert_eq!((m.rows(), m.cols(), m.fault_count()), (0, 4, 0));
     }
 }

@@ -67,7 +67,7 @@
 pub mod activation;
 pub mod area;
 pub mod array_group;
-pub mod cell;
+mod cell;
 pub mod crossbar;
 pub mod device;
 pub mod drift;
@@ -86,7 +86,6 @@ pub mod wear;
 
 pub use area::AreaModel;
 pub use array_group::ReramMatrix;
-pub use cell::{CellWrite, ReramCell};
 pub use crossbar::Crossbar;
 pub use device::DeviceModel;
 pub use drift::{DriftModel, DriftState};

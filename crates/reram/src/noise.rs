@@ -75,12 +75,9 @@ impl NoiseModel {
     /// The canonical one-knob sweep point used by the noise ablation:
     /// `strength` scales a calibrated non-ideality set (lognormal spread
     /// with HRS ≈ 2.5 × LRS, IR drop and read noise) together.
-    /// `with_strength(0.0)` is [`ideal`](Self::ideal).
+    /// A `strength` of 0 or below is [`ideal`](Self::ideal); a non-finite
+    /// one yields non-finite σs, which `PipeLayerConfig::validate` rejects.
     pub fn with_strength(strength: f64) -> Self {
-        debug_assert!(
-            strength >= 0.0 && strength.is_finite(),
-            "invalid strength {strength}"
-        );
         if strength <= 0.0 {
             return Self::ideal();
         }
@@ -215,7 +212,8 @@ impl NoiseModel {
     /// (matching [`ReramMatrix`](crate::ReramMatrix)'s layout), and every
     /// segment level goes through [`perturb_level`](Self::perturb_level).
     /// Deterministic in `(seed, read_epoch)`; element fate is independent
-    /// of buffer traversal order.
+    /// of buffer traversal order. Words span `data_bits / cell_bits` whole
+    /// cells (plcheck's PL030 rejects widths that do not divide).
     pub fn perturb_weights(
         &self,
         weights: &[f32],
@@ -227,7 +225,6 @@ impl NoiseModel {
         if self.is_ideal() {
             return weights.to_vec();
         }
-        debug_assert_eq!(data_bits % cell_bits, 0, "cell bits must divide data bits");
         let absmax = weights.iter().fold(0.0f32, |m, &w| m.max(w.abs()));
         if absmax == 0.0 {
             return weights.to_vec();

@@ -32,11 +32,10 @@ impl VariationModel {
         }
     }
 
-    /// A variation-only model with the given write σ (in levels). A
-    /// negative or non-finite σ is a caller bug (debug builds assert); in
-    /// release the sampling degrades gracefully (|σ| behaviour).
+    /// A variation-only model with the given write σ (in levels), stored
+    /// as given. The Gaussian is symmetric, so a negative σ samples like
+    /// |σ|.
     pub fn with_sigma(sigma: f64) -> Self {
-        debug_assert!(sigma >= 0.0 && sigma.is_finite(), "invalid sigma {sigma}");
         VariationModel {
             write_sigma: sigma,
             ..Self::ideal()

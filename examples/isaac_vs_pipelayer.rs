@@ -15,8 +15,9 @@
 use pipelayer::analysis::Analysis;
 use pipelayer_baselines::IsaacModel;
 use pipelayer_nn::zoo::{vgg, VggVariant};
+use std::num::NonZeroUsize;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = vgg(VggVariant::D);
     let isaac = IsaacModel::default();
     let l = spec.weighted_layers();
@@ -38,7 +39,7 @@ fn main() {
 
         // PipeLayer: B images retire per (2L+B+1)-cycle batch; inference
         // retires one per cycle.
-        let a = Analysis::new(l, batch);
+        let a = Analysis::new(NonZeroUsize::try_from(l)?, NonZeroUsize::try_from(batch)?);
         let pl_util = 100.0 * batch as f64 / a.training_cycles_pipelined(batch as u64) as f64;
 
         let drain = 100.0 * isaac.training_drain_fraction(&spec, batch);
@@ -56,4 +57,5 @@ fn main() {
         "per-batch overhead is the fixed 2L+1 = {} cycle fill plus one update cycle.",
         2 * l + 1
     );
+    Ok(())
 }

@@ -7,8 +7,9 @@
 
 use pipelayer::Accelerator;
 use pipelayer_nn::zoo;
+use std::num::NonZeroUsize;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Pick a network from the paper's evaluation zoo.
     let spec = zoo::alexnet();
     println!(
@@ -20,7 +21,9 @@ fn main() {
 
     // 2. Configure the accelerator (Sec. 5.2's Topology_set/Pipeline_set):
     //    batch size 64, default (Table 5 style) granularity, pipelined.
-    let accel = Accelerator::builder(spec).batch_size(64).build();
+    let accel = Accelerator::builder(spec)
+        .batch_size(NonZeroUsize::try_from(64)?)
+        .build()?;
 
     // 3. Inspect the mapping: arrays, granularity, per-layer reads.
     println!("\nmapping (kernel matrices onto 128x128 crossbars):");
@@ -61,4 +64,5 @@ fn main() {
         test.energy_j.0,
         test.throughput()
     );
+    Ok(())
 }

@@ -15,8 +15,9 @@ use pipelayer::Accelerator;
 use pipelayer_nn::data::SyntheticMnist;
 use pipelayer_nn::{LayerSpec, NetSpec};
 use pipelayer_tensor::Tensor;
+use std::num::NonZeroUsize;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The synthetic MNIST task, downsampled 28x28 -> 7x7 so the functional
     // (circuit-level) simulation stays snappy.
     let data = SyntheticMnist::generate(300, 100, 2024);
@@ -30,21 +31,23 @@ fn main() {
         (1, 7, 7),
         vec![LayerSpec::Fc { n_out: 24 }, LayerSpec::Fc { n_out: 10 }],
     );
-    let mut accel = Accelerator::builder(spec).batch_size(10).build();
+    let mut accel = Accelerator::builder(spec)
+        .batch_size(NonZeroUsize::try_from(10)?)
+        .build()?;
 
     // Host API flow (Sec. 5.2).
     accel.copy_to_pl(train_images, data.train.labels.clone());
-    accel.weight_load(7).expect("MLP topology");
+    accel.weight_load(7)?;
 
     println!("training on ReRAM crossbars (16-bit spikes, 4-bit cells)...");
     for epoch in 1..=4 {
-        let loss = accel.train(1, 0.25).expect("staged data present");
+        let loss = accel.train(1, 0.25)?;
         println!("  epoch {epoch}: mean batch loss {loss:.4}");
     }
 
     // Evaluate on the held-out split.
     accel.copy_to_pl(test_images, data.test.labels.clone());
-    let predictions = accel.test().expect("test");
+    let predictions = accel.test()?;
     let labels = accel.copy_to_cpu();
     let correct = predictions
         .iter()
@@ -61,4 +64,5 @@ fn main() {
         correct * 2 > labels.len(),
         "training on ReRAM should beat chance comfortably"
     );
+    Ok(())
 }

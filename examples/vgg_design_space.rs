@@ -9,8 +9,9 @@
 use pipelayer::Accelerator;
 use pipelayer_baselines::GpuModel;
 use pipelayer_nn::zoo::{vgg, VggVariant};
+use std::num::NonZeroUsize;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let variant = match std::env::args().nth(1).as_deref() {
         Some("A") | None => VggVariant::A,
         Some("B") => VggVariant::B,
@@ -37,9 +38,9 @@ fn main() {
     let mut best = (0.0f64, f64::NEG_INFINITY);
     for lambda in [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0] {
         let accel = Accelerator::builder(spec.clone())
-            .batch_size(64)
+            .batch_size(NonZeroUsize::try_from(64)?)
             .lambda(lambda)
-            .build();
+            .build()?;
         let speedup = gpu_train / accel.estimate_training(640).time_s;
         let area = accel.training_area_mm2();
         let merit = speedup / area;
@@ -55,4 +56,5 @@ fn main() {
         "\nknee of the curve (max speedup per mm^2): lambda = {} — the kind of balance Table 5's defaults encode.",
         best.0
     );
+    Ok(())
 }

@@ -1,0 +1,189 @@
+//! The configuration boundary: whatever a caller feeds
+//! `Accelerator::builder(..).build()`, the result is either an accelerator
+//! or a typed error, never a panic, and the same in every build profile.
+//! An accepted configuration estimates without panicking; a rejected one
+//! names the check that `PipeLayerConfig::validate` reports.
+
+use pipelayer::mapping::MapError;
+use pipelayer::{Accelerator, PipeLayerConfig, RepairPolicy, SpareBudget};
+use pipelayer_nn::{zoo, NetSpec};
+use pipelayer_reram::{FaultModel, NoiseModel, VerifyPolicy, WearModel};
+use proptest::prelude::*;
+use std::num::NonZeroUsize;
+
+fn networks() -> Vec<NetSpec> {
+    vec![
+        zoo::spec_mnist_a(),
+        zoo::spec_mnist_0(),
+        zoo::spec_c4(),
+        NetSpec::new("no-weights", (1, 4, 4), vec![]),
+    ]
+}
+
+/// One real-valued knob: a selector and a unit draw.
+type Draw = (usize, f64);
+
+fn draw() -> impl Strategy<Value = Draw> {
+    (0usize..8, 0.0f64..1.0)
+}
+
+/// A tame draw lands in `0..tame_hi` (or exactly 0); a wild one lands in
+/// `lo..hi`, or is zero, NaN or ±∞.
+fn real((pick, u): Draw, wild: bool, tame_hi: f64, (lo, hi): (f64, f64)) -> f64 {
+    match (pick, wild) {
+        (0, true) => f64::NAN,
+        (1, true) => f64::INFINITY,
+        (2, true) => f64::NEG_INFINITY,
+        (3, _) => 0.0,
+        (_, true) => lo + u * (hi - lo),
+        (_, false) => u * tame_hi,
+    }
+}
+
+#[derive(Debug, Clone)]
+struct Knobs {
+    net: usize,
+    batch: NonZeroUsize,
+    lambda: Option<f64>,
+    granularity: Option<Vec<usize>>,
+    config: PipeLayerConfig,
+}
+
+fn knobs() -> impl Strategy<Value = Knobs> {
+    let g = 0usize..6;
+    (
+        (
+            0usize..4,
+            0..networks().len(),
+            1usize..300,
+            (0usize..4, draw()),
+        ),
+        (0usize..12, (g.clone(), g.clone(), g.clone(), g.clone(), g)),
+        (draw(), draw(), draw(), 0u32..6, draw()),
+        (draw(), draw(), draw(), draw()),
+    )
+        .prop_map(
+            |(
+                (mode, net, batch, (set_lambda, lambda)),
+                (g_len, g),
+                (saz, sam, dead, attempts, write_sigma),
+                (read_sigma, ir_drop, median_writes, wear_sigma),
+            )| {
+                // Mode 0 keeps every knob in its domain; 1 makes only λ
+                // wild, 2 only the device config, 3 both. Each check is
+                // then reached while the others pass.
+                let (wild, wild_lambda) = (mode & 2 != 0, mode & 1 != 0);
+                let rate = |d| real(d, wild, 0.3, (-0.2, 0.8));
+                let sigma = |d| real(d, wild, 2.0, (-1.0, 2.0));
+                let mut config = PipeLayerConfig::default()
+                    .with_fault_tolerance(
+                        FaultModel {
+                            stuck_at_zero: rate(saz),
+                            stuck_at_max: rate(sam),
+                            dead: rate(dead),
+                        },
+                        VerifyPolicy {
+                            max_attempts: if wild { attempts } else { attempts.max(1) },
+                            write_sigma: sigma(write_sigma),
+                        },
+                        SpareBudget::none(),
+                    )
+                    .with_wear(
+                        WearModel {
+                            median_writes: real(median_writes, wild, 1e7, (-10.0, 1e7)),
+                            sigma: sigma(wear_sigma),
+                        },
+                        RepairPolicy::laddered(),
+                    );
+                config.noise = NoiseModel {
+                    read_sigma: sigma(read_sigma),
+                    ir_drop: real(ir_drop, wild, 1.0, (-0.5, 1.5)),
+                    ..NoiseModel::ideal()
+                };
+                Knobs {
+                    net,
+                    batch: NonZeroUsize::new(batch).unwrap(),
+                    lambda: (set_lambda > 0).then(|| real(lambda, wild_lambda, 8.0, (-4.0, 1e3))),
+                    // Lengths 0..=5 are explicit vectors; larger draws keep
+                    // the default granularity.
+                    granularity: (g_len <= 5).then(|| [g.0, g.1, g.2, g.3, g.4][..g_len].to_vec()),
+                    config,
+                }
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn build_returns_ok_or_a_typed_error(k in knobs()) {
+        let spec = networks().swap_remove(k.net);
+        let layers = spec.resolve().len();
+        let mut builder = Accelerator::builder(spec).config(k.config).batch_size(k.batch);
+        if let Some(lambda) = k.lambda {
+            builder = builder.lambda(lambda);
+        }
+        if let Some(g) = k.granularity.clone() {
+            builder = builder.granularity(g);
+        }
+        match builder.build() {
+            Ok(acc) => {
+                prop_assert!(k.config.validate().is_ok());
+                prop_assert!(k.lambda.is_none_or(|l| l.is_finite() && l >= 0.0));
+                let g_ok = |g: &Vec<usize>| g.len() == layers && !g.contains(&0);
+                prop_assert!(k.granularity.as_ref().is_none_or(g_ok));
+                prop_assert_eq!(acc.mapped().config.batch_size, k.batch);
+                prop_assert_eq!(acc.mapped().weighted_layers().get(), layers);
+                let est = acc.estimate_training(k.batch.get() as u64);
+                prop_assert!(est.time_s.0.is_finite() && est.time_s.0 > 0.0);
+                prop_assert!(est.energy_j.0.is_finite() && est.energy_j.0 > 0.0);
+            }
+            Err(MapError::InvalidLambda(l)) => {
+                prop_assert!(!(l.is_finite() && l >= 0.0));
+            }
+            Err(MapError::Config(e)) => {
+                // Compared as text: NaN rates make the errors unequal under `==`.
+                let expected = k.config.validate().map_err(|v| v.to_string());
+                prop_assert_eq!(expected, Err(e.to_string()));
+            }
+            Err(MapError::NoWeightedLayers) => prop_assert_eq!(layers, 0),
+            Err(MapError::GranularityLength { expected, got }) => {
+                prop_assert_eq!(expected, layers);
+                prop_assert!(got != layers);
+            }
+            Err(MapError::ZeroGranularity { layer }) => {
+                prop_assert_eq!(k.granularity.as_ref().map(|g| g[layer]), Some(0));
+            }
+        }
+    }
+}
+
+/// The cases with a tame device config must actually reach the models:
+/// count the accepted builds over the same strategy.
+#[test]
+fn accepted_configurations_are_exercised() {
+    use rand::SeedableRng;
+    let strategy = knobs();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    let accepted = (0..512)
+        .filter(|_| {
+            let k = strategy.sample(&mut rng);
+            let spec = networks().swap_remove(k.net);
+            let mut builder = Accelerator::builder(spec)
+                .config(k.config)
+                .batch_size(k.batch);
+            if let Some(lambda) = k.lambda {
+                builder = builder.lambda(lambda);
+            }
+            if let Some(g) = k.granularity {
+                builder = builder.granularity(g);
+            }
+            builder.build().is_ok()
+        })
+        .count();
+    assert!(
+        accepted >= 64,
+        "only {accepted}/512 configurations accepted"
+    );
+}

@@ -110,7 +110,7 @@ fn silent_faults_degrade_measurably_without_repair() {
 #[test]
 fn verify_cost_flows_through_energy_timing_and_endurance() {
     let spec = zoo::spec_mnist_a();
-    let base = MappedNetwork::from_spec(&spec, PipeLayerConfig::default());
+    let base = MappedNetwork::try_from_spec(&spec, PipeLayerConfig::default()).unwrap();
     let ft_cfg = PipeLayerConfig::default().with_fault_tolerance(
         FaultModel::with_stuck_rate(1e-3),
         VerifyPolicy {
@@ -119,11 +119,11 @@ fn verify_cost_flows_through_energy_timing_and_endurance() {
         },
         SpareBudget::typical(),
     );
-    let ft = MappedNetwork::from_spec(&spec, ft_cfg);
+    let ft = MappedNetwork::try_from_spec(&spec, ft_cfg).unwrap();
 
     // Energy: training costs more, testing (no writes) is identical.
     let (e_base, e_ft) = (EnergyModel::new(&base), EnergyModel::new(&ft));
-    let n = 10 * base.config.batch_size as u64;
+    let n = 10 * base.config.batch_size.get() as u64;
     assert!(e_ft.training_energy_j(n) > e_base.training_energy_j(n));
     assert_eq!(e_ft.testing_energy_j(n), e_base.testing_energy_j(n));
     assert!(e_ft.update_verify_read_spikes_per_batch() > 0);

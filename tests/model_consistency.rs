@@ -10,14 +10,19 @@ use pipelayer::perf::PerfModel;
 use pipelayer::pipeline::PipelineSim;
 use pipelayer::Accelerator;
 use pipelayer_nn::zoo;
+use std::num::NonZeroUsize;
+
+fn nz(n: usize) -> NonZeroUsize {
+    NonZeroUsize::new(n).unwrap()
+}
 
 #[test]
 fn simulator_matches_formula_for_every_evaluation_network() {
     for spec in zoo::evaluation_specs() {
         let l = spec.weighted_layers();
         let b = 64usize;
-        let sim = PipelineSim::new(l, b).simulate_training(1, 0, 0);
-        let formula = Analysis::new(l, b).training_cycles_pipelined(b as u64);
+        let sim = PipelineSim::new(nz(l), nz(b)).simulate_training(1, 0, 0);
+        let formula = Analysis::new(nz(l), nz(b)).training_cycles_pipelined(b as u64);
         assert_eq!(sim.cycles, formula, "{}", spec.name);
         assert_eq!(sim.dependency_violations, 0, "{}", spec.name);
         assert_eq!(sim.peak_parallel_stages, 2 * l + 1, "{}", spec.name);
@@ -27,8 +32,9 @@ fn simulator_matches_formula_for_every_evaluation_network() {
 #[test]
 fn estimates_scale_linearly_in_workload() {
     let accel = Accelerator::builder(zoo::vgg(zoo::VggVariant::C))
-        .batch_size(64)
-        .build();
+        .batch_size(nz(64))
+        .build()
+        .unwrap();
     let t1 = accel.estimate_training(640);
     let t2 = accel.estimate_training(1280);
     assert!((t2.time_s / t1.time_s - 2.0).abs() < 0.01);
@@ -42,9 +48,10 @@ fn larger_lambda_never_slows_any_vgg() {
         let mut last = f64::INFINITY;
         for lambda in [0.25, 0.5, 1.0, 2.0, 4.0] {
             let accel = Accelerator::builder(spec.clone())
-                .batch_size(64)
+                .batch_size(nz(64))
                 .lambda(lambda)
-                .build();
+                .build()
+                .unwrap();
             let t = accel.estimate_training(640).time_s.0;
             assert!(
                 t <= last * 1.0001,
@@ -64,7 +71,8 @@ fn lambda_area_and_speed_tradeoff_is_monotone() {
     let mut last_area = 0.0;
     for lambda in [0.25, 0.5, 1.0, 2.0, 4.0] {
         let gl = scale_lambda(&g, lambda, &layers);
-        let net = MappedNetwork::with_granularity(&spec, &gl, PipeLayerConfig::default());
+        let net =
+            MappedNetwork::try_with_granularity(&spec, &gl, PipeLayerConfig::default()).unwrap();
         let area = net.total_crossbars_training();
         assert!(area as f64 >= last_area, "area must not shrink with lambda");
         last_area = area as f64;
@@ -76,7 +84,10 @@ fn batch_size_amortises_fill_overhead() {
     let spec = zoo::vgg(zoo::VggVariant::A);
     let mut last = f64::INFINITY;
     for batch in [8usize, 32, 128, 512] {
-        let accel = Accelerator::builder(spec.clone()).batch_size(batch).build();
+        let accel = Accelerator::builder(spec.clone())
+            .batch_size(nz(batch))
+            .build()
+            .unwrap();
         let per_image = accel.estimate_training(4096).time_s.0 / 4096.0;
         assert!(
             per_image < last,
@@ -88,7 +99,8 @@ fn batch_size_amortises_fill_overhead() {
 
 #[test]
 fn nonpipelined_time_uses_same_cycle_length() {
-    let net = MappedNetwork::from_spec(&zoo::spec_mnist_0(), PipeLayerConfig::default());
+    let net =
+        MappedNetwork::try_from_spec(&zoo::spec_mnist_0(), PipeLayerConfig::default()).unwrap();
     let perf = PerfModel::new(&net);
     let pipe = perf.training(640, true);
     let seq = perf.training(640, false);
@@ -99,7 +111,10 @@ fn nonpipelined_time_uses_same_cycle_length() {
 #[test]
 fn testing_deployment_never_larger_than_training() {
     for spec in zoo::evaluation_specs() {
-        let accel = Accelerator::builder(spec.clone()).batch_size(64).build();
+        let accel = Accelerator::builder(spec.clone())
+            .batch_size(nz(64))
+            .build()
+            .unwrap();
         assert!(
             accel.testing_area_mm2() < accel.training_area_mm2(),
             "{}",

@@ -5,6 +5,11 @@ use pipelayer::Accelerator;
 use pipelayer_baselines::dadiannao::{DADIANNAO, ISAAC};
 use pipelayer_baselines::GpuModel;
 use pipelayer_nn::zoo;
+use std::num::NonZeroUsize;
+
+fn nz(n: usize) -> NonZeroUsize {
+    NonZeroUsize::new(n).unwrap()
+}
 
 fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|&x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
@@ -24,7 +29,10 @@ fn workloads() -> Vec<(pipelayer_nn::NetSpec, u64)> {
 fn every_network_speeds_up_over_gpu() {
     let gpu = GpuModel::default();
     for (spec, n) in workloads() {
-        let accel = Accelerator::builder(spec.clone()).batch_size(64).build();
+        let accel = Accelerator::builder(spec.clone())
+            .batch_size(nz(64))
+            .build()
+            .unwrap();
         let s_train = gpu.training(&spec, n, 64).time_s / accel.estimate_training(n).time_s;
         let s_test = gpu.testing(&spec, n, 64).time_s / accel.estimate_testing(n).time_s;
         assert!(
@@ -48,7 +56,10 @@ fn speedup_geomeans_in_paper_band() {
     let mut train = Vec::new();
     let mut test = Vec::new();
     for (spec, n) in workloads() {
-        let accel = Accelerator::builder(spec.clone()).batch_size(64).build();
+        let accel = Accelerator::builder(spec.clone())
+            .batch_size(nz(64))
+            .build()
+            .unwrap();
         train.push(gpu.training(&spec, n, 64).time_s / accel.estimate_training(n).time_s);
         test.push(gpu.testing(&spec, n, 64).time_s / accel.estimate_testing(n).time_s);
     }
@@ -71,7 +82,10 @@ fn mnist_c_beats_alexnet_in_training_speedup() {
     // ... because Mnist-C is a multilayer perceptron network".
     let gpu = GpuModel::default();
     let s = |spec: pipelayer_nn::NetSpec, n: u64| {
-        let accel = Accelerator::builder(spec.clone()).batch_size(64).build();
+        let accel = Accelerator::builder(spec.clone())
+            .batch_size(nz(64))
+            .build()
+            .unwrap();
         gpu.training(&spec, n, 64).time_s / accel.estimate_training(n).time_s
     };
     let mnist_c = s(zoo::spec_mnist_c(), 6400);
@@ -91,7 +105,10 @@ fn energy_savings_in_paper_band() {
     let mut train = Vec::new();
     let mut test = Vec::new();
     for (spec, n) in workloads() {
-        let accel = Accelerator::builder(spec.clone()).batch_size(64).build();
+        let accel = Accelerator::builder(spec.clone())
+            .batch_size(nz(64))
+            .build()
+            .unwrap();
         train.push(gpu.training(&spec, n, 64).energy_j / accel.estimate_training(n).energy_j);
         test.push(gpu.testing(&spec, n, 64).energy_j / accel.estimate_testing(n).energy_j);
     }
@@ -114,7 +131,10 @@ fn energy_savings_in_paper_band() {
 
 #[test]
 fn area_matches_published_value() {
-    let accel = Accelerator::builder(zoo::alexnet()).batch_size(64).build();
+    let accel = Accelerator::builder(zoo::alexnet())
+        .batch_size(nz(64))
+        .build()
+        .unwrap();
     let area = accel.training_area_mm2();
     assert!(
         (area - 82.6).abs() < 2.0,
@@ -131,7 +151,7 @@ fn efficiency_orderings_hold() {
     use pipelayer::mapping::MappedNetwork;
     use pipelayer::perf::PerfModel;
 
-    let net = MappedNetwork::from_spec(&zoo::alexnet(), PipeLayerConfig::default());
+    let net = MappedNetwork::try_from_spec(&zoo::alexnet(), PipeLayerConfig::default()).unwrap();
     let perf = PerfModel::new(&net);
     let gops = perf.training_gops(6400);
     let area = training_area(&net, &AreaModel::default()).mm2;
@@ -156,15 +176,19 @@ fn pipeline_beats_nonpipelined_by_large_factor() {
     // Fig. 15: pipelined PipeLayer is roughly an order of magnitude above
     // the non-pipelined variant.
     for (spec, n) in workloads() {
-        let pipe = Accelerator::builder(spec.clone()).batch_size(64).build();
+        let pipe = Accelerator::builder(spec.clone())
+            .batch_size(nz(64))
+            .build()
+            .unwrap();
         let nopipe = Accelerator::builder(spec.clone())
-            .batch_size(64)
+            .batch_size(nz(64))
             .pipelined(false)
-            .build();
+            .build()
+            .unwrap();
         let ratio = nopipe.estimate_training(n).time_s / pipe.estimate_training(n).time_s;
         // The theoretical ceiling is (2L+1)B/(2L+B+1) (Fig. 7); require at
         // least 60% of it (the rest is the differently-timed update cycle).
-        let limit = pipelayer::analysis::Analysis::new(spec.weighted_layers(), 64)
+        let limit = pipelayer::analysis::Analysis::new(nz(spec.weighted_layers()), nz(64))
             .training_pipeline_speedup_limit();
         assert!(
             ratio > 0.6 * limit,
@@ -204,7 +228,10 @@ fn analytic_model_is_bit_pinned() {
     let isaac = IsaacModel::default();
     let mut vals: Vec<f64> = Vec::new();
     for (spec, n) in workloads() {
-        let accel = Accelerator::builder(spec.clone()).batch_size(64).build();
+        let accel = Accelerator::builder(spec.clone())
+            .batch_size(nz(64))
+            .build()
+            .unwrap();
         for pl in [accel.estimate_training(n), accel.estimate_testing(n)] {
             vals.extend([pl.cycle_ns.0, pl.time_s.0, pl.energy_j.0]);
         }
@@ -213,7 +240,7 @@ fn analytic_model_is_bit_pinned() {
         }
         vals.push(isaac.training_time_s(&spec, n, 64).0);
         vals.push(isaac.testing_time_s(&spec, n).0);
-        let net = MappedNetwork::from_spec(&spec, PipeLayerConfig::default());
+        let net = MappedNetwork::try_from_spec(&spec, PipeLayerConfig::default()).unwrap();
         vals.push(
             training_lifetime(&net, &EnduranceModel::storage_class())
                 .seconds
@@ -221,7 +248,7 @@ fn analytic_model_is_bit_pinned() {
         );
     }
 
-    let net = MappedNetwork::from_spec(&zoo::alexnet(), PipeLayerConfig::default());
+    let net = MappedNetwork::try_from_spec(&zoo::alexnet(), PipeLayerConfig::default()).unwrap();
     let perf = PerfModel::new(&net);
     let gops = perf.training_gops(6400);
     vals.push(gops / training_area(&net, &AreaModel::default()).mm2);

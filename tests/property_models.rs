@@ -12,6 +12,11 @@ use pipelayer_reram::{Crossbar, ReramMatrix, ReramParams, VariationModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
+use std::num::NonZeroUsize;
+
+fn nz(n: usize) -> NonZeroUsize {
+    NonZeroUsize::new(n).unwrap()
+}
 
 /// Deterministic pseudo-random float buffer in `[-1, 1)` (the stub
 /// proptest has no `collection::vec` strategy, so vectors are derived
@@ -68,8 +73,8 @@ proptest! {
             .map(|l| l.window_positions.max(1))
             .collect();
         let cfg = PipeLayerConfig::default();
-        let m1 = MappedNetwork::with_granularity(&spec, &g1, cfg);
-        let m2 = MappedNetwork::with_granularity(&spec, &g2, cfg);
+        let m1 = MappedNetwork::try_with_granularity(&spec, &g1, cfg).unwrap();
+        let m2 = MappedNetwork::try_with_granularity(&spec, &g2, cfg).unwrap();
         let c1 = TimingModel::new(&m1).cycle_testing_ns();
         let c2 = TimingModel::new(&m2).cycle_testing_ns();
         prop_assert!(c2 <= c1, "max replication must not be slower: {c2:?} vs {c1:?}");
@@ -78,7 +83,7 @@ proptest! {
     /// Training is never cheaper than testing, in cycles, time or energy.
     #[test]
     fn training_dominates_testing(spec in arb_spec()) {
-        let m = MappedNetwork::from_spec(&spec, PipeLayerConfig::with_batch(16));
+        let m = MappedNetwork::try_from_spec(&spec, PipeLayerConfig::with_batch(nz(16))).unwrap();
         let e = EnergyModel::new(&m);
         prop_assert!(e.training_energy_j(64) >= e.testing_energy_j(64));
         let t = TimingModel::new(&m);
@@ -89,8 +94,8 @@ proptest! {
     #[test]
     fn simulator_agrees_with_formula(spec in arb_spec(), b in 1usize..32) {
         let l = spec.weighted_layers();
-        let out = PipelineSim::new(l, b).simulate_training(1, 0, 0);
-        prop_assert_eq!(out.cycles, Analysis::new(l, b).training_cycles_pipelined(b as u64));
+        let out = PipelineSim::new(nz(l), nz(b)).simulate_training(1, 0, 0);
+        prop_assert_eq!(out.cycles, Analysis::new(nz(l), nz(b)).training_cycles_pipelined(b as u64));
         prop_assert_eq!(out.dependency_violations, 0);
     }
 
@@ -99,7 +104,7 @@ proptest! {
     #[test]
     fn crossbars_monotone_in_depth(spec in arb_spec()) {
         let cfg = PipeLayerConfig::default();
-        let full = MappedNetwork::from_spec(&spec, cfg);
+        let full = MappedNetwork::try_from_spec(&spec, cfg).unwrap();
         // Drop the last weighted layer (keep at least one).
         let mut layers = spec.layers.clone();
         while let Some(last) = layers.last() {
@@ -114,7 +119,7 @@ proptest! {
                 layers.pop();
             }
             let prefix_spec = NetSpec::new("prefix", spec.input, layers);
-            let prefix = MappedNetwork::from_spec(&prefix_spec, cfg);
+            let prefix = MappedNetwork::try_from_spec(&prefix_spec, cfg).unwrap();
             prop_assert!(
                 prefix.forward_crossbars() <= full.forward_crossbars(),
                 "prefix needs more arrays than the full network"
@@ -125,7 +130,7 @@ proptest! {
     /// Energy is exactly linear in the image count.
     #[test]
     fn energy_linear(spec in arb_spec(), k in 1u64..8) {
-        let m = MappedNetwork::from_spec(&spec, PipeLayerConfig::with_batch(8));
+        let m = MappedNetwork::try_from_spec(&spec, PipeLayerConfig::with_batch(nz(8))).unwrap();
         let e = EnergyModel::new(&m);
         let one = e.testing_energy_j(8);
         let many = e.testing_energy_j(8 * k);

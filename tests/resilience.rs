@@ -50,7 +50,7 @@ fn scrub_off_is_bit_identical_to_pre_scrub_baselines() {
         ),
     ];
     for (name, spec, energy_bits, lifetime_bits) in cases {
-        let net = MappedNetwork::from_spec(&spec, cfg);
+        let net = MappedNetwork::try_from_spec(&spec, cfg).unwrap();
         let t = TimingModel::new(&net);
         assert_eq!(
             t.update_cycle_ns().0.to_bits(),
