@@ -6,9 +6,10 @@ use pipelayer_reram::spike::SpikeDriver;
 use pipelayer_reram::{Crossbar, ReramMatrix, ReramParams};
 use std::hint::black_box;
 
-fn levels(rows: usize, cols: usize) -> Vec<Vec<u8>> {
-    (0..rows)
-        .map(|r| (0..cols).map(|c| ((r * 31 + c * 7) % 16) as u8).collect())
+/// Row-major `rows × cols` levels.
+fn levels(rows: usize, cols: usize) -> Vec<u8> {
+    (0..rows * cols)
+        .map(|i| ((i / cols * 31 + i % cols * 7) % 16) as u8)
         .collect()
 }
 

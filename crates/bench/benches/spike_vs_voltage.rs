@@ -13,8 +13,8 @@ use std::hint::black_box;
 
 fn bench_input_resolution(c: &mut Criterion) {
     let size = 64usize;
-    let levels: Vec<Vec<u8>> = (0..size)
-        .map(|r| (0..size).map(|cc| ((r + cc * 3) % 16) as u8).collect())
+    let levels: Vec<u8> = (0..size * size)
+        .map(|i| ((i / size + i % size * 3) % 16) as u8)
         .collect();
     let mut group = c.benchmark_group("mvm_by_input_bits");
     for &bits in &[1u8, 4, 8, 16] {

@@ -1,17 +1,17 @@
-//! Packed-vs-scalar spiked-MVM microbenchmark.
+//! GEMM-vs-scalar spiked-MVM microbenchmark.
 //!
-//! Times `Crossbar::mvm_spiked` (the bit-packed popcount datapath) against
+//! Times `Crossbar::mvm_spiked` (the integer-GEMM datapath) against
 //! `Crossbar::mvm_spiked_scalar` (the pinned per-slot boolean walk) on
 //! Mnist-A-shaped layers — 785×100 and 101×10 crossbars, the fc1/fc2
 //! weight arrays with the bias row folded in — at the functional path's
 //! 8-bit input resolution. Both paths are exact by construction, so the
 //! benchmark double-checks bitwise equality of every output before trusting
-//! the clock, and exits non-zero if the packed path is not at least the
+//! the clock, and exits non-zero if the GEMM path is not at least the
 //! floor factor faster (5× full, 2.5× under `--smoke` where tiny workloads
 //! make the clock noisy). The gated figure is the *network* speedup — total
-//! scalar time over total packed time for one MVM per layer — because the
-//! 101×10 output layer is too small for packing to amortize its fixed
-//! per-call costs and would otherwise mask the win on the layer that
+//! scalar time over total GEMM time for one MVM per layer — because the
+//! 101×10 output layer is too small to amortize the fixed per-call costs
+//! and would otherwise mask the win on the layer that
 //! carries ~98% of the work. Per-layer rates are still reported, and full
 //! runs record everything in `BENCH_mvm.json`.
 //!
@@ -38,9 +38,9 @@ struct LayerArm {
     name: &'static str,
     rows: usize,
     cols: usize,
-    packed_secs: f64,
+    gemm_secs: f64,
     scalar_secs: f64,
-    packed_mvms_per_sec: f64,
+    gemm_mvms_per_sec: f64,
     scalar_mvms_per_sec: f64,
     speedup: f64,
 }
@@ -57,16 +57,12 @@ fn splitmix(state: &mut u64) -> u64 {
 
 /// Builds a deterministically-programmed crossbar and an input pool for one
 /// layer shape. Two independently-built crossbars with the same seed hold
-/// identical levels, so the packed and scalar arms read the same array.
+/// identical levels, so the GEMM and scalar arms read the same array.
 fn build(rows: usize, cols: usize, seed: u64) -> (Crossbar, Vec<Vec<u32>>) {
     let mut state = seed;
     let max_level = (1u64 << CELL_BITS) - 1;
-    let levels: Vec<Vec<u8>> = (0..rows)
-        .map(|_| {
-            (0..cols)
-                .map(|_| (splitmix(&mut state) % (max_level + 1)) as u8)
-                .collect()
-        })
+    let levels: Vec<u8> = (0..rows * cols)
+        .map(|_| (splitmix(&mut state) % (max_level + 1)) as u8)
         .collect();
     let mut xbar = Crossbar::new(rows, cols, CELL_BITS);
     xbar.program(&levels);
@@ -92,36 +88,36 @@ fn main() {
     ];
 
     println!(
-        "spiked-MVM throughput — packed popcount vs scalar slot walk, {INPUT_BITS}-bit inputs, {reps} reps{}",
+        "spiked-MVM throughput — integer GEMM vs scalar slot walk, {INPUT_BITS}-bit inputs, {reps} reps{}",
         if smoke { " [smoke]" } else { "" }
     );
 
     let mut arms: Vec<LayerArm> = Vec::new();
     let mut all_identical = true;
     for &(name, rows, cols, seed) in &layers {
-        let (mut packed_xbar, inputs) = build(rows, cols, seed);
+        let (mut gemm_xbar, inputs) = build(rows, cols, seed);
         let (mut scalar_xbar, _) = build(rows, cols, seed);
 
         // Correctness gate before trusting the clock: every pooled input
         // must produce bitwise-identical outputs on both paths.
         for x in &inputs {
-            let p = packed_xbar.mvm_spiked(x, INPUT_BITS);
+            let g = gemm_xbar.mvm_spiked(x, INPUT_BITS);
             let s = scalar_xbar.mvm_spiked_scalar(x, INPUT_BITS);
-            if p != s {
+            if g != s {
                 all_identical = false;
-                eprintln!("CORRECTNESS FAILURE: {name} packed != scalar");
+                eprintln!("CORRECTNESS FAILURE: {name} gemm != scalar");
                 break;
             }
         }
 
-        // Warmup already happened above (plane cache is hot, pages faulted).
+        // Warmup already happened above (levels are hot, pages faulted).
         let t0 = Instant::now();
         let mut sink = 0u64;
         for i in 0..reps {
-            let y = packed_xbar.mvm_spiked(&inputs[i % INPUT_POOL], INPUT_BITS);
+            let y = gemm_xbar.mvm_spiked(&inputs[i % INPUT_POOL], INPUT_BITS);
             sink = sink.wrapping_add(y[0]);
         }
-        let packed_secs = t0.elapsed().as_secs_f64();
+        let gemm_secs = t0.elapsed().as_secs_f64();
 
         let t0 = Instant::now();
         for i in 0..reps {
@@ -131,29 +127,29 @@ fn main() {
         let scalar_secs = t0.elapsed().as_secs_f64();
         std::hint::black_box(sink);
 
-        let packed_rate = reps as f64 / packed_secs;
+        let gemm_rate = reps as f64 / gemm_secs;
         let scalar_rate = reps as f64 / scalar_secs;
         arms.push(LayerArm {
             name,
             rows,
             cols,
-            packed_secs,
+            gemm_secs,
             scalar_secs,
-            packed_mvms_per_sec: packed_rate,
+            gemm_mvms_per_sec: gemm_rate,
             scalar_mvms_per_sec: scalar_rate,
-            speedup: packed_rate / scalar_rate,
+            speedup: gemm_rate / scalar_rate,
         });
     }
 
     let mut table = Table::new(
         "Spiked-MVM throughput (single thread)".to_string(),
-        &["layer", "shape", "packed MVM/s", "scalar MVM/s", "speedup"],
+        &["layer", "shape", "GEMM MVM/s", "scalar MVM/s", "speedup"],
     );
     for arm in &arms {
         table.row(vec![
             arm.name.to_string(),
             format!("{}x{}", arm.rows, arm.cols),
-            fmt_f(arm.packed_mvms_per_sec, 1),
+            fmt_f(arm.gemm_mvms_per_sec, 1),
             fmt_f(arm.scalar_mvms_per_sec, 1),
             format!("{}x", fmt_f(arm.speedup, 2)),
         ]);
@@ -163,8 +159,8 @@ fn main() {
     // Network speedup: one MVM per layer (a full forward pass). Equal rep
     // counts per layer make the timed totals directly comparable.
     let scalar_total: f64 = arms.iter().map(|a| a.scalar_secs).sum();
-    let packed_total: f64 = arms.iter().map(|a| a.packed_secs).sum();
-    let network_speedup = scalar_total / packed_total;
+    let gemm_total: f64 = arms.iter().map(|a| a.gemm_secs).sum();
+    let network_speedup = scalar_total / gemm_total;
 
     if !smoke {
         // Hand-written JSON (no serde in the workspace).
@@ -186,11 +182,11 @@ fn main() {
         json.push_str("  \"layers\": [\n");
         for (i, arm) in arms.iter().enumerate() {
             json.push_str(&format!(
-                "    {{\"layer\": \"{}\", \"rows\": {}, \"cols\": {}, \"packed_mvms_per_sec\": {}, \"scalar_mvms_per_sec\": {}, \"speedup\": {}}}{}\n",
+                "    {{\"layer\": \"{}\", \"rows\": {}, \"cols\": {}, \"gemm_mvms_per_sec\": {}, \"scalar_mvms_per_sec\": {}, \"speedup\": {}}}{}\n",
                 arm.name,
                 arm.rows,
                 arm.cols,
-                json_num(arm.packed_mvms_per_sec),
+                json_num(arm.gemm_mvms_per_sec),
                 json_num(arm.scalar_mvms_per_sec),
                 json_num(arm.speedup),
                 if i + 1 < arms.len() { "," } else { "" }
@@ -205,17 +201,15 @@ fn main() {
     }
 
     if !all_identical {
-        eprintln!("packed datapath diverged from the scalar reference — failing");
+        eprintln!("GEMM datapath diverged from the scalar reference — failing");
         std::process::exit(1);
     }
     if network_speedup < floor {
-        eprintln!(
-            "packed network speedup {network_speedup:.2}x below the {floor}x floor — failing"
-        );
+        eprintln!("GEMM network speedup {network_speedup:.2}x below the {floor}x floor — failing");
         std::process::exit(1);
     }
     println!(
-        "packed outputs bitwise identical to scalar; network speedup {:.2}x (floor {floor}x)",
+        "GEMM outputs bitwise identical to scalar; network speedup {:.2}x (floor {floor}x)",
         network_speedup
     );
 }

@@ -69,8 +69,8 @@ impl ConvStage {
         let mut out = Tensor::zeros(&[self.c_out, ho, wo]);
         // The Fig. 4 window loop, fed as one multi-patch batch: every
         // patch is still its own array read phase (identical bits and
-        // spike accounting), but the arrays resolve their bit-plane
-        // decomposition once for the whole image.
+        // spike accounting), but on arrays whose reads don't perturb the
+        // device one walk over each array's levels serves the whole image.
         let xs: Vec<Vec<f32>> = (0..p_count)
             .map(|p| {
                 let mut x: Vec<f32> = (0..self.k * self.k * self.c_in)

@@ -777,15 +777,14 @@ impl ReramMlp {
     ///
     /// Samples are fed layer-major: every layer sees the whole batch as
     /// one [`ReramMatrix::matvec_batch`] call (forward and error
-    /// backward), so each array's bit-plane decomposition is resolved
-    /// once per batch instead of once per sample. Losses and gradients
-    /// accumulate in sample order, so on arrays whose reads don't perturb
-    /// the device state (ideal, faulted, or pure-retention drift) the
-    /// result is bitwise identical to the per-sample reference
-    /// [`train_batch_scalar`](Self::train_batch_scalar) — differentially
-    /// tested. With per-read noise or read disturb the MVMs execute in a
-    /// different (documented) order, so those trajectories are equally
-    /// valid but not bit-comparable to the per-sample schedule.
+    /// backward), so on arrays whose reads don't perturb the device each
+    /// array's levels are walked once per batch instead of once per
+    /// sample. Every array still sees its reads in sample order, and
+    /// losses and gradients accumulate in sample order, so the result is
+    /// bitwise identical to the per-sample reference
+    /// [`train_batch_scalar`](Self::train_batch_scalar) on every device
+    /// model, per-read noise and read disturb included — differentially
+    /// tested.
     ///
     /// # Panics
     ///
@@ -802,7 +801,7 @@ impl ReramMlp {
     /// buffers, and returns the summed (not mean) loss. No update is
     /// applied and no clock advanced — callers own that.
     fn batch_grads(&mut self, images: &[Tensor], labels: &[usize]) -> f32 {
-        // Forward, layer-major: one packed multi-image kernel per layer.
+        // Forward, layer-major: one multi-image GEMM per layer.
         let mut vs: Vec<Vec<f32>> = images.iter().map(|t| t.as_slice().to_vec()).collect();
         let mut cached_ins: Vec<Vec<Vec<f32>>> = Vec::with_capacity(self.layers.len());
         let mut cached_outs: Vec<Vec<Vec<f32>>> = Vec::with_capacity(self.layers.len());
@@ -889,10 +888,11 @@ impl ReramMlp {
     /// result is therefore bitwise independent of `threads` — `threads = 1`
     /// is the reference schedule — though not bit-comparable to
     /// [`train_batch`](Self::train_batch), whose single accumulator sums
-    /// samples in a different order. Like the batched feed, this assumes
-    /// reads don't perturb device state (ideal, faulted, wearing or
-    /// pure-retention-drift arrays; per-read noise and read disturb are
-    /// read-order-dependent and out of scope).
+    /// samples in a different order. Unlike the batched feed, this
+    /// assumes reads don't perturb device state (ideal, faulted, wearing
+    /// or pure-retention-drift arrays): under per-read noise or read
+    /// disturb each chunk's clone of the arrays books only its own reads,
+    /// so the clones diverge from one another and from the serial feed.
     ///
     /// # Panics
     ///
@@ -1473,20 +1473,43 @@ mod tests {
     }
 
     /// The layer-major batched feed must reproduce the per-sample
-    /// reference bit-for-bit on arrays whose reads don't perturb device
-    /// state — here on ideal arrays and on fault-ridden ones (stuck cells
-    /// are read-order-independent).
+    /// reference bit-for-bit — losses, weights and every crossbar's spike
+    /// counters — on ideal arrays, on fault-ridden ones, and where reads
+    /// perturb later ones (drift with read disturb plus per-read noise):
+    /// every array sees its reads in sample order under both schedules,
+    /// and an array's device state depends only on its own reads.
     #[test]
     fn batched_feed_matches_scalar_reference_bitwise() {
         let (tr, trl, _, _) = small_task();
-        let builds: [fn() -> ReramMlp; 2] = [
+        let builds: [fn() -> ReramMlp; 3] = [
             || ReramMlp::new(&[49, 16, 10], &ReramParams::default(), 5),
             || {
                 ReramMlp::builder(&[49, 16, 10], &ReramParams::default(), 5)
                     .device(DeviceModel::ideal().with_faults(FaultModel::with_stuck_rate(1e-3)))
                     .build()
             },
+            || {
+                let drift = DriftModel {
+                    nu: 0.1,
+                    nu_sigma: 0.05,
+                    t0_cycles: 8,
+                    disturb_per_level: 40,
+                };
+                let device = DeviceModel::ideal()
+                    .with_drift(drift)
+                    .with_noise(NoiseModel::with_strength(0.5));
+                ReramMlp::builder(&[49, 16, 10], &ReramParams::default(), 5)
+                    .device(device)
+                    .build()
+            },
         ];
+        let counters = |mlp: &ReramMlp| -> Vec<(u64, u64, u64)> {
+            mlp.layers
+                .iter()
+                .flat_map(|l| l.forward.crossbars().chain(l.backward.crossbars()))
+                .map(|c| c.spike_counters())
+                .collect()
+        };
         for build in builds {
             let mut batched = build();
             let mut scalar = build();
@@ -1502,8 +1525,7 @@ mod tests {
                     assert_eq!(a.to_bits(), b.to_bits(), "weight bits diverged");
                 }
             }
-            assert_eq!(batched.read_spikes(), scalar.read_spikes());
-            assert_eq!(batched.write_spikes(), scalar.write_spikes());
+            assert_eq!(counters(&batched), counters(&scalar));
         }
     }
 

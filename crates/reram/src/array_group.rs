@@ -37,9 +37,6 @@ use rand::Rng;
 /// assert!((y[0] - 0.5).abs() < 1e-3);
 /// assert!((y[1] - 1.0).abs() < 1e-3);
 /// ```
-/// Per-segment-group `(positive, negative)` level matrices, `[row][col]`.
-type GroupLevels = Vec<(Vec<Vec<u8>>, Vec<Vec<u8>>)>;
-
 #[derive(Debug, Clone)]
 pub struct ReramMatrix {
     in_dim: usize,
@@ -253,9 +250,9 @@ impl ReramMatrix {
     /// Panics if `weights.len()` mismatches the geometry.
     pub fn write(&mut self, weights: &[f32]) {
         let levels = self.quantize_levels(weights);
-        for ((pos, neg), (pos_levels, neg_levels)) in self.groups.iter_mut().zip(&levels) {
-            pos.program(pos_levels);
-            neg.program(neg_levels);
+        let cells = self.in_dim * self.out_dim;
+        for (xbar, levels) in self.crossbars_mut().zip(levels.chunks_exact(cells)) {
+            xbar.program(levels);
         }
     }
 
@@ -274,17 +271,18 @@ impl ReramMatrix {
         rng: &mut impl Rng,
     ) -> ProgramReport {
         let levels = self.quantize_levels(weights);
+        let cells = self.in_dim * self.out_dim;
         let mut report = ProgramReport::default();
-        for ((pos, neg), (pos_levels, neg_levels)) in self.groups.iter_mut().zip(&levels) {
-            report.merge(pos.program_verify(pos_levels, policy, rng));
-            report.merge(neg.program_verify(neg_levels, policy, rng));
+        for (xbar, levels) in self.crossbars_mut().zip(levels.chunks_exact(cells)) {
+            report.merge(xbar.program_verify(levels, policy, rng));
         }
         report
     }
 
-    /// Quantizes `weights` into per-group `(positive, negative)` level
-    /// matrices and updates the weight scale.
-    fn quantize_levels(&mut self, weights: &[f32]) -> GroupLevels {
+    /// Quantizes `weights` once each and updates the weight scale. Returns
+    /// one row-major `in_dim × out_dim` level buffer per member crossbar,
+    /// back to back in [`crossbars`](Self::crossbars) order.
+    fn quantize_levels(&mut self, weights: &[f32]) -> Vec<u8> {
         assert_eq!(
             weights.len(),
             self.out_dim * self.in_dim,
@@ -296,30 +294,27 @@ impl ReramMatrix {
         } else {
             absmax / self.qmax() as f32
         };
-        let mask = (1u32 << self.cell_bits) - 1;
+        let mask = (1u64 << self.cell_bits) - 1;
         let (in_dim, out_dim, cell_bits) = (self.in_dim, self.out_dim, self.cell_bits);
         let (qmax, scale) = (self.qmax(), self.weight_scale);
-        (0..self.groups.len())
-            .map(|g| {
-                let shift = g as u32 * cell_bits as u32;
-                let mut pos_levels = vec![vec![0u8; out_dim]; in_dim];
-                let mut neg_levels = vec![vec![0u8; out_dim]; in_dim];
-                for o in 0..out_dim {
-                    for i in 0..in_dim {
-                        let w = weights[o * in_dim + i];
-                        let q = (w / scale).round() as i64;
-                        let q = q.clamp(-qmax, qmax);
-                        let nibble = (((q.unsigned_abs()) >> shift) as u32 & mask) as u8;
-                        if q >= 0 {
-                            pos_levels[i][o] = nibble;
-                        } else {
-                            neg_levels[i][o] = nibble;
-                        }
-                    }
+        let cells = in_dim * out_dim;
+        let mut levels = vec![0u8; self.crossbar_count() * cells];
+        for (o, row) in weights.chunks_exact(in_dim).enumerate() {
+            for (i, &w) in row.iter().enumerate() {
+                let q = (w / scale).round() as i64;
+                let q = q.clamp(-qmax, qmax);
+                // Positive magnitudes land on the even (pos) crossbars,
+                // negative ones on the odd (neg) ones; one nibble a group.
+                let mut at = i * out_dim + o + if q >= 0 { 0 } else { cells };
+                let mut magnitude = q.unsigned_abs();
+                for _ in &self.groups {
+                    levels[at] = (magnitude & mask) as u8;
+                    magnitude >>= cell_bits;
+                    at += 2 * cells;
                 }
-                (pos_levels, neg_levels)
-            })
-            .collect()
+            }
+        }
+        levels
     }
 
     /// Remaps the given logical outputs onto fault-free spare bit lines:
@@ -416,19 +411,20 @@ impl ReramMatrix {
     /// Reads the stored (quantized) weights back — the "old weights are read
     /// out" step of the update path (Sec. 4.4.2).
     pub fn read(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.out_dim * self.in_dim];
+        let (in_dim, out_dim) = (self.in_dim, self.out_dim);
+        let mut out = vec![0.0f32; out_dim * in_dim];
         for (g, (pos, neg)) in self.groups.iter().enumerate() {
             let shift = g as u32 * self.cell_bits as u32;
-            for o in 0..self.out_dim {
+            // Reads go through the analog path, so stuck cells corrupt
+            // what comes back.
+            let (pos, neg) = (pos.effective_levels(), neg.effective_levels());
+            for (o, w) in out.chunks_exact_mut(in_dim).enumerate() {
                 if self.masked_outputs[o] {
                     continue;
                 }
-                for i in 0..self.in_dim {
-                    // Reads go through the analog path, so stuck cells
-                    // corrupt what comes back.
-                    let p = pos.effective_level(i, o) as i64;
-                    let n = neg.effective_level(i, o) as i64;
-                    out[o * self.in_dim + i] += ((p - n) << shift) as f32 * self.weight_scale;
+                for (i, w) in w.iter_mut().enumerate() {
+                    let (p, n) = (pos[i * out_dim + o], neg[i * out_dim + o]);
+                    *w += ((i64::from(p) - i64::from(n)) << shift) as f32 * self.weight_scale;
                 }
             }
         }
@@ -444,59 +440,91 @@ impl ReramMatrix {
     ///
     /// Panics if `x.len() != in_dim()`.
     pub fn matvec(&mut self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), self.in_dim, "input length mismatch");
-        let absmax = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        if absmax == 0.0 {
-            return vec![0.0; self.out_dim];
-        }
-        let in_qmax = ((1u64 << self.data_bits) - 1) as f32 / 2.0;
-        let x_scale = absmax / in_qmax;
-        let q: Vec<i64> = x.iter().map(|&v| (v / x_scale).round() as i64).collect();
-
-        let mut acc = vec![0i64; self.out_dim];
-        for sign in [1i64, -1] {
-            let phase: Vec<u32> = q
-                .iter()
-                .map(|&v| if v * sign > 0 { (v * sign) as u32 } else { 0 })
-                .collect();
-            if phase.iter().all(|&v| v == 0) {
-                continue;
-            }
-            for (g, (pos, neg)) in self.groups.iter_mut().enumerate() {
-                let shift = g as u32 * self.cell_bits as u32;
-                let yp = pos.mvm_spiked(&phase, self.data_bits);
-                let yn = neg.mvm_spiked(&phase, self.data_bits);
-                for (a, (&p, &n)) in acc.iter_mut().zip(yp.iter().zip(&yn)) {
-                    // Subtractor (activation component) + segment shift-add.
-                    *a += sign * ((p as i64 - n as i64) << shift);
-                }
-            }
-        }
-        acc.iter()
-            .zip(&self.masked_outputs)
-            .map(|(&a, &masked)| {
-                if masked {
-                    0.0
-                } else {
-                    a as f32 * self.weight_scale * x_scale
-                }
-            })
-            .collect()
+        self.matvec_flat(std::iter::once(x))
     }
 
     /// Batched [`matvec`](Self::matvec): one call per *batch* of input
-    /// vectors. Semantics are exactly `xs.iter().map(|x| self.matvec(x))`
-    /// — per-sample quantization, phase splitting, spike accounting and
-    /// disturb/noise-epoch ordering are all identical — but because no
-    /// write lands between samples, every member crossbar resolves its
-    /// bit-plane decomposition once and reuses it across the whole batch.
-    /// This is the multi-image kernel the functional training paths feed.
+    /// vectors, with exactly the results, spike counters and device state
+    /// of `xs.iter().map(|x| self.matvec(x))`. Every sample is quantized
+    /// and phase-split first; then each member crossbar runs the whole
+    /// phase sequence in the order the per-sample calls would. A
+    /// crossbar's device state depends only on its own reads, so this is
+    /// bitwise the sequential result on every device model, and where
+    /// reads leave the device untouched one walk over a crossbar's levels
+    /// serves the whole batch. This is the multi-image kernel the
+    /// functional training paths feed.
     ///
     /// # Panics
     ///
     /// Panics if any input's length differs from `in_dim()`.
     pub fn matvec_batch(&mut self, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        xs.iter().map(|x| self.matvec(x)).collect()
+        let out_dim = self.out_dim;
+        self.matvec_flat(xs.iter().map(Vec::as_slice))
+            .chunks_exact(out_dim)
+            .map(<[f32]>::to_vec)
+            .collect()
+    }
+
+    /// The products of every input in `xs`, `out_dim` apiece, back to back.
+    fn matvec_flat<'a>(&mut self, xs: impl Iterator<Item = &'a [f32]>) -> Vec<f32> {
+        let in_qmax = ((1u64 << self.data_bits) - 1) as f32 / 2.0;
+        // Per sample, its input scale (`None`: an all-zero input, which
+        // drives nothing); per non-empty phase, its sample and sign.
+        let mut x_scales: Vec<Option<f32>> = Vec::new();
+        let mut phase_of: Vec<(usize, i64)> = Vec::new();
+        let mut phases: Vec<u32> = Vec::new();
+        for (s, x) in xs.enumerate() {
+            assert_eq!(x.len(), self.in_dim, "input length mismatch");
+            let absmax = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+            if absmax == 0.0 {
+                x_scales.push(None);
+                continue;
+            }
+            let x_scale = absmax / in_qmax;
+            x_scales.push(Some(x_scale));
+            let q: Vec<i64> = x.iter().map(|&v| (v / x_scale).round() as i64).collect();
+            for sign in [1i64, -1] {
+                let start = phases.len();
+                phases.extend(
+                    q.iter()
+                        .map(|&v| if v * sign > 0 { (v * sign) as u32 } else { 0 }),
+                );
+                if phases[start..].iter().all(|&v| v == 0) {
+                    phases.truncate(start);
+                } else {
+                    phase_of.push((s, sign));
+                }
+            }
+        }
+
+        let out_dim = self.out_dim;
+        let mut acc = vec![0i64; x_scales.len() * out_dim];
+        for (g, (pos, neg)) in self.groups.iter_mut().enumerate() {
+            let shift = g as u32 * self.cell_bits as u32;
+            let yp = pos.mvm_spiked_batch(&phases, self.data_bits);
+            let yn = neg.mvm_spiked_batch(&phases, self.data_bits);
+            let ys = yp.chunks_exact(out_dim).zip(yn.chunks_exact(out_dim));
+            for (&(s, sign), (yp, yn)) in phase_of.iter().zip(ys) {
+                let acc = &mut acc[s * out_dim..(s + 1) * out_dim];
+                for (a, (&p, &n)) in acc.iter_mut().zip(yp.iter().zip(yn)) {
+                    // Subtractor (activation component) + segment shift-add.
+                    *a += sign * ((p as i64 - n as i64) << shift);
+                }
+            }
+        }
+        let mut out = vec![0.0f32; acc.len()];
+        let samples = out.chunks_exact_mut(out_dim).zip(acc.chunks_exact(out_dim));
+        for ((y, acc), x_scale) in samples.zip(&x_scales) {
+            let Some(x_scale) = x_scale else {
+                continue;
+            };
+            for ((y, &a), &masked) in y.iter_mut().zip(acc).zip(&self.masked_outputs) {
+                if !masked {
+                    *y = a as f32 * self.weight_scale * x_scale;
+                }
+            }
+        }
+        out
     }
 
     /// Total input (read) spikes across all member crossbars.
@@ -690,23 +718,50 @@ mod tests {
         assert_eq!(m.row_wear_headroom(0), 0);
     }
 
+    /// `matvec_batch` is the mapped `matvec`, bitwise, even where every
+    /// read perturbs the next one: drift with read disturb plus per-read
+    /// noise, over a batch with an all-zero, a one-signed and a mixed
+    /// sample. Every crossbar's spike counters and the read-back weights
+    /// (device state after the batch) agree too.
     #[test]
     fn matvec_batch_matches_sequential_bitwise() {
         let w = vec![0.5f32, -0.25, 0.125, 1.0, -1.0, 0.0];
         let xs: Vec<Vec<f32>> = vec![
             vec![1.0, -2.0, 0.5],
             vec![0.0, 0.0, 0.0],
-            vec![-0.125, 3.0, 7.5],
+            vec![0.25, 3.0, 7.5],
+            vec![-0.125, 3.0, -7.5],
         ];
+        let disturb = DriftModel {
+            nu: 0.1,
+            nu_sigma: 0.05,
+            t0_cycles: 8,
+            disturb_per_level: 3,
+        };
         let mut seq = ReramMatrix::program(&w, 2, 3, &ReramParams::default());
-        seq.attach_noise(NoiseModel::with_strength(1.0), 17);
+        seq.attach(
+            &DeviceModel::ideal()
+                .with_drift(disturb)
+                .with_noise(NoiseModel::with_strength(1.0)),
+            17,
+        );
+        seq.advance_cycles(1_000);
         let mut bat = seq.clone();
-        let want: Vec<Vec<f32>> = xs.iter().map(|x| seq.matvec(x)).collect();
-        let got = bat.matvec_batch(&xs);
-        for (g, w_) in got.iter().flatten().zip(want.iter().flatten()) {
-            assert_eq!(g.to_bits(), w_.to_bits());
+        for _ in 0..3 {
+            let want: Vec<Vec<f32>> = xs.iter().map(|x| seq.matvec(x)).collect();
+            let got = bat.matvec_batch(&xs);
+            assert_eq!(got.len(), want.len());
+            for (g, w_) in got.iter().flatten().zip(want.iter().flatten()) {
+                assert_eq!(g.to_bits(), w_.to_bits());
+            }
         }
-        assert_eq!(bat.read_spikes(), seq.read_spikes());
+        let counters = |m: &ReramMatrix| -> Vec<(u64, u64, u64)> {
+            m.crossbars().map(Crossbar::spike_counters).collect()
+        };
+        assert_eq!(counters(&bat), counters(&seq));
+        let bits = |m: &ReramMatrix| -> Vec<u32> { m.read().iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(&bat), bits(&seq));
+        assert!(bat.matvec_batch(&[]).is_empty());
     }
 
     proptest! {

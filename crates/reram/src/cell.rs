@@ -1,4 +1,4 @@
-//! The multi-level ReRAM cell.
+//! The multi-level ReRAM cell, stored as its level byte.
 
 use crate::fault::{noisy_landing, VerifyPolicy};
 use rand::Rng;
@@ -14,85 +14,66 @@ pub(crate) struct CellWrite {
     pub verified: bool,
 }
 
-/// One metal-oxide ReRAM cell storing `bits` bits as one of `2^bits`
-/// discrete conductance levels.
+/// The top level of a `bits`-bit cell, `2^bits - 1`.
 ///
-/// The paper's default resolution is 4 bits per cell (Sec. 5.1) — the value
-/// PRIME-era devices demonstrated — with higher weight resolutions built
-/// from multiple cells (see [`array_group`](crate::array_group)). Cells
-/// live only inside a [`Crossbar`](crate::Crossbar), whose constructor
-/// checks `bits ∈ 1..=8`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct ReramCell {
-    level: u8,
-    bits: u8,
+/// A cell is one metal-oxide ReRAM device storing `bits` bits as one of
+/// `2^bits` discrete conductance levels. The paper's default resolution is
+/// 4 bits per cell (Sec. 5.1) — the value PRIME-era devices demonstrated —
+/// with higher weight resolutions built from multiple cells (see
+/// [`array_group`](crate::array_group)). Cells live only inside a
+/// [`Crossbar`](crate::Crossbar), which stores each as its level byte and
+/// whose constructor checks `bits ∈ 1..=8`; a fresh cell sits at level 0
+/// (high-resistance state).
+#[inline]
+pub(crate) fn max_level(bits: u8) -> u8 {
+    ((1u16 << bits) - 1) as u8
 }
 
-impl ReramCell {
-    /// A fresh cell at level 0 (high-resistance state).
-    pub fn new(bits: u8) -> Self {
-        ReramCell { level: 0, bits }
-    }
+/// Programs the cell at `*level` to `target`, returning the number of
+/// tuning pulses (write spikes) the spike driver issues — modelled as the
+/// level distance, since each pulse nudges the conductance one state. An
+/// over-range `target` saturates at `max_level`.
+#[inline]
+pub(crate) fn program(level: &mut u8, target: u8, max_level: u8) -> u32 {
+    let target = target.min(max_level);
+    let pulses = u32::from(level.abs_diff(target));
+    *level = target;
+    pulses
+}
 
-    /// Cell resolution in bits.
-    pub fn bits(&self) -> u8 {
-        self.bits
-    }
-
-    /// Current conductance level, `0 ..= 2^bits - 1`.
-    pub fn level(&self) -> u8 {
-        self.level
-    }
-
-    /// Maximum representable level.
-    pub fn max_level(&self) -> u8 {
-        ((1u16 << self.bits) - 1) as u8
-    }
-
-    /// Programs the cell to `level`, returning the number of tuning pulses
-    /// (write spikes) the spike driver issues — modelled as the level
-    /// distance, since each pulse nudges the conductance one state. An
-    /// over-range `level` saturates at the cell's top level.
-    pub fn program(&mut self, level: u8) -> u32 {
-        let level = level.min(self.max_level());
-        let pulses = (self.level as i32 - level as i32).unsigned_abs();
-        self.level = level;
-        pulses
-    }
-
-    /// Programs the cell to `level` with the program-and-verify loop: each
-    /// attempt issues tuning pulses (landing within `policy.write_sigma`
-    /// levels of the target), then a verify read checks the result; misses
-    /// retry until `policy.max_attempts` is exhausted. The first attempt
-    /// is always issued.
-    ///
-    /// This models a *healthy* cell — stuck-at behaviour lives in the
-    /// crossbar's [`FaultMap`](crate::fault::FaultMap), which intercepts
-    /// the write before it reaches the cell. An over-range `level`
-    /// saturates at the cell's top level.
-    pub fn program_verify(
-        &mut self,
-        level: u8,
-        policy: &VerifyPolicy,
-        rng: &mut impl Rng,
-    ) -> CellWrite {
-        let level = level.min(self.max_level());
-        let mut pulses = 0u32;
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            let landed = noisy_landing(level, self.max_level(), policy.write_sigma, rng);
-            pulses += (self.level as i32 - landed as i32).unsigned_abs();
-            self.level = landed;
-            if self.level == level || attempts >= policy.max_attempts {
-                break;
-            }
+/// Programs the cell at `*level` to `target` with the program-and-verify
+/// loop: each attempt issues tuning pulses (landing within
+/// `policy.write_sigma` levels of the target), then a verify read checks
+/// the result; misses retry until `policy.max_attempts` is exhausted. The
+/// first attempt is always issued.
+///
+/// This models a *healthy* cell — stuck-at behaviour lives in the
+/// crossbar's [`FaultMap`](crate::fault::FaultMap), which intercepts the
+/// write before it reaches the cell. An over-range `target` saturates at
+/// `max_level`.
+pub(crate) fn program_verify(
+    level: &mut u8,
+    target: u8,
+    max_level: u8,
+    policy: &VerifyPolicy,
+    rng: &mut impl Rng,
+) -> CellWrite {
+    let target = target.min(max_level);
+    let mut pulses = 0u32;
+    let mut attempts = 0u32;
+    loop {
+        attempts += 1;
+        let landed = noisy_landing(target, max_level, policy.write_sigma, rng);
+        pulses += u32::from(level.abs_diff(landed));
+        *level = landed;
+        if *level == target || attempts >= policy.max_attempts {
+            break;
         }
-        CellWrite {
-            pulses,
-            attempts,
-            verified: self.level == level,
-        }
+    }
+    CellWrite {
+        pulses,
+        attempts,
+        verified: *level == target,
     }
 }
 
@@ -101,30 +82,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fresh_cell_is_hrs() {
-        let c = ReramCell::new(4);
-        assert_eq!(c.level(), 0);
-        assert_eq!(c.max_level(), 15);
+    fn four_bit_cells_have_sixteen_levels() {
+        assert_eq!(max_level(4), 15);
+        assert_eq!(max_level(8), 255);
     }
 
     #[test]
     fn program_counts_pulses_by_distance() {
-        let mut c = ReramCell::new(4);
-        assert_eq!(c.program(15), 15);
-        assert_eq!(c.program(10), 5);
-        assert_eq!(c.program(10), 0);
+        let mut c = 0u8;
+        assert_eq!(program(&mut c, 15, 15), 15);
+        assert_eq!(program(&mut c, 10, 15), 5);
+        assert_eq!(program(&mut c, 10, 15), 0);
     }
 
     #[test]
     fn overrange_level_saturates() {
         use rand::{rngs::StdRng, SeedableRng};
-        let mut c = ReramCell::new(4);
-        assert_eq!(c.program(16), 15);
-        assert_eq!(c.level(), 15);
-        let mut c = ReramCell::new(4);
-        let w = c.program_verify(200, &VerifyPolicy::default(), &mut StdRng::seed_from_u64(0));
+        let mut c = 0u8;
+        assert_eq!(program(&mut c, 16, 15), 15);
+        assert_eq!(c, 15);
+        let mut c = 0u8;
+        let policy = VerifyPolicy::default();
+        let w = program_verify(&mut c, 200, 15, &policy, &mut StdRng::seed_from_u64(0));
         assert!(w.verified);
-        assert_eq!((c.level(), w.pulses), (15, 15));
+        assert_eq!((c, w.pulses), (15, 15));
     }
 
     #[test]
@@ -136,22 +117,21 @@ mod tests {
     #[test]
     fn zero_attempt_budget_still_issues_the_first_attempt() {
         use rand::{rngs::StdRng, SeedableRng};
-        let mut c = ReramCell::new(4);
         let policy = VerifyPolicy::with_attempts(0);
-        let w = c.program_verify(9, &policy, &mut StdRng::seed_from_u64(0));
+        let w = program_verify(&mut 0, 9, 15, &policy, &mut StdRng::seed_from_u64(0));
         assert_eq!((w.attempts, w.pulses, w.verified), (1, 9, true));
     }
 
     #[test]
     fn verify_noiseless_first_shot() {
         use rand::{rngs::StdRng, SeedableRng};
-        let mut c = ReramCell::new(4);
+        let mut c = 0u8;
         let mut rng = StdRng::seed_from_u64(0);
-        let w = c.program_verify(9, &VerifyPolicy::default(), &mut rng);
+        let w = program_verify(&mut c, 9, 15, &VerifyPolicy::default(), &mut rng);
         assert!(w.verified);
         assert_eq!(w.attempts, 1);
         assert_eq!(w.pulses, 9);
-        assert_eq!(c.level(), 9);
+        assert_eq!(c, 9);
     }
 
     #[test]
@@ -164,11 +144,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let mut converged = 0;
         for target in 0..=15u8 {
-            let mut c = ReramCell::new(4);
-            let w = c.program_verify(target, &policy, &mut rng);
+            let mut c = 0u8;
+            let w = program_verify(&mut c, target, 15, &policy, &mut rng);
             assert!(w.attempts >= 1 && w.attempts <= 64);
             if w.verified {
-                assert_eq!(c.level(), target);
+                assert_eq!(c, target);
                 converged += 1;
             }
         }
@@ -184,8 +164,7 @@ mod tests {
             write_sigma: 50.0, // wild noise: almost never lands on target
         };
         let mut rng = StdRng::seed_from_u64(3);
-        let mut c = ReramCell::new(4);
-        let w = c.program_verify(7, &policy, &mut rng);
+        let w = program_verify(&mut 0, 7, 15, &policy, &mut rng);
         assert!(w.attempts <= 2);
     }
 }

@@ -1,23 +1,24 @@
 //! A single ReRAM crossbar array performing in-situ matrix–vector
 //! multiplication through the spike/integrate-and-fire path.
 
-use crate::cell::ReramCell;
+use crate::cell;
 use crate::device::{DeviceModel, DeviceStack};
 use crate::drift::DriftState;
 use crate::fault::{FaultMap, ProgramReport, UnrecoverableCell, VerifyPolicy};
 use crate::integrate_fire::IntegrateFire;
 use crate::noise::NoiseState;
-use crate::packed::{self, BitPlanes, PackedSpikes};
 use crate::spike::{SpikeDriver, SpikeTrain};
 use crate::wear::WearState;
 use rand::Rng;
 use stamped::Stamped;
+use std::borrow::Cow;
+use std::ops::{AddAssign, Mul};
 
 /// Everything a read resolves: the cells' stored levels and the device
 /// stack between them and the bit lines.
 #[derive(Debug, Clone)]
 struct Array {
-    cells: Vec<ReramCell>, // row-major
+    cells: Vec<u8>, // stored levels, row-major
     device: DeviceStack,
 }
 
@@ -74,11 +75,13 @@ mod stamped {
 pub struct Crossbar {
     rows: usize,
     cols: usize,
+    bits: u8,
     array: Stamped<Array>,
-    /// Bit-plane decomposition of the levels a read saw at the stamped
+    /// The effective levels (row-major) a read saw at the stamped
     /// generation of `array`; served again only while that generation is
-    /// current.
-    plane_cache: Option<(u64, BitPlanes)>,
+    /// current. Transparent arrays never fill it: they read their stored
+    /// levels in place.
+    level_cache: Option<(u64, Vec<u8>)>,
     read_spikes: u64,
     write_spikes: u64,
     output_spikes: u64,
@@ -99,11 +102,12 @@ impl Crossbar {
         Crossbar {
             rows,
             cols,
+            bits,
             array: Stamped::new(Array {
-                cells: vec![ReramCell::new(bits); rows * cols],
+                cells: vec![0; rows * cols],
                 device: DeviceStack::ideal(rows, cols),
             }),
-            plane_cache: None,
+            level_cache: None,
             read_spikes: 0,
             write_spikes: 0,
             output_spikes: 0,
@@ -168,18 +172,19 @@ impl Crossbar {
     /// because of drift or disturb (fault-pinned cells are not counted —
     /// scrub cannot help them).
     pub fn drifted_cells(&self) -> usize {
-        let a = &*self.array;
+        let (a, max) = (&*self.array, self.max_level());
         let Some(d) = a.device.drift() else {
             return 0;
         };
-        (0..self.rows * self.cols)
-            .filter(|&i| {
-                let (r, c) = (i / self.cols, i % self.cols);
-                let cell = &a.cells[i];
-                a.device.fault(r, c).is_none()
-                    && d.is_degraded(r, c, cell.level(), cell.max_level())
-            })
-            .count()
+        let mut drifted = 0;
+        for (r, row) in a.cells.chunks_exact(self.cols).enumerate() {
+            for (c, &stored) in row.iter().enumerate() {
+                if a.device.fault(r, c).is_none() && d.is_degraded(r, c, stored, max) {
+                    drifted += 1;
+                }
+            }
+        }
+        drifted
     }
 
     /// Clears every fault in bit line `col` — the crossbar-level view of a
@@ -211,7 +216,7 @@ impl Crossbar {
         if col >= self.cols {
             return report;
         }
-        let (rows, cols, bits) = (self.rows, self.cols, self.cell_bits());
+        let (rows, cols, max) = (self.rows, self.cols, self.max_level());
         let a = self.array.get_mut();
         a.device.renew_col(col);
         for r in 0..rows {
@@ -220,10 +225,10 @@ impl Crossbar {
             };
             // Intent levels survive in the cells even when a fault pinned
             // the physical reads (program paths keep tracking the target).
-            let target = cell.level();
-            *cell = ReramCell::new(bits);
+            let target = *cell;
+            *cell = 0;
             report.ideal_pulses += u64::from(target);
-            let w = cell.program_verify(target, policy, rng);
+            let w = cell::program_verify(cell, target, max, policy, rng);
             report.pulses += u64::from(w.pulses);
             report.verify_reads += u64::from(w.attempts);
             if !w.verified {
@@ -231,7 +236,7 @@ impl Crossbar {
                     row: r,
                     col,
                     target,
-                    actual: cell.level(),
+                    actual: *cell,
                 });
             }
             if w.pulses > 0 {
@@ -255,7 +260,7 @@ impl Crossbar {
 
     /// Row-major stored (intent) levels — what a checkpoint persists.
     pub fn stored_levels(&self) -> Vec<u8> {
-        self.array.cells.iter().map(|c| c.level()).collect()
+        self.array.cells.clone()
     }
 
     /// Overwrites the stored levels in place. Checkpoint restore only: no
@@ -266,8 +271,9 @@ impl Crossbar {
         if levels.len() != self.rows * self.cols {
             return false;
         }
+        let max = self.max_level();
         for (cell, &lvl) in self.array.get_mut().cells.iter_mut().zip(levels) {
-            let _ = cell.program(lvl.min(cell.max_level()));
+            *cell = lvl.min(max);
         }
         true
     }
@@ -300,41 +306,79 @@ impl Crossbar {
 
     /// Cell resolution in bits.
     pub fn cell_bits(&self) -> u8 {
-        self.array.cells[0].bits()
+        self.bits
+    }
+
+    fn max_level(&self) -> u8 {
+        cell::max_level(self.bits)
     }
 
     /// Level the programming logic last stored at `(row, col)` (what the
     /// write *wanted*; faults are not applied).
     pub fn level(&self, row: usize, col: usize) -> u8 {
-        self.array.cells[row * self.cols + col].level()
+        self.array.cells[row * self.cols + col]
     }
 
     /// Level the cell at `(row, col)` actually presents on a read: the
     /// stored level as resolved through the device stack — a fault pins
     /// it, otherwise drift and disturb skew it, and noise applies on top.
     pub fn effective_level(&self, row: usize, col: usize) -> u8 {
-        let cell = &self.array.cells[row * self.cols + col];
+        let stored = self.array.cells[row * self.cols + col];
         self.array
             .device
-            .resolve(row, col, cell.level(), cell.max_level())
+            .resolve(row, col, stored, self.max_level())
     }
 
-    /// Programs the whole array from a row-major level matrix; counts the
-    /// tuning pulses as write spikes. Returns the pulse count. Over-range
-    /// levels saturate at the cell's top level.
+    /// Every cell's [`effective_level`](Self::effective_level), row-major:
+    /// the stored levels in place on a transparent array, the level cache
+    /// while the array's generation is unchanged, a fresh resolve
+    /// otherwise.
+    pub(crate) fn effective_levels(&self) -> Cow<'_, [u8]> {
+        let a = &*self.array;
+        if a.device.is_transparent() {
+            return Cow::Borrowed(&a.cells);
+        }
+        match &self.level_cache {
+            Some((g, levels)) if *g == self.array.generation() => Cow::Borrowed(levels),
+            _ => {
+                let mut levels = Vec::with_capacity(a.cells.len());
+                resolve_into(a, self.cols, self.max_level(), &mut levels);
+                Cow::Owned(levels)
+            }
+        }
+    }
+
+    /// Programs the whole array from a row-major `rows × cols` level
+    /// buffer; counts the tuning pulses as write spikes. Returns the pulse
+    /// count. Over-range levels saturate at the cell's top level.
     ///
     /// # Panics
     ///
-    /// Panics if `levels` is not `rows × cols`.
-    pub fn program(&mut self, levels: &[Vec<u8>]) -> u64 {
-        assert_eq!(levels.len(), self.rows, "level matrix row count mismatch");
-        let cols = self.cols;
+    /// Panics if `levels.len() != rows × cols`.
+    pub fn program(&mut self, levels: &[u8]) -> u64 {
+        assert_eq!(
+            levels.len(),
+            self.rows * self.cols,
+            "level buffer size mismatch"
+        );
+        let (cols, max) = (self.cols, self.max_level());
         let a = self.array.get_mut();
         let mut pulses = 0u64;
-        for (r, row) in levels.iter().enumerate() {
-            assert_eq!(row.len(), cols, "level matrix column count mismatch");
-            for (c, &lvl) in row.iter().enumerate() {
-                let p = a.cells[r * cols + c].program(lvl) as u64;
+        if !a.device.tracks_programs() {
+            // Nothing to book per cell: one branch-free pass.
+            for (cell, &lvl) in a.cells.iter_mut().zip(levels) {
+                pulses += u64::from(cell::program(cell, lvl, max));
+            }
+            self.write_spikes += pulses;
+            return pulses;
+        }
+        let rows = a
+            .cells
+            .chunks_exact_mut(cols)
+            .zip(levels.chunks_exact(cols));
+        for (r, (row, targets)) in rows.enumerate() {
+            for (c, (cell, &lvl)) in row.iter_mut().zip(targets).enumerate() {
+                let p = u64::from(cell::program(cell, lvl, max));
                 if p > 0 {
                     // A zero-pulse write leaves the physical cell untouched,
                     // so its degradation clock keeps running and its device
@@ -359,28 +403,33 @@ impl Crossbar {
     ///
     /// # Panics
     ///
-    /// Panics if `levels` is not `rows × cols`.
+    /// Panics if `levels.len() != rows × cols`.
     pub fn program_verify(
         &mut self,
-        levels: &[Vec<u8>],
+        levels: &[u8],
         policy: &VerifyPolicy,
         rng: &mut impl Rng,
     ) -> ProgramReport {
-        assert_eq!(levels.len(), self.rows, "level matrix row count mismatch");
-        let cols = self.cols;
+        assert_eq!(
+            levels.len(),
+            self.rows * self.cols,
+            "level buffer size mismatch"
+        );
+        let (cols, max) = (self.cols, self.max_level());
         let a = self.array.get_mut();
         let mut report = ProgramReport::default();
-        for (r, row) in levels.iter().enumerate() {
-            assert_eq!(row.len(), cols, "level matrix column count mismatch");
-            for (c, &target) in row.iter().enumerate() {
-                let cell = &mut a.cells[r * cols + c];
-                let prev = cell.level();
-                report.ideal_pulses += (prev as i32 - target as i32).unsigned_abs() as u64;
+        let rows = a
+            .cells
+            .chunks_exact_mut(cols)
+            .zip(levels.chunks_exact(cols));
+        for (r, (row, targets)) in rows.enumerate() {
+            for (c, (cell, &target)) in row.iter_mut().zip(targets).enumerate() {
+                report.ideal_pulses += u64::from(cell.abs_diff(target));
                 match a.device.fault(r, c) {
                     Some(kind) => {
                         // The driver pulses and verifies up to the budget,
                         // but the cell never moves.
-                        let actual = kind.effective_level(cell.max_level());
+                        let actual = kind.effective_level(max);
                         let wasted = if actual == target {
                             // Fault happens to pin the cell at the target:
                             // first verify passes, no pulses needed.
@@ -399,21 +448,21 @@ impl Crossbar {
                         report.pulses += wasted;
                         // Track the intent so a later repair + rewrite
                         // starts from the right place.
-                        cell.program(target);
+                        cell::program(cell, target, max);
                         // The wasted retry pulses still stress the pinned
                         // cell's oxide.
                         a.device.note_wear(r, c, wasted);
                     }
                     None => {
-                        let w = cell.program_verify(target, policy, rng);
-                        report.pulses += w.pulses as u64;
-                        report.verify_reads += w.attempts as u64;
+                        let w = cell::program_verify(cell, target, max, policy, rng);
+                        report.pulses += u64::from(w.pulses);
+                        report.verify_reads += u64::from(w.attempts);
                         if !w.verified {
                             report.unrecoverable.push(UnrecoverableCell {
                                 row: r,
                                 col: c,
                                 target,
-                                actual: cell.level(),
+                                actual: *cell,
                             });
                         }
                         if w.pulses > 0 {
@@ -432,31 +481,9 @@ impl Crossbar {
         report
     }
 
-    /// The bit-plane decomposition of the levels the next read presents:
-    /// the cached one while the array's generation is unchanged, a fresh
-    /// build otherwise. Resolves through the device stack only when it
-    /// can alter a read.
-    fn take_planes(&mut self) -> BitPlanes {
-        let generation = self.array.generation();
-        if let Some((g, planes)) = self.plane_cache.take() {
-            if g == generation {
-                return planes;
-            }
-        }
-        let (cols, bits, a) = (self.cols, self.cell_bits(), &*self.array);
-        if a.device.is_transparent() {
-            BitPlanes::pack(self.rows, cols, bits, |r, c| a.cells[r * cols + c].level())
-        } else {
-            BitPlanes::pack(self.rows, cols, bits, |r, c| {
-                let cell = &a.cells[r * cols + c];
-                a.device.resolve(r, c, cell.level(), cell.max_level())
-            })
-        }
-    }
-
     /// Books one array read on the device (read disturb, the next noise
     /// epoch) when that can change what later reads see. Any other read
-    /// leaves the array — and so its generation and plane cache — alone.
+    /// leaves the array — and so its generation and level cache — alone.
     fn note_read(&mut self, slot_reads: impl Iterator<Item = u64>) {
         if self.array.device.reads_perturb() {
             self.array.get_mut().device.note_read(slot_reads);
@@ -468,15 +495,11 @@ impl Crossbar {
     /// weighted bitline currents and fires. Returns the exact products
     /// `out[c] = Σ_r input[r]·level[r][c]`.
     ///
-    /// This is the packed hot path: spike trains are packed 64 word lines
-    /// per `u64` per time slot and the (effective) conductances are
-    /// bit-plane decomposed, so each slot×plane partial sum is a popcount
-    /// and a shift — bitwise identical to [`mvm_spiked_scalar`]
-    /// (differentially tested), an order of magnitude fewer operations.
-    /// The bit-plane decomposition is cached, stamped with the array's
-    /// generation, and rebuilt once anything changed the levels or the
-    /// device state (writes, scrub, repair, clock advance, read disturb,
-    /// per-read noise).
+    /// The integrate-and-fire counter *is* the digitised dot product, so
+    /// the hot path computes it as an integer GEMM over the effective
+    /// levels — bitwise identical to the slot-by-slot walk of
+    /// [`mvm_spiked_scalar`] (differentially tested), including the spike
+    /// counters and disturb/noise-epoch bookkeeping.
     ///
     /// A driver resolution above 32 clamps to 32 slots, exactly like the
     /// scalar path's [`SpikeDriver`].
@@ -491,40 +514,76 @@ impl Crossbar {
     /// [`mvm_spiked_scalar`]: Self::mvm_spiked_scalar
     pub fn mvm_spiked(&mut self, input: &[u32], input_bits: u8) -> Vec<u64> {
         assert_eq!(input.len(), self.rows, "input length must equal row count");
+        self.mvm_spiked_batch(input, input_bits)
+    }
+
+    /// [`mvm_spiked`](Self::mvm_spiked) over a batch: `inputs` holds whole
+    /// `rows`-long input vectors back to back, and the result their
+    /// `cols`-long outputs in the same order. Outputs, spike counters and
+    /// device state are exactly those of one `mvm_spiked` call per input,
+    /// in order. Where reads leave the device untouched, one walk over the
+    /// levels serves the whole batch; where they perturb it (read disturb,
+    /// per-read noise), each read resolves the levels afresh.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len()` is not a multiple of `rows`.
+    pub fn mvm_spiked_batch(&mut self, inputs: &[u32], input_bits: u8) -> Vec<u64> {
+        assert_eq!(
+            inputs.len() % self.rows,
+            0,
+            "input length must be a multiple of the row count"
+        );
         let bits = SpikeDriver::new(input_bits).bits();
-        let spikes = PackedSpikes::encode(input, bits);
-        self.read_spikes += spikes.spike_count();
-
-        // Reads see the *effective* levels, resolved once before streaming:
-        // disturb and the read-epoch bump from this MVM land afterwards, so
-        // within one MVM every slot integrates the same conductances.
-        let generation = self.array.generation();
-        let planes = self.take_planes();
-
-        let mut fires: Vec<IntegrateFire> = vec![IntegrateFire::new(); self.cols];
-        packed::integrate(&spikes, &planes, &mut fires);
-        let out: Vec<u64> = fires.iter_mut().map(|f| f.fire()).collect();
-        self.output_spikes += out.iter().sum::<u64>();
-
-        // Every slot that drove a word line disturbed that row's cells.
-        let low_mask = if bits >= 32 {
+        let mask = if bits >= 32 {
             u32::MAX
         } else {
             (1u32 << bits) - 1
         };
-        self.note_read(
-            input
-                .iter()
-                .map(|&v| u64::from((v & low_mask).count_ones())),
-        );
-        self.plane_cache = Some((generation, planes));
+        if self.array.device.reads_perturb() {
+            let rows = self.rows;
+            return inputs
+                .chunks_exact(rows)
+                .flat_map(|x| self.integrate_reads(x, mask))
+                .collect();
+        }
+        self.integrate_reads(inputs, mask)
+    }
+
+    /// Integrates `inputs` (whole input vectors, driven with their low
+    /// `mask` bits) against the levels the array presents now, then books
+    /// each input's spikes and array read in order.
+    fn integrate_reads(&mut self, inputs: &[u32], mask: u32) -> Vec<u64> {
+        if inputs.is_empty() {
+            return Vec::new();
+        }
+        let (rows, cols, max) = (self.rows, self.cols, self.max_level());
+        // Reads see the *effective* levels, resolved once before streaming:
+        // disturb and the read-epoch bump land afterwards, so within one
+        // read every slot integrates the same conductances.
+        let levels = cached_levels(&self.array, &mut self.level_cache, cols, max);
+        let out = if fits_u32(rows, mask, max) {
+            integrate::<u32>(levels, rows, cols, inputs, mask)
+        } else {
+            integrate::<u64>(levels, rows, cols, inputs, mask)
+        };
+        // Read spikes are the fired slots, output spikes the counter totals.
+        self.read_spikes += inputs
+            .iter()
+            .map(|&v| u64::from((v & mask).count_ones()))
+            .sum::<u64>();
+        self.output_spikes += out.iter().sum::<u64>();
+        for x in inputs.chunks_exact(rows) {
+            // Every slot that drove a word line disturbed that row's cells.
+            self.note_read(x.iter().map(|&v| u64::from((v & mask).count_ones())));
+        }
         out
     }
 
     /// The original scalar slot × row × column walk, retained verbatim as
-    /// the differential-testing reference for [`mvm_spiked`]
+    /// the spec and differential-testing reference for [`mvm_spiked`]
     /// (identical output bits, spike accounting, disturb and noise-epoch
-    /// bookkeeping — property-tested). It never touches the plane cache.
+    /// bookkeeping — property-tested). It never touches the level cache.
     ///
     /// [`mvm_spiked`]: Self::mvm_spiked
     pub fn mvm_spiked_scalar(&mut self, input: &[u32], input_bits: u8) -> Vec<u64> {
@@ -581,24 +640,26 @@ impl Crossbar {
         policy: &VerifyPolicy,
         rng: &mut impl Rng,
     ) -> ProgramReport {
-        let (rows, cols) = (self.rows, self.cols);
+        let (rows, cols, max) = (self.rows, self.cols, self.max_level());
         let a = self.array.get_mut();
         let mut report = ProgramReport::default();
         for i in 0..row_count.min(rows) {
             let r = (row_start + i) % rows;
-            for c in 0..cols {
+            let Some(row) = a.cells.get_mut(r * cols..(r + 1) * cols) else {
+                continue;
+            };
+            for (c, cell) in row.iter_mut().enumerate() {
                 if a.device.fault(r, c).is_some() {
                     report.verify_reads += 1;
                     continue;
                 }
-                let cell = &mut a.cells[r * cols + c];
-                let target = cell.level();
-                let actual = a.device.resolve(r, c, target, cell.max_level());
+                let target = *cell;
+                let actual = a.device.resolve(r, c, target, max);
                 // Materialize the degradation in the cell, then drive it
                 // back through the standard verify loop. A clean cell
                 // costs exactly one verify read and zero pulses.
-                let _ = cell.program(actual);
-                let w = cell.program_verify(target, policy, rng);
+                let _ = cell::program(cell, actual, max);
+                let w = cell::program_verify(cell, target, max, policy, rng);
                 report.ideal_pulses +=
                     u64::from((i32::from(actual) - i32::from(target)).unsigned_abs());
                 report.pulses += u64::from(w.pulses);
@@ -608,7 +669,7 @@ impl Crossbar {
                         row: r,
                         col: c,
                         target,
-                        actual: cell.level(),
+                        actual: *cell,
                     });
                 }
                 if w.pulses > 0 {
@@ -638,29 +699,103 @@ impl Crossbar {
     }
 }
 
+/// The effective levels of `array` (row-major, `cols` wide), resolved cell
+/// by cell through its device stack into `out`.
+fn resolve_into(array: &Array, cols: usize, max_level: u8, out: &mut Vec<u8>) {
+    out.clear();
+    for (r, row) in array.cells.chunks_exact(cols).enumerate() {
+        out.extend(
+            row.iter()
+                .enumerate()
+                .map(|(c, &stored)| array.device.resolve(r, c, stored, max_level)),
+        );
+    }
+}
+
+/// [`Crossbar::effective_levels`] through the level cache: a stale cache
+/// is re-resolved in place and restamped with the current generation.
+fn cached_levels<'a>(
+    array: &'a Stamped<Array>,
+    cache: &'a mut Option<(u64, Vec<u8>)>,
+    cols: usize,
+    max_level: u8,
+) -> &'a [u8] {
+    if array.device.is_transparent() {
+        return &array.cells;
+    }
+    let generation = array.generation();
+    let (stamp, levels) = cache.get_or_insert_with(|| (generation, Vec::new()));
+    if *stamp != generation || levels.is_empty() {
+        *stamp = generation;
+        resolve_into(array, cols, max_level, levels);
+    }
+    levels
+}
+
+/// Whether every bit-line charge of a `rows`-row array fits a `u32`: at
+/// most `rows` inputs of `mask` against cells of `max_level` each, so
+/// `rows·(2^bits−1)·(2^cell_bits−1) < 2^32` — the per-crossbar form of the
+/// worst-case dot-product bound `check::absint` checks as PL042.
+fn fits_u32(rows: usize, mask: u32, max_level: u8) -> bool {
+    (rows as u128) * u128::from(mask) * u128::from(max_level) < 1 << 32
+}
+
+/// The integrate-and-fire counts of every input vector in `inputs` (back
+/// to back, `rows` long, driven with their low `mask` bits) against the
+/// row-major `levels`: `out[s·cols + c] = Σ_r input_s[r]·levels[r·cols + c]`.
+/// One walk over `levels` serves the whole batch; word lines an input does
+/// not drive are skipped. The charge accumulator `A` is `u32` where
+/// [`fits_u32`] holds, else `u64`.
+fn integrate<A>(levels: &[u8], rows: usize, cols: usize, inputs: &[u32], mask: u32) -> Vec<u64>
+where
+    A: Copy + Default + AddAssign + Mul<Output = A> + From<u8> + From<u32> + Into<u64>,
+{
+    let mut acc = vec![A::default(); inputs.len() / rows * cols];
+    for (r, row) in levels.chunks_exact(cols).enumerate() {
+        let drives = inputs.iter().skip(r).step_by(rows);
+        for (&x, acc) in drives.zip(acc.chunks_exact_mut(cols)) {
+            let x = x & mask;
+            if x == 0 {
+                continue;
+            }
+            let x = A::from(x);
+            for (a, &level) in acc.iter_mut().zip(row) {
+                *a += x * A::from(level);
+            }
+        }
+    }
+    acc.into_iter().map(Into::into).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn reference_mvm(levels: &[Vec<u8>], input: &[u32]) -> Vec<u64> {
-        let cols = levels[0].len();
+    /// `out[c] = Σ_r input[r]·levels[r·cols + c]` in plain integers.
+    fn reference_mvm(levels: &[u8], cols: usize, input: &[u32]) -> Vec<u64> {
         (0..cols)
             .map(|c| {
                 levels
-                    .iter()
+                    .chunks_exact(cols)
                     .zip(input)
-                    .map(|(row, &x)| row[c] as u64 * x as u64)
+                    .map(|(row, &x)| u64::from(row[c]) * u64::from(x))
                     .sum()
             })
+            .collect()
+    }
+
+    /// `rows × cols` random 4-bit levels, row-major.
+    fn random_levels(rows: usize, cols: usize, rng: &mut impl rand::RngExt) -> Vec<u8> {
+        (0..rows * cols)
+            .map(|_| rng.random_range(0u8..16))
             .collect()
     }
 
     #[test]
     fn mvm_known_values() {
         let mut xbar = Crossbar::new(3, 2, 4);
-        let levels = vec![vec![1, 2], vec![3, 4], vec![5, 6]];
-        xbar.program(&levels);
+        xbar.program(&[1, 2, 3, 4, 5, 6]);
         let out = xbar.mvm_spiked(&[7, 8, 9], 8);
         assert_eq!(out, vec![7 + 24 + 45, 14 + 32 + 54]);
     }
@@ -668,7 +803,7 @@ mod tests {
     #[test]
     fn spike_accounting() {
         let mut xbar = Crossbar::new(2, 2, 4);
-        xbar.program(&[vec![15, 15], vec![15, 15]]);
+        xbar.program(&[15; 4]);
         assert_eq!(xbar.write_spikes(), 60);
         xbar.mvm_spiked(&[0b101, 0b1], 4);
         assert_eq!(xbar.read_spikes(), 3); // popcounts 2 + 1
@@ -678,7 +813,7 @@ mod tests {
     #[test]
     fn zero_input_zero_output() {
         let mut xbar = Crossbar::new(4, 4, 4);
-        xbar.program(&[vec![15; 4], vec![15; 4], vec![15; 4], vec![15; 4]]);
+        xbar.program(&[15; 16]);
         assert_eq!(xbar.mvm_spiked(&[0; 4], 16), vec![0; 4]);
         assert_eq!(xbar.read_spikes(), 0);
     }
@@ -693,13 +828,13 @@ mod tests {
             t0_cycles: 10,
             disturb_per_level: 0,
         };
-        let levels = vec![vec![9, 12], vec![15, 6]];
+        let levels = [9, 12, 15, 6];
         let mut xbar = Crossbar::new(2, 2, 4);
         xbar.program(&levels);
         xbar.attach(&DeviceModel::ideal().with_drift(model), 5);
 
         let fresh = xbar.mvm_spiked(&[1, 1], 4);
-        assert_eq!(fresh, reference_mvm(&levels, &[1, 1]));
+        assert_eq!(fresh, reference_mvm(&levels, 2, &[1, 1]));
 
         xbar.advance_cycles(1_000_000);
         assert!(xbar.drifted_cells() > 0, "a megacycle must drift something");
@@ -722,7 +857,7 @@ mod tests {
             t0_cycles: 10,
             disturb_per_level: 0,
         };
-        let levels = vec![vec![15, 15], vec![15, 15]];
+        let levels = [15; 4];
         let mut xbar = Crossbar::new(2, 2, 4);
         xbar.program(&levels);
         xbar.attach(&DeviceModel::ideal().with_drift(model), 5);
@@ -743,9 +878,8 @@ mod tests {
             t0_cycles: 1,
             disturb_per_level: 50,
         };
-        let levels = vec![vec![3, 3], vec![3, 3]];
         let mut xbar = Crossbar::new(2, 2, 4);
-        xbar.program(&levels);
+        xbar.program(&[3; 4]);
         xbar.attach(&DeviceModel::ideal().with_drift(model), 5);
         // Each MVM with input 15 (4 slots firing) adds 4 slot-reads per row.
         for _ in 0..13 {
@@ -763,7 +897,7 @@ mod tests {
         use crate::drift::DriftModel;
         use rand::{rngs::StdRng, SeedableRng};
         let mut xbar = Crossbar::new(3, 3, 4);
-        xbar.program(&[vec![5; 3], vec![5; 3], vec![5; 3]]);
+        xbar.program(&[5; 9]);
         xbar.attach(&DeviceModel::ideal().with_drift(DriftModel::ideal()), 1);
         let mut rng = StdRng::seed_from_u64(0);
         let report = xbar.scrub_rows(0, 3, &VerifyPolicy::default(), &mut rng);
@@ -778,7 +912,7 @@ mod tests {
         use crate::fault::FaultKind;
         use rand::{rngs::StdRng, SeedableRng};
         let mut xbar = Crossbar::new(2, 2, 4);
-        xbar.program(&[vec![7, 7], vec![7, 7]]);
+        xbar.program(&[7; 4]);
         let mut map = FaultMap::pristine(2, 2);
         map.set(0, 0, FaultKind::StuckAtZero);
         xbar.set_faults(map);
@@ -792,17 +926,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "row count mismatch")]
+    #[should_panic(expected = "level buffer size mismatch")]
     fn program_rejects_bad_shape() {
-        Crossbar::new(2, 2, 4).program(&[vec![0, 0]]);
+        Crossbar::new(2, 2, 4).program(&[0, 0]);
     }
 
     #[test]
     fn stuck_cells_distort_reads_until_cleared() {
         use crate::fault::FaultKind;
         let mut xbar = Crossbar::new(2, 2, 4);
-        let levels = vec![vec![3, 5], vec![7, 9]];
-        xbar.program(&levels);
+        xbar.program(&[3, 5, 7, 9]);
         let mut map = FaultMap::pristine(2, 2);
         map.set(0, 1, FaultKind::StuckAtZero);
         map.set(1, 1, FaultKind::StuckAtMax);
@@ -831,7 +964,7 @@ mod tests {
 
         let policy = VerifyPolicy::with_attempts(3);
         let mut rng = StdRng::seed_from_u64(0);
-        let report = xbar.program_verify(&[vec![4, 4], vec![4, 4]], &policy, &mut rng);
+        let report = xbar.program_verify(&[4; 4], &policy, &mut rng);
 
         assert_eq!(report.unrecoverable.len(), 1);
         let bad = report.unrecoverable[0];
@@ -848,7 +981,7 @@ mod tests {
     #[test]
     fn program_verify_noiseless_matches_plain_program() {
         use rand::{rngs::StdRng, SeedableRng};
-        let levels = vec![vec![1, 2, 3], vec![4, 5, 6]];
+        let levels = [1, 2, 3, 4, 5, 6];
         let mut plain = Crossbar::new(2, 3, 4);
         let plain_pulses = plain.program(&levels);
 
@@ -874,7 +1007,7 @@ mod tests {
     #[test]
     fn noise_corrupts_mvm_deterministically() {
         use crate::noise::NoiseModel;
-        let levels = vec![vec![9, 12], vec![15, 6]];
+        let levels = [9, 12, 15, 6];
         let strong = NoiseModel {
             lrs_sigma: 0.5,
             hrs_sigma: 0.8,
@@ -891,7 +1024,7 @@ mod tests {
         assert_eq!(ya, yb, "same seed and read epoch must match bitwise");
         assert_ne!(
             ya,
-            reference_mvm(&levels, &[3, 5]),
+            reference_mvm(&levels, 2, &[3, 5]),
             "strong noise must perturb the product"
         );
         // A second MVM draws the next read epoch — the replayed pair still
@@ -902,9 +1035,8 @@ mod tests {
     #[test]
     fn ideal_noise_attach_leaves_mvm_bits_identical() {
         use crate::noise::NoiseModel;
-        let levels = vec![vec![1, 14], vec![7, 3], vec![0, 9]];
         let mut plain = Crossbar::new(3, 2, 4);
-        plain.program(&levels);
+        plain.program(&[1, 14, 7, 3, 0, 9]);
         let mut noisy = plain.clone();
         noisy.attach(&DeviceModel::ideal().with_noise(NoiseModel::ideal()), 99);
         for input in [[5u32, 0, 11], [1, 1, 1], [65535, 0, 32768]] {
@@ -926,35 +1058,49 @@ mod tests {
     /// debug-assert in `SpikeDriver::new` is compiled out there).
     #[test]
     fn input_bits_over_32_clamps_instead_of_panicking() {
-        let levels = vec![vec![3u8, 5], vec![7, 9], vec![11, 13]];
+        let levels = [3u8, 5, 7, 9, 11, 13];
         let input = [1u32, 70_000, u32::MAX];
-        let mut packed = Crossbar::new(3, 2, 4);
-        packed.program(&levels);
-        let mut scalar = packed.clone();
-        let out = packed.mvm_spiked(&input, 40);
+        let mut gemm = Crossbar::new(3, 2, 4);
+        gemm.program(&levels);
+        let mut scalar = gemm.clone();
+        let out = gemm.mvm_spiked(&input, 40);
         // A 40-bit request clamps to the 32-slot ladder, which injects the
         // full u32 value — the exact integer product.
-        assert_eq!(out, reference_mvm(&levels, &input));
+        assert_eq!(out, reference_mvm(&levels, 2, &input));
         assert_eq!(out, scalar.mvm_spiked_scalar(&input, 40));
-        assert_eq!(packed.read_spikes(), scalar.read_spikes());
+        assert_eq!(gemm.read_spikes(), scalar.read_spikes());
     }
 
-    /// The plane cache is keyed on the array's generation: reads that
+    /// The level cache is keyed on the array's generation: reads that
     /// leave the device untouched keep the stamp (and the cache), every
     /// `&mut` path to levels or device state moves it, and a perturbing
-    /// read moves it too — so the next packed MVM rebuilds and agrees with
-    /// the scalar reference, which never caches.
+    /// read moves it too — so the next GEMM MVM re-resolves and agrees
+    /// with the scalar reference, which never caches. A transparent array
+    /// reads its stored levels in place and fills no cache.
     #[test]
-    fn plane_cache_is_keyed_on_the_array_generation() {
+    fn level_cache_is_keyed_on_the_array_generation() {
         use crate::drift::DriftModel;
-        let levels = vec![vec![9u8, 1], vec![0, 5], vec![13, 2]];
+        use crate::fault::FaultKind;
         let mut xbar = Crossbar::new(3, 2, 4);
-        xbar.program(&levels);
+        xbar.program(&[9, 1, 0, 5, 13, 2]);
         let g0 = xbar.array.generation();
         xbar.mvm_spiked(&[1, 2, 3], 4);
         xbar.mvm_spiked(&[3, 2, 1], 4);
         assert_eq!(xbar.array.generation(), g0, "ideal reads are pure");
-        assert_eq!(xbar.plane_cache.as_ref().map(|c| c.0), Some(g0));
+        assert!(
+            xbar.level_cache.is_none(),
+            "transparent arrays copy nothing"
+        );
+
+        let mut map = FaultMap::pristine(3, 2);
+        map.set(2, 1, FaultKind::StuckAtMax);
+        xbar.set_faults(map);
+        let g0 = xbar.array.generation();
+        xbar.mvm_spiked(&[1, 2, 3], 4);
+        xbar.mvm_spiked(&[3, 2, 1], 4);
+        assert_eq!(xbar.array.generation(), g0, "faulted reads are pure");
+        assert_eq!(xbar.level_cache.as_ref().map(|c| c.0), Some(g0));
+        assert_eq!(*xbar.effective_levels(), [9, 1, 0, 5, 13, 15]);
 
         xbar.advance_cycles(10);
         assert_eq!(xbar.array.generation(), g0, "no clock without drift");
@@ -971,29 +1117,29 @@ mod tests {
         for _ in 0..4 {
             let g = xbar.array.generation();
             let mut reference = xbar.clone();
-            let packed = xbar.mvm_spiked(&[15, 15, 15], 4);
-            assert_eq!(packed, reference.mvm_spiked_scalar(&[15, 15, 15], 4));
+            let gemm = xbar.mvm_spiked(&[15, 15, 15], 4);
+            assert_eq!(gemm, reference.mvm_spiked_scalar(&[15, 15, 15], 4));
             assert_ne!(xbar.array.generation(), g, "disturbing reads move it");
         }
     }
 
-    /// Every mutation path, run on a warm plane cache, leaves the packed
+    /// Every mutation path, run on a warm level cache, leaves the GEMM
     /// MVM bitwise equal to the scalar reference on a clone.
     #[test]
-    fn mutations_never_serve_stale_planes() {
+    fn mutations_never_serve_stale_levels() {
         use crate::fault::{FaultKind, FaultModel};
         use crate::noise::NoiseModel;
         use crate::wear::WearModel;
         use rand::{rngs::StdRng, SeedableRng};
         let wear = DeviceModel::ideal().with_wear(WearModel::with_endurance(4.0));
-        let swing = [vec![15; 4], vec![0; 4], vec![15; 4], vec![0; 4]];
+        let swing = [15, 15, 15, 15, 0, 0, 0, 0, 15, 15, 15, 15, 0, 0, 0, 0];
         let mutations: [fn(&mut Crossbar); 9] = [
             |x| {
-                x.program(&vec![vec![2, 7, 1, 8]; 4]);
+                x.program(&[2, 7, 1, 8].repeat(4));
             },
             |x| {
                 let rng = &mut StdRng::seed_from_u64(1);
-                x.program_verify(&vec![vec![3, 1, 4, 1]; 4], &VerifyPolicy::default(), rng);
+                x.program_verify(&[3, 1, 4, 1].repeat(4), &VerifyPolicy::default(), rng);
             },
             |x| {
                 x.attach(
@@ -1032,10 +1178,80 @@ mod tests {
             xbar.mvm_spiked(&[1, 2, 3, 4], 4);
             mutate(&mut xbar);
             let mut reference = xbar.clone();
-            let packed = xbar.mvm_spiked(&[3, 1, 4, 1], 4);
+            let gemm = xbar.mvm_spiked(&[3, 1, 4, 1], 4);
             let scalar = reference.mvm_spiked_scalar(&[3, 1, 4, 1], 4);
-            assert_eq!(packed, scalar, "mutation {i} served stale planes");
+            assert_eq!(gemm, scalar, "mutation {i} served stale levels");
         }
+    }
+
+    /// The accumulator switches from `u32` to `u64` exactly at the PL042
+    /// bound `rows·(2^bits−1)·(2^cell_bits−1) < 2^32`. All-max levels and
+    /// inputs on one array just under and one just over it, at 16 and 32
+    /// input bits, give the scalar reference's bits.
+    #[test]
+    fn accumulator_width_switches_at_the_u32_bound() {
+        // (input bits, cell bits, rows just under the bound)
+        for (input_bits, cell_bits, under) in [(16u8, 4u8, 4369usize), (32, 1, 1)] {
+            let max_input = u32::MAX >> (32 - u32::from(input_bits));
+            let max_level = cell::max_level(cell_bits);
+            assert!(fits_u32(under, max_input, max_level));
+            assert!(!fits_u32(under + 1, max_input, max_level));
+            for rows in [under, under + 1] {
+                let mut gemm = Crossbar::new(rows, 2, cell_bits);
+                gemm.program(&vec![max_level; rows * 2]);
+                let mut scalar = gemm.clone();
+                let input = vec![max_input; rows];
+                let out = gemm.mvm_spiked(&input, input_bits);
+                let want = rows as u64 * u64::from(max_input) * u64::from(max_level);
+                assert_eq!(out, vec![want; 2], "{rows} rows at {input_bits} bits");
+                assert_eq!(out, scalar.mvm_spiked_scalar(&input, input_bits));
+                assert_eq!(gemm.spike_counters(), scalar.spike_counters());
+            }
+        }
+    }
+
+    /// A batch is exactly its inputs run one `mvm_spiked` call at a time:
+    /// outputs, spike counters and later reads agree on ideal, faulted,
+    /// disturbing and read-noisy arrays.
+    #[test]
+    fn mvm_batch_matches_sequential_calls() {
+        use crate::drift::DriftModel;
+        use crate::fault::FaultModel;
+        use crate::noise::NoiseModel;
+        let disturb = DriftModel {
+            nu: 0.1,
+            nu_sigma: 0.05,
+            t0_cycles: 8,
+            disturb_per_level: 5,
+        };
+        let models = [
+            DeviceModel::ideal(),
+            DeviceModel::ideal().with_faults(FaultModel::with_stuck_rate(0.2)),
+            DeviceModel::ideal().with_drift(disturb),
+            DeviceModel::ideal().with_noise(NoiseModel::with_strength(1.0)),
+        ];
+        let (rows, cols) = (7, 3);
+        let levels: Vec<u8> = (0..rows * cols).map(|i| (i * 5 % 16) as u8).collect();
+        let inputs: Vec<u32> = (0..4 * rows).map(|i| (i * 37 % 300) as u32).collect();
+        for (m, model) in models.iter().enumerate() {
+            let mut batched = Crossbar::new(rows, cols, 4);
+            batched.program(&levels);
+            batched.attach(model, 11);
+            batched.advance_cycles(100);
+            let mut sequential = batched.clone();
+            let want: Vec<u64> = inputs
+                .chunks_exact(rows)
+                .flat_map(|x| sequential.mvm_spiked(x, 8))
+                .collect();
+            assert_eq!(batched.mvm_spiked_batch(&inputs, 8), want, "model {m}");
+            assert_eq!(batched.spike_counters(), sequential.spike_counters());
+            assert_eq!(
+                batched.mvm_spiked(&inputs[..rows], 8),
+                sequential.mvm_spiked_scalar(&inputs[..rows], 8),
+                "model {m}: device state diverged"
+            );
+        }
+        assert!(Crossbar::new(2, 2, 4).mvm_spiked_batch(&[], 8).is_empty());
     }
 
     #[test]
@@ -1051,11 +1267,11 @@ mod tests {
             1,
         );
         // 15 pulses per cell: everyone still alive.
-        xbar.program(&[vec![15, 15], vec![15, 15]]);
+        xbar.program(&[15; 4]);
         assert!(xbar.fault_map().is_none(), "no deaths before the budget");
         // +15 pulses (down to 0) crosses every 20-pulse budget: the whole
         // array dies, pinned at level 0 on every read.
-        xbar.program(&[vec![0, 0], vec![0, 0]]);
+        xbar.program(&[0; 4]);
         let map = xbar.fault_map().unwrap();
         assert_eq!(map.fault_count(), 4);
         assert_eq!(map.get(0, 0), Some(crate::fault::FaultKind::Dead));
@@ -1079,7 +1295,7 @@ mod tests {
             write_sigma: 2.0,
         };
         let mut rng = StdRng::seed_from_u64(3);
-        let report = xbar.program_verify(&[vec![9]], &noisy, &mut rng);
+        let report = xbar.program_verify(&[9], &noisy, &mut rng);
         let spent = 1000 - xbar.wear_state().unwrap().remaining_writes(0, 0);
         assert_eq!(spent, report.pulses, "wear must bill retry pulses too");
     }
@@ -1096,10 +1312,10 @@ mod tests {
             }),
             1,
         );
-        xbar.program(&[vec![9, 5], vec![7, 3]]);
+        xbar.program(&[9, 5, 7, 3]);
         // Burn out column 0 only.
-        xbar.program(&[vec![0, 5], vec![15, 3]]);
-        xbar.program(&[vec![9, 5], vec![7, 3]]);
+        xbar.program(&[0, 5, 15, 3]);
+        xbar.program(&[9, 5, 7, 3]);
         let map = xbar.fault_map().unwrap();
         assert!(map.get(0, 0).is_some() && map.get(1, 0).is_some());
         assert_eq!(map.faulty_cols(), vec![0]);
@@ -1123,14 +1339,13 @@ mod tests {
     #[test]
     fn ideal_wear_attach_is_exact_noop() {
         use crate::wear::WearModel;
-        let levels = vec![vec![1u8, 14], vec![7, 3]];
         let mut plain = Crossbar::new(2, 2, 4);
-        plain.program(&levels);
+        plain.program(&[1, 14, 7, 3]);
         let mut worn = plain.clone();
         worn.attach(&DeviceModel::ideal().with_wear(WearModel::ideal()), 99);
         assert!(worn.wear_state().is_none());
-        worn.program(&[vec![4, 4], vec![4, 4]]);
-        plain.program(&[vec![4, 4], vec![4, 4]]);
+        worn.program(&[4; 4]);
+        plain.program(&[4; 4]);
         assert_eq!(plain.mvm_spiked(&[2, 3], 4), worn.mvm_spiked(&[2, 3], 4));
         assert_eq!(plain.write_spikes(), worn.write_spikes());
         assert!(worn.fault_map().is_none());
@@ -1142,7 +1357,7 @@ mod tests {
         let model = WearModel::with_endurance(50.0);
         let mut xbar = Crossbar::new(3, 3, 4);
         xbar.attach(&DeviceModel::ideal().with_wear(model), 7);
-        xbar.program(&[vec![9; 3], vec![5; 3], vec![12; 3]]);
+        xbar.program(&[9, 9, 9, 5, 5, 5, 12, 12, 12]);
         let (p, g) = xbar.wear_state().unwrap().counters();
         let (p, g) = (p.to_vec(), g.to_vec());
         let levels = xbar.stored_levels();
@@ -1165,14 +1380,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Differential pin: the packed hot path is bitwise identical to
+        /// Differential pin: the GEMM hot path is bitwise identical to
         /// the scalar reference — outputs *and* spike/disturb/noise
         /// bookkeeping — across random crossbars, every legal driver
         /// resolution, and attached fault / drift(+disturb) / noise state,
-        /// over several consecutive MVMs (which exercises plane-cache
+        /// over several consecutive MVMs (which exercises level-cache
         /// reuse and invalidation).
         #[test]
-        fn packed_mvm_matches_scalar_under_nonidealities(
+        fn gemm_mvm_matches_scalar_under_nonidealities(
             rows in 1usize..70,
             cols in 1usize..5,
             input_bits in 1u8..=32,
@@ -1186,9 +1401,7 @@ mod tests {
             use crate::noise::NoiseModel;
             use rand::{rngs::StdRng, RngExt as _, SeedableRng};
             let mut rng = StdRng::seed_from_u64(seed);
-            let levels: Vec<Vec<u8>> = (0..rows)
-                .map(|_| (0..cols).map(|_| rng.random_range(0u8..16)).collect())
-                .collect();
+            let levels = random_levels(rows, cols, &mut rng);
             let max = if input_bits >= 32 { u32::MAX } else { (1u32 << input_bits) - 1 };
             let inputs: Vec<Vec<u32>> = (0..3)
                 .map(|_| (0..rows).map(|_| rng.random_range(0u32..=max)).collect())
@@ -1239,9 +1452,7 @@ mod tests {
             use crate::noise::NoiseModel;
             use rand::{rngs::StdRng, RngExt as _, SeedableRng};
             let mut rng = StdRng::seed_from_u64(seed);
-            let levels: Vec<Vec<u8>> = (0..rows)
-                .map(|_| (0..cols).map(|_| rng.random_range(0u8..16)).collect())
-                .collect();
+            let levels = random_levels(rows, cols, &mut rng);
             let input: Vec<u32> = (0..rows).map(|_| rng.random_range(0u32..65536)).collect();
             let mut plain = Crossbar::new(rows, cols, 4);
             plain.program(&levels);
@@ -1262,9 +1473,7 @@ mod tests {
             use crate::noise::NoiseModel;
             use rand::{rngs::StdRng, RngExt as _, SeedableRng};
             let mut rng = StdRng::seed_from_u64(seed);
-            let levels: Vec<Vec<u8>> = (0..rows)
-                .map(|_| (0..cols).map(|_| rng.random_range(0u8..16)).collect())
-                .collect();
+            let levels = random_levels(rows, cols, &mut rng);
             let input: Vec<u32> = (0..rows).map(|_| rng.random_range(0u32..256)).collect();
             let build = || {
                 let mut x = Crossbar::new(rows, cols, 4);
@@ -1287,13 +1496,11 @@ mod tests {
         ) {
             use rand::{rngs::StdRng, RngExt as _, SeedableRng};
             let mut rng = StdRng::seed_from_u64(seed);
-            let levels: Vec<Vec<u8>> = (0..rows)
-                .map(|_| (0..cols).map(|_| rng.random_range(0u8..16)).collect())
-                .collect();
+            let levels = random_levels(rows, cols, &mut rng);
             let input: Vec<u32> = (0..rows).map(|_| rng.random_range(0u32..65536)).collect();
             let mut xbar = Crossbar::new(rows, cols, 4);
             xbar.program(&levels);
-            prop_assert_eq!(xbar.mvm_spiked(&input, 16), reference_mvm(&levels, &input));
+            prop_assert_eq!(xbar.mvm_spiked(&input, 16), reference_mvm(&levels, cols, &input));
         }
 
         /// After drift reaches (at least) the first misread, one full scrub
@@ -1307,9 +1514,7 @@ mod tests {
             use crate::drift::DriftModel;
             use rand::{rngs::StdRng, RngExt as _, SeedableRng};
             let mut rng = StdRng::seed_from_u64(seed);
-            let levels: Vec<Vec<u8>> = (0..rows)
-                .map(|_| (0..cols).map(|_| rng.random_range(1u8..16)).collect())
-                .collect();
+            let levels: Vec<u8> = (0..rows * cols).map(|_| rng.random_range(1u8..16)).collect();
             let model = DriftModel {
                 nu: 0.1,
                 nu_sigma: 0.05,
@@ -1328,10 +1533,8 @@ mod tests {
             let mut prng = StdRng::seed_from_u64(0);
             let report = xbar.scrub_rows(0, rows, &VerifyPolicy::default(), &mut prng);
             prop_assert!(report.unrecoverable.is_empty());
-            for (r, row) in levels.iter().enumerate() {
-                for (c, &lvl) in row.iter().enumerate() {
-                    prop_assert_eq!(xbar.effective_level(r, c), lvl);
-                }
+            for (i, &lvl) in levels.iter().enumerate() {
+                prop_assert_eq!(xbar.effective_level(i / cols, i % cols), lvl);
             }
         }
 
@@ -1340,9 +1543,7 @@ mod tests {
         fn mvm_linearity(seed in 0u64..1000) {
             use rand::{rngs::StdRng, RngExt as _, SeedableRng};
             let mut rng = StdRng::seed_from_u64(seed);
-            let levels: Vec<Vec<u8>> = (0..4)
-                .map(|_| (0..3).map(|_| rng.random_range(0u8..16)).collect())
-                .collect();
+            let levels = random_levels(4, 3, &mut rng);
             let a: Vec<u32> = (0..4).map(|_| rng.random_range(0u32..1 << 14)).collect();
             let b: Vec<u32> = (0..4).map(|_| rng.random_range(0u32..1 << 14)).collect();
             let sum: Vec<u32> = a.iter().zip(&b).map(|(&x, &y)| x + y).collect();

@@ -195,6 +195,13 @@ impl DeviceStack {
         }
     }
 
+    /// Whether a write's pulses reach any device state: a drift clock, a
+    /// noise deviate or a wear budget. Without one, `note_program` is a
+    /// no-op.
+    pub fn tracks_programs(&self) -> bool {
+        self.drift.is_some() || self.noise.is_some() || self.wear.is_some()
+    }
+
     /// Whether the bookkeeping of an array read (disturb counters, the
     /// read-noise epoch) can change what the next read sees.
     pub fn reads_perturb(&self) -> bool {

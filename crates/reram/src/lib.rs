@@ -15,10 +15,11 @@
 //! * [`packed`] — bit-packed spike trains (64 rows per `u64` word per
 //!   time slot) and bit-plane-decomposed conductances; turns one MVM time
 //!   slot into `popcount(fires & g_plane) << (slot + plane)` — bitwise
-//!   identical to the scalar walk, an order of magnitude denser.
+//!   identical to the scalar walk. No crossbar calls it; it remains for
+//!   per-kernel timing probes.
 //! * [`crossbar`] — a single crossbar array combining the above into an
-//!   exact fixed-point MVM (packed kernel on the hot path, scalar
-//!   reference retained for differential testing).
+//!   exact fixed-point MVM (an integer GEMM over the effective levels on
+//!   the hot path, the scalar slot walk retained as its spec).
 //! * [`array_group`] — signed, full-resolution matrices built from
 //!   positive/negative array pairs and the four 4-bit segment groups of the
 //!   resolution-compensation scheme (Fig. 14).
@@ -59,7 +60,7 @@
 //!
 //! // 2x2 array of 4-bit cells.
 //! let mut xbar = Crossbar::new(2, 2, 4);
-//! xbar.program(&[vec![3, 1], vec![2, 15]]);
+//! xbar.program(&[3, 1, 2, 15]); // row-major levels
 //! let out = xbar.mvm_spiked(&[10, 100], 8);
 //! assert_eq!(out, vec![3 * 10 + 2 * 100, 1 * 10 + 15 * 100]);
 //! ```

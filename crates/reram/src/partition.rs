@@ -62,7 +62,11 @@ impl PartitionedMatrix {
                 let c0 = tc * size;
                 let c1 = (c0 + size).min(cols);
                 let mut xbar = Crossbar::new(r1 - r0, c1 - c0, bits);
-                let sub: Vec<Vec<u8>> = (r0..r1).map(|r| levels[r][c0..c1].to_vec()).collect();
+                let sub: Vec<u8> = levels[r0..r1]
+                    .iter()
+                    .flat_map(|row| &row[c0..c1])
+                    .copied()
+                    .collect();
                 xbar.program(&sub);
                 row_tiles.push(xbar);
             }
@@ -133,7 +137,7 @@ mod tests {
             .collect();
         let input: Vec<u32> = (0..5).map(|i| (i * i) as u32).collect();
         let mut mono = Crossbar::new(5, 7, 4);
-        mono.program(&levels);
+        mono.program(&levels.concat());
         let want = mono.mvm_spiked(&input, 8);
         let mut part = PartitionedMatrix::program(&levels, 2, 4);
         assert_eq!(part.tile_count(), 3 * 4);
@@ -157,7 +161,7 @@ mod tests {
                 .collect();
             let input: Vec<u32> = (0..rows).map(|_| rng.random_range(0u32..256)).collect();
             let mut mono = Crossbar::new(rows, cols, 4);
-            mono.program(&levels);
+            mono.program(&levels.concat());
             let want = mono.mvm_spiked(&input, 8);
             let mut part = PartitionedMatrix::program(&levels, size, 4);
             prop_assert_eq!(part.mvm(&input, 8), want);

@@ -139,14 +139,14 @@ mod tests {
     #[test]
     fn overflow_keeps_the_low_bits_on_every_mvm_path() {
         assert_eq!(SpikeTrain::encode(0b1_0110, 4).decode(), 0b0110);
-        let mut packed = crate::Crossbar::new(2, 2, 4);
-        packed.program(&[vec![3, 5], vec![7, 9]]);
-        let mut scalar = packed.clone();
+        let mut gemm = crate::Crossbar::new(2, 2, 4);
+        gemm.program(&[3, 5, 7, 9]);
+        let mut scalar = gemm.clone();
         let input = [0b1_0110, 0xFFFF_FFF3];
-        let out = packed.mvm_spiked(&input, 4);
+        let out = gemm.mvm_spiked(&input, 4);
         assert_eq!(out, scalar.mvm_spiked_scalar(&input, 4));
         assert_eq!(out, vec![6 * 3 + 3 * 7, 6 * 5 + 3 * 9]);
-        assert_eq!(packed.read_spikes(), scalar.read_spikes());
+        assert_eq!(gemm.read_spikes(), scalar.read_spikes());
     }
 
     #[test]

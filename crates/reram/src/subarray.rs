@@ -154,12 +154,17 @@ impl MorphableSubarray {
         Ok(value)
     }
 
-    /// Programs the whole array with weight levels (compute mode only).
+    /// Programs the whole array with row-major weight levels (compute mode
+    /// only).
     ///
     /// # Errors
     ///
     /// [`SubarrayError::NotInComputeMode`] in memory mode.
-    pub fn program_weights(&mut self, levels: &[Vec<u8>]) -> Result<u64, SubarrayError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `levels` does not cover the whole array.
+    pub fn program_weights(&mut self, levels: &[u8]) -> Result<u64, SubarrayError> {
         if self.mode != SubarrayMode::Compute {
             return Err(SubarrayError::NotInComputeMode);
         }
@@ -185,14 +190,8 @@ impl MorphableSubarray {
 
     fn program_cell(&mut self, row: usize, col: usize, level: u8) {
         // One-cell patch: keep all other cells as they are.
-        let mut levels: Vec<Vec<u8>> = (0..self.xbar.rows())
-            .map(|r| {
-                (0..self.xbar.cols())
-                    .map(|c| self.xbar.level(r, c))
-                    .collect()
-            })
-            .collect();
-        levels[row][col] = level;
+        let mut levels = self.xbar.stored_levels();
+        levels[row * self.xbar.cols() + col] = level;
         self.xbar.program(&levels);
     }
 }
@@ -225,9 +224,8 @@ mod tests {
             sa.mvm(&[1, 2, 3, 4], 8),
             Err(SubarrayError::NotInComputeMode)
         );
-        let zeros = vec![vec![0u8; 4]; 4];
         assert_eq!(
-            sa.program_weights(&zeros),
+            sa.program_weights(&[0; 16]),
             Err(SubarrayError::NotInComputeMode)
         );
     }

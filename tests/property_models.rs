@@ -202,7 +202,7 @@ proptest! {
             (0..rows).map(|_| (0..cols).map(|_| rng.random_range(0u32..16) as u8).collect()).collect();
         let input: Vec<u32> = (0..rows).map(|_| rng.random_range(0u32..65536)).collect();
         let mut xbar = Crossbar::new(rows, cols, 4);
-        xbar.program(&levels);
+        xbar.program(&levels.concat());
         let got = xbar.mvm_spiked(&input, 16);
         for c in 0..cols {
             let want: f64 = (0..rows).map(|r| input[r] as f64 * levels[r][c] as f64).sum();
