@@ -1295,8 +1295,19 @@ impl ReramMlp {
     /// partially restored state that the caller should rebuild before
     /// retrying — on foreign magic, framing errors, geometry mismatches,
     /// or a snapshot whose optional sections don't match this MLP's
-    /// configuration.
+    /// configuration. It also returns `false`, untouched, when drift or
+    /// noise state is attached: the snapshot carries neither clocks nor
+    /// device deviates, so such a run could not resume on its trajectory.
     pub fn restore_device_state(&mut self, blob: &[u8]) -> bool {
+        let aging = self.layers.iter().any(|l| {
+            l.forward
+                .crossbars()
+                .chain(l.backward.crossbars())
+                .any(|c| c.drift_state().is_some() || c.noise_state().is_some())
+        });
+        if aging {
+            return false;
+        }
         let mut rd = ByteReader::new(blob);
         if rd.u64() != Some(DEVICE_STATE_MAGIC) {
             return false;

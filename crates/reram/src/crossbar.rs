@@ -6,7 +6,7 @@ use crate::device::{DeviceModel, DeviceStack};
 use crate::drift::DriftState;
 use crate::fault::{FaultMap, ProgramReport, UnrecoverableCell, VerifyPolicy};
 use crate::integrate_fire::IntegrateFire;
-use crate::noise::NoiseState;
+use crate::noise::{NoiseState, StagedRead};
 use crate::spike::{SpikeDriver, SpikeTrain};
 use crate::wear::WearState;
 use rand::Rng;
@@ -77,11 +77,15 @@ pub struct Crossbar {
     cols: usize,
     bits: u8,
     array: Stamped<Array>,
-    /// The effective levels (row-major) a read saw at the stamped
-    /// generation of `array`; served again only while that generation is
-    /// current. Transparent arrays never fill it: they read their stored
-    /// levels in place.
-    level_cache: Option<(u64, Vec<u8>)>,
+    /// The read-invariant stage of every read at the stamped generation
+    /// of `array`; served again only while that generation is current.
+    /// Transparent arrays never fill it: they read their stored levels in
+    /// place.
+    read_cache: Option<ReadStage>,
+    /// Array reads since the noise component was attached: the read-noise
+    /// epoch. It lives outside `array`, so a read that only advances it
+    /// leaves the generation, and with it the read cache, alone.
+    read_epoch: u64,
     read_spikes: u64,
     write_spikes: u64,
     output_spikes: u64,
@@ -107,7 +111,8 @@ impl Crossbar {
                 cells: vec![0; rows * cols],
                 device: DeviceStack::ideal(rows, cols),
             }),
-            level_cache: None,
+            read_cache: None,
+            read_epoch: 0,
             read_spikes: 0,
             write_spikes: 0,
             output_spikes: 0,
@@ -116,10 +121,14 @@ impl Crossbar {
 
     /// Attaches every non-ideal component of `model`, replacing that
     /// component's state; ideal components are exact no-ops and leave the
-    /// current state alone. `seed` should already be
-    /// crossbar-qualified via [`crate::seedstream::crossbar_seed`].
+    /// current state alone. A new noise component starts at read epoch 0.
+    /// `seed` should already be crossbar-qualified via
+    /// [`crate::seedstream::crossbar_seed`].
     pub fn attach(&mut self, model: &DeviceModel, seed: u64) {
         self.array.get_mut().device.attach(model, seed);
+        if !model.noise.is_ideal() {
+            self.read_epoch = 0;
+        }
     }
 
     /// Replaces the fault map wholesale (a pristine map for "no faults");
@@ -319,31 +328,41 @@ impl Crossbar {
         self.array.cells[row * self.cols + col]
     }
 
-    /// Level the cell at `(row, col)` actually presents on a read: the
-    /// stored level as resolved through the device stack — a fault pins
-    /// it, otherwise drift and disturb skew it, and noise applies on top.
+    /// Level the cell at `(row, col)` actually presents on the next read:
+    /// the stored level as resolved through the device stack — a fault
+    /// pins it, otherwise drift and disturb skew it, and noise applies on
+    /// top.
     pub fn effective_level(&self, row: usize, col: usize) -> u8 {
         let stored = self.array.cells[row * self.cols + col];
         self.array
             .device
-            .resolve(row, col, stored, self.max_level())
+            .resolve(row, col, stored, self.max_level(), self.read_epoch)
     }
 
-    /// Every cell's [`effective_level`](Self::effective_level), row-major:
-    /// the stored levels in place on a transparent array, the level cache
-    /// while the array's generation is unchanged, a fresh resolve
-    /// otherwise.
+    /// Every cell's [`effective_level`](Self::effective_level), row-major,
+    /// through the staged read path: the stored levels in place on a
+    /// transparent array; otherwise the read stage (the cached one while
+    /// the array's generation is unchanged, a fresh one else) with read
+    /// noise drawn for its undecided cells.
     pub(crate) fn effective_levels(&self) -> Cow<'_, [u8]> {
         let a = &*self.array;
         if a.device.is_transparent() {
             return Cow::Borrowed(&a.cells);
         }
-        match &self.level_cache {
-            Some((g, levels)) if *g == self.array.generation() => Cow::Borrowed(levels),
+        let (cols, max, epoch) = (self.cols, self.max_level(), self.read_epoch);
+        let generation = self.array.generation();
+        match &self.read_cache {
+            Some(stage) if stage.generation == generation => {
+                if stage.undecided.is_empty() {
+                    Cow::Borrowed(&stage.levels)
+                } else {
+                    Cow::Owned(stage.levels_at(&a.device, cols, max, epoch))
+                }
+            }
             _ => {
-                let mut levels = Vec::with_capacity(a.cells.len());
-                resolve_into(a, self.cols, self.max_level(), &mut levels);
-                Cow::Owned(levels)
+                let mut stage = ReadStage::default();
+                stage.restage(a, generation, cols, max);
+                Cow::Owned(stage.levels_at(&a.device, cols, max, epoch))
             }
         }
     }
@@ -481,13 +500,14 @@ impl Crossbar {
         report
     }
 
-    /// Books one array read on the device (read disturb, the next noise
-    /// epoch) when that can change what later reads see. Any other read
-    /// leaves the array — and so its generation and level cache — alone.
+    /// Books one array read: its disturb on the device when reads disturb
+    /// the cells, and the next read-noise epoch. Without disturb the array
+    /// — and so its generation and read cache — stays untouched.
     fn note_read(&mut self, slot_reads: impl Iterator<Item = u64>) {
-        if self.array.device.reads_perturb() {
+        if self.array.device.reads_disturb() {
             self.array.get_mut().device.note_read(slot_reads);
         }
+        self.read_epoch = self.read_epoch.wrapping_add(1);
     }
 
     /// In-situ MVM via the spike path: encodes `input` with an `input_bits`
@@ -521,9 +541,10 @@ impl Crossbar {
     /// `rows`-long input vectors back to back, and the result their
     /// `cols`-long outputs in the same order. Outputs, spike counters and
     /// device state are exactly those of one `mvm_spiked` call per input,
-    /// in order. Where reads leave the device untouched, one walk over the
-    /// levels serves the whole batch; where they perturb it (read disturb,
-    /// per-read noise), each read resolves the levels afresh.
+    /// in order. Without read disturb, one walk over the read stage's
+    /// levels serves the whole batch, and each read adds the cells its
+    /// read-noise draw decides; under disturb each read restages the
+    /// levels afresh.
     ///
     /// # Panics
     ///
@@ -540,7 +561,7 @@ impl Crossbar {
         } else {
             (1u32 << bits) - 1
         };
-        if self.array.device.reads_perturb() {
+        if self.array.device.reads_disturb() {
             let rows = self.rows;
             return inputs
                 .chunks_exact(rows)
@@ -551,22 +572,32 @@ impl Crossbar {
     }
 
     /// Integrates `inputs` (whole input vectors, driven with their low
-    /// `mask` bits) against the levels the array presents now, then books
-    /// each input's spikes and array read in order.
+    /// `mask` bits) against the levels the array presents to them — input
+    /// `s` at read epoch `read_epoch + s` — then books each input's spikes
+    /// and array read in order. The caller guarantees that no read of the
+    /// batch but the last disturbs the cells.
     fn integrate_reads(&mut self, inputs: &[u32], mask: u32) -> Vec<u64> {
         if inputs.is_empty() {
             return Vec::new();
         }
         let (rows, cols, max) = (self.rows, self.cols, self.max_level());
-        // Reads see the *effective* levels, resolved once before streaming:
+        // Reads see the *effective* levels, staged once before streaming:
         // disturb and the read-epoch bump land afterwards, so within one
         // read every slot integrates the same conductances.
-        let levels = cached_levels(&self.array, &mut self.level_cache, cols, max);
-        let out = if fits_u32(rows, mask, max) {
+        let stage = current_stage(&self.array, &mut self.read_cache, cols, max);
+        let levels = stage.map_or(self.array.cells.as_slice(), |s| s.levels.as_slice());
+        let mut out = if fits_u32(rows, mask, max) {
             integrate::<u32>(levels, rows, cols, inputs, mask)
         } else {
             integrate::<u64>(levels, rows, cols, inputs, mask)
         };
+        if let (Some(stage), Some(noise)) = (stage, self.array.device.noise()) {
+            let batch = inputs.chunks_exact(rows).zip(out.chunks_exact_mut(cols));
+            for (s, (x, out)) in batch.enumerate() {
+                let epoch = self.read_epoch.wrapping_add(s as u64);
+                stage.add_noisy_cells(noise, x, mask, cols, max, epoch, out);
+            }
+        }
         // Read spikes are the fired slots, output spikes the counter totals.
         self.read_spikes += inputs
             .iter()
@@ -583,7 +614,8 @@ impl Crossbar {
     /// The original scalar slot × row × column walk, retained verbatim as
     /// the spec and differential-testing reference for [`mvm_spiked`]
     /// (identical output bits, spike accounting, disturb and noise-epoch
-    /// bookkeeping — property-tested). It never touches the level cache.
+    /// bookkeeping — property-tested). It resolves every cell in full and
+    /// never touches the read cache.
     ///
     /// [`mvm_spiked`]: Self::mvm_spiked
     pub fn mvm_spiked_scalar(&mut self, input: &[u32], input_bits: u8) -> Vec<u64> {
@@ -641,6 +673,7 @@ impl Crossbar {
         rng: &mut impl Rng,
     ) -> ProgramReport {
         let (rows, cols, max) = (self.rows, self.cols, self.max_level());
+        let epoch = self.read_epoch;
         let a = self.array.get_mut();
         let mut report = ProgramReport::default();
         for i in 0..row_count.min(rows) {
@@ -654,7 +687,7 @@ impl Crossbar {
                     continue;
                 }
                 let target = *cell;
-                let actual = a.device.resolve(r, c, target, max);
+                let actual = a.device.resolve(r, c, target, max, epoch);
                 // Materialize the degradation in the cell, then drive it
                 // back through the standard verify loop. A clean cell
                 // costs exactly one verify read and zero pulses.
@@ -699,37 +732,119 @@ impl Crossbar {
     }
 }
 
-/// The effective levels of `array` (row-major, `cols` wide), resolved cell
-/// by cell through its device stack into `out`.
-fn resolve_into(array: &Array, cols: usize, max_level: u8, out: &mut Vec<u8>) {
-    out.clear();
-    for (r, row) in array.cells.chunks_exact(cols).enumerate() {
-        out.extend(
-            row.iter()
-                .enumerate()
-                .map(|(c, &stored)| array.device.resolve(r, c, stored, max_level)),
-        );
+/// The read-invariant stage of a non-transparent array's reads: every
+/// cell resolved through its device stack up to the read-noise draw, at
+/// one generation of the array. A cell the draw cannot move (no read
+/// noise, or the same level at both ends of
+/// [`GAUSS_BOUND`](crate::seedstream::GAUSS_BOUND)) keeps its level here;
+/// only the rest draw per read.
+#[derive(Debug, Clone, Default)]
+struct ReadStage {
+    generation: u64,
+    /// Row-major levels every read presents; 0 at undecided cells.
+    levels: Vec<u8>,
+    /// The cells whose level the read-noise draw decides, row-major.
+    undecided: Vec<Undecided>,
+}
+
+/// A cell whose read level depends on the read-noise draw.
+#[derive(Debug, Clone, Copy)]
+struct Undecided {
+    /// Row-major cell index.
+    cell: usize,
+    /// Read-invariant conductance (device deviate and IR drop applied).
+    g: f64,
+}
+
+impl ReadStage {
+    /// Stages every cell of `array` (row-major, `cols` wide) at
+    /// `generation`, reusing this stage's buffers.
+    fn restage(&mut self, array: &Array, generation: u64, cols: usize, max_level: u8) {
+        self.generation = generation;
+        self.levels.clear();
+        self.undecided.clear();
+        for (r, row) in array.cells.chunks_exact(cols).enumerate() {
+            for (c, &stored) in row.iter().enumerate() {
+                let level = match array.device.stage(r, c, stored, max_level) {
+                    StagedRead::Fixed(level) => level,
+                    // Every draw lands in `lo..=hi`: none can move it.
+                    StagedRead::Noisy { lo, hi, .. } if lo == hi => lo,
+                    StagedRead::Noisy { g, .. } => {
+                        self.undecided.push(Undecided {
+                            cell: r * cols + c,
+                            g,
+                        });
+                        0
+                    }
+                };
+                self.levels.push(level);
+            }
+        }
+    }
+
+    /// The levels the read at `read_epoch` presents: the staged levels
+    /// with the undecided cells drawn through `device`'s noise.
+    fn levels_at(
+        &self,
+        device: &DeviceStack,
+        cols: usize,
+        max_level: u8,
+        read_epoch: u64,
+    ) -> Vec<u8> {
+        let mut levels = self.levels.clone();
+        if let Some(noise) = device.noise() {
+            for u in &self.undecided {
+                let (r, c) = (u.cell / cols, u.cell % cols);
+                levels[u.cell] = noise.read_level(r, c, u.g, max_level, read_epoch);
+            }
+        }
+        levels
+    }
+
+    /// Adds to `out` what the undecided cells contribute to the read at
+    /// `read_epoch` of input `x` (driven with its low `mask` bits). Cells
+    /// on undriven word lines contribute nothing and draw nothing.
+    #[allow(clippy::too_many_arguments)]
+    fn add_noisy_cells(
+        &self,
+        noise: &NoiseState,
+        x: &[u32],
+        mask: u32,
+        cols: usize,
+        max_level: u8,
+        read_epoch: u64,
+        out: &mut [u64],
+    ) {
+        for u in &self.undecided {
+            let (r, c) = (u.cell / cols, u.cell % cols);
+            let drive = x[r] & mask;
+            if drive != 0 {
+                let level = noise.read_level(r, c, u.g, max_level, read_epoch);
+                out[c] += u64::from(drive) * u64::from(level);
+            }
+        }
     }
 }
 
-/// [`Crossbar::effective_levels`] through the level cache: a stale cache
-/// is re-resolved in place and restamped with the current generation.
-fn cached_levels<'a>(
-    array: &'a Stamped<Array>,
-    cache: &'a mut Option<(u64, Vec<u8>)>,
+/// The read stage of `array` through `cache`, restaged in place when its
+/// generation is stale; `None` on a transparent array, which reads its
+/// stored levels in place.
+fn current_stage<'a>(
+    array: &Stamped<Array>,
+    cache: &'a mut Option<ReadStage>,
     cols: usize,
     max_level: u8,
-) -> &'a [u8] {
+) -> Option<&'a ReadStage> {
     if array.device.is_transparent() {
-        return &array.cells;
+        return None;
     }
     let generation = array.generation();
-    let (stamp, levels) = cache.get_or_insert_with(|| (generation, Vec::new()));
-    if *stamp != generation || levels.is_empty() {
-        *stamp = generation;
-        resolve_into(array, cols, max_level, levels);
+    if cache.as_ref().is_none_or(|s| s.generation != generation) {
+        cache
+            .get_or_insert_with(ReadStage::default)
+            .restage(array, generation, cols, max_level);
     }
-    levels
+    cache.as_ref()
 }
 
 /// Whether every bit-line charge of a `rows`-row array fits a `u32`: at
@@ -1071,26 +1186,26 @@ mod tests {
         assert_eq!(gemm.read_spikes(), scalar.read_spikes());
     }
 
-    /// The level cache is keyed on the array's generation: reads that
-    /// leave the device untouched keep the stamp (and the cache), every
-    /// `&mut` path to levels or device state moves it, and a perturbing
-    /// read moves it too — so the next GEMM MVM re-resolves and agrees
-    /// with the scalar reference, which never caches. A transparent array
-    /// reads its stored levels in place and fills no cache.
+    /// The read cache is keyed on the array's generation: reads that
+    /// leave the device untouched keep the stamp (and the cache), read
+    /// noise included, since the read epoch lives outside the array;
+    /// every `&mut` path to levels or device state moves it, and a
+    /// disturbing read moves it too — so the next GEMM MVM restages and
+    /// agrees with the scalar reference, which never caches. A
+    /// transparent array reads its stored levels in place and fills no
+    /// cache.
     #[test]
-    fn level_cache_is_keyed_on_the_array_generation() {
+    fn read_cache_is_keyed_on_the_array_generation() {
         use crate::drift::DriftModel;
         use crate::fault::FaultKind;
+        use crate::noise::NoiseModel;
         let mut xbar = Crossbar::new(3, 2, 4);
         xbar.program(&[9, 1, 0, 5, 13, 2]);
         let g0 = xbar.array.generation();
         xbar.mvm_spiked(&[1, 2, 3], 4);
         xbar.mvm_spiked(&[3, 2, 1], 4);
         assert_eq!(xbar.array.generation(), g0, "ideal reads are pure");
-        assert!(
-            xbar.level_cache.is_none(),
-            "transparent arrays copy nothing"
-        );
+        assert!(xbar.read_cache.is_none(), "transparent arrays copy nothing");
 
         let mut map = FaultMap::pristine(3, 2);
         map.set(2, 1, FaultKind::StuckAtMax);
@@ -1099,8 +1214,23 @@ mod tests {
         xbar.mvm_spiked(&[1, 2, 3], 4);
         xbar.mvm_spiked(&[3, 2, 1], 4);
         assert_eq!(xbar.array.generation(), g0, "faulted reads are pure");
-        assert_eq!(xbar.level_cache.as_ref().map(|c| c.0), Some(g0));
+        assert_eq!(xbar.read_cache.as_ref().map(|c| c.generation), Some(g0));
         assert_eq!(*xbar.effective_levels(), [9, 1, 0, 5, 13, 15]);
+
+        let mut noisy = xbar.clone();
+        let read_noise = NoiseModel {
+            read_sigma: 0.05,
+            ..NoiseModel::ideal()
+        };
+        noisy.attach(&DeviceModel::ideal().with_noise(read_noise), 3);
+        let g1 = noisy.array.generation();
+        for _ in 0..3 {
+            let mut reference = noisy.clone();
+            let gemm = noisy.mvm_spiked(&[1, 2, 3], 4);
+            assert_eq!(gemm, reference.mvm_spiked_scalar(&[1, 2, 3], 4));
+        }
+        assert_eq!(noisy.array.generation(), g1, "read noise moves no state");
+        assert_eq!(noisy.read_epoch, 3);
 
         xbar.advance_cycles(10);
         assert_eq!(xbar.array.generation(), g0, "no clock without drift");
@@ -1438,6 +1568,125 @@ mod tests {
                 xbar.mvm_spiked(&inputs[0], input_bits),
                 reference.mvm_spiked_scalar(&inputs[0], input_bits)
             );
+        }
+
+        /// Differential pin of the staged read path — the read cache and
+        /// the bound early-out — against the spec (`mvm_spiked_scalar` and
+        /// per-cell `effective_level`), over partial writes, clock
+        /// advances and consecutive (single and batched) reads. One
+        /// `NoiseModel` field varies at a time: read σ only, device spread
+        /// without read noise, IR drop only, `g_ratio` up to 0.5 under
+        /// read noise, a read σ that leaves most cells undecided, and all
+        /// at once; faults and disturbing drift ride along. Every cell the
+        /// read noise reaches must read within its staged `lo..=hi` at
+        /// both extremes of the sampler's range and on a grid between
+        /// them, and `ReramMatrix::read` must equal the same fold of the
+        /// spec's per-cell levels.
+        #[test]
+        fn staged_reads_match_the_spec(
+            rows in 1usize..24,
+            cols in 1usize..6,
+            arm in 0usize..6,
+            scale in 0.1f64..1.0,
+            fault_rate in 0.0f64..0.2,
+            disturb in 0u8..2,
+            seed in 0u64..1000,
+        ) {
+            use crate::array_group::ReramMatrix;
+            use crate::drift::DriftModel;
+            use crate::energy::ReramParams;
+            use crate::fault::FaultModel;
+            use crate::noise::NoiseModel;
+            use crate::seedstream::gauss_extremes;
+            use rand::{rngs::StdRng, RngExt as _, SeedableRng};
+            let ideal = NoiseModel::ideal();
+            let noise = match arm {
+                0 => NoiseModel { read_sigma: 0.02 * scale, ..ideal },
+                1 => NoiseModel { lrs_sigma: 0.2 * scale, hrs_sigma: 0.5 * scale, ..ideal },
+                2 => NoiseModel { ir_drop: 0.6 * scale, ..ideal },
+                3 => NoiseModel { g_ratio: 0.5 * scale, read_sigma: 0.01, ..ideal },
+                4 => NoiseModel { read_sigma: 0.2 + 0.5 * scale, ..ideal },
+                _ => NoiseModel::with_strength(4.0 * scale),
+            };
+            let mut device = DeviceModel::ideal()
+                .with_noise(noise)
+                .with_faults(FaultModel::with_stuck_rate(fault_rate));
+            if disturb == 1 {
+                device = device.with_drift(DriftModel { nu: 0.1, nu_sigma: 0.05, t0_cycles: 8, disturb_per_level: 40 });
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut xbar = Crossbar::new(rows, cols, 4);
+            xbar.program(&random_levels(rows, cols, &mut rng));
+            xbar.attach(&device, seed);
+            let mut spec = xbar.clone();
+            let spec_levels = |x: &Crossbar| -> Vec<u8> {
+                (0..rows * cols).map(|i| x.effective_level(i / cols, i % cols)).collect()
+            };
+            let [z_min, z_max] = gauss_extremes();
+            for step in 0..3u64 {
+                let max = xbar.max_level();
+                for (i, &stored) in xbar.array.cells.iter().enumerate() {
+                    let staged = xbar.array.device.stage(i / cols, i % cols, stored, max);
+                    if let StagedRead::Noisy { g, lo, hi } = staged {
+                        for k in 0..=24 {
+                            let z = z_min + (z_max - z_min) * f64::from(k) / 24.0;
+                            for z in [z, z_min, z_max] {
+                                let level = noise.read_level(g, z, max);
+                                prop_assert!((lo..=hi).contains(&level), "z {} read {} outside {}..={}", z, level, lo, hi);
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(xbar.effective_levels().into_owned(), spec_levels(&spec));
+                let inputs: Vec<u32> = (0..2 * rows).map(|_| rng.random_range(0u32..256)).collect();
+                let want: Vec<u64> = inputs
+                    .chunks_exact(rows)
+                    .flat_map(|x| spec.mvm_spiked_scalar(x, 8))
+                    .collect();
+                prop_assert_eq!(xbar.mvm_spiked_batch(&inputs, 8), want);
+                let x = &inputs[..rows];
+                prop_assert_eq!(xbar.mvm_spiked(x, 8), spec.mvm_spiked_scalar(x, 8));
+                prop_assert_eq!(xbar.spike_counters(), spec.spike_counters());
+                prop_assert_eq!(xbar.effective_levels().into_owned(), spec_levels(&spec));
+                // Rewrite every third cell, then age the array.
+                let mut levels = xbar.stored_levels();
+                for level in levels.iter_mut().step_by(3) {
+                    *level = rng.random_range(0u8..16);
+                }
+                xbar.program(&levels);
+                spec.program(&levels);
+                xbar.advance_cycles(500 * step);
+                spec.advance_cycles(500 * step);
+            }
+
+            let weights = |rng: &mut StdRng| -> Vec<f32> {
+                (0..rows * cols).map(|_| rng.random_range(-1.0f32..1.0)).collect()
+            };
+            let mut m = ReramMatrix::program(&weights(&mut rng), cols, rows, &ReramParams::default());
+            m.attach(&device, seed);
+            let spec_read = |m: &ReramMatrix| -> Vec<u32> {
+                let xbars: Vec<&Crossbar> = m.crossbars().collect();
+                let mut w = vec![0.0f32; rows * cols];
+                for (g, pair) in xbars.chunks_exact(2).enumerate() {
+                    let shift = g as u32 * 4;
+                    for (k, w) in w.iter_mut().enumerate() {
+                        let (o, i) = (k / rows, k % rows);
+                        let (p, n) = (pair[0].effective_level(i, o), pair[1].effective_level(i, o));
+                        *w += ((i64::from(p) - i64::from(n)) << shift) as f32 * m.weight_scale();
+                    }
+                }
+                w.iter().map(|v| v.to_bits()).collect()
+            };
+            let x: Vec<f32> = (0..rows).map(|_| rng.random_range(-1.0f32..1.0)).collect();
+            for _ in 0..2 {
+                let got: Vec<u32> = m.read().iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(got, spec_read(&m));
+                m.matvec(&x);
+                let got: Vec<u32> = m.read().iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(got, spec_read(&m));
+                m.write(&weights(&mut rng));
+                m.advance_cycles(300);
+            }
         }
 
         /// Attaching `NoiseModel::ideal()` leaves `mvm_spiked` output bits

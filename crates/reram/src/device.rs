@@ -10,10 +10,12 @@
 //! per-cell state in one `DeviceStack`, which composes the components in
 //! exactly one place, `DeviceStack::resolve`: a fault pins the level,
 //! otherwise drift and disturb skew it, and analog noise applies on top.
+//! `DeviceStack::stage` is the same composition stopped before the
+//! read-noise draw, for the crossbar's cached read path.
 
 use crate::drift::{DriftModel, DriftState};
 use crate::fault::{FaultKind, FaultMap, FaultModel};
-use crate::noise::{NoiseModel, NoiseState};
+use crate::noise::{NoiseModel, NoiseState, StagedRead};
 use crate::wear::{WearModel, WearState};
 
 /// The device non-idealities of one array, one field per mechanism.
@@ -176,22 +178,47 @@ impl DeviceStack {
         self.faults.is_none() && self.drift.is_none() && self.noise.is_none()
     }
 
-    /// The level a read of `(row, col)` presents for a cell storing
-    /// `stored`: a fault pins it, otherwise drift and disturb skew it; noise
-    /// applies on top of either — a stuck cell's pinned conductance still
-    /// crosses the same noisy wires.
+    /// The level the read at `read_epoch` of `(row, col)` presents for a
+    /// cell storing `stored`: a fault pins it, otherwise drift and disturb
+    /// skew it; noise applies on top of either — a stuck cell's pinned
+    /// conductance still crosses the same noisy wires.
     #[inline]
-    pub fn resolve(&self, row: usize, col: usize, stored: u8, max_level: u8) -> u8 {
-        let base = match self.fault(row, col) {
+    pub fn resolve(
+        &self,
+        row: usize,
+        col: usize,
+        stored: u8,
+        max_level: u8,
+        read_epoch: u64,
+    ) -> u8 {
+        let base = self.base_level(row, col, stored, max_level);
+        match self.noise.as_ref() {
+            Some(n) => n.effective_level(row, col, base, max_level, read_epoch),
+            None => base,
+        }
+    }
+
+    /// [`resolve`](Self::resolve) up to the read-noise draw, which is all
+    /// of it that stays the same between writes.
+    #[inline]
+    pub fn stage(&self, row: usize, col: usize, stored: u8, max_level: u8) -> StagedRead {
+        let base = self.base_level(row, col, stored, max_level);
+        match self.noise.as_ref() {
+            Some(n) => n.stage(row, col, base, max_level),
+            None => StagedRead::Fixed(base),
+        }
+    }
+
+    /// The level under the analog noise: the fault's pinned level, else
+    /// the drifted and disturbed one.
+    #[inline]
+    fn base_level(&self, row: usize, col: usize, stored: u8, max_level: u8) -> u8 {
+        match self.fault(row, col) {
             Some(kind) => kind.effective_level(max_level),
             None => match self.drift.as_ref() {
                 Some(d) => d.effective_level(row, col, stored, max_level),
                 None => stored,
             },
-        };
-        match self.noise.as_ref() {
-            Some(n) => n.effective_level(row, col, base, max_level),
-            None => base,
         }
     }
 
@@ -202,28 +229,21 @@ impl DeviceStack {
         self.drift.is_some() || self.noise.is_some() || self.wear.is_some()
     }
 
-    /// Whether the bookkeeping of an array read (disturb counters, the
-    /// read-noise epoch) can change what the next read sees.
-    pub fn reads_perturb(&self) -> bool {
+    /// Whether an array read disturbs the cells: its word-line counts can
+    /// change what the next read sees.
+    pub fn reads_disturb(&self) -> bool {
         self.drift
             .as_ref()
             .is_some_and(|d| d.model().disturb_per_level > 0)
-            || self
-                .noise
-                .as_ref()
-                .is_some_and(|n| n.model().read_sigma > 0.0)
     }
 
-    /// Books one array read: `slot_reads[r]` spike slots drove word line
-    /// `r` (read disturb), and the next read draws a fresh noise epoch.
+    /// Books one array read's disturb: `slot_reads[r]` spike slots drove
+    /// word line `r`.
     pub fn note_read(&mut self, slot_reads: impl Iterator<Item = u64>) {
         if let Some(d) = self.drift.as_mut() {
             for (r, slots) in slot_reads.enumerate() {
                 d.note_row_reads(r, slots);
             }
-        }
-        if let Some(n) = self.noise.as_mut() {
-            n.note_mvm();
         }
     }
 
@@ -297,9 +317,10 @@ mod tests {
         stack.attach(&DeviceModel::ideal(), 9);
         assert!(stack.is_transparent());
         assert!(stack.wear().is_none());
-        assert!(!stack.reads_perturb());
+        assert!(!stack.reads_disturb());
         for stored in 0..=15 {
-            assert_eq!(stack.resolve(2, 1, stored, 15), stored);
+            assert_eq!(stack.resolve(2, 1, stored, 15, 0), stored);
+            assert_eq!(stack.stage(2, 1, stored, 15), StagedRead::Fixed(stored));
         }
     }
 
@@ -316,6 +337,6 @@ mod tests {
         );
         assert!(stack.wear().is_some(), "a later attach keeps earlier parts");
         assert!(stack.noise().is_some());
-        assert!(stack.reads_perturb(), "read noise perturbs the next read");
+        assert!(!stack.reads_disturb(), "read noise moves no device state");
     }
 }

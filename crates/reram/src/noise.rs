@@ -29,6 +29,18 @@
 //! window), get perturbed, and snap back through the read quantizer. The
 //! [`ideal`](NoiseModel::ideal) model is a mathematically exact no-op so
 //! every calibrated paper figure is bit-identical with noise off.
+//!
+//! A read splits into two stages. The device deviate changes only when
+//! the cell is written and the IR attenuation never does, so the
+//! conductance they give is read-invariant. Only the read-noise draw and the quantizer
+//! run per read. The read epoch is not part of [`NoiseState`]: the
+//! crossbar counts its own array reads and passes the count in, so a read
+//! that only advances the epoch changes no device state. A cell whose
+//! level is the same with the read-noise deviate at either end of
+//! [`GAUSS_BOUND`](seedstream::GAUSS_BOUND) presents that level on every
+//! read: `g + σ·z`, the window scaling, `round` and the clamp are all
+//! monotone in `z`. The crossbar caches such cells' levels and draws read
+//! noise only for the rest.
 
 use crate::seedstream;
 
@@ -181,6 +193,30 @@ impl NoiseModel {
         if self.is_ideal() {
             return level;
         }
+        let g = self.device_conductance(level, max_level, row, col, rows, cols, seed, device_epoch);
+        let z = if self.read_sigma > 0.0 {
+            read_gauss(seed, row, col, read_epoch)
+        } else {
+            0.0
+        };
+        self.read_level(g, z, max_level)
+    }
+
+    /// The read-invariant stage of [`perturb_level`](Self::perturb_level):
+    /// the conductance of `level` scaled by the device deviate drawn at
+    /// `device_epoch` and by the IR attenuation of `(row, col)`.
+    #[allow(clippy::too_many_arguments)]
+    fn device_conductance(
+        &self,
+        level: u8,
+        max_level: u8,
+        row: usize,
+        col: usize,
+        rows: usize,
+        cols: usize,
+        seed: u64,
+        device_epoch: u64,
+    ) -> f64 {
         let mut g = self.conductance(level, max_level);
         let sigma = self.device_sigma(level, max_level);
         if sigma > 0.0 {
@@ -192,17 +228,18 @@ impl NoiseModel {
             );
             g *= (sigma * z).exp();
         }
-        g *= self.ir_attenuation(row, col, rows, cols);
+        g * self.ir_attenuation(row, col, rows, cols)
+    }
+
+    /// The per-read stage of [`perturb_level`](Self::perturb_level): the
+    /// level a read presents for read-invariant conductance `g` under the
+    /// read-noise deviate `z`. Monotone non-decreasing in `z`.
+    pub(crate) fn read_level(&self, g: f64, z: f64, max_level: u8) -> u8 {
         if self.read_sigma > 0.0 {
-            let z = seedstream::cell_gauss(
-                seedstream::crossbar_seed(seed, READ_DOMAIN),
-                row,
-                col,
-                read_epoch,
-            );
-            g += self.read_sigma * z;
+            self.quantize(g + self.read_sigma * z, max_level)
+        } else {
+            self.quantize(g, max_level)
         }
-        self.quantize(g, max_level)
     }
 
     /// Perturbs a whole float buffer as if quantized to `data_bits` words
@@ -286,12 +323,36 @@ fn virtual_cell(i: usize) -> (usize, usize) {
     )
 }
 
+/// The read-noise deviate of `(row, col)` at `read_epoch` under the
+/// crossbar-qualified `seed`.
+fn read_gauss(seed: u64, row: usize, col: usize, read_epoch: u64) -> f64 {
+    seedstream::cell_gauss(
+        seedstream::crossbar_seed(seed, READ_DOMAIN),
+        row,
+        col,
+        read_epoch,
+    )
+}
+
+/// One cell's read split at the read-noise draw: what
+/// [`NoiseState::stage`] resolves once per write of the array.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum StagedRead {
+    /// Every read presents this level: no read noise reaches it.
+    Fixed(u8),
+    /// A read presents [`NoiseModel::read_level`] of `g` and its read-noise
+    /// deviate; with the deviate at `∓GAUSS_BOUND` that is `lo` and `hi`,
+    /// so every draw lands in `lo..=hi`, and `lo == hi` means no draw can
+    /// move the level.
+    Noisy { g: f64, lo: u8, hi: u8 },
+}
+
 /// Per-crossbar non-ideality state: the model, the crossbar-qualified
-/// seed, each cell's programming generation (the device-deviate epoch) and
-/// the monotone array-read counter (the read-noise epoch). Mirrors
-/// [`DriftState`](crate::drift::DriftState): no RNG object is carried —
-/// every draw re-derives from the seedstream, so clones and replays are
-/// bitwise exact.
+/// seed and each cell's programming generation (the device-deviate
+/// epoch). The read-noise epoch is the owning crossbar's read counter,
+/// passed to every read. Mirrors [`DriftState`](crate::drift::DriftState):
+/// no RNG object is carried — every draw re-derives from the seedstream,
+/// so clones and replays are bitwise exact.
 #[derive(Debug, Clone)]
 pub struct NoiseState {
     model: NoiseModel,
@@ -299,13 +360,11 @@ pub struct NoiseState {
     rows: usize,
     cols: usize,
     generation: Vec<u64>,
-    reads: u64,
 }
 
 impl NoiseState {
-    /// Fresh state: every cell at programming generation 0, read counter
-    /// at 0. `seed` should already be crossbar-qualified via
-    /// [`seedstream::crossbar_seed`].
+    /// Fresh state: every cell at programming generation 0. `seed` should
+    /// already be crossbar-qualified via [`seedstream::crossbar_seed`].
     pub fn new(rows: usize, cols: usize, model: NoiseModel, seed: u64) -> Self {
         NoiseState {
             model,
@@ -313,23 +372,11 @@ impl NoiseState {
             rows,
             cols,
             generation: vec![0; rows * cols],
-            reads: 0,
         }
     }
 
     pub fn model(&self) -> &NoiseModel {
         &self.model
-    }
-
-    /// Array reads (MVMs) performed so far — the read-noise epoch.
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Record one array read: subsequent read-noise draws come from the
-    /// next epoch.
-    pub fn note_mvm(&mut self) {
-        self.reads = self.reads.wrapping_add(1);
     }
 
     /// Record that the cell was physically re-programmed: its device
@@ -341,20 +388,74 @@ impl NoiseState {
         }
     }
 
-    /// The level a read sees *now* for a cell whose (fault/drift-resolved)
-    /// base level is `stored`. Pure in the current state.
-    pub fn effective_level(&self, row: usize, col: usize, stored: u8, max_level: u8) -> u8 {
+    /// The level the read at `read_epoch` sees for a cell whose
+    /// (fault/drift-resolved) base level is `stored`. Pure in the state
+    /// and the epoch.
+    pub fn effective_level(
+        &self,
+        row: usize,
+        col: usize,
+        stored: u8,
+        max_level: u8,
+        read_epoch: u64,
+    ) -> u8 {
         if self.model.is_ideal() {
             return stored;
         }
-        let generation = self
-            .generation
+        self.model.perturb_level(
+            stored,
+            max_level,
+            row,
+            col,
+            self.rows,
+            self.cols,
+            self.seed,
+            self.device_epoch(row, col),
+            read_epoch,
+        )
+    }
+
+    /// [`effective_level`](Self::effective_level) up to the read-noise
+    /// draw: the level when the model has no read noise, else the
+    /// read-invariant conductance and the level range the draw can reach.
+    pub(crate) fn stage(&self, row: usize, col: usize, stored: u8, max_level: u8) -> StagedRead {
+        let m = &self.model;
+        if m.is_ideal() {
+            return StagedRead::Fixed(stored);
+        }
+        let (rows, cols, seed) = (self.rows, self.cols, self.seed);
+        let epoch = self.device_epoch(row, col);
+        let g = m.device_conductance(stored, max_level, row, col, rows, cols, seed, epoch);
+        if m.read_sigma > 0.0 {
+            let lo = m.read_level(g, -seedstream::GAUSS_BOUND, max_level);
+            let hi = m.read_level(g, seedstream::GAUSS_BOUND, max_level);
+            StagedRead::Noisy { g, lo, hi }
+        } else {
+            StagedRead::Fixed(m.read_level(g, 0.0, max_level))
+        }
+    }
+
+    /// The per-read stage: the level the read at `read_epoch` presents for
+    /// a cell [`stage`](Self::stage) found [`StagedRead::Noisy`] with
+    /// read-invariant conductance `g`.
+    pub(crate) fn read_level(
+        &self,
+        row: usize,
+        col: usize,
+        g: f64,
+        max_level: u8,
+        read_epoch: u64,
+    ) -> u8 {
+        let z = read_gauss(self.seed, row, col, read_epoch);
+        self.model.read_level(g, z, max_level)
+    }
+
+    /// The cell's programming generation: its device-deviate epoch.
+    fn device_epoch(&self, row: usize, col: usize) -> u64 {
+        self.generation
             .get(row * self.cols + col)
             .copied()
-            .unwrap_or(0);
-        self.model.perturb_level(
-            stored, max_level, row, col, self.rows, self.cols, self.seed, generation, self.reads,
-        )
+            .unwrap_or(0)
     }
 }
 
@@ -370,10 +471,9 @@ mod tests {
     #[test]
     fn ideal_model_never_alters_reads() {
         let mut s = NoiseState::new(8, 8, NoiseModel::ideal(), 7);
-        s.note_mvm();
         s.note_program(3, 3);
         for stored in 0..=15u8 {
-            assert_eq!(s.effective_level(3, 3, stored, 15), stored);
+            assert_eq!(s.effective_level(3, 3, stored, 15, 1), stored);
         }
     }
 
@@ -386,7 +486,7 @@ mod tests {
         assert!(m.is_ideal());
         let s = NoiseState::new(4, 4, m, 3);
         for stored in 0..=15u8 {
-            assert_eq!(s.effective_level(2, 2, stored, 15), stored);
+            assert_eq!(s.effective_level(2, 2, stored, 15, 0), stored);
         }
     }
 
@@ -397,8 +497,8 @@ mod tests {
         for r in 0..6 {
             for c in 0..6 {
                 assert_eq!(
-                    a.effective_level(r, c, 9, 15),
-                    b.effective_level(r, c, 9, 15)
+                    a.effective_level(r, c, 9, 15, 0),
+                    b.effective_level(r, c, 9, 15, 0)
                 );
             }
         }
@@ -408,18 +508,15 @@ mod tests {
     fn read_epoch_changes_the_draw() {
         // With read noise on, consecutive MVMs see different perturbations
         // for at least some cell; replaying the same epoch reproduces them.
-        let mut s = NoiseState::new(8, 8, mid_model(), 11);
-        let before: Vec<u8> = (0..64)
-            .map(|i| s.effective_level(i / 8, i % 8, 8, 15))
-            .collect();
-        let again: Vec<u8> = (0..64)
-            .map(|i| s.effective_level(i / 8, i % 8, 8, 15))
-            .collect();
-        assert_eq!(before, again, "same epoch must replay bitwise");
-        s.note_mvm();
-        let after: Vec<u8> = (0..64)
-            .map(|i| s.effective_level(i / 8, i % 8, 8, 15))
-            .collect();
+        let s = NoiseState::new(8, 8, mid_model(), 11);
+        let read = |epoch| -> Vec<u8> {
+            (0..64)
+                .map(|i| s.effective_level(i / 8, i % 8, 8, 15, epoch))
+                .collect()
+        };
+        let before = read(0);
+        assert_eq!(before, read(0), "same epoch must replay bitwise");
+        let after = read(1);
         assert_ne!(before, after, "a new read epoch must redraw read noise");
     }
 
@@ -436,9 +533,9 @@ mod tests {
         let mut moved = false;
         for idx in 0..16 {
             let (r, c) = (idx / 4, idx % 4);
-            let before = s.effective_level(r, c, 8, 15);
+            let before = s.effective_level(r, c, 8, 15, 0);
             s.note_program(r, c);
-            if s.effective_level(r, c, 8, 15) != before {
+            if s.effective_level(r, c, 8, 15, 0) != before {
                 moved = true;
                 break;
             }
@@ -487,9 +584,9 @@ mod tests {
             ..NoiseModel::ideal()
         };
         let s = NoiseState::new(128, 128, m, 1);
-        assert_eq!(s.effective_level(0, 0, 15, 15), 15, "near corner exact");
+        assert_eq!(s.effective_level(0, 0, 15, 15, 0), 15, "near corner exact");
         assert!(
-            s.effective_level(127, 127, 15, 15) < 15,
+            s.effective_level(127, 127, 15, 15, 0) < 15,
             "far corner attenuated"
         );
     }

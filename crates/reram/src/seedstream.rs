@@ -69,11 +69,34 @@ pub fn cell_unit(seed: u64, row: usize, col: usize, epoch: u64) -> f64 {
     (mix64(cell_stream(seed, row, col, epoch)) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// Every draw of [`cell_gauss`] lies in `[-GAUSS_BOUND, GAUSS_BOUND]`: its
+/// 12 uniforms in `[0, 1)` sum to at most 12 (rounding can reach it) and
+/// at least 0, and it subtracts 6.
+///
+/// The staged read path of [`Crossbar`](crate::Crossbar) relies on this
+/// bound: a cell whose read level is the same at both ends of it presents
+/// that level on every read without drawing its read noise. Changing the
+/// sampler invalidates that early-out; re-derive the bound with it.
+pub const GAUSS_BOUND: f64 = 6.0;
+
 /// One standard-normal draw from the cell's stream (Irwin–Hall over 12
-/// uniforms, the same approximation the rest of the workspace uses).
+/// uniforms, the same approximation the rest of the workspace uses),
+/// within [`GAUSS_BOUND`].
 pub fn cell_gauss(seed: u64, row: usize, col: usize, epoch: u64) -> f64 {
     let mut rng = cell_rng(seed, row, col, epoch);
     (0..12).map(|_| rng.random::<f64>()).sum::<f64>() - 6.0
+}
+
+/// The smallest and the largest value [`cell_gauss`] can return: all 12
+/// uniforms at their smallest and at their largest value, summed as the
+/// sampler sums them.
+#[cfg(test)]
+pub(crate) fn gauss_extremes() -> [f64; 2] {
+    let largest_unit = ((u64::MAX >> 11) as f64) * (1.0 / (1u64 << 53) as f64);
+    [
+        (0..12).map(|_| 0.0f64).sum::<f64>() - 6.0,
+        (0..12).map(|_| largest_unit).sum::<f64>() - 6.0,
+    ]
 }
 
 #[cfg(test)]
@@ -108,6 +131,19 @@ mod tests {
         let n = 4000;
         let mean: f64 = (0..n).map(|i| cell_unit(11, i, 0, 0)).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.03, "mean {mean}");
+    }
+
+    /// The sampler's output stays within [`GAUSS_BOUND`]: its extremes
+    /// and a sweep of real draws.
+    #[test]
+    fn gauss_stays_within_its_bound() {
+        for z in gauss_extremes() {
+            assert!((-GAUSS_BOUND..=GAUSS_BOUND).contains(&z), "{z}");
+        }
+        for i in 0..20_000 {
+            let z = cell_gauss(17, i % 128, i / 128, 3);
+            assert!((-GAUSS_BOUND..=GAUSS_BOUND).contains(&z), "{z}");
+        }
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! counts and restored at different thread counts.
 
 use pipelayer::functional::{downsample, ReramMlp};
-use pipelayer::{RepairPolicy, SpareBudget};
+use pipelayer::{RepairPolicy, ScrubPolicy, SpareBudget};
 use pipelayer_nn::data::SyntheticMnist;
 use pipelayer_nn::metrics::DegradationReport;
 use pipelayer_nn::serialize::{load_sections, save_sections};
-use pipelayer_reram::{FaultModel, ReramParams, VerifyPolicy, WearModel};
+use pipelayer_reram::{DriftModel, FaultModel, NoiseModel, ReramParams, VerifyPolicy, WearModel};
 use pipelayer_tensor::Tensor;
 
 const DIMS: [usize; 3] = [49, 16, 10];
@@ -176,4 +176,46 @@ fn wear_snapshot_rejects_wrong_shape() {
     );
     let mut truncated = storage_mlp();
     assert!(!truncated.restore_device_state(&blob[..blob.len() / 2]));
+}
+
+/// A device snapshot carries no drift clocks and no noise deviates, so a
+/// run with drift and noise attached must refuse it: resuming would
+/// continue on a different trajectory. Killed after 3 batches, the
+/// restore onto a freshly built twin is rejected.
+#[test]
+fn aging_snapshot_is_rejected_on_resume() {
+    let (tr, trl, _, _) = small_task();
+    let aging = || {
+        let mut m = ReramMlp::with_resilience(
+            &DIMS,
+            &ReramParams::default(),
+            SEED,
+            DriftModel {
+                nu: 0.2,
+                nu_sigma: 0.15,
+                t0_cycles: 10_000,
+                disturb_per_level: 0,
+            },
+            ScrubPolicy::every(1_000, 16),
+            VerifyPolicy::default(),
+        );
+        m.attach_noise(NoiseModel::with_strength(0.25), SEED);
+        m
+    };
+    let mut live = aging();
+    for (imgs, labs) in tr.chunks(10).zip(trl.chunks(10)).take(3) {
+        live.train_batch(imgs, labs, LR);
+    }
+    let blob = live.device_state();
+    let mut resumed = aging();
+    let untouched = weight_bits(&resumed);
+    assert!(
+        !resumed.restore_device_state(&blob),
+        "a drifting, noisy device must reject a snapshot without its state"
+    );
+    assert_eq!(
+        weight_bits(&resumed),
+        untouched,
+        "a refused restore writes nothing"
+    );
 }
