@@ -7,11 +7,12 @@ use rand::Rng;
 
 /// A 2-D convolution layer with `C_out` kernels of size `C_in×K×K`.
 ///
-/// Forward uses the im2col lowering (the same kernel-window serialisation
-/// PipeLayer feeds its crossbars, Fig. 4); backward produces the input error
-/// via `conv2(δ, rot180(K), 'full')` (Fig. 11) and the weight gradient via
-/// the data-as-kernels convolution (Fig. 12), both implemented in
-/// `pipelayer-tensor`.
+/// Forward computes the im2col lowering's product (the same kernel-window
+/// serialisation PipeLayer feeds its crossbars, Fig. 4); backward produces
+/// the input error via `conv2(δ, rot180(K), 'full')` (Fig. 11) and the
+/// weight gradient via the data-as-kernels convolution (Fig. 12). All three
+/// are the implicit-GEMM kernels of `pipelayer-tensor`, bitwise equal to
+/// the lowered GEMMs without building the patch matrix.
 ///
 /// # Example
 ///
@@ -34,9 +35,8 @@ pub struct Conv2d {
     stride: usize,
     pad: usize,
     cached_input: Option<Tensor>,
-    // im2col/GEMM buffers reused across every sample that flows through this
-    // layer instance — forward and both backward passes allocate nothing
-    // after the first sample.
+    // Padded-input and regrouped-kernel buffers reused across every sample
+    // that flows through this layer instance.
     scratch: ops::ConvScratch,
 }
 

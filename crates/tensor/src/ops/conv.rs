@@ -83,10 +83,10 @@ pub fn rot180(weight: &Tensor) -> Tensor {
 /// output, returns the error w.r.t. the layer's input,
 /// `conv2(delta, rot180(K), 'full')` (Sec. 4.3, Fig. 11).
 ///
-/// Lowered onto `δᵀ·W` + col2im (see [`conv2d_backward_input_with`]); any
-/// stride/padding combination is handled natively, including the
-/// non-divisible strided geometry of AlexNet conv1. For buffer reuse across
-/// batch samples call the `_with` variant directly.
+/// Runs the implicit-GEMM kernel [`conv2d_backward_input_with`], bitwise
+/// equal to `col2im(δᵀ·W)`; any stride/padding combination is handled
+/// natively, including the non-divisible strided geometry of AlexNet conv1.
+/// For buffer reuse across batch samples call the `_with` variant directly.
 ///
 /// # Panics
 ///
@@ -105,8 +105,8 @@ pub fn conv2d_backward_input(
 
 /// Scalar (non-lowered) reference implementation of
 /// [`conv2d_backward_input`]: the scatter formulation, one multiply-add per
-/// (output point × kernel tap). Kept as the ground truth the GEMM path is
-/// tested against.
+/// (output point × kernel tap). Kept as the ground truth the implicit-GEMM
+/// kernel is tested against.
 ///
 /// # Panics
 ///
@@ -169,8 +169,9 @@ pub fn conv2d_backward_input_scalar(
 /// with the forward data, where the stored data act as kernels (Fig. 12).
 /// Also returns the bias gradient `∂J/∂b[co] = Σ δ[co,·,·]`.
 ///
-/// Lowered onto `δ · patches` (see [`conv2d_backward_weights_with`]); for
-/// buffer reuse across batch samples call the `_with` variant directly.
+/// Runs the implicit-GEMM kernel [`conv2d_backward_weights_with`], bitwise
+/// equal to `δ · im2col(input)`; for buffer reuse across batch samples call
+/// the `_with` variant directly.
 ///
 /// # Panics
 ///
@@ -187,8 +188,8 @@ pub fn conv2d_backward_weights(
 }
 
 /// Scalar (non-lowered) reference implementation of
-/// [`conv2d_backward_weights`], kept as the ground truth the GEMM path is
-/// tested against.
+/// [`conv2d_backward_weights`], kept as the ground truth the implicit-GEMM
+/// kernel is tested against.
 ///
 /// # Panics
 ///

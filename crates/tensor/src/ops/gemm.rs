@@ -1,8 +1,10 @@
 //! Dense matrix products — the execution engine's workhorse kernels.
 //!
-//! Every convolution in the functional path (forward and both backward
-//! passes) lowers onto these via im2col/col2im, exactly as PipeLayer maps
-//! kernel windows onto crossbar columns (Fig. 4). The kernels are
+//! A convolution lowered by im2col/col2im is one of these products, exactly
+//! as PipeLayer maps kernel windows onto crossbar columns (Fig. 4). The float
+//! convolution kernels (`lowered`) compute it without the patch matrix but
+//! give every output element the per-element operation order of these
+//! kernels, so their results are bitwise the lowered ones. The kernels are
 //! cache-blocked but deliberately single-threaded: parallelism lives at the
 //! batch level in `pipelayer-nn`'s trainer, which keeps every kernel's
 //! per-element summation order fixed and makes training bitwise reproducible
@@ -103,8 +105,8 @@ fn dot(x: &[f32], y: &[f32]) -> f32 {
 
 /// `out ← A · Bᵀ` over raw slices, `A (m×k) · Bᵀ (k×n) → (m×n)` where `B`
 /// is stored row-major as `(n×k)`. Both operands stream row-contiguously —
-/// this is the layout-friendly product for `patches · Wᵀ` in the im2col
-/// forward pass (no materialised transpose).
+/// this is the layout-friendly product for `patches · Wᵀ` in the lowered
+/// convolution forward pass (no materialised transpose).
 pub(crate) fn gemm_nt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);

@@ -6,26 +6,55 @@
 //! matrix. PipeLayer's intra-layer parallelism (Sec. 3.2) is a hardware
 //! parallelisation of exactly this loop, so the lowering is shared between
 //! the software reference and the accelerator's functional model.
+//!
+//! The float convolution kernels do not build the patch matrix: they read
+//! the same patch entries in place (see `lowered`).
 
 use super::conv::conv_output_len;
-use super::lowered::{col2im_from, conv2d_im2col_with, im2col_into, ConvScratch};
+use super::lowered::{conv2d_im2col_with, ConvScratch};
 use crate::Tensor;
 
 /// Lowers `input [C,H,W]` into a patch matrix of shape
 /// `[H_out·W_out, C·Kh·Kw]`: row `p` is the flattened receptive field of
 /// output position `p` (row-major over `oy, ox`), column order `(c, ky, kx)`.
 ///
-/// Allocating convenience wrapper over
-/// [`im2col_into`](super::im2col_into); hot loops should call the slice
-/// variant with a reused buffer.
+/// Contiguous `kx` runs are block-copied from the input rows; out-of-bounds
+/// (padding) positions are zero-filled.
 ///
 /// # Panics
 ///
 /// Panics if `input` is not rank-3 or the window does not fit.
 pub fn im2col(input: &Tensor, kh: usize, kw: usize, stride: usize, pad: usize) -> Tensor {
-    let mut buf = Vec::new();
-    let (rows, cols) = im2col_into(input, kh, kw, stride, pad, &mut buf);
-    Tensor::from_vec(&[rows, cols], buf)
+    assert_eq!(input.shape().rank(), 3, "im2col expects [C,H,W]");
+    let (c, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2]);
+    let ho = conv_output_len(h, kh, stride, pad);
+    let wo = conv_output_len(w, kw, stride, pad);
+    let cols = c * kh * kw;
+    let rows = ho * wo;
+    let mut out = vec![0.0f32; rows * cols];
+    let src = input.as_slice();
+    for oy in 0..ho {
+        for ox in 0..wo {
+            let rbase = (oy * wo + ox) * cols;
+            // kx is valid where 0 <= ox·s + kx − pad < w; the valid run maps
+            // to a contiguous span of the input row.
+            let xbase = (ox * stride) as isize - pad as isize;
+            let kx_lo = (-xbase).max(0) as usize;
+            let kx_hi = ((w as isize - xbase).max(0) as usize).min(kw);
+            for ci in 0..c {
+                for ky in 0..kh {
+                    let iy = (oy * stride + ky) as isize - pad as isize;
+                    if iy < 0 || iy >= h as isize || kx_lo >= kx_hi {
+                        continue; // padding row: already zero-filled
+                    }
+                    let dst = rbase + (ci * kh + ky) * kw;
+                    let s0 = (ci * h + iy as usize) * w + (xbase + kx_lo as isize) as usize;
+                    out[dst + kx_lo..dst + kx_hi].copy_from_slice(&src[s0..s0 + kx_hi - kx_lo]);
+                }
+            }
+        }
+    }
+    Tensor::from_vec(&[rows, cols], out)
 }
 
 /// Inverse of [`im2col`]: scatters (accumulating) a patch matrix back into an
@@ -54,26 +83,41 @@ pub fn col2im(
     );
     let ho = conv_output_len(h, kh, stride, pad);
     let wo = conv_output_len(w, kw, stride, pad);
+    let ncols = c * kh * kw;
     assert_eq!(cols.dims()[0], ho * wo, "col2im row count mismatch");
-    assert_eq!(cols.dims()[1], c * kh * kw, "col2im column count mismatch");
+    assert_eq!(cols.dims()[1], ncols, "col2im column count mismatch");
+    let src = cols.as_slice();
     let mut img = Tensor::zeros(&[c, h, w]);
-    col2im_from(
-        cols.as_slice(),
-        c,
-        h,
-        w,
-        kh,
-        kw,
-        stride,
-        pad,
-        img.as_mut_slice(),
-    );
+    let dst_img = img.as_mut_slice();
+    for oy in 0..ho {
+        for ox in 0..wo {
+            let rbase = (oy * wo + ox) * ncols;
+            let xbase = (ox * stride) as isize - pad as isize;
+            let kx_lo = (-xbase).max(0) as usize;
+            let kx_hi = ((w as isize - xbase).max(0) as usize).min(kw);
+            for ci in 0..c {
+                for ky in 0..kh {
+                    let iy = (oy * stride + ky) as isize - pad as isize;
+                    if iy < 0 || iy >= h as isize || kx_lo >= kx_hi {
+                        continue;
+                    }
+                    let srow = rbase + (ci * kh + ky) * kw;
+                    let d0 = (ci * h + iy as usize) * w + (xbase + kx_lo as isize) as usize;
+                    let dst = &mut dst_img[d0..d0 + kx_hi - kx_lo];
+                    for (d, &s) in dst.iter_mut().zip(&src[srow + kx_lo..srow + kx_hi]) {
+                        *d += s;
+                    }
+                }
+            }
+        }
+    }
     img
 }
 
-/// Convolution forward via im2col + GEMM. Numerically identical to
-/// [`conv2d`](super::conv2d) (up to float associativity) and considerably
-/// faster for the MNIST-scale functional runs.
+/// Convolution forward pass with the summation order of im2col + GEMM.
+/// Numerically identical to [`conv2d`](super::conv2d) (up to float
+/// associativity) and considerably faster for the MNIST-scale functional
+/// runs.
 ///
 /// Allocating convenience wrapper over
 /// [`conv2d_im2col_with`](super::conv2d_im2col_with); hot loops should call

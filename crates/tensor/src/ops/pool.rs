@@ -38,9 +38,11 @@ impl PoolIndices {
 /// Panics if `input` is not rank-3 or the window does not fit.
 pub fn maxpool2d(input: &Tensor, k: usize, stride: usize) -> (Tensor, PoolIndices) {
     let (c, h, w) = dims3(input);
+    assert_ne!(k, 0, "pooling window must be non-empty");
     let ho = pool_output_len(h, k, stride, 0);
     let wo = pool_output_len(w, k, stride, 0);
-    let mut out = Tensor::zeros(&[c, ho, wo]);
+    let src = input.as_slice();
+    let mut out = Vec::with_capacity(c * ho * wo);
     let mut indices = Vec::with_capacity(c * ho * wo);
     for ci in 0..c {
         for oy in 0..ho {
@@ -49,27 +51,23 @@ pub fn maxpool2d(input: &Tensor, k: usize, stride: usize) -> (Tensor, PoolIndice
                 // sentinel: with a NEG_INFINITY/offset-0 default, an all-NaN
                 // (or all -inf) window never fires `v > best` and routes its
                 // gradient to linear offset 0 — the wrong channel entirely.
-                let (iy0, ix0) = (oy * stride, ox * stride);
-                let mut best = input[[ci, iy0, ix0]];
-                let mut best_off = (ci * h + iy0) * w + ix0;
-                for ky in 0..k {
-                    for kx in 0..k {
-                        let iy = iy0 + ky;
-                        let ix = ix0 + kx;
-                        let v = input[[ci, iy, ix]];
+                let corner = (ci * h + oy * stride) * w + ox * stride;
+                let (mut best, mut best_off) = (src[corner], corner);
+                for row in (corner..).step_by(w).take(k) {
+                    for (off, &v) in (row..).zip(&src[row..row + k]) {
                         if v > best {
                             best = v;
-                            best_off = (ci * h + iy) * w + ix;
+                            best_off = off;
                         }
                     }
                 }
-                out[[ci, oy, ox]] = best;
+                out.push(best);
                 indices.push(best_off);
             }
         }
     }
     (
-        out,
+        Tensor::from_vec(&[c, ho, wo], out),
         PoolIndices {
             indices,
             input_dims: vec![c, h, w],
@@ -300,6 +298,67 @@ mod tests {
         assert_eq!(dx[[0, 0, 0]], 0.0);
         let ch1_sum: f32 = dx.as_slice()[4..8].iter().sum();
         assert_eq!(ch1_sum, 3.0);
+    }
+
+    /// The per-tap `Tensor`-indexing max-pool the slice walk replaced: the
+    /// same window scan, first-element seed and `v > best` rule.
+    fn maxpool2d_indexed(input: &Tensor, k: usize, stride: usize) -> (Tensor, Vec<usize>) {
+        let (c, h, w) = dims3(input);
+        let ho = pool_output_len(h, k, stride, 0);
+        let wo = pool_output_len(w, k, stride, 0);
+        let mut out = Tensor::zeros(&[c, ho, wo]);
+        let mut indices = Vec::with_capacity(c * ho * wo);
+        for ci in 0..c {
+            for oy in 0..ho {
+                for ox in 0..wo {
+                    let (iy0, ix0) = (oy * stride, ox * stride);
+                    let mut best = input[[ci, iy0, ix0]];
+                    let mut best_off = (ci * h + iy0) * w + ix0;
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let (iy, ix) = (iy0 + ky, ix0 + kx);
+                            let v = input[[ci, iy, ix]];
+                            if v > best {
+                                best = v;
+                                best_off = (ci * h + iy) * w + ix;
+                            }
+                        }
+                    }
+                    out[[ci, oy, ox]] = best;
+                    indices.push(best_off);
+                }
+            }
+        }
+        (out, indices)
+    }
+
+    #[test]
+    fn maxpool_slice_walk_matches_indexing_bitwise() {
+        // Values drawn from a small set with NaN, ±inf, signed zeros and
+        // repeats, so windows tie, start on NaN or hold only -inf.
+        let pool = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1.5,
+            1.5,
+            -2.0,
+        ];
+        for (c, h, w) in [(2, 7, 9), (3, 6, 6), (1, 5, 8)] {
+            let x = Tensor::from_fn(&[c, h, w], |i| {
+                pool[(i[0] * 31 + i[1] * 7 + i[2] * 13 + i[1] * i[2]) % pool.len()]
+            });
+            for (k, stride) in [(2, 2), (2, 1), (3, 2), (3, 3), (1, 1)] {
+                let (y, idx) = maxpool2d(&x, k, stride);
+                let (y_ref, idx_ref) = maxpool2d_indexed(&x, k, stride);
+                let bits =
+                    |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&y), bits(&y_ref), "k={k} s={stride} on {c}x{h}x{w}");
+                assert_eq!(idx.winners(), idx_ref, "k={k} s={stride} on {c}x{h}x{w}");
+            }
+        }
     }
 
     #[test]
