@@ -45,10 +45,9 @@
 //! intervals in the report.
 
 use crate::diag::{self, Diagnostic};
-use crate::shape::{self, InferredLayer};
 use pipelayer::PipeLayerConfig;
 use pipelayer_nn::loss::Loss;
-use pipelayer_nn::spec::NetSpec;
+use pipelayer_nn::spec::{NetSpec, ResolvedLayer};
 use pipelayer_nn::{LayerKind, Network};
 use pipelayer_quant::{accumulator_bits_worst_case, bits_for_magnitude, Quantizer};
 use rand::rngs::StdRng;
@@ -314,11 +313,19 @@ impl RangeReport {
 /// Builds exactly the network [`analyze`] reasons about: [`ANALYSIS_SEED`],
 /// the zoo's default softmax-cross-entropy loss, weights overwritten with
 /// their `data_bits` fixed-point images when the functional quantizer
-/// supports that resolution. Returns `None` for networks beyond
-/// [`EXEC_WEIGHT_LIMIT`] — the soundness harness uses this to execute the
-/// very network the verifier analysed.
-pub fn build_for_analysis(spec: &NetSpec, cfg: &PipeLayerConfig) -> Option<Network> {
-    if !shape::infer(spec).is_clean() || spec.weight_count() > EXEC_WEIGHT_LIMIT {
+/// supports that resolution. `layers` is `spec.try_resolve()`'s output.
+/// Returns `None` for networks beyond [`EXEC_WEIGHT_LIMIT`] — the soundness
+/// harness uses this to execute the very network the verifier analysed.
+pub fn build_for_analysis(
+    spec: &NetSpec,
+    layers: &[ResolvedLayer],
+    cfg: &PipeLayerConfig,
+) -> Option<Network> {
+    let weights = layers
+        .iter()
+        .map(|l| l.weights)
+        .fold(0, usize::saturating_add);
+    if weights > EXEC_WEIGHT_LIMIT {
         return None;
     }
     let mut rng = StdRng::seed_from_u64(ANALYSIS_SEED);
@@ -329,45 +336,29 @@ pub fn build_for_analysis(spec: &NetSpec, cfg: &PipeLayerConfig) -> Option<Netwo
     Some(net)
 }
 
-/// Range-analyses `spec` under `cfg` with the default `[0, 1]` input
-/// domain: value-domain interval propagation over the actual quantized
-/// weights when the network is buildable, the geometry-only accumulator
-/// check otherwise.
-pub fn analyze(spec: &NetSpec, cfg: &PipeLayerConfig) -> RangeReport {
-    analyze_with_input(spec, cfg, Interval::UNIT)
-}
-
-/// [`analyze`] with an explicit input value domain.
-pub fn analyze_with_input(spec: &NetSpec, cfg: &PipeLayerConfig, input: Interval) -> RangeReport {
-    let shapes = shape::infer(spec);
-    if !shapes.is_clean() {
-        // Shape errors are reported by the shape pass; there is nothing
-        // sound to bound here.
-        return RangeReport {
-            network: spec.name.clone(),
-            input,
-            value_domain: false,
-            stages: Vec::new(),
-            diags: Vec::new(),
-        };
-    }
-    if let Some(mut net) = build_for_analysis(spec, cfg) {
-        if let Some(report) = analyze_network(&mut net, &shapes.layers, input, cfg) {
+/// Range-analyses `spec`, whose `spec.try_resolve()` returned `layers`,
+/// under `cfg` with the `[0, 1]` input domain: value-domain interval
+/// propagation over the actual quantized weights when the network is
+/// buildable, the geometry-only accumulator check otherwise.
+pub fn analyze(spec: &NetSpec, layers: &[ResolvedLayer], cfg: &PipeLayerConfig) -> RangeReport {
+    let input = Interval::UNIT;
+    if let Some(mut net) = build_for_analysis(spec, layers, cfg) {
+        if let Some(report) = analyze_network(&mut net, layers, input, cfg) {
             return report;
         }
     }
-    analyze_geometry(&spec.name, &shapes.layers, input, cfg)
+    analyze_geometry(&spec.name, layers, input, cfg)
 }
 
 /// Value-domain analysis of a concrete (already built, already quantized)
-/// network. `geometry` must be the shape inference of the same spec — its
+/// network. `geometry` must be the resolved layers of the same spec — its
 /// weighted layers align 1:1 with the network's affine layers. Returns
 /// `None` when the network contains a layer the analysis has no sound
 /// transfer function for ([`LayerKind::Opaque`]) or the geometry does not
 /// align.
 pub fn analyze_network(
     net: &mut Network,
-    geometry: &[InferredLayer],
+    geometry: &[ResolvedLayer],
     input: Interval,
     cfg: &PipeLayerConfig,
 ) -> Option<RangeReport> {
@@ -408,7 +399,7 @@ fn slice_aggregates(data: &[f32], slices: usize) -> (Vec<f64>, Vec<f64>) {
 
 fn extract_abs_layers(
     net: &mut Network,
-    geometry: &[InferredLayer],
+    geometry: &[ResolvedLayer],
     quant: Option<Quantizer>,
 ) -> Option<Vec<AbsLayer>> {
     let mut out = Vec::with_capacity(net.len());
@@ -782,7 +773,7 @@ fn run_analysis(
 /// layer; value intervals stay unbounded.
 pub fn analyze_geometry(
     network: &str,
-    geometry: &[InferredLayer],
+    geometry: &[ResolvedLayer],
     input: Interval,
     cfg: &PipeLayerConfig,
 ) -> RangeReport {
@@ -885,7 +876,7 @@ mod tests {
             zoo::spec_c4(),
             zoo::spec_mc(),
         ] {
-            let report = analyze(&spec, &cfg);
+            let report = analyze(&spec, &spec.resolve(), &cfg);
             assert!(report.value_domain, "{} should be executable", spec.name);
             assert!(
                 !diag::has_errors(&report.diags),
@@ -903,7 +894,8 @@ mod tests {
     #[test]
     fn imagenet_scale_degrades_to_geometry() {
         let cfg = PipeLayerConfig::default();
-        let report = analyze(&zoo::alexnet(), &cfg);
+        let spec = zoo::alexnet();
+        let report = analyze(&spec, &spec.resolve(), &cfg);
         assert!(!report.value_domain);
         assert!(!diag::has_errors(&report.diags), "{:?}", report.diags);
         assert!(report.stages.iter().all(|s| !s.activation.is_bounded()));
@@ -915,7 +907,8 @@ mod tests {
         let mut cfg = PipeLayerConfig::default();
         cfg.params.data_bits = 8;
         cfg.datapath.accumulator_bits = 20;
-        let report = analyze(&zoo::spec_c4(), &cfg);
+        let spec = zoo::spec_c4();
+        let report = analyze(&spec, &spec.resolve(), &cfg);
         let pl042: Vec<&Diagnostic> = report
             .diags
             .iter()
@@ -929,7 +922,8 @@ mod tests {
 
     #[test]
     fn json_report_is_well_formed() {
-        let report = analyze(&zoo::spec_mnist_a(), &PipeLayerConfig::default());
+        let spec = zoo::spec_mnist_a();
+        let report = analyze(&spec, &spec.resolve(), &PipeLayerConfig::default());
         let json = report.to_json();
         assert!(json.starts_with("{\"input\":{\"lo\":"));
         assert!(json.contains("\"value_domain\":true"));

@@ -218,9 +218,9 @@ fn main() -> ExitCode {
         let diags = pipelayer_check::verify_with(net, &cli.cfg, &cli.over);
         let errors = has_errors(&diags);
         any_error |= errors;
-        let ranges = cli
-            .ranges
-            .then(|| pipelayer_check::absint::analyze(net, &cli.cfg));
+        // A spec that does not resolve reports its shape error in `diags`.
+        let layers = cli.ranges.then(|| net.try_resolve().ok()).flatten();
+        let ranges = layers.map(|l| pipelayer_check::absint::analyze(net, &l, &cli.cfg));
         if cli.json {
             let ranges_field = ranges
                 .as_ref()

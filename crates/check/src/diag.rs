@@ -171,6 +171,8 @@ pub const SHAPE_LEADING_POOL: &str = "PL004";
 pub const SHAPE_ZERO_OUTPUTS: &str = "PL005";
 /// Shape: the network has no weighted layers at all.
 pub const SHAPE_NO_WEIGHTED_LAYERS: &str = "PL006";
+/// Shape: an element, matrix, weight or operation count overflows `usize`.
+pub const SHAPE_OVERFLOW: &str = "PL007";
 
 /// Schedule: a buffer read hit overwritten data (undersized buffer).
 pub const SCHED_STALE_READ: &str = "PL010";
@@ -241,6 +243,7 @@ pub const CODE_TABLE: &[(&str, &str)] = &[
         "weighted layer produces zero output channels/neurons",
     ),
     (SHAPE_NO_WEIGHTED_LAYERS, "network has no weighted layers"),
+    (SHAPE_OVERFLOW, "shape, weight or MAC count overflows usize"),
     (
         SCHED_STALE_READ,
         "inter-layer buffer read hits overwritten data (undersized buffer, Sec. 3.3)",

@@ -13,7 +13,7 @@
 //! * [`verify_with`] — the same with explicit granularity / buffer-depth /
 //!   budget overrides (how the `plcheck` binary exposes what-if runs);
 //! * [`shape`], [`schedule`], [`mapcheck`], [`quantcheck`] — the individual
-//!   passes, usable on their own;
+//!   passes, usable on their own over [`NetSpec::try_resolve`]'s result;
 //! * [`absint`] — interval abstract interpretation of the quantized
 //!   datapath: per-layer activation/gradient bounds over the actual
 //!   quantized weight grids, checked against the datapath's value formats
@@ -74,11 +74,11 @@ pub fn verify(net: &NetSpec, cfg: &PipeLayerConfig) -> Vec<Diagnostic> {
 
 /// [`verify`] with explicit [`Overrides`].
 ///
-/// The passes run in dependency order: configuration domain checks, shape
-/// inference, then — only if the graph is well-formed — the symbolic
-/// schedule, the mapping-capacity check, and the bit-width check. Shape
-/// errors suppress the downstream passes (their inputs would be guesswork),
-/// config errors do not.
+/// The passes run in dependency order: configuration domain checks,
+/// [`NetSpec::try_resolve`], then — only if it succeeds — the symbolic
+/// schedule, the mapping-capacity check and the range analysis over its
+/// layers, then the bit-width check. A shape error suppresses the passes
+/// that need layers (their inputs would be guesswork), config errors do not.
 pub fn verify_with(net: &NetSpec, cfg: &PipeLayerConfig, over: &Overrides) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 
@@ -92,12 +92,13 @@ pub fn verify_with(net: &NetSpec, cfg: &PipeLayerConfig, over: &Overrides) -> Ve
         ));
     }
 
-    let shapes = shape::infer(net);
-    let shapes_clean = shapes.is_clean();
-    diags.extend(shapes.diags);
+    let resolved = net.try_resolve();
+    if let Err(e) = &resolved {
+        diags.push(shape::diagnostic(net, e));
+    }
 
-    if shapes_clean {
-        let l = shapes.layers.len();
+    if let Ok(layers) = resolved {
+        let l = layers.len();
         let b = cfg.batch_size.get();
         let depths = over
             .depths
@@ -112,9 +113,9 @@ pub fn verify_with(net: &NetSpec, cfg: &PipeLayerConfig, over: &Overrides) -> Ve
         let g = over
             .granularity
             .clone()
-            .unwrap_or_else(|| default_granularity(&net.resolve()));
+            .unwrap_or_else(|| default_granularity(&layers));
         let budget = over.conv_xbar_budget.unwrap_or(DEFAULT_CONV_XBAR_BUDGET);
-        for mut d in mapcheck::check(&shapes.layers, &g, cfg, budget) {
+        for mut d in mapcheck::check(&layers, &g, cfg, budget) {
             d.location = format!("{}: {}", net.name, d.location);
             diags.push(d);
         }
@@ -123,7 +124,7 @@ pub fn verify_with(net: &NetSpec, cfg: &PipeLayerConfig, over: &Overrides) -> Ve
         // bounds against; with PL050 already reported there is nothing
         // meaningful to compare to.
         if cfg_ok {
-            for mut d in absint::analyze(net, cfg).diags {
+            for mut d in absint::analyze(net, &layers, cfg).diags {
                 d.location = format!("{}: {}", net.name, d.location);
                 diags.push(d);
             }

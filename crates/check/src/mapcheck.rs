@@ -3,8 +3,8 @@
 //! budget of `pipelayer::repair` against the array geometry.
 
 use crate::diag::{self, Diagnostic};
-use crate::shape::InferredLayer;
 use pipelayer::PipeLayerConfig;
+use pipelayer_nn::spec::ResolvedLayer;
 use pipelayer_reram::tile_grid;
 
 /// Program pulses a weight cell absorbs over a *nominal* training run —
@@ -20,7 +20,7 @@ const NOMINAL_TRAINING_UPDATES: f64 = 100_000.0;
 /// replicated conv arrays bounded by `budget` crossbars (the same capacity
 /// notion as `pipelayer::granularity`'s budgeted search).
 pub fn check(
-    layers: &[InferredLayer],
+    layers: &[ResolvedLayer],
     g: &[usize],
     cfg: &PipeLayerConfig,
     budget: u64,
@@ -40,7 +40,7 @@ pub fn check(
         return diags;
     }
 
-    let size = cfg.params.xbar_size;
+    let size = cfg.params.xbar_size.get();
     let per_matrix = cfg.params.crossbars_per_matrix() as u64;
     let mut conv_cost = 0u64;
     for (idx, (layer, &gl)) in layers.iter().zip(g).enumerate() {
@@ -64,7 +64,7 @@ pub fn check(
             ));
         }
         if layer.is_conv {
-            let (tr, tc) = tile_grid(layer.matrix_rows, layer.matrix_cols.max(1), size);
+            let (tr, tc) = tile_grid(layer.matrix_rows, layer.matrix_cols, cfg.params.xbar_size);
             conv_cost += (tr * tc) as u64 * gl as u64 * per_matrix;
         }
     }
@@ -129,7 +129,6 @@ pub fn check(
 mod tests {
     use super::*;
     use crate::diag::Severity;
-    use crate::shape;
     use pipelayer::granularity::default_granularity;
     use pipelayer::repair::SpareBudget;
     use pipelayer_nn::zoo;
@@ -139,8 +138,8 @@ mod tests {
     #[test]
     fn default_granularity_fits_the_budget() {
         for spec in zoo::evaluation_specs() {
-            let layers = shape::infer(&spec).layers;
-            let g = default_granularity(&spec.resolve());
+            let layers = spec.resolve();
+            let g = default_granularity(&layers);
             let diags = check(&layers, &g, &PipeLayerConfig::default(), BUDGET);
             assert!(
                 !diags.iter().any(|d| d.severity == Severity::Error),
@@ -154,7 +153,7 @@ mod tests {
     fn over_capacity_replication_is_rejected() {
         // VGG-A at full replication (G = P everywhere) dwarfs any die.
         let spec = zoo::vgg(zoo::VggVariant::A);
-        let layers = shape::infer(&spec).layers;
+        let layers = spec.resolve();
         let g: Vec<usize> = layers.iter().map(|l| l.window_positions.max(1)).collect();
         let diags = check(&layers, &g, &PipeLayerConfig::default(), BUDGET);
         assert!(
@@ -168,7 +167,7 @@ mod tests {
     #[test]
     fn bad_granularity_vectors_are_rejected() {
         let spec = zoo::spec_mnist_a();
-        let layers = shape::infer(&spec).layers;
+        let layers = spec.resolve();
         let diags = check(&layers, &[1], &PipeLayerConfig::default(), BUDGET);
         assert_eq!(diags[0].code, diag::MAP_BAD_GRANULARITY);
         let diags = check(&layers, &[1, 0], &PipeLayerConfig::default(), BUDGET);
@@ -178,7 +177,7 @@ mod tests {
     #[test]
     fn excess_replication_warns() {
         let spec = zoo::spec_mnist_a(); // pure MLP: P = 1 everywhere
-        let layers = shape::infer(&spec).layers;
+        let layers = spec.resolve();
         let diags = check(&layers, &[4, 1], &PipeLayerConfig::default(), BUDGET);
         assert!(diags
             .iter()
@@ -189,7 +188,7 @@ mod tests {
     fn wear_grade_beyond_the_spare_budget_warns() {
         use pipelayer_reram::{FaultModel, WearModel};
         let spec = zoo::spec_mnist_a();
-        let layers = shape::infer(&spec).layers;
+        let layers = spec.resolve();
 
         // Storage-class endurance (median well under the nominal pulse
         // horizon): nearly every cell dies, spares cannot cover it.
@@ -244,7 +243,7 @@ mod tests {
     #[test]
     fn spare_budget_versus_array_width() {
         let spec = zoo::spec_mnist_a();
-        let layers = shape::infer(&spec).layers;
+        let layers = spec.resolve();
         let mut cfg = PipeLayerConfig {
             spares: SpareBudget::with_cols(128),
             ..PipeLayerConfig::default()

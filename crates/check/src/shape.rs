@@ -1,295 +1,113 @@
-//! Total (panic-free) shape inference over a [`NetSpec`] layer graph.
-//!
-//! [`NetSpec::resolve`] asserts on malformed geometry deep inside
-//! `conv_output_len`; this pass re-derives the same conv/pool/fc/flatten
-//! arithmetic defensively and reports every violation as a diagnostic, so a
-//! bad workload is rejected before any tensor is allocated.
+//! The PL00x shape diagnostics. [`NetSpec::try_resolve`] computes the
+//! geometry with checked arithmetic and returns its first fault as a
+//! [`ShapeError`]; this module gives that error its code and a fix-it hint,
+//! so a bad workload is rejected before any tensor is allocated.
 
 use crate::diag::{self, Diagnostic};
-use pipelayer_nn::spec::{LayerSpec, NetSpec};
+use pipelayer_nn::spec::{NetSpec, ShapeError};
 
-/// Geometry of one weighted layer, as inferred by the checker (the subset
-/// of `ResolvedLayer` the downstream passes need).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InferredLayer {
-    /// `"convKxC"` or `"ipM-N"`, matching `ResolvedLayer::name`.
-    pub name: String,
-    /// `true` for convolution layers.
-    pub is_conv: bool,
-    /// Input `(C, H, W)`; `(n_in, 1, 1)` for FC.
-    pub in_shape: (usize, usize, usize),
-    /// Pre-pool output `(C, H, W)`.
-    pub out_shape: (usize, usize, usize),
-    /// Shape after the folded pooling stage.
-    pub post_pool_shape: (usize, usize, usize),
-    /// Mapped kernel-matrix rows (`K·K·C_in + 1` or `n_in + 1`).
-    pub matrix_rows: usize,
-    /// Mapped kernel-matrix columns (`C_out` or `n_out`).
-    pub matrix_cols: usize,
-    /// Kernel-window positions per image (1 for FC).
-    pub window_positions: usize,
-}
-
-/// Result of shape inference: the inferred weighted layers (valid only if
-/// no error diagnostic was produced) plus everything found along the way.
-#[derive(Debug, Clone, Default)]
-pub struct ShapeReport {
-    /// Weighted layers inferred so far (stops at the first fatal layer).
-    pub layers: Vec<InferredLayer>,
-    /// Findings, in layer order.
-    pub diags: Vec<Diagnostic>,
-}
-
-impl ShapeReport {
-    /// `true` if inference completed without error-severity findings.
-    pub fn is_clean(&self) -> bool {
-        !diag::has_errors(&self.diags)
-    }
-}
-
-/// Guarded version of `conv_output_len`: `None` when the window does not
-/// fit or the stride is zero.
-fn output_len(input: usize, k: usize, stride: usize, pad: usize) -> Option<usize> {
-    if stride == 0 || k == 0 || input + 2 * pad < k {
-        return None;
-    }
-    Some((input + 2 * pad - k) / stride + 1)
-}
-
-/// Runs shape inference over the whole layer graph.
-///
-/// Inference walks layers in order; a layer whose output geometry cannot be
-/// derived stops the walk (everything downstream would be guesswork), but
-/// every violation up to that point is reported.
-pub fn infer(net: &NetSpec) -> ShapeReport {
-    let mut report = ShapeReport::default();
-    let (c0, h0, w0) = net.input;
-    if c0 == 0 || h0 == 0 || w0 == 0 {
-        report.diags.push(Diagnostic::error(
+/// The diagnostic `plcheck` reports for `net`'s shape error `err`.
+pub fn diagnostic(net: &NetSpec, err: &ShapeError) -> Diagnostic {
+    let (code, help) = match err {
+        ShapeError::EmptyInput { .. } => (
             diag::SHAPE_EMPTY_INPUT,
-            format!("{}: input", net.name),
-            format!("input shape ({c0}, {h0}, {w0}) has a zero dimension"),
             "every input dimension (channels, height, width) must be positive",
-        ));
-        return report;
-    }
-
-    let mut shape = net.input;
-    let mut weighted_seen = 0usize;
-    for (idx, spec) in net.layers.iter().enumerate() {
-        let loc = |name: &str| format!("{}: layer {idx} ({name})", net.name);
-        match *spec {
-            LayerSpec::Conv {
-                k,
-                c_out,
-                stride,
-                pad,
-            } => {
-                let name = format!("conv{k}x{c_out}");
-                let (c_in, h, w) = shape;
-                if k == 0 || stride == 0 {
-                    report.diags.push(Diagnostic::error(
-                        diag::SHAPE_ZERO_KERNEL_OR_STRIDE,
-                        loc(&name),
-                        format!("kernel size {k} / stride {stride} must both be positive"),
-                        "use k >= 1 and stride >= 1",
-                    ));
-                    return report;
-                }
-                if c_out == 0 {
-                    report.diags.push(Diagnostic::error(
-                        diag::SHAPE_ZERO_OUTPUTS,
-                        loc(&name),
-                        "convolution with zero output channels".to_string(),
-                        "set c_out >= 1",
-                    ));
-                    return report;
-                }
-                let (Some(ho), Some(wo)) =
-                    (output_len(h, k, stride, pad), output_len(w, k, stride, pad))
-                else {
-                    report.diags.push(Diagnostic::error(
-                        diag::SHAPE_WINDOW_TOO_BIG,
-                        loc(&name),
-                        format!(
-                            "window {k}\u{d7}{k} (pad {pad}) does not fit the {h}\u{d7}{w} input"
-                        ),
-                        "shrink the kernel, add padding, or fix the upstream layer's output shape",
-                    ));
-                    return report;
-                };
-                report.layers.push(InferredLayer {
-                    name,
-                    is_conv: true,
-                    in_shape: shape,
-                    out_shape: (c_out, ho, wo),
-                    post_pool_shape: (c_out, ho, wo),
-                    matrix_rows: k * k * c_in + 1,
-                    matrix_cols: c_out,
-                    window_positions: ho * wo,
-                });
-                weighted_seen += 1;
-                shape = (c_out, ho, wo);
-            }
-            LayerSpec::Pool { k, stride, .. } => {
-                let name = format!("pool{k}s{stride}");
-                if weighted_seen == 0 {
-                    report.diags.push(Diagnostic::error(
-                        diag::SHAPE_LEADING_POOL,
-                        loc(&name),
-                        "pooling precedes every weighted layer".to_string(),
-                        "pooling is folded into the preceding weighted layer (Sec. 4.2.3); \
-                         put a conv or fc layer first",
-                    ));
-                    return report;
-                }
-                if k == 0 || stride == 0 {
-                    report.diags.push(Diagnostic::error(
-                        diag::SHAPE_ZERO_KERNEL_OR_STRIDE,
-                        loc(&name),
-                        format!("pool window {k} / stride {stride} must both be positive"),
-                        "use k >= 1 and stride >= 1",
-                    ));
-                    return report;
-                }
-                let (c, h, w) = shape;
-                let (Some(ho), Some(wo)) =
-                    (output_len(h, k, stride, 0), output_len(w, k, stride, 0))
-                else {
-                    report.diags.push(Diagnostic::error(
-                        diag::SHAPE_WINDOW_TOO_BIG,
-                        loc(&name),
-                        format!("pool window {k}\u{d7}{k} does not fit the {h}\u{d7}{w} input"),
-                        "shrink the pool window or fix the upstream layer's output shape",
-                    ));
-                    return report;
-                };
-                if let Some(prev) = report.layers.last_mut() {
-                    prev.post_pool_shape = (c, ho, wo);
-                }
-                shape = (c, ho, wo);
-            }
-            LayerSpec::Fc { n_out } => {
-                let (c, h, w) = shape;
-                let n_in = c * h * w; // the implicit flatten
-                let name = format!("ip{n_in}-{n_out}");
-                if n_out == 0 {
-                    report.diags.push(Diagnostic::error(
-                        diag::SHAPE_ZERO_OUTPUTS,
-                        loc(&name),
-                        "inner-product layer with zero output neurons".to_string(),
-                        "set n_out >= 1",
-                    ));
-                    return report;
-                }
-                report.layers.push(InferredLayer {
-                    name,
-                    is_conv: false,
-                    in_shape: (n_in, 1, 1),
-                    out_shape: (n_out, 1, 1),
-                    post_pool_shape: (n_out, 1, 1),
-                    matrix_rows: n_in + 1,
-                    matrix_cols: n_out,
-                    window_positions: 1,
-                });
-                weighted_seen += 1;
-                shape = (n_out, 1, 1);
-            }
-        }
-    }
-
-    if weighted_seen == 0 {
-        report.diags.push(Diagnostic::error(
+        ),
+        ShapeError::ZeroKernelOrStride { .. } => (
+            diag::SHAPE_ZERO_KERNEL_OR_STRIDE,
+            "use k >= 1 and stride >= 1",
+        ),
+        ShapeError::ZeroOutputs { conv: true, .. } => (diag::SHAPE_ZERO_OUTPUTS, "set c_out >= 1"),
+        ShapeError::ZeroOutputs { conv: false, .. } => (diag::SHAPE_ZERO_OUTPUTS, "set n_out >= 1"),
+        ShapeError::WindowTooBig { pool: false, .. } => (
+            diag::SHAPE_WINDOW_TOO_BIG,
+            "shrink the kernel, add padding, or fix the upstream layer's output shape",
+        ),
+        ShapeError::WindowTooBig { pool: true, .. } => (
+            diag::SHAPE_WINDOW_TOO_BIG,
+            "shrink the pool window or fix the upstream layer's output shape",
+        ),
+        ShapeError::LeadingPool { .. } => (
+            diag::SHAPE_LEADING_POOL,
+            "pooling is folded into the preceding weighted layer (Sec. 4.2.3); \
+             put a conv or fc layer first",
+        ),
+        ShapeError::NoWeightedLayers => (
             diag::SHAPE_NO_WEIGHTED_LAYERS,
-            format!("{}: network", net.name),
-            "no weighted layers: nothing to map onto crossbars".to_string(),
             "add at least one conv or fc layer",
-        ));
-    }
-    report
+        ),
+        ShapeError::Overflow { .. } => (
+            diag::SHAPE_OVERFLOW,
+            "shrink the input or the layer until every count fits in usize",
+        ),
+    };
+    Diagnostic::error(
+        code,
+        format!("{}: {}", net.name, err.site()),
+        err.to_string(),
+        help,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipelayer_nn::spec::PoolKind;
-    use pipelayer_nn::zoo;
+    use pipelayer_nn::spec::{LayerSpec, PoolKind};
 
-    #[test]
-    fn agrees_with_resolve_on_the_zoo() {
-        for spec in zoo::evaluation_specs() {
-            let report = infer(&spec);
-            assert!(report.is_clean(), "{}: {:?}", spec.name, report.diags);
-            let resolved = spec.resolve();
-            assert_eq!(report.layers.len(), resolved.len(), "{}", spec.name);
-            for (inf, res) in report.layers.iter().zip(&resolved) {
-                assert_eq!(inf.name, res.name);
-                assert_eq!(inf.in_shape, res.in_shape, "{}", res.name);
-                assert_eq!(inf.out_shape, res.out_shape, "{}", res.name);
-                assert_eq!(inf.post_pool_shape, res.post_pool_shape, "{}", res.name);
-                assert_eq!(inf.matrix_rows, res.matrix_rows, "{}", res.name);
-                assert_eq!(inf.matrix_cols, res.matrix_cols, "{}", res.name);
-                assert_eq!(inf.window_positions, res.window_positions, "{}", res.name);
-            }
+    /// The shape pass's findings for `spec`: none, or the one diagnostic of
+    /// its first fault.
+    fn diags(spec: &NetSpec) -> Vec<Diagnostic> {
+        spec.try_resolve()
+            .err()
+            .map(|e| diagnostic(spec, &e))
+            .into_iter()
+            .collect()
+    }
+
+    fn conv(k: usize, c_out: usize, stride: usize, pad: usize) -> LayerSpec {
+        LayerSpec::Conv {
+            k,
+            c_out,
+            stride,
+            pad,
+        }
+    }
+
+    fn pool(k: usize, stride: usize) -> LayerSpec {
+        LayerSpec::Pool {
+            k,
+            stride,
+            kind: PoolKind::Max,
         }
     }
 
     #[test]
     fn rejects_oversized_window() {
-        let spec = NetSpec::new(
-            "bad",
-            (1, 4, 4),
-            vec![LayerSpec::Conv {
-                k: 7,
-                c_out: 2,
-                stride: 1,
-                pad: 0,
-            }],
-        );
-        let report = infer(&spec);
-        assert_eq!(report.diags.len(), 1);
-        assert_eq!(report.diags[0].code, diag::SHAPE_WINDOW_TOO_BIG);
+        let spec = NetSpec::new("bad", (1, 4, 4), vec![conv(7, 2, 1, 0)]);
+        let report = diags(&spec);
+        assert_eq!(report.len(), 1);
+        assert_eq!(report[0].code, diag::SHAPE_WINDOW_TOO_BIG);
     }
 
     #[test]
     fn rejects_leading_pool_and_zero_dims() {
-        let spec = NetSpec::new(
-            "bad",
-            (1, 8, 8),
-            vec![LayerSpec::Pool {
-                k: 2,
-                stride: 2,
-                kind: PoolKind::Max,
-            }],
-        );
-        assert_eq!(infer(&spec).diags[0].code, diag::SHAPE_LEADING_POOL);
+        let spec = NetSpec::new("bad", (1, 8, 8), vec![pool(2, 2)]);
+        assert_eq!(diags(&spec)[0].code, diag::SHAPE_LEADING_POOL);
 
         let spec = NetSpec::new("bad", (0, 8, 8), vec![LayerSpec::Fc { n_out: 4 }]);
-        assert_eq!(infer(&spec).diags[0].code, diag::SHAPE_EMPTY_INPUT);
+        assert_eq!(diags(&spec)[0].code, diag::SHAPE_EMPTY_INPUT);
 
         let spec = NetSpec::new("bad", (1, 8, 8), vec![]);
-        assert_eq!(infer(&spec).diags[0].code, diag::SHAPE_NO_WEIGHTED_LAYERS);
+        assert_eq!(diags(&spec)[0].code, diag::SHAPE_NO_WEIGHTED_LAYERS);
     }
 
     #[test]
     fn rejects_zero_stride_and_zero_outputs() {
-        let spec = NetSpec::new(
-            "bad",
-            (1, 8, 8),
-            vec![LayerSpec::Conv {
-                k: 3,
-                c_out: 4,
-                stride: 0,
-                pad: 0,
-            }],
-        );
-        assert_eq!(
-            infer(&spec).diags[0].code,
-            diag::SHAPE_ZERO_KERNEL_OR_STRIDE
-        );
+        let spec = NetSpec::new("bad", (1, 8, 8), vec![conv(3, 4, 0, 0)]);
+        assert_eq!(diags(&spec)[0].code, diag::SHAPE_ZERO_KERNEL_OR_STRIDE);
 
         let spec = NetSpec::new("bad", (1, 8, 8), vec![LayerSpec::Fc { n_out: 0 }]);
-        assert_eq!(infer(&spec).diags[0].code, diag::SHAPE_ZERO_OUTPUTS);
+        assert_eq!(diags(&spec)[0].code, diag::SHAPE_ZERO_OUTPUTS);
     }
 
     #[test]
@@ -299,31 +117,163 @@ mod tests {
         let spec = NetSpec::new(
             "bad",
             (1, 8, 8),
-            vec![
-                LayerSpec::Conv {
-                    k: 3,
-                    c_out: 4,
-                    stride: 1,
-                    pad: 0,
-                },
-                LayerSpec::Pool {
-                    k: 3,
-                    stride: 3,
-                    kind: PoolKind::Max,
-                },
-                LayerSpec::Conv {
-                    k: 3,
-                    c_out: 8,
-                    stride: 1,
-                    pad: 0,
-                },
-            ],
+            vec![conv(3, 4, 1, 0), pool(3, 3), conv(3, 8, 1, 0)],
         );
-        let report = infer(&spec);
-        assert_eq!(report.diags.len(), 1);
-        assert_eq!(report.diags[0].code, diag::SHAPE_WINDOW_TOO_BIG);
-        assert!(report.diags[0].location.contains("layer 2"));
-        // The first conv was still inferred.
-        assert_eq!(report.layers.len(), 1);
+        let report = diags(&spec);
+        assert_eq!(report.len(), 1);
+        assert_eq!(report[0].code, diag::SHAPE_WINDOW_TOO_BIG);
+        assert!(report[0].location.contains("layer 2"));
+    }
+
+    #[test]
+    fn overflow_is_an_error_in_every_profile() {
+        // 2^66 input elements: a wrapped product once read as a clean
+        // `ip0-2` layer in release builds.
+        let spec = NetSpec::new(
+            "huge",
+            (1 << 33, 1 << 33, 1),
+            vec![LayerSpec::Fc { n_out: 2 }],
+        );
+        let report = diags(&spec);
+        assert_eq!(report.len(), 1);
+        assert_eq!(report[0].code, diag::SHAPE_OVERFLOW);
+        assert_eq!(report[0].location, "huge: input");
+    }
+
+    /// `(code, location, message, help)` of every bad spec above, recorded
+    /// from the checker before shape inference moved into
+    /// `NetSpec::try_resolve`: the move must not change a byte.
+    #[test]
+    fn diagnostics_are_pinned_byte_for_byte() {
+        let cases: Vec<(NetSpec, [&str; 4])> = vec![
+            (
+                NetSpec::new("bad", (1, 4, 4), vec![conv(7, 2, 1, 0)]),
+                [
+                    "PL002",
+                    "bad: layer 0 (conv7x2)",
+                    "window 7×7 (pad 0) does not fit the 4×4 input",
+                    "shrink the kernel, add padding, or fix the upstream layer's output shape",
+                ],
+            ),
+            (
+                NetSpec::new("bad", (1, 8, 8), vec![pool(2, 2)]),
+                [
+                    "PL004",
+                    "bad: layer 0 (pool2s2)",
+                    "pooling precedes every weighted layer",
+                    "pooling is folded into the preceding weighted layer (Sec. 4.2.3); \
+                     put a conv or fc layer first",
+                ],
+            ),
+            (
+                NetSpec::new("bad", (0, 8, 8), vec![LayerSpec::Fc { n_out: 4 }]),
+                [
+                    "PL001",
+                    "bad: input",
+                    "input shape (0, 8, 8) has a zero dimension",
+                    "every input dimension (channels, height, width) must be positive",
+                ],
+            ),
+            (
+                NetSpec::new("bad", (1, 8, 8), vec![]),
+                [
+                    "PL006",
+                    "bad: network",
+                    "no weighted layers: nothing to map onto crossbars",
+                    "add at least one conv or fc layer",
+                ],
+            ),
+            (
+                NetSpec::new("bad", (1, 8, 8), vec![conv(3, 4, 0, 0)]),
+                [
+                    "PL003",
+                    "bad: layer 0 (conv3x4)",
+                    "kernel size 3 / stride 0 must both be positive",
+                    "use k >= 1 and stride >= 1",
+                ],
+            ),
+            (
+                NetSpec::new("bad", (1, 8, 8), vec![LayerSpec::Fc { n_out: 0 }]),
+                [
+                    "PL005",
+                    "bad: layer 0 (ip64-0)",
+                    "inner-product layer with zero output neurons",
+                    "set n_out >= 1",
+                ],
+            ),
+            (
+                NetSpec::new(
+                    "bad",
+                    (1, 8, 8),
+                    vec![conv(3, 4, 1, 0), pool(3, 3), conv(3, 8, 1, 0)],
+                ),
+                [
+                    "PL002",
+                    "bad: layer 2 (conv3x8)",
+                    "window 3×3 (pad 0) does not fit the 2×2 input",
+                    "shrink the kernel, add padding, or fix the upstream layer's output shape",
+                ],
+            ),
+            (
+                NetSpec::new("bad", (1, 8, 8), vec![conv(0, 4, 1, 0)]),
+                [
+                    "PL003",
+                    "bad: layer 0 (conv0x4)",
+                    "kernel size 0 / stride 1 must both be positive",
+                    "use k >= 1 and stride >= 1",
+                ],
+            ),
+            (
+                NetSpec::new("bad", (1, 8, 8), vec![conv(3, 0, 1, 0)]),
+                [
+                    "PL005",
+                    "bad: layer 0 (conv3x0)",
+                    "convolution with zero output channels",
+                    "set c_out >= 1",
+                ],
+            ),
+            (
+                NetSpec::new("bad", (1, 8, 8), vec![conv(3, 4, 1, 0), pool(2, 0)]),
+                [
+                    "PL003",
+                    "bad: layer 1 (pool2s0)",
+                    "pool window 2 / stride 0 must both be positive",
+                    "use k >= 1 and stride >= 1",
+                ],
+            ),
+            (
+                NetSpec::new("bad", (1, 8, 8), vec![conv(3, 4, 1, 0), pool(7, 1)]),
+                [
+                    "PL002",
+                    "bad: layer 1 (pool7s1)",
+                    "pool window 7×7 does not fit the 6×6 input",
+                    "shrink the pool window or fix the upstream layer's output shape",
+                ],
+            ),
+            (
+                NetSpec::new("bad", (1, 8, 8), vec![pool(0, 0)]),
+                [
+                    "PL004",
+                    "bad: layer 0 (pool0s0)",
+                    "pooling precedes every weighted layer",
+                    "pooling is folded into the preceding weighted layer (Sec. 4.2.3); \
+                     put a conv or fc layer first",
+                ],
+            ),
+        ];
+        for (spec, [code, location, message, help]) in &cases {
+            let report = diags(spec);
+            assert_eq!(report.len(), 1, "{spec:?}");
+            let d = &report[0];
+            assert_eq!(
+                (
+                    d.code,
+                    d.location.as_str(),
+                    d.message.as_str(),
+                    d.help.as_str()
+                ),
+                (*code, *location, *message, *help)
+            );
+        }
     }
 }

@@ -329,6 +329,16 @@ fn codes_table_matches_the_library() {
     for (line, (code, what)) in lines.iter().zip(pipelayer_check::diag::CODE_TABLE) {
         assert_eq!(*line, format!("{code}  {what}"));
     }
+    let shape_codes: Vec<&str> = lines
+        .iter()
+        .filter_map(|l| l.split_whitespace().next())
+        .filter(|c| c.starts_with("PL00"))
+        .collect();
+    assert_eq!(
+        shape_codes,
+        ["PL001", "PL002", "PL003", "PL004", "PL005", "PL006", "PL007"]
+    );
+    assert!(lines.contains(&"PL007  shape, weight or MAC count overflows usize"));
 }
 
 #[test]

@@ -19,7 +19,7 @@
 
 use pipelayer::PipeLayerConfig;
 use pipelayer_check::absint::{self, Interval};
-use pipelayer_check::{diag, shape, verify};
+use pipelayer_check::{diag, verify};
 use pipelayer_nn::spec::NetSpec;
 use pipelayer_nn::zoo;
 use pipelayer_tensor::Tensor;
@@ -55,11 +55,10 @@ impl Tightness {
 /// intervals. Returns the number of executions performed.
 fn assert_sound(spec: &NetSpec, samples: usize, seed: u64) -> usize {
     let cfg = PipeLayerConfig::default();
-    let shapes = shape::infer(spec);
-    assert!(shapes.is_clean(), "{}", spec.name);
-    let mut net = absint::build_for_analysis(spec, &cfg)
+    let layers = spec.resolve();
+    let mut net = absint::build_for_analysis(spec, &layers, &cfg)
         .unwrap_or_else(|| panic!("{} must be executable", spec.name));
-    let report = absint::analyze_network(&mut net, &shapes.layers, Interval::UNIT, &cfg)
+    let report = absint::analyze_network(&mut net, &layers, Interval::UNIT, &cfg)
         .unwrap_or_else(|| panic!("{} must be analyzable", spec.name));
     assert!(report.value_domain);
     assert_eq!(report.stages.len(), net.len());
@@ -236,8 +235,8 @@ fn narrow_gradient_range_is_flagged() {
 fn guaranteed_saturation_is_flagged() {
     let cfg = PipeLayerConfig::default();
     let spec = zoo::spec_mnist_a();
-    let shapes = shape::infer(&spec);
-    let mut net = absint::build_for_analysis(&spec, &cfg).expect("executable");
+    let layers = spec.resolve();
+    let mut net = absint::build_for_analysis(&spec, &layers, &cfg).expect("executable");
     // Push one bias of the first inner product far past activation_absmax:
     // that unit's output interval lies entirely above the clip point.
     for layer in net.layers_mut() {
@@ -246,8 +245,8 @@ fn guaranteed_saturation_is_flagged() {
             break;
         }
     }
-    let report = absint::analyze_network(&mut net, &shapes.layers, Interval::UNIT, &cfg)
-        .expect("analyzable");
+    let report =
+        absint::analyze_network(&mut net, &layers, Interval::UNIT, &cfg).expect("analyzable");
     assert!(
         report
             .diags

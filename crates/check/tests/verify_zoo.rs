@@ -4,7 +4,9 @@
 
 use pipelayer::granularity::default_granularity;
 use pipelayer::PipeLayerConfig;
-use pipelayer_check::{diag, has_errors, schedule, verify, verify_with, Overrides, Severity};
+use pipelayer_check::{
+    diag, has_errors, schedule, verify, verify_with, Diagnostic, Overrides, Severity,
+};
 use pipelayer_nn::spec::{LayerSpec, NetSpec, PoolKind};
 use pipelayer_nn::zoo;
 
@@ -96,6 +98,33 @@ fn conv_window_larger_than_input_yields_shape_code() {
         .any(|d| d.code == diag::SHAPE_WINDOW_TOO_BIG && d.location.contains("layer 2")));
     // Shape errors suppress the downstream schedule/mapping passes.
     assert!(!diags.iter().any(|d| d.code == diag::SCHED_STALE_READ));
+    assert_eq!(
+        shape_tuples(&diags),
+        [(
+            "PL002",
+            "broken-shapes: layer 2 (conv3x8)",
+            "window 3×3 (pad 0) does not fit the 2×2 input",
+            "shrink the kernel, add padding, or fix the upstream layer's output shape",
+        )]
+    );
+}
+
+/// `(code, location, message, help)` of every PL00x finding. The expected
+/// tuples were recorded before shape inference moved into
+/// `NetSpec::try_resolve`, and must not change.
+fn shape_tuples(diags: &[Diagnostic]) -> Vec<(&str, &str, &str, &str)> {
+    diags
+        .iter()
+        .filter(|d| d.code.starts_with("PL00"))
+        .map(|d| {
+            (
+                d.code,
+                d.location.as_str(),
+                d.message.as_str(),
+                d.help.as_str(),
+            )
+        })
+        .collect()
 }
 
 #[test]
@@ -107,6 +136,37 @@ fn fc_mismatch_is_impossible_by_construction_but_zero_outputs_is_not() {
     );
     let diags = verify(&spec, &PipeLayerConfig::default());
     assert!(diags.iter().any(|d| d.code == diag::SHAPE_ZERO_OUTPUTS));
+    assert_eq!(
+        shape_tuples(&diags),
+        [(
+            "PL005",
+            "zero-out: layer 1 (ip8-0)",
+            "inner-product layer with zero output neurons",
+            "set n_out >= 1",
+        )]
+    );
+}
+
+#[test]
+fn overflowing_counts_yield_their_own_code_in_every_profile() {
+    // 2^66 input elements: release builds used to wrap the FC layer's
+    // `n_in` to 0 and call the network clean, debug builds panicked.
+    let spec = NetSpec::new(
+        "huge",
+        (1 << 33, 1 << 33, 1),
+        vec![LayerSpec::Fc { n_out: 2 }],
+    );
+    let diags = verify(&spec, &PipeLayerConfig::default());
+    assert!(has_errors(&diags));
+    assert_eq!(
+        shape_tuples(&diags),
+        [(
+            "PL007",
+            "huge: input",
+            "an element, kernel-matrix, weight or operation count overflows usize",
+            "shrink the input or the layer until every count fits in usize",
+        )]
+    );
 }
 
 #[test]

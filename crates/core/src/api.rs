@@ -101,13 +101,13 @@ impl AcceleratorBuilder {
     /// # Errors
     ///
     /// Returns [`MapError::InvalidLambda`] for a negative or non-finite λ,
-    /// and any error of [`MappedNetwork::try_with_granularity`] (invalid
-    /// config, no weighted layer, bad explicit granularity).
+    /// and any error of [`MappedNetwork::try_with_granularity`] (geometry
+    /// that does not resolve, invalid config, bad explicit granularity).
     pub fn build(self) -> Result<Accelerator, MapError> {
         if let Some(lambda) = self.lambda.filter(|l| !(l.is_finite() && *l >= 0.0)) {
             return Err(MapError::InvalidLambda(lambda));
         }
-        let resolved = self.spec.resolve();
+        let resolved = self.spec.try_resolve()?;
         let g = match (self.granularity, self.lambda) {
             (Some(g), _) => g,
             (None, Some(lambda)) => {
@@ -115,7 +115,7 @@ impl AcceleratorBuilder {
             }
             (None, None) => default_granularity(&resolved),
         };
-        let mapped = MappedNetwork::try_with_granularity(&self.spec, &g, self.config)?;
+        let mapped = MappedNetwork::try_from_resolved(&self.spec, resolved, &g, self.config)?;
         Ok(Accelerator {
             spec: self.spec,
             mapped,
@@ -359,6 +359,32 @@ mod tests {
             .granularity(vec![1])
             .build();
         assert!(matches!(err, Err(MapError::GranularityLength { .. })));
+    }
+
+    #[test]
+    fn build_rejects_geometry_that_does_not_resolve() {
+        use pipelayer_nn::spec::ShapeError;
+        use pipelayer_nn::LayerSpec;
+        // A 5×5 window over a 3×3 input used to panic inside `resolve`.
+        let conv = LayerSpec::Conv {
+            k: 5,
+            c_out: 2,
+            stride: 1,
+            pad: 0,
+        };
+        let misfit = NetSpec::new("misfit", (1, 3, 3), vec![conv]);
+        for lambda in [None, Some(2.0)] {
+            let mut builder = Accelerator::builder(misfit.clone());
+            if let Some(lambda) = lambda {
+                builder = builder.lambda(lambda);
+            }
+            let err = builder.build().map(|_| ()).unwrap_err();
+            assert!(matches!(
+                err,
+                MapError::Shape(ShapeError::WindowTooBig { .. })
+            ));
+            assert!(err.to_string().contains("layer 0 (conv5x2)"), "{err}");
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl<'a> EnergyModel<'a> {
     /// `P · rows · (bits/2) · col_tiles · 8`.
     fn forward_read_spikes(&self, layer: &MappedLayer) -> u64 {
         let p = &self.net.config.params;
-        let col_tiles = layer.resolved.matrix_cols.div_ceil(p.xbar_size) as u64;
+        let col_tiles = layer.resolved.matrix_cols.div_ceil(p.xbar_size.get()) as u64;
         let positions = layer.resolved.window_positions.max(1) as u64;
         positions
             * layer.resolved.matrix_rows as u64

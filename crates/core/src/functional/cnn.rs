@@ -313,18 +313,18 @@ pub struct ReramCnn {
 }
 
 impl ReramCnn {
-    /// Builds and programs a CNN from a network spec.
+    /// Builds and programs a CNN from a network spec; each layer's shape
+    /// comes from [`NetSpec::resolve`].
     ///
     /// # Panics
     ///
-    /// Panics on unsupported geometry (strided conv, average pooling) or a
-    /// spec with no weighted layers.
+    /// Panics where `resolve` does, and on geometry the functional model
+    /// does not support (strided conv, average pooling).
     pub fn from_spec(spec: &NetSpec, params: &ReramParams, seed: u64) -> Self {
+        let layers = spec.resolve();
         let mut rng = StdRng::seed_from_u64(seed);
-        let weighted = spec.weighted_layers();
-        assert!(weighted > 0, "network has no weighted layers");
         let mut stages = Vec::new();
-        let mut shape = spec.input;
+        // `resolve` yields one layer per conv/fc entry, in order.
         let mut seen = 0usize;
         for layer in &spec.layers {
             match *layer {
@@ -335,21 +335,14 @@ impl ReramCnn {
                     pad,
                 } => {
                     assert_eq!(stride, 1, "functional conv supports stride 1 only");
-                    let mut st = ConvStage::new(shape.0, c_out, k, pad, params, &mut rng);
+                    let c_in = layers[seen].in_shape.0;
+                    let mut st = ConvStage::new(c_in, c_out, k, pad, params, &mut rng);
                     seen += 1;
-                    st.relu = seen < weighted;
-                    let ho = ops::conv_output_len(shape.1, k, 1, pad);
-                    let wo = ops::conv_output_len(shape.2, k, 1, pad);
-                    shape = (c_out, ho, wo);
+                    st.relu = seen < layers.len();
                     stages.push(Stage::Conv(st));
                 }
                 LayerSpec::Pool { k, stride, kind } => {
                     assert_eq!(kind, PoolKind::Max, "functional pooling is max-only");
-                    shape = (
-                        shape.0,
-                        ops::conv_output_len(shape.1, k, stride, 0),
-                        ops::conv_output_len(shape.2, k, stride, 0),
-                    );
                     stages.push(Stage::Pool {
                         k,
                         stride,
@@ -357,16 +350,15 @@ impl ReramCnn {
                     });
                 }
                 LayerSpec::Fc { n_out } => {
-                    let n_in = shape.0 * shape.1 * shape.2;
+                    let n_in = layers[seen].in_shape.0;
                     seen += 1;
                     stages.push(Stage::Fc(FcStage::new(
                         n_in,
                         n_out,
-                        seen < weighted,
+                        seen < layers.len(),
                         params,
                         &mut rng,
                     )));
-                    shape = (n_out, 1, 1);
                 }
             }
         }

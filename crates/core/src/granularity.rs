@@ -16,6 +16,10 @@
 
 use pipelayer_nn::spec::ResolvedLayer;
 use pipelayer_reram::tile_grid;
+use std::num::NonZeroUsize;
+
+/// The paper's `128×128` crossbar, which the budgets below count in.
+const XBAR_SIZE: NonZeroUsize = NonZeroUsize::MIN.saturating_add(127);
 
 /// Crossbar budget for replicated convolution arrays used by the default
 /// granularity search (≈ half the published 82.6 mm² die at the calibrated
@@ -58,7 +62,7 @@ pub fn granularity_with_budget(layers: &[ResolvedLayer], budget: u64) -> Vec<usi
             .zip(g)
             .filter(|(l, _)| l.is_conv)
             .map(|(l, &gl)| {
-                let (tr, tc) = tile_grid(l.matrix_rows, l.matrix_cols, 128);
+                let (tr, tc) = tile_grid(l.matrix_rows, l.matrix_cols, XBAR_SIZE);
                 (tr * tc * gl * 8) as u64
             })
             .sum()
@@ -109,7 +113,7 @@ pub fn optimize_granularity(layers: &[ResolvedLayer], budget_xbars: u64) -> Vec<
     let tiles: Vec<u64> = layers
         .iter()
         .map(|l| {
-            let (tr, tc) = tile_grid(l.matrix_rows, l.matrix_cols, 128);
+            let (tr, tc) = tile_grid(l.matrix_rows, l.matrix_cols, XBAR_SIZE);
             (tr * tc * 8) as u64
         })
         .collect();
@@ -280,7 +284,7 @@ mod tests {
             .iter()
             .zip(&g)
             .map(|(l, &gl)| {
-                let (tr, tc) = pipelayer_reram::tile_grid(l.matrix_rows, l.matrix_cols, 128);
+                let (tr, tc) = pipelayer_reram::tile_grid(l.matrix_rows, l.matrix_cols, XBAR_SIZE);
                 (tr * tc * (gl - 1) * 8) as u64
             })
             .sum();

@@ -15,15 +15,16 @@
 
 use crate::config::{ConfigError, PipeLayerConfig};
 use crate::granularity::default_granularity;
-use pipelayer_nn::spec::{NetSpec, ResolvedLayer};
+use pipelayer_nn::spec::{NetSpec, ResolvedLayer, ShapeError};
 use pipelayer_reram::tile_grid;
 use std::num::NonZeroUsize;
 
 /// A rejected mapping request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MapError {
-    /// The network has no weighted (conv or inner-product) layer to map.
-    NoWeightedLayers,
+    /// The network's geometry does not resolve ([`NetSpec::try_resolve`]),
+    /// including a network with no weighted layer to map.
+    Shape(ShapeError),
     /// The per-layer granularity vector's length differed from the number
     /// of weighted layers.
     GranularityLength {
@@ -46,7 +47,7 @@ pub enum MapError {
 impl core::fmt::Display for MapError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            MapError::NoWeightedLayers => write!(f, "network has no weighted layer to map"),
+            MapError::Shape(e) => write!(f, "invalid network geometry at {}: {e}", e.site()),
             MapError::GranularityLength { expected, got } => {
                 write!(
                     f,
@@ -69,6 +70,12 @@ impl std::error::Error for MapError {}
 impl From<ConfigError> for MapError {
     fn from(e: ConfigError) -> Self {
         MapError::Config(e)
+    }
+}
+
+impl From<ShapeError> for MapError {
+    fn from(e: ShapeError) -> Self {
+        MapError::Shape(e)
     }
 }
 
@@ -101,8 +108,8 @@ pub struct MappedLayer {
 }
 
 /// A network fully mapped onto the accelerator. Built only by the `try_*`
-/// constructors, which validate the configuration and reject a network
-/// with no weighted layer.
+/// constructors, which resolve the geometry with [`NetSpec::try_resolve`]
+/// and validate the configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MappedNetwork {
     /// Network name.
@@ -120,30 +127,40 @@ impl MappedNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`MapError::Config`] if `config` is invalid and
-    /// [`MapError::NoWeightedLayers`] if `spec` has nothing to map.
+    /// Returns [`MapError::Shape`] if `spec`'s geometry does not resolve
+    /// and [`MapError::Config`] if `config` is invalid.
     pub fn try_from_spec(spec: &NetSpec, config: PipeLayerConfig) -> Result<Self, MapError> {
-        let resolved = spec.resolve();
+        let resolved = spec.try_resolve()?;
         let g = default_granularity(&resolved);
-        Self::try_with_granularity(spec, &g, config)
+        Self::try_from_resolved(spec, resolved, &g, config)
     }
 
     /// Maps `spec` with an explicit per-layer granularity.
     ///
     /// # Errors
     ///
-    /// Returns a [`MapError`] if `config` is invalid, `spec` has no
-    /// weighted layer, `g.len()` differs from the number of weighted
+    /// Returns a [`MapError`] if `spec`'s geometry does not resolve,
+    /// `config` is invalid, `g.len()` differs from the number of weighted
     /// layers, or any entry is zero.
     pub fn try_with_granularity(
         spec: &NetSpec,
         g: &[usize],
         config: PipeLayerConfig,
     ) -> Result<Self, MapError> {
+        Self::try_from_resolved(spec, spec.try_resolve()?, g, config)
+    }
+
+    /// Maps the layers `spec.try_resolve()` returned, so a caller that
+    /// needs them to pick `g` resolves once.
+    pub(crate) fn try_from_resolved(
+        spec: &NetSpec,
+        resolved: Vec<ResolvedLayer>,
+        g: &[usize],
+        config: PipeLayerConfig,
+    ) -> Result<Self, MapError> {
         config.validate()?;
-        let resolved = spec.resolve();
         let weighted_layers =
-            NonZeroUsize::new(resolved.len()).ok_or(MapError::NoWeightedLayers)?;
+            NonZeroUsize::new(resolved.len()).ok_or(ShapeError::NoWeightedLayers)?;
         if g.len() != resolved.len() {
             return Err(MapError::GranularityLength {
                 expected: resolved.len(),
@@ -153,22 +170,6 @@ impl MappedNetwork {
         if let Some(layer) = g.iter().position(|&x| x == 0) {
             return Err(MapError::ZeroGranularity { layer });
         }
-        Ok(Self::map_resolved(
-            spec,
-            resolved,
-            g,
-            config,
-            weighted_layers,
-        ))
-    }
-
-    fn map_resolved(
-        spec: &NetSpec,
-        resolved: Vec<ResolvedLayer>,
-        g: &[usize],
-        config: PipeLayerConfig,
-        weighted_layers: NonZeroUsize,
-    ) -> Self {
         let size = config.params.xbar_size;
         let layers = resolved
             .into_iter()
@@ -178,7 +179,7 @@ impl MappedNetwork {
                 let (tr, tc) = tile_grid(r.matrix_rows, r.matrix_cols, size);
                 // Backward matrix: kernels reordered/transposed (Fig. 11);
                 // for FC it is literally Wᵀ.
-                let (btr, btc) = tile_grid(r.matrix_cols.max(1), r.matrix_rows, size);
+                let (btr, btc) = tile_grid(r.matrix_cols, r.matrix_rows, size);
                 let p = r.window_positions.max(1) as u64;
                 // Error backward convolves over the layer's *input* spatial
                 // extent (zero-padded full convolution, Fig. 11).
@@ -220,12 +221,12 @@ impl MappedNetwork {
                 }
             })
             .collect();
-        MappedNetwork {
+        Ok(MappedNetwork {
             name: spec.name.clone(),
             layers,
             config,
             weighted_layers,
-        }
+        })
     }
 
     /// Number of weighted layers (`L`).
@@ -258,7 +259,7 @@ impl MappedNetwork {
     /// for gradient computation: capacity for `B` images per layer
     /// (4 cells per 16-bit word).
     pub fn gradient_data_crossbars(&self) -> u64 {
-        let cells_per_xbar = (self.config.params.xbar_size * self.config.params.xbar_size) as u64;
+        let cells_per_xbar = (self.config.params.xbar_size.get() as u64).pow(2);
         let cells_per_word = self.config.params.cells_per_word() as u64;
         let b = self.config.batch_size.get() as u64;
         self.layers
@@ -271,7 +272,7 @@ impl MappedNetwork {
     /// (depth `2(L−l)+1` per inter-layer `d` buffer, plus the duplicated
     /// same-cycle read/write buffers for `d_L` and the `δ`s).
     pub fn buffer_crossbars(&self) -> u64 {
-        let cells_per_xbar = (self.config.params.xbar_size * self.config.params.xbar_size) as u64;
+        let cells_per_xbar = (self.config.params.xbar_size.get() as u64).pow(2);
         let cells_per_word = self.config.params.cells_per_word() as u64;
         let l_total = self.layers.len() as u64;
         let mut words = 0u64;
@@ -295,7 +296,7 @@ impl MappedNetwork {
     /// crossbar carries `spares.cols_per_matrix` redundant bit lines next
     /// to its `xbar_size` working ones. Zero with no budget.
     pub fn spare_overhead_fraction(&self) -> f64 {
-        self.config.spares.cols_per_matrix as f64 / self.config.params.xbar_size as f64
+        self.config.spares.cols_per_matrix as f64 / self.config.params.xbar_size.get() as f64
     }
 
     /// Equivalent extra crossbars the spare columns cost across the weight
@@ -309,7 +310,7 @@ impl MappedNetwork {
     /// Crossbars for a testing-only deployment (forward arrays plus
     /// single-entry inter-layer buffers).
     pub fn total_crossbars_testing(&self) -> u64 {
-        let cells_per_xbar = (self.config.params.xbar_size * self.config.params.xbar_size) as u64;
+        let cells_per_xbar = (self.config.params.xbar_size.get() as u64).pow(2);
         let cells_per_word = self.config.params.cells_per_word() as u64;
         let words: u64 = self.layers.iter().map(|l| l.out_words).sum();
         self.forward_crossbars() + (words * cells_per_word).div_ceil(cells_per_xbar)
@@ -415,8 +416,31 @@ mod tests {
         let empty = pipelayer_nn::NetSpec::new("empty", (1, 4, 4), vec![]);
         assert_eq!(
             MappedNetwork::try_from_spec(&empty, PipeLayerConfig::default()),
-            Err(MapError::NoWeightedLayers)
+            Err(MapError::Shape(ShapeError::NoWeightedLayers))
         );
+        // A 5×5 window over a 3×3 input used to panic inside `resolve`.
+        let misfit = pipelayer_nn::NetSpec::new(
+            "misfit",
+            (1, 3, 3),
+            vec![pipelayer_nn::LayerSpec::Conv {
+                k: 5,
+                c_out: 2,
+                stride: 1,
+                pad: 0,
+            }],
+        );
+        for err in [
+            MappedNetwork::try_from_spec(&misfit, PipeLayerConfig::default()),
+            MappedNetwork::try_with_granularity(&misfit, &[1], PipeLayerConfig::default()),
+        ] {
+            assert!(matches!(
+                err,
+                Err(MapError::Shape(ShapeError::WindowTooBig {
+                    pool: false,
+                    ..
+                }))
+            ));
+        }
         let ok = MappedNetwork::try_from_spec(&spec, PipeLayerConfig::default()).unwrap();
         assert_eq!(ok.weighted_layers().get(), ok.layers.len());
     }

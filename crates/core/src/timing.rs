@@ -110,7 +110,7 @@ impl<'a> TimingModel<'a> {
     pub fn update_cycle_ns(&self) -> Nanoseconds {
         let p = self.params();
         let cfg = &self.net.config;
-        let reprogram = p.xbar_size as f64 * p.write_latency_ns;
+        let reprogram = p.xbar_size.get() as f64 * p.write_latency_ns;
         let verify_reads = cfg.verify_reads_per_cell_write() * p.read_phase_ns();
         2.0 * reprogram * cfg.write_pulse_multiplier() + p.read_phase_ns() + verify_reads
     }

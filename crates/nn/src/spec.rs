@@ -18,7 +18,6 @@
 use crate::layers::{AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d, Relu};
 use crate::loss::Loss;
 use crate::network::Network;
-use pipelayer_tensor::ops::conv_output_len;
 use rand::Rng;
 
 /// Pooling flavour.
@@ -74,6 +73,136 @@ pub struct NetSpec {
     pub layers: Vec<LayerSpec>,
 }
 
+/// A layer of a [`NetSpec`]: its index into [`NetSpec::layers`] and its
+/// name (`convKxC`, `poolKsS` or `ipM-N`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LayerAt {
+    /// Index into [`NetSpec::layers`].
+    pub index: usize,
+    /// Layer name.
+    pub name: String,
+}
+
+/// Why a [`NetSpec`] has no valid geometry: the first fault
+/// [`NetSpec::try_resolve`] meets, walking the layers in order. `Display`
+/// gives the message and [`site`](Self::site) where it sits.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ShapeError {
+    /// An input dimension is zero.
+    EmptyInput {
+        /// The input `(C, H, W)`.
+        input: (usize, usize, usize),
+    },
+    /// A convolution or pooling window has zero size or zero stride.
+    ZeroKernelOrStride {
+        /// The layer.
+        at: LayerAt,
+        /// `true` for a pooling layer, `false` for a convolution.
+        pool: bool,
+        /// Window size.
+        k: usize,
+        /// Stride.
+        stride: usize,
+    },
+    /// A weighted layer has zero output channels or neurons.
+    ZeroOutputs {
+        /// The layer.
+        at: LayerAt,
+        /// `true` for a convolution, `false` for an inner product.
+        conv: bool,
+    },
+    /// A convolution or pooling window does not fit its padded input.
+    WindowTooBig {
+        /// The layer.
+        at: LayerAt,
+        /// `true` for a pooling layer, `false` for a convolution.
+        pool: bool,
+        /// Window size.
+        k: usize,
+        /// Zero padding on each side.
+        pad: usize,
+        /// The unpadded input `(H, W)`.
+        input: (usize, usize),
+    },
+    /// A pooling layer precedes every weighted layer, so there is no layer
+    /// to fold it into (Sec. 4.2.3).
+    LeadingPool {
+        /// The layer.
+        at: LayerAt,
+    },
+    /// The network has no conv or inner-product layer to map.
+    NoWeightedLayers,
+    /// An element count, kernel-matrix size, weight count or operation
+    /// count does not fit in `usize`.
+    Overflow {
+        /// The layer; `None` for the input's element count.
+        at: Option<LayerAt>,
+    },
+}
+
+impl ShapeError {
+    /// Where the fault sits: `"input"`, `"network"` or
+    /// `"layer 2 (conv3x8)"`.
+    pub fn site(&self) -> String {
+        match self {
+            ShapeError::EmptyInput { .. } | ShapeError::Overflow { at: None } => "input".into(),
+            ShapeError::NoWeightedLayers => "network".into(),
+            ShapeError::ZeroKernelOrStride { at, .. }
+            | ShapeError::ZeroOutputs { at, .. }
+            | ShapeError::WindowTooBig { at, .. }
+            | ShapeError::LeadingPool { at }
+            | ShapeError::Overflow { at: Some(at) } => format!("layer {} ({})", at.index, at.name),
+        }
+    }
+}
+
+impl core::fmt::Display for ShapeError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            ShapeError::EmptyInput { input: (c, h, w) } => {
+                write!(f, "input shape ({c}, {h}, {w}) has a zero dimension")
+            }
+            ShapeError::ZeroKernelOrStride {
+                pool, k, stride, ..
+            } => {
+                let what = if *pool { "pool window" } else { "kernel size" };
+                write!(f, "{what} {k} / stride {stride} must both be positive")
+            }
+            ShapeError::ZeroOutputs { conv: true, .. } => {
+                f.write_str("convolution with zero output channels")
+            }
+            ShapeError::ZeroOutputs { conv: false, .. } => {
+                f.write_str("inner-product layer with zero output neurons")
+            }
+            ShapeError::WindowTooBig {
+                pool,
+                k,
+                pad,
+                input: (h, w),
+                ..
+            } => {
+                if *pool {
+                    write!(f, "pool window {k}×{k} does not fit the {h}×{w} input")
+                } else {
+                    write!(
+                        f,
+                        "window {k}×{k} (pad {pad}) does not fit the {h}×{w} input"
+                    )
+                }
+            }
+            ShapeError::LeadingPool { .. } => f.write_str("pooling precedes every weighted layer"),
+            ShapeError::NoWeightedLayers => {
+                f.write_str("no weighted layers: nothing to map onto crossbars")
+            }
+            ShapeError::Overflow { .. } => {
+                f.write_str("an element, kernel-matrix, weight or operation count overflows usize")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ShapeError {}
+
 /// A weighted layer with its geometry resolved against the input shape —
 /// the unit the accelerator maps onto morphable subarrays.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,6 +245,18 @@ impl ResolvedLayer {
     }
 }
 
+/// `∏ xs`, or `None` on overflow.
+fn product(xs: &[usize]) -> Option<usize> {
+    xs.iter().try_fold(1usize, |acc, &x| acc.checked_mul(x))
+}
+
+/// The MAC count `∏ xs`, or `None` unless it and the 4 ops per MAC of
+/// [`ResolvedLayer::ops_backward`] fit.
+fn mac_count(xs: &[usize]) -> Option<u64> {
+    let macs = u64::try_from(product(xs)?).ok()?;
+    macs.checked_mul(4).map(|_| macs)
+}
+
 impl NetSpec {
     /// Creates a spec.
     pub fn new(
@@ -133,69 +274,118 @@ impl NetSpec {
     /// Resolves the spec into weighted layers with concrete geometry,
     /// folding each pooling stage into the preceding weighted layer.
     ///
-    /// # Panics
+    /// This is the one place the conv/pool/fc window arithmetic lives, and
+    /// every product in it is checked: an `Ok` layer's shapes, kernel
+    /// matrix, weight count and operation counts all fit in `usize`/`u64`.
     ///
-    /// Panics if a pool precedes any weighted layer, or windows do not fit.
-    pub fn resolve(&self) -> Vec<ResolvedLayer> {
-        let mut out: Vec<ResolvedLayer> = Vec::new();
+    /// # Errors
+    ///
+    /// The first [`ShapeError`] in layer order; the input is checked
+    /// before any layer and [`ShapeError::NoWeightedLayers`] after all.
+    pub fn try_resolve(&self) -> Result<Vec<ResolvedLayer>, ShapeError> {
+        let (c, h, w) = self.input;
+        if c == 0 || h == 0 || w == 0 {
+            return Err(ShapeError::EmptyInput { input: self.input });
+        }
+        // Element count of the current shape: the next FC layer's `n_in`.
+        let mut numel = product(&[c, h, w]).ok_or(ShapeError::Overflow { at: None })?;
         let mut shape = self.input;
-        for spec in &self.layers {
-            match *spec {
+        let mut out: Vec<ResolvedLayer> = Vec::new();
+        for (index, spec) in self.layers.iter().enumerate() {
+            let name = match *spec {
+                LayerSpec::Conv { k, c_out, .. } => format!("conv{k}x{c_out}"),
+                LayerSpec::Pool { k, stride, .. } => format!("pool{k}s{stride}"),
+                LayerSpec::Fc { n_out } => format!("ip{numel}-{n_out}"),
+            };
+            let at = LayerAt { index, name };
+            let overflow = || ShapeError::Overflow {
+                at: Some(at.clone()),
+            };
+            // One window walk serves all three kinds: an FC layer is a 1×1
+            // window over its flattened input, and a pool has no `c_out`.
+            let (k, stride, pad, c_out) = match *spec {
+                LayerSpec::Fc { n_out: 0 } => {
+                    return Err(ShapeError::ZeroOutputs { at, conv: false })
+                }
+                LayerSpec::Fc { n_out } => {
+                    shape = (numel, 1, 1);
+                    (1, 1, 0, Some(n_out))
+                }
+                LayerSpec::Pool { .. } if out.is_empty() => {
+                    return Err(ShapeError::LeadingPool { at })
+                }
+                LayerSpec::Pool { k, stride, .. } => (k, stride, 0, None),
                 LayerSpec::Conv {
                     k,
                     c_out,
                     stride,
                     pad,
-                } => {
-                    let (c_in, h, w) = shape;
-                    let ho = conv_output_len(h, k, stride, pad);
-                    let wo = conv_output_len(w, k, stride, pad);
-                    let macs = (ho * wo * c_out * k * k * c_in) as u64;
-                    out.push(ResolvedLayer {
-                        name: format!("conv{k}x{c_out}"),
-                        is_conv: true,
-                        in_shape: shape,
-                        out_shape: (c_out, ho, wo),
-                        post_pool_shape: (c_out, ho, wo),
-                        matrix_rows: k * k * c_in + 1,
-                        matrix_cols: c_out,
-                        window_positions: ho * wo,
-                        weights: k * k * c_in * c_out + c_out,
-                        macs_forward: macs,
-                    });
-                    shape = (c_out, ho, wo);
-                }
-                LayerSpec::Pool { k, stride, .. } => {
-                    let (c, h, w) = shape;
-                    let ho = conv_output_len(h, k, stride, 0);
-                    let wo = conv_output_len(w, k, stride, 0);
-                    let prev = out
-                        .last_mut()
-                        .expect("pooling cannot precede all weighted layers");
-                    prev.post_pool_shape = (c, ho, wo);
-                    shape = (c, ho, wo);
-                }
-                LayerSpec::Fc { n_out } => {
-                    let (c, h, w) = shape;
-                    let n_in = c * h * w;
-                    let macs = (n_in * n_out) as u64;
-                    out.push(ResolvedLayer {
-                        name: format!("ip{n_in}-{n_out}"),
-                        is_conv: false,
-                        in_shape: (n_in, 1, 1),
-                        out_shape: (n_out, 1, 1),
-                        post_pool_shape: (n_out, 1, 1),
-                        matrix_rows: n_in + 1,
-                        matrix_cols: n_out,
-                        window_positions: 1,
-                        weights: n_in * n_out + n_out,
-                        macs_forward: macs,
-                    });
-                    shape = (n_out, 1, 1);
-                }
+                } => (k, stride, pad, Some(c_out)),
+            };
+            let (c, h, w) = shape;
+            let pool = c_out.is_none();
+            if k == 0 || stride == 0 {
+                return Err(ShapeError::ZeroKernelOrStride {
+                    at,
+                    pool,
+                    k,
+                    stride,
+                });
             }
+            if c_out == Some(0) {
+                return Err(ShapeError::ZeroOutputs { at, conv: true });
+            }
+            let padded = |x: usize| pad.checked_mul(2).and_then(|p| x.checked_add(p));
+            let (hp, wp) = (padded(h), padded(w));
+            let (hp, wp) = (hp.ok_or_else(overflow)?, wp.ok_or_else(overflow)?);
+            if hp < k || wp < k {
+                return Err(ShapeError::WindowTooBig {
+                    at,
+                    pool,
+                    k,
+                    pad,
+                    input: (h, w),
+                });
+            }
+            let (ho, wo) = ((hp - k) / stride + 1, (wp - k) / stride + 1);
+            shape = (c_out.unwrap_or(c), ho, wo);
+            numel = product(&[shape.0, ho, wo]).ok_or_else(overflow)?;
+            let Some(c_out) = c_out else {
+                if let Some(prev) = out.last_mut() {
+                    prev.post_pool_shape = shape;
+                }
+                continue;
+            };
+            let fan_in = product(&[k, k, c]).ok_or_else(overflow)?;
+            let weights = fan_in.checked_mul(c_out).and_then(|n| n.checked_add(c_out));
+            out.push(ResolvedLayer {
+                name: at.name.clone(),
+                is_conv: matches!(spec, LayerSpec::Conv { .. }),
+                in_shape: (c, h, w),
+                out_shape: shape,
+                post_pool_shape: shape,
+                matrix_rows: fan_in.checked_add(1).ok_or_else(overflow)?,
+                matrix_cols: c_out,
+                window_positions: ho.checked_mul(wo).ok_or_else(overflow)?,
+                weights: weights.ok_or_else(overflow)?,
+                macs_forward: mac_count(&[ho, wo, c_out, fan_in]).ok_or_else(overflow)?,
+            });
         }
-        out
+        if out.is_empty() {
+            return Err(ShapeError::NoWeightedLayers);
+        }
+        Ok(out)
+    }
+
+    /// [`try_resolve`](Self::try_resolve) for specs known to be well
+    /// formed: the zoo, benches and tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ShapeError`] where `try_resolve` returns one.
+    /// Geometry that comes from a caller goes through `try_resolve`.
+    pub fn resolve(&self) -> Vec<ResolvedLayer> {
+        self.try_resolve().expect("network geometry must resolve")
     }
 
     /// Number of weighted layers — the `L` of the paper's cycle formulas.
@@ -216,11 +406,6 @@ impl NetSpec {
         self.resolve().iter().map(|l| l.ops_forward()).sum()
     }
 
-    /// Backward (training) operations for one image.
-    pub fn ops_backward(&self) -> u64 {
-        self.resolve().iter().map(|l| l.ops_backward()).sum()
-    }
-
     /// `true` if the network has no convolution layers (pure MLP).
     pub fn is_mlp(&self) -> bool {
         !self
@@ -231,13 +416,18 @@ impl NetSpec {
 
     /// Instantiates a functional, trainable [`Network`] from this spec.
     /// ReLU follows every weighted layer except the last; pooling layers are
-    /// instantiated explicitly. Intended for the MNIST-scale networks — the
-    /// ImageNet models would allocate gigabytes.
+    /// instantiated explicitly. Each layer's shape comes from
+    /// [`resolve`](Self::resolve). Intended for the MNIST-scale networks —
+    /// the ImageNet models would allocate gigabytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`resolve`](Self::resolve) does.
     pub fn build(&self, loss: Loss, rng: &mut impl Rng) -> Network {
+        let layers = self.resolve();
         let mut net = Network::new(self.name.clone(), loss);
-        let mut shape = self.input;
-        let weighted_total = self.weighted_layers();
-        let mut weighted_seen = 0usize;
+        // `resolve` yields one layer per conv/fc entry, in order.
+        let mut seen = 0usize;
         let mut flattened = false;
         for spec in &self.layers {
             match *spec {
@@ -247,47 +437,29 @@ impl NetSpec {
                     stride,
                     pad,
                 } => {
-                    let (c_in, h, w) = shape;
+                    let c_in = layers[seen].in_shape.0;
                     net.push(Conv2d::new(c_in, c_out, k, stride, pad, rng));
-                    weighted_seen += 1;
-                    if weighted_seen < weighted_total {
-                        net.push(Relu::new());
-                    }
-                    shape = (
-                        c_out,
-                        conv_output_len(h, k, stride, pad),
-                        conv_output_len(w, k, stride, pad),
-                    );
                 }
                 LayerSpec::Pool { k, stride, kind } => {
                     match kind {
-                        PoolKind::Max => {
-                            net.push(MaxPool2d::new(k, stride));
-                        }
-                        PoolKind::Avg => {
-                            net.push(AvgPool2d::new(k, stride));
-                        }
-                    }
-                    let (c, h, w) = shape;
-                    shape = (
-                        c,
-                        conv_output_len(h, k, stride, 0),
-                        conv_output_len(w, k, stride, 0),
-                    );
+                        PoolKind::Max => net.push(MaxPool2d::new(k, stride)),
+                        PoolKind::Avg => net.push(AvgPool2d::new(k, stride)),
+                    };
+                    continue;
                 }
                 LayerSpec::Fc { n_out } => {
-                    let (c, h, w) = shape;
-                    if !flattened && (h > 1 || w > 1 || c != c * h * w) {
+                    let prev = seen.checked_sub(1).map(|p| layers[p].post_pool_shape);
+                    let (_, h, w) = prev.unwrap_or(self.input);
+                    if !flattened && (h > 1 || w > 1) {
                         net.push(Flatten::new());
                         flattened = true;
                     }
-                    net.push(Linear::new(c * h * w, n_out, rng));
-                    weighted_seen += 1;
-                    if weighted_seen < weighted_total {
-                        net.push(Relu::new());
-                    }
-                    shape = (n_out, 1, 1);
+                    net.push(Linear::new(layers[seen].in_shape.0, n_out, rng));
                 }
+            }
+            seen += 1;
+            if seen < layers.len() {
+                net.push(Relu::new());
             }
         }
         net
@@ -382,7 +554,8 @@ mod tests {
             spec.ops_forward(),
             layers.iter().map(|l| l.ops_forward()).sum()
         );
-        assert_eq!(spec.ops_backward(), 2 * spec.ops_forward());
+        let backward: u64 = layers.iter().map(|l| l.ops_backward()).sum();
+        assert_eq!(backward, 2 * spec.ops_forward());
     }
 
     #[test]
@@ -430,7 +603,79 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pooling cannot precede")]
+    fn try_resolve_names_the_first_broken_layer() {
+        let conv = |k, pad| LayerSpec::Conv {
+            k,
+            c_out: 2,
+            stride: 1,
+            pad,
+        };
+        let misfit = NetSpec::new("misfit", (1, 3, 3), vec![conv(3, 0), conv(5, 0)]);
+        let err = misfit.try_resolve().unwrap_err();
+        assert_eq!(
+            err,
+            ShapeError::WindowTooBig {
+                at: LayerAt {
+                    index: 1,
+                    name: "conv5x2".into(),
+                },
+                pool: false,
+                k: 5,
+                pad: 0,
+                input: (1, 1),
+            }
+        );
+        assert_eq!(err.site(), "layer 1 (conv5x2)");
+        assert_eq!(
+            err.to_string(),
+            "window 5\u{d7}5 (pad 0) does not fit the 1\u{d7}1 input"
+        );
+        let empty = NetSpec::new("empty", (1, 3, 3), vec![]);
+        assert_eq!(empty.try_resolve(), Err(ShapeError::NoWeightedLayers));
+    }
+
+    #[test]
+    fn try_resolve_checks_every_product() {
+        let overflow_at = |spec: &NetSpec| match spec.try_resolve() {
+            Err(ShapeError::Overflow { at }) => at.map(|at| at.index),
+            other => panic!("expected an overflow, got {other:?}"),
+        };
+        // 2^66 input elements: the FC layer's `n_in` used to wrap to 0.
+        let huge_input = NetSpec::new(
+            "huge",
+            (1 << 33, 1 << 33, 1),
+            vec![LayerSpec::Fc { n_out: 2 }],
+        );
+        assert_eq!(overflow_at(&huge_input), None);
+        let huge_pad = NetSpec::new(
+            "pad",
+            (1, 4, 4),
+            vec![LayerSpec::Conv {
+                k: 3,
+                c_out: 2,
+                stride: 1,
+                pad: usize::MAX / 2 + 1,
+            }],
+        );
+        assert_eq!(overflow_at(&huge_pad), Some(0));
+        let huge_fc = NetSpec::new(
+            "fc",
+            (1, 4, 4),
+            vec![
+                LayerSpec::Fc { n_out: 4 },
+                LayerSpec::Fc {
+                    n_out: usize::MAX / 2,
+                },
+            ],
+        );
+        assert_eq!(overflow_at(&huge_fc), Some(1));
+        // 4·MACs must fit too, for `ResolvedLayer::ops_backward`.
+        let ops = NetSpec::new("ops", (1, 1, 1), vec![LayerSpec::Fc { n_out: 1 << 62 }]);
+        assert_eq!(overflow_at(&ops), Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "LeadingPool")]
     fn rejects_leading_pool() {
         NetSpec::new(
             "bad",

@@ -9,13 +9,14 @@
 //! are typed ([`Nanoseconds`], [`Picojoules`], [`Joules`]; see [`crate::units`]).
 
 use crate::units::{Joules, Nanoseconds, Picojoules};
+use std::num::NonZeroUsize;
 
 /// Device/array parameters shared across the reproduction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReramParams {
     /// Crossbar word/bit-line count (`128×128`; the Fig. 5 example
     /// partitions a 512×256 matrix into 8 such tiles).
-    pub xbar_size: usize,
+    pub xbar_size: NonZeroUsize,
     /// Bits per ReRAM cell (Sec. 5.1: 4).
     pub cell_bits: u8,
     /// Data resolution in bits (Sec. 5.1: 16, built from four 4-bit
@@ -40,7 +41,7 @@ pub struct ReramParams {
 impl Default for ReramParams {
     fn default() -> Self {
         ReramParams {
-            xbar_size: 128,
+            xbar_size: NonZeroUsize::MIN.saturating_add(127),
             cell_bits: 4,
             data_bits: 16,
             read_latency_ns: Nanoseconds(29.31),
@@ -145,7 +146,7 @@ mod tests {
         assert_eq!(p.write_latency_ns, Nanoseconds(50.88));
         assert_eq!(p.read_energy_pj, Picojoules(1.08));
         assert_eq!(p.write_energy_pj, Picojoules(3910.0));
-        assert_eq!(p.xbar_size, 128);
+        assert_eq!(p.xbar_size.get(), 128);
         assert_eq!(p.bit_groups(), 4);
         assert_eq!(p.crossbars_per_matrix(), 8);
     }

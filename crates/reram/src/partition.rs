@@ -5,20 +5,13 @@
 //! covering different input slices of the same outputs add).
 
 use crate::crossbar::Crossbar;
+use std::num::NonZeroUsize;
 
 /// Tile grid dimensions for a `rows × cols` matrix on `size × size` arrays.
 ///
 /// Returns `(row_tiles, col_tiles)` = `(⌈rows/size⌉, ⌈cols/size⌉)`.
-///
-/// # Panics
-///
-/// Panics if any argument is zero.
-pub fn tile_grid(rows: usize, cols: usize, size: usize) -> (usize, usize) {
-    assert!(
-        rows > 0 && cols > 0 && size > 0,
-        "tile_grid arguments must be non-zero"
-    );
-    (rows.div_ceil(size), cols.div_ceil(size))
+pub fn tile_grid(rows: usize, cols: usize, size: NonZeroUsize) -> (usize, usize) {
+    (rows.div_ceil(size.get()), cols.div_ceil(size.get()))
 }
 
 /// A large integer matrix realised as a grid of fixed-size crossbars.
@@ -43,8 +36,8 @@ impl PartitionedMatrix {
     ///
     /// # Panics
     ///
-    /// Panics on shape mismatches or zero sizes.
-    pub fn program(levels: &[Vec<u8>], size: usize, bits: u8) -> Self {
+    /// Panics on shape mismatches or an empty matrix.
+    pub fn program(levels: &[Vec<u8>], size: NonZeroUsize, bits: u8) -> Self {
         assert!(!levels.is_empty(), "empty level matrix");
         let rows = levels.len();
         let cols = levels[0].len();
@@ -53,6 +46,7 @@ impl PartitionedMatrix {
             "ragged level matrix"
         );
         let (rt, ct) = tile_grid(rows, cols, size);
+        let size = size.get();
         let mut tiles = Vec::with_capacity(rt);
         for tr in 0..rt {
             let mut row_tiles = Vec::with_capacity(ct);
@@ -115,19 +109,24 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn nz(n: usize) -> NonZeroUsize {
+        NonZeroUsize::new(n).unwrap()
+    }
+
     #[test]
     fn fig5_grid() {
         // 512 rows (kernel size 512) × 256 outputs on 128x128 arrays = 4x2=8.
-        let (rt, ct) = tile_grid(512, 256, 128);
+        let (rt, ct) = tile_grid(512, 256, nz(128));
         assert_eq!((rt, ct), (4, 2));
         assert_eq!(rt * ct, 8);
     }
 
     #[test]
     fn ragged_edges_round_up() {
-        assert_eq!(tile_grid(129, 1, 128), (2, 1));
-        assert_eq!(tile_grid(128, 128, 128), (1, 1));
-        assert_eq!(tile_grid(1, 300, 128), (1, 3));
+        assert_eq!(tile_grid(129, 1, nz(128)), (2, 1));
+        assert_eq!(tile_grid(128, 128, nz(128)), (1, 1));
+        assert_eq!(tile_grid(1, 300, nz(128)), (1, 3));
+        assert_eq!(tile_grid(0, 300, nz(128)), (0, 3));
     }
 
     #[test]
@@ -139,7 +138,7 @@ mod tests {
         let mut mono = Crossbar::new(5, 7, 4);
         mono.program(&levels.concat());
         let want = mono.mvm_spiked(&input, 8);
-        let mut part = PartitionedMatrix::program(&levels, 2, 4);
+        let mut part = PartitionedMatrix::program(&levels, nz(2), 4);
         assert_eq!(part.tile_count(), 3 * 4);
         assert_eq!(part.mvm(&input, 8), want);
     }
@@ -163,7 +162,7 @@ mod tests {
             let mut mono = Crossbar::new(rows, cols, 4);
             mono.program(&levels.concat());
             let want = mono.mvm_spiked(&input, 8);
-            let mut part = PartitionedMatrix::program(&levels, size, 4);
+            let mut part = PartitionedMatrix::program(&levels, nz(size), 4);
             prop_assert_eq!(part.mvm(&input, 8), want);
         }
     }

@@ -2,11 +2,15 @@
 //! `Accelerator::builder(..).build()`, the result is either an accelerator
 //! or a typed error, never a panic, and the same in every build profile.
 //! An accepted configuration estimates without panicking; a rejected one
-//! names the check that `PipeLayerConfig::validate` reports.
+//! names the check that `PipeLayerConfig::validate` reports. Network
+//! geometry crosses the same boundary once, through `NetSpec::try_resolve`,
+//! and `plcheck`'s PL00x codes report exactly its errors.
 
-use pipelayer::mapping::MapError;
+use pipelayer::mapping::{MapError, MappedNetwork};
 use pipelayer::{Accelerator, PipeLayerConfig, RepairPolicy, SpareBudget};
-use pipelayer_nn::{zoo, NetSpec};
+use pipelayer_check::{shape, verify};
+use pipelayer_nn::spec::{LayerSpec, PoolKind, ShapeError};
+use pipelayer_nn::{zoo, Loss, NetSpec};
 use pipelayer_reram::{FaultModel, NoiseModel, VerifyPolicy, WearModel};
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
@@ -119,7 +123,7 @@ proptest! {
     #[test]
     fn build_returns_ok_or_a_typed_error(k in knobs()) {
         let spec = networks().swap_remove(k.net);
-        let layers = spec.resolve().len();
+        let layers = spec.try_resolve().map_or(0, |l| l.len());
         let mut builder = Accelerator::builder(spec).config(k.config).batch_size(k.batch);
         if let Some(lambda) = k.lambda {
             builder = builder.lambda(lambda);
@@ -147,7 +151,10 @@ proptest! {
                 let expected = k.config.validate().map_err(|v| v.to_string());
                 prop_assert_eq!(expected, Err(e.to_string()));
             }
-            Err(MapError::NoWeightedLayers) => prop_assert_eq!(layers, 0),
+            Err(MapError::Shape(e)) => {
+                prop_assert_eq!(e, ShapeError::NoWeightedLayers);
+                prop_assert_eq!(layers, 0);
+            }
             Err(MapError::GranularityLength { expected, got }) => {
                 prop_assert_eq!(expected, layers);
                 prop_assert!(got != layers);
@@ -186,4 +193,136 @@ fn accepted_configurations_are_exercised() {
         accepted >= 64,
         "only {accepted}/512 configurations accepted"
     );
+}
+
+/// One layer draw: a kind selector, window/kernel size, outputs, stride,
+/// padding and a fault selector that zeroes one field now and then.
+type LayerDraw = (usize, usize, usize, usize, usize, usize);
+
+fn layer_draw() -> impl Strategy<Value = LayerDraw> {
+    (
+        0usize..8,
+        1usize..=4,
+        1usize..=4,
+        1usize..=3,
+        0usize..=2,
+        0usize..32,
+    )
+}
+
+fn layer((kind, k, outs, stride, pad, fault): LayerDraw) -> LayerSpec {
+    let zero_if = |field: usize, v: usize| if fault == field { 0 } else { v };
+    let (k, outs, stride) = (zero_if(0, k), zero_if(1, outs), zero_if(2, stride));
+    match kind {
+        0..=2 => LayerSpec::Conv {
+            k,
+            c_out: outs,
+            stride,
+            pad,
+        },
+        3 | 4 => LayerSpec::Pool {
+            k,
+            stride,
+            kind: if kind == 3 {
+                PoolKind::Max
+            } else {
+                PoolKind::Avg
+            },
+        },
+        _ => LayerSpec::Fc { n_out: outs },
+    }
+}
+
+/// Random conv/pool/fc stacks of 0..=5 layers over inputs of at most
+/// 4×12×12 elements: windows that do not fit, zero sizes and strides,
+/// leading pools, empty inputs and empty layer lists all come up.
+fn geometry() -> impl Strategy<Value = NetSpec> {
+    (
+        (0usize..=4, 0usize..=12, 0usize..=12),
+        0usize..=5,
+        (layer_draw(), layer_draw(), layer_draw()),
+        (layer_draw(), layer_draw()),
+    )
+        .prop_map(|(input, len, (a, b, c), (d, e))| {
+            let layers = [a, b, c, d, e].into_iter().take(len).map(layer).collect();
+            NetSpec::new("random", input, layers)
+        })
+}
+
+/// The float network has no layer that turns an inner product's vector
+/// back into a `[C, H, W]` map, so only stacks whose convs and pools all
+/// precede the first FC layer can run forward.
+fn float_network_can_run(spec: &NetSpec) -> bool {
+    let first_fc = spec
+        .layers
+        .iter()
+        .position(|l| matches!(l, LayerSpec::Fc { .. }))
+        .unwrap_or(spec.layers.len());
+    spec.layers[first_fc..]
+        .iter()
+        .all(|l| matches!(l, LayerSpec::Fc { .. }))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn random_geometry_is_ok_or_a_typed_error_everywhere(spec in geometry()) {
+        let resolved = spec.try_resolve();
+        let expected = resolved.clone().map(|_| ()).map_err(MapError::Shape);
+        let mapped = MappedNetwork::try_from_spec(&spec, PipeLayerConfig::default());
+        prop_assert_eq!(mapped.map(|_| ()), expected.clone());
+        let built = Accelerator::builder(spec.clone()).build();
+        prop_assert_eq!(built.map(|_| ()), expected);
+
+        let diags = verify(&spec, &PipeLayerConfig::default());
+        let shape_diags: Vec<_> = diags.into_iter().filter(|d| d.code.starts_with("PL00")).collect();
+        let expected: Vec<_> = resolved.as_ref().err().map(|e| shape::diagnostic(&spec, e)).into_iter().collect();
+        prop_assert_eq!(shape_diags, expected, "{:?}", spec);
+
+        let Ok(layers) = resolved else { return Ok(()) };
+        let weights: usize = layers.iter().map(|l| l.weights).sum();
+        if weights <= 10_000 && float_network_can_run(&spec) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+            let mut net = spec.build(Loss::SoftmaxCrossEntropy, &mut rng);
+            let (c, h, w) = spec.input;
+            let out = net.forward(&pipelayer_tensor::Tensor::ones(&[c, h, w]));
+            let (c, h, w) = layers.last().map_or((0, 0, 0), |l| l.post_pool_shape);
+            prop_assert_eq!(out.numel(), c * h * w, "{:?}", spec);
+        }
+    }
+}
+
+/// The geometry draws must reach both outcomes often: count the specs
+/// that resolve, and those the float network then runs.
+#[test]
+fn random_geometry_exercises_both_outcomes() {
+    use rand::SeedableRng;
+    let strategy = geometry();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+    let specs: Vec<NetSpec> = (0..512).map(|_| strategy.sample(&mut rng)).collect();
+    let ok: Vec<&NetSpec> = specs.iter().filter(|s| s.try_resolve().is_ok()).collect();
+    let runnable = ok.iter().filter(|s| float_network_can_run(s)).count();
+    assert!(ok.len() >= 96, "only {}/512 geometries resolve", ok.len());
+    assert!(ok.len() <= 416, "{}/512 geometries resolve", ok.len());
+    assert!(runnable >= 64, "only {runnable}/512 geometries run forward");
+}
+
+/// A `(2^33, 2^33, 1)` input has 2^66 elements: the FC layer's `n_in`
+/// once wrapped to 0 in release builds and panicked in debug ones.
+#[test]
+fn overflowing_geometry_is_a_typed_error_in_every_profile() {
+    let spec = NetSpec::new(
+        "huge",
+        (1 << 33, 1 << 33, 1),
+        vec![LayerSpec::Fc { n_out: 2 }],
+    );
+    assert_eq!(spec.try_resolve(), Err(ShapeError::Overflow { at: None }));
+    let diags = verify(&spec, &PipeLayerConfig::default());
+    assert!(diags.iter().any(|d| d.code == "PL007"), "{diags:?}");
+    assert!(matches!(
+        MappedNetwork::try_from_spec(&spec, PipeLayerConfig::default()),
+        Err(MapError::Shape(ShapeError::Overflow { .. }))
+    ));
 }
