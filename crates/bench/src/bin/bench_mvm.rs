@@ -28,7 +28,9 @@
 //! `BENCH_mvm.json`.
 //!
 //! Single-threaded on purpose: the claim under test is the kernel's own
-//! throughput, not batch-level parallelism.
+//! throughput, not batch-level parallelism. The printout and the JSON
+//! record the kernel arm the GEMM ran on (`pipelayer_reram::kernel_arm`:
+//! `"avx2"` or `"portable"`) and the host's core count.
 
 use pipelayer_bench::{fmt_f, json_num, Table};
 use pipelayer_nn::serialize::atomic_write;
@@ -276,10 +278,15 @@ fn main() {
         },
     ];
 
+    // What produced the numbers: the kernel arm the GEMM took and the
+    // host's core count.
+    let kernel_arm = pipelayer_reram::kernel_arm();
+    let host_nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "spiked-MVM throughput — integer GEMM vs scalar slot walk, {INPUT_BITS}-bit inputs, {reps} reps{}",
         if smoke { " [smoke]" } else { "" }
     );
+    println!("kernel arm {kernel_arm}, host cores {host_nproc}");
 
     let mut all_identical = true;
     let mut failed = false;
@@ -336,7 +343,7 @@ fn main() {
         // Hand-written JSON (no serde in the workspace). The ideal arm
         // keeps the top-level keys; the noisy arm is its own object.
         let json = format!(
-            "{{\n  \"bench\": \"mvm\",\n  \"mode\": \"full\",\n  \"input_bits\": {INPUT_BITS},\n  \"cell_bits\": {CELL_BITS},\n  \"reps\": {reps},\n  \"outputs_bitwise_identical\": {all_identical},\n{},\n  \"noisy\": {{\n    \"device\": \"drift nu 0.2, nu_sigma 0.15, t0 10000 cycles, aged {AGE_CYCLES} cycles; NoiseModel::with_strength(0.25)\",\n    \"reads_per_write\": {READS_PER_WRITE},\n{}\n  }}\n}}\n",
+            "{{\n  \"bench\": \"mvm\",\n  \"mode\": \"full\",\n  \"kernel_arm\": \"{kernel_arm}\",\n  \"host_nproc\": {host_nproc},\n  \"input_bits\": {INPUT_BITS},\n  \"cell_bits\": {CELL_BITS},\n  \"reps\": {reps},\n  \"outputs_bitwise_identical\": {all_identical},\n{},\n  \"noisy\": {{\n    \"device\": \"drift nu 0.2, nu_sigma 0.15, t0 10000 cycles, aged {AGE_CYCLES} cycles; NoiseModel::with_strength(0.25)\",\n    \"reads_per_write\": {READS_PER_WRITE},\n{}\n  }}\n}}\n",
             sections[0], sections[1],
         );
         if let Err(e) = atomic_write(Path::new("BENCH_mvm.json"), json.as_bytes()) {

@@ -197,7 +197,8 @@ pub const MAP_SPARES_EXCEED_ARRAY: &str = "PL023";
 /// wear-out over a nominal training run) exceed the spare-column budget.
 pub const MAP_SPARES_INSUFFICIENT: &str = "PL024";
 
-/// Quant: data bits not a positive multiple of the cell bits (Fig. 14).
+/// Quant: cell bits outside `1..=8`, or data bits not a positive multiple
+/// of them (Fig. 14).
 pub const QUANT_BITS_MISALIGNED: &str = "PL030";
 /// Quant: data bits exceed the spike-coding slot limit.
 pub const QUANT_SPIKE_OVERFLOW: &str = "PL031";

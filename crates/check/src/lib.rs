@@ -23,7 +23,7 @@
 //! gate; it shares nothing with the workload verifier except the crate.
 //!
 //! ```
-//! use pipelayer::PipeLayerConfig;
+//! use pipelayer::{ConfigError, PipeLayerConfig};
 //! use pipelayer_nn::zoo;
 //!
 //! let diags = pipelayer_check::verify(&zoo::alexnet(), &PipeLayerConfig::default());
@@ -44,7 +44,7 @@ pub mod shape;
 pub use diag::{has_errors, render_json, Diagnostic, Severity};
 
 use pipelayer::granularity::{default_granularity, DEFAULT_CONV_XBAR_BUDGET};
-use pipelayer::PipeLayerConfig;
+use pipelayer::{ConfigError, PipeLayerConfig};
 use pipelayer_nn::spec::NetSpec;
 
 /// What-if overrides for [`verify_with`]. The default (all `None`) verifies
@@ -78,12 +78,18 @@ pub fn verify(net: &NetSpec, cfg: &PipeLayerConfig) -> Vec<Diagnostic> {
 /// [`NetSpec::try_resolve`], then — only if it succeeds — the symbolic
 /// schedule, the mapping-capacity check and the range analysis over its
 /// layers, then the bit-width check. A shape error suppresses the passes
-/// that need layers (their inputs would be guesswork), config errors do not.
+/// that need layers (their inputs would be guesswork); a config error
+/// suppresses the mapping and range passes, which read the configuration.
+/// Each config error is reported once: bit widths by the bit-width check
+/// (PL030/PL031), every other field as PL050.
 pub fn verify_with(net: &NetSpec, cfg: &PipeLayerConfig, over: &Overrides) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 
-    let cfg_ok = cfg.validate().is_ok();
-    if let Err(e) = cfg.validate() {
+    // A bit-width error is the quantization pass's to report (PL03x);
+    // `validate` checks the widths last, so nothing else is wrong then.
+    let cfg_err = cfg.validate().err();
+    let cfg_ok = cfg_err.is_none();
+    if let Some(e) = cfg_err.filter(|e| !matches!(e, ConfigError::InvalidBitWidths(_))) {
         diags.push(Diagnostic::error(
             diag::CONFIG_INVALID,
             "config",
@@ -114,16 +120,16 @@ pub fn verify_with(net: &NetSpec, cfg: &PipeLayerConfig, over: &Overrides) -> Ve
             .granularity
             .clone()
             .unwrap_or_else(|| default_granularity(&layers));
-        let budget = over.conv_xbar_budget.unwrap_or(DEFAULT_CONV_XBAR_BUDGET);
-        for mut d in mapcheck::check(&layers, &g, cfg, budget) {
-            d.location = format!("{}: {}", net.name, d.location);
-            diags.push(d);
-        }
-
-        // Range analysis needs a valid value-format configuration to check
-        // bounds against; with PL050 already reported there is nothing
-        // meaningful to compare to.
+        // Mapping and range analysis need a valid configuration (the bit
+        // widths split weights into cell groups, the value formats bound
+        // the ranges); with PL050 already reported there is nothing
+        // meaningful to check.
         if cfg_ok {
+            let budget = over.conv_xbar_budget.unwrap_or(DEFAULT_CONV_XBAR_BUDGET);
+            for mut d in mapcheck::check(&layers, &g, cfg, budget) {
+                d.location = format!("{}: {}", net.name, d.location);
+                diags.push(d);
+            }
             for mut d in absint::analyze(net, &layers, cfg).diags {
                 d.location = format!("{}: {}", net.name, d.location);
                 diags.push(d);

@@ -9,35 +9,37 @@
 use crate::diag::{self, Diagnostic};
 use pipelayer::PipeLayerConfig;
 use pipelayer_quant::{accumulator_bits_worst_case, Quantizer};
+use pipelayer_reram::BitWidthError;
 
-/// Maximum spike-train slots the Fig. 9(a) driver supports
-/// (`SpikeTrain::encode` in `pipelayer-reram`).
-pub const MAX_SPIKE_SLOTS: u8 = 32;
-
-/// Checks the bit-width configuration in `cfg.params`.
+/// Checks the bit-width configuration in `cfg.params`. The widths' domain
+/// is [`ReramParams::check_bit_widths`](pipelayer_reram::ReramParams::check_bit_widths),
+/// the rule `PipeLayerConfig::validate` applies too; this pass reports its
+/// verdict under the bit-width codes.
 pub fn check(cfg: &PipeLayerConfig) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let cell = cfg.params.cell_bits;
     let data = cfg.params.data_bits;
 
-    if cell == 0 || data == 0 || !data.is_multiple_of(cell) {
+    if let Err(e) = cfg.params.check_bit_widths() {
+        let (code, hint) = match e {
+            BitWidthError::TooWide(_) => (
+                diag::QUANT_SPIKE_OVERFLOW,
+                "the Fig. 9(a) driver injects one LSBF time slot per data bit; \
+                 one array-read phase cannot exceed 32 slots",
+            ),
+            BitWidthError::CellBits(_) | BitWidthError::Misaligned { .. } => (
+                diag::QUANT_BITS_MISALIGNED,
+                "Fig. 14 decomposes each word into data_bits/cell_bits segment groups \
+                 of 1..=8-bit cells; data_bits must be a positive multiple of \
+                 cell_bits (default 16 = 4 x 4)",
+            ),
+        };
         diags.push(Diagnostic::error(
-            diag::QUANT_BITS_MISALIGNED,
+            code,
             "config.params",
-            format!("data_bits = {data} does not split into {cell}-bit cell segment groups"),
-            "Fig. 14 decomposes each word into data_bits/cell_bits segment groups; \
-             data_bits must be a positive multiple of cell_bits (default 16 = 4 x 4)",
+            e.to_string(),
+            hint,
         ));
-    }
-    if data > MAX_SPIKE_SLOTS {
-        diags.push(Diagnostic::error(
-            diag::QUANT_SPIKE_OVERFLOW,
-            "config.params",
-            format!("data_bits = {data} exceeds the {MAX_SPIKE_SLOTS}-slot spike-train limit"),
-            "the Fig. 9(a) driver injects one LSBF time slot per data bit; \
-             one array-read phase cannot exceed 32 slots",
-        ));
-    } else if data > 0 && Quantizer::try_new(data).is_err() {
+    } else if Quantizer::try_new(data).is_err() {
         diags.push(Diagnostic::warning(
             diag::QUANT_UNSUPPORTED_RESOLUTION,
             "config.params",

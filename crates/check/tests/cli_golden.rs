@@ -320,6 +320,29 @@ fn under_width_run_reports_range_codes_and_fails() {
 }
 
 #[test]
+fn thirty_two_bit_data_maps_and_passes() {
+    // 32 bits is the spike driver's limit: no bit-width or config error,
+    // so the mapping and range passes run (an 80-bit accumulator holds
+    // every dot product) and the run succeeds.
+    let out = plcheck(&["--json", "--data-bits", "32", "--acc-bits", "80", "Mnist-A"]);
+    assert!(out.status.success(), "{}", stdout(&out));
+    let doc = Parser::parse(stdout(&out).trim());
+    let net = &doc.as_arr()[0];
+    assert_eq!(net.get("ok"), Some(&Json::Bool(true)));
+    let errors = net
+        .get("diagnostics")
+        .expect("diagnostics")
+        .as_arr()
+        .iter()
+        .filter(|d| d.get("severity").expect("severity").as_str() == "error");
+    assert_eq!(errors.count(), 0);
+    // Under the default 48-bit accumulator the range pass did run.
+    let out = plcheck(&["--json", "--data-bits", "32", "Mnist-A"]);
+    assert!(stdout(&out).contains("\"PL042\""), "{}", stdout(&out));
+    assert!(!stdout(&out).contains("\"PL050\""), "{}", stdout(&out));
+}
+
+#[test]
 fn codes_table_matches_the_library() {
     let out = plcheck(&["--codes"]);
     assert!(out.status.success());

@@ -178,6 +178,46 @@ fn bad_device_bits_yield_quant_codes_for_any_network() {
 }
 
 #[test]
+fn zero_bit_cells_are_one_error_not_a_panic() {
+    let mut cfg = PipeLayerConfig::default();
+    cfg.params.cell_bits = 0;
+    let diags = verify(&zoo::spec_mnist_a(), &cfg);
+    let errors: Vec<_> = diags
+        .iter()
+        .filter(|d| d.severity == Severity::Error)
+        .collect();
+    assert_eq!(errors.len(), 1, "{diags:?}");
+    assert_eq!(errors[0].code, diag::QUANT_BITS_MISALIGNED);
+}
+
+#[test]
+fn each_bad_width_is_reported_once() {
+    for (cell, data) in [(4, 40), (3, 16), (9, 18)] {
+        let mut cfg = PipeLayerConfig::default();
+        cfg.params.cell_bits = cell;
+        cfg.params.data_bits = data;
+        let diags = verify(&zoo::spec_mnist_a(), &cfg);
+        let errors = diags.iter().filter(|d| d.severity == Severity::Error);
+        assert_eq!(errors.count(), 1, "{cell}/{data}: {diags:?}");
+    }
+    // 32-bit data is the spike driver's limit, not past it.
+    let mut cfg = PipeLayerConfig::default();
+    cfg.params.data_bits = 32;
+    let diags = verify(&zoo::spec_mnist_a(), &cfg);
+    assert!(
+        diags.iter().all(|d| {
+            ![
+                diag::QUANT_BITS_MISALIGNED,
+                diag::QUANT_SPIKE_OVERFLOW,
+                diag::CONFIG_INVALID,
+            ]
+            .contains(&d.code)
+        }),
+        "{diags:?}"
+    );
+}
+
+#[test]
 fn json_rendering_is_well_formed_enough_to_grep() {
     let diags = verify(&zoo::spec_mnist_a(), &PipeLayerConfig::default());
     let json = pipelayer_check::render_json(&diags);

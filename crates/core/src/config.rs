@@ -2,7 +2,9 @@
 
 use crate::repair::{RepairPolicy, SpareBudget};
 use crate::scrub::ScrubPolicy;
-use pipelayer_reram::{FaultModel, NoiseModel, ReramParams, VerifyPolicy, WearModel};
+use pipelayer_reram::{
+    BitWidthError, FaultModel, NoiseModel, ReramParams, VerifyPolicy, WearModel,
+};
 use std::num::NonZeroUsize;
 
 /// A rejected [`PipeLayerConfig`].
@@ -33,6 +35,9 @@ pub enum ConfigError {
     InvalidWearBudget(f64),
     /// The wear model's lognormal σ was negative or non-finite.
     InvalidWearSigma(f64),
+    /// The cell or data width failed
+    /// [`ReramParams::check_bit_widths`].
+    InvalidBitWidths(BitWidthError),
 }
 
 impl core::fmt::Display for ConfigError {
@@ -72,6 +77,7 @@ impl core::fmt::Display for ConfigError {
             ConfigError::InvalidWearSigma(s) => {
                 write!(f, "wear sigma {s} must be finite and non-negative")
             }
+            ConfigError::InvalidBitWidths(e) => e.fmt(f),
         }
     }
 }
@@ -228,7 +234,9 @@ impl PipeLayerConfig {
     ///
     /// # Errors
     ///
-    /// Returns the first violated constraint.
+    /// Returns the first violated constraint. The bit widths come last, so
+    /// a [`ConfigError::InvalidBitWidths`] means every other field is in
+    /// its domain.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.fault_model
             .validate()
@@ -268,7 +276,10 @@ impl PipeLayerConfig {
         if self.wear.sigma < 0.0 || !self.wear.sigma.is_finite() {
             return Err(ConfigError::InvalidWearSigma(self.wear.sigma));
         }
-        self.datapath.validate()
+        self.datapath.validate()?;
+        self.params
+            .check_bit_widths()
+            .map_err(ConfigError::InvalidBitWidths)
     }
 
     /// `true` once any fault-tolerance knob departs from the ideal
@@ -349,6 +360,26 @@ mod tests {
         assert_eq!(c.write_pulse_multiplier(), 1.0);
         assert_eq!(c.verify_reads_per_cell_write(), 0.0);
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn bit_widths_validate_last() {
+        let mut cfg = PipeLayerConfig::default();
+        cfg.params.cell_bits = 0;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::InvalidBitWidths(BitWidthError::CellBits(0)))
+        );
+        cfg.params.data_bits = 32;
+        cfg.params.cell_bits = 4;
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.params.data_bits = 40;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::InvalidBitWidths(BitWidthError::TooWide(40)))
+        );
+        cfg.verify.max_attempts = 0;
+        assert_eq!(cfg.validate(), Err(ConfigError::ZeroAttempts));
     }
 
     #[test]

@@ -1018,6 +1018,11 @@ impl ReramMlp {
     fn apply_update(&mut self, batch_len: usize, lr: f32) {
         let scale = lr / batch_len as f32;
         let wear_active = self.wear_active;
+        if let Some(ft) = self.fault_tolerance.as_mut() {
+            // The unrecoverable list describes the latest write only; the
+            // pulse and verify counters stay cumulative.
+            ft.report.unrecoverable.clear();
+        }
         for layer in &mut self.layers {
             let mut w = layer.forward.read(); // old weights from the arrays
             for (wi, g) in w.iter_mut().zip(&layer.grad_acc) {
@@ -1184,8 +1189,9 @@ impl ReramMlp {
     }
 
     /// Merged cost of every verified write so far (`None` when fault
-    /// tolerance is off): total pulses vs ideal pulses, verify reads, and
-    /// the cells still unrecoverable at their last write.
+    /// tolerance is off): total pulses vs ideal pulses and verify reads,
+    /// plus the cells left unrecoverable by the latest weight update (by
+    /// the commissioning writes before the first update).
     pub fn fault_report(&self) -> Option<&ProgramReport> {
         self.fault_tolerance.as_ref().map(|ft| &ft.report)
     }

@@ -14,6 +14,7 @@ use crate::device::DeviceModel;
 use crate::drift::DriftModel;
 use crate::energy::ReramParams;
 use crate::fault::{FaultModel, ProgramReport, VerifyPolicy};
+use crate::multiversion::multiversion;
 use crate::noise::NoiseModel;
 use crate::seedstream;
 use crate::wear::WearModel;
@@ -61,7 +62,7 @@ impl ReramMatrix {
     /// # Panics
     ///
     /// Panics if dimensions are zero or inconsistent with `weights.len()`,
-    /// or `data_bits` is not a multiple of `cell_bits`.
+    /// or the bit widths fail [`ReramParams::check_bit_widths`].
     pub fn program(weights: &[f32], out_dim: usize, in_dim: usize, params: &ReramParams) -> Self {
         assert!(out_dim > 0 && in_dim > 0, "matrix must be non-empty");
         assert_eq!(
@@ -69,11 +70,7 @@ impl ReramMatrix {
             out_dim * in_dim,
             "weight buffer size mismatch"
         );
-        assert_eq!(
-            params.data_bits % params.cell_bits,
-            0,
-            "data bits must be a multiple of cell bits"
-        );
+        assert_eq!(params.check_bit_widths(), Ok(()), "unsupported bit widths");
         let n_groups = (params.data_bits / params.cell_bits) as usize;
         let mut m = ReramMatrix {
             in_dim,
@@ -238,8 +235,8 @@ impl ReramMatrix {
         self.weight_scale
     }
 
-    fn qmax(&self) -> i64 {
-        (1i64 << (self.data_bits - 1)) - 1
+    fn qmax(&self) -> i32 {
+        i32::MAX >> (32 - self.data_bits)
     }
 
     /// (Re)programs the matrix — the weight-update write of Fig. 14(b).
@@ -249,10 +246,10 @@ impl ReramMatrix {
     ///
     /// Panics if `weights.len()` mismatches the geometry.
     pub fn write(&mut self, weights: &[f32]) {
-        let levels = self.quantize_levels(weights);
-        let cells = self.in_dim * self.out_dim;
-        for (xbar, levels) in self.crossbars_mut().zip(levels.chunks_exact(cells)) {
-            xbar.program(levels);
+        let q = self.quantize(weights);
+        for (shift, (pos, neg)) in self.group_shifts().zip(&mut self.groups) {
+            pos.program_signed(&q, shift, 1);
+            neg.program_signed(&q, shift, -1);
         }
     }
 
@@ -270,51 +267,34 @@ impl ReramMatrix {
         policy: &VerifyPolicy,
         rng: &mut impl Rng,
     ) -> ProgramReport {
-        let levels = self.quantize_levels(weights);
-        let cells = self.in_dim * self.out_dim;
+        let q = self.quantize(weights);
         let mut report = ProgramReport::default();
-        for (xbar, levels) in self.crossbars_mut().zip(levels.chunks_exact(cells)) {
-            report.merge(xbar.program_verify(levels, policy, rng));
+        // Crossbar-major, in `crossbars()` order: the verify loop's draws
+        // come from `rng` in that order.
+        for (shift, (pos, neg)) in self.group_shifts().zip(&mut self.groups) {
+            report.merge(pos.program_verify_signed(&q, shift, 1, policy, rng));
+            report.merge(neg.program_verify_signed(&q, shift, -1, policy, rng));
         }
         report
     }
 
+    /// The bit shift of each segment group, least-significant group first.
+    fn group_shifts(&self) -> impl Iterator<Item = u32> {
+        (0u32..).step_by(usize::from(self.cell_bits))
+    }
+
     /// Quantizes `weights` once each and updates the weight scale. Returns
-    /// one row-major `in_dim × out_dim` level buffer per member crossbar,
-    /// back to back in [`crossbars`](Self::crossbars) order.
-    fn quantize_levels(&mut self, weights: &[f32]) -> Vec<u8> {
+    /// the signed levels in cell order: `q[i·out_dim + o]` is weight
+    /// `(o, i)` rounded at the new scale, within `±qmax`.
+    fn quantize(&mut self, weights: &[f32]) -> Vec<i32> {
         assert_eq!(
             weights.len(),
             self.out_dim * self.in_dim,
             "weight buffer size mismatch"
         );
-        let absmax = weights.iter().fold(0.0f32, |m, &w| m.max(w.abs()));
-        self.weight_scale = if absmax == 0.0 {
-            1.0
-        } else {
-            absmax / self.qmax() as f32
-        };
-        let mask = (1u64 << self.cell_bits) - 1;
-        let (in_dim, out_dim, cell_bits) = (self.in_dim, self.out_dim, self.cell_bits);
-        let (qmax, scale) = (self.qmax(), self.weight_scale);
-        let cells = in_dim * out_dim;
-        let mut levels = vec![0u8; self.crossbar_count() * cells];
-        for (o, row) in weights.chunks_exact(in_dim).enumerate() {
-            for (i, &w) in row.iter().enumerate() {
-                let q = (w / scale).round() as i64;
-                let q = q.clamp(-qmax, qmax);
-                // Positive magnitudes land on the even (pos) crossbars,
-                // negative ones on the odd (neg) ones; one nibble a group.
-                let mut at = i * out_dim + o + if q >= 0 { 0 } else { cells };
-                let mut magnitude = q.unsigned_abs();
-                for _ in &self.groups {
-                    levels[at] = (magnitude & mask) as u8;
-                    magnitude >>= cell_bits;
-                    at += 2 * cells;
-                }
-            }
-        }
-        levels
+        let mut q = vec![0; weights.len()];
+        self.weight_scale = quantize_weights::run(weights, self.in_dim, self.qmax(), &mut q);
+        q
     }
 
     /// Remaps the given logical outputs onto fault-free spare bit lines:
@@ -411,20 +391,32 @@ impl ReramMatrix {
     /// Reads the stored (quantized) weights back — the "old weights are read
     /// out" step of the update path (Sec. 4.4.2).
     pub fn read(&self) -> Vec<f32> {
+        const TILE: usize = 16;
         let (in_dim, out_dim) = (self.in_dim, self.out_dim);
+        // Reads go through the analog path, so stuck cells corrupt what
+        // comes back.
+        let levels: Vec<_> = self.crossbars().map(Crossbar::effective_levels).collect();
         let mut out = vec![0.0f32; out_dim * in_dim];
-        for (g, (pos, neg)) in self.groups.iter().enumerate() {
-            let shift = g as u32 * self.cell_bits as u32;
-            // Reads go through the analog path, so stuck cells corrupt
-            // what comes back.
-            let (pos, neg) = (pos.effective_levels(), neg.effective_levels());
-            for (o, w) in out.chunks_exact_mut(in_dim).enumerate() {
-                if self.masked_outputs[o] {
+        let mut tile = vec![0.0f32; TILE * out_dim];
+        // One pass over the cells in storage order, `TILE` word lines at a
+        // time: each weight sums its groups from 0.0, least significant
+        // first, then the tile is stored transposed, a weight row at a time.
+        for i0 in (0..in_dim).step_by(TILE) {
+            let cells = i0 * out_dim..in_dim.min(i0 + TILE) * out_dim;
+            let sums = &mut tile[..cells.len()];
+            sums.fill(0.0);
+            for (shift, pn) in self.group_shifts().zip(levels.chunks_exact(2)) {
+                let (pos, neg) = (&pn[0][cells.clone()], &pn[1][cells.clone()]);
+                add_group::run(sums, pos, neg, shift, self.weight_scale);
+            }
+            let rows = out.chunks_exact_mut(in_dim).zip(&self.masked_outputs);
+            for (o, (row, &masked)) in rows.enumerate() {
+                if masked {
                     continue;
                 }
-                for (i, w) in w.iter_mut().enumerate() {
-                    let (p, n) = (pos[i * out_dim + o], neg[i * out_dim + o]);
-                    *w += ((i64::from(p) - i64::from(n)) << shift) as f32 * self.weight_scale;
+                let lines = sums.iter().skip(o).step_by(out_dim);
+                for (w, &sum) in row[i0..].iter_mut().zip(lines) {
+                    *w = sum;
                 }
             }
         }
@@ -482,13 +474,16 @@ impl ReramMatrix {
             }
             let x_scale = absmax / in_qmax;
             x_scales.push(Some(x_scale));
-            let q: Vec<i64> = x.iter().map(|&v| (v / x_scale).round() as i64).collect();
+            // Rounded magnitudes reach 2^(data_bits−1) ≤ 2^31, which a
+            // `u32` phase holds; the clamp only bounds the ±∞ of a scale
+            // that underflowed to 0.
+            let q: Vec<i64> = x
+                .iter()
+                .map(|&v| round_clamp_wide(v / x_scale, u32::MAX.into()))
+                .collect();
             for sign in [1i64, -1] {
                 let start = phases.len();
-                phases.extend(
-                    q.iter()
-                        .map(|&v| if v * sign > 0 { (v * sign) as u32 } else { 0 }),
-                );
+                phases.extend(q.iter().map(|&v| u32::try_from(v * sign).unwrap_or(0)));
                 if phases[start..].iter().all(|&v| v == 0) {
                     phases.truncate(start);
                 } else {
@@ -499,8 +494,8 @@ impl ReramMatrix {
 
         let out_dim = self.out_dim;
         let mut acc = vec![0i64; x_scales.len() * out_dim];
-        for (g, (pos, neg)) in self.groups.iter_mut().enumerate() {
-            let shift = g as u32 * self.cell_bits as u32;
+        let shifts = self.group_shifts();
+        for (shift, (pos, neg)) in shifts.zip(&mut self.groups) {
             let yp = pos.mvm_spiked_batch(&phases, self.data_bits);
             let yn = neg.mvm_spiked_batch(&phases, self.data_bits);
             let ys = yp.chunks_exact(out_dim).zip(yn.chunks_exact(out_dim));
@@ -541,6 +536,98 @@ impl ReramMatrix {
     pub fn crossbar_count(&self) -> usize {
         self.groups.len() * 2
     }
+}
+
+/// `x` rounded half away from zero, then clamped to `±qmax`
+/// (`0 ≤ qmax`): exactly `(x.round() as i64).clamp(-qmax, qmax)` as an
+/// `i32`, for every `f32`, NaN (0) and ±∞ included, without libm's
+/// `roundf` or a data-dependent branch. The weights round with it: in
+/// `i32` the AVX2 arm converts eight lanes at once.
+#[inline(always)]
+pub(crate) fn round_clamp(x: f32, qmax: i32) -> i32 {
+    // `as` truncates toward zero and saturates (NaN gives 0). Below 2^31 in
+    // magnitude the truncation is exact and `x - t` is exact in f64; at or
+    // above it the saturated `t` is already past any `qmax`, and the
+    // saturating add keeps it there.
+    let t = x as i32;
+    let r = f64::from(x) - f64::from(t);
+    let q = t.saturating_add(i32::from(r >= 0.5) - i32::from(r <= -0.5));
+    q.clamp(-qmax, qmax)
+}
+
+/// [`round_clamp`] in `i64`: exactly `(x.round() as i64).clamp(-qmax,
+/// qmax)`. The inputs round with it: at 32-bit data their magnitudes
+/// reach `2^31`, one past `i32`.
+#[inline(always)]
+pub(crate) fn round_clamp_wide(x: f32, qmax: i64) -> i64 {
+    // As in `round_clamp`, with 2^63 for 2^31. An unsaturated `t` has at
+    // most 24 significant bits, so `t as f64` is exact; a saturated one
+    // rounds to ±2^63, still past any `qmax`.
+    let t = x as i64;
+    let r = f64::from(x) - t as f64;
+    let q = t.saturating_add(i64::from(r >= 0.5) - i64::from(r <= -0.5));
+    q.clamp(-qmax, qmax)
+}
+
+/// Adds one segment group's share of some cells' weights to `sums`:
+/// `((pos − neg) << shift) · scale` per cell. A level difference has
+/// at most 8 significant bits, so scaling it by `2^shift` in f32 is exact
+/// and equals converting the shifted integer.
+#[inline(always)]
+fn add_group_body(sums: &mut [f32], pos: &[u8], neg: &[u8], shift: u32, scale: f32) {
+    let pow2 = f32::from_bits((127 + shift) << 23); // 2^shift
+    for (sum, (&p, &n)) in sums.iter_mut().zip(pos.iter().zip(neg)) {
+        *sum += f32::from(i16::from(p) - i16::from(n)) * pow2 * scale;
+    }
+}
+
+multiversion! {
+    /// [`add_group_body`], multiversioned.
+    mod add_group: fn(sums: &mut [f32], pos: &[u8], neg: &[u8], shift: u32, scale: f32)
+        -> () = add_group_body;
+}
+
+/// The write quantizer. Picks the scale that maps the largest magnitude
+/// of the row-major `out_dim × in_dim` `weights` to `qmax` (1 for all-zero
+/// weights), stores `q[i·out_dim + o] = round_clamp(w[o][i] / scale,
+/// qmax)` with `out_dim = q.len() / in_dim`, and returns the scale. It
+/// transposes through a square tile: quantized a weight row at a time,
+/// stored a cell row at a time, so both passes run over contiguous memory.
+#[inline(always)]
+fn quantize_weights_body(weights: &[f32], in_dim: usize, qmax: i32, q: &mut [i32]) -> f32 {
+    const TILE: usize = 16;
+    let absmax = weights.iter().fold(0.0f32, |m, &w| m.max(w.abs()));
+    let scale = if absmax == 0.0 {
+        1.0
+    } else {
+        absmax / qmax as f32
+    };
+    let out_dim = q.len() / in_dim;
+    let mut tile = [[0i32; TILE]; TILE];
+    for (o0, rows) in (0..).step_by(TILE).zip(weights.chunks(TILE * in_dim)) {
+        for i0 in (0..in_dim).step_by(TILE) {
+            let i_end = in_dim.min(i0 + TILE);
+            for (t, row) in tile.iter_mut().zip(rows.chunks_exact(in_dim)) {
+                for (t, &w) in t.iter_mut().zip(&row[i0..i_end]) {
+                    *t = round_clamp(w / scale, qmax);
+                }
+            }
+            let o_end = out_dim.min(o0 + TILE);
+            let cells = q[i0 * out_dim..i_end * out_dim].chunks_exact_mut(out_dim);
+            for (k, cells) in (0..).zip(cells) {
+                for (q, t) in cells[o0..o_end].iter_mut().zip(&tile) {
+                    *q = t[k];
+                }
+            }
+        }
+    }
+    scale
+}
+
+multiversion! {
+    /// [`quantize_weights_body`], multiversioned.
+    mod quantize_weights: fn(weights: &[f32], in_dim: usize, qmax: i32, q: &mut [i32])
+        -> f32 = quantize_weights_body;
 }
 
 #[cfg(test)]
@@ -762,6 +849,365 @@ mod tests {
         let bits = |m: &ReramMatrix| -> Vec<u32> { m.read().iter().map(|v| v.to_bits()).collect() };
         assert_eq!(bits(&bat), bits(&seq));
         assert!(bat.matvec_batch(&[]).is_empty());
+    }
+
+    /// The rounding spec [`round_clamp_wide`] must reproduce.
+    fn round_spec_wide(x: f32, qmax: i64) -> i64 {
+        (x.round() as i64).clamp(-qmax, qmax)
+    }
+
+    /// The rounding spec [`round_clamp`] must reproduce.
+    fn round_spec(x: f32, qmax: i32) -> i32 {
+        round_spec_wide(x, qmax.into()) as i32
+    }
+
+    /// The clamps the quantizers use, plus the extremes.
+    const QMAXES: [i32; 8] = [0, 1, 7, 127, 32_767, 1 << 29, i32::MAX - 1, i32::MAX];
+
+    /// The clamps of the wide form: the input clamp, past `i32`, the
+    /// extremes.
+    const QMAXES_WIDE: [i64; 5] = [0, 32_767, 1 << 31, u32::MAX as i64, i64::MAX];
+
+    #[test]
+    fn round_clamp_is_round_then_clamp_on_the_edges() {
+        let mut xs = vec![
+            0.0f32,
+            f32::MIN_POSITIVE,
+            f32::MIN_POSITIVE / 3.0, // subnormal
+            f32::from_bits(1),       // smallest subnormal
+            0.49999997,              // largest float below 0.5
+            1.0 - f32::EPSILON / 2.0,
+            8_388_607.5, // 2^23 − 0.5, the largest half
+            8_388_608.0,
+            16_777_217.0, // rounds to 2^24 as a literal
+            2_147_483_520.0,
+            2_147_483_648.0, // 2^31
+            4_294_967_040.0,
+            4_294_967_296.0, // 2^32
+            9.223_372e18,    // 2^63
+            1e30,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NAN,
+        ];
+        for n in 0..40 {
+            let n = n as f32;
+            xs.extend([n, n + 0.5, n - 0.5, n + 0.25, n + 0.75]);
+        }
+        for p in 0..64 {
+            let x = 2f32.powi(p);
+            xs.extend([x, x * (1.0 + f32::EPSILON), x * (1.0 - f32::EPSILON / 2.0)]);
+        }
+        let negated: Vec<f32> = xs.iter().map(|x| -x).collect();
+        xs.extend(negated);
+        for &x in &xs {
+            for qmax in QMAXES {
+                assert_eq!(
+                    round_clamp(x, qmax),
+                    round_spec(x, qmax),
+                    "x {x:e} qmax {qmax}"
+                );
+            }
+            for qmax in QMAXES_WIDE {
+                assert_eq!(
+                    round_clamp_wide(x, qmax),
+                    round_spec_wide(x, qmax),
+                    "x {x:e} qmax {qmax}"
+                );
+            }
+        }
+    }
+
+    /// The oracle of the fused write: every weight quantized with
+    /// `f32::round` into one `u8` level buffer per member crossbar, each
+    /// crossbar programmed from its buffer.
+    fn quantize_levels_oracle(m: &mut ReramMatrix, weights: &[f32]) -> Vec<u8> {
+        let absmax = weights.iter().fold(0.0f32, |m, &w| m.max(w.abs()));
+        m.weight_scale = if absmax == 0.0 {
+            1.0
+        } else {
+            absmax / m.qmax() as f32
+        };
+        let mask = (1u64 << m.cell_bits) - 1;
+        let (in_dim, out_dim, cell_bits) = (m.in_dim, m.out_dim, m.cell_bits);
+        let (qmax, scale) = (i64::from(m.qmax()), m.weight_scale);
+        let cells = in_dim * out_dim;
+        let mut levels = vec![0u8; m.crossbar_count() * cells];
+        for (o, row) in weights.chunks_exact(in_dim).enumerate() {
+            for (i, &w) in row.iter().enumerate() {
+                let q = (w / scale).round() as i64;
+                let q = q.clamp(-qmax, qmax);
+                let mut at = i * out_dim + o + if q >= 0 { 0 } else { cells };
+                let mut magnitude = q.unsigned_abs();
+                for _ in &m.groups {
+                    levels[at] = (magnitude & mask) as u8;
+                    magnitude >>= cell_bits;
+                    at += 2 * cells;
+                }
+            }
+        }
+        levels
+    }
+
+    fn write_oracle(m: &mut ReramMatrix, weights: &[f32]) {
+        let levels = quantize_levels_oracle(m, weights);
+        let cells = m.in_dim * m.out_dim;
+        for (xbar, levels) in m.crossbars_mut().zip(levels.chunks_exact(cells)) {
+            xbar.program_oracle(levels);
+        }
+    }
+
+    fn write_verify_oracle(
+        m: &mut ReramMatrix,
+        weights: &[f32],
+        policy: &VerifyPolicy,
+        rng: &mut impl Rng,
+    ) -> ProgramReport {
+        let levels = quantize_levels_oracle(m, weights);
+        let cells = m.in_dim * m.out_dim;
+        let mut report = ProgramReport::default();
+        for (xbar, levels) in m.crossbars_mut().zip(levels.chunks_exact(cells)) {
+            report.merge(xbar.program_verify_oracle(levels, policy, rng));
+        }
+        report
+    }
+
+    /// The oracle of the storage-order read: group by group, each group
+    /// over every weight.
+    fn read_oracle(m: &ReramMatrix) -> Vec<f32> {
+        let (in_dim, out_dim) = (m.in_dim, m.out_dim);
+        let mut out = vec![0.0f32; out_dim * in_dim];
+        for (g, (pos, neg)) in m.groups.iter().enumerate() {
+            let shift = g as u32 * m.cell_bits as u32;
+            let (pos, neg) = (pos.effective_levels(), neg.effective_levels());
+            for (o, w) in out.chunks_exact_mut(in_dim).enumerate() {
+                if m.masked_outputs[o] {
+                    continue;
+                }
+                for (i, w) in w.iter_mut().enumerate() {
+                    let (p, n) = (pos[i * out_dim + o], neg[i * out_dim + o]);
+                    *w += ((i64::from(p) - i64::from(n)) << shift) as f32 * m.weight_scale;
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Random weights in `±span`, with exact zeros and the absmax weight
+    /// `−span` (all zeros at `span = 0`).
+    fn random_weights(n: usize, span: f32, rng: &mut impl rand::RngExt) -> Vec<f32> {
+        (0..n)
+            .map(|k| match k % 7 {
+                _ if span == 0.0 => 0.0,
+                0 => 0.0,
+                1 => -span,
+                _ => rng.random_range(-span..span),
+            })
+            .collect()
+    }
+
+    /// The device models the fused write is checked under.
+    fn device_models() -> Vec<(&'static str, DeviceModel)> {
+        let drift = DriftModel {
+            nu: 0.1,
+            nu_sigma: 0.05,
+            t0_cycles: 8,
+            disturb_per_level: 3,
+        };
+        let wear = WearModel {
+            median_writes: 40.0,
+            sigma: 0.5,
+        };
+        vec![
+            ("ideal", DeviceModel::ideal()),
+            (
+                "faults",
+                DeviceModel::ideal().with_faults(FaultModel::with_stuck_rate(0.05)),
+            ),
+            ("drift", DeviceModel::ideal().with_drift(drift)),
+            (
+                "noise",
+                DeviceModel::ideal().with_noise(NoiseModel::with_strength(1.0)),
+            ),
+            ("wear", DeviceModel::ideal().with_wear(wear)),
+            (
+                "all",
+                DeviceModel::ideal()
+                    .with_faults(FaultModel::with_stuck_rate(0.02))
+                    .with_drift(drift)
+                    .with_noise(NoiseModel::with_strength(0.5))
+                    .with_wear(wear),
+            ),
+        ]
+    }
+
+    /// The fused `write`/`write_verify` and the storage-order `read` are
+    /// today's quantize-then-program and group-major read, bit for bit,
+    /// under every device model, at 16-, 8- and 32-bit data on 4-bit cells,
+    /// 8-bit data on 2-bit cells and 32-bit data on 8-bit cells: the whole
+    /// matrix state (levels, device
+    /// state and generations, spike counters, weight scale), every
+    /// `ProgramReport` and every read-back.
+    #[test]
+    fn fused_write_and_read_match_the_oracles() {
+        use rand::{rngs::StdRng, RngExt as _};
+        let mut rng = StdRng::seed_from_u64(31);
+        for (cell_bits, data_bits) in [(4u8, 16u8), (4, 8), (2, 8), (4, 32), (8, 32)] {
+            let params = ReramParams {
+                cell_bits,
+                data_bits,
+                ..ReramParams::default()
+            };
+            for (name, model) in device_models() {
+                let (out_dim, in_dim) = (rng.random_range(1usize..9), rng.random_range(1usize..13));
+                let w = random_weights(out_dim * in_dim, 1.0, &mut rng);
+                let mut fused = ReramMatrix::program(&w, out_dim, in_dim, &params);
+                fused.attach(&model, 5);
+                fused.advance_cycles(500);
+                fused.mask_output(out_dim / 2);
+                let mut oracle = fused.clone();
+                let policy = VerifyPolicy {
+                    max_attempts: 3,
+                    write_sigma: 0.4,
+                };
+                let (mut rf, mut ro) = (StdRng::seed_from_u64(8), StdRng::seed_from_u64(8));
+                for step in 0..6 {
+                    let span = [1.0, 3e-3, 0.0, 250.0][step % 4];
+                    let w = random_weights(out_dim * in_dim, span, &mut rng);
+                    if step % 2 == 0 {
+                        fused.write(&w);
+                        write_oracle(&mut oracle, &w);
+                    } else {
+                        let a = fused.write_verify(&w, &policy, &mut rf);
+                        let b = write_verify_oracle(&mut oracle, &w, &policy, &mut ro);
+                        assert_eq!(a, b, "{name} {cell_bits}/{data_bits}: report");
+                    }
+                    assert_eq!(
+                        format!("{fused:?}"),
+                        format!("{oracle:?}"),
+                        "{name} {cell_bits}/{data_bits} step {step}: state"
+                    );
+                    assert_eq!(
+                        bits(&fused.read()),
+                        bits(&read_oracle(&oracle)),
+                        "{name}: read"
+                    );
+                    fused.advance_cycles(100);
+                    oracle.advance_cycles(100);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_arms_agree() {
+        use rand::{rngs::StdRng, RngExt as _};
+        let mut rng = StdRng::seed_from_u64(3);
+        for qmax in [127, 32_767, (1 << 30) - 1, i32::MAX] {
+            for span in [2.0, 0.0] {
+                let (out_dim, in_dim) =
+                    (rng.random_range(1usize..40), rng.random_range(1usize..90));
+                let mut w = random_weights(out_dim * in_dim, span, &mut rng);
+                w[0] = f32::NAN;
+                let (mut portable, mut avx2) = (vec![0; w.len()], vec![0; w.len()]);
+                let scale = quantize_weights::portable(&w, in_dim, qmax, &mut portable);
+                let ran = quantize_weights::avx2(&w, in_dim, qmax, &mut avx2);
+                let want_scale = if span == 0.0 { 1.0 } else { span / qmax as f32 };
+                assert_eq!(scale.to_bits(), want_scale.to_bits());
+                let want: Vec<i32> = (0..in_dim * out_dim)
+                    .map(|k| {
+                        let (i, o) = (k / out_dim, k % out_dim);
+                        round_spec(w[o * in_dim + i] / scale, qmax)
+                    })
+                    .collect();
+                assert_eq!(portable, want);
+                let bits = |s: f32, q: &Vec<i32>| (s.to_bits(), q.clone());
+                crate::multiversion::assert_arms_agree(
+                    bits(scale, &portable),
+                    ran.map(|s| bits(s, &avx2)),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn add_group_arms_agree() {
+        use rand::{rngs::StdRng, RngExt as _};
+        let mut rng = StdRng::seed_from_u64(5);
+        for (n, cell_bits, data_bits) in
+            [(1usize, 4u8, 16u32), (803, 4, 16), (97, 8, 24), (64, 2, 30)]
+        {
+            let max = (1u16 << cell_bits) - 1;
+            let mut levels = || -> Vec<u8> {
+                (0..n)
+                    .map(|_| rng.random_range(0..=max).to_le_bytes()[0])
+                    .collect()
+            };
+            let (pos, neg) = (levels(), levels());
+            let start: Vec<f32> = (0..n).map(|k| k as f32 * 0.37 - 11.0).collect();
+            for shift in (0..data_bits).step_by(usize::from(cell_bits)) {
+                for scale in [3.0517578e-5, 0.1, 1e-42] {
+                    let want: Vec<u32> = (0..n)
+                        .map(|k| {
+                            let d = (i64::from(pos[k]) - i64::from(neg[k])) << shift;
+                            (start[k] + d as f32 * scale).to_bits()
+                        })
+                        .collect();
+                    let (mut portable, mut avx2) = (start.clone(), start.clone());
+                    add_group::portable(&mut portable, &pos, &neg, shift, scale);
+                    let ran = add_group::avx2(&mut avx2, &pos, &neg, shift, scale);
+                    assert_eq!(bits(&portable), want);
+                    crate::multiversion::assert_arms_agree(portable, ran.map(|()| avx2));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported bit widths")]
+    fn rejects_data_wider_than_the_spike_driver() {
+        let params = ReramParams {
+            data_bits: 36,
+            ..ReramParams::default()
+        };
+        ReramMatrix::program(&[1.0], 1, 1, &params);
+    }
+
+    /// At 32-bit data a full-scale input drives `2^31`, one past `i32`:
+    /// a single slot fires on each member crossbar (a clamp to
+    /// `2^31 − 1` would fire 31), and the product stays exact.
+    #[test]
+    fn full_scale_input_drives_two_to_the_31() {
+        let params = ReramParams {
+            data_bits: 32,
+            ..ReramParams::default()
+        };
+        let mut m = ReramMatrix::program(&[1.0, -0.5], 2, 1, &params);
+        let y = m.matvec(&[-1.0]);
+        assert_eq!(y, [-1.0, 0.5]);
+        assert_eq!(m.read_spikes(), 16, "one slot on each of 16 crossbars");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// [`round_clamp`] and [`round_clamp_wide`] are `f32::round` then
+        /// the clamp on every `f32` bit pattern.
+        #[test]
+        fn round_clamp_is_round_then_clamp(bits in 0u32..=u32::MAX, k in 0usize..8) {
+            let x = f32::from_bits(bits);
+            prop_assert_eq!(round_clamp(x, QMAXES[k]), round_spec(x, QMAXES[k]));
+            // Magnitudes where rounding matters.
+            let y = f32::from_bits(bits % 0x4f80_0000);
+            prop_assert_eq!(round_clamp(y, QMAXES[k]), round_spec(y, QMAXES[k]));
+            let wide = QMAXES_WIDE[k % QMAXES_WIDE.len()];
+            prop_assert_eq!(round_clamp_wide(x, wide), round_spec_wide(x, wide));
+            prop_assert_eq!(round_clamp_wide(y, wide), round_spec_wide(y, wide));
+        }
     }
 
     proptest! {

@@ -6,6 +6,7 @@ use crate::device::{DeviceModel, DeviceStack};
 use crate::drift::DriftState;
 use crate::fault::{FaultMap, ProgramReport, UnrecoverableCell, VerifyPolicy};
 use crate::integrate_fire::IntegrateFire;
+use crate::multiversion::multiversion;
 use crate::noise::{NoiseState, StagedRead};
 use crate::spike::{SpikeDriver, SpikeTrain};
 use crate::wear::WearState;
@@ -380,33 +381,64 @@ impl Crossbar {
             self.rows * self.cols,
             "level buffer size mismatch"
         );
+        let max = self.max_level();
+        self.program_from(levels.iter().copied(), |cells| {
+            let pairs = cells.iter_mut().zip(levels);
+            pairs
+                .map(|(c, &l)| u64::from(cell::program(c, l, max)))
+                .sum()
+        })
+    }
+
+    /// Programs the whole array with one bit group of a signed-level
+    /// buffer — one member crossbar's share of a
+    /// [`ReramMatrix`](crate::ReramMatrix) write: cell `k` stores
+    /// [`signed_level`]`(q[k], shift, sign, max_level)`. Counts the pulses
+    /// as write spikes and returns them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q.len() != rows × cols`.
+    pub(crate) fn program_signed(&mut self, q: &[i32], shift: u32, sign: i32) -> u64 {
+        assert_eq!(q.len(), self.rows * self.cols, "level buffer size mismatch");
+        let max = self.max_level();
+        self.program_from(
+            q.iter().map(|&q| signed_level(q, shift, sign, max)),
+            |cells| program_pass::run(cells, q, shift, sign, max),
+        )
+    }
+
+    /// Stores `targets` (row-major, one per cell, saturating at the top
+    /// level) and books the tuning pulses as write spikes. An array whose
+    /// device tracks programs books every cell that moved; any other runs
+    /// `untracked`, which must store the same targets and return their
+    /// pulse count.
+    fn program_from(
+        &mut self,
+        mut targets: impl Iterator<Item = u8>,
+        untracked: impl FnOnce(&mut [u8]) -> u64,
+    ) -> u64 {
         let (cols, max) = (self.cols, self.max_level());
         let a = self.array.get_mut();
-        let mut pulses = 0u64;
-        if !a.device.tracks_programs() {
-            // Nothing to book per cell: one branch-free pass.
-            for (cell, &lvl) in a.cells.iter_mut().zip(levels) {
-                pulses += u64::from(cell::program(cell, lvl, max));
-            }
-            self.write_spikes += pulses;
-            return pulses;
-        }
-        let rows = a
-            .cells
-            .chunks_exact_mut(cols)
-            .zip(levels.chunks_exact(cols));
-        for (r, (row, targets)) in rows.enumerate() {
-            for (c, (cell, &lvl)) in row.iter_mut().zip(targets).enumerate() {
-                let p = u64::from(cell::program(cell, lvl, max));
-                if p > 0 {
-                    // A zero-pulse write leaves the physical cell untouched,
-                    // so its degradation clock keeps running and its device
-                    // deviate stays.
-                    a.device.note_program(r, c, p);
+        let pulses = if a.device.tracks_programs() {
+            let mut pulses = 0u64;
+            for (r, row) in a.cells.chunks_exact_mut(cols).enumerate() {
+                for (c, (cell, target)) in row.iter_mut().zip(targets.by_ref()).enumerate() {
+                    let p = u64::from(cell::program(cell, target, max));
+                    if p > 0 {
+                        // A zero-pulse write leaves the physical cell
+                        // untouched, so its degradation clock keeps running
+                        // and its device deviate stays.
+                        a.device.note_program(r, c, p);
+                    }
+                    pulses += p;
                 }
-                pulses += p;
             }
-        }
+            pulses
+        } else {
+            // Nothing to book per cell: one branch-free pass.
+            untracked(&mut a.cells)
+        };
         self.write_spikes += pulses;
         pulses
     }
@@ -434,15 +466,42 @@ impl Crossbar {
             self.rows * self.cols,
             "level buffer size mismatch"
         );
+        self.program_verify_from(levels.iter().copied(), policy, rng)
+    }
+
+    /// [`program_verify`](Self::program_verify) with the targets of
+    /// [`program_signed`](Self::program_signed): the verified share of a
+    /// [`ReramMatrix`](crate::ReramMatrix) write.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q.len() != rows × cols`.
+    pub(crate) fn program_verify_signed(
+        &mut self,
+        q: &[i32],
+        shift: u32,
+        sign: i32,
+        policy: &VerifyPolicy,
+        rng: &mut impl Rng,
+    ) -> ProgramReport {
+        assert_eq!(q.len(), self.rows * self.cols, "level buffer size mismatch");
+        let max = self.max_level();
+        let targets = q.iter().map(|&q| signed_level(q, shift, sign, max));
+        self.program_verify_from(targets, policy, rng)
+    }
+
+    /// The program-and-verify loop over `targets`, row-major, one per cell.
+    fn program_verify_from(
+        &mut self,
+        mut targets: impl Iterator<Item = u8>,
+        policy: &VerifyPolicy,
+        rng: &mut impl Rng,
+    ) -> ProgramReport {
         let (cols, max) = (self.cols, self.max_level());
         let a = self.array.get_mut();
         let mut report = ProgramReport::default();
-        let rows = a
-            .cells
-            .chunks_exact_mut(cols)
-            .zip(levels.chunks_exact(cols));
-        for (r, (row, targets)) in rows.enumerate() {
-            for (c, (cell, &target)) in row.iter_mut().zip(targets).enumerate() {
+        for (r, row) in a.cells.chunks_exact_mut(cols).enumerate() {
+            for (c, (cell, target)) in row.iter_mut().zip(targets.by_ref()).enumerate() {
                 report.ideal_pulses += u64::from(cell.abs_diff(target));
                 match a.device.fault(r, c) {
                     Some(kind) => {
@@ -587,7 +646,7 @@ impl Crossbar {
         let stage = current_stage(&self.array, &mut self.read_cache, cols, max);
         let levels = stage.map_or(self.array.cells.as_slice(), |s| s.levels.as_slice());
         let mut out = if fits_u32(rows, mask, max) {
-            integrate::<u32>(levels, rows, cols, inputs, mask)
+            integrate_u32::run(levels, rows, cols, inputs, mask)
         } else {
             integrate::<u64>(levels, rows, cols, inputs, mask)
         };
@@ -861,6 +920,7 @@ fn fits_u32(rows: usize, mask: u32, max_level: u8) -> bool {
 /// One walk over `levels` serves the whole batch; word lines an input does
 /// not drive are skipped. The charge accumulator `A` is `u32` where
 /// [`fits_u32`] holds, else `u64`.
+#[inline(always)]
 fn integrate<A>(levels: &[u8], rows: usize, cols: usize, inputs: &[u32], mask: u32) -> Vec<u64>
 where
     A: Copy + Default + AddAssign + Mul<Output = A> + From<u8> + From<u32> + Into<u64>,
@@ -880,6 +940,173 @@ where
         }
     }
     acc.into_iter().map(Into::into).collect()
+}
+
+multiversion! {
+    /// [`integrate`] with `u32` charge accumulators.
+    mod integrate_u32: fn(levels: &[u8], rows: usize, cols: usize, inputs: &[u32], mask: u32)
+        -> Vec<u64> = integrate::<u32>;
+}
+
+/// The level one member crossbar of a signed matrix stores for the signed
+/// level `q`: bit group `shift` of the positive part (`sign = 1`) or of the
+/// negative part's magnitude (`sign = −1`), `(max(sign·q, 0) >> shift) &
+/// max_level`. `q` lies within `±(2^31 − 1)`, so `sign·q` cannot overflow.
+#[inline(always)]
+fn signed_level(q: i32, shift: u32, sign: i32, max_level: u8) -> u8 {
+    // The low byte holds every bit `max_level` (at most 8 bits) keeps.
+    ((sign * q).max(0) >> shift).to_le_bytes()[0] & max_level
+}
+
+/// Cells per block of the untracked program pass: a block's pulses, at
+/// most 255 a cell, fit a `u32`.
+const PULSE_BLOCK: usize = 1 << 16;
+
+/// The untracked program pass: stores [`signed_level`] of every `q` in
+/// `cells` and returns the pulses, the summed level distances.
+#[inline(always)]
+fn program_pass_body(cells: &mut [u8], q: &[i32], shift: u32, sign: i32, max_level: u8) -> u64 {
+    let blocks = cells.chunks_mut(PULSE_BLOCK).zip(q.chunks(PULSE_BLOCK));
+    let mut pulses = 0u64;
+    for (cells, q) in blocks {
+        let mut block = 0u32;
+        for (cell, &q) in cells.iter_mut().zip(q) {
+            let target = signed_level(q, shift, sign, max_level);
+            block += u32::from(cell.abs_diff(target));
+            *cell = target;
+        }
+        pulses += u64::from(block);
+    }
+    pulses
+}
+
+multiversion! {
+    /// [`program_pass_body`], multiversioned.
+    mod program_pass: fn(cells: &mut [u8], q: &[i32], shift: u32, sign: i32, max_level: u8)
+        -> u64 = program_pass_body;
+}
+
+#[cfg(test)]
+impl Crossbar {
+    /// The per-cell program loop the fused write replaced, kept as its
+    /// oracle: [`program`](Self::program) as it read before the write
+    /// went through `program_from`.
+    pub(crate) fn program_oracle(&mut self, levels: &[u8]) -> u64 {
+        assert_eq!(
+            levels.len(),
+            self.rows * self.cols,
+            "level buffer size mismatch"
+        );
+        let (cols, max) = (self.cols, self.max_level());
+        let a = self.array.get_mut();
+        let mut pulses = 0u64;
+        if !a.device.tracks_programs() {
+            // Nothing to book per cell: one branch-free pass.
+            for (cell, &lvl) in a.cells.iter_mut().zip(levels) {
+                pulses += u64::from(cell::program(cell, lvl, max));
+            }
+            self.write_spikes += pulses;
+            return pulses;
+        }
+        let rows = a
+            .cells
+            .chunks_exact_mut(cols)
+            .zip(levels.chunks_exact(cols));
+        for (r, (row, targets)) in rows.enumerate() {
+            for (c, (cell, &lvl)) in row.iter_mut().zip(targets).enumerate() {
+                let p = u64::from(cell::program(cell, lvl, max));
+                if p > 0 {
+                    // A zero-pulse write leaves the physical cell untouched,
+                    // so its degradation clock keeps running and its device
+                    // deviate stays.
+                    a.device.note_program(r, c, p);
+                }
+                pulses += p;
+            }
+        }
+        self.write_spikes += pulses;
+        pulses
+    }
+
+    /// The program-and-verify loop the fused write replaced, kept as its
+    /// oracle: [`program_verify`](Self::program_verify) as it read before
+    /// the write went through `program_verify_from`.
+    pub(crate) fn program_verify_oracle(
+        &mut self,
+        levels: &[u8],
+        policy: &VerifyPolicy,
+        rng: &mut impl Rng,
+    ) -> ProgramReport {
+        assert_eq!(
+            levels.len(),
+            self.rows * self.cols,
+            "level buffer size mismatch"
+        );
+        let (cols, max) = (self.cols, self.max_level());
+        let a = self.array.get_mut();
+        let mut report = ProgramReport::default();
+        let rows = a
+            .cells
+            .chunks_exact_mut(cols)
+            .zip(levels.chunks_exact(cols));
+        for (r, (row, targets)) in rows.enumerate() {
+            for (c, (cell, &target)) in row.iter_mut().zip(targets).enumerate() {
+                report.ideal_pulses += u64::from(cell.abs_diff(target));
+                match a.device.fault(r, c) {
+                    Some(kind) => {
+                        // The driver pulses and verifies up to the budget,
+                        // but the cell never moves.
+                        let actual = kind.effective_level(max);
+                        let wasted = if actual == target {
+                            // Fault happens to pin the cell at the target:
+                            // first verify passes, no pulses needed.
+                            report.verify_reads += 1;
+                            0
+                        } else {
+                            report.verify_reads += policy.max_attempts as u64;
+                            report.unrecoverable.push(UnrecoverableCell {
+                                row: r,
+                                col: c,
+                                target,
+                                actual,
+                            });
+                            policy.max_attempts as u64
+                        };
+                        report.pulses += wasted;
+                        // Track the intent so a later repair + rewrite
+                        // starts from the right place.
+                        cell::program(cell, target, max);
+                        // The wasted retry pulses still stress the pinned
+                        // cell's oxide.
+                        a.device.note_wear(r, c, wasted);
+                    }
+                    None => {
+                        let w = cell::program_verify(cell, target, max, policy, rng);
+                        report.pulses += u64::from(w.pulses);
+                        report.verify_reads += u64::from(w.attempts);
+                        if !w.verified {
+                            report.unrecoverable.push(UnrecoverableCell {
+                                row: r,
+                                col: c,
+                                target,
+                                actual: *cell,
+                            });
+                        }
+                        if w.pulses > 0 {
+                            // Every pulse (including verify retries) wears
+                            // the cell; a budget crossing kills it for all
+                            // *subsequent* accesses — this write's charge
+                            // already landed.
+                            a.device.note_program(r, c, u64::from(w.pulses));
+                        }
+                    }
+                }
+            }
+        }
+        self.write_spikes += report.pulses;
+        self.read_spikes += report.verify_reads;
+        report
+    }
 }
 
 #[cfg(test)]
@@ -1336,6 +1563,102 @@ mod tests {
                 assert_eq!(out, vec![want; 2], "{rows} rows at {input_bits} bits");
                 assert_eq!(out, scalar.mvm_spiked_scalar(&input, input_bits));
                 assert_eq!(gemm.spike_counters(), scalar.spike_counters());
+            }
+        }
+    }
+
+    /// The `u64` `integrate` kernel and both arms of the `u32` one agree
+    /// with the reference product on random shapes and batches, with the
+    /// `u32` kernel run only where its bound holds: random drives,
+    /// worst-case drives just under the bound and, on the `u64` kernel,
+    /// just over it.
+    #[test]
+    fn integrate_arms_agree() {
+        use crate::multiversion::assert_arms_agree;
+        use rand::{rngs::StdRng, RngExt as _, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut cases = Vec::new();
+        for _ in 0..24 {
+            let (rows, cols) = (rng.random_range(1usize..300), rng.random_range(1usize..40));
+            let bits = rng.random_range(1u32..=32);
+            let mask = u32::MAX >> (32 - bits);
+            let inputs: Vec<u32> = (0..rows * rng.random_range(1usize..5))
+                .map(|_| {
+                    if rng.random_range(0..4) == 0 {
+                        0
+                    } else {
+                        rng.random()
+                    }
+                })
+                .collect();
+            cases.push((
+                random_levels(rows, cols, &mut rng),
+                rows,
+                cols,
+                inputs,
+                mask,
+            ));
+        }
+        for rows in [4369, 4370] {
+            let mask = u32::from(u16::MAX);
+            cases.push((vec![15; rows * 3], rows, 3, vec![mask; rows * 2], mask));
+        }
+        for (levels, rows, cols, inputs, mask) in &cases {
+            let (rows, cols, mask) = (*rows, *cols, *mask);
+            let want: Vec<u64> = inputs
+                .chunks_exact(rows)
+                .flat_map(|x| {
+                    let x: Vec<u32> = x.iter().map(|&v| v & mask).collect();
+                    reference_mvm(levels, cols, &x)
+                })
+                .collect();
+            let wide = integrate::<u64>(levels, rows, cols, inputs, mask);
+            assert_eq!(wide, want, "{rows}x{cols}");
+            if fits_u32(rows, mask, 15) {
+                let narrow = integrate_u32::portable(levels, rows, cols, inputs, mask);
+                assert_eq!(narrow, want, "{rows}x{cols}");
+                let avx2 = integrate_u32::avx2(levels, rows, cols, inputs, mask);
+                assert_arms_agree(&narrow, avx2.as_ref());
+            }
+        }
+    }
+
+    /// Both arms of the untracked program pass store [`signed_level`] of
+    /// every signed level and count the level distances, across bit
+    /// groups, signs and more cells than one pulse block.
+    #[test]
+    fn program_pass_arms_agree() {
+        use crate::multiversion::assert_arms_agree;
+        use rand::{rngs::StdRng, RngExt as _, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(43);
+        for (cells, cell_bits, data_bits) in [
+            (1usize, 4u8, 16u32),
+            (777, 4, 16),
+            (70_000, 2, 8),
+            (300, 8, 32),
+        ] {
+            let max = cell::max_level(cell_bits);
+            let qmax = i32::MAX >> (32 - data_bits);
+            let q: Vec<i32> = (0..cells).map(|_| rng.random_range(-qmax..=qmax)).collect();
+            let old: Vec<u8> = (0..cells).map(|_| rng.random_range(0..=max)).collect();
+            for shift in (0..data_bits).step_by(usize::from(cell_bits)) {
+                for sign in [1, -1] {
+                    let targets: Vec<u8> = q
+                        .iter()
+                        .map(|&q| signed_level(q, shift, sign, max))
+                        .collect();
+                    let pulses: u64 = old
+                        .iter()
+                        .zip(&targets)
+                        .map(|(&a, &b)| u64::from(a.abs_diff(b)))
+                        .sum();
+                    let mut portable = old.clone();
+                    let p = program_pass::portable(&mut portable, &q, shift, sign, max);
+                    assert_eq!((p, &portable), (pulses, &targets));
+                    let mut avx2 = old.clone();
+                    let ran = program_pass::avx2(&mut avx2, &q, shift, sign, max);
+                    assert_arms_agree((p, portable), ran.map(|p| (p, avx2)));
+                }
             }
         }
     }

@@ -54,7 +54,74 @@ impl Default for ReramParams {
     }
 }
 
+/// The widest `data_bits` a crossbar takes: the Fig. 9(a) spike driver
+/// injects one time slot per data bit and has 32. Weights then round into
+/// `i32` (magnitudes up to `2^31 − 1`) and input phases into `u32`
+/// (magnitudes up to `2^31`).
+pub const MAX_DATA_BITS: u8 = 32;
+
+/// Why a [`ReramParams`]'s bit widths cannot configure a crossbar
+/// ([`ReramParams::check_bit_widths`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BitWidthError {
+    /// `cell_bits` lies outside `1..=8`.
+    CellBits(u8),
+    /// `data_bits` is 0 or not a whole number of cells.
+    Misaligned {
+        /// The rejected data width.
+        data_bits: u8,
+        /// The cell resolution it has to split into.
+        cell_bits: u8,
+    },
+    /// `data_bits` exceeds [`MAX_DATA_BITS`].
+    TooWide(u8),
+}
+
+impl core::fmt::Display for BitWidthError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match *self {
+            BitWidthError::CellBits(b) => write!(f, "cell resolution {b} bits must be in 1..=8"),
+            BitWidthError::Misaligned {
+                data_bits,
+                cell_bits,
+            } => write!(
+                f,
+                "data_bits = {data_bits} does not split into {cell_bits}-bit cell segment groups"
+            ),
+            BitWidthError::TooWide(b) => write!(
+                f,
+                "data_bits = {b} exceeds the {MAX_DATA_BITS}-slot spike-train limit"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for BitWidthError {}
+
 impl ReramParams {
+    /// Checks the bit widths every crossbar model divides by: `cell_bits`
+    /// in `1..=8`, and `data_bits` a positive multiple of it, at most
+    /// [`MAX_DATA_BITS`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated constraint, in that order.
+    pub fn check_bit_widths(&self) -> Result<(), BitWidthError> {
+        let (cell_bits, data_bits) = (self.cell_bits, self.data_bits);
+        if !(1..=8).contains(&cell_bits) {
+            Err(BitWidthError::CellBits(cell_bits))
+        } else if data_bits == 0 || !data_bits.is_multiple_of(cell_bits) {
+            Err(BitWidthError::Misaligned {
+                data_bits,
+                cell_bits,
+            })
+        } else if data_bits > MAX_DATA_BITS {
+            Err(BitWidthError::TooWide(data_bits))
+        } else {
+            Ok(())
+        }
+    }
+
     /// Segment groups per signed matrix: `data_bits / cell_bits` (4).
     pub fn bit_groups(&self) -> usize {
         (self.data_bits / self.cell_bits) as usize
@@ -138,6 +205,34 @@ impl EnergyCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bit_widths_have_one_rule() {
+        let with_bits = |cell_bits, data_bits| {
+            ReramParams {
+                cell_bits,
+                data_bits,
+                ..ReramParams::default()
+            }
+            .check_bit_widths()
+        };
+        for (cell, data) in [(1, 1), (4, 16), (8, 8), (4, 28), (1, 31), (4, 32), (8, 32)] {
+            assert_eq!(with_bits(cell, data), Ok(()), "{cell}/{data}");
+        }
+        for cell in [0, 9, 255] {
+            assert_eq!(with_bits(cell, 16), Err(BitWidthError::CellBits(cell)));
+        }
+        for (cell, data) in [(4, 0), (3, 16), (5, 16), (3, 40)] {
+            let misaligned = BitWidthError::Misaligned {
+                data_bits: data,
+                cell_bits: cell,
+            };
+            assert_eq!(with_bits(cell, data), Err(misaligned), "{cell}/{data}");
+        }
+        for (cell, data) in [(4, 36), (8, 40), (1, 33), (8, 248)] {
+            assert_eq!(with_bits(cell, data), Err(BitWidthError::TooWide(data)));
+        }
+    }
 
     #[test]
     fn defaults_match_paper_constants() {

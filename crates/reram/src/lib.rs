@@ -75,6 +75,7 @@ pub mod drift;
 pub mod energy;
 pub mod fault;
 pub mod integrate_fire;
+mod multiversion;
 pub mod noise;
 pub mod packed;
 pub mod partition;
@@ -90,9 +91,10 @@ pub use array_group::ReramMatrix;
 pub use crossbar::Crossbar;
 pub use device::DeviceModel;
 pub use drift::{DriftModel, DriftState};
-pub use energy::{EnergyCounter, ReramParams};
+pub use energy::{BitWidthError, EnergyCounter, ReramParams, MAX_DATA_BITS};
 pub use fault::{FaultKind, FaultMap, FaultModel, ProgramReport, UnrecoverableCell, VerifyPolicy};
 pub use integrate_fire::IntegrateFire;
+pub use multiversion::kernel_arm;
 pub use noise::{NoiseModel, NoiseState};
 pub use packed::{BitPlanes, PackedSpikes};
 pub use partition::tile_grid;
