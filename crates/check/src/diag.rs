@@ -173,6 +173,8 @@ pub const SHAPE_ZERO_OUTPUTS: &str = "PL005";
 pub const SHAPE_NO_WEIGHTED_LAYERS: &str = "PL006";
 /// Shape: an element, matrix, weight or operation count overflows `usize`.
 pub const SHAPE_OVERFLOW: &str = "PL007";
+/// Shape: a conv or pool layer follows an inner-product layer.
+pub const SHAPE_SPATIAL_AFTER_FC: &str = "PL008";
 
 /// Schedule: a buffer read hit overwritten data (undersized buffer).
 pub const SCHED_STALE_READ: &str = "PL010";
@@ -245,6 +247,10 @@ pub const CODE_TABLE: &[(&str, &str)] = &[
     ),
     (SHAPE_NO_WEIGHTED_LAYERS, "network has no weighted layers"),
     (SHAPE_OVERFLOW, "shape, weight or MAC count overflows usize"),
+    (
+        SHAPE_SPATIAL_AFTER_FC,
+        "conv or pool layer follows an inner-product layer",
+    ),
     (
         SCHED_STALE_READ,
         "inter-layer buffer read hits overwritten data (undersized buffer, Sec. 3.3)",

@@ -32,6 +32,11 @@ pub fn diagnostic(net: &NetSpec, err: &ShapeError) -> Diagnostic {
             "pooling is folded into the preceding weighted layer (Sec. 4.2.3); \
              put a conv or fc layer first",
         ),
+        ShapeError::SpatialAfterFc { .. } => (
+            diag::SHAPE_SPATIAL_AFTER_FC,
+            "put every conv and pool layer before the first fc layer; \
+             nothing turns an fc output back into a feature map",
+        ),
         ShapeError::NoWeightedLayers => (
             diag::SHAPE_NO_WEIGHTED_LAYERS,
             "add at least one conv or fc layer",
@@ -99,6 +104,34 @@ mod tests {
 
         let spec = NetSpec::new("bad", (1, 8, 8), vec![]);
         assert_eq!(diags(&spec)[0].code, diag::SHAPE_NO_WEIGHTED_LAYERS);
+    }
+
+    #[test]
+    fn rejects_spatial_layer_after_fc() {
+        // It used to resolve, and the float forward then panicked in the
+        // convolution kernel.
+        let spec = NetSpec::new(
+            "bad",
+            (1, 4, 4),
+            vec![LayerSpec::Fc { n_out: 4 }, conv(1, 2, 1, 0)],
+        );
+        let d = &diags(&spec)[0];
+        assert_eq!(
+            [d.code, &*d.location, &*d.message, &*d.help],
+            [
+                "PL008",
+                "bad: layer 1 (conv1x2)",
+                "convolution follows an inner-product layer",
+                "put every conv and pool layer before the first fc layer; \
+                 nothing turns an fc output back into a feature map",
+            ]
+        );
+        let spec = NetSpec::new(
+            "bad",
+            (1, 8, 8),
+            vec![conv(3, 4, 1, 0), LayerSpec::Fc { n_out: 4 }, pool(1, 1)],
+        );
+        assert_eq!(diags(&spec)[0].code, diag::SHAPE_SPATIAL_AFTER_FC);
     }
 
     #[test]

@@ -359,9 +359,10 @@ fn codes_table_matches_the_library() {
         .collect();
     assert_eq!(
         shape_codes,
-        ["PL001", "PL002", "PL003", "PL004", "PL005", "PL006", "PL007"]
+        ["PL001", "PL002", "PL003", "PL004", "PL005", "PL006", "PL007", "PL008"]
     );
     assert!(lines.contains(&"PL007  shape, weight or MAC count overflows usize"));
+    assert!(lines.contains(&"PL008  conv or pool layer follows an inner-product layer"));
 }
 
 #[test]

@@ -130,6 +130,15 @@ pub enum ShapeError {
         /// The layer.
         at: LayerAt,
     },
+    /// A convolution or pooling layer follows an inner-product layer: the
+    /// float network has no layer that turns a vector back into a
+    /// `[C, H, W]` map.
+    SpatialAfterFc {
+        /// The layer.
+        at: LayerAt,
+        /// `true` for a pooling layer, `false` for a convolution.
+        pool: bool,
+    },
     /// The network has no conv or inner-product layer to map.
     NoWeightedLayers,
     /// An element count, kernel-matrix size, weight count or operation
@@ -151,6 +160,7 @@ impl ShapeError {
             | ShapeError::ZeroOutputs { at, .. }
             | ShapeError::WindowTooBig { at, .. }
             | ShapeError::LeadingPool { at }
+            | ShapeError::SpatialAfterFc { at, .. }
             | ShapeError::Overflow { at: Some(at) } => format!("layer {} ({})", at.index, at.name),
         }
     }
@@ -191,6 +201,10 @@ impl core::fmt::Display for ShapeError {
                 }
             }
             ShapeError::LeadingPool { .. } => f.write_str("pooling precedes every weighted layer"),
+            ShapeError::SpatialAfterFc { pool, .. } => {
+                let what = if *pool { "pooling" } else { "convolution" };
+                write!(f, "{what} follows an inner-product layer")
+            }
             ShapeError::NoWeightedLayers => {
                 f.write_str("no weighted layers: nothing to map onto crossbars")
             }
@@ -313,6 +327,13 @@ impl NetSpec {
                 }
                 LayerSpec::Pool { .. } if out.is_empty() => {
                     return Err(ShapeError::LeadingPool { at })
+                }
+                // Every weighted layer after the first FC is an FC layer.
+                LayerSpec::Pool { .. } | LayerSpec::Conv { .. }
+                    if out.last().is_some_and(|l| !l.is_conv) =>
+                {
+                    let pool = matches!(spec, LayerSpec::Pool { .. });
+                    return Err(ShapeError::SpatialAfterFc { at, pool });
                 }
                 LayerSpec::Pool { k, stride, .. } => (k, stride, 0, None),
                 LayerSpec::Conv {
@@ -672,6 +693,38 @@ mod tests {
         // 4·MACs must fit too, for `ResolvedLayer::ops_backward`.
         let ops = NetSpec::new("ops", (1, 1, 1), vec![LayerSpec::Fc { n_out: 1 << 62 }]);
         assert_eq!(overflow_at(&ops), Some(0));
+    }
+
+    #[test]
+    fn rejects_spatial_layers_after_fc() {
+        let fc = LayerSpec::Fc { n_out: 4 };
+        let conv = LayerSpec::Conv {
+            k: 1,
+            c_out: 2,
+            stride: 1,
+            pad: 0,
+        };
+        let pool = LayerSpec::Pool {
+            k: 1,
+            stride: 1,
+            kind: PoolKind::Max,
+        };
+        let after_fc = |layers: Vec<LayerSpec>| NetSpec::new("s", (1, 4, 4), layers).try_resolve();
+        let err = after_fc(vec![fc, conv]).unwrap_err();
+        let at = LayerAt {
+            index: 1,
+            name: "conv1x2".into(),
+        };
+        assert_eq!(err, ShapeError::SpatialAfterFc { at, pool: false });
+        assert_eq!(err.site(), "layer 1 (conv1x2)");
+        assert_eq!(
+            err.to_string(),
+            "convolution follows an inner-product layer"
+        );
+        let err = after_fc(vec![conv, fc, fc, pool]).unwrap_err();
+        assert_eq!(err.to_string(), "pooling follows an inner-product layer");
+        assert!(matches!(err, ShapeError::SpatialAfterFc { pool: true, .. }));
+        assert!(after_fc(vec![conv, pool, fc, fc]).is_ok());
     }
 
     #[test]

@@ -129,6 +129,9 @@ impl Crossbar {
         self.array.get_mut().device.attach(model, seed);
         if !model.noise.is_ideal() {
             self.read_epoch = 0;
+            // The new noise state restarts every device epoch at 0, so no
+            // memoized stage keyed on the old epochs may be served.
+            self.read_cache = None;
         }
     }
 
@@ -343,8 +346,9 @@ impl Crossbar {
     /// Every cell's [`effective_level`](Self::effective_level), row-major,
     /// through the staged read path: the stored levels in place on a
     /// transparent array; otherwise the read stage (the cached one while
-    /// the array's generation is unchanged, a fresh one else) with read
-    /// noise drawn for its undecided cells.
+    /// the array's generation is unchanged, else a fresh one that reuses
+    /// a copy of the cached per-cell memo) with read noise drawn for its
+    /// undecided cells.
     pub(crate) fn effective_levels(&self) -> Cow<'_, [u8]> {
         let a = &*self.array;
         if a.device.is_transparent() {
@@ -360,8 +364,11 @@ impl Crossbar {
                     Cow::Owned(stage.levels_at(&a.device, cols, max, epoch))
                 }
             }
-            _ => {
-                let mut stage = ReadStage::default();
+            stale => {
+                let mut stage = ReadStage {
+                    memo: stale.as_ref().map_or_else(Vec::new, |s| s.memo.clone()),
+                    ..ReadStage::default()
+                };
                 stage.restage(a, generation, cols, max);
                 Cow::Owned(stage.levels_at(&a.device, cols, max, epoch))
             }
@@ -804,10 +811,45 @@ struct ReadStage {
     levels: Vec<u8>,
     /// The cells whose level the read-noise draw decides, row-major.
     undecided: Vec<Undecided>,
+    /// Under a noise state, each cell's noise stage with the key it was
+    /// staged at, row-major: a restage reruns [`NoiseState::stage`] only
+    /// where the key moved. Empty before the first restage with noise;
+    /// dropped with the whole stage when the noise state is replaced.
+    memo: Vec<StagedCell>,
+}
+
+/// One cell's [`NoiseState::stage`], keyed on everything of the cell it
+/// reads: the cell's device epoch and its fault/drift-resolved base level.
+/// Its position and the noise state are fixed for the memo's lifetime.
+#[derive(Debug, Clone, Copy)]
+struct StagedCell {
+    epoch: u64,
+    /// Read-invariant conductance; unused where `lo == hi`.
+    g: f64,
+    base: u8,
+    /// The levels the read-noise draw can reach, `lo..=hi`.
+    lo: u8,
+    hi: u8,
+}
+
+impl StagedCell {
+    fn new(epoch: u64, base: u8, staged: StagedRead) -> Self {
+        let (g, lo, hi) = match staged {
+            StagedRead::Fixed(level) => (0.0, level, level),
+            StagedRead::Noisy { g, lo, hi } => (g, lo, hi),
+        };
+        StagedCell {
+            epoch,
+            g,
+            base,
+            lo,
+            hi,
+        }
+    }
 }
 
 /// A cell whose read level depends on the read-noise draw.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Undecided {
     /// Row-major cell index.
     cell: usize,
@@ -817,24 +859,39 @@ struct Undecided {
 
 impl ReadStage {
     /// Stages every cell of `array` (row-major, `cols` wide) at
-    /// `generation`, reusing this stage's buffers.
+    /// `generation`, reusing this stage's buffers and, under noise, the
+    /// memoized noise stage of every cell whose key has not moved.
     fn restage(&mut self, array: &Array, generation: u64, cols: usize, max_level: u8) {
         self.generation = generation;
         self.levels.clear();
         self.undecided.clear();
+        let (device, noise) = (&array.device, array.device.noise());
         for (r, row) in array.cells.chunks_exact(cols).enumerate() {
             for (c, &stored) in row.iter().enumerate() {
-                let level = match array.device.stage(r, c, stored, max_level) {
-                    StagedRead::Fixed(level) => level,
-                    // Every draw lands in `lo..=hi`: none can move it.
-                    StagedRead::Noisy { lo, hi, .. } if lo == hi => lo,
-                    StagedRead::Noisy { g, .. } => {
-                        self.undecided.push(Undecided {
-                            cell: r * cols + c,
-                            g,
-                        });
-                        0
+                let base = device.base_level(r, c, stored, max_level);
+                let Some(noise) = noise else {
+                    self.levels.push(base);
+                    continue;
+                };
+                let (cell, epoch) = (r * cols + c, noise.device_epoch(r, c));
+                let staged = match self.memo.get_mut(cell) {
+                    Some(m) if m.epoch == epoch && m.base == base => *m,
+                    slot => {
+                        let m = StagedCell::new(epoch, base, noise.stage(r, c, base, max_level));
+                        match slot {
+                            Some(slot) => *slot = m,
+                            None => self.memo.push(m),
+                        }
+                        m
                     }
+                };
+                // Every draw lands in `lo..=hi`: where they meet, none can
+                // move the level.
+                let level = if staged.lo == staged.hi {
+                    staged.lo
+                } else {
+                    self.undecided.push(Undecided { cell, g: staged.g });
+                    0
                 };
                 self.levels.push(level);
             }
@@ -1707,6 +1764,57 @@ mod tests {
         assert!(Crossbar::new(2, 2, 4).mvm_spiked_batch(&[], 8).is_empty());
     }
 
+    /// The memoized stage of `x`'s current generation against one staged
+    /// from scratch (an empty memo): the same levels and the same
+    /// undecided cells with bitwise-equal conductances. A transparent
+    /// array has no stage to compare.
+    fn memo_matches_scratch(x: &mut Crossbar) -> Result<(), proptest::test_runner::TestCaseError> {
+        let (cols, max) = (x.cols, x.max_level());
+        let Some(memoized) = current_stage(&x.array, &mut x.read_cache, cols, max).cloned() else {
+            return Ok(());
+        };
+        let mut scratch = ReadStage::default();
+        scratch.restage(&x.array, x.array.generation(), cols, max);
+        prop_assert_eq!(&memoized.levels, &scratch.levels);
+        let bits = |s: &ReadStage| -> Vec<(usize, u64)> {
+            s.undecided
+                .iter()
+                .map(|u| (u.cell, u.g.to_bits()))
+                .collect()
+        };
+        prop_assert_eq!(bits(&memoized), bits(&scratch));
+        Ok(())
+    }
+
+    /// A noise attach replaces the noise state, whose device epochs restart
+    /// at 0: a memo kept across it would serve the old seed's conductances
+    /// to every cell not rewritten since (their keys still match).
+    #[test]
+    fn noise_attach_after_a_read_drops_the_memo() {
+        use crate::noise::NoiseModel;
+        let noise = NoiseModel {
+            read_sigma: 0.05,
+            ..NoiseModel::with_strength(2.0)
+        };
+        let (rows, cols) = (6, 5);
+        let levels: Vec<u8> = (0..rows * cols).map(|i| (i * 7 % 16) as u8).collect();
+        let input: Vec<u32> = (0..rows).map(|i| 1 + i as u32 * 3).collect();
+        let mut xbar = Crossbar::new(rows, cols, 4);
+        xbar.program(&levels);
+        xbar.attach(&DeviceModel::ideal().with_noise(noise), 1);
+        xbar.mvm_spiked(&input, 8);
+        for seed in 2..6 {
+            xbar.attach(&DeviceModel::ideal().with_noise(noise), seed);
+            let mut reference = xbar.clone();
+            assert_eq!(
+                xbar.mvm_spiked(&input, 8),
+                reference.mvm_spiked_scalar(&input, 8),
+                "seed {seed}"
+            );
+            assert_eq!(*xbar.effective_levels(), *reference.effective_levels());
+        }
+    }
+
     #[test]
     fn wear_exhaustion_raises_live_dead_faults() {
         use crate::wear::WearModel;
@@ -2009,6 +2117,100 @@ mod tests {
                 prop_assert_eq!(got, spec_read(&m));
                 m.write(&weights(&mut rng));
                 m.advance_cycles(300);
+            }
+        }
+
+        /// Differential pin of the per-cell stage memo: over random
+        /// sequences of writes, verified writes, clock advances, fault-map
+        /// swaps, checkpoint restores, scrubs, spare remaps and noise
+        /// re-attaches with a new seed, under fault, drift (with disturb),
+        /// noise and wear models alone and combined, every step's memoized
+        /// stage equals one staged from scratch and the GEMM MVM (single
+        /// and batched) equals the scalar reference bit for bit.
+        #[test]
+        fn memoized_stage_matches_a_scratch_stage(
+            rows in 1usize..12,
+            cols in 1usize..6,
+            arm in 0usize..8,
+            steps in 1usize..16,
+            seed in 0u64..1000,
+        ) {
+            use crate::drift::DriftModel;
+            use crate::fault::FaultModel;
+            use crate::noise::NoiseModel;
+            use crate::wear::WearModel;
+            use rand::{rngs::StdRng, RngExt as _, SeedableRng};
+            let faults = FaultModel::with_stuck_rate(0.1);
+            let drift = DriftModel { nu: 0.2, nu_sigma: 0.15, t0_cycles: 30, disturb_per_level: 60 };
+            let noise = NoiseModel { read_sigma: 0.03, ..NoiseModel::with_strength(2.0) };
+            let wear = WearModel::with_endurance(40.0);
+            let ideal = DeviceModel::ideal();
+            let device = match arm {
+                0 => ideal.with_faults(faults),
+                1 => ideal.with_drift(drift),
+                2 => ideal.with_noise(noise),
+                3 => ideal.with_wear(wear),
+                4 => ideal.with_noise(noise).with_faults(faults),
+                5 => ideal.with_noise(noise).with_drift(drift),
+                6 => ideal.with_noise(noise).with_wear(wear),
+                _ => ideal.with_noise(noise).with_faults(faults).with_drift(drift).with_wear(wear),
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut xbar = Crossbar::new(rows, cols, 4);
+            xbar.program(&random_levels(rows, cols, &mut rng));
+            xbar.attach(&device, seed);
+            let policy = VerifyPolicy { max_attempts: 3, write_sigma: 0.6 };
+            for step in 0..steps {
+                let op = rng.random_range(0u8..9);
+                // Rewrite about a third of the cells, keep the rest.
+                let mut levels = xbar.stored_levels();
+                for level in levels.iter_mut() {
+                    if rng.random_range(0..3) == 0 {
+                        *level = rng.random_range(0u8..16);
+                    }
+                }
+                match op {
+                    0 => {
+                        xbar.program(&levels);
+                    }
+                    1 => {
+                        xbar.program_verify(&levels, &policy, &mut rng);
+                    }
+                    2 => xbar.advance_cycles(rng.random_range(0u64..80)),
+                    3 => {
+                        let fm = FaultModel::with_stuck_rate(rng.random_range(0.0f64..0.3));
+                        xbar.set_faults(FaultMap::generate(rows, cols, &fm, seed + step as u64));
+                    }
+                    4 => {
+                        xbar.restore_levels(&levels);
+                    }
+                    5 => {
+                        let start = rng.random_range(0..rows);
+                        xbar.scrub_rows(start, rng.random_range(1..=rows), &policy, &mut rng);
+                    }
+                    6 => {
+                        xbar.reprogram_col_from_spare(rng.random_range(0..cols), &policy, &mut rng);
+                    }
+                    7 => {
+                        let strength = rng.random_range(0.5f64..6.0);
+                        let noise = NoiseModel { read_sigma: 0.03, ..NoiseModel::with_strength(strength) };
+                        xbar.attach(&ideal.with_noise(noise), seed + 1 + step as u64);
+                    }
+                    _ => {}
+                }
+                memo_matches_scratch(&mut xbar)?;
+                let inputs: Vec<u32> = (0..2 * rows).map(|_| rng.random_range(0u32..256)).collect();
+                let mut reference = xbar.clone();
+                let x = &inputs[..rows];
+                prop_assert_eq!(xbar.mvm_spiked(x, 8), reference.mvm_spiked_scalar(x, 8), "op {} at step {}", op, step);
+                memo_matches_scratch(&mut xbar)?;
+                let want: Vec<u64> = inputs
+                    .chunks_exact(rows)
+                    .flat_map(|x| reference.mvm_spiked_scalar(x, 8))
+                    .collect();
+                prop_assert_eq!(xbar.mvm_spiked_batch(&inputs, 8), want);
+                prop_assert_eq!(xbar.spike_counters(), reference.spike_counters());
+                prop_assert_eq!(xbar.effective_levels().into_owned(), reference.effective_levels().into_owned());
             }
         }
 

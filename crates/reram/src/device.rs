@@ -10,12 +10,15 @@
 //! per-cell state in one `DeviceStack`, which composes the components in
 //! exactly one place, `DeviceStack::resolve`: a fault pins the level,
 //! otherwise drift and disturb skew it, and analog noise applies on top.
-//! `DeviceStack::stage` is the same composition stopped before the
-//! read-noise draw, for the crossbar's cached read path.
+//! The crossbar's cached read path takes `DeviceStack::base_level` (the
+//! level under the noise) and stages it through the noise state, per cell,
+//! only where the cell's base level or device epoch moved.
 
 use crate::drift::{DriftModel, DriftState};
 use crate::fault::{FaultKind, FaultMap, FaultModel};
-use crate::noise::{NoiseModel, NoiseState, StagedRead};
+#[cfg(test)]
+use crate::noise::StagedRead;
+use crate::noise::{NoiseModel, NoiseState};
 use crate::wear::{WearModel, WearState};
 
 /// The device non-idealities of one array, one field per mechanism.
@@ -198,21 +201,11 @@ impl DeviceStack {
         }
     }
 
-    /// [`resolve`](Self::resolve) up to the read-noise draw, which is all
-    /// of it that stays the same between writes.
-    #[inline]
-    pub fn stage(&self, row: usize, col: usize, stored: u8, max_level: u8) -> StagedRead {
-        let base = self.base_level(row, col, stored, max_level);
-        match self.noise.as_ref() {
-            Some(n) => n.stage(row, col, base, max_level),
-            None => StagedRead::Fixed(base),
-        }
-    }
-
     /// The level under the analog noise: the fault's pinned level, else
-    /// the drifted and disturbed one.
+    /// the drifted and disturbed one. The crossbar's read stage runs it
+    /// for every cell and stages the result through the noise state.
     #[inline]
-    fn base_level(&self, row: usize, col: usize, stored: u8, max_level: u8) -> u8 {
+    pub fn base_level(&self, row: usize, col: usize, stored: u8, max_level: u8) -> u8 {
         match self.fault(row, col) {
             Some(kind) => kind.effective_level(max_level),
             None => match self.drift.as_ref() {
@@ -304,6 +297,20 @@ impl DeviceStack {
         self.wear
             .as_ref()
             .map_or(u64::MAX, |w| w.row_min_remaining(row))
+    }
+}
+
+#[cfg(test)]
+impl DeviceStack {
+    /// [`resolve`](Self::resolve) up to the read-noise draw, which is all
+    /// of it that stays the same between writes: the from-scratch stage the
+    /// crossbar's memoized read stage must equal.
+    pub fn stage(&self, row: usize, col: usize, stored: u8, max_level: u8) -> StagedRead {
+        let base = self.base_level(row, col, stored, max_level);
+        match self.noise.as_ref() {
+            Some(n) => n.stage(row, col, base, max_level),
+            None => StagedRead::Fixed(base),
+        }
     }
 }
 

@@ -14,7 +14,11 @@
 //!   per-cell exponent ν is drawn once per programming generation from
 //!   `N(ν, ν_σ²)` (clamped at 0) via the documented
 //!   [`seedstream`](crate::seedstream) scheme, so slow and fast cells are
-//!   stable, reproducible identities.
+//!   stable, reproducible identities. The draw is lazy: it happens at the
+//!   first clock advance that could carry the cell past the knee, for the
+//!   generation the cell then has, so a cell rewritten before it ages
+//!   never draws the exponents of its earlier generations. A read below
+//!   the knee never consults ν, so every read is that of an eager draw.
 //! * **Read disturb** — every spike slot that drives a word line nudges
 //!   that row's cells toward SET (upward). After `disturb_per_level`
 //!   accumulated slot-reads a cell reads one level *high*, two levels
@@ -82,6 +86,12 @@ impl Default for DriftModel {
 /// and its generation-specific drift exponent. Read disturb is tracked
 /// per word line as a monotone counter with a per-cell mark taken at
 /// program time, so an MVM costs O(rows) bookkeeping, not O(rows·cols).
+///
+/// A cell's exponent is drawn lazily: programming only queues the cell,
+/// and [`advance`](Self::advance) draws every queued exponent (for the
+/// cell's generation at that time) before any queued cell can age past
+/// `t0_cycles`. Until then a read cannot reach the exponent, so every read
+/// is that of a state that drew it at program time.
 #[derive(Debug, Clone)]
 pub struct DriftState {
     model: DriftModel,
@@ -90,7 +100,13 @@ pub struct DriftState {
     now: u64,
     programmed_at: Vec<u64>,
     generation: Vec<u64>,
+    /// The drawn exponent per cell; `NaN` while the cell is queued in
+    /// `pending`.
     nu_cell: Vec<f64>,
+    /// Row-major indices of the cells whose exponent is not drawn yet.
+    pending: Vec<usize>,
+    /// The cycle the first cell of `pending` was queued at.
+    pending_since: u64,
     row_reads: Vec<u64>,
     read_mark: Vec<u64>,
 }
@@ -101,12 +117,6 @@ impl DriftState {
     /// [`seedstream::crossbar_seed`].
     pub fn new(rows: usize, cols: usize, model: DriftModel, seed: u64) -> Self {
         let n = rows * cols;
-        let mut nu_cell = vec![0.0; n];
-        for row in 0..rows {
-            for col in 0..cols {
-                nu_cell[row * cols + col] = cell_nu(&model, seed, row, col, 0);
-            }
-        }
         DriftState {
             model,
             seed,
@@ -114,7 +124,9 @@ impl DriftState {
             now: 0,
             programmed_at: vec![0; n],
             generation: vec![0; n],
-            nu_cell,
+            nu_cell: vec![f64::NAN; n],
+            pending: (0..n).collect(),
+            pending_since: 0,
             row_reads: vec![0; rows],
             read_mark: vec![0; n],
         }
@@ -129,9 +141,19 @@ impl DriftState {
         self.now
     }
 
-    /// Advance the logical clock (one processed image = one cycle).
+    /// Advance the logical clock (one processed image = one cycle). Once a
+    /// queued cell could be older than `t0_cycles`, every queued exponent
+    /// is drawn.
     pub fn advance(&mut self, cycles: u64) {
         self.now = self.now.saturating_add(cycles);
+        let oldest = self.now.saturating_sub(self.pending_since);
+        if !self.pending.is_empty() && oldest > self.model.t0_cycles {
+            for idx in self.pending.drain(..) {
+                let (row, col) = (idx / self.cols, idx % self.cols);
+                let nu = cell_nu(&self.model, self.seed, row, col, self.generation[idx]);
+                self.nu_cell[idx] = nu;
+            }
+        }
     }
 
     /// Record `slots` spike-slot accesses on word line `row`.
@@ -143,7 +165,8 @@ impl DriftState {
 
     /// Record that the cell was physically re-programmed *now*: its age
     /// and disturb restart and its drift exponent is redrawn for the new
-    /// generation. Call only when a write actually issued pulses.
+    /// generation (queued, see [`DriftState`]). Call only when a write
+    /// actually issued pulses.
     pub fn note_program(&mut self, row: usize, col: usize) {
         let idx = row * self.cols + col;
         if idx >= self.programmed_at.len() {
@@ -152,7 +175,22 @@ impl DriftState {
         self.programmed_at[idx] = self.now;
         self.read_mark[idx] = self.row_reads[row];
         self.generation[idx] = self.generation[idx].wrapping_add(1);
-        self.nu_cell[idx] = cell_nu(&self.model, self.seed, row, col, self.generation[idx]);
+        if !self.nu_cell[idx].is_nan() {
+            if self.pending.is_empty() {
+                self.pending_since = self.now;
+            }
+            self.nu_cell[idx] = f64::NAN;
+            self.pending.push(idx);
+        }
+    }
+
+    /// The drift exponent of the cell's current programming generation,
+    /// drawn or not; `None` outside the array.
+    #[cfg(test)]
+    fn nu(&self, row: usize, col: usize) -> Option<f64> {
+        let idx = row * self.cols + col;
+        let generation = *self.generation.get(idx)?;
+        Some(cell_nu(&self.model, self.seed, row, col, generation))
     }
 
     /// The level a read sees *now* for a cell whose stored (programmed)
@@ -163,6 +201,8 @@ impl DriftState {
             return stored;
         }
         let mut lv = i64::from(stored);
+        // A queued cell is no older than `t0_cycles`, so its `NaN` never
+        // reaches the power law.
         let nu = self.nu_cell[idx];
         let age = self.now.saturating_sub(self.programmed_at[idx]);
         if nu > 0.0 && age > self.model.t0_cycles && stored > 0 {
@@ -201,6 +241,129 @@ fn cell_nu(model: &DriftModel, seed: u64, row: usize, col: usize, generation: u6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The eager state the lazy one must match read for read: every
+    /// exponent drawn the moment its cell is programmed.
+    struct EagerDrift {
+        model: DriftModel,
+        seed: u64,
+        cols: usize,
+        now: u64,
+        programmed_at: Vec<u64>,
+        generation: Vec<u64>,
+        nu_cell: Vec<f64>,
+        row_reads: Vec<u64>,
+        read_mark: Vec<u64>,
+    }
+
+    impl EagerDrift {
+        fn new(rows: usize, cols: usize, model: DriftModel, seed: u64) -> Self {
+            let n = rows * cols;
+            let nu_cell = (0..n)
+                .map(|i| cell_nu(&model, seed, i / cols, i % cols, 0))
+                .collect();
+            EagerDrift {
+                model,
+                seed,
+                cols,
+                now: 0,
+                programmed_at: vec![0; n],
+                generation: vec![0; n],
+                nu_cell,
+                row_reads: vec![0; rows],
+                read_mark: vec![0; n],
+            }
+        }
+
+        fn advance(&mut self, cycles: u64) {
+            self.now = self.now.saturating_add(cycles);
+        }
+
+        fn note_row_reads(&mut self, row: usize, slots: u64) {
+            self.row_reads[row] = self.row_reads[row].saturating_add(slots);
+        }
+
+        fn note_program(&mut self, row: usize, col: usize) {
+            let idx = row * self.cols + col;
+            self.programmed_at[idx] = self.now;
+            self.read_mark[idx] = self.row_reads[row];
+            self.generation[idx] = self.generation[idx].wrapping_add(1);
+            self.nu_cell[idx] = cell_nu(&self.model, self.seed, row, col, self.generation[idx]);
+        }
+
+        fn effective_level(&self, row: usize, col: usize, stored: u8, max_level: u8) -> u8 {
+            let idx = row * self.cols + col;
+            let mut lv = i64::from(stored);
+            let nu = self.nu_cell[idx];
+            let age = self.now.saturating_sub(self.programmed_at[idx]);
+            if nu > 0.0 && age > self.model.t0_cycles && stored > 0 {
+                let t0 = self.model.t0_cycles.max(1) as f64;
+                let factor = (age as f64 / t0).powf(-nu);
+                lv = (f64::from(stored) * factor).round() as i64;
+            }
+            let seen = self.row_reads[row].saturating_sub(self.read_mark[idx]);
+            if let Some(bumps) = seen.checked_div(self.model.disturb_per_level) {
+                lv = lv.saturating_add(i64::try_from(bumps).unwrap_or(i64::MAX));
+            }
+            let lv = lv.clamp(0, i64::from(max_level));
+            u8::try_from(lv).unwrap_or(max_level)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Lazily drawn exponents read exactly like eagerly drawn ones:
+        /// over random program / advance / disturb sequences, around knees
+        /// from 0 to 60 cycles, every cell's `effective_level` and
+        /// `is_degraded` at every stored level equal the eager oracle's.
+        #[test]
+        fn lazy_nu_reads_like_eager_nu(
+            rows in 1usize..6,
+            cols in 1usize..6,
+            t0 in 0u64..60,
+            nu_sigma in 0.0f64..0.3,
+            disturb in 0u64..3,
+            steps in 1usize..40,
+            seed in 0u64..1000,
+        ) {
+            use rand::{rngs::StdRng, RngExt as _, SeedableRng};
+            let model = DriftModel { nu: 0.3, nu_sigma, t0_cycles: t0, disturb_per_level: disturb * 25 };
+            let mut lazy = DriftState::new(rows, cols, model, seed);
+            let mut eager = EagerDrift::new(rows, cols, model, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..steps {
+                match rng.random_range(0..4) {
+                    0 | 1 => {
+                        for _ in 0..rng.random_range(1..=rows * cols) {
+                            let (r, c) = (rng.random_range(0..rows), rng.random_range(0..cols));
+                            lazy.note_program(r, c);
+                            eager.note_program(r, c);
+                        }
+                    }
+                    2 => {
+                        let cycles = rng.random_range(0..=2 * t0 + 2);
+                        lazy.advance(cycles);
+                        eager.advance(cycles);
+                    }
+                    _ => {
+                        let (r, slots) = (rng.random_range(0..rows), rng.random_range(0u64..40));
+                        lazy.note_row_reads(r, slots);
+                        eager.note_row_reads(r, slots);
+                    }
+                }
+                for (r, c) in (0..rows).flat_map(|r| (0..cols).map(move |c| (r, c))) {
+                    for stored in 0..=15u8 {
+                        let want = eager.effective_level(r, c, stored, 15);
+                        prop_assert_eq!(lazy.effective_level(r, c, stored, 15), want);
+                        prop_assert_eq!(lazy.is_degraded(r, c, stored, 15), want != stored);
+                    }
+                    prop_assert_eq!(lazy.nu(r, c), Some(eager.nu_cell[r * cols + c]));
+                }
+            }
+        }
+    }
 
     fn model() -> DriftModel {
         DriftModel {
@@ -277,14 +440,23 @@ mod tests {
             ..model()
         };
         let mut s = DriftState::new(2, 2, spread, 7);
-        let nu0 = s.nu_cell[0];
+        let nu0 = s.nu(0, 0).unwrap();
         s.note_program(0, 0);
-        let nu1 = s.nu_cell[0];
+        let nu1 = s.nu(0, 0).unwrap();
         assert_ne!(nu0, nu1, "new generation, new exponent");
         // And the draw is pinned by the seed scheme: rebuilding from the
-        // same seed reproduces it.
+        // same seed reproduces it, and it is the generation's own draw.
         let s2 = DriftState::new(2, 2, spread, 7);
-        assert_eq!(nu0, s2.nu_cell[0]);
+        assert_eq!(nu0, s2.nu(0, 0).unwrap());
+        assert_eq!(
+            nu0,
+            (0.1 + 0.05 * seedstream::cell_gauss(7, 0, 0, 0)).max(0.0)
+        );
+        assert_eq!(
+            nu1,
+            (0.1 + 0.05 * seedstream::cell_gauss(7, 0, 0, 1)).max(0.0)
+        );
+        assert_eq!(s.nu(2, 0), None);
     }
 
     #[test]

@@ -32,11 +32,16 @@
 //!
 //! A read splits into two stages. The device deviate changes only when
 //! the cell is written and the IR attenuation never does, so the
-//! conductance they give is read-invariant. Only the read-noise draw and the quantizer
-//! run per read. The read epoch is not part of [`NoiseState`]: the
-//! crossbar counts its own array reads and passes the count in, so a read
-//! that only advances the epoch changes no device state. A cell whose
-//! level is the same with the read-noise deviate at either end of
+//! conductance they give is read-invariant. Only the read-noise draw and
+//! the quantizer run per read. `NoiseState::stage` is a pure function of
+//! the cell, its base level and its device epoch, so the crossbar
+//! memoizes it per cell and restages only the cells whose level or epoch
+//! moved. The device- and read-domain stream seeds are derived once, when
+//! the state is built, not per draw. The read epoch is not part of
+//! [`NoiseState`]: the crossbar counts its own array reads and passes the
+//! count in, so a read that only advances the epoch changes no device
+//! state. A cell whose level is the same with the read-noise deviate at
+//! either end of
 //! [`GAUSS_BOUND`](seedstream::GAUSS_BOUND) presents that level on every
 //! read: `g + σ·z`, the window scaling, `round` and the clamp are all
 //! monotone in `z`. The crossbar caches such cells' levels and draws read
@@ -190,12 +195,42 @@ impl NoiseModel {
         device_epoch: u64,
         read_epoch: u64,
     ) -> u8 {
+        let seeds = DomainSeeds::new(seed);
+        self.perturb_seeded(
+            level,
+            max_level,
+            row,
+            col,
+            rows,
+            cols,
+            &seeds,
+            device_epoch,
+            read_epoch,
+        )
+    }
+
+    /// [`perturb_level`](Self::perturb_level) under the stream seeds its
+    /// crossbar-qualified seed derives.
+    #[allow(clippy::too_many_arguments)]
+    fn perturb_seeded(
+        &self,
+        level: u8,
+        max_level: u8,
+        row: usize,
+        col: usize,
+        rows: usize,
+        cols: usize,
+        seeds: &DomainSeeds,
+        device_epoch: u64,
+        read_epoch: u64,
+    ) -> u8 {
         if self.is_ideal() {
             return level;
         }
-        let g = self.device_conductance(level, max_level, row, col, rows, cols, seed, device_epoch);
+        let g =
+            self.device_conductance(level, max_level, row, col, rows, cols, seeds, device_epoch);
         let z = if self.read_sigma > 0.0 {
-            read_gauss(seed, row, col, read_epoch)
+            seeds.read_gauss(row, col, read_epoch)
         } else {
             0.0
         };
@@ -214,18 +249,13 @@ impl NoiseModel {
         col: usize,
         rows: usize,
         cols: usize,
-        seed: u64,
+        seeds: &DomainSeeds,
         device_epoch: u64,
     ) -> f64 {
         let mut g = self.conductance(level, max_level);
         let sigma = self.device_sigma(level, max_level);
         if sigma > 0.0 {
-            let z = seedstream::cell_gauss(
-                seedstream::crossbar_seed(seed, DEVICE_DOMAIN),
-                row,
-                col,
-                device_epoch,
-            );
+            let z = seedstream::cell_gauss(seeds.device, row, col, device_epoch);
             g *= (sigma * z).exp();
         }
         g * self.ir_attenuation(row, col, rows, cols)
@@ -323,15 +353,26 @@ fn virtual_cell(i: usize) -> (usize, usize) {
     )
 }
 
-/// The read-noise deviate of `(row, col)` at `read_epoch` under the
-/// crossbar-qualified `seed`.
-fn read_gauss(seed: u64, row: usize, col: usize, read_epoch: u64) -> f64 {
-    seedstream::cell_gauss(
-        seedstream::crossbar_seed(seed, READ_DOMAIN),
-        row,
-        col,
-        read_epoch,
-    )
+/// The device-deviate and read-noise stream seeds of one crossbar-qualified
+/// seed, derived once rather than on every draw.
+#[derive(Debug, Clone, Copy)]
+struct DomainSeeds {
+    device: u64,
+    read: u64,
+}
+
+impl DomainSeeds {
+    fn new(seed: u64) -> Self {
+        DomainSeeds {
+            device: seedstream::crossbar_seed(seed, DEVICE_DOMAIN),
+            read: seedstream::crossbar_seed(seed, READ_DOMAIN),
+        }
+    }
+
+    /// The read-noise deviate of `(row, col)` at `read_epoch`.
+    fn read_gauss(&self, row: usize, col: usize, read_epoch: u64) -> f64 {
+        seedstream::cell_gauss(self.read, row, col, read_epoch)
+    }
 }
 
 /// One cell's read split at the read-noise draw: what
@@ -356,7 +397,7 @@ pub(crate) enum StagedRead {
 #[derive(Debug, Clone)]
 pub struct NoiseState {
     model: NoiseModel,
-    seed: u64,
+    seeds: DomainSeeds,
     rows: usize,
     cols: usize,
     generation: Vec<u64>,
@@ -368,7 +409,7 @@ impl NoiseState {
     pub fn new(rows: usize, cols: usize, model: NoiseModel, seed: u64) -> Self {
         NoiseState {
             model,
-            seed,
+            seeds: DomainSeeds::new(seed),
             rows,
             cols,
             generation: vec![0; rows * cols],
@@ -399,17 +440,14 @@ impl NoiseState {
         max_level: u8,
         read_epoch: u64,
     ) -> u8 {
-        if self.model.is_ideal() {
-            return stored;
-        }
-        self.model.perturb_level(
+        self.model.perturb_seeded(
             stored,
             max_level,
             row,
             col,
             self.rows,
             self.cols,
-            self.seed,
+            &self.seeds,
             self.device_epoch(row, col),
             read_epoch,
         )
@@ -423,9 +461,9 @@ impl NoiseState {
         if m.is_ideal() {
             return StagedRead::Fixed(stored);
         }
-        let (rows, cols, seed) = (self.rows, self.cols, self.seed);
+        let (rows, cols, seeds) = (self.rows, self.cols, &self.seeds);
         let epoch = self.device_epoch(row, col);
-        let g = m.device_conductance(stored, max_level, row, col, rows, cols, seed, epoch);
+        let g = m.device_conductance(stored, max_level, row, col, rows, cols, seeds, epoch);
         if m.read_sigma > 0.0 {
             let lo = m.read_level(g, -seedstream::GAUSS_BOUND, max_level);
             let hi = m.read_level(g, seedstream::GAUSS_BOUND, max_level);
@@ -446,12 +484,13 @@ impl NoiseState {
         max_level: u8,
         read_epoch: u64,
     ) -> u8 {
-        let z = read_gauss(self.seed, row, col, read_epoch);
+        let z = self.seeds.read_gauss(row, col, read_epoch);
         self.model.read_level(g, z, max_level)
     }
 
-    /// The cell's programming generation: its device-deviate epoch.
-    fn device_epoch(&self, row: usize, col: usize) -> u64 {
+    /// The cell's programming generation: its device-deviate epoch. A new
+    /// state restarts every cell at 0.
+    pub(crate) fn device_epoch(&self, row: usize, col: usize) -> u64 {
         self.generation
             .get(row * self.cols + col)
             .copied()

@@ -235,32 +235,24 @@ fn layer((kind, k, outs, stride, pad, fault): LayerDraw) -> LayerSpec {
 
 /// Random conv/pool/fc stacks of 0..=5 layers over inputs of at most
 /// 4×12×12 elements: windows that do not fit, zero sizes and strides,
-/// leading pools, empty inputs and empty layer lists all come up.
+/// leading pools, spatial layers after FC ones, empty inputs and empty
+/// layer lists all come up. Half the stacks move their FC layers last, so
+/// deep stacks that resolve come up as often.
 fn geometry() -> impl Strategy<Value = NetSpec> {
     (
         (0usize..=4, 0usize..=12, 0usize..=12),
-        0usize..=5,
+        (0usize..=5, 0usize..2),
         (layer_draw(), layer_draw(), layer_draw()),
         (layer_draw(), layer_draw()),
     )
-        .prop_map(|(input, len, (a, b, c), (d, e))| {
-            let layers = [a, b, c, d, e].into_iter().take(len).map(layer).collect();
+        .prop_map(|(input, (len, fc_last), (a, b, c), (d, e))| {
+            let mut layers: Vec<LayerSpec> =
+                [a, b, c, d, e].into_iter().take(len).map(layer).collect();
+            if fc_last == 1 {
+                layers.sort_by_key(|l| matches!(l, LayerSpec::Fc { .. }));
+            }
             NetSpec::new("random", input, layers)
         })
-}
-
-/// The float network has no layer that turns an inner product's vector
-/// back into a `[C, H, W]` map, so only stacks whose convs and pools all
-/// precede the first FC layer can run forward.
-fn float_network_can_run(spec: &NetSpec) -> bool {
-    let first_fc = spec
-        .layers
-        .iter()
-        .position(|l| matches!(l, LayerSpec::Fc { .. }))
-        .unwrap_or(spec.layers.len());
-    spec.layers[first_fc..]
-        .iter()
-        .all(|l| matches!(l, LayerSpec::Fc { .. }))
 }
 
 proptest! {
@@ -282,7 +274,7 @@ proptest! {
 
         let Ok(layers) = resolved else { return Ok(()) };
         let weights: usize = layers.iter().map(|l| l.weights).sum();
-        if weights <= 10_000 && float_network_can_run(&spec) {
+        if weights <= 10_000 {
             use rand::SeedableRng;
             let mut rng = rand::rngs::StdRng::seed_from_u64(5);
             let mut net = spec.build(Loss::SoftmaxCrossEntropy, &mut rng);
@@ -295,7 +287,8 @@ proptest! {
 }
 
 /// The geometry draws must reach both outcomes often: count the specs
-/// that resolve, and those the float network then runs.
+/// that resolve, those the float network then runs, and those rejected
+/// for a spatial layer after an FC one.
 #[test]
 fn random_geometry_exercises_both_outcomes() {
     use rand::SeedableRng;
@@ -303,10 +296,24 @@ fn random_geometry_exercises_both_outcomes() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(23);
     let specs: Vec<NetSpec> = (0..512).map(|_| strategy.sample(&mut rng)).collect();
     let ok: Vec<&NetSpec> = specs.iter().filter(|s| s.try_resolve().is_ok()).collect();
-    let runnable = ok.iter().filter(|s| float_network_can_run(s)).count();
+    let runnable = ok
+        .iter()
+        .filter(|s| {
+            s.try_resolve()
+                .is_ok_and(|l| l.iter().map(|l| l.weights).sum::<usize>() <= 10_000)
+        })
+        .count();
     assert!(ok.len() >= 96, "only {}/512 geometries resolve", ok.len());
     assert!(ok.len() <= 416, "{}/512 geometries resolve", ok.len());
     assert!(runnable >= 64, "only {runnable}/512 geometries run forward");
+    let after_fc = specs
+        .iter()
+        .filter(|s| matches!(s.try_resolve(), Err(ShapeError::SpatialAfterFc { .. })))
+        .count();
+    assert!(
+        after_fc >= 24,
+        "only {after_fc}/512 put a spatial layer after FC"
+    );
 }
 
 /// A `(2^33, 2^33, 1)` input has 2^66 elements: the FC layer's `n_in`
