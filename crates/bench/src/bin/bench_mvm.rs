@@ -23,16 +23,22 @@
 //! figure is each arm's *network* speedup — total scalar time over total
 //! GEMM time for the same reads on every layer — because a small layer is
 //! too small to amortize the fixed per-call costs and would otherwise
-//! mask the win on the layer that carries most of the work. Per-layer
-//! rates are still reported, and full runs record everything in
-//! `BENCH_mvm.json`.
+//! mask the win on the layer that carries most of the work.
+//!
+//! A shared host's load drifts over seconds, so one timing of each path
+//! says little about another commit's. Every layer is timed over
+//! [`REPEATS`] interleaved repeats instead — each repeat times every
+//! layer of both arms, the GEMM and the scalar walk back to back, and
+//! alternates which of the two goes first — and the gate and the report
+//! take medians over the repeats. Full runs record each rate, speedup
+//! and network speedup as its median and quartiles in `BENCH_mvm.json`.
 //!
 //! Single-threaded on purpose: the claim under test is the kernel's own
 //! throughput, not batch-level parallelism. The printout and the JSON
 //! record the kernel arm the GEMM ran on (`pipelayer_reram::kernel_arm`:
 //! `"avx2"` or `"portable"`) and the host's core count.
 
-use pipelayer_bench::{fmt_f, json_num, Table};
+use pipelayer_bench::{fmt_f, json_num, quartiles, Table};
 use pipelayer_nn::serialize::atomic_write;
 use pipelayer_reram::{Crossbar, DeviceModel, DriftModel, NoiseModel};
 use std::path::Path;
@@ -47,6 +53,9 @@ const CELL_BITS: u8 = 4;
 /// Distinct input vectors cycled through while timing, so the measurement
 /// is not a single-vector cache artifact.
 const INPUT_POOL: usize = 32;
+
+/// Interleaved timing repeats of every layer, full run and `--smoke`.
+const REPEATS: (usize, usize) = (9, 3);
 
 /// Reads per crossbar between two writes in the noisy arm: one training
 /// batch of 10 images, each driving a positive and a negative phase.
@@ -67,12 +76,19 @@ struct ArmSpec {
     floor: f64,
 }
 
+/// One layer's two crossbars, its inputs and its timings, one entry per
+/// repeat.
 struct LayerArm {
     name: &'static str,
     rows: usize,
     cols: usize,
-    gemm_secs: f64,
-    scalar_secs: f64,
+    writes: bool,
+    gemm: Crossbar,
+    scalar: Crossbar,
+    levels: [Vec<u8>; 2],
+    inputs: Vec<Vec<u32>>,
+    gemm_secs: Vec<f64>,
+    scalar_secs: Vec<f64>,
 }
 
 /// `reps` reads in `secs` host seconds, as reads per second.
@@ -80,9 +96,53 @@ fn per_sec(reps: usize, secs: f64) -> f64 {
     reps as f64 / secs
 }
 
+/// A sample's `(q1, median, q3)` as a JSON object.
+fn json_quartiles(values: &[f64]) -> String {
+    let (q1, median, q3) = quartiles(values);
+    format!(
+        "{{\"median\": {}, \"q1\": {}, \"q3\": {}}}",
+        json_num(median),
+        json_num(q1),
+        json_num(q3)
+    )
+}
+
 impl LayerArm {
-    fn speedup(&self) -> f64 {
-        self.scalar_secs / self.gemm_secs
+    fn gemm_rates(&self, reps: usize) -> Vec<f64> {
+        self.gemm_secs.iter().map(|&s| per_sec(reps, s)).collect()
+    }
+
+    fn scalar_rates(&self, reps: usize) -> Vec<f64> {
+        self.scalar_secs.iter().map(|&s| per_sec(reps, s)).collect()
+    }
+
+    /// The scalar walk's time over the GEMM's, per repeat.
+    fn speedups(&self) -> Vec<f64> {
+        let pairs = self.scalar_secs.iter().zip(&self.gemm_secs);
+        pairs.map(|(s, g)| s / g).collect()
+    }
+
+    /// Times `reps` reads on both paths, the GEMM first or second.
+    fn time_repeat(&mut self, reps: usize, gemm_first: bool) {
+        let (writes, levels, inputs) = (self.writes, &self.levels, &self.inputs);
+        let time_path = |xbar: &mut Crossbar, mvm: fn(&mut Crossbar, &[u32], u8) -> Vec<u64>| {
+            let mut sink = 0u64;
+            let secs = time(|| sink = read_loop(xbar, levels, inputs, reps, writes, mvm));
+            std::hint::black_box(sink);
+            secs
+        };
+        let (gemm, scalar) = if gemm_first {
+            let gemm = time_path(&mut self.gemm, Crossbar::mvm_spiked);
+            (
+                gemm,
+                time_path(&mut self.scalar, Crossbar::mvm_spiked_scalar),
+            )
+        } else {
+            let scalar = time_path(&mut self.scalar, Crossbar::mvm_spiked_scalar);
+            (time_path(&mut self.gemm, Crossbar::mvm_spiked), scalar)
+        };
+        self.gemm_secs.push(gemm);
+        self.scalar_secs.push(scalar);
     }
 }
 
@@ -162,12 +222,11 @@ fn read_loop(
     sink
 }
 
-/// Times one layer of `spec` on both paths. Returns `None` when the
-/// GEMM path diverges from the scalar walk before timing.
-fn run_layer(
+/// Builds one layer of `spec` on both paths. Returns `None` when the
+/// GEMM path diverges from the scalar walk.
+fn build_layer(
     spec: &ArmSpec,
     (name, rows, cols, seed): (&'static str, usize, usize, u64),
-    reps: usize,
 ) -> Option<LayerArm> {
     let device = spec.device.as_ref();
     let writes = device.is_some();
@@ -187,42 +246,39 @@ fn run_layer(
             return None;
         }
     }
-
     // Warmup already happened above (levels are hot, pages faulted).
-    let mut sink = 0u64;
-    let gemm_secs = time(|| {
-        sink = read_loop(
-            &mut gemm,
-            &levels,
-            &inputs,
-            reps,
-            writes,
-            Crossbar::mvm_spiked,
-        );
-    });
-    let scalar_secs = time(|| {
-        sink ^= read_loop(
-            &mut scalar,
-            &levels,
-            &inputs,
-            reps,
-            writes,
-            Crossbar::mvm_spiked_scalar,
-        );
-    });
-    std::hint::black_box(sink);
     Some(LayerArm {
         name,
         rows,
         cols,
-        gemm_secs,
-        scalar_secs,
+        writes,
+        gemm,
+        scalar,
+        levels,
+        inputs,
+        gemm_secs: Vec::new(),
+        scalar_secs: Vec::new(),
     })
 }
 
+/// The network speedup of each repeat: every layer's scalar time over
+/// every layer's GEMM time. Equal rep counts per layer make the timed
+/// totals directly comparable.
+fn network_speedups(arms: &[LayerArm]) -> Vec<f64> {
+    let repeats = arms.first().map_or(0, |a| a.gemm_secs.len());
+    (0..repeats)
+        .map(|i| {
+            let scalar: f64 = arms.iter().map(|a| a.scalar_secs[i]).sum();
+            let gemm: f64 = arms.iter().map(|a| a.gemm_secs[i]).sum();
+            scalar / gemm
+        })
+        .collect()
+}
+
 /// One arm's `BENCH_mvm.json` fields — network speedup, floor and the
-/// per-layer rates — each line indented by `pad`.
-fn arm_json(arms: &[LayerArm], reps: usize, network_speedup: f64, floor: f64, pad: &str) -> String {
+/// per-layer rates, each as median and quartiles over the repeats — each
+/// line indented by `pad`.
+fn arm_json(arms: &[LayerArm], reps: usize, floor: f64, pad: &str) -> String {
     let layers: Vec<String> = arms
         .iter()
         .map(|arm| {
@@ -231,22 +287,26 @@ fn arm_json(arms: &[LayerArm], reps: usize, network_speedup: f64, floor: f64, pa
                 arm.name,
                 arm.rows,
                 arm.cols,
-                json_num(per_sec(reps, arm.gemm_secs)),
-                json_num(per_sec(reps, arm.scalar_secs)),
-                json_num(arm.speedup()),
+                json_quartiles(&arm.gemm_rates(reps)),
+                json_quartiles(&arm.scalar_rates(reps)),
+                json_quartiles(&arm.speedups()),
             )
         })
         .collect();
     format!(
         "{pad}\"network_speedup\": {},\n{pad}\"speedup_floor\": {floor},\n{pad}\"layers\": [\n{}\n{pad}]",
-        json_num(network_speedup),
+        json_quartiles(&network_speedups(arms)),
         layers.join(",\n")
     )
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (reps, floor_scale) = if smoke { (24usize, 0.5f64) } else { (400, 1.0) };
+    let (reps, repeats, floor_scale) = if smoke {
+        (24usize, REPEATS.1, 0.5f64)
+    } else {
+        (100, REPEATS.0, 1.0)
+    };
 
     let campaign = DeviceModel::ideal()
         .with_drift(DriftModel {
@@ -283,47 +343,52 @@ fn main() {
     let kernel_arm = pipelayer_reram::kernel_arm();
     let host_nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "spiked-MVM throughput — integer GEMM vs scalar slot walk, {INPUT_BITS}-bit inputs, {reps} reps{}",
+        "spiked-MVM throughput — integer GEMM vs scalar slot walk, {INPUT_BITS}-bit inputs, {reps} reps x {repeats} interleaved repeats{}",
         if smoke { " [smoke]" } else { "" }
     );
     println!("kernel arm {kernel_arm}, host cores {host_nproc}");
 
     let mut all_identical = true;
+    let mut arms: Vec<Vec<LayerArm>> = specs
+        .iter()
+        .map(|spec| {
+            let built = spec.layers.iter().map(|&layer| build_layer(spec, layer));
+            let layers: Vec<LayerArm> = built.flatten().collect();
+            all_identical &= layers.len() == spec.layers.len();
+            layers
+        })
+        .collect();
+    for repeat in 0..repeats {
+        for layer in arms.iter_mut().flatten() {
+            layer.time_repeat(reps, repeat % 2 == 0);
+        }
+    }
+
     let mut failed = false;
     let mut sections: Vec<String> = Vec::new();
-    for spec in &specs {
-        let mut arms: Vec<LayerArm> = Vec::new();
-        for &layer in &spec.layers {
-            match run_layer(spec, layer, reps) {
-                Some(arm) => arms.push(arm),
-                None => all_identical = false,
-            }
-        }
+    for (spec, arms) in specs.iter().zip(&arms) {
         let mut table = Table::new(
             format!(
-                "Spiked-MVM throughput, {} arrays (single thread)",
+                "Spiked-MVM throughput, {} arrays (single thread, medians of {repeats} repeats)",
                 spec.name
             ),
             &["layer", "shape", "GEMM MVM/s", "scalar MVM/s", "speedup"],
         );
-        for arm in &arms {
+        for arm in arms {
+            let median = |v: &[f64]| quartiles(v).1;
             table.row(vec![
                 arm.name.to_string(),
                 format!("{}x{}", arm.rows, arm.cols),
-                fmt_f(per_sec(reps, arm.gemm_secs), 1),
-                fmt_f(per_sec(reps, arm.scalar_secs), 1),
-                format!("{}x", fmt_f(arm.speedup(), 2)),
+                fmt_f(median(&arm.gemm_rates(reps)), 1),
+                fmt_f(median(&arm.scalar_rates(reps)), 1),
+                format!("{}x", fmt_f(median(&arm.speedups()), 2)),
             ]);
         }
         table.print();
 
-        // Network speedup: the same reads on every layer. Equal rep counts
-        // per layer make the timed totals directly comparable.
-        let scalar_total: f64 = arms.iter().map(|a| a.scalar_secs).sum();
-        let gemm_total: f64 = arms.iter().map(|a| a.gemm_secs).sum();
-        let network_speedup = scalar_total / gemm_total;
+        let network_speedup = quartiles(&network_speedups(arms)).1;
         let floor = spec.floor * floor_scale;
-        if network_speedup < floor {
+        if network_speedup.is_nan() || network_speedup < floor {
             eprintln!(
                 "{} GEMM network speedup {network_speedup:.2}x below the {floor}x floor — failing",
                 spec.name
@@ -331,19 +396,19 @@ fn main() {
             failed = true;
         } else {
             println!(
-                "{} network speedup {network_speedup:.2}x (floor {floor}x)",
+                "{} network speedup {network_speedup:.2}x (median; floor {floor}x)",
                 spec.name
             );
         }
         let pad = if spec.device.is_some() { "    " } else { "  " };
-        sections.push(arm_json(&arms, reps, network_speedup, floor, pad));
+        sections.push(arm_json(arms, reps, floor, pad));
     }
 
     if !smoke {
         // Hand-written JSON (no serde in the workspace). The ideal arm
         // keeps the top-level keys; the noisy arm is its own object.
         let json = format!(
-            "{{\n  \"bench\": \"mvm\",\n  \"mode\": \"full\",\n  \"kernel_arm\": \"{kernel_arm}\",\n  \"host_nproc\": {host_nproc},\n  \"input_bits\": {INPUT_BITS},\n  \"cell_bits\": {CELL_BITS},\n  \"reps\": {reps},\n  \"outputs_bitwise_identical\": {all_identical},\n{},\n  \"noisy\": {{\n    \"device\": \"drift nu 0.2, nu_sigma 0.15, t0 10000 cycles, aged {AGE_CYCLES} cycles; NoiseModel::with_strength(0.25)\",\n    \"reads_per_write\": {READS_PER_WRITE},\n{}\n  }}\n}}\n",
+            "{{\n  \"bench\": \"mvm\",\n  \"mode\": \"full\",\n  \"kernel_arm\": \"{kernel_arm}\",\n  \"host_nproc\": {host_nproc},\n  \"input_bits\": {INPUT_BITS},\n  \"cell_bits\": {CELL_BITS},\n  \"reps\": {reps},\n  \"repeats\": {repeats},\n  \"outputs_bitwise_identical\": {all_identical},\n{},\n  \"noisy\": {{\n    \"device\": \"drift nu 0.2, nu_sigma 0.15, t0 10000 cycles, aged {AGE_CYCLES} cycles; NoiseModel::with_strength(0.25)\",\n    \"reads_per_write\": {READS_PER_WRITE},\n{}\n  }}\n}}\n",
             sections[0], sections[1],
         );
         if let Err(e) = atomic_write(Path::new("BENCH_mvm.json"), json.as_bytes()) {

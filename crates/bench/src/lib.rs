@@ -10,7 +10,7 @@ pub mod paper;
 pub mod report;
 pub mod workloads;
 
-pub use report::{fmt_f, fmt_si, geomean, json_num, Table};
+pub use report::{fmt_f, fmt_si, geomean, json_num, quartiles, Table};
 
 use pipelayer::functional::ReramMlp;
 use pipelayer_nn::Network;

@@ -26,6 +26,27 @@ pub fn json_num(v: f64) -> String {
     }
 }
 
+/// `(q1, median, q3)` of a sample by the "exclusive" method of Python's
+/// `statistics.quantiles(values, n=4)`, the rule plbench judges
+/// run-to-run spread by. A single value is its own quartiles; an empty
+/// sample has none (all NaN).
+pub fn quartiles(values: &[f64]) -> (f64, f64, f64) {
+    let mut d = values.to_vec();
+    d.sort_by(f64::total_cmp);
+    let n = d.len();
+    match n {
+        0 => return (f64::NAN, f64::NAN, f64::NAN),
+        1 => return (d[0], d[0], d[0]),
+        _ => {}
+    }
+    let q = |i: usize| {
+        let j = (i * (n + 1) / 4).clamp(1, n - 1);
+        let delta = (i * (n + 1)) as f64 - (j * 4) as f64;
+        (d[j - 1] * (4.0 - delta) + d[j] * delta) / 4.0
+    };
+    (q(1), q(2), q(3))
+}
+
 /// Formats a value with an SI suffix (k/M/G/T).
 pub fn fmt_si(x: f64) -> String {
     let (v, suffix) = if x.abs() >= 1e12 {
@@ -110,6 +131,17 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quartiles_match_python_exclusive_method() {
+        // statistics.quantiles([1..10], n=4) == [2.75, 5.5, 8.25]
+        let xs: Vec<f64> = (1..=10).map(f64::from).collect();
+        assert_eq!(quartiles(&xs), (2.75, 5.5, 8.25));
+        // statistics.quantiles([1, 2, 3, 4, 5], n=4) == [1.5, 3.0, 4.5]
+        assert_eq!(quartiles(&[5.0, 1.0, 4.0, 2.0, 3.0]), (1.5, 3.0, 4.5));
+        assert_eq!(quartiles(&[7.0]), (7.0, 7.0, 7.0));
+        assert!(quartiles(&[]).1.is_nan());
+    }
 
     #[test]
     fn table_alignment() {

@@ -108,6 +108,19 @@ pub trait Layer: Send + Sync {
     /// Implementations panic if called before `forward`.
     fn backward(&mut self, delta: &Tensor) -> Tensor;
 
+    /// The gradient half of [`backward`](Self::backward): accumulates the
+    /// weight/bias gradients for `delta` without returning the error
+    /// w.r.t. the input — the first layer's backward in a training pass,
+    /// whose input error nothing reads. The default runs `backward` and
+    /// drops the result; layers whose input error costs real work skip it.
+    ///
+    /// # Panics
+    ///
+    /// Implementations panic if called before `forward`.
+    fn backward_params(&mut self, delta: &Tensor) {
+        self.backward(delta);
+    }
+
     /// Applies the accumulated gradient: `W ← W − lr · (ΣΔW)/batch`, then
     /// clears the accumulator. No-op for parameterless layers.
     fn apply_update(&mut self, lr: f32, batch: usize);

@@ -89,6 +89,27 @@ impl Conv2d {
     pub fn weight(&self) -> &Tensor {
         &self.weight
     }
+
+    /// Adds the weight and bias gradients of `delta` (Fig. 12) to the
+    /// accumulators; returns the cached input's spatial size.
+    fn accumulate_grads(&mut self, delta: &Tensor) -> (usize, usize) {
+        let input = self
+            .cached_input
+            .as_ref()
+            .expect("Conv2d::backward called before forward");
+        let k = self.kernel();
+        let (dw, db) = ops::conv2d_backward_weights_with(
+            input,
+            delta,
+            (k, k),
+            self.stride,
+            self.pad,
+            &mut self.scratch,
+        );
+        self.dweight += &dw;
+        self.dbias += &db;
+        (input.dims()[1], input.dims()[2])
+    }
 }
 
 impl Layer for Conv2d {
@@ -118,29 +139,19 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, delta: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("Conv2d::backward called before forward");
-        let k = self.kernel();
-        let (dw, db) = ops::conv2d_backward_weights_with(
-            input,
-            delta,
-            (k, k),
-            self.stride,
-            self.pad,
-            &mut self.scratch,
-        );
-        self.dweight += &dw;
-        self.dbias += &db;
+        let (h, w) = self.accumulate_grads(delta);
         ops::conv2d_backward_input_with(
             delta,
             &self.weight,
-            (input.dims()[1], input.dims()[2]),
+            (h, w),
             self.stride,
             self.pad,
             &mut self.scratch,
         )
+    }
+
+    fn backward_params(&mut self, delta: &Tensor) {
+        self.accumulate_grads(delta);
     }
 
     fn apply_update(&mut self, lr: f32, batch: usize) {

@@ -50,6 +50,22 @@ impl Linear {
     pub fn weight(&self) -> &Tensor {
         &self.weight
     }
+
+    /// Adds the weight and bias gradients of `delta` to the accumulators;
+    /// returns `delta` as a vector and the cached input's shape.
+    fn accumulate_grads(&mut self, delta: &Tensor) -> (Tensor, Vec<usize>) {
+        let input = self
+            .cached_input
+            .as_ref()
+            .expect("Linear::backward called before forward");
+        let x = input.reshape(&[self.n_in()]);
+        let d = delta.reshape(&[self.n_out()]);
+        // ∂J/∂W = δ · dᵀ (Sec. 2.2); ∂J/∂b = δ.
+        self.dweight += &ops::outer(&d, &x);
+        self.dbias += &d;
+        let dims = input.dims().to_vec();
+        (d, dims)
+    }
 }
 
 impl Layer for Linear {
@@ -77,18 +93,14 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, delta: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("Linear::backward called before forward");
-        let x = input.reshape(&[self.n_in()]);
-        let d = delta.reshape(&[self.n_out()]);
-        // ∂J/∂W = δ · dᵀ (Sec. 2.2); ∂J/∂b = δ.
-        self.dweight += &ops::outer(&d, &x);
-        self.dbias += &d;
+        let (d, input_dims) = self.accumulate_grads(delta);
         // δ_l = Wᵀ δ_{l+1}, reshaped back to the cached input's shape.
         let dx = ops::matvec_transposed(&self.weight, &d);
-        dx.reshape(input.dims())
+        dx.reshape(&input_dims)
+    }
+
+    fn backward_params(&mut self, delta: &Tensor) {
+        self.accumulate_grads(delta);
     }
 
     fn apply_update(&mut self, lr: f32, batch: usize) {

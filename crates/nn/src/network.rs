@@ -140,6 +140,20 @@ impl Network {
         d
     }
 
+    /// The backward pass of a training step: [`backward`](Self::backward)
+    /// down to the first layer, which takes only its parameter gradients —
+    /// the error w.r.t. the network input is never read.
+    fn backward_to_params(&mut self, delta: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut d = delta.clone();
+        for layer in rest.iter_mut().rev() {
+            d = layer.backward(&d);
+        }
+        first.backward_params(&d);
+    }
+
     /// Predicted class (argmax of the output).
     pub fn predict(&self, input: &Tensor) -> usize {
         self.infer(input).argmax()
@@ -161,7 +175,7 @@ impl Network {
             let out = self.forward(img);
             let (loss, delta) = self.loss.loss_and_delta(&out, label);
             total += loss;
-            self.backward(&delta);
+            self.backward_to_params(&delta);
         }
         let b = images.len();
         for layer in &mut self.layers {
@@ -193,7 +207,7 @@ impl Network {
             let out = self.forward(img);
             let (loss, delta) = self.loss.loss_and_delta(&out, label);
             total += loss;
-            self.backward(&delta);
+            self.backward_to_params(&delta);
         }
         let b = images.len();
         let mut si = 0usize;
@@ -229,7 +243,7 @@ impl Network {
     fn sample_grads(&mut self, img: &Tensor, label: usize) -> (f32, SampleGrads) {
         let out = self.forward(img);
         let (loss, delta) = self.loss.loss_and_delta(&out, label);
-        self.backward(&delta);
+        self.backward_to_params(&delta);
         let mut grads = Vec::new();
         for layer in &mut self.layers {
             if let Some(g) = layer.grads_mut() {
@@ -585,6 +599,44 @@ mod tests {
             }
         }
         bits
+    }
+
+    /// The training walk's first layer takes the gradients `backward`
+    /// takes, bit for bit, without the input error: a convolution and a
+    /// linear layer first.
+    #[test]
+    fn training_backward_keeps_the_first_layers_gradients() {
+        let c4 = || crate::zoo::c4(2);
+        for make in [c4 as fn() -> Network, || xor_net(5)] {
+            let (mut full, mut walk) = (make(), make());
+            let input = full.layers()[0].name();
+            let x = if input.starts_with("conv") {
+                Tensor::from_vec(
+                    &[1, 28, 28],
+                    (0..784).map(|i| (i as f32 * 0.013).sin()).collect(),
+                )
+            } else {
+                Tensor::from_vec(&[2], vec![0.3, -0.9])
+            };
+            let out = full.forward(&x);
+            walk.forward(&x);
+            let (_, delta) = full.loss().loss_and_delta(&out, 1);
+            full.backward(&delta);
+            walk.backward_to_params(&delta);
+            let grads = |net: &mut Network| -> Vec<u32> {
+                let mut bits = Vec::new();
+                for layer in net.layers_mut() {
+                    if let Some(g) = layer.grads_mut() {
+                        bits.extend(g.dweight.as_slice().iter().map(|v| v.to_bits()));
+                        bits.extend(g.dbias.as_slice().iter().map(|v| v.to_bits()));
+                    }
+                }
+                bits
+            };
+            let bits = grads(&mut full);
+            assert!(bits.iter().any(|&b| b != 0), "{input}: no gradient");
+            assert_eq!(grads(&mut walk), bits, "{input} first");
+        }
     }
 
     #[test]

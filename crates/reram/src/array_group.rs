@@ -8,8 +8,15 @@
 //! (`<<0, <<4, <<8, <<12` — Fig. 14a). Weight updates read the old segments,
 //! apply the averaged partial derivative and write all groups back
 //! (Fig. 14b).
+//!
+//! That eight-crossbar shift-add is the modelled datapath, and it is what
+//! the spike counters, read epochs and so the energy model describe. Where
+//! no member's reads vary (no read noise, no read disturb), the simulator
+//! computes the same integers as one exact GEMM against a cached signed
+//! composite, `Σ_g (L_pos_g − L_neg_g) << (g·cell_bits)`, and books every
+//! member's reads as if each had integrated its own phases.
 
-use crate::crossbar::Crossbar;
+use crate::crossbar::{drive_mask, Crossbar};
 use crate::device::DeviceModel;
 use crate::drift::DriftModel;
 use crate::energy::ReramParams;
@@ -51,6 +58,49 @@ pub struct ReramMatrix {
     /// Outputs disconnected by the degradation path (spares exhausted);
     /// masked bit lines contribute 0 to every matvec and read.
     masked_outputs: Vec<bool>,
+    /// The signed composite of the member crossbars' levels, while their
+    /// reads do not vary.
+    composite: CompositeSlot,
+}
+
+/// The eight-crossbar shift-add of a read-invariant matrix, folded: one
+/// signed weight per cell, `Σ_g (L_pos_g − L_neg_g) << (g·cell_bits)` over
+/// the levels the members present, so one exact GEMM stands for every
+/// member's integrate-and-fire read and the shift-add after it.
+#[derive(Debug)]
+struct Composite {
+    /// The member crossbars' array generations it was built at, in
+    /// [`ReramMatrix::crossbars`] order.
+    generations: Vec<u64>,
+    /// Cell order, `weights[i·out_dim + o]`. Its magnitude is below
+    /// `2^data_bits`, and the composite is only built where
+    /// [`fits_composite`] holds, which puts `data_bits` at most 31.
+    weights: Vec<i32>,
+    /// Each member's per-word-line level sums, member-major
+    /// (`row_sums[m·in_dim + i]`): the output spikes of a read are its
+    /// drives dotted with them.
+    row_sums: Vec<u64>,
+}
+
+/// A [`ReramMatrix`]'s [`Composite`], once built. A clone starts empty and
+/// builds its own at its first read: a model cloned as a reference or as a
+/// worker's private copy would otherwise carry a second composite it may
+/// never read.
+#[derive(Default)]
+struct CompositeSlot(Option<Composite>);
+
+impl Clone for CompositeSlot {
+    fn clone(&self) -> Self {
+        CompositeSlot(None)
+    }
+}
+
+impl std::fmt::Debug for CompositeSlot {
+    // A cache: two matrices in the same state print alike whether or not
+    // either has read.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CompositeSlot").finish_non_exhaustive()
+    }
 }
 
 impl ReramMatrix {
@@ -87,6 +137,7 @@ impl ReramMatrix {
                 })
                 .collect(),
             masked_outputs: vec![false; out_dim],
+            composite: CompositeSlot::default(),
         };
         m.write(weights);
         m
@@ -99,7 +150,7 @@ impl ReramMatrix {
     /// are exact no-ops, so parts attached by earlier calls (possibly under
     /// other seeds) stay in place.
     pub fn attach(&mut self, model: &DeviceModel, seed: u64) {
-        for (i, xbar) in self.crossbars_mut().enumerate() {
+        for (i, xbar) in self.members_mut().enumerate() {
             xbar.attach(model, seedstream::crossbar_seed(seed, i as u64));
         }
     }
@@ -165,8 +216,19 @@ impl ReramMatrix {
     }
 
     /// Mutable access to the member crossbars in the same order as
-    /// [`crossbars`](Self::crossbars) — checkpoint restore plumbing.
+    /// [`crossbars`](Self::crossbars) — checkpoint restore plumbing. It
+    /// drops the composite: a caller may swap in another crossbar, whose
+    /// generation restarts and could match the one the composite was
+    /// built at.
     pub fn crossbars_mut(&mut self) -> impl Iterator<Item = &mut Crossbar> {
+        self.composite = CompositeSlot::default();
+        self.members_mut()
+    }
+
+    /// [`crossbars_mut`](Self::crossbars_mut) for the matrix's own
+    /// mutations: they go through each member's methods, which move its
+    /// generation wherever they change what a read presents.
+    fn members_mut(&mut self) -> impl Iterator<Item = &mut Crossbar> {
         self.groups.iter_mut().flat_map(|(p, n)| [p, n].into_iter())
     }
 
@@ -191,7 +253,7 @@ impl ReramMatrix {
     /// Advances every member crossbar's degradation clock by `cycles`
     /// logical pipeline cycles (one processed image = one cycle).
     pub fn advance_cycles(&mut self, cycles: u64) {
-        for x in self.crossbars_mut() {
+        for x in self.members_mut() {
             x.advance_cycles(cycles);
         }
     }
@@ -214,7 +276,7 @@ impl ReramMatrix {
         rng: &mut impl Rng,
     ) -> ProgramReport {
         let mut report = ProgramReport::default();
-        for x in self.crossbars_mut() {
+        for x in self.members_mut() {
             report.merge(x.scrub_rows(row_start, row_count, policy, rng));
         }
         report
@@ -247,6 +309,10 @@ impl ReramMatrix {
     /// Panics if `weights.len()` mismatches the geometry.
     pub fn write(&mut self, weights: &[f32]) {
         let q = self.quantize(weights);
+        // Every member moves, so the composite goes now rather than at the
+        // next read: a model cloned between steps would otherwise keep a
+        // stale one next to the clone's.
+        self.composite = CompositeSlot::default();
         for (shift, (pos, neg)) in self.group_shifts().zip(&mut self.groups) {
             pos.program_signed(&q, shift, 1);
             neg.program_signed(&q, shift, -1);
@@ -268,6 +334,8 @@ impl ReramMatrix {
         rng: &mut impl Rng,
     ) -> ProgramReport {
         let q = self.quantize(weights);
+        // As in `write`.
+        self.composite = CompositeSlot::default();
         let mut report = ProgramReport::default();
         // Crossbar-major, in `crossbars()` order: the verify loop's draws
         // come from `rng` in that order.
@@ -308,7 +376,7 @@ impl ReramMatrix {
     pub fn repair_outputs(&mut self, outputs: &[usize]) {
         for &o in outputs {
             assert!(o < self.out_dim, "output {o} out of range");
-            for x in self.crossbars_mut() {
+            for x in self.members_mut() {
                 x.clear_fault_col(o);
             }
             self.masked_outputs[o] = false;
@@ -337,7 +405,7 @@ impl ReramMatrix {
             if o >= self.out_dim {
                 continue;
             }
-            for x in self.crossbars_mut() {
+            for x in self.members_mut() {
                 report.merge(x.reprogram_col_from_spare(o, policy, rng));
             }
             self.masked_outputs[o] = false;
@@ -432,7 +500,7 @@ impl ReramMatrix {
     ///
     /// Panics if `x.len() != in_dim()`.
     pub fn matvec(&mut self, x: &[f32]) -> Vec<f32> {
-        self.matvec_flat(std::iter::once(x))
+        self.matvec_flat(std::iter::once(x), true)
     }
 
     /// Batched [`matvec`](Self::matvec): one call per *batch* of input
@@ -451,19 +519,28 @@ impl ReramMatrix {
     /// Panics if any input's length differs from `in_dim()`.
     pub fn matvec_batch(&mut self, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
         let out_dim = self.out_dim;
-        self.matvec_flat(xs.iter().map(Vec::as_slice))
+        self.matvec_flat(xs.iter().map(Vec::as_slice), true)
             .chunks_exact(out_dim)
             .map(<[f32]>::to_vec)
             .collect()
     }
 
     /// The products of every input in `xs`, `out_dim` apiece, back to back.
-    fn matvec_flat<'a>(&mut self, xs: impl Iterator<Item = &'a [f32]>) -> Vec<f32> {
+    /// With `composite`, a matrix whose member reads do not vary computes
+    /// them in one composite GEMM ([`composite_products`]); otherwise, or
+    /// without `composite`, each member crossbar integrates every phase.
+    ///
+    /// [`composite_products`]: Self::composite_products
+    fn matvec_flat<'a>(
+        &mut self,
+        xs: impl Iterator<Item = &'a [f32]>,
+        composite: bool,
+    ) -> Vec<f32> {
         let in_qmax = ((1u64 << self.data_bits) - 1) as f32 / 2.0;
         // Per sample, its input scale (`None`: an all-zero input, which
         // drives nothing); per non-empty phase, its sample and sign.
         let mut x_scales: Vec<Option<f32>> = Vec::new();
-        let mut phase_of: Vec<(usize, i64)> = Vec::new();
+        let mut phase_of: Vec<(usize, i32)> = Vec::new();
         let mut phases: Vec<u32> = Vec::new();
         for (s, x) in xs.enumerate() {
             assert_eq!(x.len(), self.in_dim, "input length mismatch");
@@ -481,9 +558,10 @@ impl ReramMatrix {
                 .iter()
                 .map(|&v| round_clamp_wide(v / x_scale, u32::MAX.into()))
                 .collect();
-            for sign in [1i64, -1] {
+            for sign in [1, -1] {
                 let start = phases.len();
-                phases.extend(q.iter().map(|&v| u32::try_from(v * sign).unwrap_or(0)));
+                let signed = q.iter().map(|&v| v * i64::from(sign));
+                phases.extend(signed.map(|v| u32::try_from(v).unwrap_or(0)));
                 if phases[start..].iter().all(|&v| v == 0) {
                     phases.truncate(start);
                 } else {
@@ -492,34 +570,127 @@ impl ReramMatrix {
             }
         }
 
+        let samples = x_scales.len();
+        // A batch that drives nothing reads nothing, on either path.
+        let composite = composite && !phases.is_empty();
+        let mut out = composite
+            .then(|| self.composite_products(&phases, &phase_of, samples))
+            .flatten()
+            .unwrap_or_else(|| self.member_products(&phases, &phase_of, samples));
+        let samples = out.chunks_exact_mut(self.out_dim).zip(&x_scales);
+        for (y, x_scale) in samples {
+            let Some(x_scale) = x_scale else {
+                continue;
+            };
+            for (y, &masked) in y.iter_mut().zip(&self.masked_outputs) {
+                *y = if masked {
+                    0.0
+                } else {
+                    *y * self.weight_scale * x_scale
+                };
+            }
+        }
+        out
+    }
+
+    /// The integer products of `samples` inputs, as `f32`, through every
+    /// member crossbar: each integrates every phase of `phases` (whose
+    /// sample and sign `phase_of` gives), and the subtractor and the
+    /// segment shift-add combine their outputs. It accumulates in `i128`:
+    /// at 32-bit data one product already reaches `2^62` per word line.
+    fn member_products(
+        &mut self,
+        phases: &[u32],
+        phase_of: &[(usize, i32)],
+        samples: usize,
+    ) -> Vec<f32> {
         let out_dim = self.out_dim;
-        let mut acc = vec![0i64; x_scales.len() * out_dim];
+        let mut acc = vec![0i128; samples * out_dim];
         let shifts = self.group_shifts();
         for (shift, (pos, neg)) in shifts.zip(&mut self.groups) {
-            let yp = pos.mvm_spiked_batch(&phases, self.data_bits);
-            let yn = neg.mvm_spiked_batch(&phases, self.data_bits);
+            let yp = pos.mvm_spiked_batch(phases, self.data_bits);
+            let yn = neg.mvm_spiked_batch(phases, self.data_bits);
             let ys = yp.chunks_exact(out_dim).zip(yn.chunks_exact(out_dim));
             for (&(s, sign), (yp, yn)) in phase_of.iter().zip(ys) {
                 let acc = &mut acc[s * out_dim..(s + 1) * out_dim];
                 for (a, (&p, &n)) in acc.iter_mut().zip(yp.iter().zip(yn)) {
                     // Subtractor (activation component) + segment shift-add.
-                    *a += sign * ((p as i64 - n as i64) << shift);
+                    *a += i128::from(sign) * ((i128::from(p) - i128::from(n)) << shift);
                 }
             }
         }
-        let mut out = vec![0.0f32; acc.len()];
-        let samples = out.chunks_exact_mut(out_dim).zip(acc.chunks_exact(out_dim));
-        for ((y, acc), x_scale) in samples.zip(&x_scales) {
-            let Some(x_scale) = x_scale else {
-                continue;
-            };
-            for ((y, &a), &masked) in y.iter_mut().zip(acc).zip(&self.masked_outputs) {
-                if !masked {
-                    *y = a as f32 * self.weight_scale * x_scale;
-                }
-            }
+        acc.into_iter().map(product_f32).collect()
+    }
+
+    /// [`member_products`](Self::member_products) through the composite:
+    /// each sample's phases fold into one signed drive per word line, one
+    /// `i64` GEMM against the composite gives the products, and every
+    /// member books the reads it would have integrated — the fired slots,
+    /// its output spikes (the phases' drives dotted with its row sums) and
+    /// one read per phase. `None`, with nothing read or booked, where a
+    /// member's reads vary or [`fits_composite`] fails.
+    fn composite_products(
+        &mut self,
+        phases: &[u32],
+        phase_of: &[(usize, i32)],
+        samples: usize,
+    ) -> Option<Vec<f32>> {
+        let (rows, cols) = (self.in_dim, self.out_dim);
+        let mask = drive_mask(self.data_bits);
+        if !fits_composite(rows, mask, self.data_bits) {
+            return None;
         }
-        out
+        self.refresh_composite();
+        let composite = self.composite.0.as_ref()?;
+        let mut drives = vec![0i32; samples * rows];
+        let mut drive_sums = vec![0u64; rows];
+        let mut read_spikes = 0u64;
+        for (x, &(s, sign)) in phases.chunks_exact(rows).zip(phase_of) {
+            let sample = &mut drives[s * rows..(s + 1) * rows];
+            read_spikes += fold_phase::run(sample, &mut drive_sums, x, sign, mask);
+        }
+        let members = self.groups.iter_mut().flat_map(|(p, n)| [p, n]);
+        for (xbar, row_sums) in members.zip(composite.row_sums.chunks_exact(rows)) {
+            let output_spikes = drive_sums.iter().zip(row_sums).map(|(&d, &l)| d * l).sum();
+            xbar.book_reads(phases, mask, read_spikes, output_spikes);
+        }
+        let products = composite_gemm::run(&composite.weights, cols, &drives);
+        Some(
+            products
+                .into_iter()
+                .map(|a| product_f32(a.into()))
+                .collect(),
+        )
+    }
+
+    /// Keeps the composite current: rebuilt from the members' presented
+    /// levels when any member's generation moved since it was built, and
+    /// dropped where a member's reads vary.
+    fn refresh_composite(&mut self) {
+        let generations: Vec<u64> = self.crossbars().map(Crossbar::generation).collect();
+        if self
+            .composite
+            .0
+            .as_ref()
+            .is_some_and(|c| c.generations == generations)
+        {
+            return;
+        }
+        self.composite.0 = None;
+        if self.crossbars().any(Crossbar::reads_vary) {
+            return;
+        }
+        let (rows, cols) = (self.in_dim, self.out_dim);
+        let mut weights = vec![0i32; rows * cols];
+        let mut row_sums = vec![0u64; self.crossbar_count() * rows];
+        let cell_bits = u32::from(self.cell_bits);
+        let levels: Vec<&[u8]> = self.members_mut().map(Crossbar::presented_levels).collect();
+        fold_members::run(&mut weights, &levels, cell_bits, cols, &mut row_sums);
+        self.composite.0 = Some(Composite {
+            generations,
+            weights,
+            row_sums,
+        });
     }
 
     /// Total input (read) spikes across all member crossbars.
@@ -536,6 +707,135 @@ impl ReramMatrix {
     pub fn crossbar_count(&self) -> usize {
         self.groups.len() * 2
     }
+}
+
+/// An exact integer product as the `f32` nearest it, ties to even: the
+/// same `f32` whichever integer type held it.
+fn product_f32(a: i128) -> f32 {
+    a as f32
+}
+
+/// Whether the composite GEMM's `i64` accumulators cannot overflow on a
+/// `rows`-word-line matrix: at most `rows` drives of magnitude `mask`
+/// against composite weights below `2^data_bits` in magnitude, so
+/// `rows·mask·(2^data_bits − 1) < 2^63`. The drive bound is the driver's
+/// `mask`, not `2^(data_bits−1)`: an input whose scale rounds to a
+/// subnormal quantizes past `2^(data_bits−1)`. It implies `data_bits ≤
+/// 31`, so drives and composite weights fit `i32`.
+fn fits_composite(rows: usize, mask: u32, data_bits: u8) -> bool {
+    (rows as u128) * u128::from(mask) * ((1u128 << data_bits) - 1) < 1 << 63
+}
+
+/// Columns per block of a row's level sum: a block's sum, at most 255 a
+/// cell, fits a `u32`.
+const ROW_SUM_BLOCK: usize = 1 << 16;
+
+/// Cells per block of the composite fold: every group adds to a block
+/// while it stays in the L1 cache.
+const FOLD_BLOCK: usize = 2048;
+
+/// Builds the composite `weights` (cell order, `cols` bit lines, zeroed)
+/// of the member `levels` (pos, neg interleaved, least-significant group
+/// first, group `g` shifted by `g·cell_bits`), and every member's
+/// per-word-line level sums, member-major, into `row_sums`. Every partial
+/// composite sum stays below `2^data_bits` in magnitude, so `i32` holds it
+/// wherever the composite is built.
+#[inline(always)]
+fn fold_members_body(
+    weights: &mut [i32],
+    levels: &[&[u8]],
+    cell_bits: u32,
+    cols: usize,
+    row_sums: &mut [u64],
+) {
+    for (b, w) in weights.chunks_mut(FOLD_BLOCK).enumerate() {
+        let cells = b * FOLD_BLOCK..b * FOLD_BLOCK + w.len();
+        let shifts = (0u32..).step_by(cell_bits as usize);
+        for (shift, pn) in shifts.zip(levels.chunks_exact(2)) {
+            let (pos, neg) = (&pn[0][cells.clone()], &pn[1][cells.clone()]);
+            for (w, (&p, &n)) in w.iter_mut().zip(pos.iter().zip(neg)) {
+                *w += (i32::from(p) - i32::from(n)) << shift;
+            }
+        }
+    }
+    let rows = weights.len() / cols;
+    for (member, sums) in levels.iter().zip(row_sums.chunks_exact_mut(rows)) {
+        for (sum, row) in sums.iter_mut().zip(member.chunks_exact(cols)) {
+            let blocks = row.chunks(ROW_SUM_BLOCK);
+            *sum = blocks
+                .map(|b| u64::from(b.iter().map(|&l| u32::from(l)).sum::<u32>()))
+                .sum();
+        }
+    }
+}
+
+multiversion! {
+    /// [`fold_members_body`], multiversioned.
+    mod fold_members: fn(
+        weights: &mut [i32],
+        levels: &[&[u8]],
+        cell_bits: u32,
+        cols: usize,
+        row_sums: &mut [u64],
+    ) -> () = fold_members_body;
+}
+
+/// Folds one input phase, driven with its low `mask` bits, into its
+/// sample's signed `drives` (`sign` its polarity) and into `drive_sums`,
+/// the drives of every phase by word line; returns the slots it fires.
+/// `fits_composite` puts `mask` below `2^31`, so a drive fits `i32`.
+#[inline(always)]
+fn fold_phase_body(
+    drives: &mut [i32],
+    drive_sums: &mut [u64],
+    phase: &[u32],
+    sign: i32,
+    mask: u32,
+) -> u64 {
+    let mut slots = 0u64;
+    for ((d, sum), &v) in drives.iter_mut().zip(drive_sums).zip(phase) {
+        let v = v & mask;
+        *d += sign * v.cast_signed();
+        *sum += u64::from(v);
+        slots += u64::from(v.count_ones());
+    }
+    slots
+}
+
+multiversion! {
+    /// [`fold_phase_body`], multiversioned.
+    mod fold_phase: fn(drives: &mut [i32], drive_sums: &mut [u64], phase: &[u32], sign: i32, mask: u32)
+        -> u64 = fold_phase_body;
+}
+
+/// The composite GEMM: `out[s·cols + c] = Σ_r drives_s[r]·weights[r·cols
+/// + c]` in `i64`, for every sample's signed drives in `drives` (back to
+/// back, `rows = weights.len() / cols` long). One walk over `weights`
+/// serves the whole batch; word lines a sample does not drive are skipped.
+/// Exact wherever [`fits_composite`] holds.
+#[inline(always)]
+fn composite_gemm_body(weights: &[i32], cols: usize, drives: &[i32]) -> Vec<i64> {
+    let rows = weights.len() / cols;
+    let mut acc = vec![0i64; drives.len() / rows * cols];
+    for (r, row) in weights.chunks_exact(cols).enumerate() {
+        let sample_drives = drives.iter().skip(r).step_by(rows);
+        for (&x, acc) in sample_drives.zip(acc.chunks_exact_mut(cols)) {
+            if x == 0 {
+                continue;
+            }
+            let x = i64::from(x);
+            for (a, &w) in acc.iter_mut().zip(row) {
+                *a += x * i64::from(w);
+            }
+        }
+    }
+    acc
+}
+
+multiversion! {
+    /// [`composite_gemm_body`], multiversioned.
+    mod composite_gemm: fn(weights: &[i32], cols: usize, drives: &[i32]) -> Vec<i64>
+        = composite_gemm_body;
 }
 
 /// `x` rounded half away from zero, then clamped to `±qmax`
@@ -849,6 +1149,272 @@ mod tests {
         let bits = |m: &ReramMatrix| -> Vec<u32> { m.read().iter().map(|v| v.to_bits()).collect() };
         assert_eq!(bits(&bat), bits(&seq));
         assert!(bat.matvec_batch(&[]).is_empty());
+    }
+
+    impl ReramMatrix {
+        /// The products of `xs` with every member crossbar integrating its
+        /// own phases: the path the composite must equal bit for bit.
+        fn matvec_members(&mut self, xs: &[Vec<f32>]) -> Vec<f32> {
+            self.matvec_flat(xs.iter().map(Vec::as_slice), false)
+        }
+
+        /// Whether the composite matches every member's current generation.
+        fn composite_is_current(&self) -> bool {
+            let generations: Vec<u64> = self.crossbars().map(Crossbar::generation).collect();
+            self.composite
+                .0
+                .as_ref()
+                .is_some_and(|c| c.generations == generations)
+        }
+    }
+
+    /// Every member's spike counters and read-noise epoch.
+    fn read_state(m: &ReramMatrix) -> Vec<((u64, u64, u64), u64)> {
+        m.crossbars()
+            .map(|x| (x.spike_counters(), x.read_epoch()))
+            .collect()
+    }
+
+    /// At 32-bit data one word line's product reaches `2^62`, so the
+    /// shift-add of a few lines overflows `i64`; the per-crossbar path
+    /// sums them exactly.
+    #[test]
+    fn thirty_two_bit_products_do_not_wrap() {
+        let params = ReramParams {
+            data_bits: 32,
+            ..ReramParams::default()
+        };
+        for n in 1..=4 {
+            let mut m = ReramMatrix::program(&vec![1.0; n], 1, n, &params);
+            assert_eq!(m.matvec(&vec![1.0; n]), [n as f32], "{n} word lines");
+        }
+    }
+
+    /// The composite path's bound: `rows·mask·(2^data_bits − 1) < 2^63`,
+    /// so never at 32-bit data, and at 31 bits up to two word lines.
+    #[test]
+    fn composite_bound_excludes_32_bit_data() {
+        assert!(fits_composite(1 << 20, drive_mask(16), 16));
+        assert!(fits_composite(2, drive_mask(31), 31));
+        assert!(!fits_composite(3, drive_mask(31), 31));
+        assert!(!fits_composite(1, drive_mask(32), 32));
+        // A subnormal input scale quantizes past 2^(data_bits−1), up to
+        // the driver's mask; the product stays exact on both paths.
+        let mut m = ReramMatrix::program(&[1.0, -1.0], 2, 1, &ReramParams::default());
+        let x = vec![vec![1e-40f32]];
+        let mut members = m.clone();
+        assert_eq!(bits(&m.matvec(&x[0])), bits(&members.matvec_members(&x)));
+        assert!(m.composite_is_current());
+    }
+
+    /// After each mutation the next `matvec` equals a fresh matrix's (a
+    /// clone, which starts without a composite, read through the
+    /// per-crossbar path) and differs from the product before it: a stale
+    /// composite would have served the old one.
+    #[test]
+    fn every_mutation_invalidates_the_composite() {
+        use rand::rngs::StdRng;
+        type Mutation = fn(&mut ReramMatrix, &mut StdRng);
+        let drift = DriftModel {
+            nu: 0.2,
+            nu_sigma: 0.15,
+            t0_cycles: 30,
+            disturb_per_level: 0,
+        };
+        let ideal = DeviceModel::ideal();
+        let faults = ideal.with_faults(FaultModel::with_stuck_rate(0.3));
+        let wear = ideal.with_wear(WearModel::with_endurance(3.0));
+        let policy = VerifyPolicy {
+            max_attempts: 3,
+            write_sigma: 0.4,
+        };
+        let (out_dim, in_dim) = (6, 9);
+        let mut rng = StdRng::seed_from_u64(12);
+        let w1 = random_weights(out_dim * in_dim, 1.0, &mut rng);
+        let w2 = random_weights(out_dim * in_dim, 1.0, &mut rng);
+        let cases: [(&str, DeviceModel, Mutation); 9] = [
+            ("write", ideal, |m, _| {
+                m.write(&m.read().iter().map(|w| 0.5 - w).collect::<Vec<_>>())
+            }),
+            ("write_verify", wear, |m, rng| {
+                let w: Vec<f32> = m.read().iter().map(|w| -w).collect();
+                m.write_verify(&w, &VerifyPolicy::with_attempts(3), rng);
+            }),
+            ("remap_outputs", faults, |m, rng| {
+                let all: Vec<usize> = (0..m.out_dim()).collect();
+                m.remap_outputs(&all, &VerifyPolicy::default(), rng);
+            }),
+            ("repair_outputs", faults, |m, _| {
+                m.repair_outputs(&(0..m.out_dim()).collect::<Vec<_>>());
+            }),
+            ("scrub_rows", ideal.with_drift(drift), |m, rng| {
+                m.scrub_rows(0, m.in_dim(), &VerifyPolicy::default(), rng);
+            }),
+            ("advance_cycles", ideal.with_drift(drift), |m, _| {
+                m.advance_cycles(1_000_000)
+            }),
+            ("attach", ideal, |m, _| {
+                m.attach(
+                    &DeviceModel::ideal().with_faults(FaultModel::with_stuck_rate(0.3)),
+                    4,
+                )
+            }),
+            ("restore_levels", ideal, |m, _| {
+                for x in m.crossbars_mut() {
+                    let levels: Vec<u8> = x.stored_levels().iter().map(|l| 15 - l).collect();
+                    x.restore_levels(&levels);
+                }
+            }),
+            ("crossbar swap", ideal, |m, _| {
+                let first = m.crossbars().next().map(Crossbar::generation);
+                let Some(slot) = m.crossbars_mut().next() else {
+                    return;
+                };
+                let levels = vec![15; slot.rows() * slot.cols()];
+                let mut swapped = Crossbar::new(slot.rows(), slot.cols(), slot.cell_bits());
+                while Some(swapped.generation()) != first {
+                    swapped.program(&levels);
+                }
+                *slot = swapped;
+            }),
+        ];
+        let x = vec![vec![1.0f32; in_dim]];
+        for (name, device, mutate) in cases {
+            let mut m = ReramMatrix::program(&w1, out_dim, in_dim, &ReramParams::default());
+            m.attach(&device, 3);
+            if name == "scrub_rows" {
+                m.advance_cycles(1_000_000);
+            }
+            let before = m.matvec_batch(&x).concat();
+            assert!(m.composite_is_current(), "{name}: built on the first read");
+            mutate(&mut m, &mut rng);
+            let mut fresh = m.clone();
+            let got = m.matvec_batch(&x).concat();
+            assert_eq!(bits(&got), bits(&fresh.matvec_members(&x)), "{name}");
+            assert_ne!(bits(&got), bits(&before), "{name} must move the product");
+            assert_eq!(read_state(&m), read_state(&fresh), "{name}");
+        }
+
+        // A clone starts empty and reads its own state after the
+        // original is rewritten.
+        let mut m = ReramMatrix::program(&w1, out_dim, in_dim, &ReramParams::default());
+        let before = m.matvec_batch(&x).concat();
+        let mut clone = m.clone();
+        assert!(clone.composite.0.is_none(), "a clone starts empty");
+        m.write(&w2);
+        assert!(m.composite.0.is_none(), "a write frees the composite");
+        m.write_verify(&w2, &policy, &mut rng);
+        assert_eq!(bits(&clone.matvec_batch(&x).concat()), bits(&before));
+        let mut fresh = m.clone();
+        assert_eq!(
+            bits(&m.matvec_batch(&x).concat()),
+            bits(&fresh.matvec_members(&x))
+        );
+    }
+
+    #[test]
+    fn composite_kernel_arms_agree() {
+        use rand::{rngs::StdRng, RngExt as _};
+        let mut rng = StdRng::seed_from_u64(9);
+        for (rows, cols, samples, cell_bits, data_bits) in [
+            (1usize, 1usize, 1usize, 4u32, 16u32),
+            (785, 100, 3, 4, 16),
+            (33, 7, 5, 8, 24),
+            (2, 11, 2, 1, 31),
+            (5000, 3, 2, 2, 8),
+        ] {
+            let max = (1u16 << cell_bits) - 1;
+            let members = 2 * (data_bits / cell_bits) as usize;
+            let levels: Vec<Vec<u8>> = (0..members)
+                .map(|_| {
+                    (0..rows * cols)
+                        .map(|_| rng.random_range(0..=max).to_le_bytes()[0])
+                        .collect()
+                })
+                .collect();
+            let levels: Vec<&[u8]> = levels.iter().map(Vec::as_slice).collect();
+            let (mut weights, mut row_sums) = (vec![0; rows * cols], vec![0; members * rows]);
+            let (mut w_avx2, mut sums_avx2) = (weights.clone(), row_sums.clone());
+            fold_members::portable(&mut weights, &levels, cell_bits, cols, &mut row_sums);
+            let ran = fold_members::avx2(&mut w_avx2, &levels, cell_bits, cols, &mut sums_avx2);
+            let want: Vec<i32> = (0..rows * cols)
+                .map(|k| {
+                    (0..members / 2)
+                        .map(|g| {
+                            let d = i64::from(levels[2 * g][k]) - i64::from(levels[2 * g + 1][k]);
+                            d << (g as u32 * cell_bits)
+                        })
+                        .sum::<i64>() as i32
+                })
+                .collect();
+            assert_eq!(weights, want);
+            let want_sums: Vec<u64> = levels
+                .iter()
+                .flat_map(|l| {
+                    l.chunks_exact(cols)
+                        .map(|r| r.iter().map(|&v| u64::from(v)).sum::<u64>())
+                })
+                .collect();
+            assert_eq!(row_sums, want_sums);
+            crate::multiversion::assert_arms_agree(
+                (weights.clone(), row_sums),
+                ran.map(|()| (w_avx2, sums_avx2)),
+            );
+
+            let mask = drive_mask(data_bits as u8);
+            let phases: Vec<u32> = (0..2 * samples * rows)
+                .map(|k| {
+                    if k % 3 == 0 {
+                        0
+                    } else {
+                        rng.random_range(0..=mask)
+                    }
+                })
+                .collect();
+            // Sample `k / 2`'s positive phase, then its negative one.
+            type FoldPhase = fn(&mut [i32], &mut [u64], &[u32], i32, u32) -> Option<u64>;
+            let fold_phases = |arm: FoldPhase| {
+                let (mut drives, mut sums) = (vec![0; samples * rows], vec![0; rows]);
+                let mut slots = 0;
+                for (k, phase) in phases.chunks_exact(rows).enumerate() {
+                    let (s, sign) = (k / 2, if k % 2 == 0 { 1 } else { -1 });
+                    let drives = &mut drives[s * rows..(s + 1) * rows];
+                    slots += arm(drives, &mut sums, phase, sign, mask)?;
+                }
+                Some((drives, sums, slots))
+            };
+            let portable = |d: &mut [i32], s: &mut [u64], p: &[u32], sign, m| {
+                Some(fold_phase::portable(d, s, p, sign, m))
+            };
+            let folded = fold_phases(portable).unwrap_or_default();
+            let want_slots: u64 = phases.iter().map(|&v| u64::from(v.count_ones())).sum();
+            assert_eq!(folded.2, want_slots);
+            let drives = folded.0.clone();
+            let drive = |k: usize| i64::from(phases[k] & mask);
+            let want_drives: Vec<i64> = (0..samples * rows)
+                .map(|k| drive(k / rows * rows + k) - drive(k / rows * rows + k + rows))
+                .collect();
+            assert_eq!(
+                drives.iter().map(|&d| i64::from(d)).collect::<Vec<_>>(),
+                want_drives
+            );
+            crate::multiversion::assert_arms_agree(folded, fold_phases(fold_phase::avx2));
+
+            let gemm = composite_gemm::portable(&weights, cols, &drives);
+            let want: Vec<i64> = (0..samples * cols)
+                .map(|k| {
+                    let (s, c) = (k / cols, k % cols);
+                    (0..rows)
+                        .map(|r| i64::from(drives[s * rows + r]) * i64::from(weights[r * cols + c]))
+                        .sum()
+                })
+                .collect();
+            assert_eq!(gemm, want);
+            crate::multiversion::assert_arms_agree(
+                gemm,
+                composite_gemm::avx2(&weights, cols, &drives),
+            );
+        }
     }
 
     /// The rounding spec [`round_clamp_wide`] must reproduce.
@@ -1207,6 +1773,117 @@ mod tests {
             let wide = QMAXES_WIDE[k % QMAXES_WIDE.len()];
             prop_assert_eq!(round_clamp_wide(x, wide), round_spec_wide(x, wide));
             prop_assert_eq!(round_clamp_wide(y, wide), round_spec_wide(y, wide));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The composite read is the per-crossbar path bit for bit: over
+        /// random matrices, bit widths, signed batches (all-zero and
+        /// one-signed samples included) and sequences of writes, verified
+        /// writes, spare remaps, masked outputs, checkpoint restores,
+        /// scrubs and clock advances, under ideal, faulted, drifting
+        /// (without disturb) and wearing arrays, the outputs, every
+        /// member's spike counters and read epoch, and the whole matrix
+        /// state agree. Arrays with read noise or disturb, and 32-bit
+        /// data, take the per-crossbar path.
+        #[test]
+        fn composite_matches_the_member_path(
+            arm in 0usize..7,
+            widths in 0usize..5,
+            steps in 1usize..10,
+            seed in 0u64..1000,
+        ) {
+            use rand::{rngs::StdRng, RngExt as _};
+            let (cell_bits, data_bits) = [(4u8, 16u8), (4, 8), (2, 8), (8, 24), (4, 32)][widths];
+            let params = ReramParams { cell_bits, data_bits, ..ReramParams::default() };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (out_dim, in_dim) = (rng.random_range(1usize..8), rng.random_range(1usize..14));
+            let drift = DriftModel { nu: 0.2, nu_sigma: 0.15, t0_cycles: 30, disturb_per_level: 0 };
+            let faults = FaultModel::with_stuck_rate(0.1);
+            let wear = WearModel::with_endurance(30.0);
+            let ideal = DeviceModel::ideal();
+            let (device, invariant) = match arm {
+                0 => (ideal, true),
+                1 => (ideal.with_faults(faults), true),
+                2 => (ideal.with_drift(drift), true),
+                3 => (ideal.with_wear(wear), true),
+                4 => (ideal.with_faults(faults).with_drift(drift).with_wear(wear), true),
+                5 => (ideal.with_noise(NoiseModel::with_strength(1.0)), false),
+                _ => (ideal.with_drift(DriftModel { disturb_per_level: 40, ..drift }), false),
+            };
+            let composite = invariant && fits_composite(in_dim, drive_mask(data_bits), data_bits);
+            let w = random_weights(out_dim * in_dim, 1.0, &mut rng);
+            let mut a = ReramMatrix::program(&w, out_dim, in_dim, &params);
+            a.attach(&device, seed);
+            let mut b = a.clone();
+            let policy = VerifyPolicy { max_attempts: 3, write_sigma: 0.4 };
+            let (mut ra, mut rb) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            for step in 0..steps {
+                let op = rng.random_range(0u8..8);
+                match op {
+                    0 => {
+                        let w = random_weights(out_dim * in_dim, 1.0, &mut rng);
+                        a.write(&w);
+                        b.write(&w);
+                    }
+                    1 => {
+                        let w = random_weights(out_dim * in_dim, 1.0, &mut rng);
+                        let ya = a.write_verify(&w, &policy, &mut ra);
+                        prop_assert_eq!(ya, b.write_verify(&w, &policy, &mut rb));
+                    }
+                    2 => {
+                        let o = [rng.random_range(0..out_dim)];
+                        let ya = a.remap_outputs(&o, &policy, &mut ra);
+                        prop_assert_eq!(ya, b.remap_outputs(&o, &policy, &mut rb));
+                    }
+                    3 => {
+                        let o = rng.random_range(0..out_dim);
+                        a.mask_output(o);
+                        b.mask_output(o);
+                    }
+                    4 => {
+                        let max = (1u16 << cell_bits) - 1;
+                        for (xa, xb) in a.crossbars_mut().zip(b.crossbars_mut()) {
+                            let levels: Vec<u8> = (0..in_dim * out_dim)
+                                .map(|_| rng.random_range(0..=max).to_le_bytes()[0])
+                                .collect();
+                            prop_assert!(xa.restore_levels(&levels) && xb.restore_levels(&levels));
+                        }
+                    }
+                    5 => {
+                        let (start, count) = (rng.random_range(0..in_dim), rng.random_range(1..=in_dim));
+                        let ya = a.scrub_rows(start, count, &policy, &mut ra);
+                        prop_assert_eq!(ya, b.scrub_rows(start, count, &policy, &mut rb));
+                    }
+                    6 => {
+                        let cycles = rng.random_range(0u64..5_000);
+                        a.advance_cycles(cycles);
+                        b.advance_cycles(cycles);
+                    }
+                    _ => {}
+                }
+                let xs: Vec<Vec<f32>> = (0..rng.random_range(0usize..4))
+                    .map(|s| {
+                        (0..in_dim)
+                            .map(|i| match (s, i % 4) {
+                                (1, _) => 0.0,
+                                (2, _) => rng.random_range(0.0f32..2.0),
+                                (_, 0) => 0.0,
+                                _ => rng.random_range(-2.0f32..2.0),
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let got = a.matvec_batch(&xs).concat();
+                prop_assert_eq!(bits(&got), bits(&b.matvec_members(&xs)), "op {} at step {}", op, step);
+                prop_assert_eq!(read_state(&a), read_state(&b));
+                prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+                if xs.iter().flatten().any(|&v| v != 0.0) {
+                    prop_assert_eq!(a.composite_is_current(), composite);
+                }
+            }
         }
     }
 

@@ -621,12 +621,7 @@ impl Crossbar {
             0,
             "input length must be a multiple of the row count"
         );
-        let bits = SpikeDriver::new(input_bits).bits();
-        let mask = if bits >= 32 {
-            u32::MAX
-        } else {
-            (1u32 << bits) - 1
-        };
+        let mask = drive_mask(input_bits);
         if self.array.device.reads_disturb() {
             let rows = self.rows;
             return inputs
@@ -665,16 +660,57 @@ impl Crossbar {
             }
         }
         // Read spikes are the fired slots, output spikes the counter totals.
-        self.read_spikes += inputs
+        let read_spikes = inputs
             .iter()
             .map(|&v| u64::from((v & mask).count_ones()))
-            .sum::<u64>();
-        self.output_spikes += out.iter().sum::<u64>();
-        for x in inputs.chunks_exact(rows) {
+            .sum();
+        self.book_reads(inputs, mask, read_spikes, out.iter().sum());
+        out
+    }
+
+    /// Books the reads of `inputs` (whole input vectors, driven with their
+    /// low `mask` bits) as [`integrate_reads`](Self::integrate_reads) books
+    /// them, given the slots they fire and the output spikes their
+    /// integrate-and-fire counts total: both counters, then one
+    /// [`note_read`](Self::note_read) per input, in order. A
+    /// [`ReramMatrix`](crate::ReramMatrix) that computes its members'
+    /// products in one composite GEMM books each member's reads here.
+    pub(crate) fn book_reads(
+        &mut self,
+        inputs: &[u32],
+        mask: u32,
+        read_spikes: u64,
+        output_spikes: u64,
+    ) {
+        self.read_spikes += read_spikes;
+        self.output_spikes += output_spikes;
+        for x in inputs.chunks_exact(self.rows) {
             // Every slot that drove a word line disturbed that row's cells.
             self.note_read(x.iter().map(|&v| u64::from((v & mask).count_ones())));
         }
-        out
+    }
+
+    /// Whether what a read presents can differ from read to read: a
+    /// read-noise draw, or read disturb moving the cells.
+    pub(crate) fn reads_vary(&self) -> bool {
+        self.array.device.noise().is_some() || self.array.device.reads_disturb()
+    }
+
+    /// The generation of the array: it moves with every change to the
+    /// stored levels or the device state.
+    pub(crate) fn generation(&self) -> u64 {
+        self.array.generation()
+    }
+
+    /// The row-major levels every read presents while reads do not vary
+    /// (see [`reads_vary`](Self::reads_vary)): the stored levels of a
+    /// transparent array, else the read stage's, restaged if stale.
+    pub(crate) fn presented_levels(&mut self) -> &[u8] {
+        let (cols, max) = (self.cols, self.max_level());
+        match current_stage(&self.array, &mut self.read_cache, cols, max) {
+            Some(stage) => &stage.levels,
+            None => &self.array.cells,
+        }
     }
 
     /// The original scalar slot × row × column walk, retained verbatim as
@@ -963,6 +999,17 @@ fn current_stage<'a>(
     cache.as_ref()
 }
 
+/// The bits of an input a driver of `input_bits` resolution injects: its
+/// low `1..=32` bits, as [`SpikeDriver`] clamps the resolution.
+pub(crate) fn drive_mask(input_bits: u8) -> u32 {
+    let bits = SpikeDriver::new(input_bits).bits();
+    if bits >= 32 {
+        u32::MAX
+    } else {
+        (1u32 << bits) - 1
+    }
+}
+
 /// Whether every bit-line charge of a `rows`-row array fits a `u32`: at
 /// most `rows` inputs of `mask` against cells of `max_level` each, so
 /// `rows·(2^bits−1)·(2^cell_bits−1) < 2^32` — the per-crossbar form of the
@@ -1045,6 +1092,12 @@ multiversion! {
 
 #[cfg(test)]
 impl Crossbar {
+    /// The read-noise epoch: array reads booked since the noise component
+    /// was attached.
+    pub(crate) fn read_epoch(&self) -> u64 {
+        self.read_epoch
+    }
+
     /// The per-cell program loop the fused write replaced, kept as its
     /// oracle: [`program`](Self::program) as it read before the write
     /// went through `program_from`.
