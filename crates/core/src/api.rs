@@ -9,14 +9,14 @@
 //!
 //! Timing/energy/area estimates are available for every network in the
 //! zoo; *functional* execution (actually running data through the modelled
-//! crossbars) is available for MLP topologies via the [`functional`]
-//! datapath.
+//! crossbars) is available for MLPs and stride-1, max-pooling CNNs via the
+//! [`functional`] datapath.
 //!
 //! [`functional`]: crate::functional
 
 use crate::area::{testing_area, training_area, AreaModel};
 use crate::config::PipeLayerConfig;
-use crate::functional::ReramMlp;
+use crate::functional::{FunctionalError, ReramMlp};
 use crate::granularity::{default_granularity, scale_lambda};
 use crate::mapping::{MapError, MappedNetwork};
 use crate::perf::{PerfModel, RunEstimate};
@@ -29,8 +29,8 @@ use std::num::NonZeroUsize;
 /// Errors from functional accelerator operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AcceleratorError {
-    /// Functional execution is implemented for MLP topologies only.
-    NotAnMlp(String),
+    /// The functional datapath cannot run this network.
+    Functional(FunctionalError),
     /// `Weight_load` must run before `Train`/`Test`.
     WeightsNotLoaded,
     /// `Copy_to_PL` must stage data before `Train`/`Test`.
@@ -40,19 +40,21 @@ pub enum AcceleratorError {
 impl fmt::Display for AcceleratorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AcceleratorError::NotAnMlp(name) => {
-                write!(
-                    f,
-                    "functional execution supports MLPs only, `{name}` has convolutions"
-                )
-            }
+            AcceleratorError::Functional(e) => write!(f, "functional execution: {e}"),
             AcceleratorError::WeightsNotLoaded => write!(f, "call weight_load before train/test"),
             AcceleratorError::NoStagedData => write!(f, "call copy_to_pl before train/test"),
         }
     }
 }
 
-impl Error for AcceleratorError {}
+impl Error for AcceleratorError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            AcceleratorError::Functional(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 /// Builder implementing `Topology_set`/`Pipeline_set`.
 #[derive(Debug, Clone)]
@@ -203,19 +205,17 @@ impl Accelerator {
         self.staged = images.into_iter().zip(labels).collect();
     }
 
-    /// `Weight_load`: programs initial weights into the morphable arrays.
-    /// Functional execution is available for MLP topologies.
+    /// `Weight_load`: programs initial weights into the morphable arrays,
+    /// building the functional network from the spec.
     ///
     /// # Errors
     ///
-    /// [`AcceleratorError::NotAnMlp`] for convolutional topologies.
+    /// [`AcceleratorError::Functional`] for a network the functional
+    /// datapath cannot run (a strided convolution, average pooling).
     pub fn weight_load(&mut self, seed: u64) -> Result<(), AcceleratorError> {
-        if !self.spec.is_mlp() {
-            return Err(AcceleratorError::NotAnMlp(self.spec.name.clone()));
-        }
-        let mut dims = vec![self.spec.input.0 * self.spec.input.1 * self.spec.input.2];
-        dims.extend(self.mapped.layers.iter().map(|l| l.resolved.matrix_cols));
-        self.mlp = Some(ReramMlp::new(&dims, &self.mapped.config.params, seed));
+        let params = &self.mapped.config.params;
+        let builder = ReramMlp::from_spec(&self.spec, params, seed);
+        self.mlp = Some(builder.map_err(AcceleratorError::Functional)?.build());
         Ok(())
     }
 
@@ -326,12 +326,25 @@ mod tests {
     }
 
     #[test]
-    fn conv_nets_reject_functional_but_estimate() {
+    fn stride_one_conv_nets_load_functionally() {
         let mut acc = Accelerator::builder(zoo::spec_mnist_0()).build().unwrap();
-        assert!(matches!(
-            acc.weight_load(0),
-            Err(AcceleratorError::NotAnMlp(_))
-        ));
+        acc.weight_load(0)
+            .expect("Mnist-0 (stride-1 convs, max pooling) loads");
+        let image = Tensor::from_fn(&[1, 28, 28], |i| ((i[1] * 28 + i[2]) as f32 * 0.01).sin());
+        acc.copy_to_pl(vec![image], vec![3]);
+        assert_eq!(acc.test().expect("test").len(), 1);
+    }
+
+    #[test]
+    fn strided_conv_nets_reject_functional_but_estimate() {
+        use crate::functional::FunctionalError;
+        let mut acc = Accelerator::builder(zoo::alexnet()).build().unwrap();
+        let Err(AcceleratorError::Functional(FunctionalError::StridedConv { at, stride })) =
+            acc.weight_load(0)
+        else {
+            panic!("AlexNet's strided conv must be rejected");
+        };
+        assert_eq!((at.index, at.name.as_str(), stride), (0, "conv11x96", 4));
         let est = acc.estimate_training(64);
         assert!(est.time_s.0 > 0.0);
     }
@@ -389,7 +402,9 @@ mod tests {
 
     #[test]
     fn error_messages_are_informative() {
-        let e = AcceleratorError::NotAnMlp("VGG-E".into());
-        assert!(e.to_string().contains("VGG-E"));
+        let mut acc = Accelerator::builder(zoo::alexnet()).build().unwrap();
+        let e = acc.weight_load(0).unwrap_err();
+        assert!(e.to_string().contains("layer 0 (conv11x96)"), "{e}");
+        assert!(e.source().is_some(), "the functional error is the source");
     }
 }

@@ -9,22 +9,31 @@
 //! subtracted, and the result is written back (reprogramming both the
 //! forward and the backward copies).
 //!
-//! Scope: multilayer perceptrons (the paper's Mnist-A/B/C class). This is
-//! the fidelity proof that PipeLayer's analog datapath trains networks, not
-//! a fast trainer — convolutional functional training runs through the same
-//! `ReramMatrix` primitive via im2col but is quadratically slower, so the
-//! shipped examples stick to MLPs.
+//! Scope: the MNIST-scale networks — perceptrons (Mnist-A/B/C) and
+//! stride-1 convolutional networks with max pooling (Mnist-0, C-4). A conv
+//! layer and an FC layer are one layer type over one array pair; they
+//! differ only in how a sample is lowered to crossbar rows. An FC layer
+//! feeds one row `[x, 1]`; a conv layer feeds one row per kernel-window
+//! position, the im2col window loop of Fig. 4, and its `A_l2` copy holds
+//! the rot180-reordered kernels of Fig. 11. Max pooling runs in the
+//! activation component's max register, folded into the layer before it.
+//! This is the fidelity proof that PipeLayer's analog datapath trains
+//! networks, not a fast trainer: every window position is an array read.
 
 use crate::repair::{RepairController, RepairPolicy, SpareBudget};
 use crate::scrub::ScrubPolicy;
 use pipelayer_nn::loss::Loss;
+use pipelayer_nn::spec::{LayerAt, LayerSpec, NetSpec, PoolKind, ShapeError};
 use pipelayer_reram::{
     DeviceModel, DriftModel, FaultKind, FaultMap, FaultModel, NoiseModel, ProgramReport,
     ReramMatrix, ReramParams, VerifyPolicy, WearModel,
 };
-use pipelayer_tensor::{ops, Tensor};
+use pipelayer_tensor::ops::{self, PoolIndices};
+use pipelayer_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
+use std::fmt;
 
 /// Fault-tolerance knobs threaded through construction and updates.
 #[derive(Debug, Clone)]
@@ -54,22 +63,186 @@ struct ResilienceState {
     passes: u64,
 }
 
+/// How a weighted layer's samples meet its crossbars: a stride-1 `k×k`
+/// window walk, zero padding `pad`, over a `[c_in, in_hw.0, in_hw.1]` map,
+/// one crossbar row per window position (Fig. 4). An FC layer is the 1×1
+/// window over its flattened input, one row `[x, 1]` per sample, as in
+/// `NetSpec::try_resolve`. Everything else about a layer (its array pair,
+/// repair controllers, gradient buffer, update and maintenance) is the
+/// same for both kinds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Geometry {
+    k: usize,
+    pad: usize,
+    c_in: usize,
+    c_out: usize,
+    in_hw: (usize, usize),
+}
+
+impl Geometry {
+    /// An inner product from `c_in` inputs to `c_out` outputs.
+    fn fc(c_in: usize, c_out: usize) -> Self {
+        let (k, pad, in_hw) = (1, 0, (1, 1));
+        Geometry {
+            k,
+            pad,
+            c_in,
+            c_out,
+            in_hw,
+        }
+    }
+
+    /// One row per sample that is the sample itself: an FC layer.
+    fn is_fc(self) -> bool {
+        (self.k, self.pad, self.in_hw) == (1, 0, (1, 1))
+    }
+
+    /// Weights per output, bias excluded: `K²·C_in`.
+    fn fan_in(self) -> usize {
+        self.k * self.k * self.c_in
+    }
+
+    /// Input elements per sample.
+    fn in_numel(self) -> usize {
+        self.c_in * self.in_hw.0 * self.in_hw.1
+    }
+
+    /// Output map height and width: the window positions.
+    fn out_hw(self) -> (usize, usize) {
+        let (Geometry { k, pad, .. }, (h, w)) = (self, self.in_hw);
+        (h + 2 * pad + 1 - k, w + 2 * pad + 1 - k)
+    }
+
+    /// Appends sample `x`'s forward crossbar rows to `rows`, each ending in
+    /// the bias input `1`.
+    fn lower(self, x: &[f32], rows: &mut Vec<f32>) {
+        if self.is_fc() {
+            rows.extend_from_slice(x);
+            rows.push(1.0);
+        } else {
+            let map = (self.c_in, self.in_hw.0, self.in_hw.1);
+            push_windows(x, map, self.k, pad_of(self.pad), self.out_hw(), true, rows);
+        }
+    }
+
+    /// The rows an output error `delta` drives through `A_l2`: per sample,
+    /// the windows over the δ map padded by `K − 1 − pad` at every input
+    /// position (Fig. 11) — δ itself for an FC layer.
+    fn lower_delta(self, delta: &[f32]) -> Cow<'_, [f32]> {
+        if self.is_fc() {
+            return Cow::Borrowed(delta);
+        }
+        let (ho, wo) = self.out_hw();
+        let (map, full) = ((self.c_out, ho, wo), pad_of(self.k - 1) - pad_of(self.pad));
+        let mut rows = Vec::new();
+        for d in delta.chunks(self.c_out * ho * wo) {
+            push_windows(d, map, self.k, full, self.in_hw, false, &mut rows);
+        }
+        Cow::Owned(rows)
+    }
+}
+
+/// A padding as a signed offset (the error backward's is negative where
+/// the forward padding exceeds `K − 1`).
+fn pad_of(pad: usize) -> isize {
+    isize::try_from(pad).unwrap_or(isize::MAX)
+}
+
+/// Appends one row per position of a stride-1 `k×k` window walk over the
+/// `[c, h, w]` map `x` zero-padded by `pad` (cropped where negative), at
+/// `(ho, wo)` positions in row-major order. A row holds the window in
+/// `(c, ky, kx)` order, as `ops::im2col` lays it out, then a `1` with
+/// `bias`.
+fn push_windows(
+    x: &[f32],
+    (c, h, w): (usize, usize, usize),
+    k: usize,
+    pad: isize,
+    (ho, wo): (usize, usize),
+    bias: bool,
+    rows: &mut Vec<f32>,
+) {
+    // The input index under window offset `o + d`, if inside the map.
+    let at =
+        |o: usize, d: usize, n: usize| usize::try_from(pad_of(o + d) - pad).ok().filter(|&i| i < n);
+    for oy in 0..ho {
+        for ox in 0..wo {
+            for ci in 0..c {
+                for ky in 0..k {
+                    let y = at(oy, ky, h);
+                    for kx in 0..k {
+                        let v = y
+                            .zip(at(ox, kx, w))
+                            .and_then(|(y, xi)| x.get((ci * h + y) * w + xi));
+                        rows.push(v.copied().unwrap_or(0.0));
+                    }
+                }
+            }
+            if bias {
+                rows.push(1.0);
+            }
+        }
+    }
+}
+
+/// Per sample, the `p` rows of `c` values each in `m` as a `[c × p]` map;
+/// with `p` and `c` swapped, back. One row per sample (an FC layer)
+/// already is its vector.
+fn to_maps(m: Vec<f32>, p: usize, c: usize) -> Vec<f32> {
+    if p == 1 {
+        return m;
+    }
+    let mut out = vec![0.0; m.len()];
+    for (src, dst) in m.chunks(p * c).zip(out.chunks_mut(p * c)) {
+        for (i, row) in src.chunks(c).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                if let Some(d) = dst.get_mut(j * p + i) {
+                    *d = v;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// `m`'s products of the rows stored back to back in `rows`: one batched
+/// MVM, or with `per_row` one `matvec` per row (the per-sample reference).
+fn mvm(m: &mut ReramMatrix, rows: &[f32], per_row: bool) -> Vec<f32> {
+    if per_row {
+        let in_dim = m.in_dim();
+        rows.chunks(in_dim).flat_map(|r| m.matvec(r)).collect()
+    } else {
+        m.matvec_rows(rows)
+    }
+}
+
 #[derive(Clone)]
 struct ReramMlpLayer {
-    n_in: usize,
-    n_out: usize,
+    geometry: Geometry,
+    /// Max-pools `(k, stride)` after the activation, folded into the layer
+    /// as the activation component's max register (Sec. 4.2.3).
+    pools: Vec<(usize, usize)>,
     /// `A_l`: forward arrays over `[x, 1]` (bias folded as an extra row).
     forward: ReramMatrix,
-    /// `A_l2`: reordered weights `(W_l)ᵀ` for the error backward pass.
+    /// `A_l2`: reordered weights for the error backward pass.
     backward: ReramMatrix,
     /// Spare-column bookkeeping for the two array copies.
     forward_repair: RepairController,
     backward_repair: RepairController,
     /// Accumulated partial derivatives (the memory-subarray `ΔW` buffers).
     grad_acc: Vec<f32>,
-    cached_in: Vec<f32>,
-    cached_out: Vec<f32>,
     relu: bool,
+}
+
+/// What one layer's forward pass over a batch keeps for its backward pass.
+struct Pass {
+    /// The forward crossbar rows, `∂W`'s right factors: the stored `d_l`
+    /// of Fig. 12.
+    rows: Vec<f32>,
+    /// Activations after ReLU, before pooling (empty without ReLU).
+    out: Vec<f32>,
+    /// Per max-pool, each sample's argmax routing (Fig. 10b).
+    pools: Vec<Vec<PoolIndices>>,
 }
 
 impl ReramMlpLayer {
@@ -81,8 +254,8 @@ impl ReramMlpLayer {
     /// budget runs out).
     #[allow(clippy::too_many_arguments)]
     fn new(
-        n_in: usize,
-        n_out: usize,
+        geometry: Geometry,
+        pools: Vec<(usize, usize)>,
         relu: bool,
         params: &ReramParams,
         rng: &mut impl Rng,
@@ -90,11 +263,13 @@ impl ReramMlpLayer {
         salt: u64,
         fault_tolerance: Option<(&mut FaultState, SpareBudget)>,
     ) -> Self {
+        let Geometry { k, c_in, c_out, .. } = geometry;
+        let (n_in, n_out) = (geometry.fan_in(), c_out);
         let a = (6.0 / (n_in + n_out) as f32).sqrt();
         let w: Vec<f32> = Tensor::uniform(&[n_out, n_in + 1], -a, a, rng).into_vec();
-        let wt = transpose_no_bias(&w, n_out, n_in);
+        let wt = reorder_rot180(&w, c_out, c_in, k);
         let mut forward = ReramMatrix::program(&w, n_out, n_in + 1, params);
-        let mut backward = ReramMatrix::program(&wt, n_in, n_out, params);
+        let mut backward = ReramMatrix::program(&wt, c_in, k * k * c_out, params);
         forward.attach(faults, salt);
         backward.attach(faults, salt ^ BACKWARD_SALT);
         let spares = fault_tolerance
@@ -111,18 +286,142 @@ impl ReramMlpLayer {
             ft.report.merge(r);
         }
         ReramMlpLayer {
-            n_in,
-            n_out,
+            geometry,
+            pools,
             forward,
             backward,
             forward_repair,
             backward_repair,
             grad_acc: vec![0.0; n_out * (n_in + 1)],
-            cached_in: Vec::new(),
-            cached_out: Vec::new(),
             relu,
         }
     }
+
+    /// The forward pass of `n` samples stored back to back in `x`: lower
+    /// each to crossbar rows, run the rows through `A_l` (with `per_row`
+    /// one `matvec` each, the per-sample reference), raise the products to
+    /// per-sample maps, then ReLU (the activation component's LUT) and
+    /// max-pool. Returns the output and what the backward pass needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not hold `n` inputs of this layer's size.
+    fn forward_pass(&mut self, x: &[f32], n: usize, per_row: bool) -> (Vec<f32>, Pass) {
+        let g = self.geometry;
+        assert_eq!(x.len(), n * g.in_numel(), "input width mismatch");
+        let (ho, wo) = g.out_hw();
+        let mut rows = Vec::with_capacity(n * ho * wo * (g.fan_in() + 1));
+        for sample in x.chunks(g.in_numel()) {
+            g.lower(sample, &mut rows);
+        }
+        let ys = mvm(&mut self.forward, &rows, per_row);
+        let mut out = to_maps(ys, ho * wo, g.c_out);
+        if self.relu {
+            for o in &mut out {
+                *o = o.max(0.0);
+            }
+        }
+        let cached = if self.relu { out.clone() } else { Vec::new() };
+        let (c, mut h, mut w) = (g.c_out, ho, wo);
+        let mut pools = Vec::with_capacity(self.pools.len());
+        for &(k, stride) in &self.pools {
+            let mut pooled = Vec::new();
+            let mut routes = Vec::with_capacity(n);
+            for sample in out.chunks(c * h * w) {
+                let map = Tensor::from_vec(&[c, h, w], sample.to_vec());
+                let (y, route) = ops::maxpool2d(&map, k, stride);
+                pooled.extend_from_slice(y.as_slice());
+                routes.push(route);
+            }
+            h = ops::conv_output_len(h, k, stride, 0);
+            w = ops::conv_output_len(w, k, stride, 0);
+            out = pooled;
+            pools.push(routes);
+        }
+        let pass = Pass {
+            rows,
+            out: cached,
+            pools,
+        };
+        (out, pass)
+    }
+
+    /// The backward pass for the error `delta` at the layer's output: route
+    /// δ back through the max-pools (Fig. 10b) and the ReLU (Fig. 10a),
+    /// accumulate `∂W` one crossbar row at a time in sample order
+    /// (Fig. 12), and with `propagate` drive δ through `A_l2` (Fig. 11) to
+    /// return the error at the layer's input (empty without `propagate`).
+    fn backward_pass(
+        &mut self,
+        mut delta: Vec<f32>,
+        pass: Pass,
+        per_row: bool,
+        propagate: bool,
+    ) -> Vec<f32> {
+        for routes in pass.pools.iter().rev() {
+            let windows = routes.first().map_or(1, |r| r.winners().len());
+            let mut routed = Vec::new();
+            for (d, route) in delta.chunks(windows).zip(routes) {
+                let d = Tensor::from_vec(&[d.len()], d.to_vec());
+                routed.extend_from_slice(ops::maxpool2d_backward(&d, route).as_slice());
+            }
+            delta = routed;
+        }
+        if self.relu {
+            // ReLU error backward: AND with f'(d_l) (Fig. 10a).
+            for (d, &o) in delta.iter_mut().zip(&pass.out) {
+                if o <= 0.0 {
+                    *d = 0.0;
+                }
+            }
+        }
+        // ∂W = δ · [d, 1]ᵀ accumulated into the buffer row by row (Fig.
+        // 12's computation, exact here since it is a sum of outer
+        // products). No zero-skip, so a NaN/Inf activation poisons the
+        // gradient instead of vanishing.
+        let g = self.geometry;
+        let (ho, wo) = g.out_hw();
+        let (c_out, p) = (g.c_out, ho * wo);
+        let rows_of_delta = if p == 1 {
+            Cow::Borrowed(delta.as_slice())
+        } else {
+            Cow::Owned(to_maps(delta.clone(), c_out, p))
+        };
+        for (d, x) in rows_of_delta
+            .chunks(c_out)
+            .zip(pass.rows.chunks(g.fan_in() + 1))
+        {
+            ops::outer_acc(&mut self.grad_acc, d, x);
+        }
+        if !propagate {
+            return Vec::new();
+        }
+        // δ_{l-1} on the A_l2 arrays: (W_l)ᵀ δ_l, or the full convolution
+        // with the reordered kernels.
+        let ys = mvm(&mut self.backward, &g.lower_delta(&delta), per_row);
+        to_maps(ys, g.in_hw.0 * g.in_hw.1, g.c_in)
+    }
+}
+
+/// Builds the Fig. 11 backward matrix from the forward one: entry
+/// `[ci][(co,ky,kx)] = W[co][(ci, K-1-ky, K-1-kx)]`, biases dropped.
+fn reorder_rot180(w: &[f32], c_out: usize, c_in: usize, k: usize) -> Vec<f32> {
+    let cols_fwd = k * k * c_in + 1;
+    let cols_bwd = k * k * c_out;
+    let mut out = vec![0.0f32; c_in * cols_bwd];
+    for ci in 0..c_in {
+        for co in 0..c_out {
+            for ky in 0..k {
+                for kx in 0..k {
+                    // Forward patch order is (ci, ky, kx), as im2col's.
+                    let fwd_col = (ci * k + (k - 1 - ky)) * k + (k - 1 - kx);
+                    let bwd_col = (co * k + ky) * k + kx;
+                    out[ci * cols_bwd + bwd_col] = w[co * cols_fwd + fwd_col];
+                }
+            }
+        }
+    }
+    out
 }
 
 /// Shape prologue shared by both batch-training schedules.
@@ -383,17 +682,6 @@ fn restore_report(rd: &mut ByteReader) -> Option<ProgramReport> {
     })
 }
 
-/// Drops the bias row and transposes: `[out×(in+1)] → [in×out]`.
-pub(super) fn transpose_no_bias(w: &[f32], n_out: usize, n_in: usize) -> Vec<f32> {
-    let mut wt = vec![0.0f32; n_in * n_out];
-    for o in 0..n_out {
-        for i in 0..n_in {
-            wt[i * n_out + o] = w[o * (n_in + 1) + i];
-        }
-    }
-    wt
-}
-
 /// Salt of layer `i`'s device streams under the model seed `seed`.
 fn layer_salt(seed: u64, i: usize) -> u64 {
     seed.wrapping_add(1 + 1000 * i as u64)
@@ -402,9 +690,63 @@ fn layer_salt(seed: u64, i: usize) -> u64 {
 /// Salt offset of a layer's reordered-backward copy.
 const BACKWARD_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
+/// Why [`ReramMlp::from_spec`] cannot run a network.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FunctionalError {
+    /// The spec's geometry does not resolve.
+    Shape(ShapeError),
+    /// A convolution with a stride other than 1: the functional model
+    /// feeds every kernel-window position of Fig. 4.
+    StridedConv {
+        /// The layer.
+        at: LayerAt,
+        /// Its stride.
+        stride: usize,
+    },
+    /// Average pooling: the functional model pools in the activation
+    /// component's max register only.
+    AvgPool {
+        /// The layer.
+        at: LayerAt,
+    },
+}
+
+impl fmt::Display for FunctionalError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FunctionalError::Shape(e) => write!(f, "invalid network geometry at {}: {e}", e.site()),
+            FunctionalError::StridedConv { at, stride } => write!(
+                f,
+                "layer {} ({}) has stride {stride}: functional convolutions run at stride 1",
+                at.index, at.name
+            ),
+            FunctionalError::AvgPool { at } => write!(
+                f,
+                "layer {} ({}) averages: functional pooling is max pooling",
+                at.index, at.name
+            ),
+        }
+    }
+}
+
+impl std::error::Error for FunctionalError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            FunctionalError::Shape(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<ShapeError> for FunctionalError {
+    fn from(e: ShapeError) -> Self {
+        FunctionalError::Shape(e)
+    }
+}
+
 /// Configures a [`ReramMlp`] — the one place its device model, write
 /// discipline and maintenance schedule are chosen. Start from
-/// [`ReramMlp::builder`].
+/// [`ReramMlp::from_spec`], or [`ReramMlp::builder`] for a perceptron.
 ///
 /// # Example
 ///
@@ -424,7 +766,8 @@ const BACKWARD_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReramMlpBuilder<'a> {
-    dims: &'a [usize],
+    /// Per weighted layer, its geometry and the max-pools folded after it.
+    layers: Vec<(Geometry, Vec<(usize, usize)>)>,
     params: &'a ReramParams,
     seed: u64,
     device: DeviceModel,
@@ -434,7 +777,24 @@ pub struct ReramMlpBuilder<'a> {
     scrub: Option<(ScrubPolicy, VerifyPolicy)>,
 }
 
-impl ReramMlpBuilder<'_> {
+impl<'a> ReramMlpBuilder<'a> {
+    fn new(
+        layers: Vec<(Geometry, Vec<(usize, usize)>)>,
+        params: &'a ReramParams,
+        seed: u64,
+    ) -> Self {
+        ReramMlpBuilder {
+            layers,
+            params,
+            seed,
+            device: DeviceModel::ideal(),
+            noise_seed: seed,
+            fault_tolerance: None,
+            repair: None,
+            scrub: None,
+        }
+    }
+
     /// The arrays' device model. Faults, drift and wear draw their
     /// per-layer streams from the model seed, noise from
     /// [`noise_seed`](Self::noise_seed).
@@ -475,14 +835,8 @@ impl ReramMlpBuilder<'_> {
     }
 
     /// Programs the initial weights and attaches the device model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two widths are given or any width is zero.
     pub fn build(self) -> ReramMlp {
-        let (dims, seed) = (self.dims, self.seed);
-        assert!(dims.len() >= 2, "need at least input and output widths");
-        assert!(dims.iter().all(|&d| d > 0), "zero-width layer");
+        let seed = self.seed;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut ft = self.fault_tolerance.map(|(verify, spares)| {
             let state = FaultState {
@@ -493,14 +847,16 @@ impl ReramMlpBuilder<'_> {
             (state, spares)
         });
         let faults = DeviceModel::ideal().with_faults(self.device.faults);
-        let layers: Vec<ReramMlpLayer> = dims
-            .windows(2)
+        let depth = self.layers.len();
+        let layers: Vec<ReramMlpLayer> = self
+            .layers
+            .into_iter()
             .enumerate()
-            .map(|(i, w)| {
+            .map(|(i, (geometry, pools))| {
                 ReramMlpLayer::new(
-                    w[0],
-                    w[1],
-                    i + 2 < dims.len(),
+                    geometry,
+                    pools,
+                    i + 1 < depth,
                     self.params,
                     &mut rng,
                     &faults,
@@ -539,8 +895,10 @@ impl ReramMlpBuilder<'_> {
     }
 }
 
-/// A multilayer perceptron whose every MVM executes on the modelled ReRAM
-/// crossbars.
+/// A network whose every MVM executes on the modelled ReRAM crossbars: a
+/// multilayer perceptron, or a stride-1 convolutional network with max
+/// pooling built through [`from_spec`](Self::from_spec). ReLU follows
+/// every weighted layer except the last.
 ///
 /// # Example
 ///
@@ -573,21 +931,96 @@ impl ReramMlp {
     /// `[784, 100, 10]`), ReLU between layers and Xavier initial weights
     /// drawn from `seed`. Without further options the arrays are ideal,
     /// writes are fire-and-forget and nothing scrubs them.
-    pub fn builder<'a>(
-        dims: &'a [usize],
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than two widths are given or any width is zero.
+    pub fn builder<'a>(dims: &[usize], params: &'a ReramParams, seed: u64) -> ReramMlpBuilder<'a> {
+        assert!(dims.len() >= 2, "need at least input and output widths");
+        assert!(dims.iter().all(|&d| d > 0), "zero-width layer");
+        let layers = dims
+            .windows(2)
+            .map(|w| (Geometry::fc(w[0], w[1]), Vec::new()))
+            .collect();
+        ReramMlpBuilder::new(layers, params, seed)
+    }
+
+    /// Starts configuring the network `spec` describes, with every layer's
+    /// shape from [`NetSpec::try_resolve`]: conv layers run as the Fig. 4
+    /// window loop, each max-pool folds into the layer before it, and the
+    /// builder's options apply to conv and FC layers alike. An all-FC
+    /// spec gives the network [`builder`](Self::builder) gives for its
+    /// widths, bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// [`FunctionalError::Shape`] where the geometry does not resolve,
+    /// then [`FunctionalError::StridedConv`] or
+    /// [`FunctionalError::AvgPool`] at the first layer the functional
+    /// model cannot run.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use pipelayer::functional::ReramMlp;
+    /// use pipelayer_nn::{spec::PoolKind, LayerSpec, NetSpec};
+    /// use pipelayer_reram::ReramParams;
+    ///
+    /// let spec = NetSpec::new("tiny", (1, 8, 8), vec![
+    ///     LayerSpec::Conv { k: 3, c_out: 4, stride: 1, pad: 0 },
+    ///     LayerSpec::Pool { k: 2, stride: 2, kind: PoolKind::Max },
+    ///     LayerSpec::Fc { n_out: 10 },
+    /// ]);
+    /// let params = ReramParams::default();
+    /// let mut cnn = ReramMlp::from_spec(&spec, &params, 7)?.build();
+    /// assert_eq!(cnn.forward(&[0.5; 64]).len(), 10);
+    /// # Ok::<(), pipelayer::functional::FunctionalError>(())
+    /// ```
+    pub fn from_spec<'a>(
+        spec: &NetSpec,
         params: &'a ReramParams,
         seed: u64,
-    ) -> ReramMlpBuilder<'a> {
-        ReramMlpBuilder {
-            dims,
-            params,
-            seed,
-            device: DeviceModel::ideal(),
-            noise_seed: seed,
-            fault_tolerance: None,
-            repair: None,
-            scrub: None,
+    ) -> Result<ReramMlpBuilder<'a>, FunctionalError> {
+        let mut resolved = spec.try_resolve()?.into_iter();
+        let mut layers: Vec<(Geometry, Vec<(usize, usize)>)> = Vec::new();
+        for (index, layer) in spec.layers.iter().enumerate() {
+            if let LayerSpec::Pool { k, stride, kind } = *layer {
+                if kind != PoolKind::Max {
+                    let name = format!("pool{k}s{stride}");
+                    return Err(FunctionalError::AvgPool {
+                        at: LayerAt { index, name },
+                    });
+                }
+                // `try_resolve` rejects a pool before every weighted layer.
+                if let Some((_, pools)) = layers.last_mut() {
+                    pools.push((k, stride));
+                }
+                continue;
+            }
+            // `try_resolve` yields one layer per conv/fc entry, in order.
+            let Some(r) = resolved.next() else { break };
+            let (k, pad) = match *layer {
+                LayerSpec::Conv { stride, .. } if stride != 1 => {
+                    let at = LayerAt {
+                        index,
+                        name: r.name,
+                    };
+                    return Err(FunctionalError::StridedConv { at, stride });
+                }
+                LayerSpec::Conv { k, pad, .. } => (k, pad),
+                _ => (1, 0),
+            };
+            let (c_in, h, w) = r.in_shape;
+            let geometry = Geometry {
+                k,
+                pad,
+                c_in,
+                c_out: r.matrix_cols,
+                in_hw: (h, w),
+            };
+            layers.push((geometry, Vec::new()));
         }
+        Ok(ReramMlpBuilder::new(layers, params, seed))
     }
 
     /// Shorthand for `builder(dims, params, seed).build()`: ideal arrays.
@@ -687,33 +1120,19 @@ impl ReramMlp {
         self.layers.len()
     }
 
-    /// Forward pass on the crossbars, caching activations for training.
+    /// Forward pass on the crossbars for one sample: a flattened
+    /// `[C, H, W]` input (a vector for a perceptron).
     ///
     /// # Panics
     ///
-    /// Panics if `x.len()` differs from the input width.
+    /// Panics if `x.len()` differs from the input size.
     pub fn forward(&mut self, x: &[f32]) -> Vec<f32> {
-        let mut v = x.to_vec();
-        for layer in &mut self.layers {
-            assert_eq!(v.len(), layer.n_in, "input width mismatch");
-            // Cache WITH the bias element appended: the grad accumulation is
-            // then one outer_acc over the whole [d, 1] vector.
-            let mut with_bias = v;
-            with_bias.push(1.0);
-            let mut out = layer.forward.matvec(&with_bias);
-            if layer.relu {
-                for o in &mut out {
-                    *o = o.max(0.0); // activation component LUT
-                }
-            }
-            layer.cached_in = with_bias;
-            layer.cached_out = out.clone();
-            v = out;
-        }
-        v
+        self.layers
+            .iter_mut()
+            .fold(x.to_vec(), |v, layer| layer.forward_pass(&v, 1, false).0)
     }
 
-    /// Inference-only forward (no caches touched beyond reuse).
+    /// The class [`forward`](Self::forward) scores highest.
     pub fn predict(&mut self, x: &[f32]) -> usize {
         let out = self.forward(x);
         out.iter()
@@ -740,46 +1159,16 @@ impl ReramMlp {
         correct as f32 / images.len() as f32
     }
 
-    /// Processes one sample: forward, output error, backward through the
-    /// `A_l2` arrays, partial-derivative accumulation. Returns the loss.
-    fn train_sample(&mut self, x: &[f32], label: usize) -> f32 {
-        let out = self.forward(x);
-        let out_t = Tensor::from_vec(&[out.len()], out);
-        let (loss, delta_t) = self.loss.loss_and_delta(&out_t, label);
-        let mut delta = delta_t.into_vec();
-
-        for li in (0..self.layers.len()).rev() {
-            let layer = &mut self.layers[li];
-            // ReLU error backward: AND with f'(d_l) (Fig. 10a).
-            if layer.relu {
-                for (d, &o) in delta.iter_mut().zip(&layer.cached_out) {
-                    if o <= 0.0 {
-                        *d = 0.0;
-                    }
-                }
-            }
-            // ∂W = δ · [d, 1]ᵀ accumulated into the buffer (Fig. 12's
-            // computation, exact here since it is an outer product). Lowered
-            // onto the shared rank-1 kernel; no zero-skip, so a NaN/Inf
-            // activation poisons the gradient instead of vanishing.
-            ops::outer_acc(&mut layer.grad_acc, &delta, &layer.cached_in);
-            // δ_{l-1} = (W_l)ᵀ δ_l on the A_l2 arrays.
-            if li > 0 {
-                delta = self.layers[li].backward.matvec(&delta);
-            }
-        }
-        loss
-    }
-
     /// Trains one mini-batch and applies the Fig. 14(b) update: read old
     /// weights from the arrays, subtract the averaged partial derivatives,
     /// write back (both forward and reordered copies). Returns mean loss.
     ///
-    /// Samples are fed layer-major: every layer sees the whole batch as
-    /// one [`ReramMatrix::matvec_batch`] call (forward and error
-    /// backward), so on arrays whose reads don't perturb the device each
-    /// array's levels are walked once per batch instead of once per
-    /// sample. Every array still sees its reads in sample order, and
+    /// Samples are fed layer-major: every layer sees the crossbar rows of
+    /// the whole batch (one per sample, or one per window position and
+    /// sample for a conv layer) as one [`ReramMatrix::matvec_rows`] call,
+    /// forward and error backward, so on arrays whose reads don't perturb
+    /// the device each array's levels are walked once per batch instead of
+    /// once per row. Every array still sees its reads in sample order, and
     /// losses and gradients accumulate in sample order, so the result is
     /// bitwise identical to the per-sample reference
     /// [`train_batch_scalar`](Self::train_batch_scalar) on every device
@@ -791,7 +1180,7 @@ impl ReramMlp {
     /// Panics on empty or mismatched batches.
     pub fn train_batch(&mut self, images: &[Tensor], labels: &[usize], lr: f32) -> f32 {
         check_batch(images, labels);
-        let total = self.batch_grads(images, labels);
+        let total = self.batch_grads(images, labels, false);
         self.apply_update(images.len(), lr);
         mean_loss(total, images.len())
     }
@@ -799,70 +1188,53 @@ impl ReramMlp {
     /// The forward/backward half of [`train_batch`](Self::train_batch):
     /// feeds the batch layer-major, accumulates `∂W` into the layer
     /// buffers, and returns the summed (not mean) loss. No update is
-    /// applied and no clock advanced — callers own that.
-    fn batch_grads(&mut self, images: &[Tensor], labels: &[usize]) -> f32 {
-        // Forward, layer-major: one multi-image GEMM per layer.
-        let mut vs: Vec<Vec<f32>> = images.iter().map(|t| t.as_slice().to_vec()).collect();
-        let mut cached_ins: Vec<Vec<Vec<f32>>> = Vec::with_capacity(self.layers.len());
-        let mut cached_outs: Vec<Vec<Vec<f32>>> = Vec::with_capacity(self.layers.len());
+    /// applied and no clock advanced — callers own that. With `per_row`
+    /// every crossbar row is its own `matvec`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an image's size differs from the input size.
+    fn batch_grads(&mut self, images: &[Tensor], labels: &[usize], per_row: bool) -> f32 {
+        let n = images.len();
+        let width = self.layers.first().map_or(0, |l| l.geometry.in_numel());
+        let mut v = Vec::with_capacity(n * width);
+        for img in images {
+            assert_eq!(img.numel(), width, "input width mismatch");
+            v.extend_from_slice(img.as_slice());
+        }
+        // Forward, layer-major: one multi-row GEMM per layer.
+        let mut passes = Vec::with_capacity(self.layers.len());
         for layer in &mut self.layers {
-            let with_bias: Vec<Vec<f32>> = vs
-                .into_iter()
-                .map(|mut v| {
-                    assert_eq!(v.len(), layer.n_in, "input width mismatch");
-                    v.push(1.0);
-                    v
-                })
-                .collect();
-            let mut outs = layer.forward.matvec_batch(&with_bias);
-            if layer.relu {
-                for out in &mut outs {
-                    for o in out.iter_mut() {
-                        *o = o.max(0.0); // activation component LUT
-                    }
-                }
-            }
-            cached_ins.push(with_bias);
-            vs = outs.clone();
-            cached_outs.push(outs);
+            let (out, pass) = layer.forward_pass(&v, n, per_row);
+            passes.push(pass);
+            v = out;
         }
 
         // Output error per sample, in sample order.
         let mut total = 0.0;
-        let mut deltas: Vec<Vec<f32>> = Vec::with_capacity(images.len());
-        for (out, &label) in vs.into_iter().zip(labels) {
-            let out_t = Tensor::from_vec(&[out.len()], out);
+        let mut delta = Vec::with_capacity(v.len());
+        for (out, &label) in v.chunks(v.len() / n).zip(labels) {
+            let out_t = Tensor::from_vec(&[out.len()], out.to_vec());
             let (loss, delta_t) = self.loss.loss_and_delta(&out_t, label);
             total += loss;
-            deltas.push(delta_t.into_vec());
+            delta.extend_from_slice(delta_t.as_slice());
         }
 
-        // Backward, layer-major: ReLU masking and ∂W accumulation run per
-        // sample (same order as the scalar reference), then one batched
-        // MVM through the A_l2 arrays propagates every delta at once.
-        for li in (0..self.layers.len()).rev() {
-            let layer = &mut self.layers[li];
-            for (s, delta) in deltas.iter_mut().enumerate() {
-                if layer.relu {
-                    for (d, &o) in delta.iter_mut().zip(&cached_outs[li][s]) {
-                        if o <= 0.0 {
-                            *d = 0.0;
-                        }
-                    }
-                }
-                ops::outer_acc(&mut layer.grad_acc, delta, &cached_ins[li][s]);
-            }
-            if li > 0 {
-                deltas = layer.backward.matvec_batch(&deltas);
-            }
+        // Backward, layer-major: masking and ∂W accumulation run in sample
+        // order, then one batched MVM through the A_l2 arrays propagates
+        // every delta at once. The first layer's input error is not needed.
+        let layers = self.layers.iter_mut().zip(passes).enumerate().rev();
+        for (li, (layer, pass)) in layers {
+            delta = layer.backward_pass(delta, pass, per_row, li > 0);
         }
         total
     }
 
-    /// Per-sample reference for [`train_batch`](Self::train_batch): the
-    /// original one-matvec-per-sample schedule, identical arithmetic in
-    /// identical order. Kept (and pinned by differential tests) so the
-    /// batched feed always has a scalar path to be checked against.
+    /// Per-sample reference for [`train_batch`](Self::train_batch): one
+    /// sample at a time, one `matvec` per crossbar row, identical
+    /// arithmetic in identical order. Kept (and pinned by differential
+    /// tests) so the batched feed always has a scalar path to be checked
+    /// against.
     ///
     /// # Panics
     ///
@@ -870,8 +1242,9 @@ impl ReramMlp {
     pub fn train_batch_scalar(&mut self, images: &[Tensor], labels: &[usize], lr: f32) -> f32 {
         check_batch(images, labels);
         let mut total = 0.0;
-        for (img, &label) in images.iter().zip(labels) {
-            total += self.train_sample(img.as_slice(), label);
+        for (img, label) in images.iter().zip(labels) {
+            let (img, label) = (std::slice::from_ref(img), std::slice::from_ref(label));
+            total += self.batch_grads(img, label, true);
         }
         self.apply_update(images.len(), lr);
         mean_loss(total, images.len())
@@ -941,7 +1314,7 @@ impl ReramMlp {
                             for layer in &mut worker.layers {
                                 layer.grad_acc.fill(0.0);
                             }
-                            let loss = worker.batch_grads(&images[lo..hi], &labels[lo..hi]);
+                            let loss = worker.batch_grads(&images[lo..hi], &labels[lo..hi], false);
                             let grads: Vec<Vec<f32>> =
                                 worker.layers.iter().map(|l| l.grad_acc.clone()).collect();
                             chunks.push((ci, loss, grads));
@@ -1028,7 +1401,8 @@ impl ReramMlp {
             for (wi, g) in w.iter_mut().zip(&layer.grad_acc) {
                 *wi -= scale * g;
             }
-            let wt = transpose_no_bias(&w, layer.n_out, layer.n_in);
+            let Geometry { k, c_in, c_out, .. } = layer.geometry;
+            let wt = reorder_rot180(&w, c_out, c_in, k);
             match &mut self.fault_tolerance {
                 // Wear-aware path: failures climb the retry → backoff →
                 // remap → mask ladder, and remaps bill the honest cost of
@@ -1224,13 +1598,15 @@ impl ReramMlp {
         self.layers[li].forward.read()
     }
 
-    /// `(n_in, n_out)` of layer `li`.
+    /// `(n_in, n_out)` of layer `li`'s kernel matrix, bias excluded: for a
+    /// conv layer `(K²·C_in, C_out)`.
     ///
     /// # Panics
     ///
     /// Panics if `li` is out of range.
     pub fn layer_dims(&self, li: usize) -> (usize, usize) {
-        (self.layers[li].n_in, self.layers[li].n_out)
+        let g = self.layers[li].geometry;
+        (g.fan_in(), g.c_out)
     }
 
     /// Total array-read spikes issued so far (energy accounting).
@@ -1404,7 +1780,38 @@ pub fn downsample(img: &Tensor, factor: usize) -> Tensor {
 mod tests {
     use super::*;
     use pipelayer_nn::data::SyntheticMnist;
+    use pipelayer_nn::serialize::{load_sections, save_sections};
+    use pipelayer_nn::zoo;
     use pipelayer_reram::FaultModel;
+
+    /// conv3x4 (pad 1) → max-pool 2 → fc10 over the 7×7 task.
+    fn pooled_cnn() -> NetSpec {
+        NetSpec::new(
+            "pooled-cnn",
+            (1, 7, 7),
+            vec![
+                LayerSpec::Conv {
+                    k: 3,
+                    c_out: 4,
+                    stride: 1,
+                    pad: 1,
+                },
+                LayerSpec::Pool {
+                    k: 2,
+                    stride: 2,
+                    kind: PoolKind::Max,
+                },
+                LayerSpec::Fc { n_out: 10 },
+            ],
+        )
+    }
+
+    /// 64-bit FNV-1a.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
 
     fn small_task() -> (Vec<Tensor>, Vec<usize>, Vec<Tensor>, Vec<usize>) {
         let data = SyntheticMnist::generate(120, 40, 77);
@@ -1491,21 +1898,19 @@ mod tests {
 
     /// The layer-major batched feed must reproduce the per-sample
     /// reference bit-for-bit — losses, weights and every crossbar's spike
-    /// counters — on ideal arrays, on fault-ridden ones, and where reads
-    /// perturb later ones (drift with read disturb plus per-read noise):
-    /// every array sees its reads in sample order under both schedules,
-    /// and an array's device state depends only on its own reads.
+    /// counters — for a perceptron and for a conv + max-pool + FC network,
+    /// on ideal arrays, on fault-ridden ones, and where reads perturb later
+    /// ones (drift with read disturb plus per-read noise): every array sees
+    /// its reads in sample order under both schedules, and an array's
+    /// device state depends only on its own reads.
     #[test]
     fn batched_feed_matches_scalar_reference_bitwise() {
         let (tr, trl, _, _) = small_task();
-        let builds: [fn() -> ReramMlp; 3] = [
-            || ReramMlp::new(&[49, 16, 10], &ReramParams::default(), 5),
-            || {
-                ReramMlp::builder(&[49, 16, 10], &ReramParams::default(), 5)
-                    .device(DeviceModel::ideal().with_faults(FaultModel::with_stuck_rate(1e-3)))
-                    .build()
-            },
-            || {
+        let (params, cnn) = (ReramParams::default(), pooled_cnn());
+        let devices: [fn(ReramMlpBuilder<'_>) -> ReramMlpBuilder<'_>; 3] = [
+            |b| b,
+            |b| b.device(DeviceModel::ideal().with_faults(FaultModel::with_stuck_rate(1e-3))),
+            |b| {
                 let drift = DriftModel {
                     nu: 0.1,
                     nu_sigma: 0.05,
@@ -1515,9 +1920,7 @@ mod tests {
                 let device = DeviceModel::ideal()
                     .with_drift(drift)
                     .with_noise(NoiseModel::with_strength(0.5));
-                ReramMlp::builder(&[49, 16, 10], &ReramParams::default(), 5)
-                    .device(device)
-                    .build()
+                b.device(device)
             },
         ];
         let counters = |mlp: &ReramMlp| -> Vec<(u64, u64, u64)> {
@@ -1527,22 +1930,28 @@ mod tests {
                 .map(|c| c.spike_counters())
                 .collect()
         };
-        for build in builds {
-            let mut batched = build();
-            let mut scalar = build();
-            for (imgs, labs) in tr.chunks(10).zip(trl.chunks(10)).take(4) {
-                let lb = batched.train_batch(imgs, labs, 0.3);
-                let ls = scalar.train_batch_scalar(imgs, labs, 0.3);
-                assert_eq!(lb.to_bits(), ls.to_bits(), "loss bits diverged");
-            }
-            for li in 0..batched.depth() {
-                let wb = batched.layer_weights(li);
-                let ws = scalar.layer_weights(li);
-                for (a, b) in wb.iter().zip(&ws) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "weight bits diverged");
+        for conv in [false, true] {
+            let net = || match conv {
+                false => ReramMlp::builder(&[49, 16, 10], &params, 5),
+                true => ReramMlp::from_spec(&cnn, &params, 5).expect("spec runs"),
+            };
+            for device in devices {
+                let mut batched = device(net()).build();
+                let mut scalar = device(net()).build();
+                for (imgs, labs) in tr.chunks(10).zip(trl.chunks(10)).take(4) {
+                    let lb = batched.train_batch(imgs, labs, 0.3);
+                    let ls = scalar.train_batch_scalar(imgs, labs, 0.3);
+                    assert_eq!(lb.to_bits(), ls.to_bits(), "loss bits diverged");
                 }
+                for li in 0..batched.depth() {
+                    let wb = batched.layer_weights(li);
+                    let ws = scalar.layer_weights(li);
+                    for (a, b) in wb.iter().zip(&ws) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "weight bits diverged");
+                    }
+                }
+                assert_eq!(counters(&batched), counters(&scalar));
             }
-            assert_eq!(counters(&batched), counters(&scalar));
         }
     }
 
@@ -1570,12 +1979,13 @@ mod tests {
             let w = layer.forward.read();
             let mut with_bias = v.clone();
             with_bias.push(1.0);
-            let mut o = vec![0.0f32; layer.n_out];
+            let (n_in, n_out) = (layer.geometry.fan_in(), layer.geometry.c_out);
+            let mut o = vec![0.0f32; n_out];
             for (oi, out_v) in o.iter_mut().enumerate() {
                 *out_v = with_bias
                     .iter()
                     .enumerate()
-                    .map(|(i, &xv)| w[oi * (layer.n_in + 1) + i] * xv)
+                    .map(|(i, &xv)| w[oi * (n_in + 1) + i] * xv)
                     .sum();
                 if layer.relu {
                     *out_v = out_v.max(0.0);
@@ -1807,7 +2217,8 @@ mod tests {
 
     /// The builder attaches faults before the commissioning write and
     /// drift, noise and wear after it — the composition the shorthand
-    /// constructors plus post-hoc `attach_*` calls produce, bit for bit.
+    /// constructors plus post-hoc `attach_*` calls produce, bit for bit —
+    /// and an all-FC spec builds the network of its widths.
     #[test]
     fn builder_matches_constructor_plus_attach_bitwise() {
         let (tr, trl, _, _) = small_task();
@@ -1831,7 +2242,15 @@ mod tests {
         wearing.attach_wear(wear, 6);
         wearing.set_repair_policy(RepairPolicy::laddered());
         let device = DeviceModel::ideal();
+        let fc = |n_out| LayerSpec::Fc { n_out };
+        let spec = NetSpec::new("fc", (1, 7, 7), vec![fc(8), fc(10)]);
         let pairs = [
+            (
+                ReramMlp::new(&dims, &p, 6),
+                ReramMlp::from_spec(&spec, &p, 6)
+                    .expect("spec runs")
+                    .build(),
+            ),
             (
                 aging,
                 ReramMlp::builder(&dims, &p, 6)
@@ -1861,89 +2280,312 @@ mod tests {
 
     /// The chunked parallel feed must be bitwise independent of the
     /// thread count — 1, 2 and 8 workers give identical weights, loss
-    /// bits and spike counters.
+    /// bits and spike counters, for a perceptron and a conv stack.
     #[test]
     fn parallel_feed_is_thread_count_invariant() {
         let (tr, trl, _, _) = small_task();
-        let build = || {
-            let mut m = ReramMlp::with_fault_tolerance(
-                &[49, 8, 10],
-                &ReramParams::default(),
-                6,
-                &FaultModel::ideal(),
-                VerifyPolicy::with_attempts(2),
-                SpareBudget::typical(),
-            );
-            m.attach_wear(WearModel::with_endurance(500.0), 6);
-            m
-        };
-        let mut one = build();
-        let mut two = build();
-        let mut eight = build();
-        for (imgs, labs) in tr.chunks(20).zip(trl.chunks(20)).take(3) {
-            let l1 = one.train_batch_parallel(imgs, labs, 0.3, 1);
-            let l2 = two.train_batch_parallel(imgs, labs, 0.3, 2);
-            let l8 = eight.train_batch_parallel(imgs, labs, 0.3, 8);
-            assert_eq!(l1.to_bits(), l2.to_bits(), "2-thread loss diverged");
-            assert_eq!(l1.to_bits(), l8.to_bits(), "8-thread loss diverged");
+        let (p, cnn) = (ReramParams::default(), pooled_cnn());
+        for conv in [false, true] {
+            let build = || {
+                let net = match conv {
+                    false => ReramMlp::builder(&[49, 8, 10], &p, 6),
+                    true => ReramMlp::from_spec(&cnn, &p, 6).expect("spec runs"),
+                };
+                net.device(DeviceModel::ideal().with_wear(WearModel::with_endurance(500.0)))
+                    .fault_tolerance(VerifyPolicy::with_attempts(2), SpareBudget::typical())
+                    .build()
+            };
+            let mut one = build();
+            let mut two = build();
+            let mut eight = build();
+            for (imgs, labs) in tr.chunks(20).zip(trl.chunks(20)).take(3) {
+                let l1 = one.train_batch_parallel(imgs, labs, 0.3, 1);
+                let l2 = two.train_batch_parallel(imgs, labs, 0.3, 2);
+                let l8 = eight.train_batch_parallel(imgs, labs, 0.3, 8);
+                assert_eq!(l1.to_bits(), l2.to_bits(), "2-thread loss diverged");
+                assert_eq!(l1.to_bits(), l8.to_bits(), "8-thread loss diverged");
+            }
+            for li in 0..one.depth() {
+                assert_eq!(one.layer_weights(li), two.layer_weights(li));
+                assert_eq!(one.layer_weights(li), eight.layer_weights(li));
+            }
+            assert_eq!(one.read_spikes(), two.read_spikes());
+            assert_eq!(one.read_spikes(), eight.read_spikes());
+            assert_eq!(one.write_spikes(), eight.write_spikes());
         }
-        for li in 0..one.depth() {
-            assert_eq!(one.layer_weights(li), two.layer_weights(li));
-            assert_eq!(one.layer_weights(li), eight.layer_weights(li));
-        }
-        assert_eq!(one.read_spikes(), two.read_spikes());
-        assert_eq!(one.read_spikes(), eight.read_spikes());
-        assert_eq!(one.write_spikes(), eight.write_spikes());
     }
 
-    /// Snapshot → fresh rebuild → restore must reproduce the wearing
-    /// run's forward trajectory bitwise, wear counters included.
+    /// Snapshot → PLW2 `WEAR` section → fresh rebuild → restore must
+    /// reproduce a wearing run's trajectory bitwise, wear counters
+    /// included: for a perceptron with stuck-at faults and for a wear-only
+    /// conv stack whose cells die mid-run.
     #[test]
     fn device_state_roundtrips_under_wear() {
         let (tr, trl, _, _) = small_task();
-        let build = || {
-            let mut m = ReramMlp::with_fault_tolerance(
-                &[49, 8, 10],
-                &ReramParams::default(),
-                6,
-                &FaultModel::with_stuck_rate(1e-3),
-                VerifyPolicy::with_attempts(2),
-                SpareBudget::typical(),
+        let (p, cnn) = (ReramParams::default(), pooled_cnn());
+        for conv in [false, true] {
+            let build = || {
+                let (net, device) = match conv {
+                    false => (
+                        ReramMlp::builder(&[49, 8, 10], &p, 6),
+                        DeviceModel::ideal()
+                            .with_faults(FaultModel::with_stuck_rate(1e-3))
+                            .with_wear(WearModel::with_endurance(300.0)),
+                    ),
+                    true => (
+                        ReramMlp::from_spec(&cnn, &p, 6).expect("spec runs"),
+                        DeviceModel::ideal().with_wear(WearModel::with_endurance(30.0)),
+                    ),
+                };
+                net.device(device)
+                    .fault_tolerance(VerifyPolicy::with_attempts(2), SpareBudget::typical())
+                    .repair_policy(RepairPolicy::laddered())
+                    .build()
+            };
+            let mut live = build();
+            for (imgs, labs) in tr.chunks(10).zip(trl.chunks(10)).take(4) {
+                live.train_batch(imgs, labs, 0.3);
+            }
+            let blob = live.device_state();
+            let sections = load_sections(&save_sections(&[(*b"WEAR", blob.clone())]));
+            let mut resumed = build();
+            let restored = sections.is_ok_and(|s| resumed.restore_device_state(&s[0].1));
+            assert!(restored, "restore must accept");
+            for li in 0..live.depth() {
+                assert_eq!(live.layer_weights(li), resumed.layer_weights(li));
+            }
+            assert_eq!(live.wear_exhausted_cells(), resumed.wear_exhausted_cells());
+            assert_eq!(live.read_spikes(), resumed.read_spikes());
+            assert_eq!(live.write_spikes(), resumed.write_spikes());
+
+            // Both continue identically: the snapshot captured everything.
+            for (imgs, labs) in tr.chunks(10).zip(trl.chunks(10)).skip(4).take(4) {
+                let ll = live.train_batch(imgs, labs, 0.3);
+                let lr = resumed.train_batch(imgs, labs, 0.3);
+                assert_eq!(ll.to_bits(), lr.to_bits(), "post-restore loss diverged");
+            }
+            assert_eq!(live.device_state(), resumed.device_state());
+            assert!(
+                !conv || live.wear_exhausted_cells() > 0,
+                "cells must wear out"
             );
-            m.attach_wear(WearModel::with_endurance(300.0), 6);
-            m.set_repair_policy(RepairPolicy::laddered());
-            m
+
+            // Corrupt and truncated blobs are rejected, not panicked on.
+            let mut bad = blob.clone();
+            bad[0] ^= 0xff;
+            assert!(!build().restore_device_state(&bad));
+            assert!(!build().restore_device_state(&blob[..blob.len() / 2]));
+            assert!(!build().restore_device_state(&[]));
+        }
+    }
+
+    /// The device-state blob of the `wear-repair` configuration (verified
+    /// writes, 8 spare columns, wear at 200 writes, the laddered repair)
+    /// after 10 training steps, hashed: pins the blob format and the
+    /// wear/repair trajectory bitwise.
+    #[test]
+    fn device_state_hash_is_pinned_under_wear_repair() {
+        let (tr, trl, _, _) = small_task();
+        let mut mlp = ReramMlp::with_fault_tolerance(
+            &[49, 16, 10],
+            &ReramParams::default(),
+            5,
+            &FaultModel::ideal(),
+            VerifyPolicy::with_attempts(2),
+            SpareBudget::with_cols(8),
+        );
+        let wear = WearModel {
+            median_writes: 200.0,
+            sigma: 0.2,
         };
-        let mut live = build();
-        for (imgs, labs) in tr.chunks(10).zip(trl.chunks(10)).take(4) {
-            live.train_batch(imgs, labs, 0.3);
+        mlp.attach_wear(wear, 5);
+        mlp.set_repair_policy(RepairPolicy::laddered());
+        for (imgs, labs) in tr.chunks(10).zip(trl.chunks(10)).take(10) {
+            mlp.train_batch(imgs, labs, 0.3);
         }
-        let blob = live.device_state();
+        assert_eq!(fnv1a(&mlp.device_state()), 0x97cf_650d_0bc7_1e0e);
+    }
 
-        let mut resumed = build();
-        assert!(resumed.restore_device_state(&blob), "restore must accept");
-        for li in 0..live.depth() {
-            assert_eq!(live.layer_weights(li), resumed.layer_weights(li));
-        }
-        assert_eq!(live.wear_exhausted_cells(), resumed.wear_exhausted_cells());
-        assert_eq!(live.read_spikes(), resumed.read_spikes());
-        assert_eq!(live.write_spikes(), resumed.write_spikes());
+    /// Geometry that does not resolve and the functional model's two
+    /// limits are typed errors carrying the layer.
+    #[test]
+    fn from_spec_rejects_with_typed_errors() {
+        let p = ReramParams::default();
+        let conv = |k, stride| LayerSpec::Conv {
+            k,
+            c_out: 2,
+            stride,
+            pad: 0,
+        };
+        let at = |index, name: &str| LayerAt {
+            index,
+            name: name.into(),
+        };
+        let err = |layers| {
+            let spec = NetSpec::new("bad", (1, 8, 8), layers);
+            ReramMlp::from_spec(&spec, &p, 7).map(|_| ()).unwrap_err()
+        };
+        let strided = err(vec![conv(3, 2), LayerSpec::Fc { n_out: 2 }]);
+        let want = FunctionalError::StridedConv {
+            at: at(0, "conv3x2"),
+            stride: 2,
+        };
+        assert_eq!(strided, want);
+        assert!(strided.to_string().contains("layer 0 (conv3x2)"));
+        let avg = LayerSpec::Pool {
+            k: 2,
+            stride: 2,
+            kind: PoolKind::Avg,
+        };
+        let averaged = err(vec![conv(3, 1), avg, LayerSpec::Fc { n_out: 2 }]);
+        let want = FunctionalError::AvgPool {
+            at: at(1, "pool2s2"),
+        };
+        assert_eq!(averaged, want);
+        let misfit = err(vec![conv(9, 1)]);
+        assert!(matches!(
+            misfit,
+            FunctionalError::Shape(ShapeError::WindowTooBig { .. })
+        ));
+        assert!(misfit.to_string().contains("layer 0 (conv9x2)"), "{misfit}");
+    }
 
-        // Both continue identically: the snapshot captured everything.
-        for (imgs, labs) in tr.chunks(10).zip(trl.chunks(10)).skip(4).take(4) {
-            let ll = live.train_batch(imgs, labs, 0.3);
-            let lr = resumed.train_batch(imgs, labs, 0.3);
-            assert_eq!(ll.to_bits(), lr.to_bits(), "post-restore loss diverged");
-        }
-        for li in 0..live.depth() {
-            assert_eq!(live.layer_weights(li), resumed.layer_weights(li));
-        }
+    /// A conv layer's crossbar forward, its max-pool, error backward (on
+    /// `A_l2`) and `∂W` track the float convolution, pooling and backward
+    /// passes over the weights the arrays hold, at paddings below, at and
+    /// past `K − 1` (where the error backward crops instead of padding).
+    #[test]
+    fn conv_layer_tracks_float_convolution() {
+        let (c_in, h, w, k, c_out) = (2, 5, 6, 3, 3);
+        for pad in [0, 1, 3] {
+            let conv = LayerSpec::Conv {
+                k,
+                c_out,
+                stride: 1,
+                pad,
+            };
+            let pool = LayerSpec::Pool {
+                k: 2,
+                stride: 2,
+                kind: PoolKind::Max,
+            };
+            let spec = NetSpec::new("conv", (c_in, h, w), vec![conv, pool]);
+            let mut net = ReramMlp::from_spec(&spec, &ReramParams::default(), 4)
+                .expect("spec runs")
+                .build();
+            let x = Tensor::from_fn(&[c_in, h, w], |i| {
+                ((i[0] * 31 + i[1] * 7 + i[2]) as f32 * 0.37).sin()
+            });
+            let cols = k * k * c_in + 1;
+            let wts = net.layer_weights(0);
+            let weight = Tensor::from_fn(&[c_out, c_in, k, k], |i| {
+                wts[i[0] * cols + (i[1] * k + i[2]) * k + i[3]]
+            });
+            let bias = Tensor::from_vec(
+                &[c_out],
+                (0..c_out).map(|o| wts[o * cols + cols - 1]).collect(),
+            );
+            let layer = &mut net.layers[0];
+            let (got, pass) = layer.forward_pass(x.as_slice(), 1, false);
+            let conv_out = ops::conv2d(&x, &weight, &bias, 1, pad);
+            let (want, route) = ops::maxpool2d(&conv_out, 2, 2);
+            let got = Tensor::from_vec(want.dims(), got);
+            assert!(got.allclose(&want, 0.02), "pad {pad}: forward deviates");
 
-        // Corrupt and truncated blobs are rejected, not panicked on.
-        let mut bad = blob.clone();
-        bad[0] ^= 0xff;
-        assert!(!build().restore_device_state(&bad));
-        assert!(!build().restore_device_state(&blob[..blob.len() / 2]));
-        assert!(!build().restore_device_state(&[]));
+            let pooled_delta = want.map(|v| (v * 3.0).cos());
+            let delta = ops::maxpool2d_backward(&pooled_delta, &route);
+            let dx = layer.backward_pass(pooled_delta.into_vec(), pass, false, true);
+            let want_dx = ops::conv2d_backward_input_scalar(&delta, &weight, (h, w), 1, pad);
+            let dx = Tensor::from_vec(&[c_in, h, w], dx);
+            assert!(
+                dx.allclose(&want_dx, 0.02),
+                "pad {pad}: error backward deviates"
+            );
+
+            let (dw, db) = ops::conv2d_backward_weights_scalar(&x, &delta, (k, k), 1, pad);
+            for (co, row) in layer.grad_acc.chunks(cols).enumerate() {
+                let want_row = &dw.as_slice()[co * (cols - 1)..(co + 1) * (cols - 1)];
+                for (g, wv) in row
+                    .iter()
+                    .zip(want_row.iter().chain(&db.as_slice()[co..=co]))
+                {
+                    assert!((g - wv).abs() < 1e-4, "pad {pad}: dW deviates: {g} vs {wv}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cnn_trains_on_synthetic_task() {
+        let data = SyntheticMnist::generate(80, 40, 909);
+        let tr: Vec<Tensor> = data.train.images.iter().map(|t| downsample(t, 4)).collect();
+        let te: Vec<Tensor> = data.test.images.iter().map(|t| downsample(t, 4)).collect();
+        let conv = LayerSpec::Conv {
+            k: 3,
+            c_out: 4,
+            stride: 1,
+            pad: 0,
+        };
+        let spec = NetSpec::new(
+            "tiny-cnn",
+            (1, 7, 7),
+            vec![conv, LayerSpec::Fc { n_out: 10 }],
+        );
+        let mut cnn = ReramMlp::from_spec(&spec, &ReramParams::default(), 5)
+            .expect("spec runs")
+            .build();
+        let x = te[0].as_slice();
+        assert_eq!(cnn.forward(x), cnn.forward(x), "inference is deterministic");
+        let before = cnn.accuracy(&te, &data.test.labels);
+        for _ in 0..3 {
+            for (imgs, labs) in tr.chunks(10).zip(data.train.labels.chunks(10)) {
+                cnn.train_batch(imgs, labs, 0.2);
+            }
+        }
+        let after = cnn.accuracy(&te, &data.test.labels);
+        assert!(
+            after > before && after > 0.4,
+            "CNN on ReRAM failed to learn: {before} -> {after}"
+        );
+        assert!(cnn.write_spikes() > 0 && cnn.read_spikes() > 0);
+    }
+
+    /// C-4 through the spec entry with every device component at once —
+    /// faults with verified writes and spares, drift and read noise with
+    /// scrub, wear with the laddered repair — trains with finite losses
+    /// and drives reads and writes on its arrays.
+    #[test]
+    fn c4_trains_under_the_full_device_stack() {
+        let data = SyntheticMnist::generate(2, 1, 11);
+        let drift = DriftModel {
+            nu: 0.1,
+            nu_sigma: 0.05,
+            t0_cycles: 8,
+            disturb_per_level: 0,
+        };
+        let device = DeviceModel::ideal()
+            .with_faults(FaultModel::with_stuck_rate(1e-3))
+            .with_drift(drift)
+            .with_noise(NoiseModel::with_strength(0.5))
+            .with_wear(WearModel::with_endurance(300.0));
+        let params = ReramParams::default();
+        let mut c4 = ReramMlp::from_spec(&zoo::spec_c4(), &params, 3)
+            .expect("C-4 runs functionally")
+            .device(device)
+            .fault_tolerance(VerifyPolicy::with_attempts(2), SpareBudget::typical())
+            .scrub(ScrubPolicy::every(2, 4), VerifyPolicy::default())
+            .repair_policy(RepairPolicy::laddered())
+            .build();
+        assert_eq!(c4.depth(), 5);
+        let (reads, writes) = (c4.read_spikes(), c4.write_spikes());
+        let loss = c4.train_batch(&data.train.images, &data.train.labels, 0.05);
+        assert!(loss.is_finite(), "loss {loss}");
+        assert!(c4.read_spikes() > reads && c4.write_spikes() > writes);
+        assert_eq!(c4.scrub_passes(), 1);
+        assert!(c4.fault_report().is_some_and(|r| r.verify_reads > 0));
+        assert!(c4
+            .forward(data.test.images[0].as_slice())
+            .iter()
+            .all(|v| v.is_finite()));
     }
 }

@@ -8,19 +8,18 @@
 //! weights are *read from the arrays*, the averaged partial derivatives are
 //! subtracted, and the result is written back.
 //!
-//! Two executors:
-//! * [`ReramMlp`] — multilayer perceptrons (the Table 3 Mnist-A/B/C class);
-//! * [`ReramCnn`] — convolutional networks: conv layers run as the im2col
-//!   window loop of Fig. 4 against crossbars holding the kernel matrix,
-//!   max-pooling runs through the activation component's max register, and
-//!   the error backward convolution uses arrays programmed with the
-//!   rot180-reordered kernels of Fig. 11.
+//! One executor, [`ReramMlp`], runs perceptrons (the Table 3 Mnist-A/B/C
+//! class) and stride-1 convolutional networks with max pooling, built from
+//! a [`NetSpec`](pipelayer_nn::NetSpec) by [`ReramMlp::from_spec`]. A conv
+//! layer runs as the im2col window loop of Fig. 4 against crossbars holding
+//! the kernel matrix, max pooling runs through the activation component's
+//! max register, and the error backward convolution uses arrays programmed
+//! with the rot180-reordered kernels of Fig. 11. Device models, fault
+//! tolerance, scrub and checkpoints cover both layer kinds.
 //!
 //! These are fidelity proofs, not fast trainers — every spike slot of every
 //! array read is simulated.
 
-mod cnn;
 mod mlp;
 
-pub use cnn::ReramCnn;
-pub use mlp::{downsample, ReramMlp, ReramMlpBuilder};
+pub use mlp::{downsample, FunctionalError, ReramMlp, ReramMlpBuilder};

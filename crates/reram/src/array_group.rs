@@ -525,6 +525,17 @@ impl ReramMatrix {
             .collect()
     }
 
+    /// [`matvec_batch`](Self::matvec_batch) over inputs stored back to
+    /// back in one buffer, `in_dim()` apiece; the products come back the
+    /// same way, `out_dim()` apiece.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs.len()` is not a multiple of `in_dim()`.
+    pub fn matvec_rows(&mut self, xs: &[f32]) -> Vec<f32> {
+        self.matvec_flat(xs.chunks(self.in_dim), true)
+    }
+
     /// The products of every input in `xs`, `out_dim` apiece, back to back.
     /// With `composite`, a matrix whose member reads do not vary computes
     /// them in one composite GEMM ([`composite_products`]); otherwise, or

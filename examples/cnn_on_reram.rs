@@ -2,23 +2,21 @@
 //! crossbars: the conv layer runs as the Fig. 4 window loop against arrays
 //! holding the kernel matrix, the error backward convolution runs against
 //! arrays programmed with the rot180-reordered kernels (Fig. 11), and
-//! weight updates are in-array read-modify-writes (Fig. 14b).
-//!
-//! Then corrupt the trained weights with device variation (write noise and
-//! dead cells) to see the error tolerance PipeLayer's 4-bit cells rely on
-//! (Sec. 5.1).
+//! weight updates are in-array read-modify-writes (Fig. 14b). The network
+//! is built from its spec by the same `ReramMlp` builder the perceptrons
+//! use, so device models, fault tolerance and scrub attach the same way.
 //!
 //! ```sh
 //! cargo run --release --example cnn_on_reram
 //! ```
 
-use pipelayer::functional::{downsample, ReramCnn};
+use pipelayer::functional::{downsample, ReramMlp};
 use pipelayer_nn::data::SyntheticMnist;
 use pipelayer_nn::{LayerSpec, NetSpec};
 use pipelayer_reram::ReramParams;
 use pipelayer_tensor::Tensor;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let data = SyntheticMnist::generate(200, 80, 777);
     let ds = |v: &[Tensor]| -> Vec<Tensor> { v.iter().map(|t| downsample(t, 4)).collect() };
     let train = ds(&data.train.images);
@@ -38,7 +36,8 @@ fn main() {
             LayerSpec::Fc { n_out: 10 },
         ],
     );
-    let mut cnn = ReramCnn::from_spec(&spec, &ReramParams::default(), 99);
+    let params = ReramParams::default();
+    let mut cnn = ReramMlp::from_spec(&spec, &params, 99)?.build();
 
     println!(
         "training {} on ReRAM crossbars (every MVM spike-simulated)...",
@@ -66,4 +65,5 @@ fn main() {
         cnn.write_spikes()
     );
     assert!(after > before, "training should improve accuracy");
+    Ok(())
 }
