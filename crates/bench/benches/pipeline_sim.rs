@@ -8,7 +8,7 @@ use pipelayer::perf::PerfModel;
 use pipelayer::pipeline::PipelineSim;
 use pipelayer_nn::zoo;
 use std::hint::black_box;
-use std::num::NonZeroUsize;
+use std::num::{NonZeroU64, NonZeroUsize};
 
 fn nz(n: usize) -> NonZeroUsize {
     NonZeroUsize::new(n).unwrap()
@@ -21,7 +21,7 @@ fn bench_training_sim(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("L{l}_B{b}")),
             &sim,
-            |bench, sim| bench.iter(|| black_box(sim.simulate_training(1, 0, 0))),
+            |bench, sim| bench.iter(|| black_box(sim.simulate_training(NonZeroUsize::MIN, 0))),
         );
     }
     group.finish();
@@ -30,7 +30,7 @@ fn bench_training_sim(c: &mut Criterion) {
 fn bench_testing_sim(c: &mut Criterion) {
     let sim = PipelineSim::new(nz(8), nz(64));
     c.bench_function("pipeline_sim_testing_1000img", |b| {
-        b.iter(|| black_box(sim.simulate_testing(1000, 0)))
+        b.iter(|| black_box(sim.simulate_testing(NonZeroU64::new(1000).unwrap(), 0)))
     });
 }
 

@@ -20,7 +20,8 @@
 //!   pure in `(seed, layer, batch)` and precedes the parallel section).
 //!   Any divergence fails the binary (exit 1).
 //!
-//! Results land in `BENCH_noise.json`. `--smoke` shrinks everything for CI.
+//! A full run writes `BENCH_noise.json`. `--smoke` shrinks everything for
+//! CI and writes no file.
 
 use pipelayer::functional::{downsample, ReramMlp};
 use pipelayer::variation::{noise_sweep, VariationPoint};
@@ -280,62 +281,62 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // ---- JSON artifact.
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"noise\",\n");
-    json.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if smoke { "smoke" } else { "full" }
-    ));
-    json.push_str(&format!(
-        "  \"model_at_strength_1\": {{\"lrs_sigma\": {}, \"hrs_sigma\": {}, \"ir_drop\": {}, \"read_sigma\": {}, \"g_ratio\": {}}},\n",
-        json_num(NoiseModel::with_strength(1.0).lrs_sigma),
-        json_num(NoiseModel::with_strength(1.0).hrs_sigma),
-        json_num(NoiseModel::with_strength(1.0).ir_drop),
-        json_num(NoiseModel::with_strength(1.0).read_sigma),
-        json_num(NoiseModel::with_strength(1.0).g_ratio),
-    ));
-    let strengths: Vec<String> = STRENGTHS.iter().map(|s| json_num(*s)).collect();
-    json.push_str(&format!(
-        "  \"strengths\": [{}],\n  \"mid_strength\": {},\n  \"seed\": {},\n",
-        strengths.join(", "),
-        json_num(STRENGTHS[MID]),
-        NOISE_SEED
-    ));
-    json.push_str("  \"networks\": [\n");
-    for (i, r) in results.iter().enumerate() {
+    // ---- JSON artifact (full mode only: smoke runs leave the committed
+    // file alone).
+    if !smoke {
+        let mut json = String::new();
+        json.push_str("{\n");
+        json.push_str("  \"bench\": \"noise\",\n");
+        json.push_str("  \"mode\": \"full\",\n");
         json.push_str(&format!(
-            "    {{\"network\": \"{}\", \"naive\": {}, \"noise_aware\": {}, \"recovered_fraction\": {}}}{}\n",
-            r.name,
-            points_json(&r.naive),
-            points_json(&r.aware),
-            r.recovered_fraction
-                .map_or("null".to_string(), |f| json_num(f64::from(f))),
-            if i + 1 < results.len() { "," } else { "" }
+            "  \"model_at_strength_1\": {{\"lrs_sigma\": {}, \"hrs_sigma\": {}, \"ir_drop\": {}, \"read_sigma\": {}, \"g_ratio\": {}}},\n",
+            json_num(NoiseModel::with_strength(1.0).lrs_sigma),
+            json_num(NoiseModel::with_strength(1.0).hrs_sigma),
+            json_num(NoiseModel::with_strength(1.0).ir_drop),
+            json_num(NoiseModel::with_strength(1.0).read_sigma),
+            json_num(NoiseModel::with_strength(1.0).g_ratio),
         ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"functional_scrub\": [\n");
-    for (i, (arm, acc, passes)) in func_rows.iter().enumerate() {
+        let strengths: Vec<String> = STRENGTHS.iter().map(|s| json_num(*s)).collect();
         json.push_str(&format!(
-            "    {{\"arm\": \"{arm}\", \"accuracy\": {}, \"scrub_passes\": {passes}}}{}\n",
-            json_num(*acc),
-            if i + 1 < func_rows.len() { "," } else { "" }
+            "  \"strengths\": [{}],\n  \"mid_strength\": {},\n  \"seed\": {},\n",
+            strengths.join(", "),
+            json_num(STRENGTHS[MID]),
+            NOISE_SEED
         ));
+        json.push_str("  \"networks\": [\n");
+        for (i, r) in results.iter().enumerate() {
+            json.push_str(&format!(
+                "    {{\"network\": \"{}\", \"naive\": {}, \"noise_aware\": {}, \"recovered_fraction\": {}}}{}\n",
+                r.name,
+                points_json(&r.naive),
+                points_json(&r.aware),
+                r.recovered_fraction
+                    .map_or("null".to_string(), |f| json_num(f64::from(f))),
+                if i + 1 < results.len() { "," } else { "" }
+            ));
+        }
+        json.push_str("  ],\n");
+        json.push_str("  \"functional_scrub\": [\n");
+        for (i, (arm, acc, passes)) in func_rows.iter().enumerate() {
+            json.push_str(&format!(
+                "    {{\"arm\": \"{arm}\", \"accuracy\": {}, \"scrub_passes\": {passes}}}{}\n",
+                json_num(*acc),
+                if i + 1 < func_rows.len() { "," } else { "" }
+            ));
+        }
+        json.push_str("  ],\n");
+        let threads: Vec<String> = thread_counts.iter().map(|t| t.to_string()).collect();
+        json.push_str(&format!(
+            "  \"determinism\": {{\"thread_counts\": [{}], \"bitwise_identical\": {deterministic}}}\n",
+            threads.join(", ")
+        ));
+        json.push_str("}\n");
+        if let Err(e) = atomic_write(Path::new("BENCH_noise.json"), json.as_bytes()) {
+            eprintln!("failed to write BENCH_noise.json: {e}");
+            std::process::exit(1);
+        }
+        println!("\nwrote BENCH_noise.json");
     }
-    json.push_str("  ],\n");
-    let threads: Vec<String> = thread_counts.iter().map(|t| t.to_string()).collect();
-    json.push_str(&format!(
-        "  \"determinism\": {{\"thread_counts\": [{}], \"bitwise_identical\": {deterministic}}}\n",
-        threads.join(", ")
-    ));
-    json.push_str("}\n");
-    if let Err(e) = atomic_write(Path::new("BENCH_noise.json"), json.as_bytes()) {
-        eprintln!("failed to write BENCH_noise.json: {e}");
-        std::process::exit(1);
-    }
-    println!("\nwrote BENCH_noise.json");
 
     // ---- Gates.
     if !deterministic {

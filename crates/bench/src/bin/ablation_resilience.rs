@@ -15,8 +15,8 @@
 //!   BITWISE identical to a never-interrupted run. Any divergence fails
 //!   the binary (exit 1), which makes it a CI gate.
 //!
-//! Results land in `BENCH_resilience.json`. `--smoke` shrinks both
-//! campaigns for CI.
+//! A full run writes `BENCH_resilience.json`. `--smoke` shrinks both
+//! campaigns for CI and writes no file.
 
 use pipelayer::endurance::{training_lifetime, EnduranceModel};
 use pipelayer::energy::EnergyModel;
@@ -264,70 +264,72 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let _ = std::fs::remove_file(&ckpt);
 
-    // ---- JSON artifact.
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"resilience\",\n");
-    json.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if smoke { "smoke" } else { "full" }
-    ));
-    json.push_str("  \"drift_model\": {\"nu\": 0.2, \"nu_sigma\": 0.15, \"t0_cycles\": 10000},\n");
-    json.push_str(&format!(
-        "  \"baseline_accuracy\": {},\n",
-        json_num(baseline)
-    ));
-    json.push_str(&format!(
-        "  \"accuracy_saved_points\": {},\n",
-        json_num(report.accuracy_saved() * 100.0)
-    ));
-    json.push_str("  \"drift_arms\": [\n");
-    for (i, arm) in arms.iter().enumerate() {
-        let samples: Vec<String> = arm
-            .samples
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"cycles\": {}, \"accuracy\": {}}}",
-                    s.cycles,
-                    json_num(s.accuracy)
-                )
-            })
-            .collect();
+    // ---- JSON artifact (full mode only: smoke runs leave the committed
+    // file alone).
+    if !smoke {
+        let mut json = String::new();
+        json.push_str("{\n");
+        json.push_str("  \"bench\": \"resilience\",\n");
+        json.push_str("  \"mode\": \"full\",\n");
+        json.push_str(
+            "  \"drift_model\": {\"nu\": 0.2, \"nu_sigma\": 0.15, \"t0_cycles\": 10000},\n",
+        );
         json.push_str(&format!(
-            "    {{\"scrub_interval_images\": {}, \"rows_per_pass\": {}, \"drifted_cells\": {}, \"scrub_passes\": {}, \"samples\": [{}]}}{}\n",
-            arm.interval_images,
-            if arm.interval_images == 0 { 0 } else { ROWS_PER_PASS },
-            arm.drifted_cells,
-            arm.scrub_passes,
-            samples.join(", "),
-            if i + 1 < arms.len() { "," } else { "" }
+            "  \"baseline_accuracy\": {},\n",
+            json_num(baseline)
         ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"analytic_costs\": [\n");
-    for (i, (interval, ns_per_image, uj_per_image, ratio)) in analytic_rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"scrub_interval_images\": {}, \"scrub_ns_per_image\": {}, \"scrub_uj_per_image\": {}, \"images_to_death_ratio\": {}}}{}\n",
-            interval,
-            json_num(*ns_per_image),
-            json_num(*uj_per_image),
-            json_num(*ratio),
-            if i + 1 < analytic_rows.len() { "," } else { "" }
+            "  \"accuracy_saved_points\": {},\n",
+            json_num(report.accuracy_saved() * 100.0)
         ));
+        json.push_str("  \"drift_arms\": [\n");
+        for (i, arm) in arms.iter().enumerate() {
+            let samples: Vec<String> = arm
+                .samples
+                .iter()
+                .map(|s| {
+                    format!(
+                        "{{\"cycles\": {}, \"accuracy\": {}}}",
+                        s.cycles,
+                        json_num(s.accuracy)
+                    )
+                })
+                .collect();
+            json.push_str(&format!(
+                "    {{\"scrub_interval_images\": {}, \"rows_per_pass\": {}, \"drifted_cells\": {}, \"scrub_passes\": {}, \"samples\": [{}]}}{}\n",
+                arm.interval_images,
+                if arm.interval_images == 0 { 0 } else { ROWS_PER_PASS },
+                arm.drifted_cells,
+                arm.scrub_passes,
+                samples.join(", "),
+                if i + 1 < arms.len() { "," } else { "" }
+            ));
+        }
+        json.push_str("  ],\n");
+        json.push_str("  \"analytic_costs\": [\n");
+        for (i, (interval, ns_per_image, uj_per_image, ratio)) in analytic_rows.iter().enumerate() {
+            json.push_str(&format!(
+                "    {{\"scrub_interval_images\": {}, \"scrub_ns_per_image\": {}, \"scrub_uj_per_image\": {}, \"images_to_death_ratio\": {}}}{}\n",
+                interval,
+                json_num(*ns_per_image),
+                json_num(*uj_per_image),
+                json_num(*ratio),
+                if i + 1 < analytic_rows.len() { "," } else { "" }
+            ));
+        }
+        json.push_str("  ],\n");
+        let kills: Vec<String> = kill_points.iter().map(|k| k.to_string()).collect();
+        json.push_str(&format!(
+            "  \"resume\": {{\"kill_points\": [{}], \"bitwise_identical\": {all_identical}}}\n",
+            kills.join(", ")
+        ));
+        json.push_str("}\n");
+        if let Err(e) = atomic_write(Path::new("BENCH_resilience.json"), json.as_bytes()) {
+            eprintln!("failed to write BENCH_resilience.json: {e}");
+            std::process::exit(1);
+        }
+        println!("\nwrote BENCH_resilience.json");
     }
-    json.push_str("  ],\n");
-    let kills: Vec<String> = kill_points.iter().map(|k| k.to_string()).collect();
-    json.push_str(&format!(
-        "  \"resume\": {{\"kill_points\": [{}], \"bitwise_identical\": {all_identical}}}\n",
-        kills.join(", ")
-    ));
-    json.push_str("}\n");
-    if let Err(e) = atomic_write(Path::new("BENCH_resilience.json"), json.as_bytes()) {
-        eprintln!("failed to write BENCH_resilience.json: {e}");
-        std::process::exit(1);
-    }
-    println!("\nwrote BENCH_resilience.json");
 
     if !all_identical {
         eprintln!("kill-and-resume diverged from the uninterrupted run — failing");

@@ -21,7 +21,8 @@
 //! the laddered arm, and every laddered arm that still holds spare
 //! columns must sit within 2 points of its no-wear baseline.
 //!
-//! Results land in `BENCH_wearout.json`. `--smoke` shrinks the run for CI.
+//! A full run writes `BENCH_wearout.json`. `--smoke` shrinks the run for CI
+//! and writes no file.
 
 use pipelayer::functional::{downsample, ReramMlp};
 use pipelayer::{RepairPolicy, SpareBudget};
@@ -236,60 +237,60 @@ fn main() {
         }
     );
 
-    // ---- JSON artifact.
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"wearout\",\n");
-    json.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if smoke { "smoke" } else { "full" }
-    ));
-    json.push_str(&format!(
-        "  \"task\": {{\"train_images\": {n_train}, \"test_images\": {n_test}, \"epochs\": {epochs}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"baseline\": {{\"plain_accuracy\": {}, \"verify_accuracy\": {}}},\n",
-        json_num(f64::from(base_plain)),
-        json_num(f64::from(base_verify))
-    ));
-    json.push_str("  \"grades\": [\n");
-    for (gi, grade) in results.iter().enumerate() {
+    // ---- JSON artifact (full mode only: smoke runs leave the committed
+    // file alone).
+    if !smoke {
+        let mut json = String::new();
+        json.push_str("{\n");
+        json.push_str("  \"bench\": \"wearout\",\n");
+        json.push_str("  \"mode\": \"full\",\n");
         json.push_str(&format!(
-            "    {{\"grade\": \"{}\", \"endurance_median_writes\": {}, \"sigma_ln_writes\": {}, \"arms\": [\n",
-            grade.name,
-            json_num(grade.median_writes),
-            json_num(grade.sigma)
+            "  \"task\": {{\"train_images\": {n_train}, \"test_images\": {n_test}, \"epochs\": {epochs}}},\n"
         ));
-        for (ai, arm) in grade.arms.iter().enumerate() {
+        json.push_str(&format!(
+            "  \"baseline\": {{\"plain_accuracy\": {}, \"verify_accuracy\": {}}},\n",
+            json_num(f64::from(base_plain)),
+            json_num(f64::from(base_verify))
+        ));
+        json.push_str("  \"grades\": [\n");
+        for (gi, grade) in results.iter().enumerate() {
             json.push_str(&format!(
-                "      {{\"repair_policy\": \"{}\", \"accuracy\": {}, \"drop_points\": {}, \"dead_cells\": {}, \"spares_used\": {}, \"spares_left\": {}, \"masked_cols\": {}, \"program_spikes\": {}}}{}\n",
-                arm.policy,
-                json_num(f64::from(arm.report.degraded)),
-                json_num(f64::from(arm.report.drop_points())),
-                arm.dead_cells,
-                arm.spares_used,
-                arm.report.spares_left,
-                arm.report.masked_units,
-                arm.program_spikes,
-                if ai + 1 < grade.arms.len() { "," } else { "" }
+                "    {{\"grade\": \"{}\", \"endurance_median_writes\": {}, \"sigma_ln_writes\": {}, \"arms\": [\n",
+                grade.name,
+                json_num(grade.median_writes),
+                json_num(grade.sigma)
+            ));
+            for (ai, arm) in grade.arms.iter().enumerate() {
+                json.push_str(&format!(
+                    "      {{\"repair_policy\": \"{}\", \"accuracy\": {}, \"drop_points\": {}, \"dead_cells\": {}, \"spares_used\": {}, \"spares_left\": {}, \"masked_cols\": {}, \"program_spikes\": {}}}{}\n",
+                    arm.policy,
+                    json_num(f64::from(arm.report.degraded)),
+                    json_num(f64::from(arm.report.drop_points())),
+                    arm.dead_cells,
+                    arm.spares_used,
+                    arm.report.spares_left,
+                    arm.report.masked_units,
+                    arm.program_spikes,
+                    if ai + 1 < grade.arms.len() { "," } else { "" }
+                ));
+            }
+            json.push_str(&format!(
+                "    ]}}{}\n",
+                if gi + 1 < results.len() { "," } else { "" }
             ));
         }
+        json.push_str("  ],\n");
         json.push_str(&format!(
-            "    ]}}{}\n",
-            if gi + 1 < results.len() { "," } else { "" }
+            "  \"gates\": {{\"storage_repair_gap_points\": {}, \"repair_tolerance_points\": 2, \"passed\": {pass}}}\n",
+            json_num(gap_points)
         ));
+        json.push_str("}\n");
+        if let Err(e) = atomic_write(Path::new("BENCH_wearout.json"), json.as_bytes()) {
+            eprintln!("failed to write BENCH_wearout.json: {e}");
+            std::process::exit(1);
+        }
+        println!("\nwrote BENCH_wearout.json");
     }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"gates\": {{\"storage_repair_gap_points\": {}, \"repair_tolerance_points\": 2, \"passed\": {pass}}}\n",
-        json_num(gap_points)
-    ));
-    json.push_str("}\n");
-    if let Err(e) = atomic_write(Path::new("BENCH_wearout.json"), json.as_bytes()) {
-        eprintln!("failed to write BENCH_wearout.json: {e}");
-        std::process::exit(1);
-    }
-    println!("\nwrote BENCH_wearout.json");
 
     if !pass {
         eprintln!("wear-out robustness gates failed");

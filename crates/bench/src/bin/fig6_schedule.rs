@@ -12,7 +12,7 @@ use std::num::NonZeroUsize;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (l, b) = (3usize, 8usize);
     let sim = PipelineSim::new(NonZeroUsize::try_from(l)?, NonZeroUsize::try_from(b)?);
-    let out = sim.simulate_training(2, 0, 40);
+    let out = sim.simulate_training(NonZeroUsize::try_from(2)?, 40);
 
     println!("== Figure 6: pipelined training schedule (L = {l}, B = {b}, 2 batches) ==");
     for row in &out.trace {
@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         out.cycles,
         2 * (2 * l + b + 1)
     );
-    println!("dependency violations: {}", out.dependency_violations);
+    println!("dependency violations: {}", out.dependency_violations());
     println!(
         "peak concurrent stages: {} (full pipeline = 2L+1 = {})",
         out.peak_parallel_stages,
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "buffers needing duplication (same-cycle read+write): {:?}",
-        out.same_cycle_buffers
+        out.same_cycle_buffers()
     );
     Ok(())
 }

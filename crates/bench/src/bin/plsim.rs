@@ -242,13 +242,15 @@ fn run() -> Result<(), String> {
         "schedule" => {
             let l: NonZeroUsize = args.get_parsed("layers", "3")?;
             let b: NonZeroUsize = args.get_parsed("batch", "4")?;
-            let out = PipelineSim::new(l, b).simulate_training(1, 0, 64);
+            let out = PipelineSim::new(l, b).simulate_training(NonZeroUsize::MIN, 64);
             for row in &out.trace {
                 println!("{row}");
             }
             println!(
                 "cycles {} | violations {} | peak stages {}",
-                out.cycles, out.dependency_violations, out.peak_parallel_stages
+                out.cycles,
+                out.dependency_violations(),
+                out.peak_parallel_stages
             );
         }
         other => return Err(format!("unknown command `{other}`")),

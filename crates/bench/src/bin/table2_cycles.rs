@@ -34,8 +34,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let np_formula = a.training_cycles_nonpipelined(n);
         let np_sim = NonPipelined::new(lz, bz).training_cycles(n);
         let p_formula = a.training_cycles_pipelined(n);
-        let sim = PipelineSim::new(lz, bz).simulate_training(n_batches, 0, 0);
-        assert_eq!(sim.dependency_violations, 0, "pipeline must be stall-free");
+        let sim = PipelineSim::new(lz, bz).simulate_training(NonZeroUsize::try_from(n_batches)?, 0);
+        assert_eq!(
+            sim.dependency_violations(),
+            0,
+            "pipeline must be stall-free"
+        );
         table.row(vec![
             l.to_string(),
             b.to_string(),

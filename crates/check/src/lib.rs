@@ -43,9 +43,11 @@ pub mod shape;
 
 pub use diag::{has_errors, render_json, Diagnostic, Severity};
 
+use pipelayer::analysis::Analysis;
 use pipelayer::granularity::{default_granularity, DEFAULT_CONV_XBAR_BUDGET};
 use pipelayer::{ConfigError, PipeLayerConfig};
 use pipelayer_nn::spec::NetSpec;
+use std::num::NonZeroUsize;
 
 /// What-if overrides for [`verify_with`]. The default (all `None`) verifies
 /// the configuration the accelerator would actually run: Table 5-style
@@ -106,10 +108,12 @@ pub fn verify_with(net: &NetSpec, cfg: &PipeLayerConfig, over: &Overrides) -> Ve
     if let Ok(layers) = resolved {
         let l = layers.len();
         let b = cfg.batch_size.get();
-        let depths = over
-            .depths
-            .clone()
-            .unwrap_or_else(|| schedule::paper_depths(l));
+        let depths = over.depths.clone().unwrap_or_else(|| {
+            NonZeroUsize::new(l).map_or_else(Vec::new, |l| {
+                let paper = Analysis::new(l, cfg.batch_size).buffer_depths();
+                paper.iter().map(|d| d.get()).collect()
+            })
+        });
         let batches = over.batches.unwrap_or(2);
         for mut d in schedule::check_training(l, b, &depths, batches) {
             d.location = format!("{}: {}", net.name, d.location);
@@ -160,8 +164,9 @@ mod tests {
     fn severity_sorts_errors_first() {
         let cfg = PipeLayerConfig::default();
         let mut over = Overrides::default();
-        let l = zoo::alexnet().weighted_layers();
-        let mut depths = schedule::paper_depths(l);
+        let l = NonZeroUsize::new(zoo::alexnet().weighted_layers()).unwrap();
+        let paper = Analysis::new(l, cfg.batch_size);
+        let mut depths: Vec<usize> = paper.buffer_depths().iter().map(|d| d.get()).collect();
         depths[0] -= 1; // stale read (error)
         depths[1] += 3; // oversized (warning)
         over.depths = Some(depths);

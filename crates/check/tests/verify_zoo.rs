@@ -2,11 +2,10 @@
 //! configuration, and deliberately broken workloads produce exactly the
 //! expected `PL0xx` codes.
 
+use pipelayer::analysis::Analysis;
 use pipelayer::granularity::default_granularity;
 use pipelayer::PipeLayerConfig;
-use pipelayer_check::{
-    diag, has_errors, schedule, verify, verify_with, Diagnostic, Overrides, Severity,
-};
+use pipelayer_check::{diag, has_errors, verify, verify_with, Diagnostic, Overrides, Severity};
 use pipelayer_nn::spec::{LayerSpec, NetSpec, PoolKind};
 use pipelayer_nn::zoo;
 
@@ -31,14 +30,16 @@ fn every_zoo_network_verifies_clean() {
 #[test]
 fn undersized_buffer_yields_stale_read_code() {
     let spec = zoo::alexnet();
-    let l = spec.weighted_layers();
-    let mut depths = schedule::paper_depths(l);
+    let cfg = PipeLayerConfig::default();
+    let l = std::num::NonZeroUsize::new(spec.weighted_layers()).unwrap();
+    let paper = Analysis::new(l, cfg.batch_size).buffer_depths();
+    let mut depths: Vec<usize> = paper.iter().map(|d| d.get()).collect();
     depths[0] -= 1; // 2(L-1)+1 -> 2(L-1): one slot short
     let over = Overrides {
         depths: Some(depths),
         ..Overrides::default()
     };
-    let diags = verify_with(&spec, &PipeLayerConfig::default(), &over);
+    let diags = verify_with(&spec, &cfg, &over);
     assert!(has_errors(&diags));
     let stale: Vec<_> = diags
         .iter()

@@ -95,7 +95,16 @@ impl Analysis {
     /// Panics unless `1 <= layer <= L`.
     pub fn buffer_depth(&self, layer: usize) -> usize {
         assert!((1..=self.l.get()).contains(&layer), "layer out of range");
-        2 * (self.l.get() - layer) + 1
+        self.buffer_depths()[layer - 1].get()
+    }
+
+    /// Every circular-buffer depth, `d_1` first: `2(L−l)+1` for
+    /// `l = 1..=L`.
+    pub fn buffer_depths(&self) -> Vec<NonZeroUsize> {
+        (0..self.l.get())
+            .rev()
+            .map(|k| NonZeroUsize::MIN.saturating_add(2 * k))
+            .collect()
     }
 
     /// Morphable array groups, non-pipelined (Table 2): `G·L + G·(2L−1)`.
@@ -118,9 +127,7 @@ impl Analysis {
     /// duplicated same-cycle read/write buffers (`d_L` and the `L` δ
     /// buffers).
     pub fn memory_groups_pipelined(&self) -> u64 {
-        let d_buffers: u64 = (1..=self.l.get())
-            .map(|l| self.buffer_depth(l) as u64)
-            .sum();
+        let d_buffers: u64 = self.buffer_depths().iter().map(|d| d.get() as u64).sum();
         d_buffers + (self.l.get() as u64 + 1)
     }
 
@@ -161,6 +168,8 @@ mod tests {
         assert_eq!(a.buffer_depth(1), 5);
         assert_eq!(a.buffer_depth(2), 3);
         assert_eq!(a.buffer_depth(3), 1);
+        let depths: Vec<usize> = a.buffer_depths().iter().map(|d| d.get()).collect();
+        assert_eq!(depths, [5, 3, 1]);
     }
 
     #[test]

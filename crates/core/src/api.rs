@@ -123,7 +123,8 @@ impl AcceleratorBuilder {
             mapped,
             pipelined: self.pipelined,
             mlp: None,
-            staged: Vec::new(),
+            staged_images: Vec::new(),
+            staged_labels: Vec::new(),
         })
     }
 }
@@ -134,7 +135,8 @@ pub struct Accelerator {
     mapped: MappedNetwork,
     pipelined: bool,
     mlp: Option<ReramMlp>,
-    staged: Vec<(Tensor, usize)>,
+    staged_images: Vec<Tensor>,
+    staged_labels: Vec<usize>,
 }
 
 impl Accelerator {
@@ -202,7 +204,8 @@ impl Accelerator {
     /// `Copy_to_PL`: stages labelled images in accelerator memory.
     pub fn copy_to_pl(&mut self, images: Vec<Tensor>, labels: Vec<usize>) {
         assert_eq!(images.len(), labels.len(), "images/labels length mismatch");
-        self.staged = images.into_iter().zip(labels).collect();
+        self.staged_images = images;
+        self.staged_labels = labels;
     }
 
     /// `Weight_load`: programs initial weights into the morphable arrays,
@@ -226,20 +229,22 @@ impl Accelerator {
     ///
     /// Fails if weights are not loaded or no data is staged.
     pub fn train(&mut self, epochs: usize, lr: f32) -> Result<f32, AcceleratorError> {
-        if self.staged.is_empty() {
+        if self.staged_images.is_empty() {
             return Err(AcceleratorError::NoStagedData);
         }
         let mlp = self
             .mlp
             .as_mut()
             .ok_or(AcceleratorError::WeightsNotLoaded)?;
-        let b = self.mapped.config.batch_size.get().min(self.staged.len());
+        let b = self.mapped.config.batch_size.get();
         let mut last = 0.0;
         for _ in 0..epochs.max(1) {
-            for chunk in self.staged.chunks(b) {
-                let images: Vec<Tensor> = chunk.iter().map(|(t, _)| t.clone()).collect();
-                let labels: Vec<usize> = chunk.iter().map(|&(_, l)| l).collect();
-                last = mlp.train_batch(&images, &labels, lr);
+            let batches = self
+                .staged_images
+                .chunks(b)
+                .zip(self.staged_labels.chunks(b));
+            for (images, labels) in batches {
+                last = mlp.train_batch(images, labels, lr);
             }
         }
         Ok(last)
@@ -252,21 +257,21 @@ impl Accelerator {
     ///
     /// Fails if weights are not loaded or no data is staged.
     pub fn test(&mut self) -> Result<Vec<usize>, AcceleratorError> {
-        if self.staged.is_empty() {
+        if self.staged_images.is_empty() {
             return Err(AcceleratorError::NoStagedData);
         }
         let mlp = self
             .mlp
             .as_mut()
             .ok_or(AcceleratorError::WeightsNotLoaded)?;
-        let images: Vec<Tensor> = self.staged.iter().map(|(t, _)| t.clone()).collect();
-        Ok(images.iter().map(|t| mlp.predict(t.as_slice())).collect())
+        let predict = |t: &Tensor| mlp.predict(t.as_slice());
+        Ok(self.staged_images.iter().map(predict).collect())
     }
 
     /// `Copy_to_CPU`: returns (a copy of) the staged labels — the host-side
     /// readback path.
     pub fn copy_to_cpu(&self) -> Vec<usize> {
-        self.staged.iter().map(|&(_, l)| l).collect()
+        self.staged_labels.clone()
     }
 }
 

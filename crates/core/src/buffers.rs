@@ -6,23 +6,20 @@
 //! later. Since a new output is produced *every* cycle, the buffer between
 //! `A_l` and `A_{l+1}` must hold `2(L−l)+1` entries, written round-robin; a
 //! slot is overwritten on the same cycle its old value is last read, which
-//! is legal because reads are served before the cycle's write commits (the
-//! paper instead duplicates the depth-1 buffers — `d_L` and the `δ`s — to
-//! allow a same-cycle read and write; [`CircularBuffer::same_cycle_conflicts`]
-//! counts exactly those cases).
+//! is legal because reads are served before the cycle's write commits. The
+//! buffer holds slots only: which buffers see a read and a write in one
+//! cycle (the paper duplicates `d_L` and the `δ`s for that) is a property
+//! of the schedule, counted by [`PipelineSim`](crate::pipeline::PipelineSim).
 
 use std::num::NonZeroUsize;
 
-/// A tagged circular buffer: each write deposits `(tag, cycle)` into the
-/// next slot round-robin; reads look a fixed number of slots back and check
-/// the tag, which makes stale-data bugs (undersized buffers) observable.
+/// A tagged circular buffer: each write deposits a tag into the next slot
+/// round-robin; a read checks that its tag is still held, which makes
+/// stale-data bugs (undersized buffers) observable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CircularBuffer {
-    slots: Vec<Option<(u64, u64)>>, // (tag, write_cycle)
+    slots: Vec<Option<u64>>,
     head: usize,
-    writes: u64,
-    conflicts: u64,
-    last_write_cycle: Option<u64>,
 }
 
 impl CircularBuffer {
@@ -31,46 +28,20 @@ impl CircularBuffer {
         CircularBuffer {
             slots: vec![None; depth.get()],
             head: 0,
-            writes: 0,
-            conflicts: 0,
-            last_write_cycle: None,
         }
     }
 
-    /// Number of slots.
-    pub fn depth(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Writes `tag` at `cycle` into the slot under the head pointer and
-    /// advances the pointer (the paper's logical pointer that wraps around).
-    pub fn write(&mut self, tag: u64, cycle: u64) {
-        self.slots[self.head] = Some((tag, cycle));
+    /// Writes `tag` into the slot under the head pointer and advances the
+    /// pointer (the paper's logical pointer that wraps around).
+    pub fn write(&mut self, tag: u64) {
+        self.slots[self.head] = Some(tag);
         self.head = (self.head + 1) % self.slots.len();
-        self.writes += 1;
-        self.last_write_cycle = Some(cycle);
     }
 
-    /// Reads the value written for `tag`, recording a same-cycle
-    /// read/write conflict if the buffer was also written at `cycle`.
-    /// Returns `true` if the tag is present (fresh), `false` if the data
-    /// has been overwritten (a dependency violation).
-    pub fn read(&mut self, tag: u64, cycle: u64) -> bool {
-        if self.last_write_cycle == Some(cycle) {
-            self.conflicts += 1;
-        }
-        self.slots.iter().flatten().any(|&(t, _)| t == tag)
-    }
-
-    /// Same-cycle read/write events observed — the condition that forces
-    /// buffer duplication in the paper.
-    pub fn same_cycle_conflicts(&self) -> u64 {
-        self.conflicts
-    }
-
-    /// Total writes.
-    pub fn writes(&self) -> u64 {
-        self.writes
+    /// Returns `true` if the value written for `tag` is still held (fresh),
+    /// `false` if it has been overwritten (a dependency violation).
+    pub fn read(&self, tag: u64) -> bool {
+        self.slots.contains(&Some(tag))
     }
 }
 
@@ -86,25 +57,14 @@ mod tests {
     #[test]
     fn survives_exactly_depth_minus_one_later_writes() {
         let mut buf = buffer(5);
-        buf.write(0, 0);
-        for c in 1..5 {
-            buf.write(c, c);
+        for tag in 0..5 {
+            buf.write(tag);
         }
         // After 4 more writes the first value is still there...
-        assert!(buf.read(0, 4));
+        assert!(buf.read(0));
         // ...but the 5th overwrite evicts it.
-        buf.write(5, 5);
-        assert!(!buf.read(0, 5));
-    }
-
-    #[test]
-    fn conflict_detected_on_same_cycle() {
-        let mut buf = buffer(1);
-        buf.write(7, 3);
-        assert!(buf.read(7, 3));
-        assert_eq!(buf.same_cycle_conflicts(), 1);
-        assert!(buf.read(7, 4));
-        assert_eq!(buf.same_cycle_conflicts(), 1);
+        buf.write(5);
+        assert!(!buf.read(0));
     }
 
     proptest! {
@@ -116,20 +76,18 @@ mod tests {
         fn depth_is_exactly_sufficient(gap in 1usize..30, extra in 0usize..5) {
             // Sufficient depth.
             let mut ok = buffer(gap + extra);
-            ok.write(0, 0);
-            for c in 1..gap as u64 {
-                ok.write(c, c);
+            for tag in 0..gap as u64 {
+                ok.write(tag);
             }
-            prop_assert!(ok.read(0, gap as u64));
+            prop_assert!(ok.read(0));
 
             // One slot short: the value dies one cycle early.
             if gap > 1 {
                 let mut short = buffer(gap - 1);
-                short.write(0, 0);
-                for c in 1..gap as u64 {
-                    short.write(c, c);
+                for tag in 0..gap as u64 {
+                    short.write(tag);
                 }
-                prop_assert!(!short.read(0, gap as u64));
+                prop_assert!(!short.read(0));
             }
         }
     }

@@ -23,11 +23,9 @@
 //! * [`array_group`] — signed, full-resolution matrices built from
 //!   positive/negative array pairs and the four 4-bit segment groups of the
 //!   resolution-compensation scheme (Fig. 14).
-//! * [`activation`] — the activation component of Fig. 9(c): subtractor,
-//!   configurable LUT (ReLU by default) and the max register used for
-//!   pooling.
-//! * [`partition`] — tiling of large kernel matrices onto fixed-size arrays
-//!   (the balanced scheme of Fig. 5).
+//! * [`partition`] — the tile grid of a large kernel matrix on fixed-size
+//!   arrays (the balanced scheme of Fig. 5), which the mapping and
+//!   granularity models count.
 //! * [`fault`] — persistent stuck-at/dead cell maps and the bounded
 //!   program-and-verify write discipline (retry pulses, unrecoverable-cell
 //!   reports) the repair layer consumes.
@@ -65,7 +63,6 @@
 //! assert_eq!(out, vec![3 * 10 + 2 * 100, 1 * 10 + 15 * 100]);
 //! ```
 
-pub mod activation;
 pub mod area;
 pub mod array_group;
 mod cell;
@@ -81,7 +78,6 @@ pub mod packed;
 pub mod partition;
 pub mod seedstream;
 pub mod spike;
-pub mod subarray;
 pub mod units;
 pub mod variation;
 pub mod wear;
@@ -98,6 +94,5 @@ pub use multiversion::kernel_arm;
 pub use noise::{NoiseModel, NoiseState};
 pub use packed::{BitPlanes, PackedSpikes};
 pub use partition::tile_grid;
-pub use subarray::{MorphableSubarray, SubarrayMode};
 pub use variation::VariationModel;
 pub use wear::{WearModel, WearState};

@@ -21,10 +21,10 @@ fn simulator_matches_formula_for_every_evaluation_network() {
     for spec in zoo::evaluation_specs() {
         let l = spec.weighted_layers();
         let b = 64usize;
-        let sim = PipelineSim::new(nz(l), nz(b)).simulate_training(1, 0, 0);
+        let sim = PipelineSim::new(nz(l), nz(b)).simulate_training(nz(1), 0);
         let formula = Analysis::new(nz(l), nz(b)).training_cycles_pipelined(b as u64);
         assert_eq!(sim.cycles, formula, "{}", spec.name);
-        assert_eq!(sim.dependency_violations, 0, "{}", spec.name);
+        assert_eq!(sim.dependency_violations(), 0, "{}", spec.name);
         assert_eq!(sim.peak_parallel_stages, 2 * l + 1, "{}", spec.name);
     }
 }

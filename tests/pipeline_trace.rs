@@ -3,7 +3,7 @@
 //! `plsim schedule` command print.
 
 use pipelayer::pipeline::{PipelineSim, SimOutcome};
-use std::num::NonZeroUsize;
+use std::num::{NonZeroU64, NonZeroUsize};
 
 fn nz(n: usize) -> NonZeroUsize {
     NonZeroUsize::new(n).unwrap()
@@ -14,7 +14,10 @@ fn render(out: &SimOutcome) -> String {
     let mut text = out.trace.join("\n");
     text.push_str(&format!(
         "\ncycles {} | violations {} | peak {} | same-cycle {:?}",
-        out.cycles, out.dependency_violations, out.peak_parallel_stages, out.same_cycle_buffers
+        out.cycles,
+        out.dependency_violations(),
+        out.peak_parallel_stages,
+        out.same_cycle_buffers()
     ));
     text
 }
@@ -65,14 +68,14 @@ cycles 15 | violations 0 | peak 7 | same-cycle [\"d1\", \"d2\", \"d3\", \"delta1
 #[test]
 fn training_trace_is_pinned() {
     let sim = PipelineSim::new(nz(3), nz(4));
-    assert_eq!(render(&sim.simulate_training(2, 0, 40)), L3_B4_TWO_BATCHES);
+    assert_eq!(render(&sim.simulate_training(nz(2), 40)), L3_B4_TWO_BATCHES);
     let sim = PipelineSim::new(nz(3), nz(8));
-    assert_eq!(render(&sim.simulate_training(1, 0, 64)), L3_B8_ONE_BATCH);
+    assert_eq!(render(&sim.simulate_training(nz(1), 64)), L3_B8_ONE_BATCH);
 }
 
 #[test]
 fn trace_stops_at_the_requested_row_count() {
-    let out = PipelineSim::new(nz(3), nz(8)).simulate_training(1, 0, 3);
+    let out = PipelineSim::new(nz(3), nz(8)).simulate_training(nz(1), 3);
     assert_eq!(
         out.trace,
         ["T1: A1[0]", "T2: A1[1] A2[0]", "T3: A1[2] A2[1] A3[0]"]
@@ -82,7 +85,7 @@ fn trace_stops_at_the_requested_row_count() {
 
 #[test]
 fn testing_trace_is_pinned() {
-    let out = PipelineSim::new(nz(3), nz(8)).simulate_testing(4, 64);
+    let out = PipelineSim::new(nz(3), nz(8)).simulate_testing(NonZeroU64::new(4).unwrap(), 64);
     assert_eq!(
         render(&out),
         "\

@@ -94,9 +94,9 @@ proptest! {
     #[test]
     fn simulator_agrees_with_formula(spec in arb_spec(), b in 1usize..32) {
         let l = spec.weighted_layers();
-        let out = PipelineSim::new(nz(l), nz(b)).simulate_training(1, 0, 0);
+        let out = PipelineSim::new(nz(l), nz(b)).simulate_training(nz(1), 0);
         prop_assert_eq!(out.cycles, Analysis::new(nz(l), nz(b)).training_cycles_pipelined(b as u64));
-        prop_assert_eq!(out.dependency_violations, 0);
+        prop_assert_eq!(out.dependency_violations(), 0);
     }
 
     /// Array counts are monotone: a deeper network never needs fewer
