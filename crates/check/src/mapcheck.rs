@@ -103,8 +103,9 @@ pub fn check(
     // expected dead columns per matrix is size × that. The per-cell rate
     // combines the configured manufacturing dead-fault rate with the wear
     // model's lognormal end-of-life CDF at the nominal pulse count.
+    let device = &cfg.device;
     let p_cell =
-        (cfg.fault_model.dead + cfg.wear.death_probability(NOMINAL_TRAINING_UPDATES)).min(1.0);
+        (device.faults.dead + device.wear.death_probability(NOMINAL_TRAINING_UPDATES)).min(1.0);
     if p_cell > 0.0 && spares < size {
         let p_col = 1.0 - (1.0 - p_cell).powf(size as f64);
         let expected_dead_cols = p_col * size as f64;
@@ -194,9 +195,9 @@ mod tests {
         // horizon): nearly every cell dies, spares cannot cover it.
         let mut cfg = PipeLayerConfig {
             spares: SpareBudget::typical(),
-            wear: WearModel::with_endurance(1e4),
             ..Default::default()
         };
+        cfg.device.wear = WearModel::with_endurance(1e4);
         let diags = check(&layers, &[1, 1], &cfg, BUDGET);
         assert!(
             diags
@@ -207,7 +208,7 @@ mod tests {
         );
 
         // Research-grade endurance (median far above the horizon): silent.
-        cfg.wear = WearModel::with_endurance(1e12);
+        cfg.device.wear = WearModel::with_endurance(1e12);
         let diags = check(&layers, &[1, 1], &cfg, BUDGET);
         assert!(
             !diags
@@ -217,8 +218,8 @@ mod tests {
         );
 
         // A heavy manufacturing dead rate alone also trips the check.
-        cfg.wear = WearModel::ideal();
-        cfg.fault_model = FaultModel {
+        cfg.device.wear = WearModel::ideal();
+        cfg.device.faults = FaultModel {
             dead: 0.05,
             ..FaultModel::ideal()
         };

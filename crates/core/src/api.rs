@@ -20,6 +20,7 @@ use crate::functional::{FunctionalError, ReramMlp};
 use crate::granularity::{default_granularity, scale_lambda};
 use crate::mapping::{MapError, MappedNetwork};
 use crate::perf::{PerfModel, RunEstimate};
+use crate::repair::SpareBudget;
 use pipelayer_nn::spec::NetSpec;
 use pipelayer_tensor::Tensor;
 use std::error::Error;
@@ -35,6 +36,13 @@ pub enum AcceleratorError {
     WeightsNotLoaded,
     /// `Copy_to_PL` must stage data before `Train`/`Test`.
     NoStagedData,
+    /// `Copy_to_PL` was given a different number of images and labels.
+    LengthMismatch {
+        /// Images offered.
+        images: usize,
+        /// Labels offered.
+        labels: usize,
+    },
 }
 
 impl fmt::Display for AcceleratorError {
@@ -43,6 +51,9 @@ impl fmt::Display for AcceleratorError {
             AcceleratorError::Functional(e) => write!(f, "functional execution: {e}"),
             AcceleratorError::WeightsNotLoaded => write!(f, "call weight_load before train/test"),
             AcceleratorError::NoStagedData => write!(f, "call copy_to_pl before train/test"),
+            AcceleratorError::LengthMismatch { images, labels } => {
+                write!(f, "copy_to_pl got {images} images but {labels} labels")
+            }
         }
     }
 }
@@ -73,8 +84,11 @@ impl AcceleratorBuilder {
         self
     }
 
-    /// Device, fault-tolerance, noise and wear configuration. Replaces the
-    /// whole config, including a batch size set earlier.
+    /// The whole configuration: device parameters, the device model
+    /// (faults, drift, noise, wear) that [`Accelerator::weight_load`]
+    /// builds the arrays with, and the verify, spare, scrub and repair
+    /// knobs. Replaces a batch size set earlier. [`build`](Self::build)
+    /// checks it through [`PipeLayerConfig::validate`].
     pub fn config(mut self, config: PipeLayerConfig) -> Self {
         self.config = config;
         self
@@ -202,23 +216,50 @@ impl Accelerator {
     }
 
     /// `Copy_to_PL`: stages labelled images in accelerator memory.
-    pub fn copy_to_pl(&mut self, images: Vec<Tensor>, labels: Vec<usize>) {
-        assert_eq!(images.len(), labels.len(), "images/labels length mismatch");
+    ///
+    /// # Errors
+    ///
+    /// [`AcceleratorError::LengthMismatch`], staging nothing, unless there
+    /// is one label per image.
+    pub fn copy_to_pl(
+        &mut self,
+        images: Vec<Tensor>,
+        labels: Vec<usize>,
+    ) -> Result<(), AcceleratorError> {
+        if images.len() != labels.len() {
+            return Err(AcceleratorError::LengthMismatch {
+                images: images.len(),
+                labels: labels.len(),
+            });
+        }
         self.staged_images = images;
         self.staged_labels = labels;
+        Ok(())
     }
 
     /// `Weight_load`: programs initial weights into the morphable arrays,
-    /// building the functional network from the spec.
+    /// building the functional network from the spec on the arrays the
+    /// config describes: its device model and repair ladder always, and
+    /// its verify/spare and scrub knobs where they depart from the
+    /// defaults, so a default config builds ideal, fire-and-forget arrays.
     ///
     /// # Errors
     ///
     /// [`AcceleratorError::Functional`] for a network the functional
     /// datapath cannot run (a strided convolution, average pooling).
     pub fn weight_load(&mut self, seed: u64) -> Result<(), AcceleratorError> {
-        let params = &self.mapped.config.params;
-        let builder = ReramMlp::from_spec(&self.spec, params, seed);
-        self.mlp = Some(builder.map_err(AcceleratorError::Functional)?.build());
+        let cfg = &self.mapped.config;
+        let mut builder = ReramMlp::from_spec(&self.spec, &cfg.params, seed)
+            .map_err(AcceleratorError::Functional)?
+            .device(cfg.device)
+            .repair_policy(cfg.repair);
+        if cfg.fault_tolerance_enabled() || cfg.spares != SpareBudget::none() {
+            builder = builder.fault_tolerance(cfg.verify, cfg.spares);
+        }
+        if cfg.scrub_enabled() {
+            builder = builder.scrub(cfg.scrub, cfg.verify);
+        }
+        self.mlp = Some(builder.build());
         Ok(())
     }
 
@@ -321,7 +362,7 @@ mod tests {
             .build()
             .unwrap();
         let images: Vec<_> = data.train.images.iter().map(|t| downsample(t, 4)).collect();
-        acc.copy_to_pl(images, data.train.labels.clone());
+        acc.copy_to_pl(images, data.train.labels.clone()).unwrap();
         acc.weight_load(3).expect("MLP loads");
         let loss1 = acc.train(1, 0.3).expect("train");
         let loss5 = acc.train(3, 0.3).expect("train more");
@@ -331,12 +372,197 @@ mod tests {
     }
 
     #[test]
+    fn copy_to_pl_rejects_mismatched_lengths() {
+        let mut acc = Accelerator::builder(zoo::spec_mnist_a()).build().unwrap();
+        let image = Tensor::zeros(&[1, 28, 28]);
+        assert_eq!(
+            acc.copy_to_pl(vec![image.clone(); 2], vec![1]),
+            Err(AcceleratorError::LengthMismatch {
+                images: 2,
+                labels: 1
+            })
+        );
+        let e = acc.copy_to_pl(Vec::new(), vec![0]).unwrap_err();
+        assert_eq!(e.to_string(), "copy_to_pl got 0 images but 1 labels");
+        // Nothing was staged.
+        acc.weight_load(0).unwrap();
+        assert_eq!(acc.test(), Err(AcceleratorError::NoStagedData));
+        acc.copy_to_pl(vec![image], vec![1]).unwrap();
+        assert_eq!(acc.test().unwrap().len(), 1);
+    }
+
+    /// A 7×7 MLP and four batches of ten downsampled images.
+    fn tiny_task() -> (NetSpec, Vec<Tensor>, Vec<usize>) {
+        use pipelayer_nn::LayerSpec;
+        let data = SyntheticMnist::generate(40, 1, 11);
+        let spec = NetSpec::new(
+            "tiny-mlp",
+            (1, 7, 7),
+            vec![LayerSpec::Fc { n_out: 12 }, LayerSpec::Fc { n_out: 10 }],
+        );
+        let images = data.train.images.iter().map(|t| downsample(t, 4)).collect();
+        (spec, images, data.train.labels)
+    }
+
+    /// The device configs `weight_load` is checked under, each with the
+    /// network its builder chain builds from `seed`: faults with verify and
+    /// spares, drift and noise with scrub, wear with the laddered repair,
+    /// and the edge values `validate` accepts (no conductance window, no
+    /// write budget).
+    fn device_configs(spec: &NetSpec, seed: u64) -> Vec<(&'static str, PipeLayerConfig, ReramMlp)> {
+        use crate::repair::RepairPolicy;
+        use crate::scrub::ScrubPolicy;
+        use pipelayer_reram::{DeviceModel, DriftModel, FaultModel, NoiseModel};
+        use pipelayer_reram::{VerifyPolicy, WearModel};
+        let ideal = DeviceModel::ideal();
+        let verify = VerifyPolicy {
+            max_attempts: 3,
+            write_sigma: 0.3,
+        };
+        let spares = SpareBudget::with_cols(2);
+        let faults = FaultModel::with_stuck_rate(0.02);
+        let aging = ideal
+            .with_drift(DriftModel {
+                nu: 0.1,
+                nu_sigma: 0.05,
+                t0_cycles: 5,
+                disturb_per_level: 40,
+            })
+            .with_noise(NoiseModel::with_strength(0.5));
+        let scrub = ScrubPolicy::every(15, 4);
+        let wear = ideal.with_wear(WearModel::with_endurance(30.0));
+        let no_window = ideal.with_noise(NoiseModel {
+            g_ratio: 1.0,
+            ..NoiseModel::with_strength(0.5)
+        });
+        let no_budget = ideal.with_wear(WearModel {
+            median_writes: 0.0,
+            sigma: 0.5,
+        });
+
+        let base = PipeLayerConfig::with_batch(NonZeroUsize::new(10).unwrap());
+        let faulty = base.with_fault_tolerance(faults, verify, spares);
+        let mut aged = base;
+        aged.device = aging;
+        aged.scrub = scrub;
+        let mut worn = base.with_fault_tolerance(FaultModel::ideal(), verify, spares);
+        worn.device = wear;
+        worn.repair = RepairPolicy::laddered();
+        let mut windowless = base;
+        windowless.device = no_window;
+        let mut budgetless = base;
+        budgetless.device = no_budget;
+        budgetless.repair = RepairPolicy::laddered();
+
+        let chain = || ReramMlp::from_spec(spec, &base.params, seed).unwrap();
+        vec![
+            (
+                "faults + verify + spares",
+                faulty,
+                chain()
+                    .device(ideal.with_faults(faults))
+                    .fault_tolerance(verify, spares)
+                    .build(),
+            ),
+            (
+                "drift + noise + scrub",
+                aged,
+                chain()
+                    .device(aging)
+                    .scrub(scrub, VerifyPolicy::default())
+                    .build(),
+            ),
+            (
+                "wear + laddered repair",
+                worn,
+                chain()
+                    .device(wear)
+                    .fault_tolerance(verify, spares)
+                    .repair_policy(RepairPolicy::laddered())
+                    .build(),
+            ),
+            (
+                "noise with g_ratio = 1",
+                windowless,
+                chain().device(no_window).build(),
+            ),
+            (
+                "wear with median_writes = 0",
+                budgetless,
+                chain()
+                    .device(no_budget)
+                    .repair_policy(RepairPolicy::laddered())
+                    .build(),
+            ),
+        ]
+    }
+
+    /// Trains `acc` one staged batch per `train` call, and `mlp` on the
+    /// same batches, and checks that losses, device state, spike counters
+    /// and predictions agree bit for bit.
+    fn assert_trains_like(name: &str, acc: &mut Accelerator, mut mlp: ReramMlp) {
+        let (_, images, labels) = tiny_task();
+        for (x, y) in images.chunks(10).zip(labels.chunks(10)) {
+            acc.copy_to_pl(x.to_vec(), y.to_vec()).unwrap();
+            let got = acc.train(1, 0.3).unwrap();
+            let want = mlp.train_batch(x, y, 0.3);
+            assert_eq!(got.to_bits(), want.to_bits(), "{name}: loss");
+        }
+        let same_state = |acc: &Accelerator, mlp: &ReramMlp, when: &str| {
+            let trained = acc.mlp.as_ref().unwrap();
+            let state = trained.device_state() == mlp.device_state();
+            assert!(state, "{name}: device state after {when}");
+            let spikes = (trained.read_spikes(), trained.write_spikes());
+            assert_eq!(
+                spikes,
+                (mlp.read_spikes(), mlp.write_spikes()),
+                "{name}: {when}"
+            );
+        };
+        same_state(acc, &mlp, "train");
+        acc.copy_to_pl(images.clone(), labels).unwrap();
+        let preds = acc.test().unwrap();
+        let want: Vec<usize> = images.iter().map(|t| mlp.predict(t.as_slice())).collect();
+        assert_eq!(preds, want, "{name}: predictions");
+        same_state(acc, &mlp, "test");
+    }
+
+    #[test]
+    fn default_config_trains_like_the_ideal_network() {
+        let (spec, ..) = tiny_task();
+        let mut acc = Accelerator::builder(spec.clone())
+            .batch_size(NonZeroUsize::new(10).unwrap())
+            .build()
+            .unwrap();
+        acc.weight_load(5).unwrap();
+        let params = acc.mapped().config.params;
+        let mlp = ReramMlp::from_spec(&spec, &params, 5).unwrap().build();
+        assert_trains_like("default", &mut acc, mlp);
+    }
+
+    /// `Train` runs on the arrays the config describes: each device config
+    /// trains exactly like the builder chain it stands for.
+    #[test]
+    fn device_configs_train_like_their_builder_chains() {
+        let (spec, ..) = tiny_task();
+        for (name, cfg, mlp) in device_configs(&spec, 9) {
+            assert_eq!(cfg.validate(), Ok(()), "{name}");
+            let mut acc = Accelerator::builder(spec.clone())
+                .config(cfg)
+                .build()
+                .unwrap();
+            acc.weight_load(9).unwrap();
+            assert_trains_like(name, &mut acc, mlp);
+        }
+    }
+
+    #[test]
     fn stride_one_conv_nets_load_functionally() {
         let mut acc = Accelerator::builder(zoo::spec_mnist_0()).build().unwrap();
         acc.weight_load(0)
             .expect("Mnist-0 (stride-1 convs, max pooling) loads");
         let image = Tensor::from_fn(&[1, 28, 28], |i| ((i[1] * 28 + i[2]) as f32 * 0.01).sin());
-        acc.copy_to_pl(vec![image], vec![3]);
+        acc.copy_to_pl(vec![image], vec![3]).unwrap();
         assert_eq!(acc.test().expect("test").len(), 1);
     }
 

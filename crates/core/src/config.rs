@@ -2,9 +2,7 @@
 
 use crate::repair::{RepairPolicy, SpareBudget};
 use crate::scrub::ScrubPolicy;
-use pipelayer_reram::{
-    BitWidthError, FaultModel, NoiseModel, ReramParams, VerifyPolicy, WearModel,
-};
+use pipelayer_reram::{BitWidthError, DeviceModel, FaultModel, ReramParams, VerifyPolicy};
 use std::num::NonZeroUsize;
 
 /// A rejected [`PipeLayerConfig`].
@@ -35,6 +33,11 @@ pub enum ConfigError {
     InvalidWearBudget(f64),
     /// The wear model's lognormal σ was negative or non-finite.
     InvalidWearSigma(f64),
+    /// A drift exponent (median ν or its cell-to-cell σ) was negative or
+    /// non-finite.
+    InvalidDriftExponent(f64),
+    /// The drift model's retention knee `t0_cycles` was zero.
+    ZeroDriftKnee,
     /// The cell or data width failed
     /// [`ReramParams::check_bit_widths`].
     InvalidBitWidths(BitWidthError),
@@ -76,6 +79,12 @@ impl core::fmt::Display for ConfigError {
             }
             ConfigError::InvalidWearSigma(s) => {
                 write!(f, "wear sigma {s} must be finite and non-negative")
+            }
+            ConfigError::InvalidDriftExponent(nu) => {
+                write!(f, "drift exponent {nu} must be finite and non-negative")
+            }
+            ConfigError::ZeroDriftKnee => {
+                write!(f, "drift needs a retention knee of at least one cycle")
             }
             ConfigError::InvalidBitWidths(e) => e.fmt(f),
         }
@@ -148,17 +157,20 @@ impl DatapathFormat {
     }
 }
 
-/// PipeLayer configuration: device parameters, training batch size, and the
-/// (opt-in) fault-tolerance knobs.
+/// PipeLayer configuration: device parameters and device model, training
+/// batch size, and the (opt-in) fault-tolerance, scrub and repair knobs.
+/// [`validate`](Self::validate) is the one place its values are checked.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipeLayerConfig {
     /// ReRAM device/array parameters (NVSim-derived, Sec. 6.2).
     pub params: ReramParams,
     /// Training batch size `B` (the paper's running example uses 64).
     pub batch_size: NonZeroUsize,
-    /// Per-cell stuck-at/dead probabilities ([`FaultModel::ideal`] by
-    /// default — the paper's fault-free device).
-    pub fault_model: FaultModel,
+    /// The arrays' device non-idealities — stuck-at/dead faults, drift and
+    /// read disturb, analog read noise and endurance wear-out
+    /// ([`DeviceModel::ideal`] by default, the paper's perfect device and
+    /// an exact no-op on every read and write).
+    pub device: DeviceModel,
     /// Program-and-verify write discipline (defaults to the ideal
     /// single-shot write, so verification is strictly opt-in).
     pub verify: VerifyPolicy,
@@ -170,14 +182,6 @@ pub struct PipeLayerConfig {
     /// Online scrub/refresh scheduling against device aging (off by
     /// default — all scrub cost terms are then exact no-ops).
     pub scrub: ScrubPolicy,
-    /// Analog read-path non-idealities — lognormal LRS/HRS conductance
-    /// spread, IR drop, per-read Gaussian noise ([`NoiseModel::ideal`] by
-    /// default, an exact no-op on every read).
-    pub noise: NoiseModel,
-    /// Endurance wear-out — per-cell lognormal write budgets whose
-    /// exhaustion raises live dead faults mid-run ([`WearModel::ideal`] by
-    /// default, an exact no-op: no budgets drawn, no counter touched).
-    pub wear: WearModel,
     /// How verify failures escalate to spares — the retry → backoff →
     /// remap → mask ladder (immediate escalation by default, the
     /// commissioning-time behaviour).
@@ -192,13 +196,11 @@ impl Default for PipeLayerConfig {
         PipeLayerConfig {
             params: ReramParams::default(),
             batch_size: DEFAULT_BATCH,
-            fault_model: FaultModel::ideal(),
+            device: DeviceModel::ideal(),
             verify: VerifyPolicy::default(),
             spares: SpareBudget::none(),
             datapath: DatapathFormat::default(),
             scrub: ScrubPolicy::off(),
-            noise: NoiseModel::ideal(),
-            wear: WearModel::ideal(),
             repair: RepairPolicy::immediate(),
         }
     }
@@ -224,7 +226,7 @@ impl PipeLayerConfig {
         verify: VerifyPolicy,
         spares: SpareBudget,
     ) -> Self {
-        self.fault_model = faults;
+        self.device.faults = faults;
         self.verify = verify;
         self.spares = spares;
         self
@@ -238,9 +240,13 @@ impl PipeLayerConfig {
     /// a [`ConfigError::InvalidBitWidths`] means every other field is in
     /// its domain.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        self.fault_model
-            .validate()
-            .map_err(ConfigError::InvalidFaultRate)?;
+        let DeviceModel {
+            faults,
+            drift,
+            noise,
+            wear,
+        } = &self.device;
+        faults.validate().map_err(ConfigError::InvalidFaultRate)?;
         if self.verify.max_attempts == 0 {
             return Err(ConfigError::ZeroAttempts);
         }
@@ -256,25 +262,29 @@ impl PipeLayerConfig {
                 return Err(ConfigError::InvalidScrubFraction(f));
             }
         }
-        for s in [
-            self.noise.lrs_sigma,
-            self.noise.hrs_sigma,
-            self.noise.read_sigma,
-        ] {
+        for s in [noise.lrs_sigma, noise.hrs_sigma, noise.read_sigma] {
             if s < 0.0 || !s.is_finite() {
                 return Err(ConfigError::InvalidNoiseSigma(s));
             }
         }
-        for r in [self.noise.ir_drop, self.noise.g_ratio] {
+        for r in [noise.ir_drop, noise.g_ratio] {
             if !(0.0..=1.0).contains(&r) || !r.is_finite() {
                 return Err(ConfigError::InvalidNoiseFraction(r));
             }
         }
-        if self.wear.median_writes < 0.0 || !self.wear.median_writes.is_finite() {
-            return Err(ConfigError::InvalidWearBudget(self.wear.median_writes));
+        if wear.median_writes < 0.0 || !wear.median_writes.is_finite() {
+            return Err(ConfigError::InvalidWearBudget(wear.median_writes));
         }
-        if self.wear.sigma < 0.0 || !self.wear.sigma.is_finite() {
-            return Err(ConfigError::InvalidWearSigma(self.wear.sigma));
+        if wear.sigma < 0.0 || !wear.sigma.is_finite() {
+            return Err(ConfigError::InvalidWearSigma(wear.sigma));
+        }
+        for nu in [drift.nu, drift.nu_sigma] {
+            if nu < 0.0 || !nu.is_finite() {
+                return Err(ConfigError::InvalidDriftExponent(nu));
+            }
+        }
+        if drift.t0_cycles == 0 {
+            return Err(ConfigError::ZeroDriftKnee);
         }
         self.datapath.validate()?;
         self.params
@@ -286,7 +296,7 @@ impl PipeLayerConfig {
     /// defaults — the gate that keeps the calibrated baseline numbers
     /// bit-exact when fault tolerance is off.
     pub fn fault_tolerance_enabled(&self) -> bool {
-        !self.fault_model.is_ideal() || self.verify != VerifyPolicy::default()
+        !self.device.faults.is_ideal() || self.verify != VerifyPolicy::default()
     }
 
     /// Expected programming pulses per cell write relative to the ideal
@@ -296,7 +306,7 @@ impl PipeLayerConfig {
         if !self.fault_tolerance_enabled() {
             return 1.0;
         }
-        self.verify.expected_pulse_multiplier(&self.fault_model)
+        self.verify.expected_pulse_multiplier(&self.device.faults)
     }
 
     /// Expected verify reads per written cell (one per programming
@@ -306,7 +316,7 @@ impl PipeLayerConfig {
         if !self.fault_tolerance_enabled() {
             return 0.0;
         }
-        let f = self.fault_model.total_rate();
+        let f = self.device.faults.total_rate();
         (1.0 - f) * self.verify.expected_attempts_healthy() + f * self.verify.max_attempts as f64
     }
 
@@ -314,28 +324,6 @@ impl PipeLayerConfig {
     /// baseline timing/energy/endurance numbers bit-exact with scrub off.
     pub fn scrub_enabled(&self) -> bool {
         !self.scrub.is_off()
-    }
-
-    /// `true` once any analog non-ideality knob departs from the ideal
-    /// defaults — the gate that keeps every read bit-exact when the noise
-    /// model is off.
-    pub fn noise_enabled(&self) -> bool {
-        !self.noise.is_ideal()
-    }
-
-    /// `true` once the endurance wear model is turned on — the gate that
-    /// keeps every existing pinned number bit-exact with wear off (no
-    /// budgets are drawn and no counter is touched).
-    pub fn wear_enabled(&self) -> bool {
-        !self.wear.is_ideal()
-    }
-
-    /// Enables endurance wear-out with the given model and escalation
-    /// ladder, plus the usual fault-tolerance knobs the ladder rides on.
-    pub fn with_wear(mut self, wear: WearModel, repair: RepairPolicy) -> Self {
-        self.wear = wear;
-        self.repair = repair;
-        self
     }
 }
 
@@ -354,8 +342,7 @@ mod tests {
     fn defaults_are_exact_noops() {
         let c = PipeLayerConfig::default();
         assert!(!c.fault_tolerance_enabled());
-        assert!(!c.noise_enabled());
-        assert!(!c.wear_enabled());
+        assert_eq!(c.device, DeviceModel::ideal());
         assert_eq!(c.repair, crate::repair::RepairPolicy::immediate());
         assert_eq!(c.write_pulse_multiplier(), 1.0);
         assert_eq!(c.verify_reads_per_cell_write(), 0.0);
@@ -384,17 +371,16 @@ mod tests {
 
     #[test]
     fn wear_model_validates_its_domain() {
-        use crate::repair::RepairPolicy;
-        let cfg = PipeLayerConfig::default()
-            .with_wear(WearModel::with_endurance(1e6), RepairPolicy::laddered());
-        assert!(cfg.wear_enabled());
+        use pipelayer_reram::WearModel;
+        let mut cfg = PipeLayerConfig::default();
+        cfg.device.wear = WearModel::with_endurance(1e6);
         assert!(cfg.validate().is_ok());
 
         let mut bad = cfg;
-        bad.wear.median_writes = -1.0;
+        bad.device.wear.median_writes = -1.0;
         assert_eq!(bad.validate(), Err(ConfigError::InvalidWearBudget(-1.0)));
 
-        bad.wear = WearModel {
+        bad.device.wear = WearModel {
             median_writes: 1e6,
             sigma: f64::NAN,
         };
@@ -406,20 +392,18 @@ mod tests {
 
     #[test]
     fn noise_model_validates_its_domain() {
-        let mut cfg = PipeLayerConfig {
-            noise: NoiseModel::with_strength(1.0),
-            ..PipeLayerConfig::default()
-        };
-        assert!(cfg.noise_enabled());
+        use pipelayer_reram::NoiseModel;
+        let mut cfg = PipeLayerConfig::default();
+        cfg.device.noise = NoiseModel::with_strength(1.0);
         assert!(cfg.validate().is_ok());
 
-        cfg.noise = NoiseModel {
+        cfg.device.noise = NoiseModel {
             lrs_sigma: -0.1,
             ..NoiseModel::ideal()
         };
         assert_eq!(cfg.validate(), Err(ConfigError::InvalidNoiseSigma(-0.1)));
 
-        cfg.noise = NoiseModel {
+        cfg.device.noise = NoiseModel {
             read_sigma: f64::NAN,
             ..NoiseModel::ideal()
         };
@@ -428,13 +412,13 @@ mod tests {
             Err(ConfigError::InvalidNoiseSigma(_))
         ));
 
-        cfg.noise = NoiseModel {
+        cfg.device.noise = NoiseModel {
             ir_drop: 1.5,
             ..NoiseModel::ideal()
         };
         assert_eq!(cfg.validate(), Err(ConfigError::InvalidNoiseFraction(1.5)));
 
-        cfg.noise = NoiseModel {
+        cfg.device.noise = NoiseModel {
             g_ratio: -0.01,
             ..NoiseModel::ideal()
         };
@@ -442,6 +426,49 @@ mod tests {
             cfg.validate(),
             Err(ConfigError::InvalidNoiseFraction(_))
         ));
+    }
+
+    #[test]
+    fn drift_model_validates_its_domain() {
+        use pipelayer_reram::DriftModel;
+        let mut cfg = PipeLayerConfig::default();
+        let drift = DriftModel {
+            nu: 0.1,
+            nu_sigma: 0.05,
+            t0_cycles: 100,
+            disturb_per_level: 40,
+        };
+        cfg.device.drift = drift;
+        assert!(cfg.validate().is_ok());
+
+        cfg.device.drift.nu = -0.1;
+        assert_eq!(cfg.validate(), Err(ConfigError::InvalidDriftExponent(-0.1)));
+
+        cfg.device.drift = DriftModel {
+            nu_sigma: f64::INFINITY,
+            ..drift
+        };
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::InvalidDriftExponent(f64::INFINITY))
+        );
+
+        cfg.device.drift = DriftModel {
+            nu: f64::NAN,
+            ..drift
+        };
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::InvalidDriftExponent(_))
+        ));
+
+        // The knee is checked whether or not the model drifts: the power
+        // law divides by it.
+        cfg.device.drift = DriftModel {
+            t0_cycles: 0,
+            ..DriftModel::ideal()
+        };
+        assert_eq!(cfg.validate(), Err(ConfigError::ZeroDriftKnee));
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //!
 //! ReRAM cells support only limited precision (Sec. 5.1 of the paper): the
 //! default PipeLayer configuration stores 16-bit weights on 4-bit cells via
-//! the resolution-compensation scheme of Fig. 14. Fig. 13 studies the
+//! the resolution-compensation scheme of Fig. 14, which
+//! `pipelayer_reram::ReramMatrix` runs. Fig. 13 studies the
 //! accuracy cost of *reducing* the stored weight resolution from float down
 //! to 2 bits on five networks (M-1, M-2, M-3, M-C, C-4).
 //!
 //! This crate provides:
 //! * [`fixed`] — symmetric fixed-point quantizers for scalars and tensors;
-//! * [`compose`] — the 4-bit segment split/shift-add recombination of
-//!   Fig. 14, with exactness proofs;
 //! * [`grid`] — exact integer-code grids plus the accumulator-width
 //!   arithmetic behind the PL04x range analysis in `pipelayer-check`;
 //! * [`qnetwork`] — whole-network weight quantization with snapshot/restore,
@@ -27,7 +26,6 @@
 //! # Ok::<(), pipelayer_quant::QuantError>(())
 //! ```
 
-pub mod compose;
 pub mod fixed;
 pub mod grid;
 pub mod qat;

@@ -1,10 +1,9 @@
-//! Boundary behaviour of the fixed-point quantizer and the Fig. 14 segment
-//! decomposition — the exact edges the PL04x range analysis reasons about:
-//! values at ±absmax, values just past the clamp, and full-scale codes
-//! round-tripping through split/recombine at every resolution the
-//! resolution study (Fig. 13) sweeps.
+//! Boundary behaviour of the fixed-point quantizer — the exact edges the
+//! PL04x range analysis reasons about: values at ±absmax and values just
+//! past the clamp, at every resolution the resolution study (Fig. 13)
+//! sweeps. The Fig. 14 segment decomposition of those codes is checked on
+//! the crossbars that store them, in `pipelayer_reram::array_group`.
 
-use pipelayer_quant::compose::{compose_segments, split_segments};
 use pipelayer_quant::Quantizer;
 
 /// At exactly ±absmax the quantizer must hit ±qmax and dequantize back to
@@ -64,64 +63,5 @@ fn values_one_step_inside_stay_unsaturated() {
         let step = q.scale(absmax);
         let code = q.quantize(absmax - 1.4 * step, absmax);
         assert_eq!(code, q.qmax() - 1, "bits={bits}: near-full-scale code");
-    }
-}
-
-/// Fig. 14 split/recombine is the identity on every magnitude the datapath
-/// can store, for every resolution of the Fig. 13 sweep and every cell
-/// width that divides it — including the boundary codes 0, 1, qmax−1 and
-/// qmax.
-#[test]
-fn boundary_codes_round_trip_through_segment_recombination() {
-    for bits in 2..=16u8 {
-        let q = Quantizer::try_new(bits).unwrap();
-        let qmax = u32::try_from(q.qmax()).expect("qmax is positive");
-        for cell in [1u8, 2, 3, 4, 8] {
-            if !bits.is_multiple_of(cell) {
-                continue;
-            }
-            for code in [0u32, 1, qmax.saturating_sub(1), qmax] {
-                let segments = split_segments(code, bits, cell);
-                assert_eq!(
-                    segments.len(),
-                    usize::from(bits / cell),
-                    "bits={bits} cell={cell}"
-                );
-                let mask = (1u32 << cell) - 1;
-                for &s in &segments {
-                    assert!(u32::from(s) <= mask, "segment exceeds cell resolution");
-                }
-                assert_eq!(
-                    compose_segments(&segments, cell),
-                    code,
-                    "bits={bits} cell={cell} code={code}"
-                );
-            }
-        }
-    }
-}
-
-/// The full quantize → split → recombine → dequantize pipeline (what the
-/// crossbars physically store and the shift-add reconstructs) agrees with
-/// plain quantize-dequantize at the range boundaries.
-#[test]
-fn hardware_path_agrees_with_reference_at_boundaries() {
-    for bits in 2..=16u8 {
-        let q = Quantizer::try_new(bits).unwrap();
-        let absmax = 1.0f32;
-        for x in [absmax, -absmax, absmax * 0.999, -absmax * 0.999, 0.0] {
-            let code = q.quantize(x, absmax);
-            let magnitude = code.unsigned_abs();
-            let cell = if bits.is_multiple_of(4) { 4 } else { 1 };
-            let recombined = compose_segments(&split_segments(magnitude, bits, cell), cell);
-            assert_eq!(recombined, magnitude, "bits={bits} x={x}");
-            let sign = if code < 0 { -1.0 } else { 1.0 };
-            let via_hw = sign * recombined as f32 * q.scale(absmax);
-            let reference = q.quantize_dequantize(x, absmax);
-            assert!(
-                (via_hw - reference).abs() <= f32::EPSILON * absmax.abs() * 4.0,
-                "bits={bits} x={x}: {via_hw} vs {reference}"
-            );
-        }
     }
 }

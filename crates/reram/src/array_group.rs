@@ -1898,6 +1898,74 @@ mod tests {
         }
     }
 
+    /// The exact product an ideal `m` programmed with `w` owes input `x`:
+    /// every weight's code `round(w / s_w)` (clamped to `±qmax`) times
+    /// every input's code `round(x / s_x)`, summed in `i128`, then
+    /// converted and scaled as the datapath does, `f32` times `s_w` times
+    /// `s_x`.
+    fn exact_product(m: &ReramMatrix, w: &[f32], x: &[f32]) -> Vec<f32> {
+        let absmax = x.iter().fold(0.0f32, |a, &v| a.max(v.abs()));
+        if absmax == 0.0 {
+            return vec![0.0; m.out_dim];
+        }
+        let x_scale = absmax / (((1u64 << m.data_bits) - 1) as f32 / 2.0);
+        let (qmax, w_scale) = (i128::from(m.qmax()), m.weight_scale());
+        let qx: Vec<i128> = x.iter().map(|&v| (v / x_scale).round() as i128).collect();
+        w.chunks_exact(m.in_dim)
+            .map(|row| {
+                let code = |w: f32| ((w / w_scale).round() as i128).clamp(-qmax, qmax);
+                let dot: i128 = row.iter().zip(&qx).map(|(&w, &x)| code(w) * x).sum();
+                dot as f32 * w_scale * x_scale
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Fig. 14(a) is exact: the shift-add of `data_bits / cell_bits`
+        /// segment groups, positive minus negative, gives an ideal
+        /// matrix's product as the exact integer product of its quantized
+        /// weights and inputs times the two scales, bit for bit, on the
+        /// composite and the per-crossbar path. The weights include the
+        /// boundary codes 0, ±1, ±(qmax − 1) and ±qmax (one weight sits at
+        /// full scale), the inputs zeros and ±full-scale values.
+        #[test]
+        fn ideal_product_is_the_exact_integer_product(
+            widths in 0usize..7,
+            seed in 0u64..1000,
+        ) {
+            use rand::{rngs::StdRng, RngExt as _};
+            let (cell_bits, data_bits) =
+                [(4u8, 16u8), (4, 8), (2, 8), (1, 4), (3, 12), (8, 24), (4, 32)][widths];
+            let params = ReramParams { cell_bits, data_bits, ..ReramParams::default() };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (out_dim, in_dim) = (rng.random_range(1usize..8), rng.random_range(1usize..20));
+            let qmax = i32::MAX >> (32 - data_bits);
+            let codes = [qmax, qmax - 1, 1, 0, -1, 1 - qmax, -qmax];
+            let mut w: Vec<f32> = (0..out_dim * in_dim)
+                .map(|_| match rng.random_range(0..3) {
+                    0 => codes[rng.random_range(0..codes.len())] as f32,
+                    _ => rng.random_range(-1.0f32..1.0) * qmax as f32,
+                })
+                .collect();
+            w[0] = if seed % 2 == 0 { qmax as f32 } else { -(qmax as f32) };
+            let x: Vec<f32> = (0..in_dim)
+                .map(|i| match (i, rng.random_range(0..4)) {
+                    (0, _) if seed % 3 == 0 => -2.0,
+                    (0, _) => 2.0,
+                    (_, 0) => 0.0,
+                    (_, 1) => -2.0,
+                    _ => rng.random_range(-2.0f32..2.0),
+                })
+                .collect();
+            let mut m = ReramMatrix::program(&w, out_dim, in_dim, &params);
+            let want = bits(&exact_product(&m, &w, &x));
+            prop_assert_eq!(bits(&m.matvec(&x)), want.clone());
+            prop_assert_eq!(bits(&m.matvec_members(&[x])), want);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 

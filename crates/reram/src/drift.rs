@@ -51,7 +51,9 @@ pub struct DriftModel {
     /// Cell-to-cell standard deviation of ν (clamped at ν ≥ 0 per cell).
     pub nu_sigma: f64,
     /// Retention knee in logical cycles: drift begins once a cell's age
-    /// exceeds `t0_cycles`. Must be ≥ 1 for the power law to be defined.
+    /// exceeds `t0_cycles`. Must be ≥ 1 for the power law to be defined:
+    /// `PipeLayerConfig::validate` rejects 0, and an array given a model
+    /// directly reads 0 as 1.
     pub t0_cycles: u64,
     /// Spike-slot reads on a word line that raise its cells one level
     /// (0 disables read disturb).

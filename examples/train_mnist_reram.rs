@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
 
     // Host API flow (Sec. 5.2).
-    accel.copy_to_pl(train_images, data.train.labels.clone());
+    accel.copy_to_pl(train_images, data.train.labels.clone())?;
     accel.weight_load(7)?;
 
     println!("training on ReRAM crossbars (16-bit spikes, 4-bit cells)...");
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Evaluate on the held-out split.
-    accel.copy_to_pl(test_images, data.test.labels.clone());
+    accel.copy_to_pl(test_images, data.test.labels.clone())?;
     let predictions = accel.test()?;
     let labels = accel.copy_to_cpu();
     let correct = predictions

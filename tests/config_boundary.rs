@@ -11,7 +11,7 @@ use pipelayer::{Accelerator, PipeLayerConfig, RepairPolicy, SpareBudget};
 use pipelayer_check::{shape, verify};
 use pipelayer_nn::spec::{LayerSpec, PoolKind, ShapeError};
 use pipelayer_nn::{zoo, Loss, NetSpec};
-use pipelayer_reram::{FaultModel, NoiseModel, VerifyPolicy, WearModel};
+use pipelayer_reram::{DriftModel, FaultModel, NoiseModel, VerifyPolicy, WearModel};
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
 
@@ -57,7 +57,7 @@ fn knobs() -> impl Strategy<Value = Knobs> {
     let g = 0usize..6;
     (
         (
-            0usize..4,
+            0usize..6,
             0..networks().len(),
             1usize..300,
             (0usize..4, draw()),
@@ -65,6 +65,7 @@ fn knobs() -> impl Strategy<Value = Knobs> {
         (0usize..12, (g.clone(), g.clone(), g.clone(), g.clone(), g)),
         (draw(), draw(), draw(), 0u32..6, draw()),
         (draw(), draw(), draw(), draw()),
+        (draw(), draw(), 0u64..4),
     )
         .prop_map(
             |(
@@ -72,37 +73,49 @@ fn knobs() -> impl Strategy<Value = Knobs> {
                 (g_len, g),
                 (saz, sam, dead, attempts, write_sigma),
                 (read_sigma, ir_drop, median_writes, wear_sigma),
+                (nu, nu_sigma, t0_cycles),
             )| {
-                // Mode 0 keeps every knob in its domain; 1 makes only λ
-                // wild, 2 only the device config, 3 both. Each check is
-                // then reached while the others pass.
-                let (wild, wild_lambda) = (mode & 2 != 0, mode & 1 != 0);
+                // Mode 0 keeps every knob in its domain. Bit 0 makes λ
+                // wild; `mode / 2` makes the device config wild (1) or only
+                // its drift component (2), which `validate` checks after
+                // the rest. Each check is then reached while the others
+                // pass.
+                let wild_lambda = mode & 1 != 0;
+                let (wild, wild_drift) = (mode / 2 == 1, mode / 2 != 0);
                 let rate = |d| real(d, wild, 0.3, (-0.2, 0.8));
                 let sigma = |d| real(d, wild, 2.0, (-1.0, 2.0));
-                let mut config = PipeLayerConfig::default()
-                    .with_fault_tolerance(
-                        FaultModel {
-                            stuck_at_zero: rate(saz),
-                            stuck_at_max: rate(sam),
-                            dead: rate(dead),
-                        },
-                        VerifyPolicy {
-                            max_attempts: if wild { attempts } else { attempts.max(1) },
-                            write_sigma: sigma(write_sigma),
-                        },
-                        SpareBudget::none(),
-                    )
-                    .with_wear(
-                        WearModel {
-                            median_writes: real(median_writes, wild, 1e7, (-10.0, 1e7)),
-                            sigma: sigma(wear_sigma),
-                        },
-                        RepairPolicy::laddered(),
-                    );
-                config.noise = NoiseModel {
+                let mut config = PipeLayerConfig::default().with_fault_tolerance(
+                    FaultModel {
+                        stuck_at_zero: rate(saz),
+                        stuck_at_max: rate(sam),
+                        dead: rate(dead),
+                    },
+                    VerifyPolicy {
+                        max_attempts: if wild { attempts } else { attempts.max(1) },
+                        write_sigma: sigma(write_sigma),
+                    },
+                    SpareBudget::none(),
+                );
+                config.repair = RepairPolicy::laddered();
+                config.device.wear = WearModel {
+                    median_writes: real(median_writes, wild, 1e7, (-10.0, 1e7)),
+                    sigma: sigma(wear_sigma),
+                };
+                config.device.noise = NoiseModel {
                     read_sigma: sigma(read_sigma),
                     ir_drop: real(ir_drop, wild, 1.0, (-0.5, 1.5)),
                     ..NoiseModel::ideal()
+                };
+                let exponent = |d| real(d, wild_drift, 0.5, (-0.5, 0.5));
+                config.device.drift = DriftModel {
+                    nu: exponent(nu),
+                    nu_sigma: exponent(nu_sigma),
+                    t0_cycles: if wild_drift {
+                        t0_cycles
+                    } else {
+                        t0_cycles.max(1)
+                    },
+                    disturb_per_level: 0,
                 };
                 Knobs {
                     net,

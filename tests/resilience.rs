@@ -26,7 +26,10 @@ use rand::{RngExt as _, SeedableRng};
 fn scrub_off_is_bit_identical_to_pre_scrub_baselines() {
     let cfg = PipeLayerConfig::default();
     assert!(!cfg.scrub_enabled(), "scrub must default to off");
-    assert!(!cfg.noise_enabled(), "analog noise must default to off");
+    assert!(
+        cfg.device.noise.is_ideal(),
+        "analog noise must default to off"
+    );
     let model = EnduranceModel::research_grade();
 
     let cases: [(&str, pipelayer_nn::NetSpec, u64, u64); 3] = [
