@@ -48,7 +48,7 @@ mod tests {
     use super::*;
 
     #[test]
-    #[allow(clippy::assertions_on_constants)]
+    #[expect(clippy::assertions_on_constants, reason = "pins published constants")]
     fn paper_ordering_holds() {
         // Sec. 6.6: PipeLayer beats both on computational efficiency but
         // trails both on power efficiency (it writes all data to ReRAM).

@@ -26,6 +26,7 @@ pub struct GpuRun {
 
 impl GpuRun {
     /// Images per second.
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn throughput(&self, n_images: u64) -> f64 {
         n_images as f64 / self.time_s.0
     }
@@ -75,6 +76,7 @@ impl Default for GpuModel {
 impl GpuModel {
     /// Compute + launch time of one forward pass over a batch (excluding
     /// the per-iteration framework/data-layer overhead).
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     fn forward_work_s(&self, spec: &NetSpec, batch: usize) -> Seconds {
         let b = batch as f64;
         let mut t = Seconds(0.0);
@@ -111,6 +113,8 @@ impl GpuModel {
     /// # Panics
     ///
     /// Panics if `batch` or `n_images` is zero.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: empty workload")]
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn testing(&self, spec: &NetSpec, n_images: u64, batch: usize) -> GpuRun {
         assert!(batch > 0 && n_images > 0, "degenerate GPU workload");
         let batches = (n_images as f64 / batch as f64).ceil();
@@ -130,6 +134,8 @@ impl GpuModel {
     /// # Panics
     ///
     /// Panics if `batch` or `n_images` is zero.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: empty workload")]
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn training(&self, spec: &NetSpec, n_images: u64, batch: usize) -> GpuRun {
         assert!(batch > 0 && n_images > 0, "degenerate GPU workload");
         let work = 3.0 * self.forward_work_s(spec, batch);

@@ -58,6 +58,8 @@ impl IsaacModel {
     /// # Panics
     ///
     /// Panics if `n_images` is zero.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: empty workload")]
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn testing_time_s(&self, spec: &NetSpec, n_images: u64) -> Seconds {
         assert!(n_images > 0, "empty workload");
         let fill = self.depth(spec) as f64 * self.stage_ns;
@@ -71,6 +73,8 @@ impl IsaacModel {
     /// # Panics
     ///
     /// Panics if `batch` or `n_images` is zero.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: empty workload")]
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn training_time_s(&self, spec: &NetSpec, n_images: u64, batch: usize) -> Seconds {
         assert!(batch > 0 && n_images > 0, "degenerate workload");
         let batches = n_images.div_ceil(batch as u64) as f64;
@@ -82,6 +86,7 @@ impl IsaacModel {
 
     /// Fraction of training time lost to fill/drain at batch boundaries —
     /// the quantity PipeLayer's layer-granular pipeline avoids.
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn training_drain_fraction(&self, spec: &NetSpec, batch: usize) -> f64 {
         let fill_drain = 2.0 * self.depth(spec) as f64 * self.stage_ns;
         let per_batch = fill_drain + (batch as f64 * 2.0 - 1.0) * self.initiation_interval_ns();

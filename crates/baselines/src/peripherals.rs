@@ -93,6 +93,8 @@ impl PeripheralModel {
     /// # Panics
     ///
     /// Panics if any dimension or the resolution is zero.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: zero-sized phase")]
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn phase_cost(
         &self,
         scheme: PeripheralScheme,
@@ -138,6 +140,7 @@ impl PeripheralModel {
     /// Per-image peripheral energy for a whole network's forward pass:
     /// every layer's `P` window positions, each one phase per crossbar
     /// column-tile (×8 crossbars per matrix copy).
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn network_forward_energy_pj(
         &self,
         spec: &NetSpec,

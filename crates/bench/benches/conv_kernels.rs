@@ -2,6 +2,11 @@
 //! simulations: direct vs implicit-GEMM convolution, both backward passes
 //! on every C-4 layer shape, GEMM and pooling.
 
+#![expect(
+    clippy::cast_precision_loss,
+    reason = "the library gate exempts benches, which measure rather than compute results"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use pipelayer_tensor::{ops, Tensor};
 use std::hint::black_box;

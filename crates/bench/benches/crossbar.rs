@@ -1,6 +1,12 @@
 //! Criterion micro-benchmarks for the ReRAM substrate: spike-coded crossbar
 //! MVM at several array sizes, spike encoding, and programming.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_precision_loss,
+    reason = "the library gate exempts benches, which measure rather than compute results"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pipelayer_reram::spike::SpikeDriver;
 use pipelayer_reram::{Crossbar, ReramMatrix, ReramParams};

@@ -1,5 +1,10 @@
 //! Criterion benchmarks for the functional ReRAM training datapath.
 
+#![expect(
+    clippy::cast_precision_loss,
+    reason = "the library gate exempts benches, which measure rather than compute results"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use pipelayer::functional::{downsample, ReramMlp};
 use pipelayer_nn::data::SyntheticMnist;

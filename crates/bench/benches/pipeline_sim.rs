@@ -1,6 +1,11 @@
 //! Criterion benchmarks for the cycle-accurate pipeline simulator and the
 //! analytical models built on it.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "the library gate exempts benches, which measure rather than compute results"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pipelayer::config::PipeLayerConfig;
 use pipelayer::mapping::MappedNetwork;

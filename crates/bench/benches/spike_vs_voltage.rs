@@ -7,6 +7,11 @@
 //! count, mirroring the architectural trade-off the paper makes: more input
 //! cycles, offset by the inter-layer pipeline (Sec. 1, bullet 3).
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "the library gate exempts benches, which measure rather than compute results"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pipelayer_reram::Crossbar;
 use std::hint::black_box;

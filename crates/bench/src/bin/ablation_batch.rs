@@ -15,6 +15,7 @@ use std::num::NonZeroUsize;
 
 const BATCHES: [usize; 6] = [8, 16, 32, 64, 128, 256];
 
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let isaac = IsaacModel::default();
     for spec in [zoo::spec_mnist_0(), zoo::vgg(zoo::VggVariant::E)] {

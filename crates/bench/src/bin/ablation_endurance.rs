@@ -26,6 +26,7 @@ fn human_time(seconds: f64) -> String {
     }
 }
 
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let models = [
         ("1e6 (storage-class)", EnduranceModel::storage_class()),

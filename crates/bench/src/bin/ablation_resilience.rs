@@ -57,6 +57,7 @@ struct DriftArm {
     scrub_passes: u64,
 }
 
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (n_train, n_test, epochs) = if smoke { (80, 40, 2) } else { (120, 40, 8) };

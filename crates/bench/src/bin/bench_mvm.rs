@@ -92,6 +92,7 @@ struct LayerArm {
 }
 
 /// `reps` reads in `secs` host seconds, as reads per second.
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
 fn per_sec(reps: usize, secs: f64) -> f64 {
     reps as f64 / secs
 }
@@ -160,6 +161,7 @@ fn splitmix(state: &mut u64) -> u64 {
 /// level buffers its writes alternate between, and an input pool. Two
 /// crossbars built with the same seed hold identical levels and device
 /// state, so the GEMM and scalar runs read the same array.
+#[expect(clippy::cast_possible_truncation, reason = "reduced modulo the range")]
 fn build(
     rows: usize,
     cols: usize,
@@ -194,6 +196,7 @@ fn build(
 }
 
 /// Host seconds `f` takes.
+#[expect(clippy::disallowed_methods, reason = "timing is this bench's output")]
 fn time(f: impl FnOnce()) -> f64 {
     let t0 = Instant::now();
     f();

@@ -5,6 +5,7 @@ use pipelayer::analysis::Analysis;
 use pipelayer_bench::{fmt_f, Table};
 use std::num::NonZeroUsize;
 
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut table = Table::new(
         "Figure 7: cycles per batch, non-pipelined vs pipelined",

@@ -99,6 +99,8 @@ fn build(args: &Args) -> Result<Accelerator, String> {
         .map_err(|e| e.to_string())
 }
 
+#[expect(clippy::cast_possible_truncation, reason = "the batch is a usize")]
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
 fn run() -> Result<(), String> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, rest) = raw.split_first().ok_or("no command")?;

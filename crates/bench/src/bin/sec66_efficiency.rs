@@ -10,6 +10,7 @@ use pipelayer_baselines::dadiannao::{DADIANNAO, ISAAC, PIPELAYER_AREA_MM2, PIPEL
 use pipelayer_bench::{fmt_f, Table};
 use pipelayer_nn::zoo;
 
+#[expect(clippy::disallowed_macros, reason = "the bin checks Sec. 6.6's claims")]
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper quotes efficiency for the (AlexNet) training deployment.
     let net = MappedNetwork::try_from_spec(&zoo::alexnet(), PipeLayerConfig::default())?;

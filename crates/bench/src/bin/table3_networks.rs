@@ -5,6 +5,7 @@
 use pipelayer_bench::{fmt_si, Table};
 use pipelayer_nn::zoo;
 
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
 fn main() {
     let mut table = Table::new(
         "Table 3: MNIST network hyper-parameters",

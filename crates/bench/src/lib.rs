@@ -6,6 +6,20 @@
 //! the standard workload sizes, and the paper-reported reference values
 //! that EXPERIMENTS.md compares against.
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_macros,
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::float_cmp,
+        reason = "the library gate exempts test code: a failed assertion is how a test fails"
+    )
+)]
+
 pub mod paper;
 pub mod report;
 pub mod workloads;

@@ -32,7 +32,7 @@ pub const NETWORKS: [&str; 10] = [
 #[cfg(test)]
 mod tests {
     #[test]
-    #[allow(clippy::assertions_on_constants)]
+    #[expect(clippy::assertions_on_constants, reason = "pins published constants")]
     fn reference_values_consistent() {
         // Overall energy geomean must sit between the train and test means.
         assert!(super::ENERGY_SAVING_GEOMEAN_ALL > super::ENERGY_SAVING_GEOMEAN_TRAIN);

@@ -5,6 +5,8 @@
 /// # Panics
 ///
 /// Panics if `xs` is empty or contains non-positive values.
+#[expect(clippy::disallowed_macros, reason = "caller bug: values ≤ 0 or none")]
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
 pub fn geomean(xs: &[f64]) -> f64 {
     assert!(!xs.is_empty(), "geomean of empty slice");
     assert!(xs.iter().all(|&x| x > 0.0), "geomean needs positive values");
@@ -30,6 +32,7 @@ pub fn json_num(v: f64) -> String {
 /// `statistics.quantiles(values, n=4)`, the rule plbench judges
 /// run-to-run spread by. A single value is its own quartiles; an empty
 /// sample has none (all NaN).
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
 pub fn quartiles(values: &[f64]) -> (f64, f64, f64) {
     let mut d = values.to_vec();
     d.sort_by(f64::total_cmp);

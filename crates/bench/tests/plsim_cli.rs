@@ -2,6 +2,12 @@
 //! every build profile, instead of asserting in one and clamping in the
 //! other.
 
+#![expect(
+    clippy::expect_used,
+    clippy::disallowed_macros,
+    reason = "the library gate exempts test code: a failed assertion is how a test fails"
+)]
+
 use std::process::{Command, Output};
 
 fn plsim(args: &[&str]) -> Output {

@@ -397,6 +397,7 @@ fn slice_aggregates(data: &[f32], slices: usize) -> (Vec<f64>, Vec<f64>) {
     (pos, neg)
 }
 
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
 fn extract_abs_layers(
     net: &mut Network,
     geometry: &[ResolvedLayer],
@@ -513,6 +514,7 @@ fn extract_abs_layers(
 
 /// Max windows covering one input position: `⌈k/stride⌉²` (1 for the
 /// non-overlapping pools the zoo uses).
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
 fn pool_overlap(k: usize, stride: usize) -> f64 {
     let per_axis = k.div_ceil(stride.max(1));
     (per_axis * per_axis) as f64
@@ -522,6 +524,7 @@ fn pool_overlap(k: usize, stride: usize) -> f64 {
 
 /// Floating-point summation slack for an `n`-term sum of terms bounded by
 /// `mag_sum` in total magnitude.
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
 fn fp_slack(n: usize, mag_sum: f64) -> f64 {
     FP_SLACK_FACTOR * (n as f64 + 2.0) * EPS32 * mag_sum
 }
@@ -572,6 +575,7 @@ fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
 
+#[expect(clippy::cast_possible_truncation, reason = "a small pool window count")]
 fn forward_transfer(op: &AbsOp, x: Interval) -> Interval {
     match op {
         AbsOp::Affine(st) => affine_forward(st, x),
@@ -586,6 +590,7 @@ fn forward_transfer(op: &AbsOp, x: Interval) -> Interval {
     }
 }
 
+#[expect(clippy::cast_possible_truncation, reason = "a small overlap count")]
 fn backward_transfer(op: &AbsOp, d: Interval) -> Interval {
     match op {
         AbsOp::Affine(st) => affine_backward(st, d),
@@ -626,6 +631,7 @@ fn loss_delta(loss: Loss, output: Interval) -> Interval {
 
 // ---- the analysis ----------------------------------------------------------
 
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
 fn run_analysis(
     network: String,
     layers: &[AbsLayer],

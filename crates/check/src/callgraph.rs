@@ -9,6 +9,7 @@
 //! * `self.m(…)`            → method `m` of the enclosing impl type,
 //! * `Type::m(…)` / `Self::m(…)` → method `m` of `Type`,
 //! * `free(…)`              → free functions named `free`,
+//! * `module::f(…)`         → free functions named `f` in any module,
 //! * `expr.m(…)`            → *any* workspace method named `m` (the
 //!   receiver's type is unknown without type inference, so this
 //!   over-approximates — a may-call edge set),
@@ -18,8 +19,17 @@
 //! pointers, closures passed as values, trait objects dispatched outside
 //! the workspace, and macro-generated code are **not** seen — the graph
 //! may *miss* edges. Conversely `expr.m(…)` resolution may *add* edges to
-//! same-named methods of unrelated types. Passes built on top (PL060/062)
+//! same-named methods of unrelated types, and `module::f(…)` to same-named
+//! free functions of unrelated modules. Passes built on top (PL060/062)
 //! therefore report "may reach" facts and must not claim completeness.
+//!
+//! The added edges are the price of soundness, and they show up as false
+//! positives. The `crates/core/src/api.rs pl060 1` row of `lint-allow.txt`
+//! is one: `Accelerator::report` reaches `PerfModel::training_gops`, whose
+//! `layer.ops_forward()` is on a `ResolvedLayer` but resolves to every
+//! `ops_forward`, including `NetSpec::ops_forward` → `NetSpec::resolve` →
+//! its `expect`. Narrowing the resolution would need type inference; a
+//! guess would make PL060 miss real paths, so the row stays.
 
 use crate::lex::{self, Tok, TokKind};
 use std::collections::BTreeMap;
@@ -36,7 +46,8 @@ pub enum Recv {
     /// `name(…)` — a free-function call.
     Plain,
     /// `expr.name(…)` — receiver type unknown; resolves to every method
-    /// of that name in the workspace.
+    /// of that name in the workspace (a may-call over-approximation; see
+    /// the module docs for the PL060 row it costs).
     Dot,
     /// `name!(…)` — macro invocation (no call edge; panic macros are
     /// classified by the PL060 pass).
@@ -139,7 +150,7 @@ impl Workspace {
     }
 
     /// Builds the workspace from every `.rs` file under `root/crates/*/src`
-    /// (sorted; the same file set `src-lint` scans).
+    /// (sorted).
     pub fn load(root: &Path) -> Result<Self, String> {
         let mut inputs = Vec::new();
         for path in collect_sources(root)? {
@@ -246,9 +257,8 @@ impl Workspace {
     }
 }
 
-/// All `.rs` files under `root/crates/*/src`, sorted for determinism —
-/// shared by `src-lint` and [`Workspace::load`].
-pub fn collect_sources(root: &Path) -> Result<Vec<PathBuf>, String> {
+/// All `.rs` files under `root/crates/*/src`, sorted for determinism.
+fn collect_sources(root: &Path) -> Result<Vec<PathBuf>, String> {
     let crates_dir = root.join("crates");
     let mut crates: Vec<PathBuf> = fs::read_dir(&crates_dir)
         .map_err(|e| format!("cannot read {}: {e}", crates_dir.display()))?
@@ -604,7 +614,7 @@ impl<'a> Parser<'a> {
         self.record(name, self_ty, fn_line, is_pub, Some(body), in_test, calls);
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the resolver's context, flat")]
     fn record(
         &mut self,
         name: String,

@@ -2,8 +2,9 @@
 //!
 //! The paper's pinned numbers (Tables 5–7, Fig. 13) require bitwise
 //! determinism: weights and bench-report JSON must be pure functions of the
-//! seed. The line lint already flags *textual* nondeterminism sources; this
-//! pass upgrades that to call-graph propagation: a function is **tainted**
+//! seed. Clippy's `disallowed_methods`/`disallowed_types` already flag each
+//! nondeterminism source where it is written; this pass adds call-graph
+//! propagation: a function is **tainted**
 //! if its body contains a source — wall clock (`Instant::now`,
 //! `SystemTime::now`), ambient RNG (`thread_rng`, `from_entropy`,
 //! `rand::random`), or hash-order iteration (`HashMap`/`HashSet`) — or if
@@ -19,8 +20,8 @@
 //! edges only. A caller that samples the clock and passes the value *as
 //! data* into a clean sink is not seen here — that pattern is exactly what
 //! the bench binaries do legitimately (wall-clock timings reported as
-//! measurements, not weights), and it stays under the line lint's
-//! `wallclock` allowlist instead.
+//! measurements, not weights), and each such read carries its own
+//! `#[expect(clippy::disallowed_methods)]` instead.
 
 use crate::callgraph::{FnItem, Recv, Workspace};
 use crate::diag::{self, Diagnostic};

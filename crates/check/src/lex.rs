@@ -1,9 +1,9 @@
 //! A small string/char/raw-string/nested-comment-aware Rust lexer.
 //!
-//! This is the token stream the semantic passes ([`crate::callgraph`],
-//! PL060/PL062) and the `src-lint` sanitizer are built on. It is *not*
-//! a full Rust lexer — it classifies just enough structure to be reliable
-//! about the things that derail textual scanning:
+//! This is the token stream the call-graph passes ([`crate::callgraph`],
+//! PL060/PL062) are built on. It is *not* a full Rust lexer — it
+//! classifies just enough structure to be reliable about the things that
+//! derail textual scanning:
 //!
 //! * string literals (`"…"`), raw strings (`r"…"`, `r##"…"##`), byte and
 //!   C strings (`b"…"`, `br#"…"#`, `c"…"`, `cr"…"`),
@@ -356,54 +356,6 @@ pub fn lex(src: &str) -> Vec<Tok> {
         .collect()
 }
 
-/// Returns `src` with every comment blanked and every string/char literal's
-/// interior blanked (quotes kept, newlines preserved), leaving all other
-/// bytes — and therefore all byte offsets, lines and columns — untouched.
-///
-/// This is the sanitizer `src-lint`'s line-oriented needles run on: quoted
-/// braces, quoted quotes, commented-out code and multi-line raw strings can
-/// no longer derail pattern matching or `#[cfg(test)]` brace tracking.
-pub fn mask(src: &str) -> String {
-    let mut out: Vec<u8> = src.as_bytes().to_vec();
-    let blank = |out: &mut [u8], from: usize, to: usize| {
-        for b in out.iter_mut().take(to).skip(from) {
-            if *b != b'\n' {
-                *b = b' ';
-            }
-        }
-    };
-    for t in lex_raw(src) {
-        match t.kind {
-            TokKind::Comment => blank(&mut out, t.start, t.end),
-            TokKind::Str if t.end - t.start >= 2 => {
-                blank(&mut out, t.start, t.end);
-                if let Some(b) = out.get_mut(t.start) {
-                    *b = b'"';
-                }
-                // An unterminated literal can end on a newline — keep it.
-                if let Some(b) = out.get_mut(t.end - 1) {
-                    if *b != b'\n' {
-                        *b = b'"';
-                    }
-                }
-            }
-            TokKind::Char if t.end - t.start >= 2 => {
-                blank(&mut out, t.start, t.end);
-                if let Some(b) = out.get_mut(t.start) {
-                    *b = b'\'';
-                }
-                if let Some(b) = out.get_mut(t.end - 1) {
-                    if *b != b'\n' {
-                        *b = b'\'';
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    String::from_utf8_lossy(&out).into_owned()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,27 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn mask_blanks_literals_and_comments_only() {
-        let src = "let s = \"a // }{ b\"; // tail }{\nlet c = '{'; /* }{ */ x";
-        let m = mask(src);
-        assert!(!m.contains("}{"), "{m}");
-        assert!(m.contains("let s = \""));
-        assert!(m.contains("let c = '"));
-        assert!(m.contains('x'));
-        assert_eq!(m.len(), src.len());
-        assert_eq!(m.lines().count(), src.lines().count());
-    }
-
-    #[test]
-    fn mask_handles_multiline_raw_string() {
-        let src = "let s = r#\"line{\nline}\"#;\nlet x = 1;";
-        let m = mask(src);
-        assert!(!m.contains("line{"));
-        assert!(m.contains("let x = 1;"));
-        assert_eq!(m.lines().count(), 3);
-    }
-
-    #[test]
     fn line_numbers_are_one_based_and_track_newlines() {
         let toks = lex("a\nbb\n\nccc");
         let lines: Vec<usize> = toks.iter().map(|t| t.line).collect();
@@ -509,7 +440,6 @@ mod tests {
             "'",
         ] {
             let _ = lex(src);
-            let _ = mask(src);
         }
     }
 }

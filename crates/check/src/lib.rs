@@ -19,8 +19,11 @@
 //!   quantized weight grids, checked against the datapath's value formats
 //!   (PL04x; `plcheck --ranges`).
 //!
-//! The companion `src-lint` binary is the repo-wide determinism/panic lint
-//! gate; it shares nothing with the workload verifier except the crate.
+//! The companion `src-lint` binary runs the whole-program source passes
+//! that clippy cannot: PL060 panic reachability and PL062 determinism
+//! taint over the workspace call graph ([`callgraph`]). Per-site panics,
+//! casts and nondeterminism are clippy's, through the workspace lint
+//! table. It shares nothing with the workload verifier except the crate.
 //!
 //! ```
 //! use pipelayer::{ConfigError, PipeLayerConfig};
@@ -29,6 +32,20 @@
 //! let diags = pipelayer_check::verify(&zoo::alexnet(), &PipeLayerConfig::default());
 //! assert!(!pipelayer_check::has_errors(&diags));
 //! ```
+
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_macros,
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::float_cmp,
+        reason = "the library gate exempts test code: a failed assertion is how a test fails"
+    )
+)]
 
 pub mod absint;
 pub mod callgraph;

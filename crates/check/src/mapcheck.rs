@@ -19,6 +19,7 @@ const NOMINAL_TRAINING_UPDATES: f64 = 100_000.0;
 /// Checks a granularity assignment `g` for `layers` under `cfg`, with the
 /// replicated conv arrays bounded by `budget` crossbars (the same capacity
 /// notion as `pipelayer::granularity`'s budgeted search).
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
 pub fn check(
     layers: &[ResolvedLayer],
     g: &[usize],

@@ -70,8 +70,8 @@ pub struct DirectSite {
 /// Gate configuration for [`findings`].
 #[derive(Debug, Clone)]
 pub struct Options {
-    /// Count `expr[…]` indexing as a panic source (off by default — the
-    /// line lint's scoped `rawindex` rule covers the storage vectors).
+    /// Count `expr[…]` indexing as a panic source (off by default — clippy's
+    /// `indexing_slicing` covers the modules that own the storage vectors).
     pub include_slice_index: bool,
     /// A `pub` fn whose name starts with one of these is surface.
     pub surface_prefixes: Vec<String>,
@@ -232,7 +232,7 @@ fn is_surface(f: &FnItem, opts: &Options) -> bool {
 }
 
 /// PL060 findings for the configured surface, with one witness chain each,
-/// plus the per-file counts `src-lint --semantic` checks against the
+/// plus the per-file counts `src-lint` checks against the
 /// allowlist. Deterministic order (workspace file/function order).
 pub fn findings(ws: &Workspace, opts: &Options) -> (Vec<Diagnostic>, BTreeMap<String, usize>) {
     let analysis = analyze(ws, opts);

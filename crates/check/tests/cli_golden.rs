@@ -3,6 +3,13 @@
 //! `--codes` table, and exit statuses. Downstream tooling greps and parses
 //! this output; schema drift must be a deliberate, test-visible change.
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_macros,
+    reason = "the library gate exempts test code: a failed assertion is how a test fails"
+)]
+
 use std::collections::BTreeSet;
 use std::process::{Command, Output};
 

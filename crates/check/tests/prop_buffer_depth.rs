@@ -7,6 +7,12 @@
 //! closed-form [`Analysis::buffer_depth`]. The stale-read diagnostics are
 //! exactly the per-buffer stats of [`PipelineSim`] for the same depths.
 
+#![expect(
+    clippy::unwrap_used,
+    clippy::cast_possible_truncation,
+    reason = "the library gate exempts test code: a failed assertion is how a test fails"
+)]
+
 use pipelayer::analysis::Analysis;
 use pipelayer::pipeline::PipelineSim;
 use pipelayer_check::{diag, schedule, Severity};

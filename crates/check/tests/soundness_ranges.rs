@@ -17,6 +17,13 @@
 //! via `--nocapture`, never asserted — interval arithmetic is allowed to
 //! be loose, it is not allowed to be wrong.
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_macros,
+    reason = "the library gate exempts test code: a failed assertion is how a test fails"
+)]
+
 use pipelayer::PipeLayerConfig;
 use pipelayer_check::absint::{self, Interval};
 use pipelayer_check::{diag, verify};

@@ -2,6 +2,12 @@
 //! configuration, and deliberately broken workloads produce exactly the
 //! expected `PL0xx` codes.
 
+#![expect(
+    clippy::unwrap_used,
+    clippy::disallowed_macros,
+    reason = "the library gate exempts test code: a failed assertion is how a test fails"
+)]
+
 use pipelayer::analysis::Analysis;
 use pipelayer::granularity::default_granularity;
 use pipelayer::PipeLayerConfig;

@@ -49,12 +49,14 @@ impl Analysis {
     }
 
     /// Non-pipelined testing cycles: `L` per image.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: empty workload")]
     pub fn testing_cycles_nonpipelined(&self, n: u64) -> u64 {
         assert!(n > 0, "empty workload");
         self.l.get() as u64 * n
     }
 
     /// Pipelined testing cycles: fill `L−1`, then one result per cycle.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: empty workload")]
     pub fn testing_cycles_pipelined(&self, n: u64) -> u64 {
         assert!(n > 0, "empty workload");
         n + self.l.get() as u64 - 1
@@ -67,6 +69,7 @@ impl Analysis {
     /// # Panics
     ///
     /// Panics if `n` is zero.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: empty workload")]
     pub fn training_cycles_pipelined_ragged(&self, n: u64) -> u64 {
         assert!(n > 0, "empty workload");
         let b = self.b.get() as u64;
@@ -82,6 +85,7 @@ impl Analysis {
 
     /// Pipelined-over-non-pipelined training speedup in the `N → ∞` limit:
     /// `(2L+1)B / (2L+B+1)` (approaches `2L+1` for large `B`).
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn training_pipeline_speedup_limit(&self) -> f64 {
         let (l, b) = (self.l.get() as f64, self.b.get() as f64);
         ((2.0 * l + 1.0) * b + 1.0) / (2.0 * l + b + 1.0)
@@ -93,6 +97,7 @@ impl Analysis {
     /// # Panics
     ///
     /// Panics unless `1 <= layer <= L`.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: layer ∉ 1..=L")]
     pub fn buffer_depth(&self, layer: usize) -> usize {
         assert!((1..=self.l.get()).contains(&layer), "layer out of range");
         self.buffer_depths()[layer - 1].get()
@@ -131,6 +136,7 @@ impl Analysis {
         d_buffers + (self.l.get() as u64 + 1)
     }
 
+    #[expect(clippy::disallowed_macros, reason = "caller bug: empty workload")]
     fn check(&self, n: u64) {
         assert!(n > 0, "empty workload");
         assert_eq!(

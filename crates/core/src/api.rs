@@ -431,10 +431,6 @@ mod tests {
             .with_noise(NoiseModel::with_strength(0.5));
         let scrub = ScrubPolicy::every(15, 4);
         let wear = ideal.with_wear(WearModel::with_endurance(30.0));
-        let no_window = ideal.with_noise(NoiseModel {
-            g_ratio: 1.0,
-            ..NoiseModel::with_strength(0.5)
-        });
         let no_budget = ideal.with_wear(WearModel {
             median_writes: 0.0,
             sigma: 0.5,
@@ -448,8 +444,6 @@ mod tests {
         let mut worn = base.with_fault_tolerance(FaultModel::ideal(), verify, spares);
         worn.device = wear;
         worn.repair = RepairPolicy::laddered();
-        let mut windowless = base;
-        windowless.device = no_window;
         let mut budgetless = base;
         budgetless.device = no_budget;
         budgetless.repair = RepairPolicy::laddered();
@@ -480,11 +474,6 @@ mod tests {
                     .fault_tolerance(verify, spares)
                     .repair_policy(RepairPolicy::laddered())
                     .build(),
-            ),
-            (
-                "noise with g_ratio = 1",
-                windowless,
-                chain().device(no_window).build(),
             ),
             (
                 "wear with median_writes = 0",

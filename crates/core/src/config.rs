@@ -26,9 +26,13 @@ pub enum ConfigError {
     /// A noise-model σ (lognormal device spread or read noise) was negative
     /// or non-finite.
     InvalidNoiseSigma(f64),
-    /// A noise-model fraction (IR-drop attenuation or conductance on/off
-    /// floor) was outside `[0, 1]` or non-finite.
+    /// The noise model's IR-drop attenuation was outside `[0, 1]` or
+    /// non-finite.
     InvalidNoiseFraction(f64),
+    /// The noise model's conductance on/off floor `g_ratio` was outside
+    /// `[0, 1)` or non-finite. At 1 the conductance window is empty, so
+    /// every stored level would read back as 0.
+    InvalidConductanceRatio(f64),
     /// The wear model's median write budget was negative or non-finite.
     InvalidWearBudget(f64),
     /// The wear model's lognormal σ was negative or non-finite.
@@ -70,6 +74,9 @@ impl core::fmt::Display for ConfigError {
             }
             ConfigError::InvalidNoiseFraction(r) => {
                 write!(f, "noise fraction {r} must be in [0,1]")
+            }
+            ConfigError::InvalidConductanceRatio(r) => {
+                write!(f, "conductance on/off ratio {r} must be in [0,1)")
             }
             ConfigError::InvalidWearBudget(w) => {
                 write!(
@@ -267,10 +274,11 @@ impl PipeLayerConfig {
                 return Err(ConfigError::InvalidNoiseSigma(s));
             }
         }
-        for r in [noise.ir_drop, noise.g_ratio] {
-            if !(0.0..=1.0).contains(&r) || !r.is_finite() {
-                return Err(ConfigError::InvalidNoiseFraction(r));
-            }
+        if !(0.0..=1.0).contains(&noise.ir_drop) {
+            return Err(ConfigError::InvalidNoiseFraction(noise.ir_drop));
+        }
+        if !(0.0..1.0).contains(&noise.g_ratio) {
+            return Err(ConfigError::InvalidConductanceRatio(noise.g_ratio));
         }
         if wear.median_writes < 0.0 || !wear.median_writes.is_finite() {
             return Err(ConfigError::InvalidWearBudget(wear.median_writes));
@@ -424,7 +432,7 @@ mod tests {
         };
         assert!(matches!(
             cfg.validate(),
-            Err(ConfigError::InvalidNoiseFraction(_))
+            Err(ConfigError::InvalidConductanceRatio(_))
         ));
     }
 

@@ -93,6 +93,7 @@ impl Controller {
     /// Compiles one pipelined training batch (`B` images) into per-cycle
     /// command streams. The stream has exactly `2L + B + 1` cycles
     /// (Fig. 7b); the final cycle carries the weight updates.
+    #[expect(clippy::cast_possible_truncation, reason = "indices < `cycles.len()`")]
     pub fn compile_training_batch(net: &MappedNetwork) -> Vec<CycleCommands> {
         let l = net.weighted_layers().get() as u64;
         let b = net.config.batch_size.get() as u64;

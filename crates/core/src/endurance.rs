@@ -77,6 +77,8 @@ impl Lifetime {
 /// # Panics
 ///
 /// Panics if `model.write_cycles` is not positive.
+#[expect(clippy::disallowed_macros, reason = "caller bug: endurance ≤ 0")]
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
 pub fn training_lifetime(net: &MappedNetwork, model: &EnduranceModel) -> Lifetime {
     assert!(model.write_cycles > 0.0, "endurance must be positive");
     let b = net.config.batch_size.get() as u64;

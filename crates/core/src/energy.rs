@@ -131,6 +131,8 @@ impl<'a> EnergyModel<'a> {
     /// retries: the ideal count scaled by the config's expected pulse
     /// multiplier (healthy-cell retry expectation plus budget burned on
     /// faulty cells). Equals the ideal count with fault tolerance off.
+    #[expect(clippy::cast_possible_truncation, reason = "a rounded spike count ≥ 0")]
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn verified_update_write_spikes_per_batch(&self) -> u64 {
         (self.update_write_spikes_per_batch() as f64 * self.net.config.write_pulse_multiplier())
             .round() as u64
@@ -139,6 +141,8 @@ impl<'a> EnergyModel<'a> {
     /// Verify-read spikes per weight update: one read-back per programming
     /// attempt on every written cell. Zero with fault tolerance off (the
     /// base model's write has no read-back).
+    #[expect(clippy::cast_possible_truncation, reason = "a rounded spike count ≥ 0")]
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn update_verify_read_spikes_per_batch(&self) -> u64 {
         (self.update_write_spikes_per_batch() as f64
             * self.net.config.verify_reads_per_cell_write())
@@ -168,6 +172,7 @@ impl<'a> EnergyModel<'a> {
 
     /// Verify-read spikes the scrub scheduler spends per processed image
     /// (a pass every `interval_images`, one probe read per scanned cell).
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn scrub_read_spikes_per_image(&self) -> f64 {
         self.scrub_cells_per_pass() as f64 * self.net.config.scrub.passes_per_image()
     }
@@ -191,6 +196,7 @@ impl<'a> EnergyModel<'a> {
     /// # Panics
     ///
     /// Panics if `n` is zero.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: empty workload")]
     pub fn testing_energy_j(&self, n: u64) -> Joules {
         assert!(n > 0, "empty workload");
         let p = &self.net.config.params;
@@ -204,6 +210,7 @@ impl<'a> EnergyModel<'a> {
     /// update amortised over the batch): array reads, intermediate-data
     /// writes, and weight reprogramming. The writes dominating is the
     /// Sec. 6.6 explanation for PipeLayer's power-efficiency deficit.
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn training_breakdown_j_per_image(&self) -> EnergyBreakdown {
         let p = &self.net.config.params;
         let b = self.net.config.batch_size.get() as f64;
@@ -230,6 +237,8 @@ impl<'a> EnergyModel<'a> {
     /// # Panics
     ///
     /// Panics unless `n` is a positive multiple of the batch size.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: ragged workload")]
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn training_energy_j(&self, n: u64) -> Joules {
         let b = self.net.config.batch_size.get() as u64;
         assert!(

@@ -252,7 +252,8 @@ impl ReramMlpLayer {
     /// through a commissioning scrub: a verified write whose unrecoverable
     /// columns are immediately remapped to spares (or masked once the
     /// budget runs out).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one per layer property")]
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
     fn new(
         geometry: Geometry,
         pools: Vec<(usize, usize)>,
@@ -429,12 +430,14 @@ fn reorder_rot180(w: &[f32], c_out: usize, c_in: usize, k: usize) -> Vec<f32> {
 /// # Panics
 ///
 /// Panics on an empty batch or an image/label length mismatch.
+#[expect(clippy::disallowed_macros, reason = "caller bug: empty batch")]
 fn check_batch(images: &[Tensor], labels: &[usize]) {
     assert!(!images.is_empty(), "empty batch");
     assert_eq!(images.len(), labels.len(), "length mismatch");
 }
 
 /// Mean loss over a batch of `n` samples.
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
 fn mean_loss(total: f32, n: usize) -> f32 {
     total / n as f32
 }
@@ -485,6 +488,7 @@ impl<'a> ByteReader<'a> {
         Some(f32::from_le_bytes(b.try_into().ok()?))
     }
 
+    #[expect(clippy::cast_possible_truncation, reason = "a u64 fits a 64-bit usize")]
     fn usize_list(&mut self) -> Option<Vec<usize>> {
         let n = self.u64()? as usize;
         if n > self.buf.len().saturating_sub(self.pos) / 8 {
@@ -549,6 +553,7 @@ fn snapshot_matrix(out: &mut Vec<u8>, m: &ReramMatrix) {
 /// mismatch. A snapshot with no fault map / no wear leaves the freshly
 /// reconstructed array's state alone (the deterministic rebuild already
 /// matches: faults only ever *appear* over a run, never vanish).
+#[expect(clippy::cast_possible_truncation, reason = "a u64 fits a 64-bit usize")]
 fn restore_matrix(rd: &mut ByteReader, m: &mut ReramMatrix) -> Option<()> {
     m.restore_weight_scale(rd.f32()?);
     let masked = rd.usize_list()?;
@@ -621,6 +626,7 @@ fn snapshot_controller(out: &mut Vec<u8>, c: &RepairController) {
     push_u64(out, updates);
 }
 
+#[expect(clippy::cast_possible_truncation, reason = "a u64 fits a 64-bit usize")]
 fn restore_controller(rd: &mut ByteReader, c: &mut RepairController) -> Option<()> {
     let remapped = rd.usize_list()?;
     let masked = rd.usize_list()?;
@@ -656,6 +662,7 @@ fn snapshot_report(out: &mut Vec<u8>, r: &ProgramReport) {
     }
 }
 
+#[expect(clippy::cast_possible_truncation, reason = "a u64 fits a 64-bit usize")]
 fn restore_report(rd: &mut ByteReader) -> Option<ProgramReport> {
     let pulses = rd.u64()?;
     let ideal_pulses = rd.u64()?;
@@ -935,6 +942,7 @@ impl ReramMlp {
     /// # Panics
     ///
     /// Panics if fewer than two widths are given or any width is zero.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: degenerate widths")]
     pub fn builder<'a>(dims: &[usize], params: &'a ReramParams, seed: u64) -> ReramMlpBuilder<'a> {
         assert!(dims.len() >= 2, "need at least input and output widths");
         assert!(dims.iter().all(|&d| d > 0), "zero-width layer");
@@ -1147,6 +1155,8 @@ impl ReramMlp {
     /// # Panics
     ///
     /// Panics on empty or mismatched inputs.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: empty eval set")]
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
     pub fn accuracy(&mut self, images: &[Tensor], labels: &[usize]) -> f32 {
         assert!(!images.is_empty(), "empty evaluation set");
         assert_eq!(images.len(), labels.len(), "length mismatch");
@@ -1388,6 +1398,7 @@ impl ReramMlp {
     /// schedules: read old weights, subtract the averaged partials, write
     /// back (verified when fault tolerance is on), clear the buffers and
     /// advance the clock by one cycle per image.
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
     fn apply_update(&mut self, batch_len: usize, lr: f32) {
         let scale = lr / batch_len as f32;
         let wear_active = self.wear_active;
@@ -1680,6 +1691,7 @@ impl ReramMlp {
     /// configuration. It also returns `false`, untouched, when drift or
     /// noise state is attached: the snapshot carries neither clocks nor
     /// device deviates, so such a run could not resume on its trajectory.
+    #[expect(clippy::cast_possible_truncation, reason = "a u64 fits a 64-bit usize")]
     pub fn restore_device_state(&mut self, blob: &[u8]) -> bool {
         let aging = self.layers.iter().any(|l| {
             l.forward

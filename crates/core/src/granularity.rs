@@ -43,6 +43,7 @@ pub fn default_granularity(layers: &[ResolvedLayer]) -> Vec<usize> {
 ///
 /// An empty layer list yields an empty configuration; a zero budget yields
 /// the fully sequential scheme (`G = 1` everywhere).
+#[expect(clippy::cast_possible_truncation, reason = "G ≤ window count, a usize")]
 pub fn granularity_with_budget(layers: &[ResolvedLayer], budget: u64) -> Vec<usize> {
     let g_for = |reads: u64| -> Vec<usize> {
         layers
@@ -83,6 +84,8 @@ pub fn granularity_with_budget(layers: &[ResolvedLayer], budget: u64) -> Vec<usi
 /// every layer to `G = 1`; `scale_max` (λ = "max") sets `G_l = P_l`. The
 /// `G ≥ 1` floor is part of the model, so a negative or NaN λ also gives
 /// `G = 1`; `AcceleratorBuilder::build` rejects those λ before scaling.
+#[expect(clippy::cast_possible_truncation, reason = "G·λ is a small count")]
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
 pub fn scale_lambda(g: &[usize], lambda: f64, layers: &[ResolvedLayer]) -> Vec<usize> {
     g.iter()
         .zip(layers)

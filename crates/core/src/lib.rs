@@ -41,6 +41,20 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_macros,
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::float_cmp,
+        reason = "the library gate exempts test code: a failed assertion is how a test fails"
+    )
+)]
+
 pub mod analysis;
 pub mod api;
 pub mod area;

@@ -295,6 +295,7 @@ impl MappedNetwork {
     /// Fractional area overhead of the spare-column provision: every weight
     /// crossbar carries `spares.cols_per_matrix` redundant bit lines next
     /// to its `xbar_size` working ones. Zero with no budget.
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn spare_overhead_fraction(&self) -> f64 {
         self.config.spares.cols_per_matrix as f64 / self.config.params.xbar_size.get() as f64
     }
@@ -302,6 +303,7 @@ impl MappedNetwork {
     /// Equivalent extra crossbars the spare columns cost across the weight
     /// (forward + backward) arrays — what the redundancy adds to the area
     /// budget.
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn spare_crossbar_equivalent(&self) -> f64 {
         (self.forward_crossbars() + self.backward_crossbars()) as f64
             * self.spare_overhead_fraction()

@@ -24,6 +24,7 @@ impl NonPipelined {
     /// # Panics
     ///
     /// Panics unless `n` is a positive multiple of `B`.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: ragged workload")]
     pub fn training_cycles(&self, n: u64) -> u64 {
         assert!(
             n > 0 && n.is_multiple_of(self.b.get() as u64),
@@ -41,6 +42,7 @@ impl NonPipelined {
     }
 
     /// Testing cycles: `L` per image.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: empty workload")]
     pub fn testing_cycles(&self, n: u64) -> u64 {
         assert!(n > 0, "empty workload");
         self.l.get() as u64 * n

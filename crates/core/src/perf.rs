@@ -25,6 +25,7 @@ pub struct RunEstimate {
 
 impl RunEstimate {
     /// Images per second.
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn throughput(&self) -> f64 {
         self.images as f64 / self.time_s.0
     }
@@ -56,6 +57,7 @@ impl<'a> PerfModel<'a> {
     /// # Panics
     ///
     /// Panics unless `n` is a positive multiple of the batch size.
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn training(&self, n: u64, pipelined: bool) -> RunEstimate {
         let timing = TimingModel::new(self.net);
         let cycle_ns = timing.cycle_training_ns();
@@ -87,6 +89,7 @@ impl<'a> PerfModel<'a> {
     /// # Panics
     ///
     /// Panics if `n` is zero.
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn testing(&self, n: u64, pipelined: bool) -> RunEstimate {
         let timing = TimingModel::new(self.net);
         let cycle_ns = timing.cycle_testing_ns();
@@ -107,6 +110,7 @@ impl<'a> PerfModel<'a> {
 
     /// Sustained throughput in GOPS during pipelined training (the paper's
     /// operation-count convention: forward + backward ops per image).
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn training_gops(&self, n: u64) -> f64 {
         let est = self.training(n, true);
         let ops_per_image: u64 = self

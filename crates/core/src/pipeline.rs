@@ -154,6 +154,7 @@ impl PipelineSim {
     }
 
     /// Builds the Fig. 3 event list for `run`.
+    #[expect(clippy::cast_possible_truncation, reason = "layer ≤ L, a usize")]
     fn events(&self, run: Run) -> Events {
         let (l, b) = (self.depths.len() as u64, self.b.get() as u64);
         let mut events = Events::new();

@@ -234,6 +234,7 @@ impl RepairController {
     /// columns onto blank spares (to be merged into the caller's running
     /// report like any other write cost). Each call advances the backoff
     /// clock by one update.
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn process_update(
         &mut self,
         matrix: &mut ReramMatrix,
@@ -307,7 +308,7 @@ impl RepairController {
 
     /// Serialized controller state for checkpointing:
     /// `(remapped, masked, strikes, backoff, updates)`.
-    #[allow(clippy::type_complexity)]
+    #[expect(clippy::type_complexity, reason = "mirrors the checkpoint fields")]
     pub fn state(&self) -> (&[usize], &[usize], &[(usize, u32)], &[(usize, u64)], u64) {
         (
             &self.remapped,

@@ -76,6 +76,7 @@ impl ScrubPolicy {
     }
 
     /// Scrub passes per processed image (0 when off).
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn passes_per_image(&self) -> f64 {
         if self.is_off() {
             0.0
@@ -85,6 +86,7 @@ impl ScrubPolicy {
     }
 
     /// Word lines refreshed per processed image (0 when off).
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn rows_per_image(&self) -> f64 {
         self.rows_per_pass as f64 * self.passes_per_image()
     }

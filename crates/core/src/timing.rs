@@ -32,6 +32,7 @@ impl<'a> TimingModel<'a> {
     }
 
     /// Time to write `words` 16-bit results into a memory subarray, ns.
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     fn mem_write_ns(&self, words: u64) -> Nanoseconds {
         let p = self.params();
         words.div_ceil(p.mem_write_width as u64) as f64 * p.write_latency_ns
@@ -39,6 +40,7 @@ impl<'a> TimingModel<'a> {
 
     /// Forward-phase duration of one layer, ns: array reads plus the
     /// buffer write of its outputs.
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn forward_phase_ns(&self, layer: &MappedLayer) -> Nanoseconds {
         let p = self.params();
         layer.reads_forward as f64 * p.read_phase_ns() + self.mem_write_ns(layer.out_words)
@@ -53,6 +55,7 @@ impl<'a> TimingModel<'a> {
     /// and the copy of the forward data `d` into morphable arrays for the
     /// gradient convolution (Sec. 6.6) — the "more intermediate data
     /// processing" that makes training slower than testing.
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn backward_phase_ns(&self, layer: &MappedLayer) -> Nanoseconds {
         let p = self.params();
         let err = layer.reads_error as f64 * p.read_phase_ns();
@@ -107,6 +110,7 @@ impl<'a> TimingModel<'a> {
     /// With fault tolerance on, the write-back passes stretch by the
     /// expected pulse multiplier (verify retries re-pulse rows) and each
     /// programming attempt appends a row-serial verify read pass.
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn update_cycle_ns(&self) -> Nanoseconds {
         let p = self.params();
         let cfg = &self.net.config;

@@ -148,6 +148,7 @@ impl BatchNoise for ReramNoiseHook {
 /// # Panics
 ///
 /// Panics if `data` is empty.
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
 pub fn variation_sweep(
     net: &mut Network,
     data: &Dataset,
@@ -189,6 +190,7 @@ pub fn variation_sweep(
 /// # Panics
 ///
 /// Panics if `data` is empty.
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
 pub fn noise_sweep(
     net: &mut Network,
     data: &Dataset,

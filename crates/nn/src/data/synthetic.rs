@@ -49,6 +49,7 @@ const BLOBS: usize = 5;
 /// neighbouring classes* so the classes genuinely overlap — the task must
 /// be hard enough that quantizing a trained network's weights costs
 /// accuracy (Fig. 13 needs headroom to degrade into).
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
 fn prototypes(seed: u64) -> Vec<Tensor> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
     // A shared pool of stroke blobs reused across classes.
@@ -89,6 +90,7 @@ fn prototypes(seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
+#[expect(clippy::cast_possible_truncation, reason = "pixel coordinates fit i32")]
 fn sample(proto: &Tensor, rng: &mut impl Rng) -> Tensor {
     let dy = rng.random_range(-3i32..=3);
     let dx = rng.random_range(-3i32..=3);
@@ -112,6 +114,7 @@ impl SyntheticMnist {
     /// # Panics
     ///
     /// Panics if either count is zero.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: empty split")]
     pub fn generate(n_train: usize, n_test: usize, seed: u64) -> Self {
         assert!(
             n_train > 0 && n_test > 0,

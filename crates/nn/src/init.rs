@@ -15,6 +15,7 @@ fn fans(dims: &[usize]) -> (usize, usize) {
 /// the linear regime at the start of training, which matters doubly here
 /// because the quantization study (Fig. 13) maps these weights onto
 /// limited-resolution ReRAM cells.
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
 pub fn xavier_uniform(dims: &[usize], rng: &mut impl Rng) -> Tensor {
     let (fan_in, fan_out) = fans(dims);
     let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
@@ -24,6 +25,7 @@ pub fn xavier_uniform(dims: &[usize], rng: &mut impl Rng) -> Tensor {
 /// He-normal initialisation of a `[out, in, …]` tensor
 /// (`N(0, sqrt(2/fan_in))`), the standard choice in front of ReLU
 /// activations.
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
 pub fn he_normal(dims: &[usize], rng: &mut impl Rng) -> Tensor {
     let std = (2.0 / fans(dims).0 as f32).sqrt();
     Tensor::randn(dims, std, rng)

@@ -46,6 +46,7 @@ impl Conv2d {
     /// # Panics
     ///
     /// Panics if any of `c_in`, `c_out`, `k` or `stride` is zero.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: bad conv geometry")]
     pub fn new(
         c_in: usize,
         c_out: usize,
@@ -92,6 +93,7 @@ impl Conv2d {
 
     /// Adds the weight and bias gradients of `delta` (Fig. 12) to the
     /// accumulators; returns the cached input's spatial size.
+    #[expect(clippy::expect_used, reason = "caller bug: backward before forward")]
     fn accumulate_grads(&mut self, delta: &Tensor) -> (usize, usize) {
         let input = self
             .cached_input
@@ -154,6 +156,8 @@ impl Layer for Conv2d {
         self.accumulate_grads(delta);
     }
 
+    #[expect(clippy::disallowed_macros, reason = "caller bug: zero batch")]
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
     fn apply_update(&mut self, lr: f32, batch: usize) {
         assert!(batch > 0, "batch must be non-zero");
         let scale = -lr / batch as f32;

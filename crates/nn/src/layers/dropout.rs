@@ -25,6 +25,7 @@ impl Dropout {
     /// # Panics
     ///
     /// Panics unless `0 <= p < 1`.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: p ∉ [0, 1)")]
     pub fn new(p: f32, seed: u64) -> Self {
         assert!((0.0..1.0).contains(&p), "drop probability must be in [0,1)");
         Dropout {
@@ -69,6 +70,7 @@ impl Layer for Dropout {
         input.clone()
     }
 
+    #[expect(clippy::expect_used, reason = "caller bug: backward before forward")]
     fn backward(&mut self, delta: &Tensor) -> Tensor {
         let mask = self
             .mask

@@ -25,6 +25,7 @@ impl Linear {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: zero-width layer")]
     pub fn new(n_in: usize, n_out: usize, rng: &mut impl Rng) -> Self {
         assert!(n_in > 0 && n_out > 0, "invalid linear geometry");
         Linear {
@@ -53,6 +54,7 @@ impl Linear {
 
     /// Adds the weight and bias gradients of `delta` to the accumulators;
     /// returns `delta` as a vector and the cached input's shape.
+    #[expect(clippy::expect_used, reason = "caller bug: backward before forward")]
     fn accumulate_grads(&mut self, delta: &Tensor) -> (Tensor, Vec<usize>) {
         let input = self
             .cached_input
@@ -103,6 +105,8 @@ impl Layer for Linear {
         self.accumulate_grads(delta);
     }
 
+    #[expect(clippy::disallowed_macros, reason = "caller bug: zero batch")]
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
     fn apply_update(&mut self, lr: f32, batch: usize) {
         assert!(batch > 0, "batch must be non-zero");
         let scale = -lr / batch as f32;

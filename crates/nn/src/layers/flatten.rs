@@ -33,6 +33,7 @@ impl Layer for Flatten {
         input.reshape(&[input.numel()])
     }
 
+    #[expect(clippy::expect_used, reason = "caller bug: backward before forward")]
     fn backward(&mut self, delta: &Tensor) -> Tensor {
         let dims = self
             .input_dims

@@ -21,6 +21,7 @@ impl MaxPool2d {
     /// # Panics
     ///
     /// Panics if `k` or `stride` is zero.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: zero window/stride")]
     pub fn new(k: usize, stride: usize) -> Self {
         assert!(k > 0 && stride > 0, "invalid pooling geometry");
         MaxPool2d {
@@ -46,6 +47,7 @@ impl Layer for MaxPool2d {
         ops::maxpool2d(input, self.k, self.stride).0
     }
 
+    #[expect(clippy::expect_used, reason = "caller bug: backward before forward")]
     fn backward(&mut self, delta: &Tensor) -> Tensor {
         let idx = self
             .indices
@@ -87,6 +89,7 @@ impl AvgPool2d {
     /// # Panics
     ///
     /// Panics if `k` or `stride` is zero.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: zero window/stride")]
     pub fn new(k: usize, stride: usize) -> Self {
         assert!(k > 0 && stride > 0, "invalid pooling geometry");
         AvgPool2d {
@@ -111,6 +114,7 @@ impl Layer for AvgPool2d {
         ops::avgpool2d(input, self.k, self.stride)
     }
 
+    #[expect(clippy::expect_used, reason = "caller bug: backward before forward")]
     fn backward(&mut self, delta: &Tensor) -> Tensor {
         let hw = self
             .input_hw

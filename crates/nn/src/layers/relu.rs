@@ -38,6 +38,7 @@ impl Layer for Relu {
         input.map(|x| x.max(0.0))
     }
 
+    #[expect(clippy::expect_used, reason = "caller bug: backward before forward")]
     fn backward(&mut self, delta: &Tensor) -> Tensor {
         let mask = self
             .mask

@@ -36,6 +36,7 @@ impl Layer for Sigmoid {
         input.map(|x| 1.0 / (1.0 + (-x).exp()))
     }
 
+    #[expect(clippy::expect_used, reason = "caller bug: backward before forward")]
     fn backward(&mut self, delta: &Tensor) -> Tensor {
         let out = self
             .cached_out

@@ -25,6 +25,20 @@
 //! assert!(report.final_test_accuracy > 0.5);
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_macros,
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::float_cmp,
+        reason = "the library gate exempts test code: a failed assertion is how a test fails"
+    )
+)]
+
 pub mod data;
 pub mod init;
 pub mod layer;

@@ -29,6 +29,7 @@ impl ConfusionMatrix {
     }
 
     /// Overall accuracy.
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
     pub fn accuracy(&self) -> f32 {
         let total: usize = self.counts.iter().map(|r| r.iter().sum::<usize>()).sum();
         if total == 0 {
@@ -39,6 +40,7 @@ impl ConfusionMatrix {
     }
 
     /// Per-class recall (`None` where a class has no samples).
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
     pub fn recall(&self) -> Vec<Option<f32>> {
         self.counts
             .iter()

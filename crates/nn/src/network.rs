@@ -167,6 +167,8 @@ impl Network {
     /// # Panics
     ///
     /// Panics if `images` and `labels` have different lengths or are empty.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: empty batch")]
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
     pub fn train_batch(&mut self, images: &[Tensor], labels: &[usize], lr: f32) -> f32 {
         assert_eq!(images.len(), labels.len(), "images/labels length mismatch");
         assert!(!images.is_empty(), "empty batch");
@@ -193,6 +195,9 @@ impl Network {
     ///
     /// Panics on mismatched lengths, an empty batch, or states built for a
     /// different network.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: empty batch")]
+    #[expect(clippy::expect_used, reason = "caller bug: optimizer of another net")]
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
     pub fn train_batch_opt(
         &mut self,
         images: &[Tensor],
@@ -262,6 +267,7 @@ impl Network {
     /// op sequence on an identical parameter copy — so the returned vector
     /// is bitwise independent of `threads`. Workers write disjoint chunks of
     /// the slot vector; no locks are needed.
+    #[expect(clippy::expect_used, reason = "workers fill every slot before join")]
     fn collect_sample_grads(
         &mut self,
         images: &[Tensor],
@@ -328,6 +334,8 @@ impl Network {
     ///
     /// Panics if `images` and `labels` have different lengths, are empty, or
     /// `threads == 0`.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: no images/threads")]
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
     pub fn train_batch_parallel(
         &mut self,
         images: &[Tensor],
@@ -356,6 +364,9 @@ impl Network {
     ///
     /// Panics on mismatched lengths, an empty batch, `threads == 0`, or
     /// states built for a different network.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: no images/threads")]
+    #[expect(clippy::expect_used, reason = "caller bug: optimizer of another net")]
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
     pub fn train_batch_opt_parallel(
         &mut self,
         images: &[Tensor],
@@ -392,6 +403,8 @@ impl Network {
     /// # Panics
     ///
     /// Panics if the slices have different lengths or are empty.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: empty eval set")]
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
     pub fn accuracy(&self, images: &[Tensor], labels: &[usize]) -> f32 {
         assert_eq!(images.len(), labels.len(), "images/labels length mismatch");
         assert!(!images.is_empty(), "empty evaluation set");

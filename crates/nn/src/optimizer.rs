@@ -47,6 +47,7 @@ impl Optimizer {
     /// # Panics
     ///
     /// Panics unless `0 <= momentum < 1`.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: momentum ∉ [0, 1)")]
     pub fn with_momentum(lr: f32, momentum: f32) -> Self {
         assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
         Optimizer {
@@ -61,6 +62,7 @@ impl Optimizer {
     /// # Panics
     ///
     /// Panics if `wd` is negative.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: negative decay")]
     pub fn and_weight_decay(mut self, wd: f32) -> Self {
         assert!(wd >= 0.0, "weight decay must be non-negative");
         self.weight_decay = wd;
@@ -98,6 +100,8 @@ impl ParamState {
     /// # Panics
     ///
     /// Panics if shapes mismatch or `batch` is zero.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: zero batch")]
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
     pub fn apply(
         &mut self,
         opt: &Optimizer,

@@ -405,6 +405,7 @@ impl NetSpec {
     ///
     /// Panics with the [`ShapeError`] where `try_resolve` returns one.
     /// Geometry that comes from a caller goes through `try_resolve`.
+    #[expect(clippy::expect_used, reason = "the panicking twin of `try_resolve`")]
     pub fn resolve(&self) -> Vec<ResolvedLayer> {
         self.try_resolve().expect("network geometry must resolve")
     }

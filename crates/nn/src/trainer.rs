@@ -317,6 +317,7 @@ impl Trainer {
     ///
     /// Panics if the config has zero epochs or batch size, or the dataset is
     /// empty.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: degenerate config")]
     pub fn fit(&self, net: &mut Network, data: &SyntheticMnist) -> TrainReport {
         let cfg = &self.config;
         assert!(
@@ -395,6 +396,7 @@ impl Trainer {
 
     /// The one training loop behind both [`fit`](Self::fit) (no `policy`:
     /// never touches the filesystem) and the resumable entry points.
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
     fn run_from(
         &self,
         net: &mut Network,

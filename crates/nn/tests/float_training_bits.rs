@@ -4,6 +4,11 @@
 //! anywhere in the conv forward pass, either backward pass, pooling or the
 //! update shows up here as a digest mismatch.
 
+#![expect(
+    clippy::disallowed_macros,
+    reason = "the library gate exempts test code: a failed assertion is how a test fails"
+)]
+
 use pipelayer_nn::data::SyntheticMnist;
 use pipelayer_nn::{zoo, Network};
 

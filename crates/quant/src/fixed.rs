@@ -53,11 +53,13 @@ impl Quantizer {
     }
 
     /// Largest magnitude code: `2^(bits-1) − 1` (at least 1).
+    #[expect(clippy::cast_possible_truncation, reason = "bits ≤ 24: qmax fits i32")]
     pub fn qmax(&self) -> i32 {
         ((1i64 << (self.bits - 1)) - 1).max(1) as i32
     }
 
     /// Step size (LSB value) for data spanning `[-absmax, absmax]`.
+    #[expect(clippy::cast_precision_loss, reason = "bits ≤ 24: qmax is exact")]
     pub fn scale(&self, absmax: f32) -> f32 {
         if absmax == 0.0 {
             1.0
@@ -67,6 +69,7 @@ impl Quantizer {
     }
 
     /// Quantizes `x` to an integer code for data range `absmax`.
+    #[expect(clippy::cast_possible_truncation, reason = "saturating, then clamped")]
     pub fn quantize(&self, x: f32, absmax: f32) -> i32 {
         let s = self.scale(absmax);
         let q = (x / s).round() as i64;
@@ -75,6 +78,7 @@ impl Quantizer {
 
     /// Quantize–dequantize round trip: the value the hardware actually
     /// represents.
+    #[expect(clippy::cast_precision_loss, reason = "bits ≤ 24: codes are exact")]
     pub fn quantize_dequantize(&self, x: f32, absmax: f32) -> f32 {
         self.quantize(x, absmax) as f32 * self.scale(absmax)
     }
@@ -103,6 +107,7 @@ impl Quantizer {
     /// Panics on rank-0/1 tensors (use [`quantize_tensor`]).
     ///
     /// [`quantize_tensor`]: Self::quantize_tensor
+    #[expect(clippy::disallowed_macros, reason = "caller bug: rank below 2")]
     pub fn quantize_tensor_per_channel(&self, t: &Tensor) -> Tensor {
         assert!(
             t.shape().rank() >= 2,

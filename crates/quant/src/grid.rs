@@ -52,6 +52,7 @@ impl QuantizedGrid {
     }
 
     /// The value the hardware represents for code index `i`.
+    #[expect(clippy::cast_precision_loss, reason = "24-bit codes are exact")]
     pub fn dequant(&self, i: usize) -> f32 {
         self.codes[i] as f32 * self.scale()
     }

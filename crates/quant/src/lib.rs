@@ -26,6 +26,20 @@
 //! # Ok::<(), pipelayer_quant::QuantError>(())
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_macros,
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::float_cmp,
+        reason = "the library gate exempts test code: a failed assertion is how a test fails"
+    )
+)]
+
 pub mod fixed;
 pub mod grid;
 pub mod qat;

@@ -39,6 +39,8 @@ pub struct QatReport {
 /// # Panics
 ///
 /// Panics on a degenerate config or empty dataset.
+#[expect(clippy::disallowed_macros, reason = "caller bug: degenerate config")]
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
 pub fn train_at_resolution(
     net: &mut Network,
     data: &SyntheticMnist,

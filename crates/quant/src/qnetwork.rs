@@ -22,6 +22,8 @@ pub fn snapshot_params(net: &mut Network) -> ParamSnapshot {
 /// # Panics
 ///
 /// Panics if the snapshot does not match the network's parameterised layers.
+#[expect(clippy::disallowed_macros, reason = "caller bug: foreign snapshot")]
+#[expect(clippy::expect_used, reason = "caller bug: foreign snapshot")]
 pub fn restore_params(net: &mut Network, snapshot: &ParamSnapshot) {
     let mut it = snapshot.iter();
     for layer in net.layers_mut() {
@@ -58,6 +60,8 @@ pub fn quantize_network_weights(net: &mut Network, q: Quantizer) {
 /// # Panics
 ///
 /// Panics if `data` is empty.
+#[expect(clippy::disallowed_macros, reason = "caller bug: empty eval set")]
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
 pub fn accuracy_quantized_datapath(net: &Network, data: &Dataset, q: Quantizer) -> f32 {
     assert!(!data.is_empty(), "empty evaluation dataset");
     let mut correct = 0usize;
@@ -111,6 +115,7 @@ pub struct ResolutionPoint {
 /// # Panics
 ///
 /// Panics if `data` is empty.
+#[expect(clippy::disallowed_macros, reason = "caller bug: empty eval set")]
 pub fn resolution_sweep(
     net: &mut Network,
     data: &Dataset,

@@ -4,6 +4,12 @@
 //! sweeps. The Fig. 14 segment decomposition of those codes is checked on
 //! the crossbars that store them, in `pipelayer_reram::array_group`.
 
+#![expect(
+    clippy::unwrap_used,
+    clippy::disallowed_macros,
+    reason = "the library gate exempts test code: a failed assertion is how a test fails"
+)]
+
 use pipelayer_quant::Quantizer;
 
 /// At exactly ±absmax the quantizer must hit ±qmax and dequantize back to

@@ -41,6 +41,7 @@ impl Default for AreaModel {
 
 impl AreaModel {
     /// Total area for `n_crossbars` arrays.
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn total_mm2(&self, n_crossbars: u64) -> f64 {
         self.fixed_mm2 + n_crossbars as f64 * self.crossbar_mm2
     }

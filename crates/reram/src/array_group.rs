@@ -113,6 +113,7 @@ impl ReramMatrix {
     ///
     /// Panics if dimensions are zero or inconsistent with `weights.len()`,
     /// or the bit widths fail [`ReramParams::check_bit_widths`].
+    #[expect(clippy::disallowed_macros, reason = "caller bug: empty matrix")]
     pub fn program(weights: &[f32], out_dim: usize, in_dim: usize, params: &ReramParams) -> Self {
         assert!(out_dim > 0 && in_dim > 0, "matrix must be non-empty");
         assert_eq!(
@@ -373,6 +374,7 @@ impl ReramMatrix {
     /// # Panics
     ///
     /// Panics if an output index is out of range.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: output out of range")]
     pub fn repair_outputs(&mut self, outputs: &[usize]) {
         for &o in outputs {
             assert!(o < self.out_dim, "output {o} out of range");
@@ -420,6 +422,7 @@ impl ReramMatrix {
     /// # Panics
     ///
     /// Panics if `o` is out of range.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: output out of range")]
     pub fn mask_output(&mut self, o: usize) {
         assert!(o < self.out_dim, "output {o} out of range");
         self.masked_outputs[o] = true;
@@ -542,6 +545,7 @@ impl ReramMatrix {
     /// without `composite`, each member crossbar integrates every phase.
     ///
     /// [`composite_products`]: Self::composite_products
+    #[expect(clippy::cast_precision_loss, reason = "the scale is f32 by definition")]
     fn matvec_flat<'a>(
         &mut self,
         xs: impl Iterator<Item = &'a [f32]>,
@@ -722,6 +726,7 @@ impl ReramMatrix {
 
 /// An exact integer product as the `f32` nearest it, ties to even: the
 /// same `f32` whichever integer type held it.
+#[expect(clippy::cast_precision_loss, reason = "the float datapath's rounding")]
 fn product_f32(a: i128) -> f32 {
     a as f32
 }
@@ -855,6 +860,7 @@ multiversion! {
 /// `roundf` or a data-dependent branch. The weights round with it: in
 /// `i32` the AVX2 arm converts eight lanes at once.
 #[inline(always)]
+#[expect(clippy::cast_possible_truncation, reason = "the cast is the rounding")]
 pub(crate) fn round_clamp(x: f32, qmax: i32) -> i32 {
     // `as` truncates toward zero and saturates (NaN gives 0). Below 2^31 in
     // magnitude the truncation is exact and `x - t` is exact in f64; at or
@@ -870,6 +876,8 @@ pub(crate) fn round_clamp(x: f32, qmax: i32) -> i32 {
 /// qmax)`. The inputs round with it: at 32-bit data their magnitudes
 /// reach `2^31`, one past `i32`.
 #[inline(always)]
+#[expect(clippy::cast_possible_truncation, reason = "the cast is the rounding")]
+#[expect(clippy::cast_precision_loss, reason = "an unsaturated t has 24 bits")]
 pub(crate) fn round_clamp_wide(x: f32, qmax: i64) -> i64 {
     // As in `round_clamp`, with 2^63 for 2^31. An unsaturated `t` has at
     // most 24 significant bits, so `t as f64` is exact; a saturated one
@@ -905,6 +913,7 @@ multiversion! {
 /// transposes through a square tile: quantized a weight row at a time,
 /// stored a cell row at a time, so both passes run over contiguous memory.
 #[inline(always)]
+#[expect(clippy::cast_precision_loss, reason = "the scale is f32 by definition")]
 fn quantize_weights_body(weights: &[f32], in_dim: usize, qmax: i32, q: &mut [i32]) -> f32 {
     const TILE: usize = 16;
     let absmax = weights.iter().fold(0.0f32, |m, &w| m.max(w.abs()));

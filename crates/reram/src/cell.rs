@@ -25,6 +25,7 @@ pub(crate) struct CellWrite {
 /// whose constructor checks `bits ∈ 1..=8`; a fresh cell sits at level 0
 /// (high-resistance state).
 #[inline]
+#[expect(clippy::cast_possible_truncation, reason = "bits ≤ 8, so it fits u8")]
 pub(crate) fn max_level(bits: u8) -> u8 {
     ((1u16 << bits) - 1) as u8
 }

@@ -1,6 +1,10 @@
 //! A single ReRAM crossbar array performing in-situ matrix–vector
 //! multiplication through the spike/integrate-and-fire path.
 
+// This module owns the raw cell/word/slot storage: an index into it is a
+// checked site, so `get` or an accessor with stated bounds is the default.
+#![cfg_attr(not(test), warn(clippy::indexing_slicing))]
+
 use crate::cell;
 use crate::device::{DeviceModel, DeviceStack};
 use crate::drift::DriftState;
@@ -98,6 +102,7 @@ impl Crossbar {
     /// # Panics
     ///
     /// Panics if `rows` or `cols` is zero, or `bits` is outside `1..=8`.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: bad geometry")]
     pub fn new(rows: usize, cols: usize, bits: u8) -> Self {
         assert!(
             rows > 0 && cols > 0 && (1..=8).contains(&bits),
@@ -328,6 +333,7 @@ impl Crossbar {
 
     /// Level the programming logic last stored at `(row, col)` (what the
     /// write *wanted*; faults are not applied).
+    #[expect(clippy::indexing_slicing, reason = "caller bug: cell outside array")]
     pub fn level(&self, row: usize, col: usize) -> u8 {
         self.array.cells[row * self.cols + col]
     }
@@ -336,6 +342,7 @@ impl Crossbar {
     /// the stored level as resolved through the device stack — a fault
     /// pins it, otherwise drift and disturb skew it, and noise applies on
     /// top.
+    #[expect(clippy::indexing_slicing, reason = "caller bug: cell outside array")]
     pub fn effective_level(&self, row: usize, col: usize) -> u8 {
         let stored = self.array.cells[row * self.cols + col];
         self.array
@@ -720,6 +727,7 @@ impl Crossbar {
     /// never touches the read cache.
     ///
     /// [`mvm_spiked`]: Self::mvm_spiked
+    #[expect(clippy::indexing_slicing, reason = "base + c < rows·cols = len")]
     pub fn mvm_spiked_scalar(&mut self, input: &[u32], input_bits: u8) -> Vec<u64> {
         assert_eq!(input.len(), self.rows, "input length must equal row count");
         let driver = SpikeDriver::new(input_bits);
@@ -936,6 +944,7 @@ impl ReadStage {
 
     /// The levels the read at `read_epoch` presents: the staged levels
     /// with the undecided cells drawn through `device`'s noise.
+    #[expect(clippy::indexing_slicing, reason = "noisy cells index this array")]
     fn levels_at(
         &self,
         device: &DeviceStack,
@@ -956,7 +965,8 @@ impl ReadStage {
     /// Adds to `out` what the undecided cells contribute to the read at
     /// `read_epoch` of input `x` (driven with its low `mask` bits). Cells
     /// on undriven word lines contribute nothing and draw nothing.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the staged read's context")]
+    #[expect(clippy::indexing_slicing, reason = "noisy cells lie in the array")]
     fn add_noisy_cells(
         &self,
         noise: &NoiseState,

@@ -197,6 +197,8 @@ impl DriftState {
 
     /// The level a read sees *now* for a cell whose stored (programmed)
     /// level is `stored`. Pure in the current state — no RNG.
+    #[expect(clippy::cast_possible_truncation, reason = "decays below the u8 level")]
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn effective_level(&self, row: usize, col: usize, stored: u8, max_level: u8) -> u8 {
         let idx = row * self.cols + col;
         if idx >= self.programmed_at.len() {

@@ -195,6 +195,7 @@ impl EnergyCounter {
     }
 
     /// Total energy in joules under `params`.
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn energy_joules(&self, params: &ReramParams) -> Joules {
         (self.read_spikes as f64 * params.read_energy_pj
             + self.write_spikes as f64 * params.write_energy_pj)

@@ -194,6 +194,7 @@ impl FaultMap {
     }
 
     /// Fraction of faulty cells.
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn fault_rate(&self) -> f64 {
         self.fault_count() as f64 / self.kinds.len() as f64
     }
@@ -328,6 +329,7 @@ impl ProgramReport {
 
     /// Pulse overhead ratio (`pulses / ideal_pulses`; 1.0 when nothing was
     /// written).
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn overhead(&self) -> f64 {
         if self.ideal_pulses == 0 {
             1.0
@@ -340,6 +342,7 @@ impl ProgramReport {
 /// Samples the per-attempt programming noise: the attempted level lands at
 /// `round(target + N(0, σ))`, clamped to the representable range. Uses the
 /// same Irwin–Hall Gaussian as the rest of the workspace.
+#[expect(clippy::cast_possible_truncation, reason = "clamped to 0..=max_level")]
 pub(crate) fn noisy_landing(target: u8, max_level: u8, sigma: f64, rng: &mut impl Rng) -> u8 {
     if sigma == 0.0 {
         return target;

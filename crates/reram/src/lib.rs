@@ -63,6 +63,20 @@
 //! assert_eq!(out, vec![3 * 10 + 2 * 100, 1 * 10 + 15 * 100]);
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_macros,
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::float_cmp,
+        reason = "the library gate exempts test code: a failed assertion is how a test fails"
+    )
+)]
+
 pub mod area;
 pub mod array_group;
 mod cell;

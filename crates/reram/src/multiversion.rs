@@ -23,7 +23,6 @@ macro_rules! multiversion {
     ) => {
         $(#[$attr])*
         pub(crate) mod $name {
-            #[allow(unused_imports)]
             use super::*;
 
             /// The kernel on the AVX2 arm where the CPU has AVX2, else on

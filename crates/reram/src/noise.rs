@@ -128,6 +128,7 @@ impl NoiseModel {
 
     /// Inverse of [`conductance`](Self::conductance): snaps a perturbed
     /// conductance back to the nearest representable level.
+    #[expect(clippy::cast_possible_truncation, reason = "clamped to 0..=max_level")]
     fn quantize(&self, g: f64, max_level: u8) -> u8 {
         let window = 1.0 - self.g_ratio;
         let frac = if window > 0.0 {
@@ -157,6 +158,7 @@ impl NoiseModel {
     /// `rows × cols` array: 1.0 next to the driver and sense amp, falling
     /// linearly (in conductance) to `1 - ir_drop` at the far corner.
     /// Monotone non-increasing in each coordinate.
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn ir_attenuation(&self, row: usize, col: usize, rows: usize, cols: usize) -> f64 {
         if self.ir_drop <= 0.0 {
             return 1.0;
@@ -182,7 +184,7 @@ impl NoiseModel {
     /// deviate drawn at `device_epoch` (programming generation) and the
     /// read-noise deviate at `read_epoch` (array-read counter). Pure in
     /// its arguments — the reproducibility contract of the whole model.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the read's full cell address")]
     pub fn perturb_level(
         &self,
         level: u8,
@@ -211,7 +213,7 @@ impl NoiseModel {
 
     /// [`perturb_level`](Self::perturb_level) under the stream seeds its
     /// crossbar-qualified seed derives.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the read's full cell address")]
     fn perturb_seeded(
         &self,
         level: u8,
@@ -240,7 +242,7 @@ impl NoiseModel {
     /// The read-invariant stage of [`perturb_level`](Self::perturb_level):
     /// the conductance of `level` scaled by the device deviate drawn at
     /// `device_epoch` and by the IR attenuation of `(row, col)`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the read's full cell address")]
     fn device_conductance(
         &self,
         level: u8,
@@ -281,6 +283,8 @@ impl NoiseModel {
     /// Deterministic in `(seed, read_epoch)`; element fate is independent
     /// of buffer traversal order. Words span `data_bits / cell_bits` whole
     /// cells (plcheck's PL030 rejects widths that do not divide).
+    #[expect(clippy::cast_possible_truncation, reason = "masked or clamped first")]
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
     pub fn perturb_weights(
         &self,
         weights: &[f32],

@@ -18,6 +18,10 @@
 //! first place. The win is arithmetic density: one `popcount` replaces 64
 //! boolean row visits (the BitMoD bit-serial idiom).
 
+// This module owns the raw cell/word/slot storage: an index into it is a
+// checked site, so `get` or an accessor with stated bounds is the default.
+#![cfg_attr(not(test), warn(clippy::indexing_slicing))]
+
 use crate::integrate_fire::IntegrateFire;
 
 /// A whole input vector's spike trains, packed 64 rows per `u64` word:
@@ -36,6 +40,7 @@ impl PackedSpikes {
     /// Packs `values` into `bits` LSBF slots (same range semantics as
     /// [`crate::SpikeTrain::encode`]: `bits` clamps to `1..=32` and only
     /// the low `bits` bits of each value are injected).
+    #[expect(clippy::indexing_slicing, reason = "indices bounded by the layout")]
     pub fn encode(values: &[u32], bits: u8) -> Self {
         let bits = bits.clamp(1, 32);
         let rows = values.len();
@@ -68,6 +73,7 @@ impl PackedSpikes {
     }
 
     /// The packed fire mask for time slot `slot`.
+    #[expect(clippy::indexing_slicing, reason = "caller bug: slot past `bits`")]
     pub fn slot_words(&self, slot: usize) -> &[u64] {
         let base = slot * self.words_per_slot;
         &self.words[base..base + self.words_per_slot]
@@ -96,6 +102,7 @@ pub struct BitPlanes {
 impl BitPlanes {
     /// Packs a `rows × cols` level matrix (read through `level`) into
     /// `planes` bit-planes.
+    #[expect(clippy::indexing_slicing, reason = "indices bounded by the layout")]
     pub fn pack(
         rows: usize,
         cols: usize,
@@ -140,6 +147,7 @@ impl BitPlanes {
     }
 
     /// The packed row mask of plane `plane`, column `col`.
+    #[expect(clippy::indexing_slicing, reason = "caller bug: plane/col off array")]
     pub fn col_words(&self, plane: usize, col: usize) -> &[u64] {
         let base = (plane * self.cols + col) * self.words_per_col;
         &self.words[base..base + self.words_per_col]

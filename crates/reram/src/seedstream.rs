@@ -64,6 +64,7 @@ pub fn cell_rng(seed: u64, row: usize, col: usize, epoch: u64) -> StdRng {
 
 /// One uniform draw in `[0, 1)` from the head of the cell's stream — the
 /// cheap path for single-draw consumers (fault-kind selection).
+#[expect(clippy::cast_precision_loss, reason = "53-bit values are exact")]
 pub fn cell_unit(seed: u64, row: usize, col: usize, epoch: u64) -> f64 {
     // 53 uniform mantissa bits, matching StdRng's f64 sampling.
     (mix64(cell_stream(seed, row, col, epoch)) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)

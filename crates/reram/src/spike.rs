@@ -8,6 +8,10 @@
 //! therefore proportional to `2^slot`, so the integrated bitline charge
 //! equals the exact weighted dot product — no DAC needed.
 
+// This module owns the raw cell/word/slot storage: an index into it is a
+// checked site, so `get` or an accessor with stated bounds is the default.
+#![cfg_attr(not(test), warn(clippy::indexing_slicing))]
+
 /// A spike train: one boolean per time slot, LSB first.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SpikeTrain {
@@ -42,6 +46,7 @@ impl SpikeTrain {
     }
 
     /// Number of spikes actually fired (drives read energy).
+    #[expect(clippy::cast_possible_truncation, reason = "a train has ≤ 32 slots")]
     pub fn spike_count(&self) -> u32 {
         self.slots.iter().filter(|&&s| s).count() as u32
     }

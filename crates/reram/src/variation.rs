@@ -49,6 +49,7 @@ impl VariationModel {
 
     /// Applies the model to one programmed cell targeting `level` on a cell
     /// with `max_level` states.
+    #[expect(clippy::cast_possible_truncation, reason = "clamped to 0..=max_level")]
     pub fn perturb_level(&self, level: u8, max_level: u8, rng: &mut impl Rng) -> u8 {
         let r: f64 = rng.random();
         if r < self.stuck_at_zero {
@@ -75,20 +76,21 @@ impl VariationModel {
     /// # Panics
     ///
     /// Panics unless `cell_bits` divides `data_bits`.
+    #[expect(clippy::cast_possible_truncation, reason = "masked or clamped first")]
     pub fn perturb_code(&self, code: i32, data_bits: u8, cell_bits: u8, rng: &mut impl Rng) -> i32 {
         assert_eq!(data_bits % cell_bits, 0, "cell bits must divide data bits");
         if self.is_ideal() {
             return code;
         }
-        let groups = (data_bits / cell_bits) as u32;
+        let groups = u32::from(data_bits / cell_bits);
         let mask = (1u32 << cell_bits) - 1;
         let max_level = mask as u8;
         let magnitude = code.unsigned_abs();
         let mut out = 0u32;
         for g in 0..groups {
-            let seg = ((magnitude >> (g * cell_bits as u32)) & mask) as u8;
+            let seg = ((magnitude >> (g * u32::from(cell_bits))) & mask) as u8;
             let noisy = self.perturb_level(seg, max_level, rng);
-            out |= (noisy as u32) << (g * cell_bits as u32);
+            out |= u32::from(noisy) << (g * u32::from(cell_bits));
         }
         let qmax = (1i64 << (data_bits - 1)) - 1;
         let signed = (out as i64).min(qmax) as i32;
@@ -105,6 +107,8 @@ impl VariationModel {
     /// element draws from its own `(seed, crossbar, row=index, col=0,
     /// epoch=0)` stream (see [`crate::seedstream`]), so a value's fate is
     /// independent of buffer traversal order.
+    #[expect(clippy::cast_possible_truncation, reason = "clamped to ±qmax first")]
+    #[expect(clippy::cast_precision_loss, reason = "f32 rounding is the model's")]
     pub fn perturb_weights(
         &self,
         weights: &[f32],

@@ -109,6 +109,7 @@ pub struct WearState {
 /// One cell's budget draw: lognormal around the model median, from the
 /// `(seed, row, col, generation)` stream (`seed` crossbar-qualified).
 /// Budgets round to at least one pulse so a draw can never be born dead.
+#[expect(clippy::cast_possible_truncation, reason = "f64 → u64 saturates")]
 fn cell_budget(model: &WearModel, seed: u64, row: usize, col: usize, generation: u64) -> u64 {
     let g = seedstream::cell_gauss(seed, row, col, generation);
     let b = model.median_writes * (model.sigma * g).exp();

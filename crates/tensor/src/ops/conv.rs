@@ -15,6 +15,7 @@ use crate::Tensor;
 /// # Panics
 ///
 /// Panics if the window does not fit (`input + 2*pad < k`) or `stride == 0`.
+#[expect(clippy::disallowed_macros, reason = "caller bug: window does not fit")]
 pub fn conv_output_len(input: usize, k: usize, stride: usize, pad: usize) -> usize {
     assert!(stride > 0, "stride must be non-zero");
     assert!(

@@ -65,7 +65,7 @@ pub fn im2col(input: &Tensor, kh: usize, kw: usize, stride: usize, pad: usize) -
 ///
 /// Panics if `cols` is not rank-2 or its shape is inconsistent with the
 /// geometry parameters.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "operands and geometry, flat")]
 pub fn col2im(
     cols: &Tensor,
     c: usize,

@@ -612,7 +612,7 @@ mod tests {
     }
 
     /// Runs all three kernels against the lowering on one geometry.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "operands and geometry, flat")]
     fn check_geometry(
         c_in: usize,
         h: usize,

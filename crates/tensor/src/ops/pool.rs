@@ -102,6 +102,7 @@ pub fn maxpool2d_backward(delta: &Tensor, idx: &PoolIndices) -> Tensor {
 /// # Panics
 ///
 /// Panics if `input` is not rank-3 or the window does not fit.
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
 pub fn avgpool2d(input: &Tensor, k: usize, stride: usize) -> Tensor {
     let (c, h, w) = dims3(input);
     let ho = pool_output_len(h, k, stride, 0);
@@ -126,6 +127,7 @@ pub fn avgpool2d(input: &Tensor, k: usize, stride: usize) -> Tensor {
 ///
 /// Panics if `delta` is not rank-3 or is inconsistent with the given input
 /// geometry.
+#[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
 pub fn avgpool2d_backward(
     delta: &Tensor,
     input_hw: (usize, usize),

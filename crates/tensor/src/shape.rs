@@ -25,6 +25,7 @@ impl Shape {
     /// # Panics
     ///
     /// Panics if `dims` is empty or any dimension is zero.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: degenerate shape")]
     pub fn new(dims: &[usize]) -> Self {
         assert!(!dims.is_empty(), "shape must have at least one dimension");
         assert!(
@@ -75,6 +76,7 @@ impl Shape {
     /// # Panics
     ///
     /// Panics if `idx` has the wrong rank or any coordinate is out of bounds.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: index out of shape")]
     pub fn offset(&self, idx: &[usize]) -> usize {
         assert_eq!(
             idx.len(),
@@ -99,6 +101,7 @@ impl Shape {
     /// # Panics
     ///
     /// Panics if `off >= numel()`.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: offset out of shape")]
     pub fn unravel(&self, mut off: usize) -> Vec<usize> {
         assert!(off < self.numel(), "offset {off} out of bounds");
         let mut idx = vec![0usize; self.dims.len()];

@@ -83,6 +83,7 @@ impl Tensor {
     }
 
     /// Creates a tensor with elements sampled uniformly from `[lo, hi)`.
+    #[expect(clippy::expect_used, reason = "caller bug: empty or inverted range")]
     pub fn uniform(dims: &[usize], lo: f32, hi: f32, rng: &mut impl Rng) -> Self {
         let dist = Uniform::new(lo, hi).expect("invalid uniform range");
         let shape = Shape::new(dims);
@@ -276,6 +277,7 @@ impl Tensor {
     }
 
     /// Mean of all elements.
+    #[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
     pub fn mean(&self) -> f32 {
         self.sum() / self.numel() as f32
     }

@@ -208,6 +208,38 @@ fn accepted_configurations_are_exercised() {
     );
 }
 
+/// `g_ratio` is the conductance floor of level 0. At 1 the window
+/// `1 - g_ratio` is empty and every level would read back as 0, so the
+/// boundary takes `[0, 1)` only; 0.02 is `NoiseModel::with_strength`'s.
+#[test]
+fn conductance_ratio_must_leave_a_window() {
+    use pipelayer::ConfigError;
+    let with_ratio = |g_ratio: f64| {
+        let mut config = PipeLayerConfig::default();
+        config.device.noise = NoiseModel {
+            g_ratio,
+            ..NoiseModel::with_strength(1.0)
+        };
+        config.validate()
+    };
+    assert_eq!(
+        with_ratio(1.0),
+        Err(ConfigError::InvalidConductanceRatio(1.0))
+    );
+    for bad in [1.5, -0.01, f64::INFINITY] {
+        assert_eq!(
+            with_ratio(bad),
+            Err(ConfigError::InvalidConductanceRatio(bad))
+        );
+    }
+    assert!(matches!(
+        with_ratio(f64::NAN),
+        Err(ConfigError::InvalidConductanceRatio(_))
+    ));
+    assert_eq!(with_ratio(0.999), Ok(()));
+    assert_eq!(with_ratio(0.02), Ok(()));
+}
+
 /// One layer draw: a kind selector, window/kernel size, outputs, stride,
 /// padding and a fault selector that zeroes one field now and then.
 type LayerDraw = (usize, usize, usize, usize, usize, usize);
