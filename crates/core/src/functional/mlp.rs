@@ -1448,6 +1448,9 @@ impl ReramMlp {
                 }
                 None => {
                     layer.forward.write(&w);
+                    // The read-out is spent: its buffer can hold the next
+                    // write's signed levels.
+                    drop(w);
                     layer.backward.write(&wt);
                 }
             }

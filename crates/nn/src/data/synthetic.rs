@@ -94,11 +94,12 @@ fn prototypes(seed: u64) -> Vec<Tensor> {
 fn sample(proto: &Tensor, rng: &mut impl Rng) -> Tensor {
     let dy = rng.random_range(-3i32..=3);
     let dx = rng.random_range(-3i32..=3);
+    let proto = proto.as_slice();
     Tensor::from_fn(&[1, SIDE, SIDE], |i| {
         let sy = i[1] as i32 - dy;
         let sx = i[2] as i32 - dx;
         let base = if (0..SIDE as i32).contains(&sy) && (0..SIDE as i32).contains(&sx) {
-            proto[[0, sy as usize, sx as usize]]
+            proto[sy as usize * SIDE + sx as usize]
         } else {
             0.0
         };

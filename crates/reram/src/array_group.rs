@@ -80,6 +80,12 @@ struct Composite {
     /// (`row_sums[m·in_dim + i]`): the output spikes of a read are its
     /// drives dotted with them.
     row_sums: Vec<u64>,
+    /// Whether `weights` is a write's own signed levels, kept on
+    /// transparent members: every cell's members then hold its magnitude's
+    /// bit groups on the side of its sign and 0 on the other, so
+    /// [`ReramMatrix::read`] sums the groups from `weights` alone. A refold
+    /// is never marked.
+    signed: bool,
 }
 
 /// A [`ReramMatrix`]'s [`Composite`], once built. A clone starts empty and
@@ -309,14 +315,36 @@ impl ReramMatrix {
     ///
     /// Panics if `weights.len()` mismatches the geometry.
     pub fn write(&mut self, weights: &[f32]) {
+        // Every member moves, so the old composite goes now rather than at
+        // the next read: a model cloned between steps would otherwise keep
+        // a stale one next to the clone's. Where the members read what they
+        // store, `q` is the new one — but only for a matrix read since it
+        // was built or cloned, so one that is only ever written (an unused
+        // error-backward copy, a pristine reference) never holds one.
+        let read_since_built = self.composite.0.take().is_some();
         let q = self.quantize(weights);
-        // Every member moves, so the composite goes now rather than at the
-        // next read: a model cloned between steps would otherwise keep a
-        // stale one next to the clone's.
-        self.composite = CompositeSlot::default();
-        for (shift, (pos, neg)) in self.group_shifts().zip(&mut self.groups) {
-            pos.program_signed(&q, shift, 1);
-            neg.program_signed(&q, shift, -1);
+        if !Crossbar::program_signed_pairs(&mut self.groups, &q) {
+            for (shift, (pos, neg)) in self.group_shifts().zip(&mut self.groups) {
+                pos.program_signed(&q, shift, 1);
+                neg.program_signed(&q, shift, -1);
+            }
+            return;
+        }
+        let mask = drive_mask(self.data_bits);
+        if read_since_built
+            && fits_composite(self.in_dim, mask, self.data_bits)
+            && self.crossbars().all(Crossbar::is_transparent)
+        {
+            let levels: Vec<_> = self.crossbars().map(Crossbar::effective_levels).collect();
+            let levels: Vec<&[u8]> = levels.iter().map(|l| &**l).collect();
+            let mut row_sums = vec![0; levels.len() * self.in_dim];
+            level_sums::run(&levels, self.out_dim, &mut row_sums);
+            self.composite.0 = Some(Composite {
+                generations: self.generations(),
+                weights: q,
+                row_sums,
+                signed: true,
+            });
         }
     }
 
@@ -335,7 +363,8 @@ impl ReramMatrix {
         rng: &mut impl Rng,
     ) -> ProgramReport {
         let q = self.quantize(weights);
-        // As in `write`.
+        // Every member moves, so the composite goes now rather than at the
+        // next read.
         self.composite = CompositeSlot::default();
         let mut report = ProgramReport::default();
         // Crossbar-major, in `crossbars()` order: the verify loop's draws
@@ -465,8 +494,16 @@ impl ReramMatrix {
         const TILE: usize = 16;
         let (in_dim, out_dim) = (self.in_dim, self.out_dim);
         // Reads go through the analog path, so stuck cells corrupt what
-        // comes back.
-        let levels: Vec<_> = self.crossbars().map(Crossbar::effective_levels).collect();
+        // comes back; a current composite kept from a write holds every
+        // group of every weight in its signed levels.
+        let generations = self.generations();
+        let signed = (self.composite.0.as_ref())
+            .filter(|c| c.signed && c.generations == generations)
+            .map(|c| c.weights.as_slice());
+        let levels: Vec<_> = match signed {
+            Some(_) => Vec::new(),
+            None => self.crossbars().map(Crossbar::effective_levels).collect(),
+        };
         let mut out = vec![0.0f32; out_dim * in_dim];
         let mut tile = vec![0.0f32; TILE * out_dim];
         // One pass over the cells in storage order, `TILE` word lines at a
@@ -476,6 +513,16 @@ impl ReramMatrix {
             let cells = i0 * out_dim..in_dim.min(i0 + TILE) * out_dim;
             let sums = &mut tile[..cells.len()];
             sums.fill(0.0);
+            if let Some(q) = signed {
+                let groups = self.groups.len();
+                add_signed::run(
+                    sums,
+                    &q[cells.clone()],
+                    self.cell_bits,
+                    groups,
+                    self.weight_scale,
+                );
+            }
             for (shift, pn) in self.group_shifts().zip(levels.chunks_exact(2)) {
                 let (pos, neg) = (&pn[0][cells.clone()], &pn[1][cells.clone()]);
                 add_group::run(sums, pos, neg, shift, self.weight_scale);
@@ -551,6 +598,7 @@ impl ReramMatrix {
         xs: impl Iterator<Item = &'a [f32]>,
         composite: bool,
     ) -> Vec<f32> {
+        let in_dim = self.in_dim;
         let in_qmax = ((1u64 << self.data_bits) - 1) as f32 / 2.0;
         // Per sample, its input scale (`None`: an all-zero input, which
         // drives nothing); per non-empty phase, its sample and sign.
@@ -558,7 +606,7 @@ impl ReramMatrix {
         let mut phase_of: Vec<(usize, i32)> = Vec::new();
         let mut phases: Vec<u32> = Vec::new();
         for (s, x) in xs.enumerate() {
-            assert_eq!(x.len(), self.in_dim, "input length mismatch");
+            assert_eq!(x.len(), in_dim, "input length mismatch");
             let absmax = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
             if absmax == 0.0 {
                 x_scales.push(None);
@@ -566,20 +614,19 @@ impl ReramMatrix {
             }
             let x_scale = absmax / in_qmax;
             x_scales.push(Some(x_scale));
-            // Rounded magnitudes reach 2^(data_bits−1) ≤ 2^31, which a
-            // `u32` phase holds; the clamp only bounds the ±∞ of a scale
-            // that underflowed to 0.
-            let q: Vec<i64> = x
-                .iter()
-                .map(|&v| round_clamp_wide(v / x_scale, u32::MAX.into()))
-                .collect();
-            for sign in [1, -1] {
-                let start = phases.len();
-                let signed = q.iter().map(|&v| v * i64::from(sign));
-                phases.extend(signed.map(|v| u32::try_from(v).unwrap_or(0)));
-                if phases[start..].iter().all(|&v| v == 0) {
-                    phases.truncate(start);
-                } else {
+            let start = phases.len();
+            phases.resize(start + 2 * in_dim, 0);
+            let (pos, neg) = phases[start..].split_at_mut(in_dim);
+            let (pos_drives, neg_drives) = encode_phases::run(x, x_scale, pos, neg);
+            // A phase that drives nothing is not read.
+            if neg_drives == 0 {
+                phases.truncate(start + in_dim);
+            }
+            if pos_drives == 0 {
+                phases.drain(start..start + in_dim);
+            }
+            for (sign, drives) in [(1, pos_drives), (-1, neg_drives)] {
+                if drives != 0 {
                     phase_of.push((s, sign));
                 }
             }
@@ -682,7 +729,7 @@ impl ReramMatrix {
     /// levels when any member's generation moved since it was built, and
     /// dropped where a member's reads vary.
     fn refresh_composite(&mut self) {
-        let generations: Vec<u64> = self.crossbars().map(Crossbar::generation).collect();
+        let generations = self.generations();
         if self
             .composite
             .0
@@ -705,7 +752,14 @@ impl ReramMatrix {
             generations,
             weights,
             row_sums,
+            signed: false,
         });
+    }
+
+    /// The member crossbars' array generations, in
+    /// [`crossbars`](Self::crossbars) order.
+    fn generations(&self) -> Vec<u64> {
+        self.crossbars().map(Crossbar::generation).collect()
     }
 
     /// Total input (read) spikes across all member crossbars.
@@ -774,7 +828,14 @@ fn fold_members_body(
             }
         }
     }
-    let rows = weights.len() / cols;
+    level_sums_body(levels, cols, row_sums);
+}
+
+/// Every member's per-word-line level sums of `levels` (`cols` bit lines
+/// each), member-major, into `row_sums`.
+#[inline(always)]
+fn level_sums_body(levels: &[&[u8]], cols: usize, row_sums: &mut [u64]) {
+    let rows = row_sums.len() / levels.len().max(1);
     for (member, sums) in levels.iter().zip(row_sums.chunks_exact_mut(rows)) {
         for (sum, row) in sums.iter_mut().zip(member.chunks_exact(cols)) {
             let blocks = row.chunks(ROW_SUM_BLOCK);
@@ -783,6 +844,11 @@ fn fold_members_body(
                 .sum();
         }
     }
+}
+
+multiversion! {
+    /// [`level_sums_body`], multiversioned.
+    mod level_sums: fn(levels: &[&[u8]], cols: usize, row_sums: &mut [u64]) -> () = level_sums_body;
 }
 
 multiversion! {
@@ -857,8 +923,8 @@ multiversion! {
 /// `x` rounded half away from zero, then clamped to `±qmax`
 /// (`0 ≤ qmax`): exactly `(x.round() as i64).clamp(-qmax, qmax)` as an
 /// `i32`, for every `f32`, NaN (0) and ±∞ included, without libm's
-/// `roundf` or a data-dependent branch. The weights round with it: in
-/// `i32` the AVX2 arm converts eight lanes at once.
+/// `roundf` or a data-dependent branch. The weights round with it where
+/// [`round_clamp_narrow`] does not serve their clamp.
 #[inline(always)]
 #[expect(clippy::cast_possible_truncation, reason = "the cast is the rounding")]
 pub(crate) fn round_clamp(x: f32, qmax: i32) -> i32 {
@@ -872,20 +938,41 @@ pub(crate) fn round_clamp(x: f32, qmax: i32) -> i32 {
     q.clamp(-qmax, qmax)
 }
 
-/// [`round_clamp`] in `i64`: exactly `(x.round() as i64).clamp(-qmax,
-/// qmax)`. The inputs round with it: at 32-bit data their magnitudes
-/// reach `2^31`, one past `i32`.
+/// Encodes one input vector into its two spike phases: with `y = v /
+/// x_scale` per element, `pos` gets `round(y)` where `y > 0` and `neg`
+/// gets `round(−y)` where `y < 0`, 0 elsewhere (NaN included), rounded
+/// half away from zero and saturating at `u32::MAX`. Magnitudes reach
+/// `2^(data_bits−1) ≤ 2^31`, which a `u32` phase holds; the saturation
+/// only bounds the ±∞ of a scale that underflowed to 0. Returns each
+/// phase's bitwise OR: 0 for a phase that drives nothing.
 #[inline(always)]
 #[expect(clippy::cast_possible_truncation, reason = "the cast is the rounding")]
-#[expect(clippy::cast_precision_loss, reason = "an unsaturated t has 24 bits")]
-pub(crate) fn round_clamp_wide(x: f32, qmax: i64) -> i64 {
-    // As in `round_clamp`, with 2^63 for 2^31. An unsaturated `t` has at
-    // most 24 significant bits, so `t as f64` is exact; a saturated one
-    // rounds to ±2^63, still past any `qmax`.
-    let t = x as i64;
-    let r = f64::from(x) - t as f64;
-    let q = t.saturating_add(i64::from(r >= 0.5) - i64::from(r <= -0.5));
-    q.clamp(-qmax, qmax)
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "an unsaturated t is a's whole part"
+)]
+fn encode_phases_body(x: &[f32], x_scale: f32, pos: &mut [u32], neg: &mut [u32]) -> (u32, u32) {
+    let (mut pos_drives, mut neg_drives) = (0, 0);
+    for ((&v, p), n) in x.iter().zip(pos.iter_mut()).zip(neg.iter_mut()) {
+        let y = v / x_scale;
+        let a = y.abs();
+        // As in `round_clamp`, unsigned and in `f32`: below 2^32 `t` is
+        // `a`'s whole part, an `f32` itself, and `a - t` its fraction, exact;
+        // at or above it `t` saturates and converts to 2^32.
+        let t = a as u32;
+        let m = t.saturating_add(u32::from(a - t as f32 >= 0.5));
+        *p = if y > 0.0 { m } else { 0 };
+        *n = if y < 0.0 { m } else { 0 };
+        pos_drives |= *p;
+        neg_drives |= *n;
+    }
+    (pos_drives, neg_drives)
+}
+
+multiversion! {
+    /// [`encode_phases_body`], multiversioned.
+    mod encode_phases: fn(x: &[f32], x_scale: f32, pos: &mut [u32], neg: &mut [u32])
+        -> (u32, u32) = encode_phases_body;
 }
 
 /// Adds one segment group's share of some cells' weights to `sums`:
@@ -906,22 +993,110 @@ multiversion! {
         -> () = add_group_body;
 }
 
+/// [`add_group`] over all `groups` bit groups of `cell_bits` each, from
+/// the cells' signed levels `q` rather than their members' levels: group
+/// `g` of a weight is `±((|q| >> g·cell_bits) & (2^cell_bits − 1))` with
+/// the sign of `q`, the difference of the levels its positive and
+/// negative members store. The terms and their order are `add_group`'s:
+/// `|q|`'s bits of the group are that level times `2^shift` exactly, and
+/// the rounding of `· scale` is symmetric in the sign, which flips last.
+#[inline(always)]
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "a group's bits are at most 8 wide"
+)]
+fn add_signed_body(sums: &mut [f32], q: &[i32], cell_bits: u8, groups: usize, scale: f32) {
+    const LANES: usize = 8;
+    let mask = (1u32 << cell_bits) - 1;
+    let group_bits: Vec<u32> = (0u32..)
+        .step_by(usize::from(cell_bits))
+        .take(groups)
+        .map(|shift| mask << shift)
+        .collect();
+    let add = |sums: &mut [f32], q: &[i32]| {
+        for &bits in &group_bits {
+            for (sum, &q) in sums.iter_mut().zip(q) {
+                // Below 2^31: the composite's magnitudes are.
+                let term = (q.unsigned_abs() & bits).cast_signed() as f32 * scale;
+                let sign = q.cast_unsigned() & 0x8000_0000;
+                *sum += f32::from_bits(term.to_bits() ^ sign);
+            }
+        }
+    };
+    let lanes = sums.chunks_exact_mut(LANES).zip(q.chunks_exact(LANES));
+    for (sums, q) in lanes {
+        add(sums, q);
+    }
+    let tail = sums.len() / LANES * LANES;
+    add(&mut sums[tail..], &q[tail..]);
+}
+
+multiversion! {
+    /// [`add_signed_body`], multiversioned.
+    mod add_signed: fn(sums: &mut [f32], q: &[i32], cell_bits: u8, groups: usize, scale: f32)
+        -> () = add_signed_body;
+}
+
+/// The largest clamp [`round_clamp_narrow`] serves.
+const NARROW_QMAX: i32 = 1 << 22;
+
+/// `1.5·2^23`: an `f32` of magnitude at most `2^22` added to it lands in
+/// the binade of unit spacing, so the sum is `ROUND_MAGIC` plus the
+/// `f32`'s nearest integer (ties to even), which its low mantissa bits
+/// hold.
+const ROUND_MAGIC: f32 = 12_582_912.0;
+
+/// [`round_clamp`] for `0 ≤ qmax ≤ 2^22`, given as the exact `f32` `qmax`,
+/// in `f32` and `i32` lanes without a float-to-integer conversion (whose
+/// saturation the AVX2 arm would do a lane at a time): clamp first (NaN to
+/// 0), which commutes with rounding to an integer bound, round to nearest
+/// even through [`ROUND_MAGIC`], then move a tie of the wrong parity
+/// away from zero.
+#[inline(always)]
+fn round_clamp_narrow(x: f32, qmax: f32) -> i32 {
+    let x = if x.is_nan() {
+        0.0
+    } else {
+        x.max(-qmax).min(qmax)
+    };
+    let sum = x + ROUND_MAGIC;
+    // `x` less its nearest even integer, exact and within ±0.5.
+    let fraction = x - (sum - ROUND_MAGIC);
+    let away = i32::from((x > 0.0) & (fraction >= 0.5)) - i32::from((x < 0.0) & (fraction <= -0.5));
+    sum.to_bits().cast_signed() - ROUND_MAGIC.to_bits().cast_signed() + away
+}
+
 /// The write quantizer. Picks the scale that maps the largest magnitude
 /// of the row-major `out_dim × in_dim` `weights` to `qmax` (1 for all-zero
 /// weights), stores `q[i·out_dim + o] = round_clamp(w[o][i] / scale,
 /// qmax)` with `out_dim = q.len() / in_dim`, and returns the scale. It
-/// transposes through a square tile: quantized a weight row at a time,
-/// stored a cell row at a time, so both passes run over contiguous memory.
+/// rounds through [`round_clamp_narrow`] wherever that serves `qmax`.
 #[inline(always)]
 #[expect(clippy::cast_precision_loss, reason = "the scale is f32 by definition")]
 fn quantize_weights_body(weights: &[f32], in_dim: usize, qmax: i32, q: &mut [i32]) -> f32 {
-    const TILE: usize = 16;
     let absmax = weights.iter().fold(0.0f32, |m, &w| m.max(w.abs()));
     let scale = if absmax == 0.0 {
         1.0
     } else {
         absmax / qmax as f32
     };
+    if qmax <= NARROW_QMAX {
+        // Below 2^24, so exact.
+        let qmax = qmax as f32;
+        quantize_tiles(weights, in_dim, q, |w| round_clamp_narrow(w / scale, qmax));
+    } else {
+        quantize_tiles(weights, in_dim, q, |w| round_clamp(w / scale, qmax));
+    }
+    scale
+}
+
+/// Stores `q[i·out_dim + o] = round(w[o][i])` for the row-major `out_dim ×
+/// in_dim` `weights`. It transposes through a square tile: rounded a
+/// weight row at a time, stored a cell row at a time, so both passes run
+/// over contiguous memory.
+#[inline(always)]
+fn quantize_tiles(weights: &[f32], in_dim: usize, q: &mut [i32], round: impl Fn(f32) -> i32) {
+    const TILE: usize = 16;
     let out_dim = q.len() / in_dim;
     let mut tile = [[0i32; TILE]; TILE];
     for (o0, rows) in (0..).step_by(TILE).zip(weights.chunks(TILE * in_dim)) {
@@ -929,7 +1104,7 @@ fn quantize_weights_body(weights: &[f32], in_dim: usize, qmax: i32, q: &mut [i32
             let i_end = in_dim.min(i0 + TILE);
             for (t, row) in tile.iter_mut().zip(rows.chunks_exact(in_dim)) {
                 for (t, &w) in t.iter_mut().zip(&row[i0..i_end]) {
-                    *t = round_clamp(w / scale, qmax);
+                    *t = round(w);
                 }
             }
             let o_end = out_dim.min(o0 + TILE);
@@ -941,7 +1116,6 @@ fn quantize_weights_body(weights: &[f32], in_dim: usize, qmax: i32, q: &mut [i32
             }
         }
     }
-    scale
 }
 
 multiversion! {
@@ -1180,7 +1354,7 @@ mod tests {
 
         /// Whether the composite matches every member's current generation.
         fn composite_is_current(&self) -> bool {
-            let generations: Vec<u64> = self.crossbars().map(Crossbar::generation).collect();
+            let generations = self.generations();
             self.composite
                 .0
                 .as_ref()
@@ -1316,14 +1490,21 @@ mod tests {
         }
 
         // A clone starts empty and reads its own state after the
-        // original is rewritten.
+        // original is rewritten. A write keeps a composite, current and of
+        // its own signed levels, only on a matrix that had one.
         let mut m = ReramMatrix::program(&w1, out_dim, in_dim, &ReramParams::default());
         let before = m.matvec_batch(&x).concat();
         let mut clone = m.clone();
         assert!(clone.composite.0.is_none(), "a clone starts empty");
         m.write(&w2);
-        assert!(m.composite.0.is_none(), "a write frees the composite");
+        assert!(m.composite_is_current(), "a read matrix keeps one");
+        assert!(m.composite.0.as_ref().is_some_and(|c| c.signed));
+        let mut unread = clone.clone();
+        unread.write(&w2);
+        assert!(unread.composite.0.is_none(), "an unread matrix gains none");
+        assert_eq!(bits(&unread.read()), bits(&m.read()));
         m.write_verify(&w2, &policy, &mut rng);
+        assert!(m.composite.0.is_none(), "a verified write frees it");
         assert_eq!(bits(&clone.matvec_batch(&x).concat()), bits(&before));
         let mut fresh = m.clone();
         assert_eq!(
@@ -1377,9 +1558,14 @@ mod tests {
                 .collect();
             assert_eq!(row_sums, want_sums);
             crate::multiversion::assert_arms_agree(
-                (weights.clone(), row_sums),
+                (weights.clone(), row_sums.clone()),
                 ran.map(|()| (w_avx2, sums_avx2)),
             );
+            let (mut sums, mut sums_avx2) = (vec![0; members * rows], vec![0; members * rows]);
+            level_sums::portable(&levels, cols, &mut sums);
+            assert_eq!(sums, row_sums);
+            let ran = level_sums::avx2(&levels, cols, &mut sums_avx2);
+            crate::multiversion::assert_arms_agree(sums, ran.map(|()| sums_avx2));
 
             let mask = drive_mask(data_bits as u8);
             let phases: Vec<u32> = (0..2 * samples * rows)
@@ -1437,7 +1623,7 @@ mod tests {
         }
     }
 
-    /// The rounding spec [`round_clamp_wide`] must reproduce.
+    /// The rounding both quantizers must reproduce, in `i64`.
     fn round_spec_wide(x: f32, qmax: i64) -> i64 {
         (x.round() as i64).clamp(-qmax, qmax)
     }
@@ -1447,12 +1633,26 @@ mod tests {
         round_spec_wide(x, qmax.into()) as i32
     }
 
-    /// The clamps the quantizers use, plus the extremes.
-    const QMAXES: [i32; 8] = [0, 1, 7, 127, 32_767, 1 << 29, i32::MAX - 1, i32::MAX];
+    /// The clamps the quantizers use, the narrow rounding's bound, plus
+    /// the extremes.
+    const QMAXES: [i32; 8] = [0, 1, 7, 127, 32_767, NARROW_QMAX, i32::MAX - 1, i32::MAX];
 
-    /// The clamps of the wide form: the input clamp, past `i32`, the
-    /// extremes.
-    const QMAXES_WIDE: [i64; 5] = [0, 32_767, 1 << 31, u32::MAX as i64, i64::MAX];
+    /// The phases [`encode_phases`] must give `x` at scale 1: `x`
+    /// rounded half away from zero, clamped to `±u32::MAX`, split by sign.
+    fn encode_spec(x: f32) -> (u32, u32) {
+        let v = round_spec_wide(x, u32::MAX.into());
+        (
+            u32::try_from(v).unwrap_or(0),
+            u32::try_from(-v).unwrap_or(0),
+        )
+    }
+
+    /// [`encode_phases`] of the single input `x` at scale 1.
+    fn encode_one(x: f32) -> (u32, u32) {
+        let (mut pos, mut neg) = ([0], [0]);
+        encode_phases::portable(&[x], 1.0, &mut pos, &mut neg);
+        (pos[0], neg[0])
+    }
 
     #[test]
     fn round_clamp_is_round_then_clamp_on_the_edges() {
@@ -1493,14 +1693,38 @@ mod tests {
                     round_spec(x, qmax),
                     "x {x:e} qmax {qmax}"
                 );
+                if qmax <= NARROW_QMAX {
+                    assert_eq!(
+                        round_clamp_narrow(x, qmax as f32),
+                        round_spec(x, qmax),
+                        "x {x:e} qmax {qmax}"
+                    );
+                }
             }
-            for qmax in QMAXES_WIDE {
-                assert_eq!(
-                    round_clamp_wide(x, qmax),
-                    round_spec_wide(x, qmax),
-                    "x {x:e} qmax {qmax}"
-                );
-            }
+            assert_eq!(encode_one(x), encode_spec(x), "x {x:e}");
+        }
+        // Whole vectors on both arms, at scales that leave the rounding
+        // alone, halve it, push it past `u32` and underflow to 0.
+        for x_scale in [1.0f32, 0.5, 3.0, 1e-40, f32::from_bits(1), 0.0] {
+            let n = xs.len();
+            let (mut pos, mut neg) = (vec![0; n], vec![0; n]);
+            let drives = encode_phases::portable(&xs, x_scale, &mut pos, &mut neg);
+            let want: Vec<(u32, u32)> = xs.iter().map(|&x| encode_spec(x / x_scale)).collect();
+            assert_eq!(
+                pos.iter()
+                    .copied()
+                    .zip(neg.iter().copied())
+                    .collect::<Vec<_>>(),
+                want
+            );
+            let or = want.iter().fold((0, 0), |(p, n), &(a, b)| (p | a, n | b));
+            assert_eq!(drives, or, "scale {x_scale:e}");
+            let (mut pos2, mut neg2) = (vec![0; n], vec![0; n]);
+            let ran = encode_phases::avx2(&xs, x_scale, &mut pos2, &mut neg2);
+            crate::multiversion::assert_arms_agree(
+                (drives, pos, neg),
+                ran.map(|d| (d, pos2, neg2)),
+            );
         }
     }
 
@@ -1631,8 +1855,9 @@ mod tests {
         ]
     }
 
-    /// The fused `write`/`write_verify` and the storage-order `read` are
-    /// today's quantize-then-program and group-major read, bit for bit,
+    /// The fused `write`/`write_verify` and the storage-order `read`, from
+    /// the members or from a kept composite's signed levels, are the
+    /// per-weight quantize-then-program and the group-major read, bit for bit,
     /// under every device model, at 16-, 8- and 32-bit data on 4-bit cells,
     /// 8-bit data on 2-bit cells and 32-bit data on 8-bit cells: the whole
     /// matrix state (levels, device
@@ -1661,9 +1886,13 @@ mod tests {
                     write_sigma: 0.4,
                 };
                 let (mut rf, mut ro) = (StdRng::seed_from_u64(8), StdRng::seed_from_u64(8));
+                let x: Vec<f32> = (0..in_dim).map(|i| i as f32 - 1.5).collect();
                 for step in 0..6 {
                     let span = [1.0, 3e-3, 0.0, 250.0][step % 4];
                     let w = random_weights(out_dim * in_dim, span, &mut rng);
+                    // A matrix read before its write keeps the write's
+                    // signed levels, which the next read sums from.
+                    assert_eq!(bits(&fused.matvec(&x)), bits(&oracle.matvec(&x)));
                     if step % 2 == 0 {
                         fused.write(&w);
                         write_oracle(&mut oracle, &w);
@@ -1689,28 +1918,59 @@ mod tests {
         }
     }
 
+    /// Both quantizer arms give the rounding spec's levels and scale, on
+    /// the narrow rounding's clamps, its bound and past it, over random
+    /// weights with a NaN, ±∞ among finite weights, all-zero weights, and
+    /// spans whose scale is subnormal or underflows to 0.
     #[test]
     fn quantize_arms_agree() {
         use rand::{rngs::StdRng, RngExt as _};
         let mut rng = StdRng::seed_from_u64(3);
-        for qmax in [127, 32_767, (1 << 30) - 1, i32::MAX] {
-            for span in [2.0, 0.0] {
+        let qmaxes = [
+            0,
+            1,
+            127,
+            32_767,
+            NARROW_QMAX - 1,
+            NARROW_QMAX,
+            NARROW_QMAX + 1,
+        ];
+        for qmax in qmaxes.into_iter().chain([(1 << 30) - 1, i32::MAX]) {
+            for case in 0..6 {
                 let (out_dim, in_dim) =
                     (rng.random_range(1usize..40), rng.random_range(1usize..90));
+                let span = [2.0, 0.0, 2.0, 1e-38, 1e-44, 3e5][case];
                 let mut w = random_weights(out_dim * in_dim, span, &mut rng);
-                w[0] = f32::NAN;
+                match case {
+                    0 => w[0] = f32::NAN,
+                    2 => {
+                        let mid = w.len() / 2;
+                        w[0] = f32::INFINITY;
+                        w[mid] = f32::NEG_INFINITY;
+                    }
+                    _ => {}
+                }
                 let (mut portable, mut avx2) = (vec![0; w.len()], vec![0; w.len()]);
                 let scale = quantize_weights::portable(&w, in_dim, qmax, &mut portable);
                 let ran = quantize_weights::avx2(&w, in_dim, qmax, &mut avx2);
-                let want_scale = if span == 0.0 { 1.0 } else { span / qmax as f32 };
-                assert_eq!(scale.to_bits(), want_scale.to_bits());
+                let absmax = w.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+                let want_scale = if absmax == 0.0 {
+                    1.0
+                } else {
+                    absmax / qmax as f32
+                };
+                assert_eq!(
+                    scale.to_bits(),
+                    want_scale.to_bits(),
+                    "qmax {qmax} case {case}"
+                );
                 let want: Vec<i32> = (0..in_dim * out_dim)
                     .map(|k| {
                         let (i, o) = (k / out_dim, k % out_dim);
                         round_spec(w[o * in_dim + i] / scale, qmax)
                     })
                     .collect();
-                assert_eq!(portable, want);
+                assert_eq!(portable, want, "qmax {qmax} case {case}");
                 let bits = |s: f32, q: &Vec<i32>| (s.to_bits(), q.clone());
                 crate::multiversion::assert_arms_agree(
                     bits(scale, &portable),
@@ -1781,8 +2041,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// [`round_clamp`] and [`round_clamp_wide`] are `f32::round` then
-        /// the clamp on every `f32` bit pattern.
+        /// [`round_clamp`] and, on its clamps, [`round_clamp_narrow`] are
+        /// `f32::round` then the clamp, and [`encode_phases`] that rounding
+        /// split by sign, on every `f32` bit pattern.
         #[test]
         fn round_clamp_is_round_then_clamp(bits in 0u32..=u32::MAX, k in 0usize..8) {
             let x = f32::from_bits(bits);
@@ -1790,9 +2051,12 @@ mod tests {
             // Magnitudes where rounding matters.
             let y = f32::from_bits(bits % 0x4f80_0000);
             prop_assert_eq!(round_clamp(y, QMAXES[k]), round_spec(y, QMAXES[k]));
-            let wide = QMAXES_WIDE[k % QMAXES_WIDE.len()];
-            prop_assert_eq!(round_clamp_wide(x, wide), round_spec_wide(x, wide));
-            prop_assert_eq!(round_clamp_wide(y, wide), round_spec_wide(y, wide));
+            let narrow = QMAXES[k % 6];
+            for v in [x, y, f32::from_bits(bits % 0x4b00_0000)] {
+                prop_assert_eq!(round_clamp_narrow(v, narrow as f32), round_spec(v, narrow));
+            }
+            prop_assert_eq!(encode_one(x), encode_spec(x));
+            prop_assert_eq!(encode_one(y), encode_spec(y));
         }
     }
 
@@ -1802,12 +2066,15 @@ mod tests {
         /// The composite read is the per-crossbar path bit for bit: over
         /// random matrices, bit widths, signed batches (all-zero and
         /// one-signed samples included) and sequences of writes, verified
-        /// writes, spare remaps, masked outputs, checkpoint restores,
-        /// scrubs and clock advances, under ideal, faulted, drifting
-        /// (without disturb) and wearing arrays, the outputs, every
-        /// member's spike counters and read epoch, and the whole matrix
-        /// state agree. Arrays with read noise or disturb, and 32-bit
-        /// data, take the per-crossbar path.
+        /// writes, spare remaps, masked outputs, level restores, scrubs,
+        /// clock advances, reads of the members through `crossbars()` and
+        /// checkpoint round-trips, under ideal, faulted, drifting (without
+        /// disturb) and wearing arrays, the outputs, the weights `read()`
+        /// returns (from the write's signed levels on an ideal array that
+        /// keeps its composite), every member's spike counters and read
+        /// epoch, and the whole matrix state agree with a matrix that never
+        /// builds a composite. Arrays with read noise or disturb, and
+        /// 32-bit data, take the per-crossbar path.
         #[test]
         fn composite_matches_the_member_path(
             arm in 0usize..7,
@@ -1841,7 +2108,7 @@ mod tests {
             let policy = VerifyPolicy { max_attempts: 3, write_sigma: 0.4 };
             let (mut ra, mut rb) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
             for step in 0..steps {
-                let op = rng.random_range(0u8..8);
+                let op = rng.random_range(0u8..10);
                 match op {
                     0 => {
                         let w = random_weights(out_dim * in_dim, 1.0, &mut rng);
@@ -1882,6 +2149,27 @@ mod tests {
                         a.advance_cycles(cycles);
                         b.advance_cycles(cycles);
                     }
+                    7 => {
+                        let members = |m: &ReramMatrix| -> Vec<(Vec<u8>, (u64, u64, u64))> {
+                            m.crossbars().map(|x| (x.stored_levels(), x.spike_counters())).collect()
+                        };
+                        prop_assert_eq!(members(&a), members(&b));
+                    }
+                    8 => {
+                        let snapshot: Vec<(Vec<u8>, (u64, u64, u64))> = a
+                            .crossbars()
+                            .map(|x| (x.stored_levels(), x.spike_counters()))
+                            .collect();
+                        let (scale, masked) = (a.weight_scale(), a.masked_outputs());
+                        for m in [&mut a, &mut b] {
+                            for (x, (levels, (r, w, o))) in m.crossbars_mut().zip(&snapshot) {
+                                prop_assert!(x.restore_levels(levels));
+                                x.restore_spike_counters(*r, *w, *o);
+                            }
+                            m.restore_weight_scale(scale);
+                            m.restore_masked_outputs(&masked);
+                        }
+                    }
                     _ => {}
                 }
                 let xs: Vec<Vec<f32>> = (0..rng.random_range(0usize..4))
@@ -1896,8 +2184,10 @@ mod tests {
                             .collect()
                     })
                     .collect();
+                prop_assert_eq!(bits(&a.read()), bits(&b.read()), "op {} at step {}", op, step);
                 let got = a.matvec_batch(&xs).concat();
                 prop_assert_eq!(bits(&got), bits(&b.matvec_members(&xs)), "op {} at step {}", op, step);
+                prop_assert_eq!(bits(&a.read()), bits(&b.read()));
                 prop_assert_eq!(read_state(&a), read_state(&b));
                 prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
                 if xs.iter().flatten().any(|&v| v != 0.0) {

@@ -331,20 +331,45 @@ impl Crossbar {
         cell::max_level(self.bits)
     }
 
+    /// The row-major storage index of cell `(row, col)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row >= rows` or `col >= cols`: a column past the last
+    /// would otherwise name the next row's cell.
+    #[expect(clippy::disallowed_macros, reason = "caller bug: cell outside array")]
+    fn cell_index(&self, row: usize, col: usize) -> usize {
+        assert!(
+            row < self.rows && col < self.cols,
+            "cell ({row}, {col}) outside the {}x{} array",
+            self.rows,
+            self.cols
+        );
+        row * self.cols + col
+    }
+
     /// Level the programming logic last stored at `(row, col)` (what the
     /// write *wanted*; faults are not applied).
-    #[expect(clippy::indexing_slicing, reason = "caller bug: cell outside array")]
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(row, col)` lies outside the array.
+    #[expect(clippy::indexing_slicing, reason = "cell_index bounds the cell")]
     pub fn level(&self, row: usize, col: usize) -> u8 {
-        self.array.cells[row * self.cols + col]
+        self.array.cells[self.cell_index(row, col)]
     }
 
     /// Level the cell at `(row, col)` actually presents on the next read:
     /// the stored level as resolved through the device stack — a fault
     /// pins it, otherwise drift and disturb skew it, and noise applies on
     /// top.
-    #[expect(clippy::indexing_slicing, reason = "caller bug: cell outside array")]
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(row, col)` lies outside the array.
+    #[expect(clippy::indexing_slicing, reason = "cell_index bounds the cell")]
     pub fn effective_level(&self, row: usize, col: usize) -> u8 {
-        let stored = self.array.cells[row * self.cols + col];
+        let stored = self.array.cells[self.cell_index(row, col)];
         self.array
             .device
             .resolve(row, col, stored, self.max_level(), self.read_epoch)
@@ -395,13 +420,7 @@ impl Crossbar {
             self.rows * self.cols,
             "level buffer size mismatch"
         );
-        let max = self.max_level();
-        self.program_from(levels.iter().copied(), |cells| {
-            let pairs = cells.iter_mut().zip(levels);
-            pairs
-                .map(|(c, &l)| u64::from(cell::program(c, l, max)))
-                .sum()
-        })
+        self.program_from(levels.iter().copied())
     }
 
     /// Programs the whole array with one bit group of a signed-level
@@ -416,22 +435,53 @@ impl Crossbar {
     pub(crate) fn program_signed(&mut self, q: &[i32], shift: u32, sign: i32) -> u64 {
         assert_eq!(q.len(), self.rows * self.cols, "level buffer size mismatch");
         let max = self.max_level();
-        self.program_from(
-            q.iter().map(|&q| signed_level(q, shift, sign, max)),
-            |cells| program_pass::run(cells, q, shift, sign, max),
-        )
+        self.program_from(q.iter().map(|&q| signed_level(q, shift, sign, max)))
+    }
+
+    /// Programs every member crossbar of a signed matrix in one pass over
+    /// `q`: `members` holds its (positive, negative) pair per bit group,
+    /// least-significant group first, and each member ends as its own
+    /// [`program_signed`](Self::program_signed) call would leave it — the
+    /// same levels, pulses and generation step. Returns `false`, with
+    /// nothing written, where some member's device tracks programs: those
+    /// book their pulses cell by cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member's cell count or cell width differs from `q.len()`
+    /// or from the first member's.
+    pub(crate) fn program_signed_pairs(members: &mut [(Crossbar, Crossbar)], q: &[i32]) -> bool {
+        let Some((first, _)) = members.first() else {
+            return true;
+        };
+        let bits = first.bits;
+        for x in members.iter().flat_map(|(p, n)| [p, n]) {
+            if x.array.device.tracks_programs() {
+                return false;
+            }
+            assert_eq!(
+                (q.len(), x.bits),
+                (x.rows * x.cols, bits),
+                "level buffer size mismatch"
+            );
+        }
+        let mut cells: Vec<&mut [u8]> = members
+            .iter_mut()
+            .flat_map(|(p, n)| [p, n])
+            .map(|x| x.array.get_mut().cells.as_mut_slice())
+            .collect();
+        let mut pulses = vec![0; cells.len()];
+        program_pairs::run(&mut cells, q, bits, &mut pulses);
+        for (x, p) in members.iter_mut().flat_map(|(p, n)| [p, n]).zip(pulses) {
+            x.write_spikes += p;
+        }
+        true
     }
 
     /// Stores `targets` (row-major, one per cell, saturating at the top
     /// level) and books the tuning pulses as write spikes. An array whose
-    /// device tracks programs books every cell that moved; any other runs
-    /// `untracked`, which must store the same targets and return their
-    /// pulse count.
-    fn program_from(
-        &mut self,
-        mut targets: impl Iterator<Item = u8>,
-        untracked: impl FnOnce(&mut [u8]) -> u64,
-    ) -> u64 {
+    /// device tracks programs books every cell that moved.
+    fn program_from(&mut self, mut targets: impl Iterator<Item = u8>) -> u64 {
         let (cols, max) = (self.cols, self.max_level());
         let a = self.array.get_mut();
         let pulses = if a.device.tracks_programs() {
@@ -451,7 +501,10 @@ impl Crossbar {
             pulses
         } else {
             // Nothing to book per cell: one branch-free pass.
-            untracked(&mut a.cells)
+            let cells = a.cells.iter_mut().zip(targets);
+            cells
+                .map(|(c, t)| u64::from(cell::program(c, t, max)))
+                .sum()
         };
         self.write_spikes += pulses;
         pulses
@@ -695,6 +748,12 @@ impl Crossbar {
             // Every slot that drove a word line disturbed that row's cells.
             self.note_read(x.iter().map(|&v| u64::from((v & mask).count_ones())));
         }
+    }
+
+    /// Whether every read presents the stored levels unchanged (see
+    /// [`DeviceStack::is_transparent`]).
+    pub(crate) fn is_transparent(&self) -> bool {
+        self.array.device.is_transparent()
     }
 
     /// Whether what a read presents can differ from read to read: a
@@ -1072,32 +1131,51 @@ fn signed_level(q: i32, shift: u32, sign: i32, max_level: u8) -> u8 {
     ((sign * q).max(0) >> shift).to_le_bytes()[0] & max_level
 }
 
-/// Cells per block of the untracked program pass: a block's pulses, at
+/// Cells per block of the paired program pass: every bit group reads a
+/// block of `q` while it stays in the L1 cache, and a block's pulses, at
 /// most 255 a cell, fit a `u32`.
-const PULSE_BLOCK: usize = 1 << 16;
+const PAIR_BLOCK: usize = 4096;
 
-/// The untracked program pass: stores [`signed_level`] of every `q` in
-/// `cells` and returns the pulses, the summed level distances.
+/// The paired program pass of [`Crossbar::program_signed_pairs`]: member
+/// `cells` (positive, negative interleaved, least-significant group
+/// first, `cell_bits`-bit cells) store their [`signed_level`] of every
+/// `q`, and each member's pulses, the summed level distances, add to
+/// `pulses`.
 #[inline(always)]
-fn program_pass_body(cells: &mut [u8], q: &[i32], shift: u32, sign: i32, max_level: u8) -> u64 {
-    let blocks = cells.chunks_mut(PULSE_BLOCK).zip(q.chunks(PULSE_BLOCK));
-    let mut pulses = 0u64;
-    for (cells, q) in blocks {
-        let mut block = 0u32;
-        for (cell, &q) in cells.iter_mut().zip(q) {
-            let target = signed_level(q, shift, sign, max_level);
-            block += u32::from(cell.abs_diff(target));
-            *cell = target;
+fn program_pairs_body(cells: &mut [&mut [u8]], q: &[i32], cell_bits: u8, pulses: &mut [u64]) {
+    let max = cell::max_level(cell_bits);
+    let mut members: Vec<_> = cells.iter_mut().map(|c| c.chunks_mut(PAIR_BLOCK)).collect();
+    for q in q.chunks(PAIR_BLOCK) {
+        let shifts = (0u32..).step_by(usize::from(cell_bits));
+        let pairs = members.chunks_exact_mut(2).zip(pulses.chunks_exact_mut(2));
+        for (shift, (pair, pair_pulses)) in shifts.zip(pairs) {
+            let ([pos, neg], [pos_pulses, neg_pulses]) = (pair, pair_pulses) else {
+                continue;
+            };
+            let (Some(pos), Some(neg)) = (pos.next(), neg.next()) else {
+                continue;
+            };
+            let (mut pos_moved, mut neg_moved) = (0u32, 0u32);
+            for ((p, n), &q) in pos.iter_mut().zip(neg.iter_mut()).zip(q) {
+                let (tp, tn) = (
+                    signed_level(q, shift, 1, max),
+                    signed_level(q, shift, -1, max),
+                );
+                pos_moved += u32::from(p.abs_diff(tp));
+                neg_moved += u32::from(n.abs_diff(tn));
+                *p = tp;
+                *n = tn;
+            }
+            *pos_pulses += u64::from(pos_moved);
+            *neg_pulses += u64::from(neg_moved);
         }
-        pulses += u64::from(block);
     }
-    pulses
 }
 
 multiversion! {
-    /// [`program_pass_body`], multiversioned.
-    mod program_pass: fn(cells: &mut [u8], q: &[i32], shift: u32, sign: i32, max_level: u8)
-        -> u64 = program_pass_body;
+    /// [`program_pairs_body`], multiversioned.
+    mod program_pairs: fn(cells: &mut [&mut [u8]], q: &[i32], cell_bits: u8, pulses: &mut [u64])
+        -> () = program_pairs_body;
 }
 
 #[cfg(test)]
@@ -1459,6 +1537,21 @@ mod tests {
         );
     }
 
+    /// A cell outside the array panics in every profile: row-major
+    /// storage would otherwise serve `(0, cols)` from cell `(1, 0)`.
+    #[test]
+    fn cell_accessors_reject_cells_outside_the_array() {
+        let mut x = Crossbar::new(2, 3, 4);
+        x.program(&[1, 2, 3, 4, 5, 6]);
+        assert_eq!((x.level(1, 0), x.effective_level(1, 2)), (4, 6));
+        for (row, col) in [(0, 3), (2, 0), (1, 3), (usize::MAX, 0)] {
+            let level = std::panic::catch_unwind(|| x.level(row, col));
+            assert!(level.is_err(), "level({row}, {col})");
+            let effective = std::panic::catch_unwind(|| x.effective_level(row, col));
+            assert!(effective.is_err(), "effective_level({row}, {col})");
+        }
+    }
+
     #[test]
     fn set_faults_rejects_wrong_shape() {
         let mut xbar = Crossbar::new(2, 2, 4);
@@ -1743,43 +1836,61 @@ mod tests {
         }
     }
 
-    /// Both arms of the untracked program pass store [`signed_level`] of
-    /// every signed level and count the level distances, across bit
-    /// groups, signs and more cells than one pulse block.
+    /// Both arms of the paired program pass store every member's
+    /// [`signed_level`] of every signed level and count each member's
+    /// level distances, across bit widths and more cells than one block.
     #[test]
-    fn program_pass_arms_agree() {
+    fn program_pairs_arms_agree() {
         use crate::multiversion::assert_arms_agree;
         use rand::{rngs::StdRng, RngExt as _, SeedableRng};
         let mut rng = StdRng::seed_from_u64(43);
         for (cells, cell_bits, data_bits) in [
             (1usize, 4u8, 16u32),
-            (777, 4, 16),
-            (70_000, 2, 8),
-            (300, 8, 32),
+            (78_500, 4, 16),
+            (4097, 2, 8),
+            (1010, 1, 4),
+            (210, 8, 32),
         ] {
             let max = cell::max_level(cell_bits);
             let qmax = i32::MAX >> (32 - data_bits);
             let q: Vec<i32> = (0..cells).map(|_| rng.random_range(-qmax..=qmax)).collect();
-            let old: Vec<u8> = (0..cells).map(|_| rng.random_range(0..=max)).collect();
-            for shift in (0..data_bits).step_by(usize::from(cell_bits)) {
-                for sign in [1, -1] {
-                    let targets: Vec<u8> = q
-                        .iter()
+            let members = 2 * (data_bits / u32::from(cell_bits)) as usize;
+            let old: Vec<Vec<u8>> = (0..members)
+                .map(|_| (0..cells).map(|_| rng.random_range(0..=max)).collect())
+                .collect();
+            let targets: Vec<Vec<u8>> = (0..members)
+                .map(|m| {
+                    let shift = m as u32 / 2 * u32::from(cell_bits);
+                    let sign = if m % 2 == 0 { 1 } else { -1 };
+                    q.iter()
                         .map(|&q| signed_level(q, shift, sign, max))
-                        .collect();
-                    let pulses: u64 = old
-                        .iter()
-                        .zip(&targets)
+                        .collect()
+                })
+                .collect();
+            let pulses: Vec<u64> = old
+                .iter()
+                .zip(&targets)
+                .map(|(o, t)| {
+                    o.iter()
+                        .zip(t)
                         .map(|(&a, &b)| u64::from(a.abs_diff(b)))
-                        .sum();
-                    let mut portable = old.clone();
-                    let p = program_pass::portable(&mut portable, &q, shift, sign, max);
-                    assert_eq!((p, &portable), (pulses, &targets));
-                    let mut avx2 = old.clone();
-                    let ran = program_pass::avx2(&mut avx2, &q, shift, sign, max);
-                    assert_arms_agree((p, portable), ran.map(|p| (p, avx2)));
-                }
-            }
+                        .sum()
+                })
+                .collect();
+            type Pairs = fn(&mut [&mut [u8]], &[i32], u8, &mut [u64]) -> Option<()>;
+            let run = |arm: Pairs| {
+                let mut levels = old.clone();
+                let mut slices: Vec<&mut [u8]> = levels.iter_mut().map(Vec::as_mut_slice).collect();
+                let mut p = vec![0; members];
+                arm(&mut slices, &q, cell_bits, &mut p)?;
+                Some((levels, p))
+            };
+            let portable = run(|c, q, b, p| {
+                program_pairs::portable(c, q, b, p);
+                Some(())
+            });
+            assert_eq!(portable, Some((targets, pulses)), "{cells} cells");
+            assert_arms_agree(portable, run(program_pairs::avx2).map(Some));
         }
     }
 

@@ -108,12 +108,14 @@ pub fn avgpool2d(input: &Tensor, k: usize, stride: usize) -> Tensor {
     let ho = pool_output_len(h, k, stride, 0);
     let wo = pool_output_len(w, k, stride, 0);
     let inv = 1.0 / (k * k) as f32;
+    let input = input.as_slice();
     Tensor::from_fn(&[c, ho, wo], |i| {
         let (ci, oy, ox) = (i[0], i[1], i[2]);
         let mut acc = 0.0;
         for ky in 0..k {
-            for kx in 0..k {
-                acc += input[[ci, oy * stride + ky, ox * stride + kx]];
+            let row = (ci * h + oy * stride + ky) * w + ox * stride;
+            for &v in &input[row..row + k] {
+                acc += v;
             }
         }
         acc * inv

@@ -53,14 +53,24 @@ impl Tensor {
         }
     }
 
-    /// Creates a tensor whose element at multi-index `i` is `f(i)`.
+    /// Creates a tensor whose element at multi-index `i` is `f(i)`, calling
+    /// `f` once per element in row-major order.
     pub fn from_fn(dims: &[usize], mut f: impl FnMut(&[usize]) -> f32) -> Self {
         let shape = Shape::new(dims);
         let n = shape.numel();
         let mut data = Vec::with_capacity(n);
-        for off in 0..n {
-            let idx = shape.unravel(off);
+        // An odometer over the multi-indices, the last one turning fastest:
+        // the order of `Shape::unravel(0..n)` without a buffer per element.
+        let mut idx = vec![0usize; shape.rank()];
+        for _ in 0..n {
             data.push(f(&idx));
+            for (i, &d) in idx.iter_mut().zip(shape.dims()).rev() {
+                *i += 1;
+                if *i < d {
+                    break;
+                }
+                *i = 0;
+            }
         }
         Tensor { shape, data }
     }
@@ -380,6 +390,33 @@ mod tests {
         let t = Tensor::from_fn(&[2, 3], |i| (i[0] * 10 + i[1]) as f32);
         assert_eq!(t[[1, 2]], 12.0);
         assert_eq!(t.at(&[0, 1]), 1.0);
+    }
+
+    /// The odometer visits every multi-index once, in `Shape::unravel`
+    /// order, at ranks 1–4 and with unit dimensions.
+    #[test]
+    fn from_fn_visits_indices_in_unravel_order() {
+        for dims in [
+            &[5][..],
+            &[1],
+            &[3, 4],
+            &[4, 1],
+            &[2, 3, 4],
+            &[1, 7, 1],
+            &[2, 3, 1, 5],
+            &[3, 1, 2, 2],
+        ] {
+            let shape = Shape::new(dims);
+            let mut seen = Vec::new();
+            let t = Tensor::from_fn(dims, |i| {
+                seen.push(i.to_vec());
+                seen.len() as f32
+            });
+            let want: Vec<Vec<usize>> = (0..shape.numel()).map(|k| shape.unravel(k)).collect();
+            assert_eq!(seen, want, "{dims:?}");
+            let counts: Vec<f32> = (1..=shape.numel()).map(|k| k as f32).collect();
+            assert_eq!(t.as_slice(), counts.as_slice(), "{dims:?}");
+        }
     }
 
     #[test]
