@@ -13,6 +13,7 @@ use pipelayer::pipeline::PipelineSim;
 use pipelayer::Accelerator;
 use pipelayer_baselines::GpuModel;
 use pipelayer_bench::{fmt_f, Table};
+use pipelayer_nn::spec::ResolvedLayer;
 use pipelayer_nn::{zoo, NetSpec};
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
@@ -117,7 +118,14 @@ fn run() -> Result<(), String> {
                     s.name.clone(),
                     s.weighted_layers().to_string(),
                     fmt_f(s.weight_count() as f64 / 1e6, 2),
-                    fmt_f(s.ops_forward() as f64 / 1e9, 2),
+                    fmt_f(
+                        s.resolve()
+                            .iter()
+                            .map(ResolvedLayer::ops_forward)
+                            .sum::<u64>() as f64
+                            / 1e9,
+                        2,
+                    ),
                 ]);
             }
             t.print();

@@ -3,6 +3,7 @@
 //! the `pipelayer-nn` zoo documentation), plus derived geometry.
 
 use pipelayer_bench::{fmt_si, Table};
+use pipelayer_nn::spec::ResolvedLayer;
 use pipelayer_nn::zoo;
 
 #[expect(clippy::cast_precision_loss, reason = "counts below 2^53 are exact")]
@@ -37,7 +38,12 @@ fn main() {
             describe(&spec),
             spec.weighted_layers().to_string(),
             fmt_si(spec.weight_count() as f64),
-            fmt_si(spec.ops_forward() as f64),
+            fmt_si(
+                spec.resolve()
+                    .iter()
+                    .map(ResolvedLayer::ops_forward)
+                    .sum::<u64>() as f64,
+            ),
         ]);
     }
     table.print();

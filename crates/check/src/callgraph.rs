@@ -1,5 +1,5 @@
-//! Item extraction and an intra-workspace call graph over [`crate::lex`]
-//! token streams.
+//! Item extraction and a crate-aware workspace call graph over
+//! [`crate::lex`] token streams.
 //!
 //! The extractor recognises `fn` items (free functions, inherent/trait
 //! methods with their `impl`/`trait` self type), records their spans and
@@ -10,29 +10,29 @@
 //! * `Type::m(…)` / `Self::m(…)` → method `m` of `Type`,
 //! * `free(…)`              → free functions named `free`,
 //! * `module::f(…)`         → free functions named `f` in any module,
-//! * `expr.m(…)`            → *any* workspace method named `m` (the
+//! * `expr.m(…)`            → *any* visible method named `m` (the
 //!   receiver's type is unknown without type inference, so this
 //!   over-approximates — a may-call edge set),
 //! * `name!(…)`             → recorded as a macro site, not a call edge.
+//!
+//! Every candidate is first narrowed by the **crate graph**: a call in
+//! `crates/a` resolves only into `crates/a` itself or a crate in `a`'s
+//! transitive `[dependencies]` closure, read from each `crates/*/Cargo.toml`
+//! (a value's type, and so its methods, can only come from there), and no
+//! edge enters a `src/bin/*` file from any other file (a bin is a leaf no
+//! library links against).
 //!
 //! Soundness caveats (documented, deliberate): calls through function
 //! pointers, closures passed as values, trait objects dispatched outside
 //! the workspace, and macro-generated code are **not** seen — the graph
 //! may *miss* edges. Conversely `expr.m(…)` resolution may *add* edges to
-//! same-named methods of unrelated types, and `module::f(…)` to same-named
-//! free functions of unrelated modules. Passes built on top (PL060/062)
-//! therefore report "may reach" facts and must not claim completeness.
-//!
-//! The added edges are the price of soundness, and they show up as false
-//! positives. The `crates/core/src/api.rs pl060 1` row of `lint-allow.txt`
-//! is one: `Accelerator::report` reaches `PerfModel::training_gops`, whose
-//! `layer.ops_forward()` is on a `ResolvedLayer` but resolves to every
-//! `ops_forward`, including `NetSpec::ops_forward` → `NetSpec::resolve` →
-//! its `expect`. Narrowing the resolution would need type inference; a
-//! guess would make PL060 miss real paths, so the row stays.
+//! same-named methods of unrelated types in visible crates, and
+//! `module::f(…)` to same-named free functions of unrelated modules. The
+//! PL060 pass built on top therefore reports "may reach" facts and must
+//! not claim completeness.
 
 use crate::lex::{self, Tok, TokKind};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -45,9 +45,8 @@ pub enum Recv {
     Ty(String),
     /// `name(…)` — a free-function call.
     Plain,
-    /// `expr.name(…)` — receiver type unknown; resolves to every method
-    /// of that name in the workspace (a may-call over-approximation; see
-    /// the module docs for the PL060 row it costs).
+    /// `expr.name(…)` — receiver type unknown; resolves to every visible
+    /// method of that name (a may-call over-approximation).
     Dot,
     /// `name!(…)` — macro invocation (no call edge; panic macros are
     /// classified by the PL060 pass).
@@ -110,6 +109,9 @@ pub struct Workspace {
     by_method: BTreeMap<(String, String), Vec<usize>>,
     /// bare name → fn indexes (methods *and* free functions).
     by_name: BTreeMap<String, Vec<usize>>,
+    /// crate directory → the crate directories in its transitive
+    /// `[dependencies]` closure.
+    deps: BTreeMap<String, BTreeSet<String>>,
 }
 
 const NON_CALL_KEYWORDS: &[&str] = &[
@@ -118,10 +120,15 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 ];
 
 impl Workspace {
-    /// Builds the workspace graph from `(path, source)` pairs.
+    /// Builds the workspace graph from `(path, text)` pairs: `.rs` sources
+    /// and the `crates/*/Cargo.toml` manifests that define the crate graph.
     pub fn build(inputs: Vec<(String, String)>) -> Self {
         let mut ws = Workspace::default();
-        for (path, src) in inputs {
+        let (manifests, sources): (Vec<_>, Vec<_>) = inputs
+            .into_iter()
+            .partition(|(path, _)| path.ends_with("Cargo.toml"));
+        ws.deps = dependency_closure(&manifests);
+        for (path, src) in sources {
             let toks = lex::lex(&src);
             let file_idx = ws.files.len();
             let mut parser = Parser {
@@ -150,7 +157,7 @@ impl Workspace {
     }
 
     /// Builds the workspace from every `.rs` file under `root/crates/*/src`
-    /// (sorted).
+    /// and every `root/crates/*/Cargo.toml` (sorted).
     pub fn load(root: &Path) -> Result<Self, String> {
         let mut inputs = Vec::new();
         for path in collect_sources(root)? {
@@ -178,30 +185,59 @@ impl Workspace {
         }
     }
 
+    /// `true` if code in file `from` can call a fn defined in file `to`:
+    /// the same file, or a non-bin file in `from`'s own crate or its
+    /// dependency closure.
+    fn can_call(&self, from: usize, to: usize) -> bool {
+        if from == to {
+            return true;
+        }
+        let path = |i: usize| self.files.get(i).map_or("", |f| f.path.as_str());
+        let (caller, callee) = (path(from), path(to));
+        if callee.contains("/src/bin/") {
+            return false;
+        }
+        let (a, b) = (crate_dir(caller), crate_dir(callee));
+        a == b || self.deps.get(a).is_some_and(|d| d.contains(b))
+    }
+
     /// Resolves one call site from `caller` into callee fn indexes.
     pub fn resolve(&self, caller: &FnItem, call: &CallSite) -> Vec<usize> {
+        // Only fns `caller`'s crate can see are candidates at all.
+        let visible = |self_ty: Option<&str>| -> Vec<usize> {
+            self.lookup(self_ty, &call.name)
+                .iter()
+                .copied()
+                .filter(|&i| {
+                    self.fns
+                        .get(i)
+                        .is_some_and(|f| self.can_call(caller.file, f.file))
+                })
+                .collect()
+        };
+        let free = |all: &[usize]| -> Vec<usize> {
+            all.iter()
+                .copied()
+                .filter(|&i| self.fns.get(i).is_some_and(|f| f.self_ty.is_none()))
+                .collect()
+        };
         let mut out = match &call.recv {
             Recv::Macro => Vec::new(),
             Recv::SelfDot => {
-                let ty = caller.self_ty.as_deref().unwrap_or("");
-                let hits = self.lookup(Some(ty), &call.name);
+                let hits = visible(Some(caller.self_ty.as_deref().unwrap_or("")));
                 if hits.is_empty() {
-                    self.lookup(None, &call.name).to_vec()
+                    visible(None)
                 } else {
-                    hits.to_vec()
+                    hits
                 }
             }
             Recv::Ty(t) => {
-                let hits = self.lookup(Some(t), &call.name);
+                let hits = visible(Some(t));
                 if !hits.is_empty() {
-                    hits.to_vec()
+                    hits
                 } else if t.chars().next().is_some_and(char::is_lowercase) {
                     // `module::free_fn(…)` — resolve like a plain call.
-                    self.lookup(None, &call.name)
-                        .iter()
-                        .copied()
-                        .filter(|&i| self.fns[i].self_ty.is_none())
-                        .collect()
+                    free(&visible(None))
                 } else {
                     // `Vec::new(…)`-style calls on types the workspace does
                     // not define: external, no edge (falling back by name
@@ -210,19 +246,15 @@ impl Workspace {
                 }
             }
             Recv::Plain => {
-                let all = self.lookup(None, &call.name);
-                let free: Vec<usize> = all
-                    .iter()
-                    .copied()
-                    .filter(|&i| self.fns[i].self_ty.is_none())
-                    .collect();
+                let all = visible(None);
+                let free = free(&all);
                 if free.is_empty() {
-                    all.to_vec()
+                    all
                 } else {
                     free
                 }
             }
-            Recv::Dot => self.lookup(None, &call.name).to_vec(),
+            Recv::Dot => visible(None),
         };
         out.sort_unstable();
         out.dedup();
@@ -257,7 +289,88 @@ impl Workspace {
     }
 }
 
-/// All `.rs` files under `root/crates/*/src`, sorted for determinism.
+/// The crate directory of a workspace-relative path (`crates/nn/src/x.rs`
+/// → `nn`); `""` outside `crates/`.
+fn crate_dir(path: &str) -> &str {
+    path.strip_prefix("crates/")
+        .and_then(|rest| rest.split('/').next())
+        .unwrap_or("")
+}
+
+/// Reads a manifest's package name and `[dependencies]` keys, line by line
+/// (the workspace's manifests keep each dependency on one line or in its
+/// own `[dependencies.name]` table; dev- and build-dependencies never
+/// reach library code).
+fn manifest(text: &str) -> (Option<String>, Vec<String>) {
+    let (mut section, mut name, mut deps) = ("", None, Vec::new());
+    for line in text.lines().map(str::trim) {
+        if line.starts_with('#') {
+            continue;
+        }
+        if let Some(header) = line.strip_prefix('[') {
+            section = header.trim_end_matches(']').trim();
+            if let Some(dep) = section.strip_prefix("dependencies.") {
+                deps.push(dep.to_string());
+            }
+            continue;
+        }
+        let Some((key, value)) = line.split_once('=') else {
+            continue;
+        };
+        let key = key.trim();
+        match section {
+            "package" if key == "name" => name = Some(value.trim().trim_matches('"').to_string()),
+            // `name = …` or the dotted `name.workspace = true`.
+            "dependencies" => {
+                deps.push(key.split('.').next().unwrap_or(key).trim().to_string());
+            }
+            _ => {}
+        }
+    }
+    (name, deps)
+}
+
+/// crate directory → the directories of every workspace crate it depends
+/// on, directly or transitively, from `(crates/<dir>/Cargo.toml, text)`
+/// manifests. Dependencies outside the workspace (`rand`) drop out.
+fn dependency_closure(manifests: &[(String, String)]) -> BTreeMap<String, BTreeSet<String>> {
+    let parsed: Vec<(&str, Option<String>, Vec<String>)> = manifests
+        .iter()
+        .map(|(path, text)| {
+            let (name, deps) = manifest(text);
+            (crate_dir(path), name, deps)
+        })
+        .collect();
+    let dir_of: BTreeMap<&str, &str> = parsed
+        .iter()
+        .filter_map(|(dir, name, _)| name.as_deref().map(|n| (n, *dir)))
+        .collect();
+    let direct: BTreeMap<&str, Vec<&str>> = parsed
+        .iter()
+        .map(|(dir, _, deps)| {
+            let dirs = deps.iter().filter_map(|d| dir_of.get(d.as_str()).copied());
+            (*dir, dirs.collect())
+        })
+        .collect();
+    direct
+        .keys()
+        .map(|&dir| {
+            let mut seen = BTreeSet::new();
+            let mut stack = vec![dir];
+            while let Some(d) = stack.pop() {
+                for &next in direct.get(d).map_or(&[][..], Vec::as_slice) {
+                    if seen.insert(next.to_string()) {
+                        stack.push(next);
+                    }
+                }
+            }
+            (dir.to_string(), seen)
+        })
+        .collect()
+}
+
+/// All `.rs` files under `root/crates/*/src` and every crate's
+/// `Cargo.toml`, sorted for determinism.
 fn collect_sources(root: &Path) -> Result<Vec<PathBuf>, String> {
     let crates_dir = root.join("crates");
     let mut crates: Vec<PathBuf> = fs::read_dir(&crates_dir)
@@ -268,6 +381,10 @@ fn collect_sources(root: &Path) -> Result<Vec<PathBuf>, String> {
     crates.sort();
     let mut files = Vec::new();
     for krate in crates {
+        let manifest = krate.join("Cargo.toml");
+        if manifest.is_file() {
+            files.push(manifest);
+        }
         let src = krate.join("src");
         if src.is_dir() {
             collect_rs(&src, &mut files)?;
@@ -819,6 +936,83 @@ mod tests {
     fn strings_and_comments_do_not_produce_calls() {
         let w = ws("fn a() { let s = \"self.bad() call()\"; /* other() */ }");
         assert!(w.fns[0].calls.is_empty());
+    }
+
+    /// `tensor` ← `nn` ← `core`, as in the real workspace: `core` sees
+    /// `tensor` only through `nn`.
+    fn three_crates(nn: &str, core: &str, tensor: &str) -> Workspace {
+        let manifest = |name: &str, deps: &str| {
+            format!("[package]\nname = \"{name}\"\n\n[dependencies]\n{deps}\n[dev-dependencies]\npl-core = {{ workspace = true }}\n")
+        };
+        Workspace::build(vec![
+            (
+                "crates/core/Cargo.toml".into(),
+                manifest("pl-core", "pl-nn = { workspace = true }"),
+            ),
+            ("crates/core/src/lib.rs".into(), core.into()),
+            (
+                "crates/nn/Cargo.toml".into(),
+                manifest("pl-nn", "pl-tensor.workspace = true\nrand = \"1\""),
+            ),
+            ("crates/nn/src/lib.rs".into(), nn.into()),
+            ("crates/tensor/Cargo.toml".into(), manifest("pl-tensor", "")),
+            ("crates/tensor/src/lib.rs".into(), tensor.into()),
+        ])
+    }
+
+    fn callees(w: &Workspace, caller: &str) -> Vec<String> {
+        let edges = w.edges();
+        let i = w.fns.iter().position(|f| f.qualified() == caller).unwrap();
+        edges[i]
+            .iter()
+            .map(|&(c, _)| w.location(&w.fns[c]))
+            .collect()
+    }
+
+    #[test]
+    fn dot_calls_resolve_only_into_the_dependency_closure() {
+        let w = three_crates(
+            "pub fn step(x: u8) { x.m(); }",
+            "struct C;\nimpl C { pub fn m(&self) {} }\npub fn run(t: u8) { t.n(); }",
+            "struct T;\nimpl T { pub fn n(&self) {} }",
+        );
+        // nn does not depend on core: its `x.m()` cannot be `C::m`.
+        assert!(callees(&w, "step").is_empty(), "{:?}", callees(&w, "step"));
+        // core reaches tensor transitively, through nn.
+        assert_eq!(callees(&w, "run"), vec!["crates/tensor/src/lib.rs:2"]);
+    }
+
+    #[test]
+    fn no_edge_enters_a_bin_from_another_file() {
+        let w = Workspace::build(vec![
+            (
+                "crates/x/src/lib.rs".into(),
+                "pub fn read() { run(); }".into(),
+            ),
+            (
+                "crates/x/src/bin/y.rs".into(),
+                "fn run() {}\nfn main() { run(); read(); }".into(),
+            ),
+        ]);
+        assert!(callees(&w, "read").is_empty());
+        let main = callees(&w, "main");
+        assert!(
+            main.contains(&"crates/x/src/bin/y.rs:1".to_string()),
+            "{main:?}"
+        );
+        assert!(
+            main.contains(&"crates/x/src/lib.rs:1".to_string()),
+            "{main:?}"
+        );
+    }
+
+    #[test]
+    fn manifests_yield_names_and_library_dependencies() {
+        let (name, deps) = manifest(
+            "[package]\nname = \"a\"\n[dependencies]\n# b = 1\nb = { path = \"../b\" }\nc.workspace = true\n[dependencies.d]\npath = \"x\"\n[dev-dependencies]\ne = 1\n",
+        );
+        assert_eq!(name.as_deref(), Some("a"));
+        assert_eq!(deps, vec!["b", "c", "d"]);
     }
 
     #[test]

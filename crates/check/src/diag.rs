@@ -224,9 +224,6 @@ pub const CONFIG_INVALID: &str = "PL050";
 
 /// Semantic: a public API function can transitively reach a panic site.
 pub const SEM_PANIC_REACHABLE: &str = "PL060";
-/// Semantic: a nondeterminism source (RNG / wall clock / hash iteration)
-/// can reach a weight-or-report sink outside the seeded stream.
-pub const SEM_NONDET_TAINT: &str = "PL062";
 
 /// Every code with its one-line description, in code order — the table
 /// behind `plcheck --codes` and DESIGN.md §6.3.
@@ -320,10 +317,6 @@ pub const CODE_TABLE: &[(&str, &str)] = &[
     (
         SEM_PANIC_REACHABLE,
         "public API function can transitively reach a panic site",
-    ),
-    (
-        SEM_NONDET_TAINT,
-        "nondeterminism source reaches a weight/report sink outside the seed stream",
     ),
 ];
 

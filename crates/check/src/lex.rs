@@ -1,7 +1,7 @@
 //! A small string/char/raw-string/nested-comment-aware Rust lexer.
 //!
-//! This is the token stream the call-graph passes ([`crate::callgraph`],
-//! PL060/PL062) are built on. It is *not* a full Rust lexer — it
+//! This is the token stream the call-graph pass ([`crate::callgraph`],
+//! PL060) is built on. It is *not* a full Rust lexer — it
 //! classifies just enough structure to be reliable about the things that
 //! derail textual scanning:
 //!

@@ -19,11 +19,12 @@
 //!   quantized weight grids, checked against the datapath's value formats
 //!   (PL04x; `plcheck --ranges`).
 //!
-//! The companion `src-lint` binary runs the whole-program source passes
-//! that clippy cannot: PL060 panic reachability and PL062 determinism
-//! taint over the workspace call graph ([`callgraph`]). Per-site panics,
-//! casts and nondeterminism are clippy's, through the workspace lint
-//! table. It shares nothing with the workload verifier except the crate.
+//! The companion `src-lint` binary runs the whole-program source pass
+//! that clippy cannot: PL060 panic reachability from the input boundary
+//! ([`panicreach`]) over the crate-aware workspace call graph
+//! ([`callgraph`]), at zero findings. Per-site panics, casts and
+//! nondeterminism are clippy's, through the workspace lint table. It
+//! shares nothing with the workload verifier except the crate.
 //!
 //! ```
 //! use pipelayer::{ConfigError, PipeLayerConfig};
@@ -49,7 +50,6 @@
 
 pub mod absint;
 pub mod callgraph;
-pub mod dettaint;
 pub mod diag;
 pub mod lex;
 pub mod mapcheck;

@@ -9,9 +9,12 @@
 //! every flagged function carries a **witness call chain** down to a
 //! concrete panic site.
 //!
-//! Reporting is gated on the *public surface*: `pub` functions whose name
-//! matches the configured prefixes/substrings (by default the `try_*`
-//! Result constructors plus the checkpoint/report-facing names). The
+//! Reporting is gated on the *input boundary*: the `pub` functions where
+//! outside input is checked — by default the `try_*` constructors, the
+//! `load_*` and `*checkpoint*` decoders and `ReramMlp::restore_device_state`.
+//! Code that runs the model (`Accelerator::report`, `Trainer::resume_from`)
+//! is off the surface: it reaches asserts that guard model invariants on
+//! paths a path-insensitive pass cannot see are already checked. The
 //! analysis itself covers every function, so callers can also query
 //! [`Analysis::can_panic`] directly.
 //!
@@ -22,7 +25,6 @@
 use crate::callgraph::{FnItem, Recv, Workspace};
 use crate::diag::{self, Diagnostic};
 use crate::lex::TokKind;
-use std::collections::BTreeMap;
 
 /// Macros whose expansion unconditionally or conditionally panics.
 const PANIC_MACROS: &[&str] = &[
@@ -75,7 +77,8 @@ pub struct Options {
     pub include_slice_index: bool,
     /// A `pub` fn whose name starts with one of these is surface.
     pub surface_prefixes: Vec<String>,
-    /// A `pub` fn whose name contains one of these is surface.
+    /// A `pub` fn whose qualified name (`Type::name`) contains one of these
+    /// is surface.
     pub surface_substrings: Vec<String>,
 }
 
@@ -83,11 +86,10 @@ impl Default for Options {
     fn default() -> Self {
         Options {
             include_slice_index: false,
-            surface_prefixes: vec!["try_".to_string()],
+            surface_prefixes: vec!["try_".to_string(), "load_".to_string()],
             surface_substrings: vec![
                 "checkpoint".to_string(),
-                "report".to_string(),
-                "resume".to_string(),
+                "ReramMlp::restore_device_state".to_string(),
             ],
         }
     }
@@ -218,8 +220,9 @@ pub fn analyze(ws: &Workspace, opts: &Options) -> Analysis {
     Analysis { direct, via }
 }
 
-/// `true` if `f` belongs to the reported public surface.
+/// `true` if `f` belongs to the reported input boundary.
 fn is_surface(f: &FnItem, opts: &Options) -> bool {
+    let qualified = f.qualified();
     f.is_pub
         && (opts
             .surface_prefixes
@@ -228,36 +231,32 @@ fn is_surface(f: &FnItem, opts: &Options) -> bool {
             || opts
                 .surface_substrings
                 .iter()
-                .any(|s| f.name.contains(s.as_str())))
+                .any(|s| qualified.contains(s.as_str())))
 }
 
-/// PL060 findings for the configured surface, with one witness chain each,
-/// plus the per-file counts `src-lint` checks against the
-/// allowlist. Deterministic order (workspace file/function order).
-pub fn findings(ws: &Workspace, opts: &Options) -> (Vec<Diagnostic>, BTreeMap<String, usize>) {
+/// PL060 findings for the configured surface, one per surface fn that can
+/// panic, each with its witness chain. Deterministic order (workspace
+/// file/function order).
+pub fn findings(ws: &Workspace, opts: &Options) -> Vec<Diagnostic> {
     let analysis = analyze(ws, opts);
-    let mut diags = Vec::new();
-    let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-    for (i, f) in ws.fns.iter().enumerate() {
-        if !is_surface(f, opts) || !analysis.can_panic(i) {
-            continue;
-        }
-        let chain = analysis.witness(ws, i);
-        diags.push(Diagnostic::warning(
-            diag::SEM_PANIC_REACHABLE,
-            ws.location(f),
-            format!("pub fn `{}` can reach a panic: {chain}", f.qualified()),
-            "return the error through Result (or demote the site to debug_assert!) \
-             so the public surface cannot abort",
-        ));
-        let path = ws
-            .files
-            .get(f.file)
-            .map(|s| s.path.clone())
-            .unwrap_or_default();
-        *counts.entry(path).or_insert(0) += 1;
-    }
-    (diags, counts)
+    ws.fns
+        .iter()
+        .enumerate()
+        .filter(|&(i, f)| is_surface(f, opts) && analysis.can_panic(i))
+        .map(|(i, f)| {
+            Diagnostic::error(
+                diag::SEM_PANIC_REACHABLE,
+                ws.location(f),
+                format!(
+                    "pub fn `{}` can reach a panic: {}",
+                    f.qualified(),
+                    analysis.witness(ws, i)
+                ),
+                "return the error through Result (or demote the site to debug_assert!) \
+                 so the input boundary cannot abort",
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -319,10 +318,85 @@ mod tests {
         let w = ws(
             "fn helper() { panic!(\"x\") }\npub fn try_make() { helper() }\npub fn other_pub() { helper() }\nfn try_private() { helper() }",
         );
-        let (diags, counts) = findings(&w, &Options::default());
+        let diags = findings(&w, &Options::default());
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert!(diags[0].message.contains("try_make"));
         assert!(diags[0].message.contains("->"), "witness chain present");
-        assert_eq!(counts.get("crates/x/src/lib.rs"), Some(&1));
+    }
+
+    #[test]
+    fn a_try_fn_reaching_an_unwrap_in_a_transitive_dependency_is_flagged() {
+        let manifest = |name: &str, dep: &str| {
+            format!("[package]\nname = \"{name}\"\n[dependencies]\n{dep}\n")
+        };
+        let w = Workspace::build(vec![
+            (
+                "crates/core/Cargo.toml".into(),
+                manifest("pl-core", "pl-nn = \"0\""),
+            ),
+            (
+                "crates/core/src/lib.rs".into(),
+                "pub fn try_build(t: T) -> u8 { t.first() }".into(),
+            ),
+            (
+                "crates/nn/Cargo.toml".into(),
+                manifest("pl-nn", "pl-tensor = \"0\""),
+            ),
+            ("crates/tensor/Cargo.toml".into(), manifest("pl-tensor", "")),
+            (
+                "crates/tensor/src/lib.rs".into(),
+                "struct T;\nimpl T { pub fn first(&self) -> u8 { self.get().unwrap() } }".into(),
+            ),
+        ]);
+        let diags = findings(&w, &Options::default());
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(
+            diags[0]
+                .message
+                .contains(".unwrap() at crates/tensor/src/lib.rs:2"),
+            "{}",
+            diags[0].message
+        );
+    }
+
+    /// The default surface on this workspace is its input boundary: the
+    /// decoders, the checkpoint writer, the device-state restore and every
+    /// `pub fn try_*` — and not the model-running entry points.
+    #[test]
+    fn the_default_surface_is_the_input_boundary() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let w = Workspace::load(&root).unwrap();
+        let opts = Options::default();
+        let surface: Vec<String> = w
+            .fns
+            .iter()
+            .filter(|f| is_surface(f, &opts))
+            .map(FnItem::qualified)
+            .collect();
+        for name in [
+            "load_params",
+            "load_sections",
+            "load_checkpoint",
+            "save_checkpoint",
+            "ReramMlp::restore_device_state",
+            "NetSpec::try_resolve",
+            "Tensor::try_from_vec",
+        ] {
+            assert!(surface.iter().any(|s| s == name), "{name} missing");
+        }
+        let try_fns = w
+            .fns
+            .iter()
+            .filter(|f| f.is_pub && f.name.starts_with("try_"));
+        for f in try_fns {
+            assert!(surface.contains(&f.qualified()), "{}", f.qualified());
+        }
+        for off in [
+            "Accelerator::report",
+            "Trainer::resume_from",
+            "Trainer::fit",
+        ] {
+            assert!(!surface.iter().any(|s| s == off), "{off} is on the surface");
+        }
     }
 }

@@ -49,6 +49,8 @@ pub enum DecodeError {
     /// Bytes remain past the declared content (e.g. a corrupted section
     /// or tensor count silently dropping trailing sections).
     TrailingBytes,
+    /// A tensor header declares no dimensions or a zero dimension.
+    DegenerateShape,
     /// Tensor shape disagrees with the target network.
     ShapeMismatch {
         /// Index of the offending tensor.
@@ -71,6 +73,9 @@ impl fmt::Display for DecodeError {
             DecodeError::BadChecksum => write!(f, "checkpoint section failed its CRC32 check"),
             DecodeError::TrailingBytes => {
                 write!(f, "checkpoint has bytes past its declared content")
+            }
+            DecodeError::DegenerateShape => {
+                write!(f, "checkpoint tensor has no dimensions or a zero dimension")
             }
             DecodeError::ShapeMismatch { index } => {
                 write!(f, "tensor {index} shape mismatch")
@@ -226,7 +231,8 @@ impl<'a> Reader<'a> {
 
 /// Decodes one tensor, with every allocation bounded by the bytes actually
 /// left in the blob — a corrupt rank/dim field fails with `Truncated`
-/// instead of attempting a giant allocation.
+/// instead of attempting a giant allocation, and a rank-0 or zero-dimension
+/// header with `DegenerateShape` instead of reaching `Shape::new`'s asserts.
 fn decode_tensor(r: &mut Reader) -> Result<Tensor, DecodeError> {
     let rank = r.u32()? as usize;
     if rank > r.remaining() / 4 {
@@ -247,7 +253,7 @@ fn decode_tensor(r: &mut Reader) -> Result<Tensor, DecodeError> {
     for _ in 0..numel {
         data.push(r.f32()?);
     }
-    Ok(Tensor::from_vec(&dims, data))
+    Tensor::try_from_vec(&dims, data).ok_or(DecodeError::DegenerateShape)
 }
 
 fn decode_tensors(r: &mut Reader) -> Result<Vec<Tensor>, DecodeError> {

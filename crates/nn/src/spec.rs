@@ -423,11 +423,6 @@ impl NetSpec {
         self.resolve().iter().map(|l| l.weights).sum()
     }
 
-    /// Forward operations for one image (2 ops/MAC).
-    pub fn ops_forward(&self) -> u64 {
-        self.resolve().iter().map(|l| l.ops_forward()).sum()
-    }
-
     /// `true` if the network has no convolution layers (pure MLP).
     pub fn is_mlp(&self) -> bool {
         !self
@@ -572,12 +567,11 @@ mod tests {
         assert_eq!(layers[0].macs_forward, 288_000);
         // fc to 10: 500*10
         assert_eq!(layers[3].macs_forward, 5_000);
-        assert_eq!(
-            spec.ops_forward(),
-            layers.iter().map(|l| l.ops_forward()).sum()
-        );
-        let backward: u64 = layers.iter().map(|l| l.ops_backward()).sum();
-        assert_eq!(backward, 2 * spec.ops_forward());
+        let forward: u64 = layers.iter().map(ResolvedLayer::ops_forward).sum();
+        let macs: u64 = layers.iter().map(|l| l.macs_forward).sum();
+        assert_eq!(forward, 2 * macs, "2 ops/MAC");
+        let backward: u64 = layers.iter().map(ResolvedLayer::ops_backward).sum();
+        assert_eq!(backward, 2 * forward);
     }
 
     #[test]

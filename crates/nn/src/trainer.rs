@@ -149,7 +149,8 @@ pub enum CheckpointError {
     /// The checkpoint file exists but does not decode against this network.
     Decode(DecodeError),
     /// The training setup itself is unusable: zero epochs or batch size,
-    /// an empty training set, or a zero checkpoint interval.
+    /// an empty training or test split, a split whose images and labels
+    /// differ in length, or a zero checkpoint interval.
     Config(&'static str),
     /// The attached [`DeviceState`] hook and the checkpoint's `WEAR`
     /// section disagree: the device rejected the blob, or the checkpoint
@@ -315,21 +316,17 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Panics if the config has zero epochs or batch size, or the dataset is
-    /// empty.
-    #[expect(clippy::disallowed_macros, reason = "caller bug: degenerate config")]
+    /// Panics before training if the config has zero epochs or batch size,
+    /// either split is empty, or a split's images and labels differ in
+    /// length (the cases [`fit_resumable`](Self::fit_resumable) reports as
+    /// [`CheckpointError::Config`]).
+    #[expect(clippy::panic, reason = "caller bug: degenerate config or dataset")]
     pub fn fit(&self, net: &mut Network, data: &SyntheticMnist) -> TrainReport {
-        let cfg = &self.config;
-        assert!(
-            cfg.epochs > 0 && cfg.batch_size > 0,
-            "degenerate train config"
-        );
-        assert!(!data.train.is_empty(), "empty training set");
         match self.run_from(net, data, None, CheckpointState::default()) {
             Ok(FitOutcome::Completed(report)) => report,
-            // Without a checkpoint policy there is no I/O and no kill point,
-            // and the config was validated above.
-            _ => unreachable!("policy-free run can neither fail nor interrupt"),
+            Err(CheckpointError::Config(m)) => panic!("{m}"),
+            // Without a checkpoint policy there is no I/O and no kill point.
+            _ => unreachable!("policy-free run can neither fail on I/O nor interrupt"),
         }
     }
 
@@ -343,8 +340,9 @@ impl Trainer {
     /// # Errors
     ///
     /// [`CheckpointError::Io`] if a checkpoint cannot be written,
-    /// [`CheckpointError::Config`] on a degenerate config, empty dataset, or
-    /// zero checkpoint interval.
+    /// [`CheckpointError::Config`], before any training or I/O, on a
+    /// degenerate config, an empty or mislabelled split, or a zero
+    /// checkpoint interval.
     pub fn fit_resumable(
         &self,
         net: &mut Network,
@@ -364,14 +362,16 @@ impl Trainer {
     ///
     /// [`CheckpointError::Io`] if the file cannot be read,
     /// [`CheckpointError::Decode`] if it is corrupt or does not match
-    /// `net`'s architecture, [`CheckpointError::Config`] on a degenerate
-    /// config, empty dataset, or zero checkpoint interval.
+    /// `net`'s architecture, [`CheckpointError::Config`], before the file
+    /// is read, on a degenerate config, an empty or mislabelled split, or a
+    /// zero checkpoint interval.
     pub fn resume_from(
         &self,
         net: &mut Network,
         data: &SyntheticMnist,
         policy: &CheckpointPolicy,
     ) -> Result<FitOutcome, CheckpointError> {
+        self.check_setup(data, Some(policy))?;
         let bytes = std::fs::read(&policy.path)?;
         let state = load_checkpoint(net, &bytes)?;
         match (&self.device, &state.wear) {
@@ -394,6 +394,34 @@ impl Trainer {
         self.run_from(net, data, Some(policy), state)
     }
 
+    /// The set-up checks every entry point passes before any training or
+    /// I/O: a run that fails them could only panic later, in the batch
+    /// loop's indexing or the final [`Network::accuracy`].
+    fn check_setup(
+        &self,
+        data: &SyntheticMnist,
+        policy: Option<&CheckpointPolicy>,
+    ) -> Result<(), CheckpointError> {
+        let cfg = &self.config;
+        let problem = if cfg.epochs == 0 || cfg.batch_size == 0 {
+            "degenerate train config"
+        } else if data.train.is_empty() {
+            "empty training set"
+        } else if data.test.is_empty() {
+            "empty test set"
+        } else if [&data.train, &data.test]
+            .iter()
+            .any(|split| split.images.len() != split.labels.len())
+        {
+            "images/labels length mismatch"
+        } else if policy.is_some_and(|p| p.every_images == 0) {
+            "checkpoint interval must be positive"
+        } else {
+            return Ok(());
+        };
+        Err(CheckpointError::Config(problem))
+    }
+
     /// The one training loop behind both [`fit`](Self::fit) (no `policy`:
     /// never touches the filesystem) and the resumable entry points.
     #[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
@@ -404,18 +432,8 @@ impl Trainer {
         policy: Option<&CheckpointPolicy>,
         start: CheckpointState,
     ) -> Result<FitOutcome, CheckpointError> {
+        self.check_setup(data, policy)?;
         let cfg = &self.config;
-        if cfg.epochs == 0 || cfg.batch_size == 0 {
-            return Err(CheckpointError::Config("degenerate train config"));
-        }
-        if data.train.is_empty() {
-            return Err(CheckpointError::Config("empty training set"));
-        }
-        if policy.is_some_and(|p| p.every_images == 0) {
-            return Err(CheckpointError::Config(
-                "checkpoint interval must be positive",
-            ));
-        }
 
         let n = data.train.len();
         let batches_per_epoch = n.div_ceil(cfg.batch_size) as u64;
@@ -767,6 +785,52 @@ mod tests {
             threads: 1,
         })
         .fit(&mut net, &data);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty test set")]
+    fn fit_rejects_an_empty_test_split_before_training() {
+        let mut data = SyntheticMnist::generate(10, 10, 1);
+        data.test = crate::data::Dataset::default();
+        Trainer::new(small_config(1)).fit(&mut zoo::mnist_a(1), &data);
+    }
+
+    /// A run that could only panic later — an empty test split (the final
+    /// accuracy), or images and labels of different lengths in either split
+    /// (the batch loop, the final accuracy) — is a `Config` error before any
+    /// training or checkpoint I/O, from both resumable entry points.
+    #[test]
+    fn unusable_splits_are_config_errors_before_any_io() {
+        let full = SyntheticMnist::generate(32, 8, 2);
+        let mut no_test = full.clone();
+        no_test.test = crate::data::Dataset::default();
+        let mut train_labels = full.clone();
+        train_labels.train.labels.pop();
+        let mut test_labels = full;
+        test_labels.test.labels.push(0);
+        let trainer = Trainer::new(small_config(1));
+        for (name, data) in [
+            ("no-test", no_test),
+            ("train-labels", train_labels),
+            ("test-labels", test_labels),
+        ] {
+            let policy = CheckpointPolicy::every(ckpt_path(name), 16);
+            let _ = std::fs::remove_file(&policy.path);
+            let mut net = zoo::mnist_a(1);
+            let before = weight_bits(&mut net);
+            let fit = trainer.fit_resumable(&mut net, &data, &policy);
+            assert!(
+                matches!(fit, Err(CheckpointError::Config(_))),
+                "{name}: {fit:?}"
+            );
+            let resumed = trainer.resume_from(&mut net, &data, &policy);
+            assert!(
+                matches!(resumed, Err(CheckpointError::Config(_))),
+                "{name}: {resumed:?}"
+            );
+            assert!(!policy.path.exists(), "{name}: a checkpoint was written");
+            assert_eq!(weight_bits(&mut net), before, "{name}: training ran");
+        }
     }
 
     fn weight_bits(net: &mut Network) -> Vec<u32> {

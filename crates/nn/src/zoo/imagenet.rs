@@ -153,6 +153,7 @@ pub fn vgg(variant: VggVariant) -> NetSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::ResolvedLayer;
 
     #[test]
     fn alexnet_geometry() {
@@ -228,7 +229,13 @@ mod tests {
     fn vgg_flops_ordering_matches_depth() {
         let ops: Vec<u64> = VggVariant::ALL
             .iter()
-            .map(|&v| vgg(v).ops_forward())
+            .map(|&v| {
+                vgg(v)
+                    .resolve()
+                    .iter()
+                    .map(ResolvedLayer::ops_forward)
+                    .sum()
+            })
             .collect();
         // A < B < C < D < E in forward cost.
         for w in ops.windows(2) {

@@ -37,6 +37,16 @@ impl Shape {
         }
     }
 
+    /// [`new`](Self::new) for dimensions that come from outside input:
+    /// `None` where `new` would panic (no dimensions, a zero dimension) or
+    /// where the element count overflows `usize`.
+    pub(crate) fn try_new(dims: &[usize]) -> Option<Self> {
+        let numel = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d))?;
+        (!dims.is_empty() && numel > 0).then(|| Shape {
+            dims: dims.to_vec(),
+        })
+    }
+
     /// The dimension sizes.
     pub fn dims(&self) -> &[usize] {
         &self.dims

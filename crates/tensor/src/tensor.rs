@@ -92,6 +92,15 @@ impl Tensor {
         Tensor { shape, data }
     }
 
+    /// [`from_vec`](Self::from_vec) for shapes and buffers that come from
+    /// outside input: `None` where `from_vec` would panic (no dimensions, a
+    /// zero dimension, a buffer length that does not match) or where the
+    /// element count overflows `usize`.
+    pub fn try_from_vec(dims: &[usize], data: Vec<f32>) -> Option<Self> {
+        let shape = Shape::try_new(dims)?;
+        (data.len() == shape.numel()).then_some(Tensor { shape, data })
+    }
+
     /// Creates a tensor with elements sampled uniformly from `[lo, hi)`.
     #[expect(clippy::expect_used, reason = "caller bug: empty or inverted range")]
     pub fn uniform(dims: &[usize], lo: f32, hi: f32, rng: &mut impl Rng) -> Self {
@@ -490,5 +499,15 @@ mod tests {
     #[should_panic(expected = "buffer length")]
     fn from_vec_rejects_bad_len() {
         Tensor::from_vec(&[3], vec![1.0, 2.0]);
+    }
+
+    #[test]
+    fn try_from_vec_returns_none_where_from_vec_panics() {
+        assert!(Tensor::try_from_vec(&[], vec![1.0]).is_none());
+        assert!(Tensor::try_from_vec(&[3, 0], vec![]).is_none());
+        assert!(Tensor::try_from_vec(&[3], vec![1.0, 2.0]).is_none());
+        assert!(Tensor::try_from_vec(&[usize::MAX, 2], vec![]).is_none());
+        let t = Tensor::try_from_vec(&[1, 2], vec![1.0, 2.0]);
+        assert_eq!(t, Some(Tensor::from_vec(&[1, 2], vec![1.0, 2.0])));
     }
 }

@@ -6,16 +6,21 @@ use pipelayer::endurance::{training_lifetime, EnduranceModel};
 use pipelayer::energy::EnergyModel;
 use pipelayer::functional::{downsample, ReramMlp};
 use pipelayer::timing::TimingModel;
-use pipelayer::{MappedNetwork, PipeLayerConfig, ScrubPolicy};
+use pipelayer::{MappedNetwork, PipeLayerConfig, RepairPolicy, ScrubPolicy, SpareBudget};
 use pipelayer_nn::data::SyntheticMnist;
-use pipelayer_nn::serialize::{load_checkpoint, save_checkpoint, save_params};
+use pipelayer_nn::serialize::{
+    crc32, load_checkpoint, load_params, save_checkpoint, save_params, DecodeError,
+};
 use pipelayer_nn::zoo;
 use pipelayer_nn::CheckpointState;
-use pipelayer_reram::{DriftModel, NoiseModel, ReramMatrix, ReramParams, VerifyPolicy};
+use pipelayer_reram::{
+    DriftModel, FaultModel, NoiseModel, ReramMatrix, ReramParams, VerifyPolicy, WearModel,
+};
 use pipelayer_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
+use std::sync::OnceLock;
 
 /// With scrubbing off (the default), every paper-config number this repo
 /// reports must be BIT-IDENTICAL to its pre-scrub value — the resilience
@@ -274,4 +279,116 @@ proptest! {
         let mut net = zoo::mnist_0(3);
         prop_assert!(load_checkpoint(&mut net, &bytes).is_err());
     }
+
+    /// A structurally valid blob — right magic, counts and lengths, valid
+    /// CRCs — whose one tensor has any rank (0 included) and any dims
+    /// (0 included) must decode to an error, never reach the tensor
+    /// constructors' asserts: as the PLW1 body, as a PLW2 `TNSR` section
+    /// and as a PLW2 `OPTS` velocity, through both public decoders.
+    #[test]
+    fn any_tensor_header_decodes_without_panicking(
+        rank in 0usize..=4,
+        dim_bits in 0u64..=u64::MAX,
+        container in 0u8..3,
+    ) {
+        let dims: Vec<u32> = (0..rank).map(|i| ((dim_bits >> (8 * i)) % 4) as u32).collect();
+        let blob = tensor_blob(&dims, container);
+        let degenerate = dims.is_empty() || dims.contains(&0);
+        let mut net = zoo::mnist_0(3);
+        let checkpoint = load_checkpoint(&mut net, &blob).map(|_| ());
+        let params = load_params(&mut net, &blob);
+        for result in [checkpoint, params] {
+            prop_assert!(result.is_err(), "dims {dims:?} decoded into the network");
+            prop_assert_eq!(result == Err(DecodeError::DegenerateShape), degenerate);
+        }
+    }
+
+    /// The device-state decoder gets the checkpoint's probes: any strict
+    /// prefix and arbitrary garbage are rejected, and a bit flip anywhere
+    /// is either rejected or restored — never a panic.
+    #[test]
+    fn device_state_survives_truncation_flips_and_garbage(
+        pos in 0u64..=u64::MAX,
+        bit in 0u32..8,
+        len in 0usize..2048,
+    ) {
+        let blob = device_blob();
+        let cut = (pos % blob.len() as u64) as usize;
+        prop_assert!(!wearing_mlp().restore_device_state(&blob[..cut]));
+
+        let mut flipped = blob.clone();
+        flipped[cut] ^= 1u8 << bit;
+        let _ = wearing_mlp().restore_device_state(&flipped);
+
+        let mut rng = StdRng::seed_from_u64(pos);
+        let garbage: Vec<u8> = (0..len).map(|_| rng.random_range(0u8..=255)).collect();
+        prop_assert!(!wearing_mlp().restore_device_state(&garbage));
+    }
+}
+
+/// One tensor record (`u32` rank, `u32` dims, `f32` data) framed as a PLW1
+/// body (`container` 0), a PLW2 `TNSR` section (1) or a flagged PLW2 `OPTS`
+/// velocity (2), with valid lengths and CRCs.
+fn tensor_blob(dims: &[u32], container: u8) -> Vec<u8> {
+    let mut tensor = (dims.len() as u32).to_le_bytes().to_vec();
+    for d in dims {
+        tensor.extend(d.to_le_bytes());
+    }
+    let numel: u32 = dims.iter().product();
+    for i in 0..numel {
+        tensor.extend((i as f32).to_le_bytes());
+    }
+    let mut payload = 1u32.to_le_bytes().to_vec();
+    if container == 2 {
+        payload.push(1);
+    }
+    payload.extend(tensor);
+    if container == 0 {
+        return [b"PLW1".as_slice(), &payload].concat();
+    }
+    let tag = if container == 1 { b"TNSR" } else { b"OPTS" };
+    let mut blob = b"PLW2".to_vec();
+    blob.extend(1u32.to_le_bytes());
+    blob.extend(tag);
+    blob.extend((payload.len() as u32).to_le_bytes());
+    blob.extend(&payload);
+    blob.extend(crc32(&[tag.as_slice(), &payload].concat()).to_le_bytes());
+    blob
+}
+
+/// The wear-campaign device: verified writes, spare columns, wear-out and
+/// the laddered repair, so every section of its device state is populated.
+fn wearing_mlp() -> ReramMlp {
+    let mut m = ReramMlp::with_fault_tolerance(
+        &[49, 8, 10],
+        &ReramParams::default(),
+        5,
+        &FaultModel::ideal(),
+        VerifyPolicy::with_attempts(2),
+        SpareBudget::with_cols(4),
+    );
+    m.attach_wear(
+        WearModel {
+            median_writes: 20.0,
+            sigma: 0.2,
+        },
+        5,
+    );
+    m.set_repair_policy(RepairPolicy::laddered());
+    m
+}
+
+/// [`wearing_mlp`]'s device state after a few training steps, built once.
+fn device_blob() -> Vec<u8> {
+    static BLOB: OnceLock<Vec<u8>> = OnceLock::new();
+    BLOB.get_or_init(|| {
+        let data = SyntheticMnist::generate(40, 1, 9);
+        let images: Vec<Tensor> = data.train.images.iter().map(|t| downsample(t, 4)).collect();
+        let mut m = wearing_mlp();
+        for (imgs, labs) in images.chunks(10).zip(data.train.labels.chunks(10)) {
+            m.train_batch(imgs, labs, 0.3);
+        }
+        m.device_state()
+    })
+    .clone()
 }
