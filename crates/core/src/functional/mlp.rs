@@ -6,8 +6,9 @@
 //! with positive/negative pairs and resolution compensation, exact
 //! integrate-and-fire read-out. Weight updates follow Fig. 14(b): the old
 //! weights are *read from the arrays*, the averaged partial derivatives are
-//! subtracted, and the result is written back (reprogramming both the
-//! forward and the backward copies).
+//! subtracted, and the result is written back to every copy the layer
+//! holds. As in the mapping, the first layer holds no `A_l2`: no error
+//! propagates into the input, so its only copy is `A_l`.
 //!
 //! Scope: the MNIST-scale networks — perceptrons (Mnist-A/B/C) and
 //! stride-1 convolutional networks with max pooling (Mnist-0, C-4). A conv
@@ -57,8 +58,6 @@ struct ResilienceState {
     report: ProgramReport,
     /// Images processed since the last due scrub pass.
     images_since_scrub: u64,
-    /// Round-robin word-line cursors, `(forward, backward)` per layer.
-    cursors: Vec<(usize, usize)>,
     /// Scrub passes completed.
     passes: u64,
 }
@@ -67,7 +66,7 @@ struct ResilienceState {
 /// window walk, zero padding `pad`, over a `[c_in, in_hw.0, in_hw.1]` map,
 /// one crossbar row per window position (Fig. 4). An FC layer is the 1×1
 /// window over its flattened input, one row `[x, 1]` per sample, as in
-/// `NetSpec::try_resolve`. Everything else about a layer (its array pair,
+/// `NetSpec::try_resolve`. Everything else about a layer (its arrays,
 /// repair controllers, gradient buffer, update and maintenance) is the
 /// same for both kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,6 +215,92 @@ fn mvm(m: &mut ReramMatrix, rows: &[f32], per_row: bool) -> Vec<f32> {
     }
 }
 
+/// One programmed copy of a layer's weights: its crossbars, the spare-column
+/// controller that repairs them and the word line the round-robin scrub
+/// visits next.
+#[derive(Clone)]
+struct WeightArray {
+    matrix: ReramMatrix,
+    repair: RepairController,
+    cursor: usize,
+}
+
+impl WeightArray {
+    /// `w`, `out_dim × in_dim` row-major, programmed onto a fresh matrix
+    /// carrying `faults` under `salt`. With fault tolerance the weights then
+    /// go through a commissioning scrub: a verified write whose
+    /// unrecoverable columns are immediately remapped to spares (or masked
+    /// once the budget runs out).
+    fn commission(
+        w: &[f32],
+        (out_dim, in_dim): (usize, usize),
+        params: &ReramParams,
+        faults: &DeviceModel,
+        salt: u64,
+        fault_tolerance: Option<(&mut FaultState, SpareBudget)>,
+    ) -> Self {
+        let mut matrix = ReramMatrix::program(w, out_dim, in_dim, params);
+        matrix.attach(faults, salt);
+        let spares = fault_tolerance
+            .as_ref()
+            .map_or(SpareBudget::none(), |&(_, spares)| spares);
+        let mut repair = RepairController::new(spares);
+        if let Some((ft, _)) = fault_tolerance {
+            let r = matrix.write_verify(w, &ft.verify, &mut ft.rng);
+            repair.process(&mut matrix, &r);
+            ft.report.merge(r);
+        }
+        WeightArray {
+            matrix,
+            repair,
+            cursor: 0,
+        }
+    }
+
+    /// Writes `w` (verified when fault tolerance is on). On the wear-aware
+    /// path failures climb the retry → backoff → remap → mask ladder, and
+    /// remaps bill the honest cost of re-programming the displaced column
+    /// onto a blank spare.
+    fn update(&mut self, w: &[f32], ft: Option<&mut FaultState>, wear_active: bool) {
+        let Some(ft) = ft else {
+            self.matrix.write(w);
+            return;
+        };
+        let r = self.matrix.write_verify(w, &ft.verify, &mut ft.rng);
+        if wear_active {
+            let o = self
+                .repair
+                .process_update(&mut self.matrix, &r, &ft.verify, &mut ft.rng);
+            ft.report.merge(r);
+            ft.report.merge(o.repair);
+        } else {
+            self.repair.process(&mut self.matrix, &r);
+            ft.report.merge(r);
+        }
+    }
+
+    /// One budgeted scrub pass: re-programs the next `rows_per_pass` word
+    /// lines from the cursor through the verify loop, as one block. With a
+    /// headroom guard it visits the same rows one at a time and skips any
+    /// whose smallest remaining write budget is below the guard:
+    /// maintenance writes must not burn a near-dead row's last pulses.
+    fn scrub(&mut self, rs: &mut ResilienceState) {
+        let (rows, guard) = (rs.scrub.rows_per_pass, rs.scrub.min_headroom_writes);
+        let (step, steps) = if guard == 0 { (rows, 1) } else { (1, rows) };
+        for _ in 0..steps {
+            if guard == 0 || self.matrix.row_wear_headroom(self.cursor) >= guard {
+                let r = self
+                    .matrix
+                    .scrub_rows(self.cursor, step, &rs.verify, &mut rs.rng);
+                rs.report.merge(r);
+            }
+            self.cursor = (self.cursor + step) % self.matrix.in_dim();
+        }
+    }
+}
+
+/// One weighted layer: its geometry, the pools folded after it, its arrays
+/// and its gradient buffer.
 #[derive(Clone)]
 struct ReramMlpLayer {
     geometry: Geometry,
@@ -223,12 +308,10 @@ struct ReramMlpLayer {
     /// as the activation component's max register (Sec. 4.2.3).
     pools: Vec<(usize, usize)>,
     /// `A_l`: forward arrays over `[x, 1]` (bias folded as an extra row).
-    forward: ReramMatrix,
-    /// `A_l2`: reordered weights for the error backward pass.
-    backward: ReramMatrix,
-    /// Spare-column bookkeeping for the two array copies.
-    forward_repair: RepairController,
-    backward_repair: RepairController,
+    forward: WeightArray,
+    /// `A_l2`: reordered weights for the error backward pass, on every
+    /// layer but the first, whose input error nothing reads.
+    backward: Option<WeightArray>,
     /// Accumulated partial derivatives (the memory-subarray `ΔW` buffers).
     grad_acc: Vec<f32>,
     relu: bool,
@@ -246,56 +329,54 @@ struct Pass {
 }
 
 impl ReramMlpLayer {
-    /// Xavier-initialised weights programmed onto fresh forward and
-    /// reordered-backward arrays, both carrying `faults` (under the
-    /// layer's `salt`). With fault tolerance the initial weights then go
-    /// through a commissioning scrub: a verified write whose unrecoverable
-    /// columns are immediately remapped to spares (or masked once the
-    /// budget runs out).
+    /// Xavier-initialised weights programmed onto a fresh forward array
+    /// and, with `propagates`, a reordered-backward one, each carrying
+    /// `faults` under the layer's `salt` and commissioned under fault
+    /// tolerance (see [`WeightArray::commission`]).
     #[expect(clippy::too_many_arguments, reason = "one per layer property")]
     #[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
     fn new(
         geometry: Geometry,
         pools: Vec<(usize, usize)>,
         relu: bool,
+        propagates: bool,
         params: &ReramParams,
         rng: &mut impl Rng,
         faults: &DeviceModel,
         salt: u64,
-        fault_tolerance: Option<(&mut FaultState, SpareBudget)>,
+        mut fault_tolerance: Option<(&mut FaultState, SpareBudget)>,
     ) -> Self {
         let Geometry { k, c_in, c_out, .. } = geometry;
         let (n_in, n_out) = (geometry.fan_in(), c_out);
         let a = (6.0 / (n_in + n_out) as f32).sqrt();
         let w: Vec<f32> = Tensor::uniform(&[n_out, n_in + 1], -a, a, rng).into_vec();
-        let wt = reorder_rot180(&w, c_out, c_in, k);
-        let mut forward = ReramMatrix::program(&w, n_out, n_in + 1, params);
-        let mut backward = ReramMatrix::program(&wt, c_in, k * k * c_out, params);
-        forward.attach(faults, salt);
-        backward.attach(faults, salt ^ BACKWARD_SALT);
-        let spares = fault_tolerance
-            .as_ref()
-            .map_or(SpareBudget::none(), |&(_, spares)| spares);
-        let mut forward_repair = RepairController::new(spares);
-        let mut backward_repair = RepairController::new(spares);
-        if let Some((ft, _)) = fault_tolerance {
-            let r = forward.write_verify(&w, &ft.verify, &mut ft.rng);
-            forward_repair.process(&mut forward, &r);
-            ft.report.merge(r);
-            let r = backward.write_verify(&wt, &ft.verify, &mut ft.rng);
-            backward_repair.process(&mut backward, &r);
-            ft.report.merge(r);
-        }
+        let ft = fault_tolerance
+            .as_mut()
+            .map(|(ft, spares)| (&mut **ft, *spares));
+        let forward = WeightArray::commission(&w, (n_out, n_in + 1), params, faults, salt, ft);
+        let backward = propagates.then(|| {
+            let wt = reorder_rot180(&w, c_out, c_in, k);
+            let (shape, salt) = ((c_in, k * k * c_out), salt ^ BACKWARD_SALT);
+            WeightArray::commission(&wt, shape, params, faults, salt, fault_tolerance)
+        });
         ReramMlpLayer {
             geometry,
             pools,
             forward,
             backward,
-            forward_repair,
-            backward_repair,
             grad_acc: vec![0.0; n_out * (n_in + 1)],
             relu,
         }
+    }
+
+    /// The layer's arrays: `A_l`, then `A_l2` where the layer has one.
+    fn arrays(&self) -> impl Iterator<Item = &WeightArray> {
+        std::iter::once(&self.forward).chain(&self.backward)
+    }
+
+    /// [`arrays`](Self::arrays), mutably.
+    fn arrays_mut(&mut self) -> impl Iterator<Item = &mut WeightArray> {
+        std::iter::once(&mut self.forward).chain(&mut self.backward)
     }
 
     /// The forward pass of `n` samples stored back to back in `x`: lower
@@ -315,7 +396,7 @@ impl ReramMlpLayer {
         for sample in x.chunks(g.in_numel()) {
             g.lower(sample, &mut rows);
         }
-        let ys = mvm(&mut self.forward, &rows, per_row);
+        let ys = mvm(&mut self.forward.matrix, &rows, per_row);
         let mut out = to_maps(ys, ho * wo, g.c_out);
         if self.relu {
             for o in &mut out {
@@ -350,15 +431,9 @@ impl ReramMlpLayer {
     /// The backward pass for the error `delta` at the layer's output: route
     /// δ back through the max-pools (Fig. 10b) and the ReLU (Fig. 10a),
     /// accumulate `∂W` one crossbar row at a time in sample order
-    /// (Fig. 12), and with `propagate` drive δ through `A_l2` (Fig. 11) to
-    /// return the error at the layer's input (empty without `propagate`).
-    fn backward_pass(
-        &mut self,
-        mut delta: Vec<f32>,
-        pass: Pass,
-        per_row: bool,
-        propagate: bool,
-    ) -> Vec<f32> {
+    /// (Fig. 12), and where the layer has `A_l2` drive δ through it (Fig.
+    /// 11) to return the error at the layer's input (empty without).
+    fn backward_pass(&mut self, mut delta: Vec<f32>, pass: Pass, per_row: bool) -> Vec<f32> {
         for routes in pass.pools.iter().rev() {
             let windows = routes.first().map_or(1, |r| r.winners().len());
             let mut routed = Vec::new();
@@ -394,12 +469,12 @@ impl ReramMlpLayer {
         {
             ops::outer_acc(&mut self.grad_acc, d, x);
         }
-        if !propagate {
+        let Some(backward) = &mut self.backward else {
             return Vec::new();
-        }
+        };
         // δ_{l-1} on the A_l2 arrays: (W_l)ᵀ δ_l, or the full convolution
         // with the reordered kernels.
-        let ys = mvm(&mut self.backward, &g.lower_delta(&delta), per_row);
+        let ys = mvm(&mut backward.matrix, &g.lower_delta(&delta), per_row);
         to_maps(ys, g.in_hw.0 * g.in_hw.1, g.c_in)
     }
 }
@@ -442,8 +517,10 @@ fn mean_loss(total: f32, n: usize) -> f32 {
     total / n as f32
 }
 
-/// Magic + format version leading a device-state snapshot blob.
-const DEVICE_STATE_MAGIC: u64 = 0x504c_5744_5331_0001;
+/// Magic + format version leading a device-state snapshot blob. Version 2
+/// holds one matrix, controller and scrub cursor per built array; version
+/// 1 also held the first layer's error-backward copy.
+const DEVICE_STATE_MAGIC: u64 = 0x504c_5744_5331_0002;
 
 fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -864,6 +941,7 @@ impl<'a> ReramMlpBuilder<'a> {
                     geometry,
                     pools,
                     i + 1 < depth,
+                    i > 0,
                     self.params,
                     &mut rng,
                     &faults,
@@ -878,7 +956,6 @@ impl<'a> ReramMlpBuilder<'a> {
             rng: StdRng::seed_from_u64(seed ^ 0x5c2b_bed5),
             report: ProgramReport::default(),
             images_since_scrub: 0,
-            cursors: vec![(0, 0); layers.len()],
             passes: 0,
         });
         let mut mlp = ReramMlp {
@@ -1068,14 +1145,22 @@ impl ReramMlp {
             .build()
     }
 
+    /// Every array of every layer, in layer order: `A_l`, then `A_l2`
+    /// where the layer has one.
+    fn arrays(&self) -> impl Iterator<Item = &WeightArray> {
+        self.layers.iter().flat_map(ReramMlpLayer::arrays)
+    }
+
     /// Attaches every non-ideal component of `model` to every array (the
-    /// forward and the reordered-backward copy of each layer), salted per
-    /// layer from `seed`; ideal components leave the current state alone.
+    /// forward copy of each layer and, past the first, its
+    /// reordered-backward copy), salted per layer and direction from
+    /// `seed`; ideal components leave the current state alone.
     fn attach(&mut self, model: &DeviceModel, seed: u64) {
         for (i, layer) in self.layers.iter_mut().enumerate() {
             let salt = layer_salt(seed, i);
-            layer.forward.attach(model, salt);
-            layer.backward.attach(model, salt ^ BACKWARD_SALT);
+            for (a, offset) in layer.arrays_mut().zip([0, BACKWARD_SALT]) {
+                a.matrix.attach(model, salt ^ offset);
+            }
         }
         if !model.wear.is_ideal() {
             self.wear_active = true;
@@ -1100,27 +1185,22 @@ impl ReramMlp {
     /// update path, i.e. after a non-ideal [`attach_wear`](Self::attach_wear).
     pub fn set_repair_policy(&mut self, policy: RepairPolicy) {
         for layer in &mut self.layers {
-            layer.forward_repair.set_policy(policy);
-            layer.backward_repair.set_policy(policy);
+            for a in layer.arrays_mut() {
+                a.repair.set_policy(policy);
+            }
         }
     }
 
     /// Cells across all arrays whose write budget is exhausted — the dead
     /// population the wear model has killed so far (0 without wear).
     pub fn wear_exhausted_cells(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.forward.wear_exhausted_cells() + l.backward.wear_exhausted_cells())
-            .sum()
+        self.arrays().map(|a| a.matrix.wear_exhausted_cells()).sum()
     }
 
-    /// Spare columns still unused across all layers (forward + backward
-    /// controllers) — the remaining self-repair headroom.
+    /// Spare columns still unused across every array's controller — the
+    /// remaining self-repair headroom.
     pub fn spares_left(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.forward_repair.spares_left() + l.backward_repair.spares_left())
-            .sum()
+        self.arrays().map(|a| a.repair.spares_left()).sum()
     }
 
     /// Number of weighted layers.
@@ -1171,7 +1251,7 @@ impl ReramMlp {
 
     /// Trains one mini-batch and applies the Fig. 14(b) update: read old
     /// weights from the arrays, subtract the averaged partial derivatives,
-    /// write back (both forward and reordered copies). Returns mean loss.
+    /// write back to every array of each layer. Returns mean loss.
     ///
     /// Samples are fed layer-major: every layer sees the crossbar rows of
     /// the whole batch (one per sample, or one per window position and
@@ -1232,10 +1312,9 @@ impl ReramMlp {
 
         // Backward, layer-major: masking and ∂W accumulation run in sample
         // order, then one batched MVM through the A_l2 arrays propagates
-        // every delta at once. The first layer's input error is not needed.
-        let layers = self.layers.iter_mut().zip(passes).enumerate().rev();
-        for (li, (layer, pass)) in layers {
-            delta = layer.backward_pass(delta, pass, per_row, li > 0);
+        // every delta at once. The first layer, without A_l2, stops there.
+        for (layer, pass) in self.layers.iter_mut().zip(passes).rev() {
+            delta = layer.backward_pass(delta, pass, per_row);
         }
         total
     }
@@ -1294,23 +1373,10 @@ impl ReramMlp {
         let n_chunks = n.div_ceil(CHUNK);
         // Spike counters before the feed, so worker deltas can be billed
         // back onto the real arrays (clones' counters are discarded).
-        let base: Vec<Vec<(u64, u64, u64)>> = self
-            .layers
-            .iter()
-            .map(|l| {
-                l.forward
-                    .crossbars()
-                    .chain(l.backward.crossbars())
-                    .map(|c| c.spike_counters())
-                    .collect()
-            })
-            .collect();
+        let base = self.spike_counters();
         let template = &*self;
         let mut per_chunk: Vec<Option<(f32, Vec<Vec<f32>>)>> = vec![None; n_chunks];
-        let mut deltas: Vec<Vec<(u64, u64, u64)>> = base
-            .iter()
-            .map(|l| vec![(0u64, 0u64, 0u64); l.len()])
-            .collect();
+        let mut deltas = vec![(0u64, 0u64, 0u64); base.len()];
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
@@ -1329,19 +1395,11 @@ impl ReramMlp {
                                 worker.layers.iter().map(|l| l.grad_acc.clone()).collect();
                             chunks.push((ci, loss, grads));
                         }
-                        let delta: Vec<Vec<(u64, u64, u64)>> = worker
-                            .layers
-                            .iter()
+                        let delta: Vec<(u64, u64, u64)> = worker
+                            .spike_counters()
+                            .into_iter()
                             .zip(base)
-                            .map(|(l, bl)| {
-                                l.forward
-                                    .crossbars()
-                                    .chain(l.backward.crossbars())
-                                    .map(|c| c.spike_counters())
-                                    .zip(bl)
-                                    .map(|((r, w, o), &(br, bw, bo))| (r - br, w - bw, o - bo))
-                                    .collect()
-                            })
+                            .map(|((r, w, o), &(br, bw, bo))| (r - br, w - bw, o - bo))
                             .collect();
                         (chunks, delta)
                     })
@@ -1357,12 +1415,10 @@ impl ReramMlp {
                         *slot = Some((loss, grads));
                     }
                 }
-                for (dl, tl) in deltas.iter_mut().zip(delta) {
-                    for (d, t2) in dl.iter_mut().zip(tl) {
-                        d.0 += t2.0;
-                        d.1 += t2.1;
-                        d.2 += t2.2;
-                    }
+                for (d, t2) in deltas.iter_mut().zip(delta) {
+                    d.0 += t2.0;
+                    d.1 += t2.1;
+                    d.2 += t2.2;
                 }
             }
         });
@@ -1377,18 +1433,14 @@ impl ReramMlp {
                 }
             }
         }
-        for (layer, dl) in self.layers.iter_mut().zip(&deltas) {
-            let mut it = dl.iter();
-            for c in layer
-                .forward
-                .crossbars_mut()
-                .chain(layer.backward.crossbars_mut())
-            {
-                if let Some(&(dr, dw, dout)) = it.next() {
-                    let (r, w, o) = c.spike_counters();
-                    c.restore_spike_counters(r + dr, w + dw, o + dout);
-                }
-            }
+        let crossbars = self
+            .layers
+            .iter_mut()
+            .flat_map(ReramMlpLayer::arrays_mut)
+            .flat_map(|a| a.matrix.crossbars_mut());
+        for (c, &(dr, dw, dout)) in crossbars.zip(&deltas) {
+            let (r, w, o) = c.spike_counters();
+            c.restore_spike_counters(r + dr, w + dw, o + dout);
         }
         self.apply_update(n, lr);
         mean_loss(total, n)
@@ -1396,8 +1448,9 @@ impl ReramMlp {
 
     /// The Fig. 14(b) update + degradation tick shared by both batch
     /// schedules: read old weights, subtract the averaged partials, write
-    /// back (verified when fault tolerance is on), clear the buffers and
-    /// advance the clock by one cycle per image.
+    /// them back to every array of the layer (verified when fault
+    /// tolerance is on), clear the buffers and advance the clock by one
+    /// cycle per image.
     #[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
     fn apply_update(&mut self, batch_len: usize, lr: f32) {
         let scale = lr / batch_len as f32;
@@ -1408,51 +1461,21 @@ impl ReramMlp {
             ft.report.unrecoverable.clear();
         }
         for layer in &mut self.layers {
-            let mut w = layer.forward.read(); // old weights from the arrays
+            let mut w = layer.forward.matrix.read(); // old weights from the arrays
             for (wi, g) in w.iter_mut().zip(&layer.grad_acc) {
                 *wi -= scale * g;
             }
             let Geometry { k, c_in, c_out, .. } = layer.geometry;
-            let wt = reorder_rot180(&w, c_out, c_in, k);
-            match &mut self.fault_tolerance {
-                // Wear-aware path: failures climb the retry → backoff →
-                // remap → mask ladder, and remaps bill the honest cost of
-                // re-programming the displaced column onto a blank spare.
-                Some(ft) if wear_active => {
-                    let r = layer.forward.write_verify(&w, &ft.verify, &mut ft.rng);
-                    let o = layer.forward_repair.process_update(
-                        &mut layer.forward,
-                        &r,
-                        &ft.verify,
-                        &mut ft.rng,
-                    );
-                    ft.report.merge(r);
-                    ft.report.merge(o.repair);
-                    let r = layer.backward.write_verify(&wt, &ft.verify, &mut ft.rng);
-                    let o = layer.backward_repair.process_update(
-                        &mut layer.backward,
-                        &r,
-                        &ft.verify,
-                        &mut ft.rng,
-                    );
-                    ft.report.merge(r);
-                    ft.report.merge(o.repair);
-                }
-                Some(ft) => {
-                    let r = layer.forward.write_verify(&w, &ft.verify, &mut ft.rng);
-                    layer.forward_repair.process(&mut layer.forward, &r);
-                    ft.report.merge(r);
-                    let r = layer.backward.write_verify(&wt, &ft.verify, &mut ft.rng);
-                    layer.backward_repair.process(&mut layer.backward, &r);
-                    ft.report.merge(r);
-                }
-                None => {
-                    layer.forward.write(&w);
-                    // The read-out is spent: its buffer can hold the next
-                    // write's signed levels.
-                    drop(w);
-                    layer.backward.write(&wt);
-                }
+            let backward = layer.backward.as_mut();
+            let backward = backward.map(|b| (b, reorder_rot180(&w, c_out, c_in, k)));
+            layer
+                .forward
+                .update(&w, self.fault_tolerance.as_mut(), wear_active);
+            // The read-out is spent: its buffer can hold the next write's
+            // signed levels.
+            drop(w);
+            if let Some((backward, wt)) = backward {
+                backward.update(&wt, self.fault_tolerance.as_mut(), wear_active);
             }
             layer.grad_acc.fill(0.0);
         }
@@ -1466,8 +1489,9 @@ impl ReramMlp {
     /// that window. Arrays without drift do not age.
     pub fn advance_cycles(&mut self, cycles: u64) {
         for layer in &mut self.layers {
-            layer.forward.advance_cycles(cycles);
-            layer.backward.advance_cycles(cycles);
+            for a in layer.arrays_mut() {
+                a.matrix.advance_cycles(cycles);
+            }
         }
         let mut due = 0;
         if let Some(rs) = self.resilience.as_mut() {
@@ -1490,40 +1514,8 @@ impl ReramMlp {
         let Some(rs) = self.resilience.as_mut() else {
             return;
         };
-        let guard = rs.scrub.min_headroom_writes;
-        for (layer, cur) in self.layers.iter_mut().zip(rs.cursors.iter_mut()) {
-            let budget = rs.scrub.rows_per_pass;
-            if guard > 0 {
-                // Wear-leveling-aware walk: visit the same rows the block
-                // scan would, but skip any word line whose smallest
-                // remaining write budget is below the guard — maintenance
-                // writes must not burn a near-dead row's last pulses.
-                for _ in 0..budget {
-                    if layer.forward.row_wear_headroom(cur.0) >= guard {
-                        let r = layer.forward.scrub_rows(cur.0, 1, &rs.verify, &mut rs.rng);
-                        rs.report.merge(r);
-                    }
-                    cur.0 = (cur.0 + 1) % layer.forward.in_dim();
-                }
-                for _ in 0..budget {
-                    if layer.backward.row_wear_headroom(cur.1) >= guard {
-                        let r = layer.backward.scrub_rows(cur.1, 1, &rs.verify, &mut rs.rng);
-                        rs.report.merge(r);
-                    }
-                    cur.1 = (cur.1 + 1) % layer.backward.in_dim();
-                }
-                continue;
-            }
-            let r = layer
-                .forward
-                .scrub_rows(cur.0, budget, &rs.verify, &mut rs.rng);
-            rs.report.merge(r);
-            cur.0 = (cur.0 + budget) % layer.forward.in_dim();
-            let r = layer
-                .backward
-                .scrub_rows(cur.1, budget, &rs.verify, &mut rs.rng);
-            rs.report.merge(r);
-            cur.1 = (cur.1 + budget) % layer.backward.in_dim();
+        for a in self.layers.iter_mut().flat_map(ReramMlpLayer::arrays_mut) {
+            a.scrub(rs);
         }
         rs.passes += 1;
     }
@@ -1535,12 +1527,9 @@ impl ReramMlp {
         let Some(rs) = self.resilience.as_mut() else {
             return;
         };
-        for layer in &mut self.layers {
-            let rows = layer.forward.in_dim();
-            let r = layer.forward.scrub_rows(0, rows, &rs.verify, &mut rs.rng);
-            rs.report.merge(r);
-            let rows = layer.backward.in_dim();
-            let r = layer.backward.scrub_rows(0, rows, &rs.verify, &mut rs.rng);
+        for a in self.layers.iter_mut().flat_map(ReramMlpLayer::arrays_mut) {
+            let rows = a.matrix.in_dim();
+            let r = a.matrix.scrub_rows(0, rows, &rs.verify, &mut rs.rng);
             rs.report.merge(r);
         }
         rs.passes += 1;
@@ -1549,10 +1538,7 @@ impl ReramMlp {
     /// Cells across all arrays currently reading at a level other than the
     /// one programmed — the damage a scrub pass would repair.
     pub fn drifted_cells(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.forward.drifted_cells() + l.backward.drifted_cells())
-            .sum()
+        self.arrays().map(|a| a.matrix.drifted_cells()).sum()
     }
 
     /// Merged cost of every scrub pass so far (`None` when resilience is
@@ -1584,21 +1570,15 @@ impl ReramMlp {
         self.fault_tolerance.as_ref().map(|ft| &ft.report)
     }
 
-    /// Spare columns consumed across all layers (forward + backward arrays).
+    /// Spare columns consumed across every array's controller.
     pub fn spares_used(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.forward_repair.remapped().len() + l.backward_repair.remapped().len())
-            .sum()
+        self.arrays().map(|a| a.repair.remapped().len()).sum()
     }
 
-    /// Output units masked off across all layers — the graceful-degradation
-    /// toll after the spare budget ran out.
+    /// Output units masked off across every array — the
+    /// graceful-degradation toll after the spare budget ran out.
     pub fn masked_units(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.forward_repair.masked().len() + l.backward_repair.masked().len())
-            .sum()
+        self.arrays().map(|a| a.repair.masked().len()).sum()
     }
 
     /// Reads layer `li`'s weights (bias folded as the last column of each
@@ -1609,7 +1589,7 @@ impl ReramMlp {
     ///
     /// Panics if `li` is out of range.
     pub fn layer_weights(&self, li: usize) -> Vec<f32> {
-        self.layers[li].forward.read()
+        self.layers[li].forward.matrix.read()
     }
 
     /// `(n_in, n_out)` of layer `li`'s kernel matrix, bias excluded: for a
@@ -1623,27 +1603,45 @@ impl ReramMlp {
         (g.fan_in(), g.c_out)
     }
 
-    /// Total array-read spikes issued so far (energy accounting).
+    /// Word lines × bit lines of layer `li`'s forward matrix `A_l` and of
+    /// its error-backward matrix `A_l2`, which the first layer does not
+    /// hold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `li` is out of range.
+    pub fn layer_arrays(&self, li: usize) -> ((usize, usize), Option<(usize, usize)>) {
+        let shape = |a: &WeightArray| (a.matrix.in_dim(), a.matrix.out_dim());
+        let layer = &self.layers[li];
+        (shape(&layer.forward), layer.backward.as_ref().map(shape))
+    }
+
+    /// Total array-read spikes issued so far across every array (energy
+    /// accounting).
     pub fn read_spikes(&self) -> u64 {
-        self.layers
-            .iter()
-            .map(|l| l.forward.read_spikes() + l.backward.read_spikes())
-            .sum()
+        self.arrays().map(|a| a.matrix.read_spikes()).sum()
     }
 
-    /// Total programming pulses issued so far.
+    /// Total programming pulses issued so far across every array.
     pub fn write_spikes(&self) -> u64 {
-        self.layers
-            .iter()
-            .map(|l| l.forward.write_spikes() + l.backward.write_spikes())
-            .sum()
+        self.arrays().map(|a| a.matrix.write_spikes()).sum()
     }
 
-    /// Serializes the complete device state — stored cell levels, weight
-    /// scales, live fault maps, wear counters, spike counters, masked
-    /// outputs, the repair-controller ladders and the cumulative cost
-    /// reports — into one self-contained blob (the payload of a
-    /// checkpoint's `WEAR` section). Pair with
+    /// Every crossbar's `(read, write, output)` spike counters, in array
+    /// order.
+    fn spike_counters(&self) -> Vec<(u64, u64, u64)> {
+        self.arrays()
+            .flat_map(|a| a.matrix.crossbars())
+            .map(|c| c.spike_counters())
+            .collect()
+    }
+
+    /// Serializes the complete device state of every array the network
+    /// builds — stored cell levels, weight scales, live fault maps, wear
+    /// counters, spike counters, masked outputs, the repair-controller
+    /// ladders and scrub cursors — and the cumulative cost reports into
+    /// one self-contained blob (the payload of a checkpoint's `WEAR`
+    /// section). Pair with
     /// [`restore_device_state`](Self::restore_device_state) on a freshly
     /// reconstructed (same dims/params/seeds/attachments) MLP to resume a
     /// wearing run bitwise. The program-and-verify RNGs are deliberately
@@ -1653,12 +1651,10 @@ impl ReramMlp {
     pub fn device_state(&self) -> Vec<u8> {
         let mut out = Vec::new();
         push_u64(&mut out, DEVICE_STATE_MAGIC);
-        push_u64(&mut out, self.layers.len() as u64);
-        for layer in &self.layers {
-            snapshot_matrix(&mut out, &layer.forward);
-            snapshot_matrix(&mut out, &layer.backward);
-            snapshot_controller(&mut out, &layer.forward_repair);
-            snapshot_controller(&mut out, &layer.backward_repair);
+        push_u64(&mut out, self.arrays().count() as u64);
+        for a in self.arrays() {
+            snapshot_matrix(&mut out, &a.matrix);
+            snapshot_controller(&mut out, &a.repair);
         }
         match &self.fault_tolerance {
             Some(ft) => {
@@ -1673,11 +1669,8 @@ impl ReramMlp {
                 snapshot_report(&mut out, &rs.report);
                 push_u64(&mut out, rs.images_since_scrub);
                 push_u64(&mut out, rs.passes);
-                push_u64(&mut out, rs.cursors.len() as u64);
-                for &(a, b) in &rs.cursors {
-                    push_u64(&mut out, a as u64);
-                    push_u64(&mut out, b as u64);
-                }
+                let cursors: Vec<usize> = self.arrays().map(|a| a.cursor).collect();
+                push_usize_list(&mut out, &cursors);
             }
             None => out.push(0),
         }
@@ -1696,12 +1689,10 @@ impl ReramMlp {
     /// device deviates, so such a run could not resume on its trajectory.
     #[expect(clippy::cast_possible_truncation, reason = "a u64 fits a 64-bit usize")]
     pub fn restore_device_state(&mut self, blob: &[u8]) -> bool {
-        let aging = self.layers.iter().any(|l| {
-            l.forward
-                .crossbars()
-                .chain(l.backward.crossbars())
-                .any(|c| c.drift_state().is_some() || c.noise_state().is_some())
-        });
+        let aging = self
+            .arrays()
+            .flat_map(|a| a.matrix.crossbars())
+            .any(|c| c.drift_state().is_some() || c.noise_state().is_some());
         if aging {
             return false;
         }
@@ -1709,14 +1700,12 @@ impl ReramMlp {
         if rd.u64() != Some(DEVICE_STATE_MAGIC) {
             return false;
         }
-        if rd.u64().map(|v| v as usize) != Some(self.layers.len()) {
+        if rd.u64().map(|v| v as usize) != Some(self.arrays().count()) {
             return false;
         }
-        for layer in &mut self.layers {
-            if restore_matrix(&mut rd, &mut layer.forward).is_none()
-                || restore_matrix(&mut rd, &mut layer.backward).is_none()
-                || restore_controller(&mut rd, &mut layer.forward_repair).is_none()
-                || restore_controller(&mut rd, &mut layer.backward_repair).is_none()
+        for a in self.layers.iter_mut().flat_map(ReramMlpLayer::arrays_mut) {
+            if restore_matrix(&mut rd, &mut a.matrix).is_none()
+                || restore_controller(&mut rd, &mut a.repair).is_none()
             {
                 return false;
             }
@@ -1739,26 +1728,27 @@ impl ReramMlp {
                 let Some(report) = restore_report(&mut rd) else {
                     return false;
                 };
-                let (Some(images), Some(passes), Some(nc)) = (rd.u64(), rd.u64(), rd.u64()) else {
+                let (Some(images), Some(passes), Some(cursors)) =
+                    (rd.u64(), rd.u64(), rd.usize_list())
+                else {
                     return false;
                 };
-                let mut cursors = Vec::new();
-                for _ in 0..nc {
-                    let (Some(a), Some(b)) = (rd.u64(), rd.u64()) else {
-                        return false;
-                    };
-                    cursors.push((a as usize, b as usize));
-                }
-                let Some(rs) = self.resilience.as_mut() else {
+                // One cursor per array, on one of its word lines.
+                let fits = cursors.len() == self.arrays().count()
+                    && self
+                        .arrays()
+                        .zip(&cursors)
+                        .all(|(a, &c)| c < a.matrix.in_dim());
+                let Some(rs) = self.resilience.as_mut().filter(|_| fits) else {
                     return false;
                 };
-                if cursors.len() != rs.cursors.len() {
-                    return false;
-                }
                 rs.report = report;
                 rs.images_since_scrub = images;
                 rs.passes = passes;
-                rs.cursors = cursors;
+                let arrays = self.layers.iter_mut().flat_map(ReramMlpLayer::arrays_mut);
+                for (a, cursor) in arrays.zip(cursors) {
+                    a.cursor = cursor;
+                }
             }
             Some(0) => {}
             _ => return false,
@@ -1938,13 +1928,6 @@ mod tests {
                 b.device(device)
             },
         ];
-        let counters = |mlp: &ReramMlp| -> Vec<(u64, u64, u64)> {
-            mlp.layers
-                .iter()
-                .flat_map(|l| l.forward.crossbars().chain(l.backward.crossbars()))
-                .map(|c| c.spike_counters())
-                .collect()
-        };
         for conv in [false, true] {
             let net = || match conv {
                 false => ReramMlp::builder(&[49, 16, 10], &params, 5),
@@ -1965,7 +1948,7 @@ mod tests {
                         assert_eq!(a.to_bits(), b.to_bits(), "weight bits diverged");
                     }
                 }
-                assert_eq!(counters(&batched), counters(&scalar));
+                assert_eq!(batched.spike_counters(), scalar.spike_counters());
             }
         }
     }
@@ -1991,7 +1974,7 @@ mod tests {
         // Float reference from the array-stored weights.
         let mut v: Vec<f32> = x.to_vec();
         for layer in &mlp.layers {
-            let w = layer.forward.read();
+            let w = layer.forward.matrix.read();
             let mut with_bias = v.clone();
             with_bias.push(1.0);
             let (n_in, n_out) = (layer.geometry.fan_in(), layer.geometry.c_out);
@@ -2161,6 +2144,27 @@ mod tests {
         assert_eq!(mlp.scrub_passes(), 3);
         let report = mlp.scrub_report().expect("resilience is on");
         assert!(report.verify_reads > 0, "each pass reads scanned rows");
+    }
+
+    /// The headroom guard walks the same rows one at a time and skips
+    /// those below it: a guard no row can meet leaves every drifted cell
+    /// alone, one every row meets restores them through verified writes.
+    #[test]
+    fn scrub_guard_skips_rows_without_headroom() {
+        for (guard, scrubs) in [(1, true), (u64::MAX, false)] {
+            let device = DeviceModel::ideal()
+                .with_drift(aggressive_drift())
+                .with_wear(WearModel::with_endurance(300.0));
+            let scrub = ScrubPolicy::every(100, 4).with_min_headroom(guard);
+            let mut mlp = ReramMlp::builder(&[12, 8, 4], &ReramParams::default(), 9)
+                .device(device)
+                .scrub(scrub, VerifyPolicy::default())
+                .build();
+            mlp.advance_cycles(20_000);
+            assert_eq!(mlp.scrub_passes(), 200);
+            let reads = mlp.scrub_report().map_or(0, |r| r.verify_reads);
+            assert_eq!(reads > 0, scrubs, "guard {guard}");
+        }
     }
 
     #[test]
@@ -2418,7 +2422,77 @@ mod tests {
         for (imgs, labs) in tr.chunks(10).zip(trl.chunks(10)).take(10) {
             mlp.train_batch(imgs, labs, 0.3);
         }
-        assert_eq!(fnv1a(&mlp.device_state()), 0x97cf_650d_0bc7_1e0e);
+        assert_eq!(fnv1a(&mlp.device_state()), 0x34c8_a333_c759_ef53);
+    }
+
+    /// A version-1 blob — per layer the forward and error-backward matrices
+    /// and controllers, the first layer's included, then `(forward,
+    /// backward)` cursor pairs — is rejected under its own magic and under
+    /// the current one, never misread as the current layout.
+    #[test]
+    fn device_state_rejects_the_old_layout() {
+        let (tr, trl, _, _) = small_task();
+        let p = ReramParams::default();
+        let build = || {
+            ReramMlp::builder(&[49, 8, 10], &p, 6)
+                .device(DeviceModel::ideal().with_wear(WearModel::with_endurance(300.0)))
+                .fault_tolerance(VerifyPolicy::with_attempts(2), SpareBudget::typical())
+                .scrub(ScrubPolicy::off(), VerifyPolicy::default())
+                .build()
+        };
+        let mut live = build();
+        for (imgs, labs) in tr.chunks(10).zip(trl.chunks(10)).take(2) {
+            live.train_batch(imgs, labs, 0.3);
+        }
+        // The first layer's error-backward copy the old layout carried.
+        let g = live.layers[0].geometry;
+        let wt = reorder_rot180(&live.layer_weights(0), g.c_out, g.c_in, g.k);
+        let shape = (g.c_in, g.k * g.k * g.c_out);
+        let ideal = DeviceModel::ideal();
+        let stand_in = WeightArray::commission(&wt, shape, &p, &ideal, 0, None);
+        let old_layout = |magic| {
+            let mut out = Vec::new();
+            push_u64(&mut out, magic);
+            push_u64(&mut out, live.depth() as u64);
+            for l in &live.layers {
+                let b = l.backward.as_ref().unwrap_or(&stand_in);
+                snapshot_matrix(&mut out, &l.forward.matrix);
+                snapshot_matrix(&mut out, &b.matrix);
+                snapshot_controller(&mut out, &l.forward.repair);
+                snapshot_controller(&mut out, &b.repair);
+            }
+            for report in [live.fault_report(), live.scrub_report()] {
+                out.push(1);
+                snapshot_report(&mut out, report.expect("section is on"));
+            }
+            push_u64(&mut out, 0);
+            push_u64(&mut out, live.scrub_passes());
+            push_u64(&mut out, live.depth() as u64);
+            for _ in 0..2 * live.depth() {
+                push_u64(&mut out, 0);
+            }
+            out
+        };
+        assert!(build().restore_device_state(&live.device_state()));
+        for magic in [0x504c_5744_5331_0001, DEVICE_STATE_MAGIC] {
+            assert!(!build().restore_device_state(&old_layout(magic)));
+        }
+    }
+
+    /// The first layer holds only `A_l`: no `A_l2`, no controller or spare
+    /// budget for one, and nothing for the scrub to walk.
+    #[test]
+    fn first_layer_holds_no_error_backward_copy() {
+        let mlp = ReramMlp::builder(&[49, 16, 10], &ReramParams::default(), 5)
+            .fault_tolerance(VerifyPolicy::with_attempts(2), SpareBudget::with_cols(8))
+            .scrub(ScrubPolicy::every(10, 4), VerifyPolicy::default())
+            .build();
+        assert_eq!(mlp.layer_arrays(0), ((50, 16), None));
+        assert_eq!(mlp.layer_arrays(1), ((17, 10), Some((10, 16))));
+        assert_eq!(mlp.arrays().count(), 3);
+        assert_eq!(mlp.spares_left(), 3 * 8);
+        let crossbars = mlp.arrays().map(|a| a.matrix.crossbar_count()).sum();
+        assert_eq!(mlp.spike_counters().len(), crossbars);
     }
 
     /// Geometry that does not resolve and the functional model's two
@@ -2469,9 +2543,16 @@ mod tests {
     /// `A_l2`) and `∂W` track the float convolution, pooling and backward
     /// passes over the weights the arrays hold, at paddings below, at and
     /// past `K − 1` (where the error backward crops instead of padding).
+    /// The layer under test is the second: the first holds no `A_l2`.
     #[test]
     fn conv_layer_tracks_float_convolution() {
         let (c_in, h, w, k, c_out) = (2, 5, 6, 3, 3);
+        let feed = LayerSpec::Conv {
+            k: 1,
+            c_out: c_in,
+            stride: 1,
+            pad: 0,
+        };
         for pad in [0, 1, 3] {
             let conv = LayerSpec::Conv {
                 k,
@@ -2484,15 +2565,16 @@ mod tests {
                 stride: 2,
                 kind: PoolKind::Max,
             };
-            let spec = NetSpec::new("conv", (c_in, h, w), vec![conv, pool]);
+            let spec = NetSpec::new("conv", (1, h, w), vec![feed, conv, pool]);
             let mut net = ReramMlp::from_spec(&spec, &ReramParams::default(), 4)
                 .expect("spec runs")
                 .build();
+            assert!(net.layers[0].backward.is_none() && net.layers[1].backward.is_some());
             let x = Tensor::from_fn(&[c_in, h, w], |i| {
                 ((i[0] * 31 + i[1] * 7 + i[2]) as f32 * 0.37).sin()
             });
             let cols = k * k * c_in + 1;
-            let wts = net.layer_weights(0);
+            let wts = net.layer_weights(1);
             let weight = Tensor::from_fn(&[c_out, c_in, k, k], |i| {
                 wts[i[0] * cols + (i[1] * k + i[2]) * k + i[3]]
             });
@@ -2500,7 +2582,7 @@ mod tests {
                 &[c_out],
                 (0..c_out).map(|o| wts[o * cols + cols - 1]).collect(),
             );
-            let layer = &mut net.layers[0];
+            let layer = &mut net.layers[1];
             let (got, pass) = layer.forward_pass(x.as_slice(), 1, false);
             let conv_out = ops::conv2d(&x, &weight, &bias, 1, pad);
             let (want, route) = ops::maxpool2d(&conv_out, 2, 2);
@@ -2509,7 +2591,7 @@ mod tests {
 
             let pooled_delta = want.map(|v| (v * 3.0).cos());
             let delta = ops::maxpool2d_backward(&pooled_delta, &route);
-            let dx = layer.backward_pass(pooled_delta.into_vec(), pass, false, true);
+            let dx = layer.backward_pass(pooled_delta.into_vec(), pass, false);
             let want_dx = ops::conv2d_backward_input_scalar(&delta, &weight, (h, w), 1, pad);
             let dx = Tensor::from_vec(&[c_in, h, w], dx);
             assert!(

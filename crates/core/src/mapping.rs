@@ -88,7 +88,8 @@ pub struct MappedLayer {
     pub g: usize,
     /// Crossbar tiles per matrix copy (`⌈rows/128⌉·⌈cols/128⌉`).
     pub tiles: usize,
-    /// Tiles for the transposed/reordered backward matrix `(W)*`.
+    /// Tiles for the transposed/reordered backward matrix `(W)*` (zero for
+    /// the first layer, which holds no `A_l2`).
     pub tiles_backward: usize,
     /// Sequential array-read phases per image in the forward pass:
     /// `⌈P/G⌉` (Fig. 4's loop, shortened by replication).
@@ -178,8 +179,11 @@ impl MappedNetwork {
             .map(|(idx, (r, &gl))| {
                 let (tr, tc) = tile_grid(r.matrix_rows, r.matrix_cols, size);
                 // Backward matrix: kernels reordered/transposed (Fig. 11);
-                // for FC it is literally Wᵀ.
-                let (btr, btc) = tile_grid(r.matrix_cols, r.matrix_rows, size);
+                // for FC it is literally Wᵀ. The first layer has none.
+                let (btr, btc) = match idx {
+                    0 => (0, 0),
+                    _ => tile_grid(r.matrix_cols, r.matrix_rows, size),
+                };
                 let p = r.window_positions.max(1) as u64;
                 // Error backward convolves over the layer's *input* spatial
                 // extent (zero-padded full convolution, Fig. 11).
@@ -250,7 +254,6 @@ impl MappedNetwork {
         let per_matrix = self.config.params.crossbars_per_matrix() as u64;
         self.layers
             .iter()
-            .skip(1)
             .map(|l| l.tiles_backward as u64 * l.g as u64 * per_matrix)
             .sum()
     }

@@ -38,7 +38,8 @@ pub struct QatReport {
 ///
 /// # Panics
 ///
-/// Panics on a degenerate config or empty dataset.
+/// Panics on a degenerate config, an empty split or a split whose images
+/// and labels differ in length, before any weight changes.
 #[expect(clippy::disallowed_macros, reason = "caller bug: degenerate config")]
 #[expect(clippy::cast_precision_loss, reason = "counts below 2^24 are exact")]
 pub fn train_at_resolution(
@@ -52,6 +53,13 @@ pub fn train_at_resolution(
         "degenerate train config"
     );
     assert!(!data.train.is_empty(), "empty training set");
+    assert!(!data.test.is_empty(), "empty test set");
+    assert!(
+        [&data.train, &data.test]
+            .iter()
+            .all(|split| split.images.len() == split.labels.len()),
+        "images/labels length mismatch"
+    );
     // Start from on-grid weights, as Weight_load would program them.
     quantize_network_weights(net, q);
 
@@ -87,8 +95,10 @@ pub fn train_at_resolution(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipelayer_nn::data::Dataset;
     use pipelayer_nn::trainer::Trainer;
     use pipelayer_nn::zoo;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn q(bits: u8) -> Quantizer {
         Quantizer::try_new(bits).unwrap()
@@ -140,5 +150,40 @@ mod tests {
         let mut net = zoo::m1(79);
         let report = train_at_resolution(&mut net, &data, &cfg(), q(12));
         assert!(report.epoch_losses.last().unwrap() < report.epoch_losses.first().unwrap());
+    }
+
+    fn weight_bits(net: &mut Network) -> Vec<u32> {
+        let mut bits = Vec::new();
+        for layer in net.layers_mut() {
+            if let Some(p) = layer.params_mut() {
+                bits.extend(p.weight.as_slice().iter().map(|v| v.to_bits()));
+                bits.extend(p.bias.as_slice().iter().map(|v| v.to_bits()));
+            }
+        }
+        bits
+    }
+
+    /// A split that could only fail after training — an empty test set
+    /// (the final accuracy), or images and labels of different lengths —
+    /// panics before the first weight changes, the initial quantization
+    /// included.
+    #[test]
+    fn unusable_splits_panic_before_any_weight_changes() {
+        let full = SyntheticMnist::generate(32, 8, 2);
+        let mut no_test = full.clone();
+        no_test.test = Dataset::default();
+        let mut test_labels = full.clone();
+        test_labels.test.labels.push(0);
+        let mut train_labels = full;
+        train_labels.train.labels.pop();
+        for data in [no_test, test_labels, train_labels] {
+            let mut net = zoo::m1(3);
+            let before = weight_bits(&mut net);
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                train_at_resolution(&mut net, &data, &cfg(), q(12))
+            }));
+            assert!(run.is_err(), "an unusable split must be rejected");
+            assert_eq!(weight_bits(&mut net), before, "weights changed");
+        }
     }
 }

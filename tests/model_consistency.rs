@@ -4,12 +4,14 @@
 
 use pipelayer::analysis::Analysis;
 use pipelayer::config::PipeLayerConfig;
+use pipelayer::functional::ReramMlp;
 use pipelayer::granularity::{default_granularity, scale_lambda};
 use pipelayer::mapping::MappedNetwork;
 use pipelayer::perf::PerfModel;
 use pipelayer::pipeline::PipelineSim;
 use pipelayer::Accelerator;
 use pipelayer_nn::zoo;
+use pipelayer_reram::tile_grid;
 use std::num::NonZeroUsize;
 
 fn nz(n: usize) -> NonZeroUsize {
@@ -120,5 +122,48 @@ fn testing_deployment_never_larger_than_training() {
             "{}",
             spec.name
         );
+    }
+}
+
+/// The functional network holds the arrays the mapping counts. Per layer,
+/// the forward matrix `A_l` built by `ReramMlp::from_spec` has the mapped
+/// kernel matrix's word lines × bit lines and tiles as `tiles`. The first
+/// layer holds no error-backward matrix `A_l2` in either model, and it
+/// reads no error phases. Every later layer's `A_l2` holds the layer's
+/// kernel weights without the bias row. For an FC layer its tile grid is
+/// the mapped `tiles_backward`. A conv layer's Fig. 11 matrix (`K²·C_out`
+/// word lines × `C_in` bit lines) is packed differently from the mapping's
+/// transposed count, so only its weights are compared.
+#[test]
+fn functional_arrays_match_the_mapping() {
+    let config = PipeLayerConfig::default();
+    let size = config.params.xbar_size;
+    for spec in [zoo::spec_mnist_a(), zoo::spec_mnist_0(), zoo::spec_c4()] {
+        let mapped = MappedNetwork::try_from_spec(&spec, config).unwrap();
+        let net = ReramMlp::from_spec(&spec, &config.params, 1)
+            .unwrap()
+            .build();
+        assert_eq!(net.depth(), mapped.layers.len(), "{}", spec.name);
+        for (li, m) in mapped.layers.iter().enumerate() {
+            let at = format!("{} layer {li}", spec.name);
+            let ((rows, cols), backward) = net.layer_arrays(li);
+            let r = &m.resolved;
+            assert_eq!((rows, cols), (r.matrix_rows, r.matrix_cols), "{at}");
+            let (tr, tc) = tile_grid(rows, cols, size);
+            assert_eq!(tr * tc, m.tiles, "{at}");
+            let Some((b_rows, b_cols)) = backward else {
+                assert_eq!(li, 0, "{at}: only the first layer lacks A_l2");
+                assert_eq!((m.tiles_backward, m.reads_error), (0, 0), "{at}");
+                continue;
+            };
+            assert!(li > 0, "{at}: the first layer holds no A_l2");
+            assert!(m.tiles_backward > 0 && m.reads_error > 0, "{at}");
+            assert_eq!(b_rows * b_cols, (rows - 1) * cols, "{at}");
+            if !r.is_conv {
+                assert_eq!((b_rows, b_cols), (cols, rows - 1), "{at}");
+                let (btr, btc) = tile_grid(b_rows, b_cols, size);
+                assert_eq!(btr * btc, m.tiles_backward, "{at}");
+            }
+        }
     }
 }
